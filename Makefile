@@ -1,7 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast properties lint ruff bench obs-bench server-smoke crash-sim replication-sim sharding-sim exhaustion-sim recovery-sim fsck-smoke audit all
+SUITES := crash replication sharding exhaustion recovery
+
+.PHONY: test test-fast properties lint ruff bench obs-bench server-smoke sims fsck-smoke audit all
 
 all: test lint
 
@@ -36,42 +38,15 @@ ruff:
 server-smoke:
 	$(PYTHON) scripts/server_smoke.py --image artifacts/server-smoke.tyc --trace artifacts/server-smoke-trace.ndjson
 
-# exhaustive crash-point sweep: simulate power loss at every I/O operation
-# of a multi-commit workload, in four failure models, and require recovery
-# to an adjacent commit's state every time (see docs/durability.md)
-crash-sim:
-	$(PYTHON) scripts/crash_sim.py --json crash-sim-report.json
+# one chaos suite (crash, replication, sharding, exhaustion, recovery —
+# docs/durability.md tabulates what each injects and asserts): the sweep
+# must pass, then the suite's negative control — the same check with the
+# protection under test switched off — MUST fail, or the detector is blind
+sim-%:
+	$(PYTHON) scripts/sim.py --suite $* --json $*-sim-report.json
+	! $(PYTHON) scripts/sim.py --suite $* --negative-control
 
-# replication chaos sweep: link faults, kill/restart of both roles and
-# sync-replicated failover across a primary + 2 replicas; asserts no acked
-# write lost, convergence to the primary's fsck-clean state, and a single
-# highest-term primary (see docs/replication.md)
-replication-sim:
-	$(PYTHON) scripts/replication_sim.py --json replication-sim-report.json
-
-# sharding chaos sweep: coordinator-link faults, shard failover and
-# coordinator failpoint crashes inside the 2PC commit window across two
-# shard groups; asserts no acked cross-shard write lost or half-applied
-# and no staging/decision residue (see docs/sharding.md)
-sharding-sim:
-	$(PYTHON) scripts/sharding_sim.py --json sharding-sim-report.json
-
-# resource-exhaustion chaos sweep: ENOSPC/EDQUOT/EIO write and fsync
-# failures (one-shot and persistent) against a live multi-session daemon,
-# plus memory-ceiling and open-loop-overload scenarios; asserts the daemon
-# never dies, reads keep answering, degraded read-only mode is entered and
-# auto-recovered, and no acked write is lost (see docs/durability.md)
-exhaustion-sim:
-	$(PYTHON) scripts/exhaustion_sim.py --json exhaustion-sim-report.json
-
-# disaster-recovery sweep: full + incremental backups under write traffic,
-# point-in-time restore past a poison commit, bit rot caught by the scrub
-# and healed by anti-entropy repair, crashes injected mid-backup and
-# mid-restore; then the negative control — archiving without fsync MUST
-# lose a restore point (see docs/recovery.md)
-recovery-sim:
-	$(PYTHON) scripts/recovery_sim.py --json recovery-sim-report.json
-	! $(PYTHON) scripts/recovery_sim.py --negative-control
+sims: $(addprefix sim-,$(SUITES))
 
 # integrity-check the image the server smoke test leaves behind
 fsck-smoke: server-smoke

@@ -617,7 +617,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shards=shards,
         shard_id=args.shard_id,
         shard_vnodes=args.vnodes,
-        durable_decisions=not args.no_durable_decisions,
         read_only=args.read_only,
         degraded_probe_interval=(
             args.degraded_probe_interval
@@ -1008,12 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual nodes per shard on the hash ring",
     )
     serve_p.add_argument(
-        "--no-durable-decisions", action="store_true",
-        help="skip the 2PC decision-record fsync (UNSAFE: loses "
-        "cross-shard atomicity on coordinator crash; negative-control "
-        "testing only)",
-    )
-    serve_p.add_argument(
         "--read-only", action="store_true",
         help="start in degraded read-only mode (manual operator override; "
         "never auto-recovers — see docs/durability.md)",
@@ -1044,8 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--no-archive", action="store_true",
-        help="skip continuous commit-log archiving (UNSAFE for disaster "
-        "recovery: log resets discard restore points; see docs/recovery.md)",
+        help="skip continuous commit-log archiving (no point-in-time "
+        "restore: log resets discard restore points; see docs/recovery.md)",
     )
     serve_p.add_argument(
         "--scrub-interval", type=float, default=0.0,

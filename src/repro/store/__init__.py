@@ -5,12 +5,12 @@ commits) → :mod:`repro.store.heap` (OID → object, roots, atomic commit) →
 :mod:`repro.store.serialize` (value codec with domain extensions) and
 :mod:`repro.store.ptml` (the compact persistent TML encoding attached to
 compiled functions).  Durability tooling: :mod:`repro.store.faults`
-(fault-injecting file layer), :mod:`repro.store.crashsim` (exhaustive
-crash-point harness), :mod:`repro.store.fsck` (offline check/repair) and
-:mod:`repro.store.format` (v1 → v2 migration); see docs/durability.md.
+(fault-injecting file layer), :mod:`repro.store.fsck` (offline
+check/repair) and :mod:`repro.store.format` (v1 → v2 migration); the
+chaos suites that prove it live in :mod:`repro.testing.chaos`; see
+docs/durability.md.
 """
 
-from repro.store.crashsim import CrashSimReport, run_crash_sim
 from repro.store.faults import CrashPoint, FaultFile, FaultPlan
 from repro.store.fsck import FsckResult, fsck_image
 from repro.store.heap import HeapError, ObjectHeap, Transaction
@@ -36,8 +36,6 @@ __all__ = [
     "CrashPoint",
     "FaultFile",
     "FaultPlan",
-    "CrashSimReport",
-    "run_crash_sim",
     "FsckResult",
     "fsck_image",
     "DecodedPtml",

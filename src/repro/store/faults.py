@@ -40,7 +40,7 @@ Two durability models:
   as the page cache would serve them.
 
 A commit protocol is only correct if recovery succeeds under *both*
-extremes (plus torn variants); :mod:`repro.store.crashsim` runs all of
+extremes (plus torn variants); :mod:`repro.testing.chaos.crash` runs all of
 them at every successive I/O operation.
 
 Operation indices are global per :class:`FaultPlan` (shared across every

@@ -29,7 +29,7 @@ With ``repair=True`` the image is rewritten in place:
 
 Format v1 images are checked logically (via :mod:`repro.store.format`)
 and left untouched unless ``repair=True``, which migrates them to v2
-first.  The crash harness (:mod:`repro.store.crashsim`) runs fsck over
+first.  The crash harness (:mod:`repro.testing.chaos.crash`) runs fsck over
 every post-crash image and requires zero errors.
 """
 

@@ -22,6 +22,7 @@ for scratch images in the code-shipping example.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
@@ -138,6 +139,11 @@ class ObjectHeap:
         #: on load and commit); the sum is the memory-governance signal
         self._sizes: dict[int, int] = {}
         self._cached_bytes = 0
+        #: guards the cache bookkeeping that *readers* mutate (LRU order,
+        #: miss-path installs, eviction): snapshot readers run concurrently
+        #: under the shared side of the store's RWLock.  Never held across
+        #: a nested ``load`` or any pager I/O.
+        self._cache_lock = threading.Lock()
         self._oid_by_identity: dict[int, int] = {}
         self._dirty: set[int] = set()
         self._next_oid = 1
@@ -204,7 +210,9 @@ class ObjectHeap:
         cached = self._cache.get(key, _MISSING)
         if cached is not _MISSING:
             if self._cache_limit is not None:
-                self._cache.move_to_end(key)
+                with self._cache_lock:
+                    if key in self._cache:  # not evicted since the get
+                        self._cache.move_to_end(key)
             return cached
         entry = self._table.get(key)
         if entry is None or self._pager is None:
@@ -213,10 +221,14 @@ class ObjectHeap:
         head, length = entry
         raw = self._pager.read_chain(head, length)
         obj = decode_value(raw, resolver=self.load)
-        self._cache[key] = obj
-        self._note_size(key, len(raw))
-        if _tracks_identity(obj):
-            self._oid_by_identity[id(obj)] = key
+        with self._cache_lock:
+            raced = self._cache.get(key, _MISSING)
+            if raced is not _MISSING:
+                return raced  # another reader installed it first: one identity
+            self._cache[key] = obj
+            self._note_size(key, len(raw))
+            if _tracks_identity(obj):
+                self._oid_by_identity[id(obj)] = key
         self._evict()
         return obj
 
@@ -634,22 +646,23 @@ class ObjectHeap:
         if limit is None:
             _HEAP_CACHED.set(len(self._cache))
             return
-        if len(self._cache) > limit:
-            evictable = [
-                key
-                for key in self._cache  # oldest first
-                if key in self._table and key not in self._dirty
-            ]
-            for key in evictable[: len(self._cache) - limit]:
-                # concurrent snapshot readers may race on faulting/evicting;
-                # a key another thread already dropped is simply skipped
-                obj = self._cache.pop(key, _MISSING)
-                if obj is _MISSING:
-                    continue
-                if _tracks_identity(obj):
-                    self._oid_by_identity.pop(id(obj), None)
-                self._forget_size(key)
-                _HEAP_EVICTIONS.inc()
+        with self._cache_lock:
+            if len(self._cache) > limit:
+                evictable = [
+                    key
+                    for key in self._cache  # oldest first
+                    if key in self._table and key not in self._dirty
+                ]
+                for key in evictable[: len(self._cache) - limit]:
+                    # the writer's own cache edits (commit, abort) do not
+                    # take this lock; a key it already dropped is skipped
+                    obj = self._cache.pop(key, _MISSING)
+                    if obj is _MISSING:
+                        continue
+                    if _tracks_identity(obj):
+                        self._oid_by_identity.pop(id(obj), None)
+                    self._forget_size(key)
+                    _HEAP_EVICTIONS.inc()
         _HEAP_CACHED.set(len(self._cache))
         _HEAP_CACHED_BYTES.set(self._cached_bytes)
 

@@ -33,7 +33,7 @@ free-list record are written first and made durable with an fsync; then
 the *inactive* header slot is written with ``epoch + 1`` and fsynced —
 the single commit point.  A crash anywhere in between leaves the previous
 consistent state reachable (exhaustively verified by
-:mod:`repro.store.crashsim`).
+:mod:`repro.testing.chaos.crash`).
 
 Version 1 images (magic ``TYC1``, no checksums, single header, on-page
 free list) are migrated in place on first open — see
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -236,9 +237,14 @@ class Pager:
         self.free_list_error: str | None = None
         existed = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         self._file = self._open_file(self.path, "r+b" if existed else "w+b")
+        #: guards every seek+read / seek+write pair on ``_file``: snapshot
+        #: readers hold only the shared side of the store's RWLock, so two
+        #: of them (or a reader and the scrub) can be inside the pager at
+        #: once, and a seek landing between another thread's seek and its
+        #: read hands that thread the wrong page
+        self._io_lock = threading.Lock()
         if existed:
-            self._file.seek(0)
-            if _read_exact(self._file, 4) == MAGIC_V1:
+            if self._read_at(0, 4) == MAGIC_V1:
                 self._migrate_v1(migrate)
             self._recover(page_size, checksum)
         else:
@@ -255,8 +261,7 @@ class Pager:
             )
             self._checksum = checksum_fn(self.header.checksum_kind)
             # fresh page 0: all zeros, both slots invalid until the first sync
-            self._file.seek(0)
-            self._file.write(b"\x00" * page_size)
+            self._write_at(0, b"\x00" * page_size)
             self._active_slot = 1  # first sync_header publishes into slot 0
             self.sync_header()
 
@@ -277,8 +282,7 @@ class Pager:
 
     def _recover(self, page_size: int, checksum: str | None) -> None:
         """Pick the newest header slot that verifies (dual-header recovery)."""
-        self._file.seek(0)
-        raw = _read_exact(self._file, HEADER_SLOTS * SLOT_SIZE)
+        raw = self._read_at(0, HEADER_SLOTS * SLOT_SIZE)
         self.slot_status = []
         candidates: list[tuple[int, Header]] = []
         torn_slots = 0
@@ -368,9 +372,18 @@ class Pager:
         """Payload bytes per chained-record page."""
         return self.page_capacity - _CHAIN_LINK
 
+    def _read_at(self, offset: int, size: int) -> bytes:
+        with self._io_lock:
+            self._file.seek(offset)
+            return _read_exact(self._file, size)
+
+    def _write_at(self, offset: int, data: bytes) -> None:
+        with self._io_lock:
+            self._file.seek(offset)
+            self._file.write(data)
+
     def _read_raw(self, page_id: int) -> bytes:
-        self._file.seek(page_id * self.header.page_size)
-        raw = _read_exact(self._file, self.header.page_size)
+        raw = self._read_at(page_id * self.header.page_size, self.header.page_size)
         _PAGE_READS.inc()
         _BYTES_READ.inc(self.header.page_size)
         return raw
@@ -379,8 +392,7 @@ class Pager:
         if len(data) > self.header.page_size:
             raise PageError("page overflow")
         padded = data + b"\x00" * (self.header.page_size - len(data))
-        self._file.seek(page_id * self.header.page_size)
-        self._file.write(padded)
+        self._write_at(page_id * self.header.page_size, padded)
         _PAGE_WRITES.inc()
         _BYTES_WRITTEN.inc(len(data))
 
@@ -564,8 +576,7 @@ class Pager:
         self._fsync()  # data durable before the header points at it
         self.header.epoch += 1
         target = (self._active_slot + 1) % HEADER_SLOTS
-        self._file.seek(target * SLOT_SIZE)
-        self._file.write(self.header.pack())
+        self._write_at(target * SLOT_SIZE, self.header.pack())
         self._file.flush()
         self._fsync()  # the commit point
         self._active_slot = target

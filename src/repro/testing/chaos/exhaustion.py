@@ -1,19 +1,18 @@
-"""Resource-exhaustion chaos harness: proving the daemon under a dying disk.
+"""Suite ``exhaustion``: proving the daemon under a dying disk.
 
-The durability story so far covered *crashes* (:mod:`repro.store.crashsim`:
-the process dies, the image must recover) and *network* failure
-(:mod:`repro.server.netchaos`).  This harness covers the third way storage
-fails in production: the process stays up but the disk stops cooperating —
-``ENOSPC`` on a full volume, ``EDQUOT`` on a quota, ``EIO`` on a dying
-device, and the quiet killer, a *failing fsync* (the kernel may drop the
-dirty pages after reporting the error: retrying the fsync is not a
-recovery strategy).
+The ``crash`` suite covers *crashes* (the process dies, the image must
+recover) and ``replication`` covers *network* failure.  This suite covers
+the third way storage fails in production: the process stays up but the
+disk stops cooperating — ``ENOSPC`` on a full volume, ``EDQUOT`` on a
+quota, ``EIO`` on a dying device, and the quiet killer, a *failing fsync*
+(the kernel may drop the dirty pages after reporting the error: retrying
+the fsync is not a recovery strategy).
 
-Every scenario runs a real :class:`~repro.server.daemon.ReproServer` on a
-loopback socket with a :class:`~repro.store.faults.FaultPlan` slid under
-its pager, drives a concurrent multi-session write workload while
-injecting write/fsync failures (one-shot at the n-th I/O op, or a
-persistent outage healed later), and asserts the survival invariants:
+Every scenario runs one harness daemon with a
+:class:`~repro.store.faults.FaultPlan` slid under its pager, drives a
+concurrent multi-session write workload while injecting write/fsync
+failures (one-shot at the n-th I/O op, or a persistent outage healed
+later), and asserts the survival invariants:
 
 1. **the daemon never dies** — ``ping`` answers throughout, including
    while degraded;
@@ -30,24 +29,20 @@ persistent outage healed later), and asserts the survival invariants:
    under **open-loop overload** introspection stays responsive while
    excess load sheds with typed errors — never a hung connection.
 
-:func:`scenario_negative_control` disables degraded mode
-(``unsafe_no_degraded``): a failed commit then leaves the heap's
-in-memory table pointing at half-written state, and the *next* successful
-commit publishes the torn write the client was told had failed — the
-acked-values check must detect the resurrection.  CI inverts the
-invocation; a passing negative control means the detector is broken.
-
-Wired as ``scripts/exhaustion_sim.py`` / ``make exhaustion-sim``.
+:func:`negative_control` disables degraded mode (``unsafe_no_degraded``):
+a failed commit then leaves the heap's in-memory table pointing at
+half-written state, and the *next* successful commit publishes the torn
+write the client was told had failed — the check must detect the
+resurrection.  CI inverts the invocation; a passing negative control
+means the detector is broken.
 """
 
 from __future__ import annotations
 
 import errno
-import os
 import threading
 import time
 
-from repro.obs.metrics import METRICS
 from repro.server.client import (
     BusyError,
     ClientError,
@@ -55,124 +50,72 @@ from repro.server.client import (
     ServerError,
     connect,
 )
-from repro.server.daemon import ReproServer, ServerConfig
 from repro.store.faults import FaultPlan
-from repro.store.fsck import fsck_image
-from repro.store.heap import HeapError, ObjectHeap
+from repro.testing.chaos.harness import Cluster
+from repro.testing.chaos.runner import InvariantViolation, Scenario, Suite, scenario
 
-__all__ = [
-    "ExhaustError",
-    "ExhaustionHarness",
-    "ScenarioResult",
-    "build_scenarios",
-    "scenario_negative_control",
-    "run_sweep",
-]
-
-_SCENARIOS = METRICS.counter("store.exhaustsim.scenarios", "exhaustion scenarios run")
-_FAILURES = METRICS.counter("store.exhaustsim.failures", "exhaustion scenarios failed")
+__all__ = ["SUITE", "ExhaustionHarness", "build", "negative_control"]
 
 
-class ExhaustError(AssertionError):
-    """A scenario invariant was violated."""
-
-
-class ScenarioResult:
-    def __init__(self, name, ok, detail="", elapsed_s=0.0, checks=None):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.elapsed_s = elapsed_s
-        self.checks = checks or {}
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "checks": self.checks,
-        }
-
-
-class ExhaustionHarness:
+class ExhaustionHarness(Cluster):
     """One daemon over a fault-planned image + a recorded write workload."""
 
     #: concurrent writer sessions (one key each)
     WRITERS = 3
 
-    def __init__(self, root: str, **config_overrides):
-        os.makedirs(root, exist_ok=True)
-        self.image = os.path.join(root, "exhaust.tyc")
+    def __init__(self, root: str, **overrides):
+        super().__init__(root)
         self.plan = FaultPlan()
-        defaults = dict(
-            workers=2,
-            queue_size=32,
-            pgo_interval=None,
-            history_interval=None,
-            profile=False,
+        self.server = self.spawn(
+            "node",
             # fast probe so recovery is observable within a scenario
             degraded_probe_interval=0.05,
             io_factory=self.plan.file_factory,
             enable_debug_ops=True,
+            **overrides,
         )
-        defaults.update(config_overrides)
-        self.server = ReproServer(self.image, ServerConfig(**defaults))
-        self.server.start()
-        #: per key: last value the server *acknowledged* (ok response)
-        self.acked: dict[str, int] = {}
-        #: per key: every value a set() was attempted with
-        self.attempted: dict[str, set[int]] = {}
-        self._record_lock = threading.Lock()
         self.read_failures: list[str] = []
-        self.write_errors: list[str] = []
         # a stable pre-seeded root the read poller watches during outages
         with connect(self.server.port) as db:
             db.set("sentinel", 41)
-        self.acked["sentinel"] = 41
-        self.attempted["sentinel"] = {41}
+        self.ledger.record("sentinel", 41)
+
+    def teardown(self) -> None:
+        self.plan.heal()  # let the shutdown flush through
+        super().teardown()
 
     # ------------------------------------------------------------- workload
 
     def write(self, db, key: str, value: int, retry_window: float = 0.0) -> bool:
-        """One recorded write; with a retry window, read_only/busy answers
+        """One ledgered write; with a retry window, read_only/busy answers
         are retried until the window closes (modeling a patient client)."""
-        with self._record_lock:
-            self.attempted.setdefault(key, set()).add(value)
+        self.ledger.attempt(key, value)
         deadline = time.monotonic() + retry_window
         while True:
             try:
                 db.set(key, value)
             except (ReadOnlyError, BusyError) as exc:
                 if time.monotonic() >= deadline:
-                    with self._record_lock:
-                        self.write_errors.append(f"{key}={value}: {exc}")
                     return False
                 hint = exc.details.get("retry_after") or 0.05
                 time.sleep(min(float(hint), 0.2))
-            except (ClientError, ServerError) as exc:
-                with self._record_lock:
-                    self.write_errors.append(f"{key}={value}: {exc}")
+            except (ClientError, ServerError):
                 return False
             else:
-                with self._record_lock:
-                    self.acked[key] = value
+                self.ledger.ack(key, value)
                 return True
 
-    def run_writers(
-        self, per_writer: int, inject_at: int | None = None, inject=None,
-        retry_window: float = 5.0,
-    ) -> None:
+    def run_writers(self, per_writer: int, inject_at: int, inject) -> None:
         """``WRITERS`` concurrent sessions, each writing an increasing
-        sequence to its own key; ``inject()`` fires (once, from the main
-        thread) when any writer reaches sequence ``inject_at``."""
+        sequence to its own key; ``inject()`` fires (once, from writer 0)
+        when that writer reaches sequence ``inject_at``."""
+
         def writer(index: int) -> None:
-            key = f"k{index}"
             with connect(self.server.port) as db:
                 for seq in range(1, per_writer + 1):
-                    if index == 0 and seq == inject_at and inject is not None:
+                    if index == 0 and seq == inject_at:
                         inject()
-                    self.write(db, key, seq, retry_window=retry_window)
+                    self.write(db, f"k{index}", seq, retry_window=5.0)
 
         threads = [
             threading.Thread(target=writer, args=(i,), name=f"exhaust-writer-{i}")
@@ -183,9 +126,11 @@ class ExhaustionHarness:
         for thread in threads:
             thread.join(timeout=60)
             if thread.is_alive():
-                raise ExhaustError("writer thread hung — daemon stopped answering")
+                raise InvariantViolation(
+                    "writer thread hung — daemon stopped answering"
+                )
 
-    def start_read_poller(self, stop: threading.Event) -> threading.Thread:
+    def start_read_poller(self, stop: threading.Event) -> None:
         """Continuously read the sentinel root + ping: reads must always
         answer, degraded or not."""
 
@@ -201,9 +146,7 @@ class ExhaustionHarness:
                         self.read_failures.append(f"{type(exc).__name__}: {exc}")
                     time.sleep(0.01)
 
-        thread = threading.Thread(target=poll, name="exhaust-reader", daemon=True)
-        thread.start()
-        return thread
+        threading.Thread(target=poll, name="exhaust-reader", daemon=True).start()
 
     # ------------------------------------------------------------ assertions
 
@@ -215,9 +158,9 @@ class ExhaustionHarness:
         try:
             info = self.ping()
         except (ClientError, ServerError) as exc:
-            raise ExhaustError(f"daemon stopped answering ping: {exc}") from exc
+            raise InvariantViolation(f"daemon stopped answering ping: {exc}") from exc
         if info.get("pong") is not True:
-            raise ExhaustError(f"bad ping reply: {info}")
+            raise InvariantViolation(f"bad ping reply: {info}")
 
     def assert_degraded(self, expected: bool, timeout: float = 5.0) -> None:
         deadline = time.monotonic() + timeout
@@ -226,7 +169,7 @@ class ExhaustionHarness:
             if bool(info.get("degraded")) == expected:
                 return
             if time.monotonic() >= deadline:
-                raise ExhaustError(
+                raise InvariantViolation(
                     f"daemon degraded={info.get('degraded')}, expected {expected} "
                     f"(reason={info.get('degraded_reason')!r})"
                 )
@@ -238,76 +181,30 @@ class ExhaustionHarness:
                 db.set("rejected", 1)
             except ReadOnlyError as exc:
                 if not exc.details.get("reason"):
-                    raise ExhaustError("read_only error carries no reason")
+                    raise InvariantViolation("read_only error carries no reason")
                 return
-            raise ExhaustError("write was accepted while degraded")
+            raise InvariantViolation("write was accepted while degraded")
 
     def check_no_read_failures(self) -> None:
         if self.read_failures:
-            raise ExhaustError(
+            raise InvariantViolation(
                 f"{len(self.read_failures)} read failures during the outage; "
                 f"first: {self.read_failures[0]}"
             )
 
-    def verify_image(self) -> dict:
-        """Post-shutdown: fsck clean + every root holds a sane value.
-
-        A root's final value must be ≥ the last acknowledged one and must
-        be a value some attempt actually wrote: below the acked floor
-        means an acked write was rolled back (lost); above it is legal
-        only for a post-commit-point failure (durable but unacked); a
-        value never attempted means corruption.
-        """
-        report = fsck_image(self.image)
-        if not report.ok:
-            raise ExhaustError(f"image failed fsck after the scenario: {report}")
-        heap = ObjectHeap(self.image)
-        try:
-            final = {}
-            for name in self.acked:
-                try:
-                    final[name] = heap.load_root(name)
-                except HeapError:
-                    final[name] = None
-        finally:
-            heap.close()
-        for key, acked_value in sorted(self.acked.items()):
-            value = final.get(key)
-            if value is None:
-                raise ExhaustError(f"acked root {key!r} missing from the image")
-            if value < acked_value:
-                raise ExhaustError(
-                    f"acked write lost: {key!r} is {value}, "
-                    f"last acked was {acked_value}"
-                )
-            if value not in self.attempted.get(key, set()):
-                raise ExhaustError(
-                    f"root {key!r} holds {value!r}, which no attempt ever wrote"
-                )
-        return {"roots": len(final), "acked": dict(self.acked)}
-
-    def teardown(self) -> None:
-        self.plan.heal()
-        try:
-            self.server.stop()
-        except Exception:
-            pass
+    def finish(self) -> dict:
+        """Common tail: the recovered daemon takes writes again, and the
+        image it leaves behind verifies."""
+        self.assert_degraded(False, timeout=10.0)
+        with connect(self.server.port) as db:
+            db.set("post-recovery", 7)
+        self.ledger.record("post-recovery", 7)
+        return self.verify()
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
-
-
-def _finish(harness: ExhaustionHarness) -> dict:
-    """Common tail: recovered daemon takes writes again, image verifies."""
-    harness.assert_degraded(False, timeout=10.0)
-    with connect(harness.server.port) as db:
-        db.set("post-recovery", 7)
-    harness.acked["post-recovery"] = 7
-    harness.attempted.setdefault("post-recovery", set()).add(7)
-    harness.server.stop()
-    return harness.verify_image()
 
 
 def scenario_one_shot(root: str, kind: str, nth: int, fault_errno: int) -> dict:
@@ -329,7 +226,7 @@ def scenario_one_shot(root: str, kind: str, nth: int, fault_errno: int) -> dict:
         )
         harness.assert_alive()
         harness.check_no_read_failures()
-        return _finish(harness)
+        return harness.finish()
     finally:
         stop.set()
         harness.teardown()
@@ -346,7 +243,7 @@ def scenario_persistent_outage(root: str, fault_errno: int) -> dict:
             harness.write(db, "before", 1)
             harness.plan.exhaust(fault_errno)
             # this commit hits the dead disk: rejected, daemon degrades
-            harness.write(db, "during", 1, retry_window=0.0)
+            harness.write(db, "during", 1)
         harness.assert_degraded(True)
         harness.assert_alive()
         harness.assert_write_rejected_read_only()
@@ -355,7 +252,7 @@ def scenario_persistent_outage(root: str, fault_errno: int) -> dict:
         harness.assert_degraded(True)
         harness.check_no_read_failures()
         harness.plan.heal()
-        return _finish(harness)
+        return harness.finish()
     finally:
         stop.set()
         harness.teardown()
@@ -385,10 +282,10 @@ def scenario_memory_ceiling(root: str) -> dict:
                         raise
                     saw_memory_busy = True
                     if exc.details.get("retry_after") is None:
-                        raise ExhaustError("memory rejection has no retry_after")
+                        raise InvariantViolation("memory rejection has no retry_after")
                     break
         if not saw_memory_busy:
-            raise ExhaustError("memory budget never rejected a write")
+            raise InvariantViolation("memory budget never rejected a write")
         # the watchdog sheds cache below budget; then writes flow again
         deadline = time.monotonic() + 5.0
         recovered = False
@@ -402,16 +299,13 @@ def scenario_memory_ceiling(root: str) -> dict:
                     recovered = True
                     break
         if not recovered:
-            raise ExhaustError("writes never recovered after memory shedding")
-        harness.acked["after-shed"] = 1
-        harness.attempted.setdefault("after-shed", set()).add(1)
+            raise InvariantViolation("writes never recovered after memory shedding")
+        harness.ledger.record("after-shed", 1)
         harness.check_no_read_failures()
         harness.assert_alive()
-        info = harness.ping()
-        if info.get("degraded"):
-            raise ExhaustError("memory pressure must not flip degraded mode")
-        harness.server.stop()
-        return harness.verify_image()
+        if harness.ping().get("degraded"):
+            raise InvariantViolation("memory pressure must not flip degraded mode")
+        return harness.verify()
     finally:
         stop.set()
         harness.teardown()
@@ -456,23 +350,22 @@ def scenario_open_loop_overload(root: str) -> dict:
                     slow_pings += 1
                 time.sleep(0.05)
         if slow_pings:
-            raise ExhaustError(
+            raise InvariantViolation(
                 f"{slow_pings}/20 introspection rounds took >1s under overload"
             )
         stop.set()
         for thread in threads:
             thread.join(timeout=10)
             if thread.is_alive():
-                raise ExhaustError("flooder hung — a connection wedged")
+                raise InvariantViolation("flooder hung — a connection wedged")
         with errors_lock:
             shed = errors.get("backpressure", 0) + errors.get("overloaded", 0)
         if not shed:
-            raise ExhaustError(f"overload never shed a request (errors: {errors})")
+            raise InvariantViolation(
+                f"overload never shed a request (errors: {errors})"
+            )
         harness.assert_alive()
-        harness.server.stop()
-        report = fsck_image(harness.image)
-        if not report.ok:
-            raise ExhaustError("image failed fsck after the overload")
+        harness.verify()
         return {"shed": shed, "errors": dict(errors)}
     finally:
         stop.set()
@@ -490,7 +383,7 @@ def _measure_commit_writes(harness: ExhaustionHarness, db, key: str, value) -> i
     return writes
 
 
-def scenario_negative_control(root: str) -> dict:
+def negative_control(root: str) -> dict:
     """Degraded mode OFF: the torn-write resurrection MUST be detected.
 
     A steady-state single-key commit's write sequence is: payload chain,
@@ -503,7 +396,7 @@ def scenario_negative_control(root: str) -> dict:
     state untouched but the in-memory table torn.  Without
     ``rollback_to_durable`` the next successful commit publishes that
     table — resurrecting the value the client was told had failed.  The
-    check must catch exactly that; CI inverts this script's exit code.
+    check must catch exactly that; CI inverts this suite's exit code.
     """
     harness = ExhaustionHarness(root, unsafe_no_degraded=True)
     try:
@@ -516,7 +409,7 @@ def scenario_negative_control(root: str) -> dict:
             writes = _measure_commit_writes(harness, db, "ctrl", 150)
             again = _measure_commit_writes(harness, db, "ctrl", 160)
             if writes != again or writes < 4:
-                raise ExhaustError(
+                raise InvariantViolation(
                     f"commit write count unstable ({writes} vs {again}); "
                     "cannot arm the header-write failure deterministically"
                 )
@@ -528,12 +421,12 @@ def scenario_negative_control(root: str) -> dict:
             except (ClientError, ServerError):
                 pass
             else:
-                raise ExhaustError("armed write failure did not fail the write")
+                raise InvariantViolation("armed write failure did not fail the write")
             db.set("other", 1)  # unrelated commit publishes the torn table
             resurrected = db.get("ctrl")["ctrl"]
         harness.server.stop()
         if resurrected == 200:
-            raise ExhaustError(
+            raise InvariantViolation(
                 "torn write resurrected: a value the client was told had "
                 "failed became visible after an unrelated commit"
             )
@@ -542,67 +435,29 @@ def scenario_negative_control(root: str) -> dict:
         harness.teardown()
 
 
-def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
-    """The sweep: (name, thunk(root)) pairs — write/fsync one-shot faults
-    across op positions and errnos, a persistent outage per errno, the
-    memory ceiling and the open-loop overload."""
-    scenarios: list[tuple[str, callable]] = []
-
-    def add(name, fn, *args, **kwargs):
-        scenarios.append((name, lambda root, a=args, k=kwargs: fn(root, *a, **k)))
-
-    errnos = {"enospc": errno.ENOSPC, "eio": errno.EIO, "edquot": errno.EDQUOT}
-    if quick:
-        errnos = {"enospc": errno.ENOSPC, "eio": errno.EIO}
-    nths = [1, 2] if quick else [1, 2, 3, 5, 8]
+def build(quick: bool = False) -> list[Scenario]:
+    """Write/fsync one-shot faults across op positions and errnos, a
+    persistent outage per errno, the memory ceiling and the open-loop
+    overload."""
+    errnos = {"enospc": errno.ENOSPC, "eio": errno.EIO}
+    if not quick:
+        errnos["edquot"] = errno.EDQUOT
+    out: list[Scenario] = []
     for label, code in errnos.items():
         for kind in ("write", "fsync"):
-            for nth in nths:
-                add(f"one-shot/{kind}/{label}/n{nth}",
-                    scenario_one_shot, kind, nth, code)
-        add(f"outage/{label}", scenario_persistent_outage, code)
-    add("memory/ceiling", scenario_memory_ceiling)
-    add("overload/open-loop", scenario_open_loop_overload)
-    return scenarios
+            for nth in [1, 2] if quick else [1, 2, 3, 5, 8]:
+                out.append(
+                    scenario(
+                        f"one-shot/{kind}/{label}/n{nth}",
+                        scenario_one_shot, kind, nth, code,
+                    )
+                )
+        out.append(scenario(f"outage/{label}", scenario_persistent_outage, code))
+    out.append(scenario("memory/ceiling", scenario_memory_ceiling))
+    out.append(scenario("overload/open-loop", scenario_open_loop_overload))
+    return out
 
 
-def run_sweep(
-    root: str,
-    quick: bool = False,
-    negative_control: bool = False,
-    progress=None,
-) -> dict:
-    """Run the sweep (or just the negative control); returns the report."""
-    if negative_control:
-        scenarios = [("negative-control/no-degraded", scenario_negative_control)]
-    else:
-        scenarios = build_scenarios(quick=quick)
-    results: list[ScenarioResult] = []
-    for index, (name, thunk) in enumerate(scenarios):
-        _SCENARIOS.inc()
-        scenario_root = os.path.join(root, f"s{index:03d}")
-        started = time.monotonic()
-        try:
-            checks = thunk(scenario_root)
-            result = ScenarioResult(
-                name, True, elapsed_s=time.monotonic() - started, checks=checks
-            )
-        except Exception as exc:
-            _FAILURES.inc()
-            result = ScenarioResult(
-                name,
-                False,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=time.monotonic() - started,
-            )
-        results.append(result)
-        if progress is not None:
-            progress(index + 1, len(scenarios), result)
-    failed = [r for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
-        "failures": [r.as_dict() for r in failed],
-        "results": [r.as_dict() for r in results],
-    }
+SUITE = Suite(
+    "exhaustion", build, negative_control=("negative-control/no-degraded", negative_control)
+)

@@ -1,7 +1,6 @@
-"""Disaster-recovery chaos harness: backup, restore, scrub and repair.
+"""Suite ``recovery``: backup, restore, scrub and repair.
 
-The crash (:mod:`repro.store.crashsim`) and exhaustion
-(:mod:`repro.store.exhaustsim`) harnesses prove the *image* survives; this
+The ``crash`` and ``exhaustion`` suites prove the *image* survives; this
 one proves the operator can get data back when the image itself is the
 casualty — an operator error committed durably (a poison write), bit rot
 on a cold replica page, or a machine lost mid-backup/mid-restore:
@@ -22,13 +21,11 @@ on a cold replica page, or a machine lost mid-backup/mid-restore:
    an injected I/O failure leaves either nothing or the previous good
    artifact, and a retry succeeds.
 
-:func:`scenario_negative_control` re-runs the point-in-time flow with the
+:func:`negative_control` re-runs the point-in-time flow with the
 archiver's fsync *disabled* over a write-back fault plan (buffered segment
 bytes die with the "machine"): the restore point is lost and the restore
 MUST fail — CI inverts the invocation, so a passing negative control
 means the lost-restore-point detector is broken.
-
-Wired as ``scripts/recovery_sim.py`` / ``make recovery-sim``.
 """
 
 from __future__ import annotations
@@ -37,9 +34,7 @@ import os
 import threading
 import time
 
-from repro.obs.metrics import METRICS
-from repro.server.client import ClientError, ServerError, connect
-from repro.server.daemon import ReproServer, ServerConfig
+from repro.server.client import connect
 from repro.store.faults import FaultPlan
 from repro.store.fsck import fsck_image
 from repro.store.heap import HeapError, ObjectHeap
@@ -51,93 +46,40 @@ from repro.store.recovery import (
     incremental_backup,
     restore_image,
 )
+from repro.testing.chaos.harness import Cluster
+from repro.testing.chaos.runner import InvariantViolation, Scenario, Suite, scenario
 
-__all__ = [
-    "RecoveryError",
-    "RecoveryHarness",
-    "ScenarioResult",
-    "build_scenarios",
-    "scenario_negative_control",
-    "run_sweep",
-]
-
-_SCENARIOS = METRICS.counter("store.recoverysim.scenarios", "recovery scenarios run")
-_FAILURES = METRICS.counter("store.recoverysim.failures", "recovery scenarios failed")
+__all__ = ["SUITE", "RecoveryHarness", "build", "negative_control"]
 
 
-class RecoveryError(AssertionError):
-    """A scenario invariant was violated."""
+class RecoveryHarness(Cluster):
+    """A replicating primary (optionally with a replica) plus ledgered writes."""
 
-
-class ScenarioResult:
-    def __init__(self, name, ok, detail="", elapsed_s=0.0, checks=None):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.elapsed_s = elapsed_s
-        self.checks = checks or {}
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "checks": self.checks,
-        }
-
-
-class RecoveryHarness:
-    """A replicating primary (optionally with a replica) plus recorded writes."""
-
-    def __init__(self, root: str, replica: bool = False, **config_overrides):
-        os.makedirs(root, exist_ok=True)
-        self.root = root
-        self.image = os.path.join(root, "primary.tyc")
-        defaults = dict(
-            workers=2,
-            queue_size=32,
-            pgo_interval=None,
-            history_interval=None,
-            profile=False,
-            replicate=True,
-            node_id="p1",
+    def __init__(self, root: str, replica: bool = False, **overrides):
+        super().__init__(root)
+        self.server = self.spawn("primary", replicate=True, **overrides)
+        self.replica = (
+            self.spawn("replica", replica_of=("127.0.0.1", self.server.port))
+            if replica
+            else None
         )
-        defaults.update(config_overrides)
-        self.server = ReproServer(self.image, ServerConfig(**defaults))
-        self.server.start()
-        self.replica: ReproServer | None = None
-        if replica:
-            self.replica_image = os.path.join(root, "replica.tyc")
-            self.replica = ReproServer(
-                self.replica_image,
-                ServerConfig(
-                    workers=2,
-                    queue_size=32,
-                    pgo_interval=None,
-                    history_interval=None,
-                    profile=False,
-                    replica_of=("127.0.0.1", self.server.port),
-                    node_id="r1",
-                ),
-            )
-            self.replica.start()
-        #: key -> last acknowledged value
-        self.acked: dict[str, object] = {}
+        self.dest = os.path.join(root, "backups")
+        self.out = os.path.join(root, "restored.tyc")
 
     # ------------------------------------------------------------- workload
 
     def write_batch(self, prefix: str, count: int, start: int = 0) -> None:
         with connect(self.server.port) as db:
             for i in range(start, start + count):
-                key = f"{prefix}{i}"
-                db.set(key, {"i": i, "blob": "x" * 120})
-                self.acked[key] = i
+                self._set(db, f"{prefix}{i}", {"i": i, "blob": "x" * 120})
 
     def set(self, key: str, value) -> None:
         with connect(self.server.port) as db:
-            db.set(key, value)
-        self.acked[key] = value
+            self._set(db, key, value)
+
+    def _set(self, db, key: str, value) -> None:
+        if not self.write(db, key, value):
+            raise InvariantViolation(f"fault-free write {key!r} was not acked")
 
     def start_traffic(self, stop: threading.Event) -> threading.Thread:
         """A background writer that keeps commits (and archive material)
@@ -149,11 +91,8 @@ class RecoveryHarness:
             with connect(self.server.port) as db:
                 while not stop.is_set():
                     seq += 1
-                    try:
-                        db.set("traffic", seq)
-                    except (ClientError, ServerError):
+                    if not self.write(db, "traffic", seq):
                         return
-                    self.acked["traffic"] = seq
                     time.sleep(0.002)
 
         thread = threading.Thread(target=loop, name="recovery-traffic", daemon=True)
@@ -167,23 +106,24 @@ class RecoveryHarness:
         with self.server.txns.read():
             return self.server.repl_version(), self.server.heap.logical_digest()
 
-    def backup_kwargs(self) -> dict:
-        replication = self.server.replication
-        return {
-            "txns": self.server.txns,
-            "log": replication.log if replication is not None else None,
-            "archiver": self.server.archiver,
-        }
+    def backup(self, take=incremental_backup, **kwargs) -> dict:
+        """``take`` (a full or incremental backup) of the live primary."""
+        kwargs.setdefault("archiver", self.server.archiver)
+        return take(
+            self.image("primary"),
+            self.dest,
+            txns=self.server.txns,
+            log=self.server.replication.log,
+            **kwargs,
+        )
 
     def wait_replica_caught_up(self, timeout: float = 15.0) -> None:
-        if self.replica is None:
-            return
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.replica.repl_version() == self.server.repl_version():
                 return
             time.sleep(0.02)
-        raise RecoveryError(
+        raise InvariantViolation(
             f"replica never caught up (replica at {self.replica.repl_version()}, "
             f"primary at {self.server.repl_version()})"
         )
@@ -192,47 +132,37 @@ class RecoveryHarness:
         """Flip one byte inside a committed object's page on the replica's
         disk — bit rot no request will notice until scrub re-reads it.
         Returns the OID whose chain was rotted."""
-        assert self.replica is not None
         heap = self.replica.heap
         oid = heap.committed_oids()[-1]
         head, length = heap._table[oid]
         page = heap._pager.chain_pages(head, length)[0]
         offset = page * heap._pager.header.page_size + 16
-        with open(self.replica_image, "r+b") as f:
+        with open(self.image("replica"), "r+b") as f:
             f.seek(offset)
             byte = f.read(1)
             f.seek(offset)
             f.write(bytes([byte[0] ^ 0xFF]))
         return oid
 
-    def teardown(self) -> None:
-        for server in (self.replica, self.server):
-            if server is not None:
-                try:
-                    server.stop()
-                except Exception:
-                    pass
-
-
-def _verify_restored(
-    path: str, expected_version: int, expected_digest: str
-) -> dict:
-    """The restored image is fsck-clean, at the right version, digest-equal."""
-    report = fsck_image(path)
-    if not report.ok:
-        raise RecoveryError(f"restored image failed fsck: {report.as_dict()}")
-    heap = ObjectHeap(path)
-    try:
-        digest = heap.logical_digest()
-        roots = len(heap.root_names())
-    finally:
-        heap.close()
-    if digest != expected_digest:
-        raise RecoveryError(
-            f"restored digest {digest[:16]}… differs from the oracle "
-            f"{expected_digest[:16]}… at version {expected_version}"
-        )
-    return {"digest": digest, "roots": roots}
+    def verify_restored(self, expected_version: int, expected_digest: str) -> dict:
+        """The restored image is fsck-clean and digest-equal to the oracle."""
+        report = fsck_image(self.out)
+        if not report.ok:
+            raise InvariantViolation(
+                f"restored image failed fsck: {report.as_dict()}"
+            )
+        heap = ObjectHeap(self.out)
+        try:
+            digest = heap.logical_digest()
+            roots = len(heap.root_names())
+        finally:
+            heap.close()
+        if digest != expected_digest:
+            raise InvariantViolation(
+                f"restored digest {digest[:16]}… differs from the oracle "
+                f"{expected_digest[:16]}… at version {expected_version}"
+            )
+        return {"digest": digest, "roots": roots}
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +174,14 @@ def scenario_pitr_poison(root: str, quick: bool = False) -> dict:
     """Rolling backups under live traffic; restore to just before a poison
     write; the result must equal the oracle bit for logical bit."""
     harness = RecoveryHarness(root)
-    dest = os.path.join(root, "backups")
-    out = os.path.join(root, "restored.tyc")
     stop = threading.Event()
-    batches = 2 if quick else 4
     try:
         harness.write_batch("seed", 10 if quick else 25)
         traffic = harness.start_traffic(stop)
-        full = full_backup(harness.image, dest, **harness.backup_kwargs())
-        for round_no in range(batches):
+        full = harness.backup(full_backup)
+        for round_no in range(2 if quick else 4):
             harness.write_batch("roll", 5, start=round_no * 5)
-            incremental_backup(harness.image, dest, **harness.backup_kwargs())
+            harness.backup()
         harness.set("victim", "clean")
         stop.set()
         traffic.join(timeout=10)
@@ -263,30 +190,31 @@ def scenario_pitr_poison(root: str, quick: bool = False) -> dict:
         # the disaster: an acked, durable, poison write — undo is not an option
         harness.set("victim", "POISON")
         harness.write_batch("after", 5)
-        incremental_backup(harness.image, dest, **harness.backup_kwargs())
-        restored = restore_image(dest, out, to_version=oracle_version)
+        harness.backup()
+        restored = restore_image(harness.dest, harness.out, to_version=oracle_version)
         if restored["restored_version"] != oracle_version:
-            raise RecoveryError(
+            raise InvariantViolation(
                 f"restore stopped at {restored['restored_version']}, "
                 f"asked for {oracle_version}"
             )
-        checks = _verify_restored(out, oracle_version, oracle_digest)
+        checks = harness.verify_restored(oracle_version, oracle_digest)
         # no write acked after the restore point may survive restore
-        heap = ObjectHeap(out)
+        heap = ObjectHeap(harness.out)
         try:
             victim = heap.load_root("victim")
             missing = [k for k in ("after0", "after4") if k not in heap.root_names()]
         finally:
             heap.close()
         if victim != "clean":
-            raise RecoveryError(f"poison survived the restore: victim={victim!r}")
+            raise InvariantViolation(f"poison survived the restore: victim={victim!r}")
         if len(missing) != 2:
-            raise RecoveryError("post-restore-point roots survived the restore")
+            raise InvariantViolation("post-restore-point roots survived the restore")
         return {
             "base_version": full["base_version"],
             "restore_point": oracle_version,
             "records_applied": restored["records_applied"],
             **checks,
+            **harness.verify(),
         }
     finally:
         stop.set()
@@ -309,32 +237,35 @@ def scenario_bitrot_repair(root: str, quick: bool = False) -> dict:
         final = replica.run_scrub_cycle()
         info = replica.scrub_info()
         if info["corrupt_total"] < 1:
-            raise RecoveryError("scrub never detected the flipped page")
+            raise InvariantViolation("scrub never detected the flipped page")
         repair = info["last_repair"]
         if not repair or not repair.get("converged"):
-            raise RecoveryError(f"anti-entropy repair did not converge: {repair}")
+            raise InvariantViolation(
+                f"anti-entropy repair did not converge: {repair}"
+            )
         if repair["objects_applied"] >= total_oids:
-            raise RecoveryError(
+            raise InvariantViolation(
                 f"repair re-fetched {repair['objects_applied']}/{total_oids} "
                 "objects — that is a full resync, not anti-entropy"
             )
         if not final["clean"]:
-            raise RecoveryError(f"re-scrub after repair still dirty: {final}")
+            raise InvariantViolation(f"re-scrub after repair still dirty: {final}")
         if replica.degraded_info()["active"]:
-            raise RecoveryError("replica still degraded after a clean re-scrub")
+            raise InvariantViolation("replica still degraded after a clean re-scrub")
         # both sides agree again, via the wire op a cluster client would use
         with connect(harness.server.port) as db:
             primary_root = db.request("repl.digest")["root"]
         with connect(replica.port) as db:
             replica_root = db.request("repl.digest")["root"]
         if primary_root != replica_root:
-            raise RecoveryError("digest roots still diverge after repair")
+            raise InvariantViolation("digest roots still diverge after repair")
         return {
             "rotted_oid": rotted,
             "total_oids": total_oids,
             "objects_refetched": repair["objects_applied"],
             "buckets_refetched": repair["buckets_fetched"],
             "repairs": info["repairs"],
+            **harness.verify(),
         }
     finally:
         harness.teardown()
@@ -344,48 +275,40 @@ def scenario_crash_mid_backup(root: str, nth: int) -> dict:
     """An I/O failure mid-copy must leave no published base image; the
     retry after healing succeeds and restores cleanly."""
     harness = RecoveryHarness(root)
-    dest = os.path.join(root, "backups")
     plan = FaultPlan()
     try:
         harness.write_batch("seed", 15)
         plan.arm_write_failure(nth)
         try:
-            full_backup(
-                harness.image,
-                dest,
-                **harness.backup_kwargs(),
-                file_factory=plan.file_factory,
-            )
+            harness.backup(full_backup, file_factory=plan.file_factory)
         except (OSError, ArchiveError):
             pass
         else:
-            raise RecoveryError("armed write failure did not fail the backup")
+            raise InvariantViolation("armed write failure did not fail the backup")
         # A crash before the fsck gate leaves at most a .partial temp file.
         # A crash after it may leave a (verified) base image but must NOT
         # leave a backup that claims completeness: backup.json is written
         # last, so backup_info() has to refuse the directory either way.
-        base = os.path.join(dest, "base.tyc")
+        base = os.path.join(harness.dest, "base.tyc")
         if os.path.exists(base):
-            check = fsck_image(base)
-            if not check.ok:
-                raise RecoveryError(
+            if not fsck_image(base).ok:
+                raise InvariantViolation(
                     "crashed backup published a non-fsck-clean base image"
                 )
             try:
-                backup_info(dest)
+                backup_info(harness.dest)
             except (OSError, ArchiveError):
                 pass
             else:
-                raise RecoveryError(
+                raise InvariantViolation(
                     "crashed backup left a directory that claims completeness"
                 )
         plan.heal()
         oracle_version, oracle_digest = harness.oracle()
-        full_backup(harness.image, dest, **harness.backup_kwargs())
-        out = os.path.join(root, "restored.tyc")
-        restore_image(dest, out)
-        checks = _verify_restored(out, oracle_version, oracle_digest)
-        return {"nth": nth, **checks}
+        harness.backup(full_backup)
+        restore_image(harness.dest, harness.out)
+        checks = harness.verify_restored(oracle_version, oracle_digest)
+        return {"nth": nth, **checks, **harness.verify()}
     finally:
         harness.teardown()
 
@@ -394,33 +317,36 @@ def scenario_crash_mid_restore(root: str, nth: int) -> dict:
     """An I/O failure mid-replay must leave no image at the destination;
     the retry succeeds, fsck-clean and digest-equal to the oracle."""
     harness = RecoveryHarness(root)
-    dest = os.path.join(root, "backups")
-    out = os.path.join(root, "restored.tyc")
     plan = FaultPlan()
     try:
         harness.write_batch("seed", 10)
-        full_backup(harness.image, dest, **harness.backup_kwargs())
+        harness.backup(full_backup)
         harness.write_batch("more", 10)
-        incremental_backup(harness.image, dest, **harness.backup_kwargs())
+        harness.backup()
         oracle_version, oracle_digest = harness.oracle()
         plan.arm_write_failure(nth)
         try:
-            restore_image(dest, out, file_factory=plan.file_factory)
+            restore_image(harness.dest, harness.out, file_factory=plan.file_factory)
         except (OSError, ArchiveError, HeapError):
             pass
         else:
-            raise RecoveryError("armed write failure did not fail the restore")
-        if os.path.exists(out):
-            raise RecoveryError("crashed restore published an image")
+            raise InvariantViolation("armed write failure did not fail the restore")
+        if os.path.exists(harness.out):
+            raise InvariantViolation("crashed restore published an image")
         plan.heal()
-        restored = restore_image(dest, out)
-        checks = _verify_restored(out, oracle_version, oracle_digest)
-        return {"nth": nth, "records_applied": restored["records_applied"], **checks}
+        restored = restore_image(harness.dest, harness.out)
+        checks = harness.verify_restored(oracle_version, oracle_digest)
+        return {
+            "nth": nth,
+            "records_applied": restored["records_applied"],
+            **checks,
+            **harness.verify(),
+        }
     finally:
         harness.teardown()
 
 
-def scenario_negative_control(root: str) -> dict:
+def negative_control(root: str) -> dict:
     """Archive fsync OFF over a write-back disk: the restore point MUST be
     lost.  The sealed segment's bytes sit in the "page cache" (the fault
     plan's pending buffer) and die with the machine; the manifest still
@@ -428,8 +354,6 @@ def scenario_negative_control(root: str) -> dict:
     asserts the restore *succeeds* — with the protection disabled it
     cannot, so the sweep exits 1 and CI inverts the invocation."""
     harness = RecoveryHarness(root, archive=False)  # the daemon must not seal durably
-    dest = os.path.join(root, "backups")
-    out = os.path.join(root, "restored.tyc")
     plan = FaultPlan(writeback=True)
 
     def segment_factory(path: str, mode: str):
@@ -440,83 +364,39 @@ def scenario_negative_control(root: str) -> dict:
             return plan.file_factory(path, mode)
         return open(path, mode)
 
-    unsafe = LogArchiver(harness.image, fsync=False, file_factory=segment_factory)
+    unsafe = LogArchiver(
+        harness.image("primary"), fsync=False, file_factory=segment_factory
+    )
     try:
         harness.write_batch("seed", 10)
-        log = harness.server.replication.log
-        full_backup(
-            harness.image, dest, txns=harness.server.txns, log=log, archiver=unsafe
-        )
+        harness.backup(full_backup, archiver=unsafe)
         harness.write_batch("roll", 10)
         harness.set("victim", "clean")
         oracle_version, oracle_digest = harness.oracle()
         harness.set("victim", "POISON")
-        incremental_backup(
-            harness.image, dest, txns=harness.server.txns, log=log, archiver=unsafe
-        )
+        harness.backup(archiver=unsafe)
         plan.close_all()  # the crash: unsynced segment bytes are gone
-        restored = restore_image(dest, out, to_version=oracle_version)
-        checks = _verify_restored(out, oracle_version, oracle_digest)
+        restored = restore_image(harness.dest, harness.out, to_version=oracle_version)
+        checks = harness.verify_restored(oracle_version, oracle_digest)
         return {"restore_point": oracle_version, **restored, **checks}
     finally:
         harness.teardown()
 
 
-def build_scenarios(quick: bool = False) -> list[tuple[str, callable]]:
-    """(name, thunk(root)) pairs: the PITR flow, bit-rot repair, and the
-    crash-mid-backup / crash-mid-restore injections at several positions."""
-    scenarios: list[tuple[str, callable]] = []
-
-    def add(name, fn, *args, **kwargs):
-        scenarios.append((name, lambda root, a=args, k=kwargs: fn(root, *a, **k)))
-
-    add("pitr/poison-restore", scenario_pitr_poison, quick)
-    add("bitrot/scrub-repair", scenario_bitrot_repair, quick)
+def build(quick: bool = False) -> list[Scenario]:
+    """The PITR flow, bit-rot repair, and the crash-mid-backup /
+    crash-mid-restore injections at several positions."""
     nths = [2] if quick else [1, 2, 6]
-    for nth in nths:
-        add(f"crash/mid-backup/n{nth}", scenario_crash_mid_backup, nth)
-    for nth in nths:
-        add(f"crash/mid-restore/n{nth}", scenario_crash_mid_restore, nth)
-    return scenarios
+    return [
+        scenario("pitr/poison-restore", scenario_pitr_poison, quick),
+        scenario("bitrot/scrub-repair", scenario_bitrot_repair, quick),
+        *(scenario(f"crash/mid-backup/n{n}", scenario_crash_mid_backup, n) for n in nths),
+        *(scenario(f"crash/mid-restore/n{n}", scenario_crash_mid_restore, n) for n in nths),
+    ]
 
 
-def run_sweep(
-    root: str,
-    quick: bool = False,
-    negative_control: bool = False,
-    progress=None,
-) -> dict:
-    """Run the sweep (or just the negative control); returns the report."""
-    if negative_control:
-        scenarios = [("negative-control/no-archive-fsync", scenario_negative_control)]
-    else:
-        scenarios = build_scenarios(quick=quick)
-    results: list[ScenarioResult] = []
-    for index, (name, thunk) in enumerate(scenarios):
-        _SCENARIOS.inc()
-        scenario_root = os.path.join(root, f"s{index:03d}")
-        started = time.monotonic()
-        try:
-            checks = thunk(scenario_root)
-            result = ScenarioResult(
-                name, True, elapsed_s=time.monotonic() - started, checks=checks
-            )
-        except Exception as exc:
-            _FAILURES.inc()
-            result = ScenarioResult(
-                name,
-                False,
-                detail=f"{type(exc).__name__}: {exc}",
-                elapsed_s=time.monotonic() - started,
-            )
-        results.append(result)
-        if progress is not None:
-            progress(index + 1, len(scenarios), result)
-    failed = [r for r in results if not r.ok]
-    return {
-        "scenarios": len(results),
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
-        "failures": [r.as_dict() for r in failed],
-        "results": [r.as_dict() for r in results],
-    }
+SUITE = Suite(
+    "recovery",
+    build,
+    negative_control=("negative-control/no-archive-fsync", negative_control),
+)

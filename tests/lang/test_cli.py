@@ -138,3 +138,17 @@ class TestStore:
         ObjectHeap(path).close()
         assert main(["store", "ls", path]) == 0
         assert "(no roots)" in capsys.readouterr().out
+
+
+class TestServe:
+    def test_help_offers_no_unsafe_switch(self, capsys):
+        """Negative-control-only switches (non-durable 2PC decisions,
+        degraded mode off, fencing off) are ``ServerConfig`` fields the
+        chaos harness sets in-process; the operator CLI must not carry them."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--replicate" in usage  # the real serve help, not a stub
+        assert "--no-durable-decisions" not in usage
+        assert "unsafe" not in usage.lower()

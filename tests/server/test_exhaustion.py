@@ -4,7 +4,7 @@ governance, admission shedding, and the client/cluster failover story.
 In-process daemons on loopback sockets (as in test_resilience.py).  Disk
 faults are injected by sliding a :class:`~repro.store.faults.FaultPlan`
 under the pager via ``ServerConfig.io_factory`` — the same machinery the
-exhaustion chaos sweep (``make exhaustion-sim``) uses at scale; these
+exhaustion chaos sweep (``make sim-exhaustion``) uses at scale; these
 tests pin the individual mechanisms deterministically.
 """
 
@@ -188,7 +188,7 @@ class TestCommitIoFailure:
         commit-point header write specifically (in-memory table already
         mutated), then prove the next successful commit does NOT publish
         the torn state.  With ``unsafe_no_degraded`` the same arming
-        resurrects the value — scripts/exhaustion_sim.py --negative-control.
+        resurrects the value — scripts/sim.py --suite exhaustion --negative-control.
         """
         instance, plan = _faulty_server(tmp_path)
         try:

@@ -2,15 +2,17 @@
 
 Two layers under test: the :class:`FaultFile` primitives themselves (torn
 writes, write-back buffering, adversarial crash persistence, short reads,
-fsync failures), and :func:`run_crash_sim` — the SQLite-style sweep that
-crashes at every I/O operation and asserts the image always reopens to an
-adjacent commit's state.  A negative control proves the harness actually
-detects a broken commit protocol.
+fsync failures), and the ``crash`` chaos suite — the SQLite-style sweep
+that crashes at every I/O operation and asserts the image always reopens
+to an adjacent commit's state.  A negative control proves the harness
+actually detects a broken commit protocol.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.store.crashsim import MODES, run_crash_sim
+from repro.testing.chaos import SUITES, crash, run
 from repro.store.faults import CrashPoint, FaultFile, FaultPlan, FileDead
 from repro.store.heap import ObjectHeap
 from repro.store.pager import Pager
@@ -161,19 +163,20 @@ class TestFaultsUnderThePager:
 class TestCrashSimHarness:
     def test_exhaustive_sweep_is_clean(self, tmp_path):
         """Every crash point in every failure mode recovers — the tentpole."""
-        report = run_crash_sim(tmp_path, page_size=256, fsck=True)
-        assert report.failures == []
-        assert report.commits == 5
-        assert report.io_ops > 0
-        assert report.scenarios == report.io_ops * len(MODES)
-        assert report.fsck_runs == report.scenarios
-        summary = report.as_dict()
-        assert summary["ok"] is True
-        assert summary["scenarios"] == report.scenarios
+        report = run(SUITES["crash"], str(tmp_path))
+        assert report["failures"] == []
+        meta = report["meta"]
+        assert meta["commits"] == 5
+        assert meta["io_ops_per_run"] > 0
+        assert report["scenarios"] == meta["io_ops_per_run"] * len(crash.MODES)
+        fsck_runs = sum(r["checks"]["fsck"] == "clean" for r in report["results"])
+        assert fsck_runs == report["scenarios"]
+        assert report["failed"] == 0
+        assert report["passed"] == report["scenarios"]
 
-    def test_unknown_mode_rejected(self, tmp_path):
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown crash-sim mode"):
-            run_crash_sim(tmp_path, modes=("lightning",))
+            crash.scenarios(modes=("lightning",))
 
     def test_negative_control_detects_broken_protocol(self, tmp_path, monkeypatch):
         """Remove the durability barriers and the harness must notice.
@@ -183,8 +186,10 @@ class TestCrashSimHarness:
         then persists headers whose data never landed.
         """
         monkeypatch.setattr(Pager, "_fsync", lambda self: None)
-        report = run_crash_sim(
-            tmp_path, page_size=256, modes=("writeback",), fsck=False
+        unfsynced = dataclasses.replace(
+            SUITES["crash"],
+            build=lambda quick: crash.scenarios(modes=("writeback",), fsck=False),
         )
-        assert not report.ok
-        assert report.failures
+        report = run(unfsynced, str(tmp_path))
+        assert report["failed"] > 0
+        assert report["failures"]

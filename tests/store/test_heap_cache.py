@@ -1,7 +1,12 @@
 """Tests for the bounded clean-object cache (ObjectHeap(cache_limit=N))."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.store.concurrency import TransactionManager
 from repro.store.heap import HeapError, ObjectHeap
 
 
@@ -97,3 +102,50 @@ def test_in_memory_heap_accepts_limit():
     heap.commit()
     for i, oid in enumerate(oids):
         assert heap.load(oid) == (i,)
+
+
+def test_concurrent_cache_misses_read_what_was_stored(path):
+    """Snapshot readers share the RWLock's read side, so several can miss
+    the cache at once: each page read (seek + read on the pager's single
+    file object) and each cache install must stay whole.  Before the pager
+    serialized its seek+I/O pairs, a reader's seek landed between another
+    reader's seek and read, and ``load`` returned another object's bytes
+    (or a checksum/decoding error)."""
+    count, readers = 400, 6
+    heap = ObjectHeap(path, page_size=256, cache_limit=8)
+    # multi-page values: a chain read is several seek+read pairs, each a
+    # window for another reader's seek
+    stored = {int(heap.store((i, "v" * 600))): (i, "v" * 600) for i in range(count)}
+    heap.commit()
+    txns = TransactionManager(heap)
+    oids = sorted(stored)
+    problems: list[str] = []
+    deadline = time.monotonic() + 1.0
+    old_interval = sys.getswitchinterval()
+
+    def reader(index: int) -> None:
+        mine = oids[index::readers]  # distinct, uncached OIDs per thread
+        try:
+            while time.monotonic() < deadline and not problems:
+                with txns.read():
+                    for oid in mine:
+                        got = heap.load(oid)
+                        if got != stored[oid]:
+                            problems.append(f"oid {oid}: read {got!r:.60}")
+                            return
+        except Exception as exc:  # a torn read can also fail to decode
+            problems.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(readers)]
+    sys.setswitchinterval(1e-5)  # force interleaving inside seek/read pairs
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert problems == []
+    assert len(heap._cache) <= 8  # concurrent installs still honor the bound
+    heap.close()

@@ -4,7 +4,7 @@ restore by version and by timestamp, and the crash-safety envelope.
 
 Offline pieces (archiver, segment codec, manifest) run against a bare
 :class:`~repro.store.commitlog.CommitLog`; the backup/restore paths run
-against an in-process daemon, as ``make recovery-sim`` does at scale.
+against an in-process daemon, as ``make sim-recovery`` does at scale.
 """
 
 import json
