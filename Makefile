@@ -27,7 +27,7 @@ lint:
 # ruff is optional tooling; the config lives in pyproject.toml
 ruff:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests; \
+		ruff check src tests scripts; \
 	else \
 		echo "ruff not installed; skipping (config in pyproject.toml)"; \
 	fi

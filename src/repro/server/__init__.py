@@ -10,6 +10,8 @@ actual service:
   per-session transactions (single-writer / snapshot-reader), a bounded
   worker pool with backpressure, and an image-resident compiled-code cache
   keyed by PTML content hash;
+* :mod:`repro.server.ops` — the op table: every wire operation declared
+  once as ``Op(handler, txn, lane)``;
 * :mod:`repro.server.pgo` — the background profile-guided optimization
   worker: aggregates per-request VM profiles and periodically re-optimizes
   the measured-hot stored functions in the live image;

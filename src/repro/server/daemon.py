@@ -27,12 +27,15 @@ structured ``step_limit`` responses).  Each run is profiled; the
 aggregated profile feeds the background PGO worker
 (:mod:`repro.server.pgo`), which rewrites hot functions in the live image
 — sessions transparently pick up the faster code on their next call.
+
+This module keeps configuration, sessions, lifecycle, admission and the
+one dispatch path (:meth:`ReproServer._handle`); what each operation does
+lives in the op table it reads (:mod:`repro.server.ops`), degraded mode,
+scrub and the memory governor in :mod:`repro.server.health`.
 """
 
 from __future__ import annotations
 
-import errno
-import json
 import socket
 import sys
 import threading
@@ -43,56 +46,26 @@ from dataclasses import dataclass
 from repro.analysis.facts import FactStore
 from repro.lang import TycoonSystem
 from repro.lang.errors import TLError
-from repro.lang.parser import parse_modules
 from repro.lang.stdlib import STDLIB_MODULE_NAMES
-from repro.machine.runtime import (
-    MachineError,
-    TmlVector,
-    UncaughtTmlException,
-    show_value,
-)
-from repro.machine.vm import VM, StepLimitExceeded
 from repro.obs.exporters import NdjsonRecorder
 from repro.obs.history import MetricsHistory
 from repro.obs.metrics import METRICS
 from repro.obs.profile import VMProfiler
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import NULL_SPAN, TRACER, new_trace_id
-from repro.server import protocol
+from repro.server import protocol, roles
 from repro.server.codecache import CodeCache
+from repro.server.health import HEAP_CACHE_LIMIT, Health, note_io_error
+from repro.server.ops import OPS
+from repro.server.periodic import Periodic
 from repro.server.pgo import PgoWorker
 from repro.server.pool import Backpressure, WorkerPool
-from repro.server.protocol import from_jsonable, recv_frame, send_frame, to_jsonable
-from repro.server.repair import (
-    OID_BUCKET_BITS,
-    bucket_digests,
-    bucket_of,
-    digest_root,
-    repair_from_upstream,
-    scrub_heap,
-)
-from repro.server.replication import (
-    PrimaryReplication,
-    ReplicaFollower,
-    StaleTermError,
-    replication_state,
-)
-from repro.server.sharding.ring import (
-    RingError,
-    ShardTopology,
-    SHARD_ROOT,
-    TOPOLOGY_ROOT,
-    is_system_root,
-)
-from repro.server.sharding.twopc import (
-    STAGING_PREFIX,
-    TwopcError,
-    make_staging,
-    parse_staging,
-    staging_root,
-)
+from repro.server.protocol import RequestError, number, recv_frame, send_frame
+from repro.server.replication import PrimaryReplication, ReplicaFollower
+from repro.server.sharding.coordinator import OPS as COORDINATOR_OPS, Coordinator
+from repro.server.sharding.participant import load_topology
+from repro.server.sharding.ring import ShardTopology
 from repro.store.concurrency import LockTimeout, TransactionManager
-from repro.store.fsck import fsck_image
 from repro.store.heap import HeapError, ObjectHeap
 from repro.store.recovery import LogArchiver
 
@@ -111,77 +84,15 @@ _DRAIN_ABORTS = METRICS.counter(
 _REAPED_SESSIONS = METRICS.counter(
     "server.reaped_sessions", "sessions closed by the idle timeout/reaper"
 )
-_IO_ERRORS = METRICS.counter(
-    "server.io_errors", "OS-level I/O errors observed (classified, not swallowed)"
-)
-_DEGRADED = METRICS.gauge(
-    "server.degraded", "1 while the daemon is in degraded read-only mode"
-)
-_DEGRADED_ENTRIES = METRICS.counter(
-    "server.degraded_entries", "times the daemon entered degraded read-only mode"
-)
 _SHED_DEADLINE = METRICS.counter(
     "server.shed.deadline", "requests dropped because their deadline had expired"
 )
 _SHED_OVERLOADED = METRICS.counter(
     "server.shed.overloaded", "requests shed after waiting too long in the queue"
 )
-_SHED_MEMORY = METRICS.counter(
-    "server.shed.memory", "mutating requests rejected by the memory budget"
-)
 _SLOW_CLIENT_CLOSES = METRICS.counter(
     "server.slow_client_closes", "sessions closed for blocking in send too long"
 )
-_MEM_CACHED_BYTES = METRICS.gauge(
-    "server.mem.heap_bytes", "serialized bytes held by the heap object cache"
-)
-_MEM_PRESSURE = METRICS.gauge(
-    "server.mem.pressure", "1 while the memory watchdog is shedding load"
-)
-
-#: errnos that mean "the peer went away", not "the disk is failing" —
-#: counted but never treated as a store-level incident
-_DISCONNECT_ERRNOS = frozenset(
-    getattr(errno, name, -1)
-    for name in (
-        "EPIPE", "ECONNRESET", "ENOTCONN", "ESHUTDOWN", "ECONNABORTED",
-        "EBADF", "ETIMEDOUT",
-    )
-)
-_DISK_FULL_ERRNOS = frozenset(
-    getattr(errno, name, -1) for name in ("ENOSPC", "EDQUOT")
-)
-
-
-def classify_os_error(exc: OSError) -> str:
-    """Bucket an OSError: ``disk_full`` / ``io_error`` / ``disconnect`` /
-    ``os_error``.  Commit-path failures of the first two classes flip the
-    daemon into degraded read-only mode; disconnects are routine."""
-    if exc.errno in _DISK_FULL_ERRNOS:
-        return "disk_full"
-    if exc.errno in _DISCONNECT_ERRNOS:
-        return "disconnect"
-    if exc.errno == errno.EIO or "fsync" in str(exc):
-        return "io_error"
-    return "os_error"
-
-
-def _note_io_error(where: str, exc: OSError) -> None:
-    """Classify, count and debug-log an OSError instead of swallowing it.
-
-    Replaces the former silent ``except OSError: pass`` sites: every
-    OS-level failure is at least visible in ``server.io_errors`` (with a
-    per-class child counter) and the trace stream; non-disconnect classes
-    also reach stderr because they may be the first sign of a dying disk.
-    """
-    kind = classify_os_error(exc)
-    _IO_ERRORS.inc()
-    METRICS.counter(
-        f"server.io_errors.{kind}", f"{kind}-class I/O errors observed"
-    ).inc()
-    TRACER.event("server.io_error", where=where, kind=kind, error=str(exc))
-    if kind != "disconnect":
-        print(f"repro-server: {kind} during {where}: {exc}", file=sys.stderr)
 
 
 @dataclass
@@ -196,12 +107,8 @@ class ServerConfig:
     step_limit: int = 5_000_000
     #: transaction lock acquisition timeout (seconds)
     lock_timeout: float = 10.0
-    #: bound on the heap's clean-object cache (None = unbounded)
-    heap_cache_limit: int | None = 4096
     #: seconds between background PGO rounds (None disables the worker)
     pgo_interval: float | None = 30.0
-    pgo_top: int = 2
-    pgo_min_instructions: int = 1_000
     #: profile every execution request (the PGO evidence source)
     profile: bool = True
     #: allow debug ops (``sleep``) — test/diagnostic use only
@@ -215,10 +122,6 @@ class ServerConfig:
     #: period of the session reaper sweep (idle-timeout enforcement even
     #: for sessions whose reader thread is not currently in recv)
     reaper_interval: float = 5.0
-    #: conversion rate for request deadlines → instruction budgets: a
-    #: request arriving with ``deadline`` seconds remaining gets at most
-    #: ``deadline * steps_per_second`` TAM steps
-    steps_per_second: int = 2_000_000
     #: produce a commit log and accept replica subscriptions (primary role)
     replicate: bool = False
     #: follow a primary at (host, port) instead of accepting writes
@@ -242,8 +145,6 @@ class ServerConfig:
     slowlog_capacity: int = 32
     #: seconds between in-image metrics-history snapshots (None disables)
     history_interval: float | None = 60.0
-    #: snapshots the ``obs:history`` ring retains
-    history_capacity: int = 256
     #: act as a sharding coordinator: consult the coordinator op table
     #: first, routing data ops across the shard groups of the topology
     coordinator: bool = False
@@ -297,9 +198,6 @@ class ServerConfig:
     scrub_interval: float | None = None
     #: scrub disk-read budget, in pages per second (0 = unbounded)
     scrub_pages_per_sec: int = 0
-    #: when scrub finds corruption on a replica, run anti-entropy repair
-    #: against the upstream automatically (degraded read-only while it runs)
-    scrub_repair: bool = True
     #: file factory slid under the pager (fault injection; None = open())
     io_factory: object = None
     #: NEGATIVE CONTROL ONLY — disables the degraded-mode flip and the
@@ -307,14 +205,6 @@ class ServerConfig:
     #: behavior the exhaustion harness proves is broken
     unsafe_no_degraded: bool = False
 
-
-class RequestError(Exception):
-    """A structured protocol-level failure (code + message + details)."""
-
-    def __init__(self, code: str, message: str, **details):
-        super().__init__(message)
-        self.code = code
-        self.details = details
 
 
 class Session:
@@ -341,6 +231,8 @@ class Session:
         #: replication subscriber connections are long-lived and mostly
         #: quiet — exempt from idle timeout and the reaper
         self.subscriber = False
+        #: the connection's reader thread (joined by the teardown)
+        self.thread: threading.Thread | None = None
 
     def take_txn(self):
         """Atomically detach and return the open transaction (or None).
@@ -371,8 +263,9 @@ class Session:
         except OSError as exc:
             # routine when the peer hung up first, but never silent: a
             # non-disconnect errno here can be the first sign of trouble
-            _note_io_error("session.close", exc)
+            note_io_error("session.close", exc)
         self.sock.close()
+
 
 
 class ReproServer:
@@ -385,9 +278,7 @@ class ReproServer:
         if (is_replica or self.config.replicate) and image is None:
             raise ValueError("replication needs a file-backed image")
         self.heap = ObjectHeap(
-            image,
-            cache_limit=self.config.heap_cache_limit,
-            io_factory=self.config.io_factory,
+            image, cache_limit=HEAP_CACHE_LIMIT, io_factory=self.config.io_factory
         )
         # a replica's heap state is the primary's, object for object — it
         # must not write locally, so the stdlib links purely in memory
@@ -400,37 +291,31 @@ class ReproServer:
         self.code_cache = CodeCache()
         self.fact_store = FactStore()
         self.slowlog = SlowLog(self.config.slowlog_capacity)
-        self.history = MetricsHistory(self.config.history_capacity)
+        self.history = MetricsHistory()
         #: NDJSON recorder installed by the ``trace`` op (daemon-managed;
         #: a recorder attached by the embedding process is never touched)
         self._trace_recorder: NdjsonRecorder | None = None
         self._trace_path: str | None = None
         self._trace_lock = threading.Lock()
         TRACER.sample_rate = self.config.trace_sample
-        self._history_thread: threading.Thread | None = None
         self.pool = WorkerPool(
             workers=self.config.workers,
             queue_size=self.config.queue_size,
             name="repro-server",
         )
+        self.health = Health(self)
         self.pgo_worker: PgoWorker | None = (
-            PgoWorker(
-                self,
-                interval=self.config.pgo_interval,
-                top=self.config.pgo_top,
-                min_instructions=self.config.pgo_min_instructions,
-            )
+            PgoWorker(self)
             # PGO rewrites functions in the image: primary-only by nature
             if self.config.pgo_interval is not None and not is_replica
             else None
         )
         #: replication roles (at most one is non-None; both None when the
-        #: image is a plain standalone server).  _role_lock guards the
-        #: promote/follow transitions.
+        #: image is a plain standalone server).  role_lock guards the
+        #: promote/follow transitions (repro.server.roles).
         self.replication: PrimaryReplication | None = None
         self.follower: ReplicaFollower | None = None
-        self._role_lock = threading.Lock()
-        self._reaper_thread: threading.Thread | None = None
+        self.role_lock = threading.Lock()
         #: qualified function name -> current code-cache key
         self._keys: dict[str, str] = {}
         self._keys_lock = threading.Lock()
@@ -443,63 +328,21 @@ class ReproServer:
         self._listener: socket.socket | None = None
         self._bound_port: int | None = None
         self._accept_thread: threading.Thread | None = None
-        self._threads: list[threading.Thread] = []
-        self._stopping = threading.Event()
+        #: every timer of this daemon, started by start() and stopped and
+        #: joined by the teardown
+        self._tasks: list[Periodic] = []
+        self.stopping = threading.Event()
         self._stopped = threading.Event()
         self._stop_once = threading.Lock()  # won exactly once, never released
         self._started_at = time.monotonic()
-        #: degraded read-only mode: set by commit-path I/O failures (or the
-        #: manual ``read_only`` config), cleared by the recovery probe
-        self._degraded = threading.Event()
-        self._degraded_reason: str | None = None
-        self._degraded_since: float | None = None  # unix seconds
-        self._degraded_manual = False
-        self._degraded_lock = threading.Lock()
-        self._probe_thread: threading.Thread | None = None
-        self._probe_failures = 0
-        self._recoveries = 0
-        #: memory watchdog state: shrunk cache limit is restored when
-        #: pressure clears (hysteresis at 80% of the budget)
-        self._base_cache_limit = self.config.heap_cache_limit
-        self._mem_pressure = False
-        self._mem_shed_rounds = 0
-        self._watchdog_thread: threading.Thread | None = None
-        self._history_paused = False
         #: continuous commit-log archiving (None: disabled or no image)
         self.archiver: LogArchiver | None = None
-        #: background integrity scrub / anti-entropy repair state
-        self._scrub_thread: threading.Thread | None = None
-        self._scrub_lock = threading.Lock()
-        self._scrub_state: dict = {
-            "cycles": 0,
-            "corrupt_total": 0,
-            "repairs": 0,
-            "repair_failures": 0,
-            "last": None,
-            "last_repair": None,
-        }
         if self.config.replicate and not is_replica:
-            self.replication = PrimaryReplication(
-                self.heap,
-                self.txns,
-                self._log_path(),
-                node=self.config.node_id or "primary",
-                term=self.config.term,
-                fence=self.config.fence,
-            )
-            self.replication.attach()  # the boot commit is record #1
+            self.replication = roles.make_primary(self, "primary", self.config.term)
         self._boot()
         if is_replica:
-            host, port = self.config.replica_of
-            self.follower = ReplicaFollower(
-                self.heap,
-                self.txns,
-                (host, port),
-                self._log_path(),
-                node=self.config.node_id or "replica",
-                fence=self.config.fence,
-            )
-        self._attach_archiver()
+            self.follower = roles.make_follower(self, self.config.replica_of)
+        roles.attach_archiver(self)
         #: the sharding topology this node operates under: explicit config
         #: wins, else whatever ``__topology__`` the image carries
         self.topology: ShardTopology | None = None
@@ -508,45 +351,21 @@ class ReproServer:
                 self.config.shards, vnodes=self.config.shard_vnodes
             )
         else:
-            self._load_topology()
-        self.coordinator = None
+            load_topology(self)
+        #: the effective op table.  A coordinator overrides the data plane
+        #: (get/set/mset/run/scatter/topology) and augments stats; every
+        #: other op stays the base entry, so a coordinator is still a full
+        #: daemon (ping, call, transactions, replication ops) over its image.
+        self.ops = OPS
+        self.coordinator: Coordinator | None = None
         if self.config.coordinator:
-            from repro.server.sharding.coordinator import Coordinator
-
             self.coordinator = Coordinator(self)
+            self.ops = {**OPS, **COORDINATOR_OPS}
         if self.config.read_only:
             # manual override: after the boot commit (a fresh image still
             # needs its baseline), the daemon serves reads only and the
             # recovery probe never clears it
-            self.enter_degraded("manual read-only override", manual=True)
-
-    def _log_path(self) -> str:
-        return f"{self.image_path}.commitlog"
-
-    def _attach_archiver(self) -> None:
-        """Hook continuous archiving into the commit log's retention point.
-
-        ``CommitLog.reset()`` is the only place history is discarded (a
-        snapshot resync, a deposed primary following a new leader) — the
-        hook seals every not-yet-archived frame into a checksummed archive
-        segment first, so a point-in-time restore can always reach the
-        versions the log no longer holds.  Re-run after every role change:
-        promote/follow build fresh log objects.
-        """
-        if not self.config.archive or self.image_path is None:
-            return
-        log = None
-        if self.replication is not None:
-            log = self.replication.log
-        elif self.follower is not None:
-            log = self.follower.log
-        if log is None:
-            return
-        if self.archiver is None:
-            self.archiver = LogArchiver(
-                self.image_path, file_factory=self.config.io_factory
-            )
-        log.retention = self.archiver.seal
+            self.health.enter_degraded("manual read-only override", manual=True)
 
     @property
     def role(self) -> str:
@@ -558,11 +377,8 @@ class ReproServer:
 
     def repl_version(self) -> int:
         """The replication version this node embodies (staleness floor)."""
-        if self.replication is not None:
-            return self.replication.version
-        if self.follower is not None:
-            return self.follower.version
-        return self.txns.version
+        node = self.replication or self.follower
+        return node.version if node is not None else self.txns.version
 
     # ----------------------------------------------------------------- boot
 
@@ -609,63 +425,61 @@ class ReproServer:
         self._listener.listen(64)
         self._bound_port = self._listener.getsockname()[1]
         self.pool.start()
-        if self.pgo_worker is not None:
-            self.pgo_worker.start()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-server-accept", daemon=True
         )
         self._accept_thread.start()
         if self.follower is not None:
             self.follower.start()
-        if self.config.idle_timeout is not None or self.config.send_timeout is not None:
-            self._reaper_thread = threading.Thread(
-                target=self._reaper_loop, name="repro-server-reaper", daemon=True
+        config, health, pgo = self.config, self.health, self.pgo_worker
+        reaping = config.idle_timeout is not None or config.send_timeout is not None
+        watching = config.mem_budget_bytes is not None
+        self._tasks = [
+            Periodic(name, interval, tick)
+            for name, interval, tick in (
+                ("repro-server-reaper", config.reaper_interval if reaping else None, self._reap),
+                ("repro-server-history", config.history_interval, self._history_tick),
+                ("repro-server-probe", config.degraded_probe_interval, health.probe_tick),
+                ("repro-server-scrub", config.scrub_interval, health.run_scrub_cycle),
+                ("repro-server-memwatch", config.mem_watchdog_interval if watching else None,
+                 health.mem_watchdog_tick),
+                ("repro-pgo", config.pgo_interval if pgo else None, pgo and pgo.tick),
             )
-            self._reaper_thread.start()
-        if self.config.degraded_probe_interval is not None:
-            self._probe_thread = threading.Thread(
-                target=self._degraded_probe_loop, name="repro-server-probe", daemon=True
-            )
-            self._probe_thread.start()
-        if self.config.mem_budget_bytes is not None:
-            self._watchdog_thread = threading.Thread(
-                target=self._mem_watchdog_loop, name="repro-server-memwatch", daemon=True
-            )
-            self._watchdog_thread.start()
-        if self.config.history_interval is not None:
-            self._history_thread = threading.Thread(
-                target=self._history_loop, name="repro-server-history", daemon=True
-            )
-            self._history_thread.start()
-        if self.config.scrub_interval is not None:
-            self._scrub_thread = threading.Thread(
-                target=self._scrub_loop, name="repro-server-scrub", daemon=True
-            )
-            self._scrub_thread.start()
+            if interval is not None  # None: this timer is configured off
+        ]
         if self.coordinator is not None:
-            # topology push + in-doubt recovery + the periodic resolver
-            self.coordinator.start()
+            self._tasks.append(self.coordinator.resolver)
+        for task in self._tasks:
+            task.start()
+        if self.coordinator is not None:
+            # topology push + in-doubt recovery now, not one interval on
+            self.coordinator.resolver.wake()
 
-    def _history_loop(self) -> None:
-        """Periodically snapshot the metrics registry into ``obs:history``.
+    def _history_tick(self) -> None:
+        """Snapshot the metrics registry into ``obs:history``.
 
         Replicas record in memory only — they must never write their image
         locally (it would fork away from the primary's) — so only primary
-        and standalone daemons persist the ring.
+        and standalone daemons persist the ring; no image writes while
+        degraded or shedding either.
         """
-        interval = self.config.history_interval
-        while not self._stopping.wait(interval):
-            self.record_history_snapshot()
-            if self._degraded.is_set() or self._history_paused:
-                continue  # no image writes while degraded or shedding
-            if self.follower is None:
-                try:
-                    with self.txns.write(timeout=1.0):
-                        self.history.flush(self.heap)
-                except LockTimeout:
-                    pass  # contended image: the next tick retries
-                except OSError as exc:
-                    self._commit_io_failure("history.flush", exc)
+        self.record_history_snapshot()
+        if self.health.shedding or self.follower is not None:
+            return
+        try:
+            with self.txns.write(timeout=1.0):
+                self.history.flush(self.heap)
+        except LockTimeout:
+            pass  # contended image: the next tick retries
+        except OSError as exc:
+            self.health.commit_io_failure("history.flush", exc)
+
+    def uptime_s(self) -> float:
+        return round(time.monotonic() - self._started_at, 3)
+
+    def session_count(self) -> int:
+        with self._sessions_lock:
+            return len(self._sessions)
 
     def record_history_snapshot(self, **meta) -> dict:
         """Append one metrics snapshot to the in-memory history ring."""
@@ -702,53 +516,68 @@ class ReproServer:
         error immediately; the actual drain runs on a background thread so
         a SIGTERM handler (or a request handler) never joins itself.
         """
-        self._stopping.set()
+        self.stopping.set()
         threading.Thread(target=self.stop, name="repro-server-stop", daemon=True).start()
+
+    def _teardown(self, drain: bool) -> None:
+        """Everything :meth:`stop` and :meth:`crash` share: close the
+        listener, stop the pool, the follower, the sessions and every
+        periodic task (joined).  With ``drain`` admitted requests finish
+        and sessions are released in order; without, sockets just die.
+        """
+        if self._listener is not None:
+            # shutdown() wakes a thread blocked in accept() (close() alone
+            # leaves it — and the kernel listen socket — alive, keeping the
+            # port bound: EADDRINUSE on the restart that follows)
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError as exc:
+                note_io_error("listener.shutdown", exc)
+            try:
+                self._listener.close()
+            except OSError as exc:
+                note_io_error("listener.close", exc)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=10)
+        with self._sessions_lock:
+            sessions = list(self._sessions.values())
+        if not drain:
+            for session in sessions:
+                session.close()
+        self.pool.stop(drain=drain)
+        if self.follower is not None:
+            self.follower.stop()
+        if drain:
+            # an in-flight handler holds session.lock; wait (bounded) for
+            # it to answer before the socket goes away
+            for session in sessions:
+                if session.lock.acquire(timeout=5):
+                    session.lock.release()
+            for session in sessions:
+                self._release_session(session)
+                if session.thread is not None:
+                    session.thread.join(timeout=5)
+        for task in self._tasks:
+            task.stop()
+        if self.coordinator is not None:
+            # after the drain: an in-flight cross-shard request may still
+            # need the shard routers to finish its phase two
+            self.coordinator.close()
 
     def stop(self) -> None:
         """Graceful shutdown: drain in-flight work, close sessions and heap.
 
         Order matters: refuse new work first, let already-admitted requests
         finish (bounded wait per session), abort transactions left open,
-        then flush and close the image — so SIGTERM never tears a commit.
+        join every background task, then flush and close the image — so
+        SIGTERM never tears a commit and no timer outlives the heap.
         """
-        self._stopping.set()
+        self.stopping.set()
         if not self._stop_once.acquire(blocking=False):
             self._stopped.wait(30)  # someone else is tearing down
             return
-        if self._listener is not None:
-            # shutdown() wakes a thread blocked in accept() (close() alone
-            # leaves it — and the kernel listen socket — alive, keeping the
-            # port bound after "stop")
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError as exc:
-                _note_io_error("listener.shutdown", exc)
-            try:
-                self._listener.close()
-            except OSError as exc:
-                _note_io_error("listener.close", exc)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=10)
-        self.pool.stop(drain=True)
-        if self.pgo_worker is not None:
-            self.pgo_worker.stop()
-        if self.follower is not None:
-            self.follower.stop()
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
-        # drain: an in-flight handler holds session.lock; wait (bounded) for
-        # it to answer before the socket goes away
-        for session in sessions:
-            if session.lock.acquire(timeout=5):
-                session.lock.release()
-        for session in sessions:
-            self._release_session(session)
-        if self.coordinator is not None:
-            # after the drain: an in-flight cross-shard request may still
-            # need the shard routers to finish its phase two
-            self.coordinator.stop()
-        if self.follower is None and not self._degraded.is_set():
+        self._teardown(drain=True)
+        if self.follower is None and not self.health.degraded:
             # a replica never writes locally — flushing the caches would
             # fork its heap state away from the primary's; a degraded
             # daemon skips the flush too (the disk already refused writes,
@@ -763,12 +592,12 @@ class ReproServer:
             except OSError as exc:
                 # shutdown must complete even on a full disk: the rollback
                 # in the txn layer already restored the durable state
-                _note_io_error("shutdown.flush", exc)
+                note_io_error("shutdown.flush", exc)
         if self.replication is not None:
             self.replication.stop()
         self.heap.close()
         TRACER.event("server.stop")
-        self._detach_trace_recorder()
+        self.stop_trace()
         self._stopped.set()
 
     def crash(self) -> None:
@@ -779,32 +608,10 @@ class ReproServer:
         as the last durable commit published it, which is what a real
         process kill leaves behind.
         """
-        self._stopping.set()
+        self.stopping.set()
         if not self._stop_once.acquire(blocking=False):
             return
-        if self._listener is not None:
-            # shutdown before close: the accept thread blocked in accept()
-            # holds the file description open, and close() alone would
-            # leave the port bound (EADDRINUSE on the restart that follows)
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError as exc:
-                _note_io_error("listener.shutdown", exc)
-            try:
-                self._listener.close()
-            except OSError as exc:
-                _note_io_error("listener.close", exc)
-        with self._sessions_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.close()
-        self.pool.stop(drain=False)
-        if self.pgo_worker is not None:
-            self.pgo_worker.stop()
-        if self.follower is not None:
-            self.follower.stop()
-        if self.coordinator is not None:
-            self.coordinator.stop()
+        self._teardown(drain=False)
         if self.replication is not None:
             self.replication.stop()
         TRACER.event("server.crash")
@@ -813,7 +620,7 @@ class ReproServer:
     # ---------------------------------------------------------- connections
 
     def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+        while not self.stopping.is_set():
             try:
                 sock, addr = self._listener.accept()
             except OSError:
@@ -829,14 +636,13 @@ class ReproServer:
             _SESSIONS_OPENED.inc()
             _ACTIVE_SESSIONS.set(len(self._sessions))
             TRACER.event("server.session.open", session=session.id)
-            thread = threading.Thread(
+            session.thread = threading.Thread(
                 target=self._serve_connection,
                 args=(session,),
                 name=f"repro-session-{session.id}",
                 daemon=True,
             )
-            thread.start()
-            self._threads.append(thread)
+            session.thread.start()
 
     def _serve_connection(self, session: Session) -> None:
         # runs until the peer closes or stop()/the reaper closes the
@@ -854,9 +660,7 @@ class ReproServer:
                     _REAPED_SESSIONS.inc()
                     TRACER.event("server.session.idle_timeout", session=session.id)
                     break
-                except protocol.ProtocolError:
-                    break
-                except OSError:
+                except (protocol.ProtocolError, OSError):
                     break
                 if request is None:
                     break
@@ -865,7 +669,7 @@ class ReproServer:
         finally:
             self._release_session(session)
 
-    def _reaper_loop(self) -> None:
+    def _reap(self) -> None:
         """Close sessions idle past the timeout even when recv won't wake.
 
         The socket timeout covers a reader blocked in ``recv``; the reaper
@@ -873,100 +677,87 @@ class ReproServer:
         connection detected only by time).  A session mid-request (its lock
         held) is never reaped — only truly idle ones.
         """
-        interval = self.config.reaper_interval
         limit = self.config.idle_timeout
         send_limit = self.config.send_timeout
-        while not self._stopping.wait(interval):
-            now = time.monotonic()
-            with self._sessions_lock:
-                sessions = list(self._sessions.values())
-            for session in sessions:
-                # slow-sender sweep first: a client that stopped reading
-                # blocks a worker (or subscriber pump) inside sendall —
-                # closing the socket from here unblocks it with an error.
-                # Applies to subscribers too: a wedged replica link must
-                # not pin its pump thread forever.
-                sending = session.sending_since
-                if (
-                    send_limit is not None
-                    and sending is not None
-                    and now - sending > send_limit
-                ):
-                    _SLOW_CLIENT_CLOSES.inc()
-                    TRACER.event(
-                        "server.session.send_timeout", session=session.id,
-                        blocked_s=round(now - sending, 3),
-                    )
-                    self._release_session(session)
-                    continue
-                if (
-                    limit is None
-                    or session.subscriber
-                    or now - session.last_active <= limit
-                ):
-                    continue
-                if not session.lock.acquire(blocking=False):
-                    continue  # a request is in flight: it is not idle
-                try:
-                    _REAPED_SESSIONS.inc()
-                    TRACER.event("server.session.reaped", session=session.id)
-                    self._release_session(session)
-                finally:
-                    session.lock.release()
+        now = time.monotonic()
+        with self._sessions_lock:
+            sessions = list(self._sessions.values())
+        for session in sessions:
+            # slow-sender sweep first: a client that stopped reading
+            # blocks a worker (or subscriber pump) inside sendall —
+            # closing the socket from here unblocks it with an error.
+            # Applies to subscribers too: a wedged replica link must
+            # not pin its pump thread forever.
+            sending = session.sending_since
+            if (
+                send_limit is not None
+                and sending is not None
+                and now - sending > send_limit
+            ):
+                _SLOW_CLIENT_CLOSES.inc()
+                TRACER.event(
+                    "server.session.send_timeout", session=session.id,
+                    blocked_s=round(now - sending, 3),
+                )
+                self._release_session(session)
+                continue
+            if (
+                limit is None
+                or session.subscriber
+                or now - session.last_active <= limit
+            ):
+                continue
+            if not session.lock.acquire(blocking=False):
+                continue  # a request is in flight: it is not idle
+            try:
+                _REAPED_SESSIONS.inc()
+                TRACER.event("server.session.reaped", session=session.id)
+                self._release_session(session)
+            finally:
+                session.lock.release()
 
     def _admit(self, session: Session, request: dict) -> None:
         """Admission control: pooled execution or immediate backpressure.
 
-        Two execution lanes prevent a pool deadlock: ``begin`` (which may
-        block indefinitely on the transaction lock) and every request of a
-        session *holding* a transaction run directly on the session's own
-        connection thread — a blocked transaction only ever blocks its own
-        session, and the lock holder never needs a pool worker to reach its
-        ``commit``.  Stateless requests go through the bounded pool and get
-        the structured ``backpressure`` rejection when it is full.
+        Two execution lanes prevent a pool deadlock: ops the table marks
+        ``inline`` and every request of a session *holding* a transaction
+        run directly on the session's own connection thread — a blocked
+        transaction only ever blocks its own session, and the lock holder
+        never needs a pool worker to reach its ``commit``.  Everything
+        else goes through the bounded pool and gets the structured
+        ``backpressure`` rejection when it is full.
         """
         _REQUESTS.inc()
         request_id = request.get("id")
-        if self._stopping.is_set():
+        if self.stopping.is_set():
             self._send_error(
                 session, request_id,
                 RequestError(protocol.E_SHUTTING_DOWN, "server is shutting down"),
             )
             return
-        deadline = request.get("deadline")
-        if deadline is not None and "_deadline_at" not in request:
+        try:
             # pin the absolute deadline at *arrival*: queue time counts
             # against the client's budget, and a request that would expire
             # while queued is dropped here instead of wasting a worker
-            try:
-                request["_deadline_at"] = time.monotonic() + float(deadline)
-            except (TypeError, ValueError):
-                pass  # malformed deadline: the handler rejects it
-            else:
-                if float(deadline) <= 0:
-                    _SHED_DEADLINE.inc()
-                    self._send_error(
-                        session, request_id,
-                        RequestError(
-                            protocol.E_DEADLINE,
-                            "request deadline already expired on arrival",
-                            deadline=deadline,
-                        ),
-                    )
-                    return
-        if (
-            request.get("op") in ("begin", "repl.subscribe")
-            or session.txn is not None
-        ):
-            # begin may block on the txn lock; repl.subscribe turns the
-            # connection into a long-lived stream — neither may eat a
-            # pool worker
-            self._handle(session, request)
+            deadline = self._pin_deadline(request)
+        except RequestError as exc:
+            self._send_error(session, request_id, exc)
             return
-        if request.get("op") in ("ping", "stats", "slowlog"):
-            # introspection fast lane: cheap, lock-free reads answered on
-            # the connection thread, so liveness and diagnosis keep working
-            # while the pool is saturated by an overload
+        if deadline is not None and deadline <= 0:
+            _SHED_DEADLINE.inc()
+            self._send_error(
+                session, request_id,
+                RequestError(
+                    protocol.E_DEADLINE,
+                    "request deadline already expired on arrival",
+                    deadline=deadline,
+                ),
+            )
+            return
+        name = request.get("op")
+        op = self.ops.get(name) if isinstance(name, str) else None
+        if op is None or op.lane == "inline" or session.txn is not None:
+            # (an unknown op is answered on the spot by _handle)
             self._handle(session, request)
             return
         enqueued = time.monotonic()
@@ -1015,7 +806,7 @@ class ReproServer:
                 # during shutdown both the drain and the connection thread
                 # race to release; take_txn hands the transaction to exactly
                 # one of them, so the drain-abort count is deterministic
-                if self._stopping.is_set():
+                if self.stopping.is_set():
                     _DRAIN_ABORTS.inc()
                 txn.abort()
             except HeapError:
@@ -1044,27 +835,9 @@ class ReproServer:
             span_id = None
         return trace_id, span_id
 
-    def _dispatch(self, op):
-        """Resolve an op name to its handler.
-
-        A coordinator daemon consults the coordinator's op table first —
-        it overrides the data plane (get/set/mset/run/scatter/topology)
-        and augments stats; every other op falls through to the base
-        table, so a coordinator is still a full daemon (ping, call,
-        transactions, replication ops) over its own image.
-        """
-        coordinator = self.coordinator
-        if coordinator is not None and isinstance(op, str):
-            override = coordinator.OPS.get(op)
-            if override is not None:
-                return lambda _server, session, request: override(
-                    coordinator, session, request
-                )
-        return self._OPS.get(op)
-
     def _handle(self, session: Session, request: dict) -> None:
         request_id = request.get("id")
-        op = request.get("op")
+        name = request.get("op")
         start = time.perf_counter()
         # trace context: honor the client's stamp (its sampling decision
         # sticks end to end); unstamped requests become new roots at the
@@ -1073,60 +846,47 @@ class ReproServer:
         if trace_id is None and TRACER.enabled and TRACER.should_sample():
             trace_id = new_trace_id()
         outcome = "ok"
-        handled = False
+        op = None
         with TRACER.activate(trace_id, client_span):
             span = (
-                TRACER.span("server.request", session=session.id, op=op)
+                TRACER.span("server.request", session=session.id, op=name)
                 if trace_id is not None
                 else NULL_SPAN
             )
             reply = None
             try:
-                deadline = request.get("deadline")
-                if deadline is not None and "_deadline_at" not in request:
-                    # normally pinned at arrival by _admit; this fallback
-                    # covers direct _handle calls (tests, embedding)
-                    request["_deadline_at"] = time.monotonic() + float(deadline)
+                # normally pinned at arrival by _admit; this covers direct
+                # _handle calls (tests, embedding)
+                self._pin_deadline(request)
                 with session.lock:
-                    handler = self._dispatch(op)
-                    if handler is None:
+                    op = self.ops.get(name) if isinstance(name, str) else None
+                    if op is None:
                         raise RequestError(
-                            protocol.E_BAD_REQUEST, f"unknown op {op!r}"
+                            protocol.E_BAD_REQUEST, f"unknown op {name!r}"
                         )
-                    handled = True
                     self._check_deadline(request)
-                    # run the body under the server span's context so the
+                    # run the handler under the server span's context so the
                     # spans it opens (store.commit, ...) nest beneath it —
                     # and the replication sink stamps its records with it
                     with TRACER.activate(span.trace_id or trace_id, span.span_id):
-                        result = handler(self, session, request)
+                        result = self.run_txn(op.txn, session, request, op.handler)
                 span.set(status="ok")
                 reply = {"id": request_id, "ok": True, "result": result}
-            except RequestError as exc:
+            except Exception as exc:
+                if not isinstance(exc, RequestError):
+                    # anything else is an internal error
+                    traceback.print_exc(file=sys.stderr)
+                    exc = RequestError(
+                        protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}"
+                    )
                 outcome = exc.code
                 span.set(status=exc.code)
                 if trace_id is not None:
                     TRACER.event(
-                        "server.request.error", op=op, code=exc.code,
+                        "server.request.error", op=name, code=exc.code,
                         session=session.id,
                     )
                 reply = self._error_reply(request_id, exc, trace_id=trace_id)
-            except Exception as exc:  # anything else is an internal error
-                traceback.print_exc(file=sys.stderr)
-                outcome = "internal"
-                span.set(status="internal")
-                if trace_id is not None:
-                    TRACER.event(
-                        "server.request.error", op=op, code="internal",
-                        session=session.id,
-                    )
-                reply = self._error_reply(
-                    request_id,
-                    RequestError(
-                        protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}"
-                    ),
-                    trace_id=trace_id,
-                )
             finally:
                 # bookkeeping runs BEFORE the reply frame leaves: a client
                 # that reacts to the response by asking for stats/slowlog
@@ -1140,13 +900,13 @@ class ReproServer:
                 span.finish()
                 latency_us = int((time.perf_counter() - start) * 1e6)
                 _LATENCY.observe(latency_us)
-                if isinstance(op, str) and handled:
+                if op is not None:
                     METRICS.histogram(
-                        f"server.op.{op}.latency_us",
-                        f"latency of the {op} op (microseconds)",
+                        f"server.op.{name}.latency_us",
+                        f"latency of the {name} op (microseconds)",
                     ).observe(latency_us)
                 self.slowlog.record(
-                    op if isinstance(op, str) else "?",
+                    name if isinstance(name, str) else "?",
                     latency_us,
                     outcome=outcome,
                     trace_id=trace_id,
@@ -1161,7 +921,7 @@ class ReproServer:
                 # client vanished before the answer; the work is done —
                 # but count and classify it (a non-disconnect errno here
                 # is not routine)
-                _note_io_error("reply.send", exc)
+                note_io_error("reply.send", exc)
 
     def _error_reply(
         self, request_id, error: RequestError, trace_id: str | None = None
@@ -1175,22 +935,25 @@ class ReproServer:
         payload.update(error.details)
         return {"id": request_id, "ok": False, "error": payload}
 
-    def _send_error(
-        self,
-        session: Session,
-        request_id,
-        error: RequestError,
-        trace_id: str | None = None,
-    ) -> None:
+    def _send_error(self, session: Session, request_id, error: RequestError) -> None:
         try:
-            session.send(self._error_reply(request_id, error, trace_id=trace_id))
+            session.send(self._error_reply(request_id, error))
         except OSError as exc:
-            _note_io_error("error.send", exc)  # peer is gone; still counted
+            note_io_error("error.send", exc)  # peer is gone; still counted
 
     # ----------------------------------------------------- deadline budgets
 
     @staticmethod
-    def _remaining(request: dict) -> float | None:
+    def _pin_deadline(request: dict) -> float | None:
+        """Turn the ``deadline`` operand (seconds of budget) into an
+        absolute ``_deadline_at``, once; returns the operand."""
+        deadline = number(request, "deadline", float)
+        if deadline is not None and "_deadline_at" not in request:
+            request["_deadline_at"] = time.monotonic() + deadline
+        return deadline
+
+    @staticmethod
+    def remaining(request: dict) -> float | None:
         """Seconds left of the request's deadline (None: no deadline)."""
         deadline_at = request.get("_deadline_at")
         if deadline_at is None:
@@ -1198,7 +961,7 @@ class ReproServer:
         return deadline_at - time.monotonic()
 
     def _check_deadline(self, request: dict) -> None:
-        remaining = self._remaining(request)
+        remaining = self.remaining(request)
         if remaining is not None and remaining <= 0:
             raise RequestError(
                 protocol.E_DEADLINE,
@@ -1210,394 +973,58 @@ class ReproServer:
         """Lock timeout for this request: config cap, shrunk to the
         remaining deadline."""
         budget = self.config.lock_timeout
-        remaining = self._remaining(request)
+        remaining = self.remaining(request)
         if remaining is not None:
             budget = max(0.001, min(budget, remaining))
         return budget
 
     # ----------------------------------------------------- transaction glue
 
-    def _run_read(self, session: Session, request: dict, body):
-        """Run ``body()`` under the session's txn or an implicit read txn."""
+    def run_txn(self, mode: str | None, session: Session, request: dict, handler):
+        """Call ``handler(self, session, request)`` under the transaction
+        its table entry declares: the session's open one, else an implicit
+        ``mode`` transaction (``write`` auto-commits); None: no transaction.
+        """
+        if mode is None:
+            return handler(self, session, request)
+        write = mode == "write"
+        if write:
+            self.health.check_writable()
+            self.health.check_memory(session)
         if session.txn is not None:
-            return body()
-        waited = time.perf_counter()
-        try:
-            with self.txns.read(timeout=self._lock_budget(request)):
-                request["_lock_wait_us"] = int((time.perf_counter() - waited) * 1e6)
-                return body()
-        except LockTimeout as exc:
-            if self._remaining(request) is not None and self._remaining(request) <= 0:
-                raise RequestError(
-                    protocol.E_DEADLINE, "deadline exceeded waiting for the lock"
-                ) from exc
-            raise RequestError(protocol.E_BUSY, str(exc)) from exc
-
-    def _run_write(self, session: Session, request: dict, body):
-        """Run ``body()`` under the session's write txn or auto-commit."""
-        self._check_writable()
-        self._check_memory(session)
-        if session.txn is not None:
-            if session.txn.mode != "write":
+            if write and session.txn.mode != "write":
                 raise RequestError(
                     protocol.E_TXN_STATE,
                     "mutating request inside a read transaction",
                 )
-            return body()
+            return handler(self, session, request)
         waited = time.perf_counter()
         try:
-            with self.txns.write(timeout=self._lock_budget(request)):
+            with self.txns.begin(mode, self._lock_budget(request)):
                 request["_lock_wait_us"] = int((time.perf_counter() - waited) * 1e6)
-                result = body()
+                result = handler(self, session, request)
         except LockTimeout as exc:
-            if self._remaining(request) is not None and self._remaining(request) <= 0:
+            remaining = self.remaining(request)
+            if remaining is not None and remaining <= 0:
                 raise RequestError(
                     protocol.E_DEADLINE, "deadline exceeded waiting for the lock"
                 ) from exc
             raise RequestError(protocol.E_BUSY, str(exc)) from exc
         except OSError as exc:
+            if not write:
+                raise
             # the auto-commit died in its I/O (disk full, EIO, fsync
             # failure): the txn layer already rolled the heap back to the
             # durable state; classify, flip degraded, answer read_only
-            raise self._commit_io_failure("auto-commit", exc) from exc
-        if isinstance(result, dict):
-            # the auto-commit has published: report the version it produced
-            result.setdefault("repl_version", self.repl_version())
-        self._after_write_commit(result)
+            raise self.health.commit_io_failure("auto-commit", exc) from exc
+        if write:
+            if isinstance(result, dict):
+                # the auto-commit has published: report the version it produced
+                result.setdefault("repl_version", self.repl_version())
+            self.await_replicas(result)
         return result
 
-    def _check_writable(self) -> None:
-        if self._degraded.is_set():
-            raise RequestError(
-                protocol.E_READ_ONLY,
-                "daemon is in degraded read-only mode: "
-                + (self._degraded_reason or "unknown reason"),
-                reason=self._degraded_reason,
-                since=self._degraded_since,
-                retry_after=self.config.degraded_probe_interval,
-                manual=self._degraded_manual,
-            )
-        follower = self.follower
-        if follower is not None:
-            host, port = follower.upstream
-            raise RequestError(
-                protocol.E_NOT_PRIMARY,
-                "this node is a read replica; write to the primary",
-                primary={"host": host, "port": port},
-            )
-
-    def _check_memory(self, session: Session) -> None:
-        """Busy-style memory admission for mutating requests.
-
-        Reads always pass — they only touch the (bounded) clean cache.
-        Writes are rejected while the cache's accounted bytes exceed the
-        global budget, or when the open transaction's dirty set has
-        outgrown the per-transaction object budget (dirty objects cannot
-        be evicted, so they are the unboundable half of heap memory).
-        """
-        budget = self.config.mem_budget_bytes
-        if budget is not None and self.heap.cached_bytes > budget:
-            _SHED_MEMORY.inc()
-            raise RequestError(
-                protocol.E_BUSY,
-                f"heap memory budget exceeded "
-                f"({self.heap.cached_bytes} > {budget} bytes); retry shortly",
-                reason="memory",
-                retry_after=max(0.05, self.config.mem_watchdog_interval),
-            )
-        cap = self.config.mem_txn_budget_objects
-        if (
-            cap is not None
-            and session.txn is not None
-            and self.heap.dirty_count >= cap
-        ):
-            _SHED_MEMORY.inc()
-            raise RequestError(
-                protocol.E_BUSY,
-                f"transaction holds {self.heap.dirty_count} uncommitted "
-                f"object(s), over the per-transaction budget of {cap}; "
-                "commit or abort first",
-                reason="memory",
-                retry_after=max(0.05, self.config.mem_watchdog_interval),
-            )
-
-    # ------------------------------------------------- resource exhaustion
-
-    def _commit_io_failure(self, where: str, exc: OSError) -> RequestError:
-        """Classify a commit-path I/O failure and flip degraded mode.
-
-        Returns the structured error to answer the request with.  The
-        transaction layer has already rolled the heap back to the durable
-        image, so no half-written state is reachable; all this method adds
-        is the *mode* flip that stops further writes from hammering a disk
-        that just failed, plus the wire-level story.
-        """
-        kind = classify_os_error(exc)
-        _note_io_error(where, exc)
-        if self.config.unsafe_no_degraded:
-            # negative control: the unprotected daemon answers internal
-            # and keeps accepting writes, which the harness proves unsafe
-            return RequestError(
-                protocol.E_INTERNAL, f"commit I/O failed ({kind}): {exc}"
-            )
-        self.enter_degraded(f"{kind} during {where}: {exc}")
-        return RequestError(
-            protocol.E_READ_ONLY,
-            f"commit failed ({kind}): {exc}; daemon is now read-only",
-            reason=self._degraded_reason,
-            since=self._degraded_since,
-            retry_after=self.config.degraded_probe_interval,
-        )
-
-    def enter_degraded(self, reason: str, manual: bool = False) -> None:
-        """Flip into degraded read-only mode (idempotent).
-
-        Reads, ``ping``/``stats``, replication subscriptions and open read
-        transactions keep working; every mutating request is answered with
-        the structured ``read_only`` error until the recovery probe (or an
-        operator restart without ``--read-only``) clears the mode.
-        """
-        with self._degraded_lock:
-            if self._degraded.is_set():
-                if manual:
-                    self._degraded_manual = True
-                return
-            self._degraded_reason = reason
-            self._degraded_since = time.time()
-            self._degraded_manual = manual
-            self._degraded.set()
-        _DEGRADED.set(1)
-        _DEGRADED_ENTRIES.inc()
-        # shed background writers immediately: they would only re-fail
-        if self.pgo_worker is not None:
-            self.pgo_worker.paused = True
-        TRACER.event("server.degraded.enter", reason=reason, manual=manual)
-        print(f"repro-server: entering degraded read-only mode: {reason}",
-              file=sys.stderr)
-        replication = self.replication
-        if replication is not None:
-            # a deposed-by-disk primary tells its replicas: their status
-            # turns red and a cluster client can fail writes over
-            replication.notify_degraded(reason)
-
-    def exit_degraded(self) -> None:
-        """Leave degraded mode (probe-verified writability)."""
-        with self._degraded_lock:
-            if not self._degraded.is_set():
-                return
-            self._degraded.clear()
-            self._degraded_reason = None
-            self._degraded_since = None
-            self._degraded_manual = False
-        _DEGRADED.set(0)
-        self._recoveries += 1
-        if self.pgo_worker is not None and not self._mem_pressure:
-            self.pgo_worker.paused = False
-        TRACER.event("server.degraded.exit")
-        print("repro-server: degraded mode cleared; writes re-enabled",
-              file=sys.stderr)
-
-    def degraded_info(self) -> dict:
-        return {
-            "active": self._degraded.is_set(),
-            "reason": self._degraded_reason,
-            "since": self._degraded_since,
-            "manual": self._degraded_manual,
-            "probe_interval": self.config.degraded_probe_interval,
-            "probe_failures": self._probe_failures,
-            "recoveries": self._recoveries,
-        }
-
-    def _degraded_probe_loop(self) -> None:
-        """Background writability probe: auto-recover from degraded mode.
-
-        Each tick (while degraded, unless the mode is the manual
-        override): verify the image with a read-only fsck first — writes
-        must never resume over a corrupt image — then attempt an empty
-        commit under the write lock, which exercises the full publish path
-        (table write, header sync, fsync).  Success clears the mode.
-        """
-        interval = self.config.degraded_probe_interval
-        while not self._stopping.wait(interval):
-            if not self._degraded.is_set() or self._degraded_manual:
-                continue
-            if self.follower is not None:
-                # a replica never commits locally (the probe's empty commit
-                # would fork its image); scrub+repair own its recovery
-                continue
-            self._probe_recovery()
-
-    def _probe_recovery(self) -> bool:
-        if self.image_path is not None:
-            try:
-                report = fsck_image(self.image_path)
-            except Exception as exc:
-                self._probe_failures += 1
-                TRACER.event("server.degraded.probe", ok=False,
-                             stage="fsck", error=str(exc))
-                return False
-            if not report.ok:
-                self._probe_failures += 1
-                TRACER.event("server.degraded.probe", ok=False, stage="fsck",
-                             errors=report.counts.get("error", 0)
-                             if hasattr(report, "counts") else None)
-                return False
-        try:
-            with self.txns.write(timeout=1.0):
-                pass  # empty commit: full write+fsync path, no data change
-        except LockTimeout:
-            return False  # a reader holds the image; try again next tick
-        except OSError as exc:
-            self._probe_failures += 1
-            TRACER.event("server.degraded.probe", ok=False, stage="commit",
-                         error=str(exc))
-            return False
-        except Exception as exc:  # never let a probe kill the thread
-            self._probe_failures += 1
-            TRACER.event("server.degraded.probe", ok=False, stage="commit",
-                         error=f"{type(exc).__name__}: {exc}")
-            return False
-        self.exit_degraded()
-        return True
-
-    # ------------------------------------------------- scrub + anti-entropy
-
-    def _scrub_loop(self) -> None:
-        interval = self.config.scrub_interval
-        while not self._stopping.wait(interval):
-            try:
-                self.run_scrub_cycle()
-            except Exception as exc:  # a failing cycle must not kill the thread
-                TRACER.event(
-                    "server.scrub.error", error=f"{type(exc).__name__}: {exc}"
-                )
-
-    def scrub_info(self) -> dict:
-        with self._scrub_lock:
-            return dict(self._scrub_state)
-
-    def run_scrub_cycle(self) -> dict:
-        """One integrity pass over every committed object's page chain.
-
-        Corruption flips the daemon into degraded read-only mode; on a
-        replica an anti-entropy repair against the upstream runs next, and
-        a clean re-scrub exits degraded mode again.  Returns the (final)
-        scrub report.
-        """
-        report = scrub_heap(
-            self.heap,
-            self.txns,
-            pages_per_sec=self.config.scrub_pages_per_sec,
-            stop=self._stopping,
-        )
-        with self._scrub_lock:
-            self._scrub_state["cycles"] += 1
-            self._scrub_state["corrupt_total"] += len(report.corrupt_oids)
-            self._scrub_state["last"] = report.as_dict()
-        if report.clean:
-            return report.as_dict()
-        oids = report.corrupt_oids
-        self.enter_degraded(
-            f"scrub found {len(oids)} unreadable object(s) (oids {oids[:8]})"
-        )
-        if self.follower is not None and self.config.scrub_repair:
-            self._repair_and_verify()
-        return self.scrub_info()["last"]
-
-    def _repair_and_verify(self) -> bool:
-        """Anti-entropy repair from the upstream, then prove it by re-scrub.
-
-        Degraded mode is only exited on a clean re-scrub — a repair that
-        claims convergence but leaves unreadable pages keeps the replica
-        read-only-and-red rather than quietly serving bad data.
-        """
-        follower = self.follower
-        if follower is None:
-            return False
-        try:
-            result = repair_from_upstream(
-                self.heap,
-                self.txns,
-                follower.upstream,
-                lock_timeout=self.config.lock_timeout,
-            )
-        except Exception as exc:
-            with self._scrub_lock:
-                self._scrub_state["repair_failures"] += 1
-            TRACER.event(
-                "server.repair.error", error=f"{type(exc).__name__}: {exc}"
-            )
-            return False
-        with self._scrub_lock:
-            self._scrub_state["last_repair"] = result
-        if not result.get("converged"):
-            with self._scrub_lock:
-                self._scrub_state["repair_failures"] += 1
-            return False
-        verify = scrub_heap(
-            self.heap,
-            self.txns,
-            pages_per_sec=self.config.scrub_pages_per_sec,
-            stop=self._stopping,
-        )
-        with self._scrub_lock:
-            self._scrub_state["last"] = verify.as_dict()
-        if not verify.clean:
-            with self._scrub_lock:
-                self._scrub_state["repair_failures"] += 1
-            return False
-        with self._scrub_lock:
-            self._scrub_state["repairs"] += 1
-        self.exit_degraded()
-        return True
-
-    def _mem_watchdog_loop(self) -> None:
-        """Shed load when the heap outgrows its byte budget.
-
-        Over budget: pause the PGO worker and history flushes (both are
-        deferrable image writers) and halve the clean-object cache bound,
-        evicting immediately.  Under 80% of budget: restore everything.
-        The busy-style admission check (:meth:`_check_memory`) handles the
-        per-request half; this thread handles the standing pressure.
-        """
-        interval = self.config.mem_watchdog_interval
-        budget = self.config.mem_budget_bytes
-        while not self._stopping.wait(interval):
-            stats = self.heap.mem_stats()
-            _MEM_CACHED_BYTES.set(stats["cached_bytes"])
-            if budget is None:
-                continue
-            if stats["cached_bytes"] > budget and not self._mem_pressure:
-                self._mem_pressure = True
-                self._mem_shed_rounds += 1
-                _MEM_PRESSURE.set(1)
-                if self.pgo_worker is not None:
-                    self.pgo_worker.paused = True
-                self._history_paused = True
-                shrunk = max(16, (stats["cached_objects"] or 32) // 2)
-                self.heap.set_cache_limit(shrunk)
-                TRACER.event(
-                    "server.mem.shed", cached_bytes=stats["cached_bytes"],
-                    budget=budget, cache_limit=shrunk,
-                )
-            elif self._mem_pressure and stats["cached_bytes"] < 0.8 * budget:
-                self._mem_pressure = False
-                _MEM_PRESSURE.set(0)
-                self.heap.set_cache_limit(self._base_cache_limit)
-                self._history_paused = False
-                if self.pgo_worker is not None and not self._degraded.is_set():
-                    self.pgo_worker.paused = False
-                TRACER.event(
-                    "server.mem.restore", cached_bytes=stats["cached_bytes"],
-                    cache_limit=self._base_cache_limit,
-                )
-            elif self._mem_pressure:
-                # still over the hysteresis band: keep squeezing the cache
-                self.heap.set_cache_limit(
-                    max(16, (self.heap.mem_stats()["cached_objects"] or 32) // 2)
-                )
-
-    def _after_write_commit(self, result) -> None:
+    def await_replicas(self, result) -> None:
         """Sync replication: hold the response until the ack quorum is in.
 
         The write is already durable locally; with ``sync_replicas=N`` a
@@ -1625,9 +1052,21 @@ class ReproServer:
         if isinstance(result, dict):
             result.setdefault("acked_replicas", acked)
 
-    # ------------------------------------------------------------ execution
+    def bind_root(self, root: str, value) -> int:
+        """Bind one root to a decoded value (shared by set/mset/decide)."""
+        oid = self.heap.root(root)
+        # update(oid, None) means "mark dirty", so binding a root to the
+        # null value always goes through a fresh store + rebind
+        if oid is None or value is None:
+            oid = self.heap.store(value)
+            self.heap.set_root(root, oid)
+        else:
+            self.heap.update(oid, value)
+        return int(oid)
 
-    def _resolve(self, module: str, function: str):
+    # ------------------------------------------------------ code and profile
+
+    def resolve(self, module: str, function: str):
         """Resolve a stored function through the compiled-code cache.
 
         Returns ``(closure, hit)``; a miss links through the system and
@@ -1672,655 +1111,13 @@ class ReproServer:
             self._profile = VMProfiler()
         return profile
 
-    def _merge_profile(self, profiler: VMProfiler) -> None:
+    def merge_profile(self, profiler: VMProfiler) -> None:
         with self._profile_lock:
             self._profile.merge(profiler)
 
-    def _execute(self, closure, args, step_limit: int | None, request: dict | None = None):
-        limit = self.config.step_limit
-        if step_limit is not None:
-            limit = max(1, min(int(step_limit), limit))
-        if request is not None:
-            remaining = self._remaining(request)
-            if remaining is not None:
-                # convert the remaining wall-clock budget to instructions,
-                # so a deadlined request cannot overstay inside the VM
-                limit = max(1, min(limit, int(remaining * self.config.steps_per_second)))
-        profiler = VMProfiler() if self.config.profile else None
-        vm = VM(
-            store=self.heap,
-            foreign=self.system.foreign,
-            step_limit=limit,
-            profiler=profiler,
-        )
-        try:
-            result = vm.call(closure, list(args))
-        except StepLimitExceeded as exc:
-            if profiler is not None:
-                self._merge_profile(profiler)  # truncated runs are evidence too
-            if request is not None:
-                request["_steps"] = exc.instructions
-            raise RequestError(
-                protocol.E_STEP_LIMIT,
-                str(exc),
-                limit=exc.limit,
-                instructions=exc.instructions,
-                output=list(exc.partial.output) if exc.partial else [],
-            ) from exc
-        except UncaughtTmlException as exc:
-            raise RequestError(
-                protocol.E_EXEC, f"uncaught exception: {show_value(exc.value)}"
-            ) from exc
-        except MachineError as exc:
-            raise RequestError(protocol.E_EXEC, str(exc)) from exc
-        if profiler is not None:
-            self._merge_profile(profiler)
-        if request is not None:
-            request["_steps"] = result.instructions
-        return result
+    # ---------------------------------------------------------- NDJSON trace
 
-    # -------------------------------------------------------------- sharding
-
-    def _load_topology(self) -> ShardTopology | None:
-        """Adopt the topology persisted under ``__topology__`` (JSON text).
-
-        The root replicates through ordinary commit-log shipping, so a
-        shard replica learns the ring without ever being told directly.
-        """
-        oid = self.heap.root(TOPOLOGY_ROOT)
-        if oid is None:
-            return None
-        try:
-            wire = self.heap.load(oid)
-            if isinstance(wire, str):
-                self.topology = ShardTopology.from_dict(json.loads(wire))
-        except (HeapError, RingError, json.JSONDecodeError) as exc:
-            print(f"repro-server: ignoring bad __topology__: {exc}", file=sys.stderr)
-        if self.config.shard_id is None:
-            sid_oid = self.heap.root(SHARD_ROOT)
-            if sid_oid is not None:
-                try:
-                    sid = self.heap.load(sid_oid)
-                    if isinstance(sid, int):
-                        self.config.shard_id = sid
-                except HeapError:
-                    pass
-        return self.topology
-
-    def _current_topology(self) -> ShardTopology | None:
-        """The active topology, re-reading the image when none is adopted
-        yet (a replica that received ``__topology__`` after its boot)."""
-        if self.topology is None:
-            self._load_topology()
-        return self.topology
-
-    def _check_owned(self, names) -> None:
-        """Ownership gate for sharded daemons: every *user* root must hash
-        to this shard.  System roots are image-local and always pass; a
-        daemon with no topology or no shard id serves everything."""
-        shard_id = self.config.shard_id
-        if shard_id is None:
-            return
-        topology = self._current_topology()
-        if topology is None:
-            return
-        for name in names:
-            name = str(name)
-            if is_system_root(name):
-                continue
-            owner = topology.shard_for(name)
-            if owner != shard_id:
-                raise RequestError(
-                    protocol.E_WRONG_SHARD,
-                    f"root {name!r} belongs to shard {owner}, "
-                    f"this daemon is shard {shard_id}",
-                    shard=owner,
-                    endpoints=[
-                        {"host": host, "port": port}
-                        for host, port in topology.endpoints(owner)
-                    ],
-                    epoch=topology.epoch,
-                )
-
-    # ------------------------------------------------------------- operators
-
-    def _op_ping(self, session, request):
-        """Liveness + identity: protocol, drain status, image facts, uptime."""
-        reply = {
-            "pong": True,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "session": session.id,
-            "status": "draining" if self._stopping.is_set() else "ok",
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "image": self.heap.image_info(),
-            "role": self.role,
-            "repl_version": self.repl_version(),
-            "degraded": self._degraded.is_set(),
-        }
-        if self._degraded.is_set():
-            reply["degraded_reason"] = self._degraded_reason
-        if self.replication is not None:
-            reply["term"] = self.replication.term
-        elif self.follower is not None:
-            reply["term"] = self.follower.term
-        if self.coordinator is not None:
-            reply["coordinator"] = True
-        topology = self._current_topology()
-        if topology is not None and self.config.shard_id is not None:
-            # shard identity: id, ring position and owned keyspace share
-            reply["shard"] = topology.describe_shard(self.config.shard_id)
-        code = self.code_cache.stats()
-        facts = self.fact_store.stats()
-        reply["caches"] = {
-            "code": self._hit_rate(code["hits"], code["misses"]),
-            "facts": self._hit_rate(facts["hits"], facts["misses"]),
-        }
-        return reply
-
-    @staticmethod
-    def _hit_rate(hits: int, misses: int) -> dict:
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / total, 4) if total else None,
-        }
-
-    def _op_call(self, session, request):
-        module = request.get("module")
-        function = request.get("function")
-        if not module or not function:
-            raise RequestError(protocol.E_BAD_REQUEST, "call needs module and function")
-        args = [from_jsonable(a) for a in request.get("args", [])]
-        step_limit = request.get("step_limit")
-        mode = request.get("mode", "read")
-
-        def body():
-            closure, hit = self._resolve(module, function)
-            result = self._execute(closure, args, step_limit, request)
-            return {
-                "value": to_jsonable(result.value),
-                "instructions": result.instructions,
-                "output": list(result.output),
-                "cache": "hit" if hit else "miss",
-            }
-
-        if mode == "write":
-            return self._run_write(session, request, body)
-        return self._run_read(session, request, body)
-
-    def _op_run(self, session, request):
-        source = request.get("source")
-        if not isinstance(source, str):
-            raise RequestError(protocol.E_BAD_REQUEST, "run needs TL source text")
-
-        def body():
-            try:
-                modules = [
-                    self.system.compile_ast(ast) for ast in parse_modules(source)
-                ]
-            except TLError as exc:
-                raise RequestError(protocol.E_BAD_REQUEST, str(exc)) from exc
-            names = []
-            for module in modules:
-                self.system.persist(module.name)
-                names.append(module.name)
-                for function in module.functions:
-                    self.invalidate_function(module.name, function)
-            return {"modules": names}
-
-        return self._run_write(session, request, body)
-
-    def _op_get(self, session, request):
-        roots = request.get("roots")
-        if not isinstance(roots, list) or not roots:
-            raise RequestError(protocol.E_BAD_REQUEST, "get needs a list of roots")
-        min_version = request.get("min_version")
-
-        def body():
-            self._check_owned(roots)
-            if min_version is not None:
-                # bounded staleness: refuse to serve a snapshot older than
-                # the client's floor (typically its last write's version)
-                current = self.repl_version()
-                if current < int(min_version):
-                    raise RequestError(
-                        protocol.E_STALE_READ,
-                        f"replica is at version {current}, "
-                        f"read requires {min_version}",
-                        version=current,
-                        min_version=int(min_version),
-                    )
-            values = {}
-            for name in roots:
-                try:
-                    values[name] = to_jsonable(self.heap.load_root(name))
-                except HeapError as exc:
-                    raise RequestError(protocol.E_NOT_FOUND, str(exc)) from exc
-            return {
-                "values": values,
-                "version": self.txns.version,
-                "repl_version": self.repl_version(),
-            }
-
-        return self._run_read(session, request, body)
-
-    def _op_set(self, session, request):
-        root = request.get("root")
-        if not isinstance(root, str):
-            raise RequestError(protocol.E_BAD_REQUEST, "set needs a root name")
-        value = from_jsonable(request.get("value"))
-
-        def body():
-            self._check_owned([root])
-            oid = self.heap.root(root)
-            # update(oid, None) means "mark dirty", so binding a root to the
-            # null value always goes through a fresh store + rebind
-            if oid is None or value is None:
-                oid = self.heap.store(value)
-                self.heap.set_root(root, oid)
-            else:
-                self.heap.update(oid, value)
-            return {"root": root, "oid": int(oid)}
-
-        return self._run_write(session, request, body)
-
-    def _op_roots(self, session, request):
-        def body():
-            return {"roots": self.heap.root_names(), "version": self.txns.version}
-
-        return self._run_read(session, request, body)
-
-    def _bind_root(self, root: str, value) -> int:
-        """Bind one root to a decoded value (shared by set/mset/decide)."""
-        oid = self.heap.root(root)
-        # update(oid, None) means "mark dirty", so binding a root to the
-        # null value always goes through a fresh store + rebind
-        if oid is None or value is None:
-            oid = self.heap.store(value)
-            self.heap.set_root(root, oid)
-        else:
-            self.heap.update(oid, value)
-        return int(oid)
-
-    def _op_mset(self, session, request):
-        """Bind several roots in one atomic commit.
-
-        On a plain daemon every root must be local (owned or system); on a
-        coordinator the writes may span shards, in which case the
-        coordinator override runs them as a 2PC instead of this handler.
-        """
-        writes = request.get("writes")
-        if not isinstance(writes, dict) or not writes:
-            raise RequestError(protocol.E_BAD_REQUEST, "mset needs a writes object")
-
-        def body():
-            self._check_owned(writes.keys())
-            oids = {
-                str(root): self._bind_root(str(root), from_jsonable(wire))
-                for root, wire in writes.items()
-            }
-            return {"roots": oids, "count": len(oids)}
-
-        return self._run_write(session, request, body)
-
-    def _op_query(self, session, request):
-        """Prefix-scan this daemon's owned user roots, optionally folding
-        them through a stored function — the shard-local half of
-        scatter-gather.  The fold function receives one vector of the
-        matching values (in root-name order) and its result is the
-        shard's partial, merged coordinator-side."""
-        prefix = request.get("prefix", "")
-        if not isinstance(prefix, str):
-            raise RequestError(protocol.E_BAD_REQUEST, "query prefix must be a string")
-        module = request.get("module")
-        function = request.get("function")
-        min_version = request.get("min_version")
-
-        def body():
-            if min_version is not None:
-                current = self.repl_version()
-                if current < int(min_version):
-                    raise RequestError(
-                        protocol.E_STALE_READ,
-                        f"replica is at version {current}, "
-                        f"read requires {min_version}",
-                        version=current,
-                        min_version=int(min_version),
-                    )
-            topology = self._current_topology()
-            shard_id = self.config.shard_id
-            names = []
-            for name in self.heap.root_names():
-                if not name.startswith(prefix) or is_system_root(name):
-                    continue
-                if (
-                    topology is not None
-                    and shard_id is not None
-                    and topology.shard_for(name) != shard_id
-                ):
-                    continue  # not owned (stale leftovers mid-rebalance)
-                names.append(name)
-            values = {name: self.heap.load_root(name) for name in names}
-            reply = {
-                "count": len(names),
-                "version": self.txns.version,
-                "repl_version": self.repl_version(),
-            }
-            if module and function:
-                closure, hit = self._resolve(module, function)
-                result = self._execute(
-                    closure,
-                    [TmlVector([values[name] for name in names])],
-                    request.get("step_limit"),
-                    request,
-                )
-                reply["value"] = to_jsonable(result.value)
-                reply["cache"] = "hit" if hit else "miss"
-            else:
-                reply["values"] = {
-                    name: to_jsonable(value) for name, value in values.items()
-                }
-            return reply
-
-        return self._run_read(session, request, body)
-
-    def _op_topology(self, session, request):
-        """The adopted ring (a coordinator override reports its own)."""
-        def body():
-            topology = self._current_topology()
-            if topology is None:
-                raise RequestError(
-                    protocol.E_NOT_FOUND, "this daemon has no shard topology"
-                )
-            reply = {"topology": topology.as_dict()}
-            if self.config.shard_id is not None:
-                reply["shard"] = self.config.shard_id
-            return reply
-
-        return self._run_read(session, request, body)
-
-    # ----------------------------------------------------- 2PC participant
-
-    def _op_shard_adopt(self, session, request):
-        """Persist a topology pushed by a coordinator (and this daemon's
-        shard id within it).  The commit replicates the ring to the whole
-        shard group."""
-        try:
-            topology = ShardTopology.from_dict(request.get("topology"))
-        except RingError as exc:
-            raise RequestError(protocol.E_BAD_REQUEST, str(exc)) from exc
-        shard = request.get("shard")
-        if shard is not None and not isinstance(shard, int):
-            raise RequestError(protocol.E_BAD_REQUEST, "shard must be an int id")
-
-        def body():
-            text = json.dumps(
-                topology.as_dict(), sort_keys=True, separators=(",", ":")
-            )
-            self._bind_root(TOPOLOGY_ROOT, text)
-            if shard is not None:
-                self._bind_root(SHARD_ROOT, shard)
-            return {"epoch": topology.epoch, "shards": len(topology.shards)}
-
-        result = self._run_write(session, request, body)
-        self.topology = topology
-        if shard is not None:
-            self.config.shard_id = shard
-        return result
-
-    def _op_shard_prepare(self, session, request):
-        """Phase one: durably stage a transaction's writes for this shard.
-
-        The staging commit flows through the fenced commit log and the
-        replica quorum like any write — once acknowledged, this shard is
-        in doubt for the transaction until a decision (or presumed-abort
-        recovery) resolves it.  Idempotent per transaction id.
-        """
-        txn = request.get("txn")
-        writes = request.get("writes")
-        if not isinstance(txn, str) or not txn:
-            raise RequestError(protocol.E_BAD_REQUEST, "prepare needs a txn id")
-        if not isinstance(writes, dict) or not writes:
-            raise RequestError(protocol.E_BAD_REQUEST, "prepare needs writes")
-        expected = request.get("term")
-        if expected is not None and self.replication is not None:
-            if int(expected) != self.replication.term:
-                # fencing: the coordinator prepared against a deposed view
-                # of this shard group
-                raise RequestError(
-                    protocol.E_STALE_TERM,
-                    f"shard primary is at term {self.replication.term}, "
-                    f"prepare expected term {expected}",
-                    term=self.replication.term,
-                )
-        coordinator_node = str(request.get("coordinator", ""))
-        participants = request.get("participants", [])
-        if not isinstance(participants, list):
-            raise RequestError(protocol.E_BAD_REQUEST, "participants must be a list")
-
-        def body():
-            self._check_owned(writes.keys())
-            root = staging_root(txn)
-            if self.heap.root(root) is not None:
-                return {"txn": txn, "prepared": True, "already": True}
-            for wire in writes.values():
-                from_jsonable(wire)  # reject undecodable values pre-stage
-            record = make_staging(txn, coordinator_node, participants, writes)
-            self.heap.set_root(root, self.heap.store(record))
-            reply = {"txn": txn, "prepared": True}
-            if self.replication is not None:
-                reply["term"] = self.replication.term
-            return reply
-
-        return self._run_write(session, request, body)
-
-    def _op_shard_decide(self, session, request):
-        """Phase two: apply (commit) or discard (abort) staged writes and
-        retire the staging root, all in one atomic commit.  Replaying a
-        decision for an already-retired transaction is a no-op — the
-        coordinator's recovery may deliver duplicates."""
-        txn = request.get("txn")
-        decision = request.get("decision")
-        if not isinstance(txn, str) or not txn:
-            raise RequestError(protocol.E_BAD_REQUEST, "decide needs a txn id")
-        if decision not in ("commit", "abort"):
-            raise RequestError(
-                protocol.E_BAD_REQUEST, f"decision must be commit|abort, got {decision!r}"
-            )
-
-        def body():
-            root = staging_root(txn)
-            oid = self.heap.root(root)
-            if oid is None:
-                return {"txn": txn, "decision": decision, "already": True}
-            try:
-                staged = parse_staging(self.heap.load(oid))
-            except TwopcError as exc:
-                raise RequestError(
-                    protocol.E_INTERNAL, f"corrupt staging for {txn}: {exc}"
-                ) from exc
-            if decision == "commit":
-                for name, wire in staged["writes"].items():
-                    self._bind_root(name, from_jsonable(wire))
-            self.heap.remove_root(root)
-            return {"txn": txn, "decision": decision, "applied": decision == "commit"}
-
-        return self._run_write(session, request, body)
-
-    def _op_shard_indoubt(self, session, request):
-        """List prepared-but-undecided transactions on this shard — the
-        coordinator's recovery input."""
-        def body():
-            indoubt = []
-            for name in self.heap.root_names():
-                if not name.startswith(STAGING_PREFIX):
-                    continue
-                try:
-                    staged = parse_staging(self.heap.load_root(name))
-                except (TwopcError, HeapError):
-                    continue
-                indoubt.append(
-                    {
-                        "txn": staged["txn"],
-                        "coordinator": staged["coordinator"],
-                        "participants": staged["participants"],
-                        "roots": sorted(staged["writes"]),
-                    }
-                )
-            return {"indoubt": indoubt, "count": len(indoubt)}
-
-        return self._run_read(session, request, body)
-
-    def _op_begin(self, session, request):
-        if session.txn is not None:
-            raise RequestError(protocol.E_TXN_STATE, "session already has a transaction")
-        mode = request.get("mode", "write")
-        if mode not in ("read", "write"):
-            raise RequestError(protocol.E_BAD_REQUEST, f"unknown txn mode {mode!r}")
-        if mode == "write":
-            self._check_writable()
-        try:
-            session.txn = self.txns.begin(mode, timeout=request.get("timeout"))
-        except LockTimeout as exc:
-            raise RequestError(protocol.E_BUSY, str(exc)) from exc
-        return {"mode": mode, "version": session.txn.version}
-
-    def _op_commit(self, session, request):
-        txn = session.take_txn()
-        if txn is None:
-            raise RequestError(protocol.E_TXN_STATE, "no open transaction")
-        try:
-            txn.commit()
-        except HeapError as exc:
-            raise RequestError(protocol.E_EXEC, f"commit failed: {exc}") from exc
-        except OSError as exc:
-            raise self._commit_io_failure("commit", exc) from exc
-        result = {"version": self.txns.version, "repl_version": self.repl_version()}
-        if txn.mode == "write":
-            self._after_write_commit(result)
-        return result
-
-    def _op_abort(self, session, request):
-        txn = session.take_txn()
-        if txn is None:
-            raise RequestError(protocol.E_TXN_STATE, "no open transaction")
-        txn.abort()
-        return {"version": self.txns.version}
-
-    @staticmethod
-    def _latency_summary(histogram) -> dict:
-        """count/mean plus exact-rank p50/p99/p999 of one latency histogram."""
-        summary = {
-            "count": histogram.count,
-            "mean": round(histogram.mean, 1),
-            "min": histogram.min,
-            "max": histogram.max,
-        }
-        summary.update(histogram.percentiles(0.5, 0.99, 0.999))
-        return summary
-
-    def _op_stats(self, session, request):
-        with self._sessions_lock:
-            active = len(self._sessions)
-        per_op = {}
-        prefix, suffix = "server.op.", ".latency_us"
-        for name in METRICS.names():
-            if name.startswith(prefix) and name.endswith(suffix):
-                per_op[name[len(prefix):-len(suffix)]] = self._latency_summary(
-                    METRICS.get(name)
-                )
-        report = {
-            "sessions": active,
-            "version": self.txns.version,
-            "role": self.role,
-            "repl_version": self.repl_version(),
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "requests": {
-                "total": _REQUESTS.value,
-                "errors": _REQUEST_ERRORS.value,
-            },
-            "latency_us": self._latency_summary(_LATENCY),
-            "ops": per_op,
-            "codecache": self.code_cache.stats(),
-            "facts": self.fact_store.stats(),
-            "roots": len(self.heap.root_names()),
-            "slowlog": self.slowlog.stats(),
-            "trace": self._trace_status(),
-            "history": self.history.stats(),
-            "degraded": self.degraded_info(),
-            "memory": {
-                **self.heap.mem_stats(),
-                "budget_bytes": self.config.mem_budget_bytes,
-                "txn_budget_objects": self.config.mem_txn_budget_objects,
-                "pressure": self._mem_pressure,
-                "shed_rounds": self._mem_shed_rounds,
-            },
-            "shed": {
-                "deadline": _SHED_DEADLINE.value,
-                "overloaded": _SHED_OVERLOADED.value,
-                "memory": _SHED_MEMORY.value,
-                "slow_client_closes": _SLOW_CLIENT_CLOSES.value,
-                "io_errors": _IO_ERRORS.value,
-            },
-        }
-        if self.config.scrub_interval is not None or self.scrub_info()["cycles"]:
-            report["scrub"] = self.scrub_info()
-        if self.archiver is not None:
-            try:
-                sealed = self.archiver.sealed_version
-            except OSError:
-                sealed = None
-            report["archive"] = {
-                "directory": self.archiver.directory,
-                "sealed_version": sealed,
-            }
-        topology = self._current_topology()
-        if topology is not None and self.config.shard_id is not None:
-            report["shard"] = topology.describe_shard(self.config.shard_id)
-            report["shard"]["staging"] = sum(
-                1
-                for name in self.heap.root_names()
-                if name.startswith(STAGING_PREFIX)
-            )
-        if self.pgo_worker is not None:
-            report["pgo"] = self.pgo_worker.stats()
-        if self.replication is not None:
-            report["replication"] = self.replication.status()
-            apply_lag = METRICS.get("server.repl.apply_latency_us")
-            if apply_lag is not None and apply_lag.count:
-                report["replication"]["apply_latency_us"] = self._latency_summary(
-                    apply_lag
-                )
-        elif self.follower is not None:
-            report["replication"] = self.follower.status()
-            apply_lag = METRICS.get("server.repl.apply_latency_us")
-            if apply_lag is not None and apply_lag.count:
-                report["replication"]["apply_latency_us"] = self._latency_summary(
-                    apply_lag
-                )
-        if request.get("metrics"):
-            report["metrics"] = METRICS.snapshot()
-        if request.get("history"):
-            count = request["history"]
-            report["history_entries"] = self.history.entries(
-                int(count) if count is not True else None
-            )
-        return report
-
-    def _op_slowlog(self, session, request):
-        """The ring of slowest requests (trace ids are NDJSON join keys)."""
-        if request.get("clear"):
-            self.slowlog.clear()
-        count = request.get("n")
-        return {
-            "entries": self.slowlog.entries(int(count) if count is not None else None),
-            **self.slowlog.stats(),
-        }
-
-    # ------------------------------------------------------------- trace op
-
-    def _trace_status(self) -> dict:
+    def trace_status(self) -> dict:
         return {
             "recording": TRACER.enabled,
             "managed": self._trace_recorder is not None,
@@ -2328,7 +1125,27 @@ class ReproServer:
             "sample_rate": TRACER.sample_rate,
         }
 
-    def _detach_trace_recorder(self) -> None:
+    def start_trace(self, path: str) -> None:
+        """Attach a daemon-managed NDJSON recorder writing to ``path``."""
+        with self._trace_lock:
+            if TRACER.enabled:
+                raise RequestError(
+                    protocol.E_BAD_REQUEST,
+                    "a trace recorder is already attached"
+                    + (f" (writing {self._trace_path})" if self._trace_path else ""),
+                )
+            try:
+                recorder = NdjsonRecorder(path)
+            except OSError as exc:
+                raise RequestError(
+                    protocol.E_BAD_REQUEST, f"cannot open {path!r}: {exc}"
+                ) from exc
+            self._trace_recorder = recorder
+            self._trace_path = path
+            TRACER.recorder = recorder
+
+    def stop_trace(self) -> None:
+        """Detach and close the daemon-managed recorder, if there is one."""
         with self._trace_lock:
             recorder = self._trace_recorder
             self._trace_recorder = None
@@ -2338,315 +1155,3 @@ class ReproServer:
             if TRACER.recorder is recorder:
                 TRACER.recorder = None
             recorder.close()
-
-    def _op_trace(self, session, request):
-        """Runtime control of the daemon's NDJSON export.
-
-        ``action``: ``status`` (default) | ``start`` (attach a recorder
-        writing to a server-side ``path``) | ``stop`` (detach and close the
-        daemon-managed recorder) | ``sample`` (set the root sampling
-        ``rate`` in [0, 1]).
-        """
-        action = request.get("action", "status")
-        if action == "start":
-            path = request.get("path")
-            if not isinstance(path, str) or not path:
-                raise RequestError(
-                    protocol.E_BAD_REQUEST, "trace start needs a server-side path"
-                )
-            with self._trace_lock:
-                if TRACER.enabled:
-                    raise RequestError(
-                        protocol.E_BAD_REQUEST,
-                        "a trace recorder is already attached"
-                        + (f" (writing {self._trace_path})" if self._trace_path else ""),
-                    )
-                try:
-                    recorder = NdjsonRecorder(path)
-                except OSError as exc:
-                    raise RequestError(
-                        protocol.E_BAD_REQUEST, f"cannot open {path!r}: {exc}"
-                    ) from exc
-                self._trace_recorder = recorder
-                self._trace_path = path
-                TRACER.recorder = recorder
-        elif action == "stop":
-            if self._trace_recorder is None and TRACER.enabled:
-                raise RequestError(
-                    protocol.E_BAD_REQUEST,
-                    "the attached recorder is not managed by the trace op",
-                )
-            self._detach_trace_recorder()
-        elif action == "sample":
-            try:
-                rate = float(request["rate"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RequestError(
-                    protocol.E_BAD_REQUEST, "trace sample needs a numeric rate"
-                ) from exc
-            TRACER.sample_rate = min(1.0, max(0.0, rate))
-        elif action != "status":
-            raise RequestError(
-                protocol.E_BAD_REQUEST, f"unknown trace action {action!r}"
-            )
-        return self._trace_status()
-
-    def _op_pgo(self, session, request):
-        """Run one PGO round now (admin/diagnostic; tests and smoke use it)."""
-        worker = self.pgo_worker
-        if worker is None:
-            worker = PgoWorker(
-                self,
-                interval=None,
-                top=self.config.pgo_top,
-                min_instructions=self.config.pgo_min_instructions,
-            )
-        report = worker.run_round(top=request.get("top"), min_instructions=0)
-        if report is None:
-            return {"optimized": []}
-        return {
-            "optimized": [
-                {
-                    "function": candidate.qualified,
-                    "invocations": candidate.invocations,
-                    "instructions": candidate.instructions,
-                    "cost_before": report.results[candidate.qualified].cost_before,
-                    "cost_after": report.results[candidate.qualified].cost_after,
-                }
-                for candidate in report.selected
-            ]
-        }
-
-    def _op_sleep(self, session, request):
-        if not self.config.enable_debug_ops:
-            raise RequestError(protocol.E_BAD_REQUEST, "debug ops are disabled")
-        seconds = float(request.get("seconds", 0.1))
-        time.sleep(min(seconds, 30.0))
-        return {"slept": seconds}
-
-    def _op_shutdown(self, session, request):
-        # respond first, then stop from a separate thread so the worker
-        # executing this request is not asked to join itself
-        threading.Thread(target=self.stop, name="repro-server-stop", daemon=True).start()
-        return {"stopping": True}
-
-    # ------------------------------------------------------ replication ops
-
-    def _op_repl_status(self, session, request):
-        """Role, coordinates, lag/subscribers — optionally the state digest."""
-        if self.replication is not None:
-            status = self.replication.status()
-        elif self.follower is not None:
-            status = self.follower.status()
-        else:
-            status = {
-                "role": "standalone",
-                "term": replication_state(self.heap)["term"],
-                "version": self.repl_version(),
-            }
-        if request.get("digest"):
-            try:
-                with self.txns.read(timeout=self.config.lock_timeout):
-                    status["digest"] = self.heap.logical_digest()
-            except LockTimeout as exc:
-                raise RequestError(protocol.E_BUSY, str(exc)) from exc
-        return status
-
-    def _op_repl_digest(self, session, request):
-        """Digest tree over OID buckets — the anti-entropy compare step.
-
-        Buckets whose digest differs from the peer's are the only ranges a
-        repairing replica re-fetches; ``version`` lets the caller reject a
-        comparison taken at a different replication version (skew would
-        flag every fresh write as divergence).
-        """
-
-        def body():
-            digests = bucket_digests(self.heap)
-            return {
-                "version": self.repl_version(),
-                "term": replication_state(self.heap)["term"],
-                "role": self.role,
-                "bucket_bits": OID_BUCKET_BITS,
-                "buckets": {str(b): d for b, d in digests.items()},
-                "root": digest_root(digests),
-                "oids": len(self.heap.committed_oids()),
-            }
-
-        return self._run_read(session, request, body)
-
-    def _op_repl_fetch(self, session, request):
-        """Committed payloads of the requested OID buckets (repair fetch)."""
-        buckets = request.get("buckets")
-        if not isinstance(buckets, list) or not all(
-            isinstance(b, int) and b >= 0 for b in buckets
-        ):
-            raise RequestError(
-                protocol.E_BAD_REQUEST, "fetch needs a list of bucket ids"
-            )
-        want = set(buckets)
-
-        def body():
-            objects = []
-            total = 0
-            for oid in self.heap.committed_oids():
-                if bucket_of(oid) not in want:
-                    continue
-                payload = self.heap.committed_payload(oid)
-                objects.append((oid, payload.hex()))
-                total += len(payload)
-            return {
-                "version": self.repl_version(),
-                "count": len(objects),
-                "bytes": total,
-                "objects": objects,
-            }
-
-        return self._run_read(session, request, body)
-
-    def _op_repl_subscribe(self, session, request):
-        """Turn this connection into a change-record stream (replica side
-        connects and calls this; records are pushed, acks flow back)."""
-        replication = self.replication
-        if replication is None:
-            raise RequestError(
-                protocol.E_NOT_PRIMARY,
-                f"this node is a {self.role}, it does not serve the "
-                "replication stream",
-            )
-        node = str(request.get("node", f"session-{session.id}"))
-        try:
-            from_version = int(request.get("from_version", 0))
-            last_term = int(request.get("last_term", 0))
-        except (TypeError, ValueError) as exc:
-            raise RequestError(protocol.E_BAD_REQUEST, str(exc)) from exc
-        try:
-            result = replication.subscribe(
-                session.id, node, from_version, last_term, session.send
-            )
-        except StaleTermError as exc:
-            raise RequestError(
-                protocol.E_STALE_TERM, str(exc), term=exc.term
-            ) from exc
-        session.subscriber = True
-        session.sock.settimeout(None)  # subscribers are quiet between commits
-        return result
-
-    def _op_repl_ack(self, session, request):
-        if self.replication is None or not session.subscriber:
-            raise RequestError(protocol.E_BAD_REQUEST, "not a subscriber session")
-        try:
-            version = int(request["version"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RequestError(protocol.E_BAD_REQUEST, "ack needs a version") from exc
-        self.replication.ack(session.id, version)
-        return {"acked": version}
-
-    def _op_promote(self, session, request):
-        """Make this node the primary, fencing the old one out by term."""
-        requested = request.get("term")
-        term = self.become_primary(int(requested) if requested is not None else None)
-        return {
-            "role": "primary",
-            "term": term,
-            "version": self.replication.version if self.replication else 0,
-        }
-
-    def _op_follow(self, session, request):
-        """(Re-)point this node at a primary — demotion or upstream change."""
-        host = request.get("host")
-        port = request.get("port")
-        if not isinstance(host, str) or not isinstance(port, int):
-            raise RequestError(protocol.E_BAD_REQUEST, "follow needs host and port")
-        self.become_replica((host, port))
-        return {"role": "replica", "upstream": {"host": host, "port": port}}
-
-    def become_primary(self, term: int | None = None) -> int:
-        """Promote: stop following, bump the term, commit the promotion.
-
-        The promotion commit stamps the new term into the image (and the
-        commit log) so it is durable and every subscriber learns it — a
-        deposed primary's records are rejected from that point on.
-        """
-        with self._role_lock:
-            if self.replication is not None:
-                return self.replication.term  # already primary
-            if self.follower is not None:
-                # strictly above every term this node ever accepted
-                new_term = self.follower.promote(term)
-                self.follower = None
-            else:
-                base = replication_state(self.heap)["term"]
-                new_term = max(base + 1, term if term is not None else 0, 1)
-            self.replication = PrimaryReplication(
-                self.heap,
-                self.txns,
-                self._log_path(),
-                node=self.config.node_id or "promoted",
-                term=new_term,
-                fence=self.config.fence,
-            )
-            self.replication.attach()
-            # the promotion commit: forces a record under the new term even
-            # with no data change, so the term takes effect durably now
-            try:
-                with self.txns.write(timeout=self.config.lock_timeout):
-                    pass
-            except OSError as exc:
-                raise self._commit_io_failure("promotion", exc) from exc
-            self._attach_archiver()
-            TRACER.event("server.repl.promote", term=new_term)
-            return new_term
-
-    def become_replica(self, upstream: tuple[str, int]) -> None:
-        with self._role_lock:
-            if self.replication is not None:
-                self.replication.stop()
-                self.replication = None
-            if self.follower is not None:
-                self.follower.stop()
-            self.follower = ReplicaFollower(
-                self.heap,
-                self.txns,
-                upstream,
-                self._log_path(),
-                node=self.config.node_id or "replica",
-                fence=self.config.fence,
-            )
-            self.follower.start()
-            self._attach_archiver()
-            TRACER.event(
-                "server.repl.follow", host=upstream[0], port=int(upstream[1])
-            )
-
-    _OPS = {
-        "ping": _op_ping,
-        "call": _op_call,
-        "run": _op_run,
-        "get": _op_get,
-        "set": _op_set,
-        "mset": _op_mset,
-        "query": _op_query,
-        "topology": _op_topology,
-        "roots": _op_roots,
-        "begin": _op_begin,
-        "commit": _op_commit,
-        "abort": _op_abort,
-        "stats": _op_stats,
-        "slowlog": _op_slowlog,
-        "trace": _op_trace,
-        "pgo": _op_pgo,
-        "sleep": _op_sleep,
-        "shutdown": _op_shutdown,
-        "repl.status": _op_repl_status,
-        "repl.digest": _op_repl_digest,
-        "repl.fetch": _op_repl_fetch,
-        "repl.subscribe": _op_repl_subscribe,
-        "repl.ack": _op_repl_ack,
-        "promote": _op_promote,
-        "follow": _op_follow,
-        "shard.adopt": _op_shard_adopt,
-        "shard.prepare": _op_shard_prepare,
-        "shard.decide": _op_shard_decide,
-        "shard.indoubt": _op_shard_indoubt,
-    }

@@ -18,9 +18,7 @@ whose profile entries no longer match any export — no rewrite thrash).
 
 from __future__ import annotations
 
-import sys
 import threading
-import traceback
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -37,74 +35,41 @@ _SKIPPED = METRICS.counter(
     "server.pgo.skipped", "PGO wakeups with no profile evidence to act on"
 )
 
+#: per round: rewrite at most this many functions, and only those that
+#: executed at least this many instructions since the last round
+TOP = 2
+MIN_INSTRUCTIONS = 1_000
+
 
 class PgoWorker:
-    """Periodic optimize-the-hot-functions worker over a :class:`ReproServer`.
+    """Optimize-the-hot-functions worker over a :class:`ReproServer`.
 
-    With ``interval=None`` the worker never wakes on its own; rounds are
-    then driven explicitly through :meth:`run_round` (the daemon's ``pgo``
-    op uses this for deterministic tests and demos).
+    The daemon runs :meth:`tick` on its periodic runner every
+    ``pgo_interval`` seconds; rounds can also be driven explicitly through
+    :meth:`run_round` (the ``pgo`` op uses this for deterministic tests
+    and demos).
     """
 
-    def __init__(
-        self,
-        server,
-        interval: float | None = 30.0,
-        top: int = 2,
-        min_instructions: int = 1_000,
-    ):
+    def __init__(self, server):
         self.server = server
-        self.interval = interval
-        self.top = top
-        self.min_instructions = min_instructions
-        self._wake = threading.Event()
-        self._stopping = False
-        self._thread: threading.Thread | None = None
         self._lock = threading.Lock()  # one round at a time (timer vs. op)
-        #: load shedding: while True, timer wakeups skip their round (the
-        #: daemon's memory watchdog and degraded mode pause PGO — optimizing
-        #: code is the first work to drop when disk or memory is scarce)
-        self.paused = False
         self.rounds = 0
         self.relinked = 0
         self.errors = 0
         self.last_selected: list[str] = []
 
-    # ------------------------------------------------------------ lifecycle
-
-    def start(self) -> None:
-        if self.interval is None or self._thread is not None:
+    def tick(self) -> None:
+        if self.server.health.shedding:
+            # load shedding: optimizing code is the first work to drop
+            # when disk or memory is scarce
+            _SKIPPED.inc()
             return
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-pgo", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stopping = True
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stopping:
-            self._wake.wait(self.interval)
-            self._wake.clear()
-            if self._stopping:
-                return
-            if self.paused:
-                _SKIPPED.inc()
-                continue
-            try:
-                self.run_round()
-            except Exception:  # a bad round must not kill the worker
-                traceback.print_exc(file=sys.stderr)
+        self.run_round()
 
     # ---------------------------------------------------------------- round
 
     def run_round(
-        self, top: int | None = None, min_instructions: int | None = None
+        self, top: int | None = None, min_instructions: int = MIN_INSTRUCTIONS
     ) -> PgoReport | None:
         """Run one optimization round now; None when there was no evidence.
 
@@ -124,12 +89,8 @@ class PgoWorker:
                     report = optimize_hot(
                         server.system,
                         profile,
-                        top=top if top is not None else self.top,
-                        min_instructions=(
-                            min_instructions
-                            if min_instructions is not None
-                            else self.min_instructions
-                        ),
+                        top=TOP if top is None else top,
+                        min_instructions=min_instructions,
                         relink=True,
                         facts=server.fact_store,
                     )
@@ -159,6 +120,6 @@ class PgoWorker:
             "relinked": self.relinked,
             "errors": self.errors,
             "last_selected": list(self.last_selected),
-            "interval": self.interval,
-            "paused": self.paused,
+            "interval": self.server.config.pgo_interval,
+            "paused": self.server.health.shedding,
         }

@@ -97,6 +97,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME",
     "ProtocolError",
+    "RequestError",
+    "number",
     "send_frame",
     "recv_frame",
     "to_jsonable",
@@ -149,6 +151,30 @@ E_OVERLOADED = "overloaded"
 
 class ProtocolError(Exception):
     """Malformed frame, oversized message or mid-frame disconnect."""
+
+
+class RequestError(Exception):
+    """A structured protocol-level failure (code + message + details)."""
+
+    def __init__(self, code: str, message: str, **details):
+        super().__init__(message)
+        self.code = code
+        self.details = details
+
+
+def number(request: dict, name: str, kind=int, default=None):
+    """The numeric operand ``name`` of ``request`` as ``kind`` (``int`` or
+    ``float``), ``default`` when absent.  The one place wire numbers are
+    coerced: anything else answers ``bad_request`` naming the operand."""
+    value = request.get(name)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RequestError(
+            E_BAD_REQUEST, f"operand {name!r} must be a number, got {value!r}"
+        ) from None
 
 
 def send_frame(sock: socket.socket, message: dict) -> None:

@@ -346,11 +346,13 @@ class PrimaryReplication:
     def _pump(self, sub: _Subscriber) -> None:
         while sub.alive and not self._stopped:
             try:
-                record = sub.queue.get(timeout=0.5)
+                item = sub.queue.get(timeout=0.5)
             except queue.Empty:
                 continue
+            if isinstance(item, ChangeRecord):
+                item = {"push": "record", "record": item.as_wire()}
             try:
-                sub.send({"push": "record", "record": record.as_wire()})
+                sub.send(item)
             except (OSError, protocol.ProtocolError):
                 self.drop_subscriber(sub.key)
                 return
@@ -362,15 +364,15 @@ class PrimaryReplication:
         connection so replicas can surface ``primary_degraded`` in their
         status — the signal a cluster client uses to fail writes over
         instead of hammering a read-only primary.  Pre-v5 followers skip
-        unknown push kinds, so the frame is backward-safe.
+        unknown push kinds, so the frame is backward-safe.  The frame goes
+        through each subscriber's queue, behind the records committed
+        before the failure: a follower reads a record push as "the primary
+        is writing again", so the notice must never overtake one.
         """
         with self._fanout:
-            subs = list(self._subs.values())
+            subs = [s for s in self._subs.values() if s.alive]
         for sub in subs:
-            try:
-                sub.send({"push": "degraded", "reason": reason})
-            except (OSError, protocol.ProtocolError):
-                self.drop_subscriber(sub.key)
+            sub.queue.put({"push": "degraded", "reason": reason})
 
     def ack(self, key: int, version: int) -> None:
         with self._fanout:

@@ -2,12 +2,12 @@
 
 A coordinator is an ordinary :class:`~repro.server.daemon.ReproServer`
 (it has its own image, holding decision records and any modules pushed
-through it) whose request dispatch consults :attr:`Coordinator.OPS`
-first.  Single-shard data operations are routed to the owning shard
-group through one failover-aware :class:`~repro.server.client.ClusterClient`
-per shard; cross-shard ``mset`` runs the two-phase commit of
-:mod:`repro.server.sharding.twopc`; ``scatter`` fans a ``query`` out to
-every shard and merges the partial results.
+through it) whose op table is the base table overridden by :data:`OPS`,
+the routed data plane at the bottom of this module.  Single-shard data
+operations are routed to the owning shard group through one failover-aware
+:class:`~repro.server.client.ClusterClient` per shard; cross-shard
+``mset`` runs the two-phase commit of :mod:`repro.server.sharding.twopc`;
+``scatter`` fans a ``query`` out to every shard and merges the partials.
 
 **Recovery.**  At start the coordinator refuses cross-shard writes until
 one full resolver pass succeeded: recorded decisions are re-driven to
@@ -40,6 +40,9 @@ from repro.server.client import (
     RetryPolicy,
     ServerError,
 )
+from repro.server.ops import OPS as BASE_OPS, Op
+from repro.server.periodic import Periodic
+from repro.server.protocol import RequestError
 from repro.server.sharding.ring import ShardTopology, is_system_root
 from repro.server.sharding.twopc import (
     DECISION_PREFIX,
@@ -49,7 +52,7 @@ from repro.server.sharding.twopc import (
     parse_decision,
 )
 
-__all__ = ["Coordinator"]
+__all__ = ["Coordinator", "OPS"]
 
 _TXNS_COMMITTED = METRICS.counter(
     "server.shard.twopc_committed", "cross-shard transactions committed"
@@ -98,21 +101,13 @@ class Coordinator:
         #: set once boot recovery completed one full resolver pass;
         #: cross-shard msets wait on it
         self._recovered = threading.Event()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self._pushed = False
+        #: the in-doubt resolver; the daemon starts, wakes and joins it with
+        #: its other periodic tasks.  Every 0.5 s until boot recovery is
+        #: complete, every ``resolver_interval`` after.
+        self.resolver = Periodic("repro-shard-resolver", 0.5, self._resolver_tick)
 
-    # ------------------------------------------------------------ lifecycle
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._recover_loop, name="repro-shard-resolver", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+    def close(self) -> None:
         for router in list(self._routers.values()):
             router.close()
         self._routers.clear()
@@ -141,8 +136,6 @@ class Coordinator:
 
     def _wrap(self, sid: int, exc: Exception):
         """Shard-call failure → the structured error the client sees."""
-        from repro.server.daemon import RequestError
-
         if isinstance(exc, RequestError):
             return exc
         if isinstance(exc, ServerError):
@@ -245,39 +238,27 @@ class Coordinator:
                     )
             return dict(results)
 
-    # ------------------------------------------------------------- data ops
-
-    def op_get(self, session, request):
-        from repro.server.daemon import RequestError
-
-        roots = request.get("roots")
-        if not isinstance(roots, list) or not roots:
-            raise RequestError(protocol.E_BAD_REQUEST, "get needs a list of roots")
-        if all(is_system_root(str(r)) for r in roots):
-            return self.server._op_get(session, request)
-        if any(is_system_root(str(r)) for r in roots):
-            raise RequestError(
-                protocol.E_BAD_REQUEST,
-                "one get cannot mix system roots and sharded roots",
-            )
-        groups: dict[int, list[str]] = {}
-        for name in roots:
-            groups.setdefault(self.topology.shard_for(str(name)), []).append(
-                str(name)
-            )
-        fanned = self._fan_out(
-            sorted(groups),
-            lambda sid: self._shard_get(sid, groups[sid]),
-            timeout=self.server.config.twopc_timeout,
-        )
-        values: dict[str, object] = {}
-        shards: dict[str, int] = {}
+    def _gather(self, sids: list[int], fn) -> dict[int, dict]:
+        """Fan out within the cross-shard time budget; every shard must
+        answer — the first failure (in shard order) is raised, wrapped."""
+        fanned = self._fan_out(sids, fn, timeout=self.server.config.twopc_timeout)
+        gathered = {}
         for sid, (ok, payload) in sorted(fanned.items()):
             if not ok:
                 raise self._wrap(sid, payload)
-            values.update(payload.get("values", {}))
-            shards[str(sid)] = int(payload.get("repl_version", 0))
-        return {"values": values, "shards": shards, "version": self.server.txns.version}
+            gathered[sid] = payload
+        return gathered
+
+    def _local_roots(self, names, op: str) -> bool:
+        """True when every root is a system root (served from this image);
+        a request may not mix them with sharded roots."""
+        system = [is_system_root(str(name)) for name in names]
+        if any(system) and not all(system):
+            raise RequestError(
+                protocol.E_BAD_REQUEST,
+                f"one {op} cannot mix system roots and sharded roots",
+            )
+        return all(system)
 
     def _shard_get(self, sid: int, names: list[str]) -> dict:
         def run(router: ClusterClient) -> dict:
@@ -290,97 +271,9 @@ class Coordinator:
 
         return self._shard_call(sid, run)
 
-    def op_set(self, session, request):
-        from repro.server.daemon import RequestError
-
-        root = request.get("root")
-        if not isinstance(root, str):
-            raise RequestError(protocol.E_BAD_REQUEST, "set needs a root name")
-        if is_system_root(root):
-            return self.server._op_set(session, request)
-        sid = self.topology.shard_for(root)
-        try:
-            result = self._shard_call(
-                sid,
-                lambda r: r.op_primary("set", root=root, value=request.get("value")),
-            )
-        except Exception as exc:
-            raise self._wrap(sid, exc) from exc
-        result["shard"] = sid
-        return result
-
-    def op_run(self, session, request):
-        """Persist modules locally, then broadcast to every shard primary.
-
-        Scatter-gather ships *names* of stored functions, not code — the
-        PTML plan fragments must already live on every shard, which is
-        exactly what this broadcast establishes.
-        """
-        result = self.server._op_run(session, request)
-        source = request.get("source")
-        fanned = self._fan_out(
-            list(range(len(self.topology.shards))),
-            lambda sid: self._shard_call(
-                sid, lambda r: r.op_primary("run", source=source)
-            ),
-            timeout=self.server.config.twopc_timeout,
-        )
-        for sid, (ok, payload) in sorted(fanned.items()):
-            if not ok:
-                raise self._wrap(sid, payload)
-        result["shards"] = len(self.topology.shards)
-        return result
-
-    def op_topology(self, session, request):
-        return {
-            "topology": self.topology.as_dict(),
-            "coordinator": True,
-            "node": self.node,
-            "recovered": self._recovered.is_set(),
-        }
-
-    # ---------------------------------------------------------------- mset
-
-    def op_mset(self, session, request):
-        from repro.server.daemon import RequestError
-
-        writes = request.get("writes")
-        if not isinstance(writes, dict) or not writes:
-            raise RequestError(
-                protocol.E_BAD_REQUEST, "mset needs a writes object"
-            )
-        if all(is_system_root(str(r)) for r in writes):
-            return self.server._op_mset(session, request)
-        if any(is_system_root(str(r)) for r in writes):
-            raise RequestError(
-                protocol.E_BAD_REQUEST,
-                "one mset cannot mix system roots and sharded roots",
-            )
-        groups: dict[int, dict] = {}
-        for root, wire in writes.items():
-            groups.setdefault(self.topology.shard_for(str(root)), {})[
-                str(root)
-            ] = wire
-        if len(groups) == 1:
-            # single-shard fast path: one ordinary atomic commit there
-            (sid, shard_writes), = groups.items()
-            try:
-                result = self._shard_call(
-                    sid, lambda r: r.op_primary("mset", writes=shard_writes)
-                )
-            except Exception as exc:
-                raise self._wrap(sid, exc) from exc
-            return {
-                "committed": True,
-                "txn": None,
-                "shards": {str(sid): int(result.get("repl_version", 0))},
-                "roots": result.get("roots", {}),
-            }
-        return self._two_phase(request, groups)
+    # ---------------------------------------------------------------- 2PC
 
     def _two_phase(self, request, groups: dict[int, dict]) -> dict:
-        from repro.server.daemon import RequestError
-
         config = self.server.config
         if not self._recovered.wait(timeout=config.twopc_timeout):
             raise RequestError(
@@ -498,8 +391,6 @@ class Coordinator:
         )
 
     def _failpoint(self, name: str) -> None:
-        from repro.server.daemon import RequestError
-
         if self.server.config.twopc_failpoint != name:
             return
         TRACER.event("server.shard.failpoint", failpoint=name)
@@ -600,165 +491,249 @@ class Coordinator:
                     complete = False
         return complete
 
-    def _recover_loop(self) -> None:
-        # best-effort topology push first: shards assembled by hand learn
-        # the ring before any ownership-checked traffic arrives
-        try:
+    def _resolver_tick(self) -> None:
+        if not self._pushed:
+            # best-effort topology push first: shards assembled by hand
+            # learn the ring before any ownership-checked traffic arrives
+            self._pushed = True
             self.push_topology()
-        except Exception:
-            pass
-        while not self._stop.is_set():
-            try:
-                if self._resolve_once():
-                    break
-            except Exception:
-                pass
-            self._stop.wait(0.5)
-        self._recovered.set()
-        TRACER.event("server.shard.recovered")
-        interval = self.server.config.resolver_interval
-        if interval is None:
-            return
-        while not self._stop.wait(interval):
-            try:
-                self._resolve_once()
-            except Exception:
-                pass
+        if self._recovered.is_set():
+            self._resolve_once()
+        elif self._resolve_once():
+            self._recovered.set()
+            TRACER.event("server.shard.recovered")
+            self.resolver.interval = self.server.config.resolver_interval
 
     def indoubt_count(self) -> int:
         """Decision roots still pending phase two (the `repro top` column)."""
         return len(self._pending_decisions())
 
-    # -------------------------------------------------------------- scatter
 
-    def op_scatter(self, session, request):
-        from repro.server.daemon import RequestError
+# ------------------------------------------------------- the routed data plane
+# (handlers like the base table's; their state is ``server.coordinator``)
 
-        merge = request.get("merge", "concat")
-        if merge not in _MERGES:
-            raise RequestError(
-                protocol.E_BAD_REQUEST,
-                f"unknown merge {merge!r} (one of {', '.join(_MERGES)})",
-            )
-        module = request.get("module")
-        function = request.get("function")
-        prefix = request.get("prefix", "")
-        _SCATTERS.inc()
 
-        def query_shard(sid: int) -> dict:
-            def run(router: ClusterClient) -> dict:
-                operands: dict = {"prefix": prefix}
-                if module and function:
-                    operands["module"] = module
-                    operands["function"] = function
-                if request.get("step_limit") is not None:
-                    operands["step_limit"] = request.get("step_limit")
-                if router.last_write_version > 0:
-                    operands["min_version"] = router.last_write_version
-                return router.op_replica("query", **operands)
+def _local(name: str, server, session, request):
+    """Serve the op from the coordinator's own image: the base table's
+    entry under the transaction it declares (system roots, local stats)."""
+    op = BASE_OPS[name]
+    return server.run_txn(op.txn, session, request, op.handler)
 
-            return self._shard_call(sid, run)
 
-        sids = list(range(len(self.topology.shards)))
-        fanned = self._fan_out(
-            sids, query_shard, timeout=self.server.config.twopc_timeout
+def get(server, session, request):
+    coord = server.coordinator
+    roots = request.get("roots")
+    if not isinstance(roots, list) or not roots:
+        raise RequestError(protocol.E_BAD_REQUEST, "get needs a list of roots")
+    if coord._local_roots(roots, "get"):
+        return _local("get", server, session, request)
+    groups: dict[int, list[str]] = {}
+    for name in roots:
+        groups.setdefault(coord.topology.shard_for(str(name)), []).append(str(name))
+    gathered = coord._gather(
+        sorted(groups), lambda sid: coord._shard_get(sid, groups[sid])
+    )
+    values: dict[str, object] = {}
+    shards: dict[str, int] = {}
+    for sid, payload in gathered.items():
+        values.update(payload.get("values", {}))
+        shards[str(sid)] = int(payload.get("repl_version", 0))
+    return {"values": values, "shards": shards, "version": server.txns.version}
+
+
+def set_(server, session, request):
+    coord = server.coordinator
+    root = request.get("root")
+    if not isinstance(root, str):
+        raise RequestError(protocol.E_BAD_REQUEST, "set needs a root name")
+    if is_system_root(root):
+        return _local("set", server, session, request)
+    sid = coord.topology.shard_for(root)
+    try:
+        result = coord._shard_call(
+            sid,
+            lambda r: r.op_primary("set", root=root, value=request.get("value")),
         )
-        partials: dict[int, dict] = {}
-        for sid, (ok, payload) in sorted(fanned.items()):
-            if not ok:
-                raise self._wrap(sid, payload)
-            partials[sid] = payload
-        shards = {
-            str(sid): {
-                "count": int(p.get("count", 0)),
-                "repl_version": int(p.get("repl_version", 0)),
-            }
-            for sid, p in partials.items()
-        }
-        result: dict = {"merge": merge, "shards": shards}
-        if module and function:
-            values = [
-                (sid, p.get("value")) for sid, p in sorted(partials.items())
-            ]
-            if merge == "sum":
-                total = 0
-                for _sid, value in values:
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        raise RequestError(
-                            protocol.E_BAD_REQUEST,
-                            "merge=sum needs numeric per-shard values, got "
-                            f"{type(value).__name__}",
-                        )
-                    total += value
-                result["value"] = total
-            else:
-                result["partials"] = [
-                    {"shard": sid, "value": value} for sid, value in values
-                ]
-        else:
-            merged: dict[str, object] = {}
-            for _sid, partial in sorted(partials.items()):
-                merged.update(partial.get("values", {}))
-            result["values"] = merged
-            result["count"] = len(merged)
-        return result
+    except Exception as exc:
+        raise coord._wrap(sid, exc) from exc
+    result["shard"] = sid
+    return result
 
-    # ---------------------------------------------------------------- stats
 
-    def op_stats(self, session, request):
-        report = self.server._op_stats(session, request)
-        report["coordinator"] = {
-            "node": self.node,
-            "recovered": self._recovered.is_set(),
-            "inflight": len(self._inflight),
-            "indoubt_decisions": self.indoubt_count(),
-            "epoch": self.topology.epoch,
-        }
-        rows: dict[str, dict] = {}
-        for sid in range(len(self.topology.shards)):
-            row: dict = {
-                "endpoints": [
-                    f"{host}:{port}"
-                    for host, port in self.topology.endpoints(sid)
-                ],
-            }
-            try:
-                stats = self._shard_call(
-                    sid, lambda r: r.op_primary("stats", idempotent=True)
-                )
-            except (ClientError, ServerError) as exc:
-                row["error"] = str(exc)
-                rows[str(sid)] = row
-                continue
-            row["role"] = stats.get("role")
-            row["repl_version"] = stats.get("repl_version")
-            latency = stats.get("latency_us") or {}
-            row["p99_us"] = latency.get("p99")
-            replication = stats.get("replication") or {}
-            row["term"] = replication.get("term")
-            subscribers = replication.get("subscribers") or []
-            row["replicas"] = len(subscribers)
-            row["lag"] = max((s.get("lag", 0) for s in subscribers), default=0)
-            try:
-                listed = self._shard_call(
-                    sid, lambda r: r.op_replica("shard.indoubt")
-                )
-                row["indoubt"] = len(listed.get("indoubt", []))
-            except (ClientError, ServerError):
-                row["indoubt"] = None
-            rows[str(sid)] = row
-        report["shards"] = rows
-        return report
+def run(server, session, request):
+    """Persist modules locally, then broadcast to every shard primary.
 
-    #: op table consulted by the daemon's dispatch before its own — the
-    #: coordinator overrides the data plane and augments introspection;
-    #: everything else (ping, call, begin/commit, repl.*, …) falls through
-    OPS = {
-        "get": op_get,
-        "set": op_set,
-        "mset": op_mset,
-        "run": op_run,
-        "scatter": op_scatter,
-        "topology": op_topology,
-        "stats": op_stats,
+    Scatter-gather ships *names* of stored functions, not code — the
+    PTML plan fragments must already live on every shard, which is
+    exactly what this broadcast establishes.
+    """
+    coord = server.coordinator
+    result = _local("run", server, session, request)
+    source = request.get("source")
+    coord._gather(
+        list(range(len(coord.topology.shards))),
+        lambda sid: coord._shard_call(
+            sid, lambda r: r.op_primary("run", source=source)
+        ),
+    )
+    result["shards"] = len(coord.topology.shards)
+    return result
+
+
+def topology(server, session, request):
+    coord = server.coordinator
+    return {
+        "topology": coord.topology.as_dict(),
+        "coordinator": True,
+        "node": coord.node,
+        "recovered": coord._recovered.is_set(),
     }
+
+
+def mset(server, session, request):
+    coord = server.coordinator
+    writes = request.get("writes")
+    if not isinstance(writes, dict) or not writes:
+        raise RequestError(protocol.E_BAD_REQUEST, "mset needs a writes object")
+    if coord._local_roots(writes, "mset"):
+        return _local("mset", server, session, request)
+    groups: dict[int, dict] = {}
+    for root, wire in writes.items():
+        groups.setdefault(coord.topology.shard_for(str(root)), {})[str(root)] = wire
+    if len(groups) == 1:
+        # single-shard fast path: one ordinary atomic commit there
+        (sid, shard_writes), = groups.items()
+        try:
+            result = coord._shard_call(
+                sid, lambda r: r.op_primary("mset", writes=shard_writes)
+            )
+        except Exception as exc:
+            raise coord._wrap(sid, exc) from exc
+        return {
+            "committed": True,
+            "txn": None,
+            "shards": {str(sid): int(result.get("repl_version", 0))},
+            "roots": result.get("roots", {}),
+        }
+    return coord._two_phase(request, groups)
+
+
+def scatter(server, session, request):
+    coord = server.coordinator
+    merge = request.get("merge", "concat")
+    if merge not in _MERGES:
+        raise RequestError(
+            protocol.E_BAD_REQUEST,
+            f"unknown merge {merge!r} (one of {', '.join(_MERGES)})",
+        )
+    module = request.get("module")
+    function = request.get("function")
+    prefix = request.get("prefix", "")
+    _SCATTERS.inc()
+
+    def query_shard(sid: int) -> dict:
+        def send(router: ClusterClient) -> dict:
+            operands: dict = {"prefix": prefix}
+            if module and function:
+                operands["module"] = module
+                operands["function"] = function
+            if request.get("step_limit") is not None:
+                operands["step_limit"] = request.get("step_limit")
+            if router.last_write_version > 0:
+                operands["min_version"] = router.last_write_version
+            return router.op_replica("query", **operands)
+
+        return coord._shard_call(sid, send)
+
+    partials = coord._gather(list(range(len(coord.topology.shards))), query_shard)
+    shards = {
+        str(sid): {
+            "count": int(p.get("count", 0)),
+            "repl_version": int(p.get("repl_version", 0)),
+        }
+        for sid, p in partials.items()
+    }
+    result: dict = {"merge": merge, "shards": shards}
+    if module and function:
+        values = [(sid, p.get("value")) for sid, p in sorted(partials.items())]
+        if merge == "sum":
+            total = 0
+            for _sid, value in values:
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise RequestError(
+                        protocol.E_BAD_REQUEST,
+                        "merge=sum needs numeric per-shard values, got "
+                        f"{type(value).__name__}",
+                    )
+                total += value
+            result["value"] = total
+        else:
+            result["partials"] = [
+                {"shard": sid, "value": value} for sid, value in values
+            ]
+    else:
+        merged: dict[str, object] = {}
+        for _sid, partial in sorted(partials.items()):
+            merged.update(partial.get("values", {}))
+        result["values"] = merged
+        result["count"] = len(merged)
+    return result
+
+
+def stats(server, session, request):
+    coord = server.coordinator
+    report = _local("stats", server, session, request)
+    report["coordinator"] = {
+        "node": coord.node,
+        "recovered": coord._recovered.is_set(),
+        "inflight": len(coord._inflight),
+        "indoubt_decisions": coord.indoubt_count(),
+        "epoch": coord.topology.epoch,
+    }
+    rows: dict[str, dict] = {}
+    for sid in range(len(coord.topology.shards)):
+        row: dict = {
+            "endpoints": [
+                f"{host}:{port}"
+                for host, port in coord.topology.endpoints(sid)
+            ],
+        }
+        try:
+            shard = coord._shard_call(
+                sid, lambda r: r.op_primary("stats", idempotent=True)
+            )
+        except (ClientError, ServerError) as exc:
+            row["error"] = str(exc)
+            rows[str(sid)] = row
+            continue
+        row["role"] = shard.get("role")
+        row["repl_version"] = shard.get("repl_version")
+        latency = shard.get("latency_us") or {}
+        row["p99_us"] = latency.get("p99")
+        replication = shard.get("replication") or {}
+        row["term"] = replication.get("term")
+        subscribers = replication.get("subscribers") or []
+        row["replicas"] = len(subscribers)
+        row["lag"] = max((s.get("lag", 0) for s in subscribers), default=0)
+        try:
+            listed = coord._shard_call(sid, lambda r: r.op_replica("shard.indoubt"))
+            row["indoubt"] = len(listed.get("indoubt", []))
+        except (ClientError, ServerError):
+            row["indoubt"] = None
+        rows[str(sid)] = row
+    report["shards"] = rows
+    return report
+
+
+#: layered over the base table by a coordinator daemon: it overrides the
+#: data plane and augments introspection; everything else (ping, call,
+#: begin/commit, repl.*, …) stays the base entry
+OPS = {
+    "get": Op(get, None),
+    "set": Op(set_, None),
+    "mset": Op(mset, None),
+    "run": Op(run, None),
+    "scatter": Op(scatter, None),
+    "topology": Op(topology, None),
+    "stats": Op(stats, None, "inline"),
+}

@@ -1,6 +1,6 @@
 """``repro top`` — a live terminal dashboard over the ``stats`` op.
 
-The daemon side is :meth:`repro.server.daemon.ReproServer._op_stats`; this
+The daemon side is the ``stats`` handler (:func:`repro.server.ops.stats`); this
 module is the presentation half: :func:`render` turns one ``stats`` reply
 (plus, optionally, the previous one for rates) into a fixed-width text
 frame, and :func:`run_top` polls a daemon and repaints the terminal.

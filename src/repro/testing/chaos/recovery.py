@@ -234,8 +234,8 @@ def scenario_bitrot_repair(root: str, quick: bool = False) -> dict:
         replica = harness.replica
         total_oids = len(replica.heap.committed_oids())
         rotted = harness.flip_cold_replica_page()
-        final = replica.run_scrub_cycle()
-        info = replica.scrub_info()
+        final = replica.health.run_scrub_cycle()
+        info = replica.health.scrub_info()
         if info["corrupt_total"] < 1:
             raise InvariantViolation("scrub never detected the flipped page")
         repair = info["last_repair"]
@@ -250,7 +250,7 @@ def scenario_bitrot_repair(root: str, quick: bool = False) -> dict:
             )
         if not final["clean"]:
             raise InvariantViolation(f"re-scrub after repair still dirty: {final}")
-        if replica.degraded_info()["active"]:
+        if replica.health.degraded_info()["active"]:
             raise InvariantViolation("replica still degraded after a clean re-scrub")
         # both sides agree again, via the wire op a cluster client would use
         with connect(harness.server.port) as db:

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.obs import TRACER, ListRecorder
 from repro.server import ReproServer, ServerConfig, connect
 from repro.server import protocol
 from repro.server.client import (
@@ -24,7 +25,7 @@ from repro.server.client import (
     TwopcAbortedError,
     _ERROR_TYPES,
 )
-from repro.server.daemon import _IO_ERRORS
+from repro.server.health import _IO_ERRORS
 from repro.store.faults import FaultPlan
 
 
@@ -81,7 +82,7 @@ class TestDegradedMode:
     def test_degraded_rejects_writes_but_serves_reads(self, server):
         with connect(server.port) as db:
             db.set("k", 1)
-            server.enter_degraded("test: simulated disk failure")
+            server.health.enter_degraded("test: simulated disk failure")
             with pytest.raises(ReadOnlyError) as err:
                 db.set("k", 2)
             assert err.value.details["reason"] == "test: simulated disk failure"
@@ -95,18 +96,54 @@ class TestDegradedMode:
             report = db.stats()
             assert report["degraded"]["active"] is True
             assert report["degraded"]["reason"] == "test: simulated disk failure"
-            server.exit_degraded()
+            server.health.exit_degraded()
             db.set("k", 3)
             assert db.get("k") == {"k": 3}
             assert db.ping()["degraded"] is False
 
     def test_degraded_entry_is_idempotent(self, server):
-        server.enter_degraded("first reason")
-        server.enter_degraded("second reason")  # no-op: keeps the original
-        assert server.degraded_info()["reason"] == "first reason"
-        server.exit_degraded()
-        server.exit_degraded()  # exit is idempotent too
-        assert server.degraded_info()["active"] is False
+        server.health.enter_degraded("first reason")
+        server.health.enter_degraded("second reason")  # no-op: keeps the original
+        assert server.health.degraded_info()["reason"] == "first reason"
+        server.health.exit_degraded()
+        server.health.exit_degraded()  # exit is idempotent too
+        assert server.health.degraded_info()["active"] is False
+
+    def test_probe_refuses_a_corrupt_image_and_reports_the_error_count(
+        self, tmp_path
+    ):
+        """The probe fscks before it lets writes resume; its trace event
+        carries how many errors the fsck found (it used to say None)."""
+        instance = ReproServer(
+            str(tmp_path / "rot.tyc"), _config(degraded_probe_interval=None)
+        )
+        instance.start()
+        try:
+            with connect(instance.port) as db:
+                db.set("k", 1)
+            # bit rot inside a committed page: fsck fails, the probe must not
+            # clear the mode (writes never resume over a corrupt image)
+            heap = instance.heap
+            head, length = heap._table[sorted(heap.committed_oids())[-1]]
+            page = heap._pager.chain_pages(head, length)[0]
+            with open(instance.image_path, "r+b") as f:
+                f.seek(page * heap._pager.header.page_size + 16)
+                byte = f.read(1)
+                f.seek(-1, 1)
+                f.write(bytes([byte[0] ^ 0xFF]))
+            instance.health.enter_degraded("test: disk trouble")
+            with TRACER.recording(ListRecorder()) as recorder:
+                instance.health.probe_tick()
+            info = instance.health.degraded_info()
+            assert info["active"] is True
+            assert info["probe_failures"] == 1
+            (event,) = recorder.named("server.degraded.probe")
+            assert event.attrs["ok"] is False
+            assert event.attrs["stage"] == "fsck"
+            assert isinstance(event.attrs["errors"], int)
+            assert event.attrs["errors"] >= 1
+        finally:
+            instance.stop()
 
     def test_manual_read_only_never_auto_recovers(self, tmp_path):
         instance = ReproServer(
@@ -115,13 +152,13 @@ class TestDegradedMode:
         )
         instance.start()
         try:
-            info = instance.degraded_info()
+            info = instance.health.degraded_info()
             assert info["active"] is True
             assert info["manual"] is True
             # many probe intervals pass; the manual override must hold
             # (nothing is wrong with the disk — the probe would succeed)
             time.sleep(0.4)
-            assert instance.degraded_info()["active"] is True
+            assert instance.health.degraded_info()["active"] is True
             with connect(instance.port) as db:
                 with pytest.raises(ReadOnlyError) as err:
                     db.set("nope", 1)
@@ -369,7 +406,7 @@ class TestClusterFailover:
             cluster.discover()
             elected = cluster._primary
             assert elected is not None
-            servers[elected].enter_degraded("disk gone")
+            servers[elected].health.enter_degraded("disk gone")
             # the write must reroute: read_only is never retried against
             # the same endpoint — rediscovery elects the healthy server
             assert cluster.set("k", 2)["root"] == "k"
@@ -384,7 +421,7 @@ class TestClusterFailover:
         only.start()
         with connect(only.port) as db:
             db.set("k", 7)
-        only.enter_degraded("disk gone")
+        only.health.enter_degraded("disk gone")
         cluster = ClusterClient(
             [("127.0.0.1", only.port)],
             retry=RetryPolicy(base_delay=0.05, max_attempts=2),
@@ -406,11 +443,11 @@ class TestTopDashboard:
     def test_render_surfaces_degraded_memory_and_shed(self, server):
         from repro.server.top import render
 
-        server.enter_degraded("disk full on /data")
+        server.health.enter_degraded("disk full on /data")
         with connect(server.port) as db:
             frame = render(db.stats())
             assert "DEGRADED read-only: disk full on /data" in frame
-            server.exit_degraded()
+            server.health.exit_degraded()
             frame = render(db.stats())
         assert "health   ok" in frame
         assert "recoveries=1" in frame
@@ -438,7 +475,7 @@ class TestReplicationDegradedPush:
                 and replica.follower.version >= 1,
                 message="replica never caught up",
             )
-            primary.enter_degraded("primary disk failed")
+            primary.health.enter_degraded("primary disk failed")
             wait_until(
                 lambda: replica.follower.primary_degraded,
                 message="degraded push never reached the follower",
@@ -447,7 +484,7 @@ class TestReplicationDegradedPush:
             assert status["primary_degraded"] is True
             assert status["primary_degraded_reason"] == "primary disk failed"
             # recovery: the next shipped record clears the flag
-            primary.exit_degraded()
+            primary.health.exit_degraded()
             with connect(primary.port) as db:
                 db.set("seed", 2)
             wait_until(
@@ -494,14 +531,14 @@ class TestTwopcDegradedParticipant:
                     f"k{i}" for i in range(1000)
                     if topology.shard_for(f"k{i}") == 1
                 )
-                shards[1].enter_degraded("participant disk failed")
+                shards[1].health.enter_degraded("participant disk failed")
                 with pytest.raises(TwopcAbortedError) as err:
                     db.mset({on0: "a", on1: "b"})
                 assert err.value.details["shard"] == 1
                 # nothing half-applied on the healthy shard
                 with connect(shards[0].port) as s0:
                     assert on0 not in s0.roots()
-                shards[1].exit_degraded()
+                shards[1].health.exit_degraded()
                 db.mset({on0: "a", on1: "b"})
                 assert db.get(on0, on1) == {on0: "a", on1: "b"}
         finally:

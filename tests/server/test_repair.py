@@ -159,10 +159,10 @@ class TestScrub:
                 for i in range(10):
                     db.set(f"k{i}", i)
             flip_committed_page(server, server.image_path)
-            server.run_scrub_cycle()
-            assert server.degraded_info()["active"]
-            assert "scrub" in server.degraded_info()["reason"]
-            assert server.scrub_info()["corrupt_total"] >= 1
+            server.health.run_scrub_cycle()
+            assert server.health.degraded_info()["active"]
+            assert "scrub" in server.health.degraded_info()["reason"]
+            assert server.health.scrub_info()["corrupt_total"] >= 1
         finally:
             server.stop()
 
@@ -229,15 +229,15 @@ class TestAntiEntropyRepair:
             total = len(replica.heap.committed_oids())
             flip_committed_page(replica, replica.image_path)
 
-            final = replica.run_scrub_cycle()
-            info = replica.scrub_info()
+            final = replica.health.run_scrub_cycle()
+            info = replica.health.scrub_info()
             assert info["corrupt_total"] >= 1
             repair = info["last_repair"]
             assert repair["converged"]
             # anti-entropy means fetching diverged buckets, not everything
             assert 0 < repair["objects_applied"] < total
             assert final["clean"]
-            assert not replica.degraded_info()["active"]
+            assert not replica.health.degraded_info()["active"]
 
             with connect(primary.port) as db:
                 primary_root = db.request("repl.digest")["root"]
@@ -258,9 +258,9 @@ class TestAntiEntropyRepair:
             with connect(server.port) as db:
                 db.set("k", 1)
             wait_until(
-                lambda: server.scrub_info()["cycles"] >= 2,
+                lambda: server.health.scrub_info()["cycles"] >= 2,
                 message="background scrub cycles",
             )
-            assert server.scrub_info()["last"]["clean"]
+            assert server.health.scrub_info()["last"]["clean"]
         finally:
             server.stop()

@@ -73,7 +73,7 @@ class TestGracefulShutdown:
     def test_draining_server_refuses_with_typed_error(self, server):
         with connect(server.port) as db:
             assert db.ping()["status"] == "ok"
-            server._stopping.set()  # drain begins; socket still open
+            server.stopping.set()  # drain begins; socket still open
             with pytest.raises(ShuttingDownError):
                 db.ping()
 

@@ -14,6 +14,7 @@ from repro.server import ReproServer, ServerConfig, connect
 from repro.server.client import ServerError
 from repro.server.protocol import (
     E_BACKPRESSURE,
+    E_BAD_REQUEST,
     E_BUSY,
     E_NOT_FOUND,
     E_STEP_LIMIT,
@@ -88,6 +89,40 @@ class TestBasics:
         stats = client.stats(metrics=True)
         assert "codecache" in stats and "metrics" in stats
         assert stats["sessions"] >= 1
+
+
+class TestMalformedOperands:
+    """A numeric operand that is not a number is the client's mistake:
+    ``bad_request`` naming the operand, never ``internal`` + a traceback."""
+
+    @pytest.mark.parametrize(
+        "op, operands, operand",
+        [
+            ("ping", {"deadline": "abc"}, "deadline"),
+            ("get", {"roots": ["k"], "min_version": "x"}, "min_version"),
+            ("slowlog", {"n": "q"}, "n"),
+            ("sleep", {"seconds": "soon"}, "seconds"),
+            ("stats", {"history": "all"}, "history"),
+            ("shard.prepare", {"txn": "t1", "writes": {"k": 1}, "term": "x"}, "term"),
+            ("promote", {"term": "next"}, "term"),
+        ],
+    )
+    def test_non_numeric_operand_is_bad_request(self, tmp_path, op, operands, operand):
+        instance = ReproServer(
+            str(tmp_path / "operands.tyc"),
+            ServerConfig(pgo_interval=None, enable_debug_ops=True),
+        )
+        instance.start()
+        try:
+            with connect(instance.port) as db:
+                db.set("k", 1)
+                with pytest.raises(ServerError) as err:
+                    db.request(op, **operands)
+                assert err.value.code == E_BAD_REQUEST
+                assert repr(operand) in err.value.message
+                assert db.ping()["role"] == "standalone"  # nothing happened
+        finally:
+            instance.stop()
 
 
 class TestConcurrentSessions:
