@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 SUITES := crash replication sharding exhaustion recovery
 
-.PHONY: test test-fast properties lint ruff bench obs-bench server-smoke sims fsck-smoke audit all
+.PHONY: test test-fast properties lint ruff bench obs-bench server-smoke perf-smoke sims fsck-smoke audit all
 
 all: test lint
 
@@ -37,6 +37,14 @@ ruff:
 # scratch outputs land in the ignored artifacts/ directory
 server-smoke:
 	$(PYTHON) scripts/server_smoke.py --image artifacts/server-smoke.tyc --trace artifacts/server-smoke-trace.ndjson
+
+# the repository's benchmark (perf/, BENCHMARK.json) at about a second per
+# workload, then its own tests: it imports the client library and boots
+# `python -m repro serve`, so a client or CLI refactor that breaks it must
+# fail here, not in the frozen benchmark run
+perf-smoke:
+	$(PYTHON) perf/run.py --smoke
+	$(PYTHON) -m pytest -q perf/tests
 
 # one chaos suite (crash, replication, sharding, exhaustion, recovery —
 # docs/durability.md tabulates what each injects and asserts): the sweep

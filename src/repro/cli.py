@@ -55,6 +55,7 @@ spans/events from every instrumented layer to an NDJSON trace file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -328,13 +329,20 @@ def _cmd_stats_history(args: argparse.Namespace) -> int:
     return 0
 
 
+def _endpoint(text: str, what: str) -> tuple[str, int]:
+    """``HOST:PORT`` → ``(host, port)``; ``what`` names the argument in
+    the usage error."""
+    host, _, port = text.strip().rpartition(":")
+    if not host or not port.isdigit():
+        raise SystemExit(f"error: {what} expects HOST:PORT")
+    return host, int(port)
+
+
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.server.top import run_top
 
-    host, _, port = args.target.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit("error: top expects HOST:PORT")
-    return run_top(host, int(port), interval=args.interval, count=args.count)
+    host, port = _endpoint(args.target, "top")
+    return run_top(host, port, interval=args.interval, count=args.count)
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -570,71 +578,64 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_flags():
+    """The :class:`ServerConfig` fields that declare a ``serve`` flag."""
+    from repro.server.daemon import ServerConfig
+
+    return [f for f in dataclasses.fields(ServerConfig) if "flag" in f.metadata]
+
+
+def _positive(kind):
+    """argparse type of a ``zero_disables`` knob: N ≤ 0 means None."""
+
+    def parse(text: str):
+        value = kind(text)
+        return value if value > 0 else None
+
+    return parse
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per declaring field: the field's name is the ``dest`` and
+    its default the flag's, so the parsed namespace *is* the config."""
+    for f in _config_flags():
+        kwargs = dict(f.metadata)
+        flag, off = kwargs.pop("flag"), kwargs.pop("off", None)
+        if isinstance(f.default, bool):
+            kwargs["action"] = "store_false" if f.default else "store_true"
+        else:
+            kwargs.setdefault("type", type(f.default))
+            kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+            if kwargs.pop("zero_disables", False):
+                kwargs["type"] = _positive(kwargs["type"])
+        parser.add_argument(flag, dest=f.name, default=f.default, **kwargs)
+        if off is not None:
+            parser.add_argument(
+                off[0], dest=f.name, action="store_const", const=None, help=off[1]
+            )
+
+
+def _serve_config(args: argparse.Namespace):
+    from repro.server.daemon import ServerConfig
+
+    values = {f.name: getattr(args, f.name) for f in _config_flags()}
+    # the two structured values arrive as text
+    if values["replica_of"]:
+        values["replica_of"] = _endpoint(values["replica_of"], "--replica-of")
+    if values["shards"]:  # one comma-separated group per occurrence
+        values["shards"] = [
+            [_endpoint(part, "--shard") for part in group.split(",")]
+            for group in values["shards"]
+        ]
+    return ServerConfig(**values)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.server import ReproServer, ServerConfig
+    from repro.server import ReproServer
 
-    replica_of = None
-    if args.replica_of:
-        host, _, port = args.replica_of.rpartition(":")
-        if not host or not port.isdigit():
-            raise SystemExit("error: --replica-of expects HOST:PORT")
-        replica_of = (host, int(port))
-    shards = None
-    if args.shard:
-        shards = []
-        for group in args.shard:
-            endpoints = []
-            for part in group.split(","):
-                host, _, port = part.strip().rpartition(":")
-                if not host or not port.isdigit():
-                    raise SystemExit(
-                        "error: --shard expects HOST:PORT[,HOST:PORT...] "
-                        "per group"
-                    )
-                endpoints.append((host, int(port)))
-            shards.append(endpoints)
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        step_limit=args.step_limit,
-        lock_timeout=args.lock_timeout,
-        pgo_interval=None if args.no_pgo else args.pgo_interval,
-        enable_debug_ops=args.debug_ops,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        replicate=args.replicate,
-        replica_of=replica_of,
-        node_id=args.node_id,
-        sync_replicas=args.sync_replicas,
-        replication_timeout=args.replication_timeout,
-        trace_sample=args.trace_sample,
-        history_interval=args.history_interval if args.history_interval > 0 else None,
-        slowlog_capacity=args.slowlog_capacity,
-        coordinator=args.coordinator,
-        shards=shards,
-        shard_id=args.shard_id,
-        shard_vnodes=args.vnodes,
-        read_only=args.read_only,
-        degraded_probe_interval=(
-            args.degraded_probe_interval
-            if args.degraded_probe_interval > 0 else None
-        ),
-        mem_budget_bytes=args.mem_budget if args.mem_budget > 0 else None,
-        mem_txn_budget_objects=(
-            args.mem_txn_budget if args.mem_txn_budget > 0 else None
-        ),
-        queue_wait_limit=(
-            args.queue_wait_limit if args.queue_wait_limit > 0 else None
-        ),
-        send_timeout=args.send_timeout if args.send_timeout > 0 else None,
-        archive=not args.no_archive,
-        scrub_interval=args.scrub_interval if args.scrub_interval > 0 else None,
-        scrub_pages_per_sec=args.scrub_pages_per_sec,
-    )
-    server = ReproServer(args.image, config)
+    server = ReproServer(args.image, _serve_config(args))
     server.start()
     host, port = server.address
     # machine-parsable readiness line: the smoke driver waits for it
@@ -656,6 +657,94 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage(ok, message: str) -> None:
+    if not ok:
+        raise SystemExit(f"error: {message}")
+
+
+def _int_operand(operands: list[str]) -> int | None:
+    return int(operands[0]) if operands else None
+
+
+def _client_call(db, args):
+    _usage(args.operands, "call needs module.function [args...]")
+    module, function = _split_qualified(args.operands[0])
+    call_args = [_parse_value(a) for a in args.operands[1:]]
+    return db.call(module, function, call_args, step_limit=args.step_limit, full=True)
+
+
+def _client_run(db, args):
+    _usage(len(args.operands) == 1, "run needs a TL source file or inline source")
+    source = args.operands[0]
+    if os.path.exists(source):
+        with open(source, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    return {"modules": db.run(source)}
+
+
+def _client_get(db, args):
+    _usage(args.operands, "get needs root names")
+    return db.get(*args.operands)
+
+
+def _client_set(db, args):
+    _usage(len(args.operands) == 2, "set needs ROOT VALUE")
+    return db.set(args.operands[0], _parse_value(args.operands[1]))
+
+
+def _client_mset(db, args):
+    pairs = [operand.partition("=") for operand in args.operands]
+    _usage(pairs and all(sep for _, sep, _ in pairs), "mset needs ROOT=VALUE pairs")
+    return db.mset({root: _parse_value(raw) for root, _, raw in pairs})
+
+
+def _client_scatter(db, args):
+    module = function = None
+    if len(args.operands) > 1:
+        module, function = _split_qualified(args.operands[1])
+    prefix = args.operands[0] if args.operands else ""
+    return db.scatter(prefix, module=module, function=function, merge=args.merge)
+
+
+def _client_trace(db, args):
+    verb = args.operands[0] if args.operands else "status"
+    path = rate = None
+    if verb == "start":
+        _usage(len(args.operands) == 2, "trace start needs a server-side output path")
+        path = args.operands[1]
+    elif verb == "sample":
+        _usage(len(args.operands) == 2, "trace sample needs a rate in [0, 1]")
+        rate = float(args.operands[1])
+    return db.trace_ctl(verb, path=path, rate=rate)
+
+
+def _client_follow(db, args):
+    _usage(len(args.operands) == 1, "follow needs HOST:PORT of the new primary")
+    return db.follow(*_endpoint(args.operands[0], "follow"))
+
+
+#: ``client ACTION`` → ``(db, args) -> printable result``
+_CLIENT_ACTIONS = {
+    "ping": lambda db, args: db.ping(),
+    "call": _client_call,
+    "run": _client_run,
+    "get": _client_get,
+    "set": _client_set,
+    "mset": _client_mset,
+    "scatter": _client_scatter,
+    "topology": lambda db, args: db.topology(),
+    "roots": lambda db, args: {"roots": db.roots()},
+    "stats": lambda db, args: db.stats(metrics=args.metrics),
+    "slowlog": lambda db, args: db.slowlog(n=_int_operand(args.operands)),
+    "trace": _client_trace,
+    "pgo": lambda db, args: db.pgo(top=_int_operand(args.operands)),
+    "repl-status": lambda db, args: db.repl_status(digest=True),
+    "promote": lambda db, args: db.promote(term=_int_operand(args.operands)),
+    "follow": _client_follow,
+    "shutdown": lambda db, args: db.shutdown(),
+}
+
+
 def _cmd_client(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -663,92 +752,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
 
     try:
         with connect(args.port, host=args.host, deadline=args.deadline) as db:
-            action = args.action
-            if action == "ping":
-                result = db.ping()
-            elif action == "call":
-                if not args.operands:
-                    raise SystemExit("error: call needs module.function [args...]")
-                module, function = _split_qualified(args.operands[0])
-                call_args = [_parse_value(a) for a in args.operands[1:]]
-                result = db.call(
-                    module, function, call_args, step_limit=args.step_limit, full=True
-                )
-            elif action == "run":
-                if len(args.operands) != 1:
-                    raise SystemExit("error: run needs a TL source file or inline source")
-                operand = args.operands[0]
-                if os.path.exists(operand):
-                    with open(operand, "r", encoding="utf-8") as handle:
-                        source = handle.read()
-                else:
-                    source = operand
-                result = {"modules": db.run(source)}
-            elif action == "get":
-                if not args.operands:
-                    raise SystemExit("error: get needs root names")
-                result = db.get(*args.operands)
-            elif action == "set":
-                if len(args.operands) != 2:
-                    raise SystemExit("error: set needs ROOT VALUE")
-                result = db.set(args.operands[0], _parse_value(args.operands[1]))
-            elif action == "mset":
-                if not args.operands or any("=" not in o for o in args.operands):
-                    raise SystemExit("error: mset needs ROOT=VALUE pairs")
-                writes = {}
-                for operand in args.operands:
-                    root, _, raw = operand.partition("=")
-                    writes[root] = _parse_value(raw)
-                result = db.mset(writes)
-            elif action == "scatter":
-                prefix = args.operands[0] if args.operands else ""
-                module = function = None
-                if len(args.operands) > 1:
-                    module, function = _split_qualified(args.operands[1])
-                result = db.scatter(
-                    prefix, module=module, function=function, merge=args.merge
-                )
-            elif action == "topology":
-                result = db.topology()
-            elif action == "roots":
-                result = {"roots": db.roots()}
-            elif action == "stats":
-                result = db.stats(metrics=args.metrics)
-            elif action == "slowlog":
-                result = db.slowlog(
-                    n=int(args.operands[0]) if args.operands else None
-                )
-            elif action == "trace":
-                trace_action = args.operands[0] if args.operands else "status"
-                trace_path = trace_rate = None
-                if trace_action == "start":
-                    if len(args.operands) != 2:
-                        raise SystemExit(
-                            "error: trace start needs a server-side output path"
-                        )
-                    trace_path = args.operands[1]
-                elif trace_action == "sample":
-                    if len(args.operands) != 2:
-                        raise SystemExit("error: trace sample needs a rate in [0, 1]")
-                    trace_rate = float(args.operands[1])
-                result = db.trace_ctl(trace_action, path=trace_path, rate=trace_rate)
-            elif action == "pgo":
-                result = db.pgo(top=int(args.operands[0]) if args.operands else None)
-            elif action == "repl-status":
-                result = db.repl_status(digest=True)
-            elif action == "promote":
-                result = db.promote(
-                    term=int(args.operands[0]) if args.operands else None
-                )
-            elif action == "follow":
-                if len(args.operands) != 1 or ":" not in args.operands[0]:
-                    raise SystemExit("error: follow needs HOST:PORT of the new primary")
-                host, _, port = args.operands[0].rpartition(":")
-                result = db.follow(host, int(port))
-            elif action == "shutdown":
-                result = db.shutdown()
-            else:  # pragma: no cover - argparse restricts choices
-                raise SystemExit(f"unknown client action {action!r}")
+            result = _CLIENT_ACTIONS[args.action](db, args)
     except ServerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.code == "read_only":
@@ -930,126 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the multi-session database server over an image"
     )
     serve_p.add_argument("image", help="persistent store image (created if absent)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    serve_p.add_argument("--workers", type=int, default=4)
-    serve_p.add_argument("--queue-size", type=int, default=64)
-    serve_p.add_argument(
-        "--step-limit", type=int, default=5_000_000,
-        help="per-request TAM instruction budget",
-    )
-    serve_p.add_argument("--lock-timeout", type=float, default=10.0)
-    serve_p.add_argument(
-        "--pgo-interval", type=float, default=30.0,
-        help="seconds between background PGO rounds",
-    )
-    serve_p.add_argument(
-        "--no-pgo", action="store_true", help="disable the background PGO worker"
-    )
-    serve_p.add_argument(
-        "--debug-ops", action="store_true",
-        help="enable debug protocol ops (sleep) — test use only",
-    )
-    serve_p.add_argument(
-        "--idle-timeout", type=float, default=300.0,
-        help="seconds before an idle session is reaped (0 disables)",
-    )
-    serve_p.add_argument(
-        "--replicate", action="store_true",
-        help="primary role: keep a commit log and accept replica subscriptions",
-    )
-    serve_p.add_argument(
-        "--replica-of", metavar="HOST:PORT",
-        help="replica role: follow this primary's commit stream (read-only)",
-    )
-    serve_p.add_argument(
-        "--node-id", default="", help="replication node id (default host:port)"
-    )
-    serve_p.add_argument(
-        "--sync-replicas", type=int, default=0,
-        help="acknowledge writes only after N replicas applied them",
-    )
-    serve_p.add_argument(
-        "--replication-timeout", type=float, default=5.0,
-        help="seconds a sync write waits for its ack quorum",
-    )
-    serve_p.add_argument(
-        "--trace-sample", type=float, default=1.0,
-        help="probability an unstamped request roots a new trace when a "
-        "recorder is attached (stamped requests always honor the stamp)",
-    )
-    serve_p.add_argument(
-        "--history-interval", type=float, default=60.0,
-        help="seconds between in-image metric snapshots (0 disables)",
-    )
-    serve_p.add_argument(
-        "--slowlog-capacity", type=int, default=32,
-        help="slowest requests kept in the in-memory slowlog ring",
-    )
-    serve_p.add_argument(
-        "--coordinator", action="store_true",
-        help="shard coordinator role: route by the consistent-hash ring, "
-        "run cross-shard writes as 2PC, serve scatter-gather "
-        "(see docs/sharding.md)",
-    )
-    serve_p.add_argument(
-        "--shard", action="append", metavar="HOST:PORT[,HOST:PORT...]",
-        help="one shard group's endpoints (primary plus replicas); repeat "
-        "per group — group order defines shard ids",
-    )
-    serve_p.add_argument(
-        "--shard-id", type=int, default=None,
-        help="this daemon's own shard id within --shard (participants "
-        "enforce ring ownership and answer wrong_shard with a hint)",
-    )
-    serve_p.add_argument(
-        "--vnodes", type=int, default=64,
-        help="virtual nodes per shard on the hash ring",
-    )
-    serve_p.add_argument(
-        "--read-only", action="store_true",
-        help="start in degraded read-only mode (manual operator override; "
-        "never auto-recovers — see docs/durability.md)",
-    )
-    serve_p.add_argument(
-        "--degraded-probe-interval", type=float, default=2.0,
-        help="seconds between writability re-probes while degraded after "
-        "a disk fault (0 disables auto-recovery)",
-    )
-    serve_p.add_argument(
-        "--mem-budget", type=int, default=0, metavar="BYTES",
-        help="heap-cache byte budget: writes beyond it shed busy-style "
-        "and the watchdog shrinks the cache (0 = unbounded)",
-    )
-    serve_p.add_argument(
-        "--mem-txn-budget", type=int, default=0, metavar="OBJECTS",
-        help="per-transaction dirty-object budget (0 = unbounded)",
-    )
-    serve_p.add_argument(
-        "--queue-wait-limit", type=float, default=5.0,
-        help="shed a pooled request that waited longer than this in the "
-        "admission queue (overloaded error; 0 disables)",
-    )
-    serve_p.add_argument(
-        "--send-timeout", type=float, default=20.0,
-        help="close a session whose socket send has been blocked longer "
-        "than this (0 disables the slow-client reaper)",
-    )
-    serve_p.add_argument(
-        "--no-archive", action="store_true",
-        help="skip continuous commit-log archiving (no point-in-time "
-        "restore: log resets discard restore points; see docs/recovery.md)",
-    )
-    serve_p.add_argument(
-        "--scrub-interval", type=float, default=0.0,
-        help="seconds between background integrity-scrub cycles "
-        "(0 disables; corruption degrades the daemon and, on a replica, "
-        "triggers anti-entropy repair)",
-    )
-    serve_p.add_argument(
-        "--scrub-pages-per-sec", type=int, default=0,
-        help="scrub disk-read budget in pages per second (0 = unbounded)",
-    )
+    _add_config_flags(serve_p)
     serve_p.set_defaults(handler=_cmd_serve)
 
     backup_p = sub.add_parser(
@@ -1102,14 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     top_p.set_defaults(handler=_cmd_top)
 
     client_p = sub.add_parser("client", help="one-shot session against a daemon")
-    client_p.add_argument(
-        "action",
-        choices=[
-            "ping", "call", "run", "get", "set", "mset", "scatter",
-            "topology", "roots", "stats", "slowlog", "trace", "pgo",
-            "repl-status", "promote", "follow", "shutdown",
-        ],
-    )
+    client_p.add_argument("action", choices=list(_CLIENT_ACTIONS))
     client_p.add_argument("operands", nargs="*")
     client_p.add_argument("--port", type=int, required=True)
     client_p.add_argument("--host", default="127.0.0.1")

@@ -6,16 +6,18 @@ issued strictly one at a time (the daemon still interleaves *sessions*
 concurrently).  Failures come back typed, so callers branch on the
 exception class (or ``exc.code``) rather than parsing messages:
 
-* :class:`BusyError`, :class:`BackpressureError`,
-  :class:`ShuttingDownError` — the daemon *rejected* the request before
-  executing it.  Rejections are side-effect free, so they are safe to
-  retry for any operation;
-* :class:`ServerError` — every other structured failure (the request may
-  have executed);
+* :class:`ServerError` — the daemon answered with a structured error;
+  each wire code callers branch on has its own subclass.  What a code
+  implies for retrying is read from its row of
+  :data:`repro.server.protocol.ERRORS`: *rejected* before execution
+  (:class:`BusyError`, :class:`BackpressureError`,
+  :class:`OverloadedError` — side-effect free, safe to re-send whatever
+  the op), about this *endpoint* only (another node may serve it), or
+  *deterministic* (the same everywhere; the request may have executed);
 * :class:`ConnectionLost` — the TCP session died mid-request.  Only
-  *idempotent* requests (``ping``, ``get``, ``roots``, ``stats``,
-  read-mode ``call``) are safe to replay, because a mutating request may
-  have committed before the response was lost.
+  *idempotent* requests (:data:`IDEMPOTENT_OPS`, read-mode ``call``) are
+  safe to replay, because a mutating request may have committed before
+  the response was lost.
 
 Pass a :class:`RetryPolicy` to opt into automatic recovery: rejected
 requests are retried with exponential backoff + jitter, and idempotent
@@ -24,7 +26,9 @@ which is exactly what surviving a daemon SIGTERM + restart takes.  Retries
 never happen inside an explicit transaction (the server aborts a
 disconnected session's transaction, so replaying mid-transaction requests
 would silently drop the transaction's earlier effects).  The default
-(``retry=None``) keeps the historical fail-fast behavior.
+(``retry=None``) keeps the historical fail-fast behavior.  Connecting,
+a session's requests and :class:`ClusterClient`'s routing all retry
+through one loop, :func:`_retry`.
 
 Every request issued through the public operations carries a trace stamp
 (``trace_sample`` governs how often a new trace is rooted; requests made
@@ -48,7 +52,7 @@ import random
 import socket
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,19 +67,8 @@ __all__ = [
     "ClusterClient",
     "ClientError",
     "ConnectionLost",
-    "ServerError",
-    "BusyError",
-    "BackpressureError",
-    "ShuttingDownError",
-    "NotPrimaryError",
-    "StaleReadError",
-    "DeadlineExceeded",
-    "ReplicationTimeoutError",
-    "WrongShardError",
-    "TwopcAbortedError",
-    "ReadOnlyError",
-    "OverloadedError",
     "NoPrimaryError",
+    "ServerError",  # its per-code subclasses are appended where they are defined
     "RetryPolicy",
     "connect",
 ]
@@ -91,8 +84,13 @@ _GAVE_UP = METRICS.counter(
 )
 
 #: requests with no server-side effects: safe to replay even when the
-#: connection died mid-request and the first attempt's fate is unknown
-IDEMPOTENT_OPS = frozenset({"ping", "get", "roots", "stats", "slowlog", "repl.status"})
+#: connection died mid-request and the first attempt's fate is unknown —
+#: every op the daemon runs under a read transaction (a test holds this
+#: set to the op table), plus the introspection ops
+IDEMPOTENT_OPS = frozenset({
+    "ping", "get", "roots", "query", "scatter", "topology", "stats", "slowlog",
+    "repl.status", "repl.digest", "repl.fetch", "shard.indoubt",
+})
 
 
 class ClientError(Exception):
@@ -103,12 +101,30 @@ class ConnectionLost(ClientError):
     """The TCP session died; whether the request executed is unknown."""
 
 
-class ServerError(Exception):
-    """The daemon answered with a structured error."""
+class NoPrimaryError(ClientError):
+    """No endpoint of the cluster currently reports the primary role."""
 
-    #: True when the daemon rejected the request *before* executing it
-    #: (admission control), making a retry side-effect free
+
+#: wire code → the exception class raised for it (codes without a class
+#: of their own raise plain :class:`ServerError`); filled by subclassing
+_ERROR_TYPES: dict[str, type["ServerError"]] = {}
+
+
+class ServerError(Exception):
+    """The daemon answered with a structured error.
+
+    A subclass binds itself to its wire code with ``code=``; what the
+    code implies comes from that row of :data:`protocol.ERRORS`.
+    """
+
+    #: the daemon refused the request *before* executing it, so this
+    #: client's retry policy may re-send it whatever the op
     retryable = False
+
+    def __init_subclass__(cls, code: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.retryable = protocol.ERRORS[code].retryable
+        _ERROR_TYPES[code] = cls
 
     def __init__(self, code: str, message: str, details: dict | None = None):
         super().__init__(f"[{code}] {message}")
@@ -116,90 +132,72 @@ class ServerError(Exception):
         self.message = message
         self.details = details or {}
 
+    @property
+    def disposition(self) -> str:
+        """The code's :data:`protocol.ERRORS` disposition; a code this
+        client does not know is taken as deterministic (never retried,
+        never a reason to drop a connection)."""
+        spec = protocol.ERRORS.get(self.code)
+        return spec.disposition if spec is not None else protocol.DETERMINISTIC
 
-class BusyError(ServerError):
+
+class BusyError(ServerError, code=protocol.E_BUSY):
     """Rejected: the transaction lock could not be acquired in time."""
 
-    retryable = True
 
-
-class BackpressureError(ServerError):
+class BackpressureError(ServerError, code=protocol.E_BACKPRESSURE):
     """Rejected: the worker pool's bounded queue is full."""
 
-    retryable = True
+
+class OverloadedError(ServerError, code=protocol.E_OVERLOADED):
+    """Rejected: the request aged out in the admission queue (distinct
+    from :class:`BackpressureError`, a queue full on arrival).
+    ``details["retry_after"]`` is the server's backoff hint, which the
+    retry layer honors as a minimum pause."""
 
 
-class ShuttingDownError(ServerError):
+class ShuttingDownError(ServerError, code=protocol.E_SHUTTING_DOWN):
     """Rejected: the daemon is draining for shutdown."""
 
-    retryable = True
 
-
-class NotPrimaryError(ServerError):
+class NotPrimaryError(ServerError, code=protocol.E_NOT_PRIMARY):
     """A mutating request reached a replica; details may name the primary."""
 
 
-class StaleReadError(ServerError):
+class StaleReadError(ServerError, code=protocol.E_STALE_READ):
     """A bounded-staleness read's ``min_version`` is ahead of this replica."""
 
 
-class DeadlineExceeded(ServerError):
-    """The request's time budget ran out (client- or server-side)."""
+class ReadOnlyError(ServerError, code=protocol.E_READ_ONLY):
+    """The daemon is in degraded read-only mode (disk-level failure or
+    ``--read-only``).  Not retryable against the same endpoint — the mode
+    persists until the recovery probe clears it; a :class:`ClusterClient`
+    fails writes over instead."""
 
 
-class ReplicationTimeoutError(ServerError):
-    """The write committed locally but the replica quorum did not ack in
-    time — ``details["committed"]`` is True; the data is durable on the
-    primary and will reach replicas when they catch up."""
-
-
-class WrongShardError(ServerError):
+class WrongShardError(ServerError, code=protocol.E_WRONG_SHARD):
     """The root hashes to another shard group; ``details`` carry the
     owning ``shard`` id and its ``endpoints`` — a ring-aware client
     follows the hint (see :meth:`ClusterClient.use_topology`)."""
 
 
-class TwopcAbortedError(ServerError):
+class DeadlineExceeded(ServerError, code=protocol.E_DEADLINE):
+    """The request's time budget ran out (client- or server-side)."""
+
+
+class ReplicationTimeoutError(ServerError, code=protocol.E_REPL_TIMEOUT):
+    """The write committed locally but the replica quorum did not ack in
+    time — ``details["committed"]`` is True; the data is durable on the
+    primary and will reach replicas when they catch up."""
+
+
+class TwopcAbortedError(ServerError, code=protocol.E_TWOPC):
     """A cross-shard write's two-phase commit could not reach its commit
     point; the transaction is rolled back on every participant, so the
     operation may be retried as a whole."""
 
 
-class ReadOnlyError(ServerError):
-    """The daemon is in degraded read-only mode after a disk-level failure
-    (or a manual ``--read-only`` override).  Not retryable against the
-    same endpoint — the mode persists until the recovery probe clears it;
-    ``details`` carry ``reason``, ``since`` and a ``retry_after`` hint.
-    A :class:`ClusterClient` fails writes over instead of retrying."""
-
-
-class OverloadedError(ServerError):
-    """Rejected: the request aged out in the admission queue before a
-    worker picked it up.  Distinct from :class:`BackpressureError` (queue
-    full on arrival); both mean "the server is behind".  Retryable —
-    ``details["retry_after"]`` is the server's backoff hint, which the
-    retry layer honors as a minimum pause."""
-
-    retryable = True
-
-
-class NoPrimaryError(ClientError):
-    """No endpoint of the cluster currently reports the primary role."""
-
-
-_ERROR_TYPES: dict[str, type[ServerError]] = {
-    protocol.E_BUSY: BusyError,
-    protocol.E_BACKPRESSURE: BackpressureError,
-    protocol.E_SHUTTING_DOWN: ShuttingDownError,
-    protocol.E_NOT_PRIMARY: NotPrimaryError,
-    protocol.E_STALE_READ: StaleReadError,
-    protocol.E_DEADLINE: DeadlineExceeded,
-    protocol.E_REPL_TIMEOUT: ReplicationTimeoutError,
-    protocol.E_WRONG_SHARD: WrongShardError,
-    protocol.E_TWOPC: TwopcAbortedError,
-    protocol.E_READ_ONLY: ReadOnlyError,
-    protocol.E_OVERLOADED: OverloadedError,
-}
+__all__ += [cls.__name__ for cls in _ERROR_TYPES.values()]
 
 
 @dataclass(frozen=True)
@@ -229,6 +227,84 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter * (self.rng or random).random())
 
 
+#: what ``recover(exc)`` tells :func:`_retry` to do about a failed attempt
+_GIVE_UP, _BACKOFF, _NOW = "give up", "back off", "now"
+
+
+def _expired(deadline: float, what: str) -> DeadlineExceeded:
+    return DeadlineExceeded(
+        protocol.E_DEADLINE, f"deadline of {deadline}s expired before {what!r} completed"
+    )
+
+
+def _retry(policy: RetryPolicy, deadline, what: str, attempt, recover, span=None):
+    """The one retry loop: call ``attempt(remaining)`` until it returns.
+
+    ``deadline`` (seconds, or None) is pinned here, once: every attempt
+    is handed what is left of it and no pause outlasts it.  A failed
+    attempt goes to ``recover(exc)``, which repairs whatever the failure
+    invalidated and answers how to go on — ``_GIVE_UP`` (the error
+    stands), ``_NOW`` (we were redirected: no pause) or ``_BACKOFF``
+    (the policy's jittered delay).  Every failure, paused for or not,
+    counts against ``policy.max_attempts``.
+    """
+    deadline_at = None if deadline is None else time.monotonic() + float(deadline)
+    retries = 0
+    while True:
+        remaining = None
+        if deadline_at is not None:
+            remaining = deadline_at - time.monotonic()
+            if remaining <= 0:
+                raise _expired(deadline, what)
+        try:
+            return attempt(remaining)
+        except (ServerError, ClientError) as exc:
+            how = recover(exc)
+            retries += 1
+            if span is not None:
+                span.set(retries=retries)
+            if how is _GIVE_UP or retries >= policy.max_attempts:
+                _GAVE_UP.inc()
+                raise
+            _RETRIES.inc()
+            if how is _NOW:
+                continue
+            pause = policy.delay(retries)
+            if isinstance(exc, ServerError) and exc.disposition == protocol.REJECTED:
+                # the same node gets the request again, and an overloaded
+                # one says how soon: re-arriving earlier only feeds the
+                # overload, so retry_after is a floor under the backoff
+                try:
+                    pause = max(pause, float(exc.details.get("retry_after", 0)))
+                except (TypeError, ValueError):
+                    pass
+            if deadline_at is not None:
+                pause = min(pause, deadline_at - time.monotonic())
+            if pause > 0:
+                time.sleep(pause)
+
+
+def _sampled(rate: float, rng: random.Random) -> bool:
+    """Roll ``trace_sample``; the RNG is not consulted at rates 0 and 1."""
+    return rate >= 1.0 or (rate > 0.0 and rng.random() < rate)
+
+
+def _decode(result: dict) -> dict:
+    """Wire values of a result → runtime values, in place: the keys that
+    carry them are ``value``, ``values`` and scatter's ``partials``."""
+    if "value" in result:
+        result["value"] = from_jsonable(result["value"])
+    if "values" in result:
+        result["values"] = {
+            name: from_jsonable(v) for name, v in result["values"].items()
+        }
+    if "partials" in result:
+        result["partials"] = [
+            {**p, "value": from_jsonable(p.get("value"))} for p in result["partials"]
+        ]
+    return result
+
+
 class Client:
     """One session against a running repro daemon."""
 
@@ -256,11 +332,7 @@ class Client:
         # a seeded RetryPolicy RNG makes the *whole* client deterministic:
         # sampling decisions must draw from the same source as backoff
         # jitter, or chaos-sim runs diverge despite the seed
-        self._trace_rng = (
-            retry.rng
-            if retry is not None and retry.rng is not None
-            else random.Random()
-        )
+        self._trace_rng = (retry and retry.rng) or random.Random()
         self.sock: socket.socket | None = None
         self._next_id = 1
         self._closed = False
@@ -270,28 +342,23 @@ class Client:
     # ----------------------------------------------------------- transport
 
     def _connect(self, initial: bool = False) -> None:
-        attempts = 0
-        while True:
+        def attempt(_remaining) -> None:
             try:
                 self.sock = socket.create_connection(
                     (self._host, self._port), timeout=self._timeout
                 )
-                if not initial:
-                    _RECONNECTS.inc()
-                return
             except OSError as exc:
                 self.sock = None
-                attempts += 1
-                policy = self.retry
-                if (
-                    policy is None
-                    or not policy.retry_connect
-                    or attempts >= policy.max_attempts
-                ):
-                    raise ConnectionLost(
-                        f"cannot connect to {self._host}:{self._port}: {exc}"
-                    ) from exc
-                time.sleep(policy.delay(attempts))
+                raise ConnectionLost(
+                    f"cannot connect to {self._host}:{self._port}: {exc}"
+                ) from exc
+
+        if self.retry is None or not self.retry.retry_connect:
+            attempt(None)
+        else:  # daemon not yet listening, or restarting
+            _retry(self.retry, None, "connect", attempt, lambda exc: _BACKOFF)
+        if not initial:
+            _RECONNECTS.inc()
 
     def _drop_socket(self) -> None:
         if self.sock is not None:
@@ -339,14 +406,6 @@ class Client:
             code, error.get("message", "unknown server error"), details
         )
 
-    def _trace_roll(self) -> bool:
-        rate = self.trace_sample
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        return self._trace_rng.random() < rate
-
     def _trace_stamp(self, op: str):
         """Trace stamp for one logical operation — ``(wire dict, span)``.
 
@@ -358,7 +417,7 @@ class Client:
         all a daemon-side recorder needs to trace the server half.
         """
         ctx = TRACER.current()
-        if ctx is None and not self._trace_roll():
+        if ctx is None and not _sampled(self.trace_sample, self._trace_rng):
             return None, None
         if TRACER.enabled:
             span = TRACER.span(
@@ -374,83 +433,56 @@ class Client:
     def _invoke(self, op: str, idempotent: bool | None = None, **operands) -> dict:
         """Issue a request under the retry policy (see module docstring).
 
-        When a deadline is configured (per-call ``deadline=`` operand or
-        the client-wide default) it is pinned when the request *starts*:
-        every attempt ships the remaining seconds, and both local waits
-        and retries stop once the budget is spent.  The trace stamp is
-        likewise pinned up front, so every retry — and, via
-        :class:`ClusterClient`, every failover attempt — carries the
-        same trace id.
+        Operands that are None are left off the wire (the daemon reads an
+        absent operand and a null one alike).  When a deadline is
+        configured (per-call ``deadline=`` operand or the client-wide
+        default) it is pinned when the request *starts*: every attempt
+        ships the remaining seconds, and both local waits and retries
+        stop once the budget is spent.  The trace stamp is likewise
+        pinned up front: every retry carries the same trace id.
         """
-        if idempotent is None:
-            idempotent = op in IDEMPOTENT_OPS
+        operands = {k: v for k, v in operands.items() if v is not None}
         stamp, span = self._trace_stamp(op)
         if stamp is not None:
             operands["trace"] = stamp
         deadline = operands.pop("deadline", self.deadline)
-        deadline_at = None if deadline is None else time.monotonic() + float(deadline)
-        policy = self.retry
-        retries = 0
+        status = "error"  # what the span reports unless told otherwise
         try:
-            while True:
-                if deadline_at is not None:
-                    remaining = deadline_at - time.monotonic()
-                    if remaining <= 0:
-                        raise DeadlineExceeded(
-                            protocol.E_DEADLINE,
-                            f"deadline of {deadline}s expired before {op!r} completed",
-                        )
-                    operands["deadline"] = round(remaining, 6)
-                try:
-                    result = self.request(op, **operands)
-                    if span is not None:
-                        span.set(status="ok")
-                    return result
-                except (ServerError, ConnectionLost) as exc:
-                    if span is not None:
-                        span.set(
-                            status=exc.code
-                            if isinstance(exc, ServerError)
-                            else "connection_lost"
-                        )
-                    if policy is None or self._in_txn:
-                        raise
+            if self.retry is None or self._in_txn:  # fail fast: one attempt
+                if deadline is not None and deadline <= 0:
+                    raise _expired(deadline, op)
+                result = self._send(op, operands, deadline)
+            else:
+                if idempotent is None:
+                    idempotent = op in IDEMPOTENT_OPS
+
+                def recover(exc):
                     if isinstance(exc, ServerError):
-                        can_retry = exc.retryable  # rejected, never executed
+                        again = exc.retryable  # rejected, never executed
                     else:
                         # the request may have executed before the link died:
                         # only replay requests with no server-side effects
-                        can_retry = idempotent
-                    retries += 1
-                    if not can_retry or retries >= policy.max_attempts:
-                        _GAVE_UP.inc()
-                        raise
-                    pause = policy.delay(retries)
-                    if isinstance(exc, ServerError):
-                        # an overloaded/degraded server sends retry_after:
-                        # re-arriving sooner only feeds the overload, so
-                        # the hint is a floor under the jittered backoff
-                        hint = exc.details.get("retry_after")
-                        if hint is not None:
-                            try:
-                                pause = max(pause, float(hint))
-                            except (TypeError, ValueError):
-                                pass
-                    if deadline_at is not None:
-                        budget = deadline_at - time.monotonic()
-                        if budget <= 0:
-                            raise DeadlineExceeded(
-                                protocol.E_DEADLINE,
-                                f"deadline of {deadline}s expired while retrying {op!r}",
-                            ) from exc
-                        pause = min(pause, budget)
-                    _RETRIES.inc()
-                    time.sleep(pause)
+                        again = idempotent and isinstance(exc, ConnectionLost)
+                    return _BACKOFF if again else _GIVE_UP
+
+                result = _retry(
+                    self.retry, deadline, op,
+                    lambda remaining: self._send(op, operands, remaining),
+                    recover, span,
+                )
+            status = "ok"
+            return result
+        except (ServerError, ConnectionLost) as exc:
+            status = getattr(exc, "code", "connection_lost")
+            raise
         finally:
             if span is not None:
-                if retries:
-                    span.set(retries=retries)
-                span.finish()
+                span.set(status=status).finish()
+
+    def _send(self, op: str, operands: dict, remaining: float | None) -> dict:
+        if remaining is not None:  # ship what is left of the deadline
+            operands["deadline"] = round(remaining, 6)
+        return self.request(op, **operands)
 
     def close(self) -> None:
         if not self._closed:
@@ -480,27 +512,17 @@ class Client:
         deadline: float | None = None,
     ) -> Any:
         """Call a stored function; returns its value (or the full result)."""
-        operands: dict[str, Any] = {
-            "module": module,
-            "function": function,
-            "args": [to_jsonable(a) for a in (args or [])],
-            "mode": mode,
-        }
-        if step_limit is not None:
-            operands["step_limit"] = step_limit
-        if deadline is not None:
-            operands["deadline"] = deadline
         # a read-mode call has no server-side effects, so it is replayable
-        result = self._invoke("call", idempotent=(mode == "read"), **operands)
-        if full:
-            result = dict(result)
-            result["value"] = from_jsonable(result["value"])
-            return result
-        return from_jsonable(result["value"])
+        result = _decode(self._invoke(
+            "call", idempotent=(mode == "read"), module=module, function=function,
+            args=[to_jsonable(a) for a in (args or [])], mode=mode,
+            step_limit=step_limit, deadline=deadline,
+        ))
+        return result if full else result["value"]
 
-    def run(self, source: str) -> list[str]:
+    def run(self, source: str, deadline: float | None = None) -> list[str]:
         """Compile and persist TL source; returns the stored module names."""
-        return self._invoke("run", source=source)["modules"]
+        return self._invoke("run", source=source, deadline=deadline)["modules"]
 
     def get(
         self,
@@ -514,13 +536,10 @@ class Client:
         :class:`StaleReadError` unless the replica has applied at least
         that replication version.
         """
-        operands: dict[str, Any] = {"roots": list(roots)}
-        if min_version is not None:
-            operands["min_version"] = min_version
-        if deadline is not None:
-            operands["deadline"] = deadline
-        result = self._invoke("get", **operands)
-        return {name: from_jsonable(v) for name, v in result["values"].items()}
+        result = self._invoke(
+            "get", roots=list(roots), min_version=min_version, deadline=deadline
+        )
+        return _decode(result)["values"]
 
     def set(self, root: str, value: Any, deadline: float | None = None) -> dict:
         """Bind a root to a value (auto-commits outside a transaction).
@@ -528,10 +547,9 @@ class Client:
         Returns the full result dict — ``oid`` plus, on a replicated
         primary, the ``repl_version`` the commit produced.
         """
-        operands: dict[str, Any] = {"root": root, "value": to_jsonable(value)}
-        if deadline is not None:
-            operands["deadline"] = deadline
-        return self._invoke("set", **operands)
+        return self._invoke(
+            "set", root=root, value=to_jsonable(value), deadline=deadline
+        )
 
     def roots(self) -> list[str]:
         return self._invoke("roots")["roots"]
@@ -544,12 +562,8 @@ class Client:
         write as a two-phase commit and a success response means every
         shard applied it (:class:`TwopcAbortedError` means none did).
         """
-        operands: dict[str, Any] = {
-            "writes": {str(root): to_jsonable(v) for root, v in writes.items()}
-        }
-        if deadline is not None:
-            operands["deadline"] = deadline
-        return self._invoke("mset", **operands)
+        wire = {str(root): to_jsonable(v) for root, v in writes.items()}
+        return self._invoke("mset", writes=wire, deadline=deadline)
 
     def query(
         self,
@@ -561,25 +575,11 @@ class Client:
     ) -> dict:
         """Prefix-scan the daemon's owned roots; optionally fold the
         matching values through a stored function (shard-local half of
-        scatter-gather).  Read-only, hence replayable."""
-        operands: dict[str, Any] = {"prefix": prefix}
-        if module is not None and function is not None:
-            operands["module"] = module
-            operands["function"] = function
-        if min_version is not None:
-            operands["min_version"] = min_version
-        if deadline is not None:
-            operands["deadline"] = deadline
-        result = self._invoke("query", idempotent=True, **operands)
-        if "values" in result:
-            result = dict(result)
-            result["values"] = {
-                name: from_jsonable(v) for name, v in result["values"].items()
-            }
-        elif "value" in result:
-            result = dict(result)
-            result["value"] = from_jsonable(result["value"])
-        return result
+        scatter-gather)."""
+        return _decode(self._invoke(
+            "query", prefix=prefix, module=module, function=function,
+            min_version=min_version, deadline=deadline,
+        ))
 
     def scatter(
         self,
@@ -591,48 +591,29 @@ class Client:
     ) -> dict:
         """Coordinator-side scatter-gather: fan a query out to every shard
         and merge (``concat`` | ``sum`` | ``values``)."""
-        operands: dict[str, Any] = {"prefix": prefix, "merge": merge}
-        if module is not None and function is not None:
-            operands["module"] = module
-            operands["function"] = function
-        if deadline is not None:
-            operands["deadline"] = deadline
-        result = self._invoke("scatter", idempotent=True, **operands)
-        result = dict(result)
-        if "values" in result:
-            result["values"] = {
-                name: from_jsonable(v) for name, v in result["values"].items()
-            }
-        if "value" in result:
-            result["value"] = from_jsonable(result["value"])
-        if "partials" in result:
-            result["partials"] = [
-                {**p, "value": from_jsonable(p.get("value"))}
-                for p in result["partials"]
-            ]
-        return result
+        return _decode(self._invoke(
+            "scatter", prefix=prefix, module=module, function=function,
+            merge=merge, deadline=deadline,
+        ))
 
     def topology(self) -> dict:
         """The shard topology this daemon operates under (wire form)."""
-        return self._invoke("topology", idempotent=True)
+        return self._invoke("topology")
 
     def begin(self, mode: str = "write", timeout: float | None = None) -> dict:
-        operands: dict[str, Any] = {"mode": mode}
-        if timeout is not None:
-            operands["timeout"] = timeout
-        result = self._invoke("begin", **operands)
+        result = self._invoke("begin", mode=mode, timeout=timeout)
         self._in_txn = True
         return result
 
     def commit(self) -> dict:
-        try:
-            return self.request("commit")
-        finally:
-            self._in_txn = False
+        return self._end("commit")
 
     def abort(self) -> dict:
+        return self._end("abort")
+
+    def _end(self, op: str) -> dict:
         try:
-            return self.request("abort")
+            return self.request(op)
         finally:
             self._in_txn = False
 
@@ -654,19 +635,11 @@ class Client:
         ``history`` asks for the in-image metrics-history ring as well:
         True for all kept entries, an int for the most recent N.
         """
-        operands: dict[str, Any] = {"metrics": metrics}
-        if history is not None:
-            operands["history"] = history
-        return self._invoke("stats", **operands)
+        return self._invoke("stats", metrics=metrics, history=history)
 
     def slowlog(self, n: int | None = None, clear: bool = False) -> dict:
         """The daemon's ring of slowest requests, slowest first."""
-        operands: dict[str, Any] = {}
-        if n is not None:
-            operands["n"] = n
-        if clear:
-            operands["clear"] = True
-        return self._invoke("slowlog", **operands)
+        return self._invoke("slowlog", n=n, clear=clear or None)
 
     def trace_ctl(
         self,
@@ -681,17 +654,14 @@ class Client:
         ``trace_ctl("sample", rate=0.1)`` adjusts root sampling, and the
         default ``status`` just reports.
         """
-        operands: dict[str, Any] = {"action": action}
-        if path is not None:
-            operands["path"] = path
-        if rate is not None:
-            operands["rate"] = rate
-        return self._invoke("trace", idempotent=(action == "status"), **operands)
+        return self._invoke(
+            "trace", idempotent=(action == "status"),
+            action=action, path=path, rate=rate,
+        )
 
     def pgo(self, top: int | None = None) -> dict:
         """Ask the server to run one PGO round right now."""
-        operands = {} if top is None else {"top": top}
-        return self._invoke("pgo", **operands)
+        return self._invoke("pgo", top=top)
 
     def repl_status(self, digest: bool = False) -> dict:
         """Replication role, term, version (and optionally a state digest)."""
@@ -699,8 +669,7 @@ class Client:
 
     def promote(self, term: int | None = None) -> dict:
         """Promote this node to primary (fencing term bumps past any seen)."""
-        operands = {} if term is None else {"term": term}
-        return self.request("promote", **operands)
+        return self.request("promote", **({} if term is None else {"term": term}))
 
     def follow(self, host: str, port: int) -> dict:
         """Re-point this node at a (new) upstream primary."""
@@ -710,19 +679,35 @@ class Client:
         return self.request("shutdown")
 
 
+def _elsewhere(exc: Exception) -> bool:
+    """May another node of the same group serve what this one could not?"""
+    if isinstance(exc, ServerError):
+        # wrong_shard is about another *group*: every node of this one
+        # answers alike, and the hint is for the ring-aware parent to follow
+        return (
+            exc.disposition == protocol.ENDPOINT
+            and exc.code != protocol.E_WRONG_SHARD
+        )
+    return isinstance(exc, (ConnectionLost, NoPrimaryError))
+
+
 class ClusterClient:
     """Failover-aware facade over a replicated cluster's endpoints.
 
-    Routing rules:
+    Operations run under :func:`_retry` with the facade's policy, and the
+    error table classifies a failure: a *rejected* request is re-sent to
+    the same node after the backoff, a *deterministic* answer is final
+    (its connection kept), connection loss or an *endpoint* answer sends
+    the request to another node:
 
     * **writes** go to whichever endpoint currently reports the ``primary``
-      role.  :class:`ConnectionLost`, :class:`NotPrimaryError` and
-      :class:`ShuttingDownError` trigger rediscovery under the retry
-      policy — a ``not_primary`` rejection that names the new primary is
-      followed directly, anything else re-pings every endpoint and picks
-      the primary with the highest term.  Replayed writes may execute
-      twice when the first attempt's ack was lost; root binds are
-      value-idempotent, so the state converges to the same image.
+      role.  A ``not_primary`` rejection that names the new primary is
+      followed directly; anything else re-pings every endpoint and picks
+      the primary with the highest term.  A degraded (``read_only``)
+      primary is never retried in place — the mode outlives any backoff —
+      but keeps its connection, reads still work there.  Replayed writes
+      may execute twice when the first attempt's ack was lost; root binds
+      are value-idempotent, so the state converges to the same image.
     * **reads** round-robin across replicas with *bounded staleness*: each
       read carries a ``min_version`` floor (default: the ``repl_version``
       of this client's last write — read-your-writes), and a replica that
@@ -749,18 +734,16 @@ class ClusterClient:
         ]
         self._timeout = timeout
         self.retry = retry or RetryPolicy()
+        #: default time budget of one routed operation, retries included
         self.deadline = deadline
         #: the facade makes the sampling decision once per *logical*
         #: operation and activates the resulting context around routing,
         #: so retries and failover reuse one trace id; the per-endpoint
         #: clients are built with ``trace_sample=0.0`` and never self-root
         self.trace_sample = trace_sample
-        # reuse the seeded RetryPolicy RNG (when one is injected) so that
-        # rediscovery backoff and trace sampling replay identically under
-        # the chaos harness's seed
-        self._trace_rng = (
-            self.retry.rng if self.retry.rng is not None else random.Random()
-        )
+        # as in Client: sampling draws from the (seeded) backoff RNG, so a
+        # chaos run replays identically under its seed
+        self._trace_rng = self.retry.rng or random.Random()
         self._clients: dict[tuple[str, int], Client] = {}
         self._primary: tuple[str, int] | None = None
         self._replicas: list[tuple[str, int]] = []
@@ -800,34 +783,153 @@ class ClusterClient:
         if client is not None:
             client.close()
 
+    def discover(self) -> dict:
+        """Ping every endpoint; elect the highest-term primary, list replicas.
+
+        A primary that reports itself degraded (read-only after a disk
+        failure) is only elected when no healthy primary exists — writes
+        should land on a promoted replacement, while a cluster that is
+        *entirely* degraded still routes so reads keep working.
+        """
+        primaries: list[tuple[bool, int, tuple[str, int]]] = []
+        replicas: list[tuple[str, int]] = []
+        seen: dict[str, dict] = {}
+        for endpoint in list(self.endpoints):
+            key = f"{endpoint[0]}:{endpoint[1]}"
+            try:
+                info = seen[key] = self._client(endpoint).ping()
+            except (ClientError, ServerError) as exc:
+                self._drop(endpoint)
+                seen[key] = {"error": str(exc)}
+                continue
+            if info.get("role", "standalone") == "replica":
+                replicas.append(endpoint)
+            else:
+                primaries.append(
+                    (not info.get("degraded"), int(info.get("term", 0)), endpoint)
+                )
+        # healthy beats degraded, then the highest term (the first seen on a tie)
+        best = max(primaries, key=lambda p: p[:2], default=None)
+        with self._lock:
+            self._primary = best[2] if best else None
+            self._replicas = replicas
+        return seen
+
+    # -------------------------------------------------------------- routing
+
+    def _trace_root(self):
+        """One trace context per logical operation, spanning failover.
+
+        Activated *around* the routing loop: every endpoint attempt's
+        stamp derives from the same trace id, so a write that retried
+        through a failover is still one trace in the NDJSON export.
+        Inside an already-active context this is a pass-through.
+        """
+        if TRACER.current() is not None or not _sampled(self.trace_sample, self._trace_rng):
+            return nullcontext()
+        return TRACER.activate(new_trace_id(), new_span_id())
+
+    def _route(self, fn, write: bool, deadline: float | None = None):
+        """Run ``fn(client, remaining)`` on a node that can serve it —
+        ``remaining`` is what is left of ``deadline`` (default: the
+        facade's), to be shipped with the request.  A write's
+        ``repl_version`` raises the read-your-writes floor."""
+        if deadline is None:
+            deadline = self.deadline
+        with self._trace_root():
+            result = _retry(
+                self.retry, deadline, "write" if write else "read",
+                lambda remaining: self._one_pass(fn, write, remaining),
+                self._recover,
+            )
+        if write and isinstance(result, dict):
+            version = result.get("repl_version")
+            if isinstance(version, int):
+                self.last_write_version = max(self.last_write_version, version)
+        return result
+
+    def _candidates(self, write: bool) -> list[tuple[str, int]]:
+        """Who may serve the request: the primary alone for a write; for a
+        read the replicas, rotating, then the primary (it is never stale)."""
+        with self._lock:
+            primary = [self._primary] if self._primary is not None else []
+            if write:
+                return primary
+            replicas = list(self._replicas)
+            if replicas:
+                self._rr = (self._rr + 1) % len(replicas)
+                replicas = replicas[self._rr :] + replicas[: self._rr]
+            return replicas + primary
+
+    def _one_pass(self, fn, write: bool, remaining):
+        candidates = self._candidates(write)
+        if not candidates:
+            self.discover()
+            candidates = self._candidates(write)
+        failed: Exception = NoPrimaryError(
+            f"no {'primary' if write else 'node'} among {len(self.endpoints)} endpoints"
+        )
+        for endpoint in candidates:
+            try:
+                return fn(self._client(endpoint), remaining)
+            except (ServerError, ClientError) as exc:
+                if isinstance(exc, (ConnectionLost, ShuttingDownError)):
+                    self._drop(endpoint)  # the session is gone, or about to be
+                if not _elsewhere(exc):
+                    raise  # the same answer everywhere, or a busy node
+                failed = exc  # e.g. stale: the next one may have caught up
+        with self._lock:  # nobody could serve it: rediscover before the next pass
+            self._primary = None
+            if not write:
+                self._replicas = []
+        raise failed
+
+    def _recover(self, exc: Exception) -> str:
+        """How :func:`_retry` goes on after a failed pass."""
+        if isinstance(exc, ServerError) and exc.disposition == protocol.REJECTED:
+            return _BACKOFF  # never executed: same node, later
+        if not _elsewhere(exc):
+            return _GIVE_UP
+        hint = exc.details.get("primary") if isinstance(exc, NotPrimaryError) else None
+        if not hint:
+            return _BACKOFF
+        # the replica told us who leads now: no backoff, we were redirected
+        target = (str(hint["host"]), int(hint["port"]))
+        if target not in self.endpoints:
+            self.endpoints.append(target)
+        self._primary = target
+        return _NOW
+
+    def op_primary(self, op: str, deadline: float | None = None, **operands) -> dict:
+        """Issue an arbitrary op against the current primary."""
+        return self._route(
+            lambda c, d: c._invoke(op, deadline=d, **operands), True, deadline
+        )
+
+    def op_replica(self, op: str, deadline: float | None = None, **operands) -> dict:
+        """Issue a side-effect-free op via the replica read path (primary
+        as the last resort)."""
+        return self._route(
+            lambda c, d: c._invoke(op, deadline=d, **operands), False, deadline
+        )
+
     # ------------------------------------------------------------- sharding
 
     def use_topology(self, topology: dict | ShardTopology) -> "ClusterClient":
         """Adopt a shard topology and route ring-aware from now on."""
         if not isinstance(topology, ShardTopology):
             topology = ShardTopology.from_dict(topology)
-        with self._lock:
-            stale = dict(self._shard_routers)
-            self._shard_routers = {}
-            self.topology = topology
-        for router in stale.values():
-            router.close()
+        self.topology = topology
+        self._close_routers()  # they route by the ring just replaced
         return self
 
     def discover_topology(self) -> dict | None:
         """Ask the cluster for its topology and adopt it when present."""
         try:
-            result = self._on_replica(
-                lambda c: c._invoke("topology", idempotent=True)
-            )
-        except (ClientError, ServerError):
-            return None
-        wire = result.get("topology")
-        if isinstance(wire, dict):
-            try:
-                self.use_topology(wire)
-            except RingError:
-                return None
+            wire = self.topology_info().get("topology")
+            self.use_topology(wire)
+        except (ClientError, ServerError, RingError):
+            return None  # nobody answered, or no (well-formed) ring there
         return wire
 
     def _shard_of(self, root: str) -> int | None:
@@ -838,12 +940,14 @@ class ClusterClient:
             return None
         return topology.shard_for(root)
 
-    def _shard_router(self, sid: int) -> "ClusterClient":
+    def _shard_router(self, sid: int, endpoints=None) -> "ClusterClient":
+        """Shard ``sid``'s child router; ``endpoints`` replaces it with one
+        over those (a ``wrong_shard`` hint knows better than our ring)."""
         with self._lock:
             router = self._shard_routers.get(sid)
-        if router is None:
-            router = ClusterClient(
-                self.topology.endpoints(sid),
+        if router is None or endpoints is not None:
+            stale, router = router, ClusterClient(
+                endpoints or self.topology.endpoints(sid),
                 timeout=self._timeout,
                 retry=self.retry,  # shares the (possibly seeded) RNG
                 deadline=self.deadline,
@@ -851,184 +955,43 @@ class ClusterClient:
             )
             with self._lock:
                 self._shard_routers[sid] = router
+            if stale is not None:
+                stale.close()
         return router
 
-    def _follow_wrong_shard(self, exc: WrongShardError, fn):
-        """Follow a ``wrong_shard`` hint: rebuild the named shard's router
-        from the hinted endpoints, refresh the ring from there, and retry
-        the operation once against the right group."""
-        sid = exc.details.get("shard")
-        hinted = exc.details.get("endpoints")
-        if not isinstance(sid, int) or not hinted:
-            raise exc
-        endpoints = [(str(e["host"]), int(e["port"])) for e in hinted]
-        router = ClusterClient(
-            endpoints,
-            timeout=self._timeout,
-            retry=self.retry,
-            deadline=self.deadline,
-            trace_sample=0.0,
-        )
-        with self._lock:
-            old = self._shard_routers.get(sid)
-            self._shard_routers[sid] = router
-        if old is not None:
-            old.close()
-        # the hinted shard knows the (possibly newer) ring we mis-route by
-        wire = None
+    def _on_shard(self, sid: int, fn):
+        """``fn(router)`` against shard ``sid``'s group.  A ``wrong_shard``
+        answer is followed once: rebuild the named shard's router from the
+        hinted endpoints, refresh the ring from there (the hinted shard
+        knows the possibly newer ring we mis-route by), and retry."""
         try:
-            wire = router._on_replica(
-                lambda c: c._invoke("topology", idempotent=True)
-            ).get("topology")
-        except (ClientError, ServerError):
-            pass
-        if isinstance(wire, dict):
+            return fn(self._shard_router(sid))
+        except WrongShardError as exc:
+            sid = exc.details.get("shard")
+            hinted = exc.details.get("endpoints")
+            if not isinstance(sid, int) or not hinted:
+                raise
+            router = self._shard_router(
+                sid, [(str(e["host"]), int(e["port"])) for e in hinted]
+            )
             try:
-                fresh = ShardTopology.from_dict(wire)
-                if self.topology is None or fresh.epoch > self.topology.epoch:
-                    with self._lock:
-                        self.topology = fresh
-            except RingError:
+                fresh = ShardTopology.from_dict(router.topology_info().get("topology"))
+                if fresh.epoch > self.topology.epoch:
+                    self.topology = fresh
+            except (ClientError, ServerError, RingError):
                 pass
-        return fn(router)
+            return fn(router)
 
-    # ------------------------------------------------------- generic op glue
+    # ----------------------------------------------------------- operations
 
-    def op_primary(self, op: str, idempotent: bool = False, **operands) -> dict:
-        """Issue an arbitrary op against the current primary (failover-
-        aware); write-producing results feed the read-your-writes floor."""
-        result = self._on_primary(
-            lambda c: c._invoke(op, idempotent=idempotent, **operands)
-        )
-        if isinstance(result, dict):
-            self._note_write(result)
-        return result
-
-    def op_replica(self, op: str, **operands) -> dict:
-        """Issue an idempotent op via the replica read path (primary as
-        the last resort)."""
-        return self._on_replica(lambda c: c._invoke(op, idempotent=True, **operands))
-
-    def discover(self) -> dict:
-        """Ping every endpoint; elect the highest-term primary, list replicas.
-
-        A primary that reports itself degraded (read-only after a disk
-        failure) is only elected when no healthy primary exists — writes
-        should land on a promoted replacement, while a cluster that is
-        *entirely* degraded still routes so reads keep working.
-        """
-        best: tuple[int, tuple[str, int]] | None = None
-        best_degraded: tuple[int, tuple[str, int]] | None = None
-        replicas: list[tuple[str, int]] = []
-        seen: dict[str, dict] = {}
-        for endpoint in list(self.endpoints):
-            try:
-                info = self._client(endpoint).ping()
-            except (ClientError, ServerError) as exc:
-                self._drop(endpoint)
-                seen[f"{endpoint[0]}:{endpoint[1]}"] = {"error": str(exc)}
-                continue
-            seen[f"{endpoint[0]}:{endpoint[1]}"] = info
-            role = info.get("role", "standalone")
-            term = int(info.get("term", 0))
-            if role == "replica":
-                replicas.append(endpoint)
-            elif info.get("degraded"):
-                if best_degraded is None or term > best_degraded[0]:
-                    best_degraded = (term, endpoint)
-            elif best is None or term > best[0]:
-                best = (term, endpoint)
-        if best is None:
-            best = best_degraded
-        with self._lock:
-            self._primary = best[1] if best else None
-            self._replicas = replicas
-        return seen
-
-    # -------------------------------------------------------------- tracing
-
-    @contextmanager
-    def _trace_root(self):
-        """One trace context per logical operation, spanning failover.
-
-        Activated *around* the routing loop: every endpoint attempt's
-        stamp derives from the same trace id, so a write that retried
-        through a failover is still one trace in the NDJSON export.
-        Inside an already-active context this is a pass-through.
-        """
-        if TRACER.current() is not None:
-            yield
-            return
-        rate = self.trace_sample
-        sampled = rate >= 1.0 or (rate > 0.0 and self._trace_rng.random() < rate)
-        if not sampled:
-            yield
-            return
-        with TRACER.activate(new_trace_id(), new_span_id()):
-            yield
-
-    # --------------------------------------------------------------- writes
-
-    def _on_primary(self, fn):
-        with self._trace_root():
-            return self._route_primary(fn)
-
-    def _route_primary(self, fn):
-        last_exc: Exception | None = None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            endpoint = self._primary
-            if endpoint is None:
-                self.discover()
-                endpoint = self._primary
-            if endpoint is None:
-                last_exc = NoPrimaryError(
-                    f"no primary among {len(self.endpoints)} endpoints"
-                )
-            else:
-                try:
-                    return fn(self._client(endpoint))
-                except NotPrimaryError as exc:
-                    last_exc = exc
-                    self._primary = None
-                    hint = exc.details.get("primary")
-                    if hint:  # the replica told us who leads now
-                        target = (str(hint["host"]), int(hint["port"]))
-                        if target not in self.endpoints:
-                            self.endpoints.append(target)
-                        self._primary = target
-                        continue  # no backoff: we were redirected
-                except ReadOnlyError as exc:
-                    # degraded read-only primary: never retry the write
-                    # against the same endpoint — the mode outlives any
-                    # backoff.  Keep the TCP client (reads still work
-                    # there) but forget the primary role and rediscover:
-                    # a promoted replica takes the write.
-                    last_exc = exc
-                    self._primary = None
-                except (ConnectionLost, ShuttingDownError) as exc:
-                    last_exc = exc
-                    self._drop(endpoint)
-                    self._primary = None
-            if attempt < self.retry.max_attempts:
-                _RETRIES.inc()
-                time.sleep(self.retry.delay(attempt))
-        _GAVE_UP.inc()
-        raise last_exc
-
-    def set(self, root: str, value: Any) -> dict:
+    def set(self, root: str, value: Any, deadline: float | None = None) -> dict:
         sid = self._shard_of(root)
         if sid is not None:
             # per-shard floor lives on the child router; shard repl
             # versions are not comparable across groups, so the parent's
             # global floor is deliberately left alone here
-            router = self._shard_router(sid)
-            try:
-                return router.set(root, value)
-            except WrongShardError as exc:
-                return self._follow_wrong_shard(exc, lambda r: r.set(root, value))
-        result = self._on_primary(lambda c: c.set(root, value))
-        self._note_write(result)
-        return result
+            return self._on_shard(sid, lambda r: r.set(root, value, deadline=deadline))
+        return self._route(lambda c, d: c.set(root, value, deadline=d), True, deadline)
 
     def mset(self, writes: dict[str, Any], deadline: float | None = None) -> dict:
         """Atomic multi-root bind.  Single-shard batches go straight to the
@@ -1038,35 +1001,22 @@ class ClusterClient:
         shards = {self._shard_of(root) for root in writes}
         if len(shards) == 1 and None not in shards:
             (sid,) = shards
-            router = self._shard_router(sid)
-            try:
-                return router.mset(writes, deadline=deadline)
-            except WrongShardError as exc:
-                return self._follow_wrong_shard(
-                    exc, lambda r: r.mset(writes, deadline=deadline)
-                )
-        result = self._on_primary(lambda c: c.mset(writes, deadline=deadline))
-        if isinstance(result, dict):
-            self._note_write(result)
-            self._note_shard_versions(result.get("shards"))
+            return self._on_shard(sid, lambda r: r.mset(writes, deadline=deadline))
+        result = self._route(lambda c, d: c.mset(writes, deadline=d), True, deadline)
+        # feed the per-shard repl versions of a coordinator 2PC result into
+        # the child routers' read-your-writes floors
+        shards = result.get("shards") if isinstance(result, dict) else None
+        if isinstance(shards, dict) and self.topology is not None:
+            for sid, version in shards.items():
+                if isinstance(version, int) and sid.isdigit() and (
+                    int(sid) in self.topology.shard_ids()
+                ):
+                    router = self._shard_router(int(sid))
+                    router.last_write_version = max(router.last_write_version, version)
         return result
 
-    def _note_shard_versions(self, shards) -> None:
-        """Feed per-shard repl versions from a coordinator 2PC result into
-        the child routers' read-your-writes floors."""
-        if not isinstance(shards, dict) or self.topology is None:
-            return
-        for sid, version in shards.items():
-            try:
-                sid = int(sid)
-            except (TypeError, ValueError):
-                continue
-            if isinstance(version, int) and sid in self.topology.shard_ids():
-                router = self._shard_router(sid)
-                router.last_write_version = max(router.last_write_version, version)
-
-    def run(self, source: str) -> list[str]:
-        return self._on_primary(lambda c: c.run(source))
+    def run(self, source: str, deadline: float | None = None) -> list[str]:
+        return self._route(lambda c, d: c.run(source, deadline=d), True, deadline)
 
     def call(
         self,
@@ -1076,94 +1026,39 @@ class ClusterClient:
         step_limit: int | None = None,
         mode: str = "read",
         full: bool = False,
+        deadline: float | None = None,
     ) -> Any:
-        if mode == "write":
-            result = self._on_primary(
-                lambda c: c.call(module, function, args, step_limit, mode, full=True)
-            )
-            self._note_write(result)
-            return result if full else result["value"]
-        return self._on_replica(
-            lambda c: c.call(module, function, args, step_limit, mode, full)
+        result = self._route(
+            lambda c, d: c.call(module, function, args, step_limit, mode, True, d),
+            mode == "write", deadline,
         )
+        return result if full else result["value"]
 
-    def _note_write(self, result: dict) -> None:
-        version = result.get("repl_version")
-        if isinstance(version, int):
-            self.last_write_version = max(self.last_write_version, version)
-
-    # ---------------------------------------------------------------- reads
-
-    def _read_candidates(self) -> list[tuple[str, int]]:
-        with self._lock:
-            replicas = list(self._replicas)
-            primary = self._primary
-            if replicas:
-                self._rr = (self._rr + 1) % len(replicas)
-                replicas = replicas[self._rr :] + replicas[: self._rr]
-        if primary is not None:
-            replicas.append(primary)  # the primary is never stale
-        return replicas
-
-    def _on_replica(self, fn):
-        with self._trace_root():
-            return self._route_replica(fn)
-
-    def _route_replica(self, fn):
-        candidates = self._read_candidates()
-        if not candidates:
-            self.discover()
-            candidates = self._read_candidates()
-        last_exc: Exception | None = None
-        for endpoint in candidates:
-            try:
-                return fn(self._client(endpoint))
-            except StaleReadError as exc:
-                last_exc = exc  # next candidate may have caught up
-            except (ConnectionLost, ServerError) as exc:
-                last_exc = exc
-                self._drop(endpoint)
-        # every candidate failed: rediscover once and go through the
-        # primary write path, which retries with backoff
-        self.discover()
-        try:
-            return self._on_primary(fn)
-        except (ClientError, ServerError):
-            raise last_exc if last_exc is not None else NoPrimaryError("no endpoint")
-
-    def get(self, *roots: str, min_version: int | None = None) -> dict[str, Any]:
-        if self.topology is not None:
-            groups: dict[int | None, list[str]] = {}
-            for root in roots:
-                groups.setdefault(self._shard_of(root), []).append(root)
-            if groups and (len(groups) > 1 or None not in groups):
-                out: dict[str, Any] = {}
-                for sid, names in groups.items():
-                    if sid is None:
-                        out.update(self._get_local(names, min_version))
-                        continue
-                    router = self._shard_router(sid)
-                    try:
-                        out.update(router.get(*names, min_version=min_version))
-                    except WrongShardError as exc:
-                        out.update(
-                            self._follow_wrong_shard(
-                                exc,
-                                lambda r, names=names: r.get(
-                                    *names, min_version=min_version
-                                ),
-                            )
-                        )
-                return out
-        return self._get_local(list(roots), min_version)
-
-    def _get_local(
-        self, roots: list[str], min_version: int | None
+    def get(
+        self,
+        *roots: str,
+        min_version: int | None = None,
+        deadline: float | None = None,
     ) -> dict[str, Any]:
+        groups: dict[int | None, list[str]] = {} if roots else {None: []}
+        for root in roots:
+            groups.setdefault(self._shard_of(root), []).append(root)
         floor = self.last_write_version if min_version is None else min_version
-        return self._on_replica(
-            lambda c: c.get(*roots, min_version=floor if floor > 0 else None)
-        )
+        out: dict[str, Any] = {}
+        for sid, names in groups.items():
+            if sid is None:  # the seed endpoints, under this facade's own floor
+                out.update(self._route(
+                    lambda c, d: c.get(
+                        *names, min_version=floor if floor > 0 else None, deadline=d
+                    ),
+                    False, deadline,
+                ))
+            else:
+                out.update(self._on_shard(
+                    sid,
+                    lambda r: r.get(*names, min_version=min_version, deadline=deadline),
+                ))
+        return out
 
     def scatter(
         self,
@@ -1174,30 +1069,16 @@ class ClusterClient:
         deadline: float | None = None,
     ) -> dict:
         """Scatter-gather through the seed endpoints (the coordinator)."""
-        return self._on_replica(
-            lambda c: c.scatter(
-                prefix, module=module, function=function, merge=merge,
-                deadline=deadline,
-            )
+        return self._route(
+            lambda c, d: c.scatter(prefix, module, function, merge, deadline=d),
+            False, deadline,
         )
 
     def topology_info(self) -> dict:
         """The deployment's topology, from whichever endpoint answers."""
-        return self._on_replica(lambda c: c.topology())
+        return self._route(lambda c, d: c.topology(), False)
 
     # ------------------------------------------------------------ utilities
-
-    def status(self) -> dict:
-        """``repl.status`` of every reachable endpoint, keyed by address."""
-        out: dict[str, dict] = {}
-        for endpoint in list(self.endpoints):
-            key = f"{endpoint[0]}:{endpoint[1]}"
-            try:
-                out[key] = self._client(endpoint).repl_status()
-            except (ClientError, ServerError) as exc:
-                self._drop(endpoint)
-                out[key] = {"error": str(exc)}
-        return out
 
     def promote(self, endpoint: tuple[str, int], term: int | None = None) -> dict:
         """Promote one endpoint to primary and re-route writes to it."""
@@ -1209,14 +1090,16 @@ class ClusterClient:
                 self._replicas.remove(endpoint)
         return result
 
+    def _close_routers(self) -> None:
+        with self._lock:
+            stale, self._shard_routers = self._shard_routers, {}
+        for router in stale.values():
+            router.close()
+
     def close(self) -> None:
         for endpoint in list(self._clients):
             self._drop(endpoint)
-        with self._lock:
-            routers = list(self._shard_routers.values())
-            self._shard_routers = {}
-        for router in routers:
-            router.close()
+        self._close_routers()
 
     def __enter__(self) -> "ClusterClient":
         return self

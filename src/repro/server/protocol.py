@@ -1,86 +1,32 @@
-"""Wire protocol: length-prefixed JSON frames and value conversion.
+"""Wire protocol (version 6): length-prefixed JSON frames, the error
+table, and value conversion.
 
-Framing (version 1): each message is a 4-byte big-endian unsigned payload
-length followed by a UTF-8 JSON object.  Requests and responses are flat
-JSON objects:
+Framing: each message is a 4-byte big-endian unsigned payload length
+followed by a UTF-8 JSON object (:data:`MAX_FRAME` bounds what a peer
+will allocate for one).  Requests and responses are flat objects:
 
 * request — ``{"id": <int>, "op": "<name>", ...operands}``;
 * success — ``{"id": <int>, "ok": true, "result": {...}}``;
 * failure — ``{"id": <int>, "ok": false,
   "error": {"code": "<code>", "message": "...", ...details}}``.
 
-Error codes are machine-readable contract, not prose: ``backpressure``
-(admission control rejected the request), ``busy`` (transaction lock
-timeout), ``step_limit`` (instruction budget exhausted,
-:class:`repro.machine.vm.StepLimitExceeded`), ``exec_error`` (uncaught TML
-exception), ``bad_request``, ``txn_state``, ``not_found``, ``internal``,
-``shutting_down``.
+The ops are the rows of :data:`repro.server.ops.OPS` (docs/server.md
+tabulates operands and results).  Every op also accepts ``deadline`` —
+seconds of remaining budget, turned into lock-wait and step bounds and
+answered ``deadline_exceeded`` once spent — and ``trace`` —
+``{"trace_id": "<16-hex>", "span_id": "<16-hex>"}``, under which the
+daemon opens its server span, so one operation is followable client →
+primary → replica; a traced request's error carries the ``trace_id``.
 
-Version 2 adds the replication vocabulary (:mod:`repro.server.replication`)
-and request deadlines: ``not_primary`` (a mutating request reached a
-replica; details carry the upstream primary's address), ``stale_term``
-(fencing rejected a deposed primary's stream), ``stale_read`` (a bounded-
-staleness read's ``min_version`` floor is ahead of this replica), and
-``deadline_exceeded`` (the request's remaining time budget ran out before
-it could execute).  ``replication_timeout`` reports a write that committed
-locally but was not acknowledged by the required number of replicas in
-time (details carry ``committed: true``).  Framing is unchanged, so v1
-clients interoperate for the v1 op set.
-
-Version 3 adds the observability vocabulary: any request may carry a
-``trace`` operand — ``{"trace_id": "<16-hex>", "span_id": "<16-hex>"}`` —
-and the daemon opens its server span under that context, so one logical
-operation is followable client → primary → replica in a single
-distributed trace; error payloads carry the active ``trace_id`` when the
-request was traced.  Three introspection ops join the set: ``stats``
-(extended with per-op latency percentiles, slowlog/trace/history status
-and replication lag), ``slowlog`` (the ring of slowest requests) and
-``trace`` (runtime start/stop/sampling control of the daemon's NDJSON
-export).  All are additive: unstamped requests and v2 clients are served
-unchanged.
-
-Version 4 adds the sharding vocabulary (:mod:`repro.server.sharding`):
-``wrong_shard`` rejects a data operation whose root hashes to another
-shard group — details carry the owning ``shard`` id and its ``endpoints``
-so a ring-aware client can follow the hint — and ``twopc_aborted``
-reports a cross-shard write whose two-phase commit could not reach a
-commit decision (the transaction is guaranteed rolled back everywhere).
-New ops: ``mset`` (bind several roots in one atomic commit; on a
-coordinator the roots may span shards and run as 2PC), ``query``
-(prefix-scan of a shard's owned roots, optionally folded through a stored
-function — the executable half of scatter-gather), ``scatter``
-(coordinator fan-out of a query to every shard with a merge step),
-``topology`` (read the consistent-hash ring) and the participant ops
-``shard.prepare`` / ``shard.decide`` / ``shard.indoubt`` / ``shard.adopt``
-(see docs/sharding.md).  All additive; v3 clients are served unchanged.
-
-Version 5 adds the resource-exhaustion vocabulary: ``read_only`` rejects a
-mutating request because the daemon is in degraded read-only mode after a
-disk-level failure (ENOSPC/EDQUOT/EIO/fsync failure mid-commit) or a
-manual ``--read-only`` override — details carry the ``reason``, ``since``
-(unix seconds) and a ``retry_after`` hint matching the recovery probe's
-cadence; reads, ``stats``, ``ping`` and replication subscribe keep
-working, and a cluster-aware client should *fail writes over* instead of
-retrying the same endpoint.  ``overloaded`` rejects a request that waited
-longer than the admission queue-time limit — distinct from
-``backpressure`` (queue *full* on arrival); details carry ``queued_s``
-and a ``retry_after`` backoff hint the client's retry policy honors.
-Both additive; v4 clients are served unchanged.
-
-Version 6 adds the anti-entropy repair vocabulary (:mod:`repro.server.repair`):
-``repl.digest`` returns a digest tree over OID buckets — ``buckets`` maps
-``str(oid >> bucket_bits)`` to a SHA-256 over the bucket's committed
-``(oid, payload)`` pairs, with ``version``/``term``/``root`` for skew and
-equality prechecks — and ``repl.fetch`` (operand ``buckets``: a list of
-bucket ids) returns the committed payloads of those buckets as
-``[oid, hex]`` pairs.  Together they let a replica whose scrub found bit
-rot re-fetch only the diverged OID ranges from its primary instead of a
-full snapshot resync.  Both run under a read transaction on the serving
-node and are additive; v5 clients are served unchanged.
+Error codes are machine-readable contract, not prose, and :data:`ERRORS`
+is their one declaration: meaning, recovery, and *disposition* — whether
+asking the same endpoint again, asking another node, or nothing at all
+can change the answer.  The client's exception classes and retry
+decisions and the docs/server.md table are derived from it.
 
 TML runtime values cross the wire as JSON with tagged escapes for the
-types JSON cannot express directly (see :func:`to_jsonable` /
-:func:`from_jsonable`).
+types JSON cannot express directly (:func:`to_jsonable` /
+:func:`from_jsonable`).  The version-by-version history is in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -88,7 +34,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.core.syntax import Char, Oid, UNIT, Unit
 from repro.machine.runtime import TmlArray, TmlByteArray, TmlVector
@@ -103,24 +49,11 @@ __all__ = [
     "recv_frame",
     "to_jsonable",
     "from_jsonable",
-    "E_BACKPRESSURE",
-    "E_BUSY",
-    "E_STEP_LIMIT",
-    "E_EXEC",
-    "E_BAD_REQUEST",
-    "E_TXN_STATE",
-    "E_NOT_FOUND",
-    "E_INTERNAL",
-    "E_SHUTTING_DOWN",
-    "E_NOT_PRIMARY",
-    "E_STALE_TERM",
-    "E_STALE_READ",
-    "E_DEADLINE",
-    "E_REPL_TIMEOUT",
-    "E_WRONG_SHARD",
-    "E_TWOPC",
-    "E_READ_ONLY",
-    "E_OVERLOADED",
+    "ErrorSpec",
+    "ERRORS",
+    "REJECTED",
+    "ENDPOINT",
+    "DETERMINISTIC",
 ]
 
 PROTOCOL_VERSION = 6
@@ -136,17 +69,108 @@ E_EXEC = "exec_error"
 E_BAD_REQUEST = "bad_request"
 E_TXN_STATE = "txn_state"
 E_NOT_FOUND = "not_found"
-E_INTERNAL = "internal"
 E_SHUTTING_DOWN = "shutting_down"
+E_DEADLINE = "deadline_exceeded"
 E_NOT_PRIMARY = "not_primary"
 E_STALE_TERM = "stale_term"
 E_STALE_READ = "stale_read"
-E_DEADLINE = "deadline_exceeded"
 E_REPL_TIMEOUT = "replication_timeout"
 E_WRONG_SHARD = "wrong_shard"
 E_TWOPC = "twopc_aborted"
 E_READ_ONLY = "read_only"
 E_OVERLOADED = "overloaded"
+E_INTERNAL = "internal"
+__all__ += [name for name in dir() if name.startswith("E_")]
+
+#: dispositions — what a code says about asking again.  ``REJECTED``: the
+#: daemon refused the request before executing it, so *any* op, writes
+#: included, may be re-sent to the same endpoint after a pause (at least
+#: ``retry_after`` when the details carry one).  ``ENDPOINT``: this node
+#: cannot serve the request but another node of the deployment may.
+#: ``DETERMINISTIC``: every node would answer the same — the connection
+#: that delivered the answer is healthy and nothing is worth re-sending.
+REJECTED = "rejected"
+ENDPOINT = "endpoint"
+DETERMINISTIC = "deterministic"
+
+
+class ErrorSpec(NamedTuple):
+    """One row of the error table (``meaning``/``recovery`` are the
+    docs/server.md columns, markdown included)."""
+
+    meaning: str
+    recovery: str
+    disposition: str = DETERMINISTIC
+    #: a single-endpoint client with a retry policy re-sends the request:
+    #: every ``REJECTED`` code, plus ``shutting_down`` — a restarting
+    #: daemon comes back at the same address
+    retryable: bool = False
+
+
+ERRORS: dict[str, ErrorSpec] = {
+    E_BACKPRESSURE: ErrorSpec(
+        "admission control rejected: worker queue full (`queue_size` in details)",
+        "retry with backoff", REJECTED, True,
+    ),
+    E_BUSY: ErrorSpec("transaction lock timeout", "retry / shorten txn", REJECTED, True),
+    E_STEP_LIMIT: ErrorSpec(
+        "instruction budget exhausted (`limit`, `instructions`, `output` in details)",
+        "raise `step_limit`",
+    ),
+    E_EXEC: ErrorSpec(
+        "uncaught TML exception, machine fault, or failed commit", "inspect `message`"
+    ),
+    E_BAD_REQUEST: ErrorSpec(
+        "malformed operands, unknown op, disabled debug op", "fix the request"
+    ),
+    E_TXN_STATE: ErrorSpec(
+        "op illegal in the session's txn state (double `begin`, `commit` with none, "
+        "write in a read txn)",
+        "fix client logic",
+    ),
+    E_NOT_FOUND: ErrorSpec("unknown root or unknown module/function", "—"),
+    E_SHUTTING_DOWN: ErrorSpec("server is stopping", "reconnect later", ENDPOINT, True),
+    E_DEADLINE: ErrorSpec(
+        "the request's `deadline` budget expired (server- or client-side)",
+        "raise the deadline",
+    ),
+    E_NOT_PRIMARY: ErrorSpec(
+        "write sent to a replica (`primary` hint in details)",
+        "redirect to the primary", ENDPOINT,
+    ),
+    E_STALE_TERM: ErrorSpec(
+        "fencing: the sender's term is below the receiver's", "stop; re-subscribe"
+    ),
+    E_STALE_READ: ErrorSpec(
+        "replica behind the request's `min_version` floor", "try another node", ENDPOINT
+    ),
+    E_REPL_TIMEOUT: ErrorSpec(
+        "sync-replication ack quorum timed out (`committed: true` — the write is locally "
+        "durable)",
+        "check replica health",
+    ),
+    E_WRONG_SHARD: ErrorSpec(
+        "root hashes to another shard (`shard`, `endpoints`, `epoch` hints in details)",
+        "follow the hint (see [`sharding.md`](sharding.md))", ENDPOINT,
+    ),
+    E_TWOPC: ErrorSpec(
+        "a cross-shard mset could not commit (prepare failed or timed out); nothing was "
+        "applied",
+        "retry the batch",
+    ),
+    E_READ_ONLY: ErrorSpec(
+        "mutating request while the daemon is in degraded read-only mode — commit-path disk "
+        "failure or `--read-only` (`reason`, `since`, `retry_after`, `manual` in details)",
+        "fail writes over; reads keep working (see [`durability.md`](durability.md))",
+        ENDPOINT,
+    ),
+    E_OVERLOADED: ErrorSpec(
+        "the request aged out in the admission queue (`queued_s`, `retry_after` in details) "
+        "— distinct from `backpressure`, which is a queue full on arrival",
+        "back off for `retry_after`", REJECTED, True,
+    ),
+    E_INTERNAL: ErrorSpec("unexpected server error (logged server-side)", "report a bug"),
+}
 
 
 class ProtocolError(Exception):

@@ -129,6 +129,9 @@ class Coordinator:
                     self.topology.endpoints(sid),
                     timeout=self.server.config.replication_timeout + 25.0,
                     retry=RetryPolicy(max_attempts=4),
+                    # retries and failover included, so a busy or failing
+                    # shard cannot hold a cross-shard operation past it
+                    deadline=self.server.config.twopc_timeout,
                     trace_sample=0.0,  # the incoming request owns the trace
                 )
                 self._routers[sid] = router
@@ -157,9 +160,7 @@ class Coordinator:
 
     def _refresh_term(self, sid: int) -> None:
         try:
-            info = self._shard_call(
-                sid, lambda r: r.op_primary("ping", idempotent=True)
-            )
+            info = self._shard_call(sid, lambda r: r.op_primary("ping"))
         except (ClientError, ServerError):
             self._terms.pop(sid, None)
             return
@@ -361,7 +362,7 @@ class Coordinator:
             # prepare is idempotent on the shard (an existing staging root
             # answers "already"), so a connection lost mid-request may be
             # replayed safely
-            return router.op_primary("shard.prepare", idempotent=True, **operands)
+            return router.op_primary("shard.prepare", **operands)
 
         try:
             result = self._shard_call(sid, send)
@@ -385,9 +386,7 @@ class Coordinator:
     def _decide_shard(self, sid: int, txn: str, decision: str) -> dict:
         return self._shard_call(
             sid,
-            lambda r: r.op_primary(
-                "shard.decide", idempotent=True, txn=txn, decision=decision
-            ),
+            lambda r: r.op_primary("shard.decide", txn=txn, decision=decision),
         )
 
     def _failpoint(self, name: str) -> None:
@@ -699,9 +698,7 @@ def stats(server, session, request):
             ],
         }
         try:
-            shard = coord._shard_call(
-                sid, lambda r: r.op_primary("stats", idempotent=True)
-            )
+            shard = coord._shard_call(sid, lambda r: r.op_primary("stats"))
         except (ClientError, ServerError) as exc:
             row["error"] = str(exc)
             rows[str(sid)] = row

@@ -2,7 +2,10 @@
 replay, deterministic via an injected seeded RNG.
 
 The replay tests drive :meth:`Client._invoke` against a stubbed
-``request`` so the retry decision logic is exercised without sockets.
+``request`` so the retry decision logic is exercised without sockets;
+the ones about rejections and deadlines run against both clients — a
+:class:`ClusterClient` over stubbed per-endpoint clients goes through
+the same loop.
 """
 
 import random
@@ -13,9 +16,12 @@ from repro.server import protocol
 from repro.server.client import (
     BusyError,
     Client,
+    ClusterClient,
     ConnectionLost,
     DeadlineExceeded,
     RetryPolicy,
+    ServerError,
+    StaleReadError,
 )
 
 
@@ -30,6 +36,45 @@ def make_client(policy):
     client._in_txn = False
     client.sock = object()  # non-None: request() is stubbed anyway
     return client
+
+
+class Direct:
+    """``Client._invoke`` over a stubbed ``request``."""
+
+    def __init__(self, policy):
+        self.client = make_client(policy)
+
+    def stub(self, request):
+        self.client.request = request
+
+    def set(self, **kw):
+        return self.client._invoke("set", root="x", value=1, **kw)
+
+    def get(self, **kw):
+        return self.client._invoke("get", roots=["x"], **kw)
+
+
+class Routed:
+    """A ``ClusterClient`` whose one endpoint is a stubbed client."""
+
+    ENDPOINT = ("stub", 1)
+
+    def __init__(self, policy):
+        self.cluster = ClusterClient([self.ENDPOINT], retry=policy, trace_sample=0.0)
+        self.client = self.cluster._clients[self.ENDPOINT] = make_client(None)
+        self.cluster._primary = self.ENDPOINT
+
+    def stub(self, request):
+        self.client.request = request
+
+    def set(self, **kw):
+        return self.cluster.set("x", 1, **kw)
+
+    def get(self, **kw):
+        return self.cluster.get("x", **kw)
+
+
+both_clients = pytest.mark.parametrize("harness", [Direct, Routed])
 
 
 class TestBackoffBounds:
@@ -87,9 +132,10 @@ class TestIdempotentReplay:
             client._invoke("set", root="x", value=1)
         assert calls == ["set"]
 
-    def test_rejections_are_replayed_even_for_writes(self):
+    @both_clients
+    def test_rejections_are_replayed_even_for_writes(self, harness):
         policy = RetryPolicy(max_attempts=3, rng=random.Random(1), **self.FAST)
-        client = make_client(policy)
+        client = harness(policy)
         calls = []
 
         def busy_then_ok(op, **operands):
@@ -98,9 +144,9 @@ class TestIdempotentReplay:
                 raise BusyError(protocol.E_BUSY, "lock timeout")
             return {"oid": 5}
 
-        client.request = busy_then_ok
+        client.stub(busy_then_ok)
         # busy is a pre-execution rejection: side-effect-free to retry
-        assert client._invoke("set", root="x", value=1) == {"oid": 5}
+        assert client.set() == {"oid": 5}
         assert calls == ["set"] * 3
 
     def test_no_replay_inside_explicit_transaction(self):
@@ -118,22 +164,72 @@ class TestIdempotentReplay:
             client._invoke("get", roots=["x"])
         assert calls == ["get"]  # replay would drop earlier txn effects
 
-    def test_client_side_deadline_stops_retries(self):
+    @both_clients
+    def test_client_side_deadline_stops_retries(self, harness):
         policy = RetryPolicy(
             max_attempts=50, base_delay=0.02, max_delay=0.02, jitter=0.0,
             multiplier=1.0, rng=random.Random(1),
         )
-        client = make_client(policy)
+        client = harness(policy)
         seen = []
 
         def flaky(op, **operands):
             seen.append(operands.get("deadline"))
             raise BusyError(protocol.E_BUSY, "lock timeout")
 
-        client.request = flaky
+        client.stub(flaky)
         with pytest.raises(DeadlineExceeded):
-            client._invoke("get", roots=["x"], deadline=0.05)
+            client.get(deadline=0.05)
         # far fewer than 50 attempts: the 50ms budget ran out first,
         # and every attempt shipped its remaining budget to the server
         assert 1 <= len(seen) < 50
         assert all(d is not None and d <= 0.05 for d in seen)
+
+
+class TestClusterClassifiesByTheErrorTable:
+    """A primary + replica cluster of stubbed clients: which failures move
+    a read to the next node is the error table's call, not a catch-all."""
+
+    PRIMARY, REPLICA = ("stub", 1), ("stub", 2)
+
+    def make_cluster(self, answers):
+        """``answers`` maps endpoint → what its ``get`` raises or returns."""
+        policy = RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0, jitter=0.0)
+        cluster = ClusterClient(
+            [self.PRIMARY, self.REPLICA], retry=policy, trace_sample=0.0
+        )
+        requests = []
+        for endpoint, answer in answers.items():
+            client = cluster._clients[endpoint] = make_client(None)
+
+            def request(op, endpoint=endpoint, answer=answer, **operands):
+                requests.append((endpoint, op))
+                if isinstance(answer, Exception):
+                    raise answer
+                return answer
+
+            client.request = request
+        cluster._primary, cluster._replicas = self.PRIMARY, [self.REPLICA]
+        cluster.discover = lambda: pytest.fail("a final answer needs no rediscovery")
+        return cluster, requests
+
+    def test_a_deterministic_error_is_final_on_the_first_endpoint(self):
+        missing = ServerError(protocol.E_NOT_FOUND, "unknown root 'missing'")
+        cluster, requests = self.make_cluster(
+            {self.REPLICA: missing, self.PRIMARY: missing}
+        )
+        with pytest.raises(ServerError) as err:
+            cluster.get("missing")
+        assert err.value.code == protocol.E_NOT_FOUND
+        # one request, to the replica; its healthy connection is kept
+        assert requests == [(self.REPLICA, "get")]
+        assert set(cluster._clients) == {self.PRIMARY, self.REPLICA}
+
+    def test_an_endpoint_error_moves_to_the_next_candidate(self):
+        stale = StaleReadError(protocol.E_STALE_READ, "replica is behind")
+        cluster, requests = self.make_cluster(
+            {self.REPLICA: stale, self.PRIMARY: {"values": {"x": 7}}}
+        )
+        assert cluster.get("x", min_version=3) == {"x": 7}
+        assert requests == [(self.REPLICA, "get"), (self.PRIMARY, "get")]
+        assert set(cluster._clients) == {self.PRIMARY, self.REPLICA}
