@@ -6,8 +6,8 @@ mechanically; this package does:
 
 * :mod:`repro.analysis.diagnostics` — the shared :class:`Diagnostic` record,
   severities, stable ``TML``/``TAM`` codes;
-* :mod:`repro.analysis.dataflow` — path-carrying traversals and a bottom-up
-  analysis framework over TML trees;
+* :mod:`repro.analysis.dataflow` — the path-carrying traversal of TML trees
+  the analyses share;
 * :mod:`repro.analysis.linearity` — continuation-linearity and arity
   analysis (constraints 1-5), the engine behind
   :mod:`repro.core.wellformed`;

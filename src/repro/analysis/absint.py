@@ -44,7 +44,7 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.effects import effect_join as _effect_join
 from repro.core.names import Name
 from repro.core.syntax import Char, Oid, Unit
-from repro.machine.isa import CodeObject
+from repro.machine.isa import OPS, CodeObject
 from repro.primitives.effects import EffectClass
 
 __all__ = [
@@ -329,43 +329,10 @@ class FunctionAnalysis:
     deps: tuple[str, ...] = ()
 
 
-# ---------------------------------------------------------------------------
-# per-opcode effect contribution — deliberately mirrors the *registry's*
-# declared effect of the primitive each opcode implements (Fig. 2 parity), so
-# honestly-compiled code never exceeds its term's inferred effect (TAM105)
-# ---------------------------------------------------------------------------
-
-_OP_EFFECTS: dict[str, EffectClass] = {
-    "arr": EffectClass.ALLOC,
-    "vec": EffectClass.ALLOC,
-    "anew": EffectClass.ALLOC,
-    "bnew": EffectClass.ALLOC,
-    "aget": EffectClass.READ,
-    "bget": EffectClass.READ,
-    "asize": EffectClass.READ,
-    "aset": EffectClass.WRITE,
-    "bset": EffectClass.WRITE,
-    "amove": EffectClass.WRITE,
-    "bmove": EffectClass.WRITE,
-    "print": EffectClass.IO,
-    "pushh": EffectClass.CONTROL,
-    "poph": EffectClass.CONTROL,
-    "raise": EffectClass.CONTROL,
-    "trapc": EffectClass.CONTROL,
-    "halt": EffectClass.CONTROL,
-    "ccall": EffectClass.UNKNOWN,
-}
-
 #: severity of the precise handler-depth finding (satellite of PR 6: TAM020
 #: went from best-effort INFO to a per-path proof, so a report now means a
 #: ``poph`` provably reachable at depth <= 0 from function entry)
 HANDLER_SEVERITY = Severity.WARNING
-
-#: arithmetic / comparison / bit opcodes requiring int operands
-_INT_OPS = {
-    "add", "sub", "mul", "div", "rem", "lt", "gt", "le", "ge",
-    "band", "bor", "bxor", "shl", "shr",
-}
 
 
 class _Family:
@@ -447,7 +414,6 @@ class _Family:
     def run(self) -> None:
         root = self.root
         params: list[AbsVal] = []
-        user_count = len(root.params) - 2 if root.is_proc else len(root.params)
         for position in range(len(root.params)):
             if root.is_proc and position == len(root.params) - 2:
                 params.append(AbsVal(closure_kind(1), cont="exc"))
@@ -457,7 +423,6 @@ class _Family:
                 params.append(AbsVal(self.arg_kinds[position]))
             else:
                 params.append(_TOPV)
-        del user_count
         free: list[AbsVal] = []
         for slot, fname in enumerate(root.free_names):
             bound = self.bindings.get(fname, _TOPV)
@@ -540,19 +505,18 @@ class _Family:
             return "yes" if tag == "closure" else "no"
         return "yes" if tag == wanted.tag else "no"
 
-    def _require(self, idx, pc, op, vals, wanted: Kind) -> bool:
+    def _require(self, idx, pc, op, val: AbsVal, wanted: Kind) -> bool:
         """False when the instruction provably traps (path dies here)."""
-        for val in vals:
-            if self._kind_ok(val, wanted) == "no":
-                self._warn(
-                    idx, pc, "TAM101",
-                    f"opcode {op!r} applied to a value of kind "
-                    f"{val.kind.token!r} (needs {wanted.token!r}): guaranteed "
-                    "trap if this instruction executes",
-                    op=op, found=val.kind.token, wanted=wanted.token,
-                )
-                self.raises = join_kind(self.raises, STR)
-                return False
+        if self._kind_ok(val, wanted) == "no":
+            self._warn(
+                idx, pc, "TAM101",
+                f"opcode {op!r} applied to a value of kind "
+                f"{val.kind.token!r} (needs {wanted.token!r}): guaranteed "
+                "trap if this instruction executes",
+                op=op, found=val.kind.token, wanted=wanted.token,
+            )
+            self.raises = join_kind(self.raises, STR)
+            return False
         return True
 
     def _step(self, idx, code, pc, state, frees):
@@ -560,10 +524,12 @@ class _Family:
         regs, depths = state
         instr = code.instrs[pc]
         op = instr[0]
-        contributed = _OP_EFFECTS.get(op)
-        if contributed is not None:
-            self.effect = _effect_join(self.effect, contributed)
         out: list[tuple[int, tuple[list[AbsVal], object]]] = []
+        row = OPS.get(op)
+        if row is None:  # unknown opcode: the structural verifier reports it
+            return out
+        if row.prim is not None:
+            self.effect = _effect_join(self.effect, row.effect)
 
         def fall(new_regs, new_depths=depths):
             out.append((pc + 1, (new_regs, new_depths)))
@@ -580,8 +546,6 @@ class _Family:
                 fall(write(instr[1], AbsVal(kind_of_value(code.consts[instr[2]]))))
             else:
                 fall(write(instr[1], _TOPV))
-        elif op == "move":
-            fall(write(instr[1], regs[instr[2]]))
         elif op == "free":
             fall(write(instr[1], frees[instr[2]]))
         elif op == "closure":
@@ -609,72 +573,6 @@ class _Family:
                 ]
                 self._record_creation(child_idx, captured)
             fall(new)
-        elif op == "jump":
-            out.append((instr[1], (list(regs), depths)))
-        elif op in ("add", "sub", "mul", "div", "rem"):
-            _, dst, ra, rb, epc, ed = instr
-            if self._require(idx, pc, op, (regs[ra], regs[rb]), INT):
-                fall(write(dst, AbsVal(INT)))
-                out.append((epc, (write(ed, AbsVal(STR)), depths)))
-        elif op in ("lt", "gt", "le", "ge"):
-            _, ra, rb, else_pc = instr
-            if self._require(idx, pc, op, (regs[ra], regs[rb]), INT):
-                fall(list(regs))
-                out.append((else_pc, (list(regs), depths)))
-        elif op in ("band", "bor", "bxor", "shl", "shr"):
-            _, dst, ra, rb = instr
-            if self._require(idx, pc, op, (regs[ra], regs[rb]), INT):
-                fall(write(dst, AbsVal(INT)))
-        elif op == "bnot":
-            if self._require(idx, pc, op, (regs[instr[2]],), INT):
-                fall(write(instr[1], AbsVal(INT)))
-        elif op == "c2i":
-            if self._require(idx, pc, op, (regs[instr[2]],), CHAR):
-                fall(write(instr[1], AbsVal(INT)))
-        elif op == "i2c":
-            if self._require(idx, pc, op, (regs[instr[2]],), INT):
-                fall(write(instr[1], AbsVal(CHAR)))
-        elif op in ("arr", "vec"):
-            for i in instr[2]:
-                self._escape(regs[i])
-                self._maybe_escape_closure(regs[i])
-            fall(write(instr[1], AbsVal(ARRAY)))
-        elif op == "anew":
-            if self._require(idx, pc, op, (regs[instr[2]],), INT):
-                self._escape(regs[instr[3]])
-                self._maybe_escape_closure(regs[instr[3]])
-                fall(write(instr[1], AbsVal(ARRAY)))
-        elif op == "bnew":
-            if self._require(idx, pc, op, (regs[instr[2]], regs[instr[3]]), INT):
-                fall(write(instr[1], AbsVal(ARRAY)))
-        elif op == "aget":
-            if self._require(idx, pc, op, (regs[instr[2]],), ARRAY) and \
-               self._require(idx, pc, op, (regs[instr[3]],), INT):
-                fall(write(instr[1], _TOPV))
-        elif op == "aset":
-            ok = self._require(idx, pc, op, (regs[instr[1]],), ARRAY) and \
-                self._require(idx, pc, op, (regs[instr[2]],), INT)
-            if ok:
-                self._escape(regs[instr[3]])
-                self._maybe_escape_closure(regs[instr[3]])
-                fall(list(regs))
-        elif op == "bget":
-            if self._require(idx, pc, op, (regs[instr[2]],), ARRAY) and \
-               self._require(idx, pc, op, (regs[instr[3]],), INT):
-                fall(write(instr[1], AbsVal(INT)))
-        elif op == "bset":
-            if self._require(idx, pc, op, (regs[instr[1]],), ARRAY) and \
-               self._require(idx, pc, op, (regs[instr[2]], regs[instr[3]]), INT):
-                fall(list(regs))
-        elif op == "asize":
-            if self._require(idx, pc, op, (regs[instr[2]],), ARRAY):
-                fall(write(instr[1], AbsVal(INT)))
-        elif op in ("amove", "bmove"):
-            arrays = (regs[instr[1]], regs[instr[3]])
-            indexes = (regs[instr[2]], regs[instr[4]], regs[instr[5]])
-            if self._require(idx, pc, op, arrays, ARRAY) and \
-               self._require(idx, pc, op, indexes, INT):
-                fall(list(regs))
         elif op == "case":
             _, _rs, _tags, pcs, else_pc = instr
             for target in pcs:
@@ -708,12 +606,12 @@ class _Family:
             for i in arg_regs:
                 self._escape(regs[i])
                 self._maybe_escape_closure(regs[i])
-            ext_effect = EffectClass.UNKNOWN
-            if self.registry is not None:
-                prim = self.registry.get(ext_name)
-                if prim is not None:
-                    ext_effect = prim.attrs.effect
-            self.effect = _effect_join(self.effect, ext_effect)
+            # the row's effect is the worst case for a primitive named at run
+            # time; the registry, when it knows the name, says better
+            prim = self.registry.get(ext_name) if self.registry is not None else None
+            self.effect = _effect_join(
+                self.effect, row.effect if prim is None else prim.attrs.effect
+            )
             fall(write(dst, _TOPV))
             if epc is not None:
                 out.append((epc, (write(ed, _TOPV), depths)))
@@ -722,10 +620,27 @@ class _Family:
             fall(list(regs))
         elif op == "halt":
             self.halts = join_kind(self.halts, regs[instr[1]].kind)
-        elif op == "trapc":
-            self.raises = join_kind(self.raises, kind_of_value(code.consts[instr[1]]))
-        else:  # unknown opcode: the structural verifier reports it
-            pass
+        else:
+            # a regular row: require the declared kinds of the registers
+            # read, write the declared kind, fall through (and take the
+            # error or else edge)
+            reads, dst, epc, ed = row.parts(instr)
+            stored = reads[len(row.needs):]
+            for reg, need in zip(reads, row.needs):
+                if need == "top":
+                    stored.append(reg)
+                elif not self._require(idx, pc, op, regs[reg], kind_from_token(need)):
+                    return out
+            for reg in stored:
+                self._escape(regs[reg])
+                self._maybe_escape_closure(regs[reg])
+            if dst is None:
+                fall(list(regs))
+            else:
+                fall(write(dst, AbsVal(kind_from_token(row.gives))))
+            if epc is not None:
+                error = list(regs) if ed is None else write(ed, AbsVal(STR))
+                out.append((epc, (error, depths)))
         return out
 
     # ----------------------------------------------------------- call logic

@@ -180,16 +180,6 @@ class ImageGraph:
             stack.extend(self.edges.get(q, ()))
         return seen
 
-    def dangling_exports(self) -> list[tuple[str, str]]:
-        """(module, member) exports that resolve to no function or constant."""
-        missing: list[tuple[str, str]] = []
-        for module, members in self.exports.items():
-            for member in members:
-                qualified = f"{module}.{member}"
-                if qualified not in self.nodes and qualified not in self.constants:
-                    missing.append((module, member))
-        return missing
-
     def current_hashes(self) -> dict[str, str]:
         """qualified -> PTML hash, for nodes that have one."""
         return {

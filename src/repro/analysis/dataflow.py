@@ -1,35 +1,23 @@
-"""Bottom-up dataflow framework over TML terms.
+"""Path-carrying traversal of TML terms, shared by the analyses here.
 
-Two building blocks shared by the analyses in this package:
-
-* :func:`iter_with_paths` — preorder traversal yielding ``(node, path)`` where
-  ``path`` is the tuple of attribute steps from the root (the shape
-  :func:`repro.analysis.diagnostics.format_path` renders).  Like every core
-  traversal it is explicit-stack based: CPS chains are one application deep
-  per source statement and routinely exceed Python's recursion limit.
-
-* :class:`BottomUpAnalysis` — an iterative postorder fold.  Subclasses
-  override one hook per node kind; each hook receives the already-computed
-  results of the children, so an analysis is written as a local transfer
-  function and the framework supplies the (stack-safe) scheduling.  This is
-  the TML analogue of a classic bottom-up attribute evaluation; the usage
-  and size analyses here are built on it, and it is the intended extension
-  point for future analyses (escape, sharing, strictness...).
+:func:`iter_with_paths` is a preorder traversal yielding ``(node, path)``
+where ``path`` is the tuple of attribute steps from the root (the shape
+:func:`repro.analysis.diagnostics.format_path` renders).  Like every core
+traversal it is explicit-stack based: CPS chains are one application deep
+per source statement and routinely exceed Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generic, Iterator, TypeVar
+from typing import Iterator
 
-from repro.core.syntax import Abs, App, Lit, PrimApp, Term, Var
+from repro.core.syntax import Abs, App, PrimApp, Term
 
-__all__ = ["Path", "iter_with_paths", "BottomUpAnalysis"]
+__all__ = ["Path", "iter_with_paths"]
 
 #: A path is a tuple of steps: attribute names ("fn", "body") or
 #: ("args", index) pairs; see diagnostics.format_path.
 Path = tuple
-
-R = TypeVar("R")
 
 
 def iter_with_paths(term: Term) -> Iterator[tuple[Term, Path]]:
@@ -47,79 +35,3 @@ def iter_with_paths(term: Term) -> Iterator[tuple[Term, Path]]:
         elif isinstance(node, PrimApp):
             for index in range(len(node.args) - 1, -1, -1):
                 stack.append((node.args[index], path + (("args", index),)))
-
-
-class BottomUpAnalysis(Generic[R]):
-    """Iterative postorder fold over a TML tree.
-
-    ``run`` visits children before parents and hands each hook the child
-    results.  Hooks default to :meth:`default`, so a concrete analysis only
-    overrides the node kinds it cares about.
-    """
-
-    def run(self, term: Term) -> R:
-        EXPAND, BUILD = 0, 1
-        work: list[tuple[Term, Path, int]] = [(term, (), EXPAND)]
-        results: list[R] = []
-        while work:
-            node, path, phase = work.pop()
-            if phase == EXPAND:
-                if isinstance(node, Lit):
-                    results.append(self.lit(node, path))
-                elif isinstance(node, Var):
-                    results.append(self.var(node, path))
-                elif isinstance(node, Abs):
-                    work.append((node, path, BUILD))
-                    work.append((node.body, path + ("body",), EXPAND))
-                elif isinstance(node, App):
-                    work.append((node, path, BUILD))
-                    for index in range(len(node.args) - 1, -1, -1):
-                        work.append(
-                            (node.args[index], path + (("args", index),), EXPAND)
-                        )
-                    work.append((node.fn, path + ("fn",), EXPAND))
-                else:  # PrimApp
-                    work.append((node, path, BUILD))
-                    for index in range(len(node.args) - 1, -1, -1):
-                        work.append(
-                            (node.args[index], path + (("args", index),), EXPAND)
-                        )
-            else:  # BUILD
-                if isinstance(node, Abs):
-                    body = results.pop()
-                    results.append(self.abs(node, body, path))
-                elif isinstance(node, App):
-                    count = 1 + len(node.args)
-                    parts = results[-count:]
-                    del results[-count:]
-                    results.append(self.app(node, parts[0], parts[1:], path))
-                else:  # PrimApp
-                    count = len(node.args)
-                    args = list(results[-count:]) if count else []
-                    if count:
-                        del results[-count:]
-                    results.append(self.prim(node, args, path))
-        assert len(results) == 1
-        return results[0]
-
-    # ------------------------------------------------------------- hooks
-
-    def default(self, node: Term, path: Path) -> R:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not handle {type(node).__name__}"
-        )
-
-    def lit(self, node: Lit, path: Path) -> R:
-        return self.default(node, path)
-
-    def var(self, node: Var, path: Path) -> R:
-        return self.default(node, path)
-
-    def abs(self, node: Abs, body: R, path: Path) -> R:
-        return self.default(node, path)
-
-    def app(self, node: App, fn: R, args: list[R], path: Path) -> R:
-        return self.default(node, path)
-
-    def prim(self, node: PrimApp, args: list[R], path: Path) -> R:
-        return self.default(node, path)

@@ -3,8 +3,8 @@
 The profiler's dynamic pair counts (:class:`~repro.obs.profile.VMProfiler`,
 ``pairs``) say which *adjacent* opcode pairs dominate execution; this module
 says which of them a tiering VM may legally fuse into one superinstruction.
-The certificate is derived from the per-opcode trait table the VM itself is
-checked against (:data:`repro.machine.isa.OPCODE_TRAITS`), and the claim is
+The certificate is derived from the instruction table the VM itself is
+checked against (:data:`repro.machine.isa.OPS`), and the claim is
 deliberately strong — a certified pair ``(a, b)`` satisfies:
 
 * **no observable intermediate state** — after ``a`` and before ``b`` there
@@ -18,7 +18,7 @@ deliberately strong — a certified pair ``(a, b)`` satisfies:
   fusing cannot move a push/pop across an instruction boundary where a trap
   could unwind to the wrong handler.
 
-That leaves ``const/move/free/closure/fix/arr/vec`` as legal first halves —
+That leaves ``const/free/closure/fix/arr/vec`` as legal first halves —
 exactly the register-shuffling prefixes that dominate CPS bytecode — and
 any known opcode as the second half (the pair inherits its behavior).
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.machine.isa import OPCODE_TRAITS
+from repro.machine.isa import OPS
 
 __all__ = [
     "CertifiedPair",
@@ -87,8 +87,8 @@ class FusionReport:
 
 def certify_pair(first: str, second: str) -> str | None:
     """Why ``(first, second)`` may NOT fuse, or None when it is safe."""
-    t1 = OPCODE_TRAITS.get(first)
-    t2 = OPCODE_TRAITS.get(second)
+    t1 = OPS.get(first)
+    t2 = OPS.get(second)
     if t1 is None:
         return f"unknown opcode {first!r}"
     if t2 is None:

@@ -3,22 +3,25 @@
 Stored code outlives the compiler that produced it (the central risk of a
 persistent code representation), so the linker verifies every code object
 before it is persisted, loaded or executed.  Three phases per code object,
-applied recursively to nested codes:
+applied recursively to nested codes, then one over the whole family:
 
-1. **structural** — every instruction is a known opcode with the right
-   operand count and kinds; register / constant-pool / nested-code / jump
-   operands are in range; closure capture plans match the child code's free
-   slot count (``TAM001`` – ``TAM008``, ``TAM011``);
+1. **structural** — every instruction is a row of :data:`repro.machine.isa.OPS`
+   with the right operand count and kinds; register / constant-pool /
+   nested-code / jump operands are in range; closure capture plans match the
+   child code's free slot count (``TAM001`` – ``TAM008``, ``TAM011``);
 2. **control** — execution cannot fall off the end of the instruction
    stream: every path ends in a control transfer (``TAM009``);
 3. **dataflow** — forward definite-assignment analysis over the CFG: a
    register read must be dominated by a definition (parameters define the
    leading registers; the exception edges of arithmetic, ``ccall`` and
    ``extcall`` define their error register on the branch target).  Reads of
-   possibly-undefined registers are ``TAM010``.  A best-effort handler-depth
-   analysis reports ``popHandler`` without a local ``pushHandler`` as INFO
-   (``TAM020`` — legitimate when a continuation was materialized into its
-   own closure).
+   possibly-undefined registers are ``TAM010``;
+4. **handler depth** — on structurally sound code the abstract interpreter
+   (:func:`repro.analysis.absint.handler_diagnostics`) tracks the handler
+   stack depth per path across the whole family, continuations
+   materialized into their own closures included, and reports a
+   ``popHandler`` provably reachable at depth <= 0 as ``TAM020`` at WARNING
+   severity.
 
 The verifier accepts exactly what :mod:`repro.machine.codegen` emits and what
 :mod:`repro.machine.vm` executes; the property suite pins both directions.
@@ -26,13 +29,15 @@ The verifier accepts exactly what :mod:`repro.machine.codegen` emits and what
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.analysis.absint import handler_diagnostics
 from repro.analysis.diagnostics import (
     AnalysisError,
     Diagnostic,
     Severity,
 )
-from repro.machine.isa import CodeObject
+from repro.machine.isa import OPS, CodeObject
 
 __all__ = ["verify_code", "assert_verified", "TamVerificationError"]
 
@@ -64,65 +69,6 @@ def verify_code(root: CodeObject, name: str | None = None) -> list[Diagnostic]:
         # errors above already gate linking).
         found.extend(handler_diagnostics(root, name or root.name))
     return found
-
-
-# ---------------------------------------------------------------------------
-# per-opcode operand specifications
-# ---------------------------------------------------------------------------
-
-#: kinds: w=register write, r=register read, c=const index, k=code index,
-#: pc=jump target, pc?=jump target or None, rs=tuple of register reads,
-#: plan=closure capture plan, group=fix group, name=string, ew=register
-#: written on the exception edge, ew?=the same but unused when pc? is None.
-_SPECS: dict[str, tuple[str, ...]] = {
-    "const": ("w", "c"),
-    "move": ("w", "r"),
-    "free": ("w", "f"),
-    "closure": ("w", "k", "plan"),
-    "fix": ("group",),
-    "jump": ("pc",),
-    "add": ("w", "r", "r", "pc", "ew"),
-    "sub": ("w", "r", "r", "pc", "ew"),
-    "mul": ("w", "r", "r", "pc", "ew"),
-    "div": ("w", "r", "r", "pc", "ew"),
-    "rem": ("w", "r", "r", "pc", "ew"),
-    "lt": ("r", "r", "pc"),
-    "gt": ("r", "r", "pc"),
-    "le": ("r", "r", "pc"),
-    "ge": ("r", "r", "pc"),
-    "band": ("w", "r", "r"),
-    "bor": ("w", "r", "r"),
-    "bxor": ("w", "r", "r"),
-    "shl": ("w", "r", "r"),
-    "shr": ("w", "r", "r"),
-    "bnot": ("w", "r"),
-    "c2i": ("w", "r"),
-    "i2c": ("w", "r"),
-    "arr": ("w", "rs"),
-    "vec": ("w", "rs"),
-    "anew": ("w", "r", "r"),
-    "bnew": ("w", "r", "r"),
-    "aget": ("w", "r", "r"),
-    "aset": ("r", "r", "r"),
-    "bget": ("w", "r", "r"),
-    "bset": ("r", "r", "r"),
-    "asize": ("w", "r"),
-    "amove": ("r", "r", "r", "r", "r"),
-    "bmove": ("r", "r", "r", "r", "r"),
-    "case": ("r", "rs", "pcs", "pc?"),
-    "tailcall": ("r", "rs"),
-    "pushh": ("r",),
-    "poph": (),
-    "raise": ("r",),
-    "ccall": ("w", "r", "r", "pc", "ew"),
-    "extcall": ("name", "w", "rs", "pc?", "ew?"),
-    "print": ("r",),
-    "halt": ("r",),
-    "trapc": ("c",),
-}
-
-#: opcodes after which control never falls through to pc+1
-_TERMINAL = {"jump", "case", "tailcall", "raise", "halt", "trapc"}
 
 
 def _verify_one(code: CodeObject, path: str, found: list[Diagnostic]) -> None:
@@ -166,108 +112,157 @@ def _check_metadata(code: CodeObject, path: str, found: list[Diagnostic]) -> Non
         _err(found, "TAM009", "empty instruction stream", path)
 
 
+class _Site:
+    """The instruction the structural phase is looking at."""
+
+    __slots__ = ("code", "path", "found", "pc", "instr", "row")
+
+    def __init__(self, code: CodeObject, path: str, found: list[Diagnostic]):
+        self.code = code
+        self.path = path
+        self.found = found
+
+    def err(self, code: str, message: str) -> bool:
+        op = self.instr[0]
+        _err(self.found, code, f"opcode {op!r}: {message}", self.path, self.pc, op=op)
+        return False
+
+    def sibling(self, kind: str):
+        """The operand of this instruction that has kind ``kind``."""
+        return self.instr[1 + self.row.operands.index(kind)]
+
+
 def _check_instructions(code: CodeObject, path: str, found: list[Diagnostic]) -> bool:
     """Structural phase; returns False when later phases would be unsafe."""
     ok = True
-    nregs = code.nregs
-    limit = len(code.instrs)
+    site = _Site(code, path, found)
     for pc, instr in enumerate(code.instrs):
         if not isinstance(instr, tuple) or not instr:
             _err(found, "TAM001", f"not an instruction tuple: {instr!r}", path, pc)
             ok = False
             continue
         op = instr[0]
-        spec = _SPECS.get(op)
-        if spec is None:
+        row = OPS.get(op)
+        if row is None:
             _err(found, "TAM001", f"unknown opcode {op!r}", path, pc, op=str(op))
             ok = False
             continue
-        operands = instr[1:]
-        if len(operands) != len(spec):
+        site.pc, site.instr, site.row = pc, instr, row
+        if len(instr) - 1 != len(row.operands):
             _err(
                 found,
                 "TAM002",
-                f"opcode {op!r} takes {len(spec)} operand(s), got {len(operands)}",
+                f"opcode {op!r} takes {len(row.operands)} operand(s), "
+                f"got {len(instr) - 1}",
                 path,
                 pc,
                 op=op,
             )
             ok = False
             continue
-        for position, (kind, operand) in enumerate(zip(spec, operands)):
-            if not _check_operand(
-                kind, operand, position, op, code, nregs, limit, path, pc, found
-            ):
+        for position, kind in enumerate(row.operands):
+            if not _KINDS[kind][0](site, instr[1 + position], position):
                 ok = False
     return ok
 
 
-def _check_reg(value, what, op, nregs, path, pc, found) -> bool:
+# ---------------------------------------------------------------------------
+# operand kinds: each checker is ``(site, operand, what) -> bool`` where
+# ``what`` names the operand in a message — its position, or its role inside
+# a compound operand
+# ---------------------------------------------------------------------------
+
+
+def _reg(site: _Site, value, what) -> bool:
     if type(value) is not int:
-        _err(
-            found,
-            "TAM003",
-            f"opcode {op!r}: {what} must be a register index, got {value!r}",
-            path,
-            pc,
-            op=op,
+        if type(what) is int:
+            what = f"operand {what}"
+        return site.err("TAM003", f"{what} must be a register index, got {value!r}")
+    if not 0 <= value < site.code.nregs:
+        return site.err(
+            "TAM004", f"register {value} out of range (nregs={site.code.nregs})"
         )
-        return False
-    if not 0 <= value < nregs:
-        _err(
-            found,
-            "TAM004",
-            f"opcode {op!r}: register {value} out of range (nregs={nregs})",
-            path,
-            pc,
-            op=op,
-        )
-        return False
     return True
 
 
-def _check_pc(value, op, limit, path, pc, found) -> bool:
+def _pc(site: _Site, value, _what) -> bool:
     if type(value) is not int:
-        _err(
-            found,
-            "TAM003",
-            f"opcode {op!r}: jump target must be an int, got {value!r}",
-            path,
-            pc,
-            op=op,
-        )
-        return False
-    if not 0 <= value < limit:
-        _err(
-            found,
+        return site.err("TAM003", f"jump target must be an int, got {value!r}")
+    if not 0 <= value < len(site.code.instrs):
+        return site.err(
             "TAM007",
-            f"opcode {op!r}: jump target {value} out of range "
-            f"({limit} instruction(s))",
-            path,
-            pc,
-            op=op,
+            f"jump target {value} out of range "
+            f"({len(site.code.instrs)} instruction(s))",
         )
-        return False
     return True
 
 
-def _check_plan(plan, child_index, op, code, path, pc, found) -> bool:
+def _index(diagnostic: str, what: str, pool: str, unit: str):
+    """An index into one of the code object's tables."""
+
+    def check(site: _Site, value, _what) -> bool:
+        size = len(getattr(site.code, pool))
+        if type(value) is not int or not 0 <= value < size:
+            return site.err(
+                diagnostic, f"{what} {value!r} out of range ({size} {unit}(s))"
+            )
+        return True
+
+    return check
+
+
+_code_index = _index("TAM006", "nested-code index", "codes", "nested code")
+
+
+def _tuple_of(check, noun: str):
+    def check_all(site: _Site, value, position) -> bool:
+        if not isinstance(value, tuple):
+            return site.err("TAM003", f"operand {position} must be a {noun} tuple")
+        return all(check(site, item, "tuple element") for item in value)
+
+    return check_all
+
+
+_registers = _tuple_of(_reg, "register")
+_pcs = _tuple_of(_pc, "pc")
+
+
+def _branch_targets(site: _Site, value, position) -> bool:
+    """``pcs``: one target per tag register — the VM pairs them with ``zip``,
+    which would silently drop the unmatched ones."""
+    if not _pcs(site, value, position):
+        return False
+    tags = site.sibling("rs")
+    if isinstance(tags, tuple) and len(tags) != len(value):
+        return site.err(
+            "TAM002", f"{len(tags)} tag register(s) but {len(value)} branch target(s)"
+        )
+    return True
+
+
+def _optional_pc(site: _Site, value, position) -> bool:
+    return value is None or _pc(site, value, position)
+
+
+def _error_reg(site: _Site, value, position) -> bool:
+    """``ew?``: a register whenever the ``pc?`` edge that writes it exists."""
+    if value is None and site.sibling("pc?") is None:
+        return True
+    return _reg(site, value, position)
+
+
+def _plan(site: _Site, plan, child_index) -> bool:
     """A capture plan: ((kind, index), ...) matching the child's free slots."""
     if not isinstance(plan, tuple):
-        _err(found, "TAM003", f"opcode {op!r}: capture plan must be a tuple", path, pc)
-        return False
+        return site.err("TAM003", "capture plan must be a tuple")
+    code = site.code
     child = code.codes[child_index]
     if len(plan) != len(child.free_names):
-        _err(
-            found,
+        return site.err(
             "TAM008",
-            f"opcode {op!r}: capture plan has {len(plan)} entries; child "
+            f"capture plan has {len(plan)} entries; child "
             f"{child.name!r} has {len(child.free_names)} free slot(s)",
-            path,
-            pc,
-            op=op,
         )
-        return False
     ok = True
     for entry in plan:
         if (
@@ -275,175 +270,69 @@ def _check_plan(plan, child_index, op, code, path, pc, found) -> bool:
             or len(entry) != 2
             or entry[0] not in ("r", "f")
         ):
-            _err(
-                found,
-                "TAM008",
-                f"opcode {op!r}: malformed capture-plan entry {entry!r}",
-                path,
-                pc,
-                op=op,
-            )
-            ok = False
+            ok = site.err("TAM008", f"malformed capture-plan entry {entry!r}")
             continue
         kind, index = entry
         if kind == "r":
-            ok = _check_reg(index, "capture source", op, code.nregs, path, pc, found) and ok
+            ok = _reg(site, index, "capture source") and ok
         elif type(index) is not int or not 0 <= index < len(code.free_names):
-            _err(
-                found,
+            ok = site.err(
                 "TAM008",
-                f"opcode {op!r}: capture plan reads free slot {index!r}; this "
+                f"capture plan reads free slot {index!r}; this "
                 f"code has {len(code.free_names)} free slot(s)",
-                path,
-                pc,
-                op=op,
             )
-            ok = False
     return ok
 
 
-def _check_operand(
-    kind, operand, position, op, code, nregs, limit, path, pc, found
-) -> bool:
-    if kind in ("w", "r", "ew"):
-        return _check_reg(operand, f"operand {position}", op, nregs, path, pc, found)
-    if kind == "ew?":
-        if operand is None:
-            return True
-        return _check_reg(operand, f"operand {position}", op, nregs, path, pc, found)
-    if kind == "c":
-        if type(operand) is not int or not 0 <= operand < len(code.consts):
-            _err(
-                found,
-                "TAM005",
-                f"opcode {op!r}: constant index {operand!r} out of range "
-                f"({len(code.consts)} constant(s))",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        return True
-    if kind == "k":
-        if type(operand) is not int or not 0 <= operand < len(code.codes):
-            _err(
-                found,
-                "TAM006",
-                f"opcode {op!r}: nested-code index {operand!r} out of range "
-                f"({len(code.codes)} nested code(s))",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        return True
-    if kind == "f":
-        if type(operand) is not int or not 0 <= operand < len(code.free_names):
-            _err(
-                found,
-                "TAM004",
-                f"opcode {op!r}: free slot {operand!r} out of range "
-                f"({len(code.free_names)} free slot(s))",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        return True
-    if kind == "pc":
-        return _check_pc(operand, op, limit, path, pc, found)
-    if kind == "pc?":
-        if operand is None:
-            return True
-        return _check_pc(operand, op, limit, path, pc, found)
-    if kind == "rs":
-        if not isinstance(operand, tuple):
-            _err(
-                found,
-                "TAM003",
-                f"opcode {op!r}: operand {position} must be a register tuple",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        return all(
-            _check_reg(r, "tuple element", op, nregs, path, pc, found)
-            for r in operand
-        )
-    if kind == "pcs":
-        if not isinstance(operand, tuple):
-            _err(
-                found,
-                "TAM003",
-                f"opcode {op!r}: operand {position} must be a pc tuple",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        return all(_check_pc(target, op, limit, path, pc, found) for target in operand)
-    if kind == "plan":
-        # the code index was validated just before (spec order: w, k, plan)
-        child_index = None
-        if op == "closure":
-            child_index = code.instrs[pc][2]
-            if type(child_index) is not int or not 0 <= child_index < len(code.codes):
-                return False  # already reported by the k operand
-        return _check_plan(operand, child_index, op, code, path, pc, found)
-    if kind == "group":
-        if not isinstance(operand, tuple) or not operand:
-            _err(
-                found,
-                "TAM003",
-                "opcode 'fix': group must be a non-empty tuple",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        ok = True
-        for descriptor in operand:
-            if not isinstance(descriptor, tuple) or len(descriptor) != 3:
-                _err(
-                    found,
-                    "TAM003",
-                    f"opcode 'fix': malformed group descriptor {descriptor!r}",
-                    path,
-                    pc,
-                    op=op,
-                )
-                ok = False
-                continue
-            dst, child_index, plan = descriptor
-            ok = _check_reg(dst, "fix target", op, nregs, path, pc, found) and ok
-            if type(child_index) is not int or not 0 <= child_index < len(code.codes):
-                _err(
-                    found,
-                    "TAM006",
-                    f"opcode 'fix': nested-code index {child_index!r} out of "
-                    f"range ({len(code.codes)} nested code(s))",
-                    path,
-                    pc,
-                    op=op,
-                )
-                ok = False
-                continue
-            ok = _check_plan(plan, child_index, op, code, path, pc, found) and ok
-        return ok
-    if kind == "name":
-        if not isinstance(operand, str) or not operand:
-            _err(
-                found,
-                "TAM003",
-                f"opcode {op!r}: extension name must be a non-empty string",
-                path,
-                pc,
-                op=op,
-            )
-            return False
-        return True
-    raise AssertionError(f"unhandled operand kind {kind!r}")  # pragma: no cover
+def _closure_plan(site: _Site, plan, _position) -> bool:
+    child_index = site.sibling("k")
+    if type(child_index) is not int or not 0 <= child_index < len(site.code.codes):
+        return False  # already reported by the k operand
+    return _plan(site, plan, child_index)
+
+
+def _group(site: _Site, group, _position) -> bool:
+    if not isinstance(group, tuple) or not group:
+        return site.err("TAM003", "group must be a non-empty tuple")
+    ok = True
+    for descriptor in group:
+        if not isinstance(descriptor, tuple) or len(descriptor) != 3:
+            ok = site.err("TAM003", f"malformed group descriptor {descriptor!r}")
+            continue
+        dst, child_index, plan = descriptor
+        ok = _reg(site, dst, "fix target") and ok
+        ok = _code_index(site, child_index, None) and _plan(site, plan, child_index) and ok
+    return ok
+
+
+def _name(site: _Site, value, _position) -> bool:
+    if not isinstance(value, str) or not value:
+        return site.err("TAM003", "extension name must be a non-empty string")
+    return True
+
+
+#: operand kind -> (checker, flow role).  The role says which set of
+#: :func:`_instr_flow` the registers or pcs the operand names land in:
+#: ``def`` written on the fall-through path, ``use`` read, ``edge`` a branch
+#: target, ``edge-def`` written on the branch edges only; a ``plan`` uses the
+#: registers it captures, a ``group`` defines then uses; None names neither
+#: a register nor a pc.
+_KINDS = {
+    "w": (_reg, "def"),
+    "r": (_reg, "use"),
+    "rs": (_registers, "use"),
+    "c": (_index("TAM005", "constant index", "consts", "constant"), None),
+    "k": (_code_index, None),
+    "f": (_index("TAM004", "free slot", "free_names", "free slot"), None),
+    "plan": (_closure_plan, "plan"),
+    "group": (_group, "group"),
+    "pc": (_pc, "edge"),
+    "pcs": (_branch_targets, "edge"),
+    "pc?": (_optional_pc, "edge"),
+    "ew": (_reg, "edge-def"),
+    "ew?": (_error_reg, "edge-def"),
+    "name": (_name, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -451,62 +340,48 @@ def _check_operand(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _roles(operands: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
+    """``(position in the instruction, flow role)`` of the operands of a row
+    that have a role."""
+    return tuple(
+        (position, _KINDS[kind][1])
+        for position, kind in enumerate(operands, start=1)
+        if _KINDS[kind][1] is not None
+    )
+
+
+def _plan_reads(plan) -> list[int]:
+    return [index for source, index in plan if source == "r"]
+
+
 def _instr_flow(instr: tuple) -> tuple[set, set, list, bool]:
     """``(uses, fallthrough_defs, branch_edges, falls_through)`` for one instr.
 
     ``branch_edges`` is a list of ``(target_pc, defs_on_edge)``.
     """
-    op = instr[0]
-    spec = _SPECS[op]
-    uses: set[int] = set()
-    defs: set[int] = set()
-    branches: list[tuple[int, frozenset]] = []
-
-    if op == "closure":
-        uses = {i for kind, i in instr[3] if kind == "r"}
-        defs = {instr[1]}
-    elif op == "fix":
-        group = instr[1]
-        defs = {dst for dst, _k, _plan in group}
-        # plan registers are read after all group targets are assigned, so
-        # self-references are fine: treat the targets as defined first
-        uses = {
-            i
-            for _dst, _k, plan in group
-            for kind, i in plan
-            if kind == "r" and i not in defs
-        }
-    elif op == "case":
-        uses = {instr[1], *instr[2]}
-        branches = [(target, frozenset()) for target in instr[3]]
-        if instr[4] is not None:
-            branches.append((instr[4], frozenset()))
-    elif op == "tailcall":
-        uses = {instr[1], *instr[2]}
-    elif op == "extcall":
-        uses = set(instr[3])
-        defs = {instr[2]}
-        if instr[4] is not None:
-            branches = [(instr[4], frozenset({instr[5]}))]
-    elif op == "jump":
-        branches = [(instr[1], frozenset())]
-    else:
-        for kind, operand in zip(spec, instr[1:]):
-            if kind == "r":
-                uses.add(operand)
-            elif kind == "w":
-                defs.add(operand)
-            elif kind == "rs":
-                uses.update(operand)
-        if "pc" in spec and "ew" in spec:  # arith / ccall exception edge
-            epc = instr[1 + spec.index("pc")]
-            ed = instr[1 + spec.index("ew")]
-            branches = [(epc, frozenset({ed}))]
-        elif "pc" in spec:  # comparisons: plain two-way branch
-            branches = [(instr[1 + spec.index("pc")], frozenset())]
-
-    falls_through = op not in _TERMINAL
-    return uses, defs, branches, falls_through
+    row = OPS[instr[0]]
+    flow = {"use": set(), "def": set(), "edge": set(), "edge-def": set()}
+    for position, role in _roles(row.operands):
+        operand = instr[position]
+        if type(operand) is int:
+            flow[role].add(operand)
+        elif role == "plan":
+            flow["use"].update(_plan_reads(operand))
+        elif role == "group":
+            defs = flow["def"]
+            defs.update(dst for dst, _k, _plan in operand)
+            # plan registers are read after all group targets are assigned,
+            # so self-references are fine: the targets are defined first
+            flow["use"].update(
+                reg for _dst, _k, plan in operand for reg in _plan_reads(plan)
+                if reg not in defs
+            )
+        elif operand is not None:  # a tuple; None is an absent pc? / ew?
+            flow[role].update(operand)
+    edge_defs = frozenset(flow["edge-def"])
+    branches = [(target, edge_defs) for target in flow["edge"]]
+    return flow["use"], flow["def"], branches, not row.terminal
 
 
 def _check_dataflow(code: CodeObject, path: str, found: list[Diagnostic]) -> None:
@@ -557,5 +432,3 @@ def _check_dataflow(code: CodeObject, path: str, found: list[Diagnostic]) -> Non
                 pc,
                 registers=tuple(undefined),
             )
-
-

@@ -15,24 +15,13 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.machine.isa import CodeObject
+from repro.machine.isa import OPS, CodeObject
 from repro.store.serialize import Decoder, Encoder, SerializeError
 
 __all__ = ["encode_code", "decode_code", "binary_code_size"]
 
-#: stable opcode numbering for the TAM instruction set
-_OPCODES = [
-    "const", "move", "free", "closure", "fix", "jump",
-    "add", "sub", "mul", "div", "rem",
-    "lt", "gt", "le", "ge",
-    "band", "bor", "bxor", "shl", "shr", "bnot",
-    "c2i", "i2c",
-    "arr", "vec", "anew", "bnew",
-    "aget", "aset", "bget", "bset", "asize", "amove", "bmove",
-    "case", "tailcall", "pushh", "poph", "raise", "ccall",
-    "print", "halt", "trapc", "extcall",
-]
-_OP_INDEX = {name: index for index, name in enumerate(_OPCODES)}
+#: opcode byte -> name; a byte no row of the table claims does not decode
+_BY_NUMBER = {op.number: name for name, op in OPS.items()}
 
 # operand micro-tags
 _O_INT = 0
@@ -113,11 +102,10 @@ def _encode_one(enc: Encoder, code: CodeObject, root: bool) -> None:
     body = Encoder()
     body.uvarint(len(code.instrs))
     for instr in code.instrs:
-        op = instr[0]
-        opcode = _OP_INDEX.get(op)
-        if opcode is None:
-            raise SerializeError(f"unknown opcode {op!r}")
-        body.buf.append(opcode)
+        row = OPS.get(instr[0])
+        if row is None:
+            raise SerializeError(f"unknown opcode {instr[0]!r}")
+        body.buf.append(row.number)
         body.uvarint(len(instr) - 1)
         for operand in instr[1:]:
             _encode_operand(body, operand, strings)
@@ -175,11 +163,12 @@ def _decode_one(dec: Decoder, root: bool, counter: list[int]) -> CodeObject:
     instrs = []
     for _ in range(body.uvarint()):
         opcode = body.byte()
-        if opcode >= len(_OPCODES):
+        op = _BY_NUMBER.get(opcode)
+        if op is None:
             raise SerializeError(f"bad opcode {opcode}")
         count = body.uvarint()
         operands = tuple(_decode_operand(body, strings) for _ in range(count))
-        instrs.append((_OPCODES[opcode],) + operands)
+        instrs.append((op,) + operands)
     consts = list(dec.value())
     if root:
         free_names = dec.value()

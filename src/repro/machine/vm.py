@@ -153,11 +153,6 @@ class VM:
             )
         return self._run(closure, full_args)
 
-    def run_code(self, code: CodeObject, bindings: dict | None = None) -> VMResult:
-        """Instantiate and run a nullary-value procedure ``proc(ce cc)``."""
-        closure = instantiate(code, bindings)
-        return self.call(closure, [])
-
     # ------------------------------------------------------------ main loop
 
     def _run(self, closure: VMClosure, args: list[Any]) -> VMResult:
@@ -253,8 +248,6 @@ class VM:
                 if type(value) is Oid and self.store is not None:
                     value = self.store.load(value)
                 regs[instr[1]] = value
-            elif op == "move":
-                regs[instr[1]] = regs[instr[2]]
             elif op == "free":
                 regs[instr[1]] = free[instr[2]]
             elif op == "closure":
@@ -273,10 +266,6 @@ class VM:
                 for vmclosure, plan in created:
                     for slot, (kind, i) in enumerate(plan):
                         vmclosure.free[slot] = regs[i] if kind == "r" else free[i]
-            elif op == "jump":
-                self.instructions = counted
-                pc = instr[1]
-                continue
             elif op in ("add", "sub", "mul"):
                 _, dst, ra, rb, epc, ed = instr
                 a, b = regs[ra], regs[rb]
@@ -382,7 +371,9 @@ class VM:
                     slots = target.slots
                 else:
                     raise _VMTrap(TYPE_ERROR)
-                if type(i) is not int or not 0 <= i < len(slots):
+                if type(i) is not int:
+                    raise _VMTrap(TYPE_ERROR)
+                if not 0 <= i < len(slots):
                     raise _VMTrap(BOUNDS_ERROR)
                 regs[instr[1]] = slots[i]
             elif op == "aset":
@@ -390,7 +381,9 @@ class VM:
                 self.instructions = counted
                 if not isinstance(target, TmlArray):
                     raise _VMTrap(TYPE_ERROR)
-                if type(i) is not int or not 0 <= i < len(target.slots):
+                if type(i) is not int:
+                    raise _VMTrap(TYPE_ERROR)
+                if not 0 <= i < len(target.slots):
                     raise _VMTrap(BOUNDS_ERROR)
                 target.slots[i] = value
             elif op == "bget":
@@ -398,7 +391,9 @@ class VM:
                 self.instructions = counted
                 if not isinstance(target, TmlByteArray):
                     raise _VMTrap(TYPE_ERROR)
-                if type(i) is not int or not 0 <= i < len(target.data):
+                if type(i) is not int:
+                    raise _VMTrap(TYPE_ERROR)
+                if not 0 <= i < len(target.data):
                     raise _VMTrap(BOUNDS_ERROR)
                 regs[instr[1]] = target.data[i]
             elif op == "bset":
@@ -406,7 +401,9 @@ class VM:
                 self.instructions = counted
                 if not isinstance(target, TmlByteArray):
                     raise _VMTrap(TYPE_ERROR)
-                if type(i) is not int or not 0 <= i < len(target.data):
+                if type(i) is not int:
+                    raise _VMTrap(TYPE_ERROR)
+                if not 0 <= i < len(target.data):
                     raise _VMTrap(BOUNDS_ERROR)
                 if type(value) is not int:
                     raise _VMTrap(TYPE_ERROR)
@@ -495,9 +492,6 @@ class VM:
             elif op == "halt":
                 self.instructions = counted
                 raise _VMHalt(regs[instr[1]])
-            elif op == "trapc":
-                self.instructions = counted
-                raise _VMTrap(consts[instr[1]])
             else:  # pragma: no cover - defensive
                 raise MachineError(f"unknown opcode {op!r}")
 

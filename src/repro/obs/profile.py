@@ -65,10 +65,6 @@ class VMProfiler:
     def total_instructions(self) -> int:
         return sum(self.opcodes.values())
 
-    @property
-    def total_invocations(self) -> int:
-        return sum(s.invocations for s in self.closures.values())
-
     def hot_closures(
         self, top: int | None = None, key: str = "instructions"
     ) -> list[tuple[str, ClosureStats]]:

@@ -27,31 +27,10 @@ from __future__ import annotations
 
 from repro.core.names import Name, NameSupply
 from repro.core.syntax import Abs, App, Application, Lit, PrimApp, Value, Var
-from repro.machine.isa import CodeObject
+from repro.machine.isa import OPS, CodeObject, Op
 from repro.reflect.reach import ReflectError
 
 __all__ = ["decompile_code"]
-
-#: opcode -> (primitive, has exception continuation) for the regular
-#: result-producing instructions
-_SIMPLE_PRIMS = {
-    "add": ("+", True),
-    "sub": ("-", True),
-    "mul": ("*", True),
-    "div": ("/", True),
-    "rem": ("%", True),
-    "band": ("band", False),
-    "bor": ("bor", False),
-    "bxor": ("bxor", False),
-    "shl": ("shl", False),
-    "shr": ("shr", False),
-    "bnot": ("bnot", False),
-    "c2i": ("char2int", False),
-    "i2c": ("int2char", False),
-}
-
-_CMP_PRIMS = {"lt": "<", "gt": ">", "le": "<=", "ge": ">="}
-
 
 def decompile_code(code: CodeObject, supply: NameSupply | None = None) -> Abs:
     """Invert code generation: rebuild a TML abstraction from TAM code.
@@ -147,16 +126,11 @@ class _Decompiler:
             # -- register moves: no TML node, just environment updates
             if op == "const":
                 regs[instr[1]] = self._const(instr[2])
-            elif op == "move":
-                regs[instr[1]] = regs[instr[2]]
             elif op == "free":
                 regs[instr[1]] = self._free_var(instr[2])
             elif op == "closure":
                 _, dst, code_index, plan = instr
                 regs[dst] = self._nested(code_index, plan, regs)
-            elif op == "jump":
-                pc = instr[1]
-                continue
             elif op == "pushh":
                 return PrimApp(
                     "pushHandler",
@@ -166,42 +140,14 @@ class _Decompiler:
                 return PrimApp("popHandler", (self._cont_for(pc + 1, regs, None),))
             elif op == "raise":
                 return PrimApp("raise", (regs[instr[1]],))
-            elif op == "print":
-                return PrimApp(
-                    "print",
-                    (regs[instr[1]], self._unit_cont(pc + 1, regs)),
-                )
             elif op == "halt":
                 return PrimApp("halt", (regs[instr[1]],))
-            elif op == "trapc":
-                return PrimApp("raise", (self._const(instr[1]),))
             elif op == "tailcall":
                 fn = regs[instr[1]]
                 args = tuple(regs[i] for i in instr[2])
                 if isinstance(fn, Lit):
                     raise ReflectError("tailcall through a literal")
                 return App(fn, args)
-            elif op in _SIMPLE_PRIMS:
-                prim, has_exc = _SIMPLE_PRIMS[op]
-                if has_exc:
-                    _, dst, ra, rb, epc, ed = instr
-                    exc = self._cont_for(epc, regs, ed, base="e")
-                    normal = self._cont_for(pc + 1, regs, dst)
-                    return PrimApp(prim, (regs[ra], regs[rb], exc, normal))
-                if op in ("bnot", "c2i", "i2c"):
-                    _, dst, ra = instr
-                    return PrimApp(
-                        prim, (regs[ra], self._cont_for(pc + 1, regs, dst))
-                    )
-                _, dst, ra, rb = instr
-                return PrimApp(
-                    prim, (regs[ra], regs[rb], self._cont_for(pc + 1, regs, dst))
-                )
-            elif op in _CMP_PRIMS:
-                _, ra, rb, else_pc = instr
-                then_c = self._cont_for(pc + 1, regs, None)
-                else_c = self._cont_for(else_pc, regs, None)
-                return PrimApp(_CMP_PRIMS[op], (regs[ra], regs[rb], then_c, else_c))
             elif op == "case":
                 _, rs, tag_regs, pcs, else_pc = instr
                 tags = tuple(regs[i] for i in tag_regs)
@@ -210,66 +156,6 @@ class _Decompiler:
                 if else_pc is not None:
                     args += (self._cont_for(else_pc, regs, None),)
                 return PrimApp("==", args)
-            elif op == "arr":
-                _, dst, arg_regs = instr
-                return PrimApp(
-                    "array",
-                    tuple(regs[i] for i in arg_regs)
-                    + (self._cont_for(pc + 1, regs, dst),),
-                )
-            elif op == "vec":
-                _, dst, arg_regs = instr
-                return PrimApp(
-                    "vector",
-                    tuple(regs[i] for i in arg_regs)
-                    + (self._cont_for(pc + 1, regs, dst),),
-                )
-            elif op == "anew":
-                _, dst, rn, ri = instr
-                return PrimApp(
-                    "new", (regs[rn], regs[ri], self._cont_for(pc + 1, regs, dst))
-                )
-            elif op == "bnew":
-                _, dst, rn, ri = instr
-                return PrimApp(
-                    "$new", (regs[rn], regs[ri], self._cont_for(pc + 1, regs, dst))
-                )
-            elif op == "aget":
-                _, dst, ra, ri = instr
-                return PrimApp(
-                    "[]", (regs[ra], regs[ri], self._cont_for(pc + 1, regs, dst))
-                )
-            elif op == "bget":
-                _, dst, ra, ri = instr
-                return PrimApp(
-                    "$[]", (regs[ra], regs[ri], self._cont_for(pc + 1, regs, dst))
-                )
-            elif op == "aset":
-                _, ra, ri, rv = instr
-                return PrimApp(
-                    "[]:=",
-                    (regs[ra], regs[ri], regs[rv], self._unit_cont(pc + 1, regs)),
-                )
-            elif op == "bset":
-                _, ra, ri, rv = instr
-                return PrimApp(
-                    "$[]:=",
-                    (regs[ra], regs[ri], regs[rv], self._unit_cont(pc + 1, regs)),
-                )
-            elif op == "asize":
-                _, dst, ra = instr
-                return PrimApp("size", (regs[ra], self._cont_for(pc + 1, regs, dst)))
-            elif op == "amove":
-                values = tuple(regs[i] for i in instr[1:6])
-                return PrimApp("move", values + (self._unit_cont(pc + 1, regs),))
-            elif op == "bmove":
-                values = tuple(regs[i] for i in instr[1:6])
-                return PrimApp("$move", values + (self._unit_cont(pc + 1, regs),))
-            elif op == "ccall":
-                _, dst, rf, rv, epc, ed = instr
-                exc = self._cont_for(epc, regs, ed, base="e")
-                normal = self._cont_for(pc + 1, regs, dst)
-                return PrimApp("ccall", (regs[rf], regs[rv], exc, normal))
             elif op == "extcall":
                 _, name, dst, arg_regs, epc, ed = instr
                 values = tuple(regs[i] for i in arg_regs)
@@ -282,9 +168,26 @@ class _Decompiler:
                 return PrimApp(name, values + (exc, normal))
             elif op == "fix":
                 return self._fix(instr[1], pc + 1, regs)
-            else:  # pragma: no cover - defensive
-                raise ReflectError(f"cannot decompile opcode {op!r}")
+            else:
+                row = OPS.get(op)
+                if row is None or row.prim is None:  # pragma: no cover - defensive
+                    raise ReflectError(f"cannot decompile opcode {op!r}")
+                return self._prim_app(row, instr, pc, regs)
             pc += 1
+
+    def _prim_app(self, row: Op, instr: tuple, pc: int, regs: dict[int, Value]) -> PrimApp:
+        """Invert a regular emitter: the values read, then the continuations."""
+        reads, dst, epc, ed = row.parts(instr)
+        values = tuple(regs[i] for i in reads)
+        if epc is not None and ed is None:  # a comparison: then / else
+            conts = (self._cont_for(pc + 1, regs, None), self._cont_for(epc, regs, None))
+        else:
+            exc = () if epc is None else (self._cont_for(epc, regs, ed, base="e"),)
+            if dst is None:  # a store or print: its continuation takes unit
+                conts = exc + (self._unit_cont(pc + 1, regs),)
+            else:
+                conts = exc + (self._cont_for(pc + 1, regs, dst),)
+        return PrimApp(row.prim, values + conts)
 
     def _unit_cont(self, pc: int, regs: dict[int, Value]) -> Abs:
         """A 1-ary continuation that ignores the unit result."""

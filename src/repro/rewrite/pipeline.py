@@ -54,10 +54,6 @@ class OptimizerConfig:
     def reduction_only(cls) -> "OptimizerConfig":
         return cls(expansion_enabled=False)
 
-    @classmethod
-    def with_rules(cls, rules: RuleConfig) -> "OptimizerConfig":
-        return cls(rules=rules)
-
 
 @dataclass(frozen=True, slots=True)
 class OptimizeResult:

@@ -158,10 +158,6 @@ class Txn:
         self.version = version
         self._open = True
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def commit(self) -> None:
         """Publish (write) or simply end (read) the transaction."""
         if not self._open:

@@ -10,7 +10,7 @@ from repro.analysis.fusion import (
 )
 from repro.bench.stanford import PROGRAMS
 from repro.lang import TycoonSystem
-from repro.machine.isa import OPCODE_TRAITS
+from repro.machine.isa import OPS
 from repro.obs import profile_call
 
 
@@ -19,7 +19,7 @@ class TestCertifyPair:
         # const writes one register, cannot trap, observes nothing
         assert certify_pair("const", "add") is None
         assert certify_pair("const", "tailcall") is None
-        assert certify_pair("move", "aget") is None
+        assert certify_pair("free", "aget") is None
 
     def test_negative_control_trapping_first(self):
         # band can trap (typeError) to the handler stack mid-pair: the
@@ -39,7 +39,7 @@ class TestCertifyPair:
         assert certify_pair("const", "poph") is not None
 
     def test_negative_control_branching_first(self):
-        assert certify_pair("jump", "const") is not None
+        assert certify_pair("lt", "const") is not None
         assert certify_pair("case", "const") is not None
 
     def test_negative_control_memory_writer_first(self):
@@ -53,7 +53,7 @@ class TestCertifyPair:
     def test_every_certifiable_first_op_is_pure_register_traffic(self):
         # exhaustively: any opcode certify_pair accepts in first position
         # must have the no-observable-intermediate-state trait profile
-        for op, traits in OPCODE_TRAITS.items():
+        for op, traits in OPS.items():
             if certify_pair(op, "const") is None:
                 assert not traits.terminal
                 assert not traits.branches
@@ -66,17 +66,17 @@ class TestCertifyPair:
 class TestCertifyPairs:
     def test_ranked_by_count(self):
         report = certify_pairs(
-            {("const", "add"): 5, ("move", "add"): 50, ("add", "const"): 99}
+            {("const", "add"): 5, ("free", "add"): 50, ("add", "const"): 99}
         )
         assert isinstance(report, FusionReport)
         certified = [(c.first, c.second) for c in report.certified]
-        assert certified == [("move", "add"), ("const", "add")]
+        assert certified == [("free", "add"), ("const", "add")]
         assert [(r.first, r.second) for r in report.rejected] == [("add", "const")]
         assert report.rejected[0].reason
 
     def test_top_bounds_the_candidates(self):
         report = certify_pairs(
-            {("const", "add"): 5, ("move", "add"): 50}, top=1
+            {("const", "add"): 5, ("free", "add"): 50}, top=1
         )
         assert len(report.certified) + len(report.rejected) == 1
 

@@ -67,7 +67,7 @@ class TestStructuralPhase:
 
     def test_register_out_of_range_tam004(self, codes):
         code = codes["inc"]
-        bad = mutate(code, 0, ("move", code.nregs + 5, 0))
+        bad = mutate(code, 0, ("bnot", code.nregs + 5, 0))
         found = errors(verify_code(bad))
         assert {d.code for d in found} == {"TAM004"}
         assert "out of range" in found[0].message
@@ -80,12 +80,12 @@ class TestStructuralPhase:
 
     def test_jump_target_out_of_range_tam007(self, codes):
         code = codes["inc"]
-        bad = mutate(code, 0, ("jump", len(code.instrs) + 3))
+        bad = mutate(code, 0, ("lt", 0, 0, len(code.instrs) + 3))
         found = errors(verify_code(bad))
         assert "TAM007" in {d.code for d in found}
 
     def test_operand_kind_tam003(self, codes):
-        bad = mutate(codes["inc"], 0, ("move", "zero", 0))
+        bad = mutate(codes["inc"], 0, ("bnot", "zero", 0))
         assert {d.code for d in errors(verify_code(bad))} == {"TAM003"}
 
     def test_metadata_tam011(self, codes):
@@ -93,12 +93,42 @@ class TestStructuralPhase:
         bad = dataclasses.replace(code, nregs=len(code.params) - 1)
         assert "TAM011" in {d.code for d in verify_code(bad)}
 
+    @staticmethod
+    def _proc(*instrs):
+        from repro.core.names import NameSupply
+        from repro.machine.isa import CodeObject
+
+        supply = NameSupply()
+        params = (supply.fresh_val("x"), supply.fresh_cont("ce"), supply.fresh_cont("cc"))
+        return CodeObject("p", params, nregs=4, instrs=list(instrs), is_proc=True)
+
+    def test_case_with_unpaired_tag_tam002(self):
+        """One branch target per tag register: the VM pairs them with
+        ``zip`` and would silently never match the extra tag."""
+        ret = ("tailcall", 2, (0,))
+        assert verify_code(self._proc(("case", 0, (0,), (1,), None), ret)) == []
+        found = verify_code(self._proc(("case", 0, (0, 0), (1,), None), ret))
+        assert [d.code for d in found] == ["TAM002"]
+        assert "2 tag register(s) but 1 branch target(s)" in found[0].message
+
+    def test_extcall_error_edge_without_register_tam003(self):
+        """An ``extcall`` with an error edge writes the raised value through
+        its ``ew?`` operand: ``None`` there used to pass the structural phase
+        and crash the abstract interpreter (and the VM) with a TypeError."""
+        ret, fail = ("tailcall", 2, (3,)), ("tailcall", 1, (0,))
+        for epc, ed in ((2, 3), (None, None), (None, 3)):  # the last: what
+            # the query emitters produce for a primitive without a ``ce``
+            good = self._proc(("extcall", "count", 3, (0,), epc, ed), ret, fail)
+            assert verify_code(good) == []
+        bad = self._proc(("extcall", "count", 3, (0,), 2, None), ret, fail)
+        assert [d.code for d in verify_code(bad)] == ["TAM003"]
+
 
 class TestDataflowPhase:
     def test_read_before_definition_tam010(self, codes):
         code = codes["inc"]
         fresh = code.nregs  # a register nothing ever writes
-        bad = mutate(code, 0, ("move", 0, fresh), nregs=code.nregs + 1)
+        bad = mutate(code, 0, ("bnot", 0, fresh), nregs=code.nregs + 1)
         found = errors(verify_code(bad))
         assert "TAM010" in {d.code for d in found}
         assert any(str(fresh) in d.message for d in found)
@@ -115,16 +145,16 @@ class TestDataflowPhase:
         ed = instr[5]
         # reading ed right after the add (fallthrough path) must be flagged
         instrs = list(code.instrs)
-        instrs.insert(pc + 1, ("move", instr[1], ed))
+        instrs.insert(pc + 1, ("bnot", instr[1], ed))
         bad = dataclasses.replace(code, instrs=instrs)
         found = verify_code(bad)
         assert "TAM010" in {d.code for d in found}
 
     def test_fall_off_end_tam009(self, codes):
         code = codes["inc"]
-        # replace the terminal tailcall with a non-terminal move
+        # replace the terminal tailcall with a non-terminal bnot
         pc = len(code.instrs) - 1
-        bad = mutate(code, pc, ("move", 0, 0))
+        bad = mutate(code, pc, ("bnot", 0, 0))
         assert "TAM009" in {d.code for d in errors(verify_code(bad))}
 
 

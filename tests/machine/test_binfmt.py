@@ -100,3 +100,27 @@ def test_corrupt_image_rejected():
         decode_code(data + b"\x00")
     with pytest.raises(SerializeError):
         decode_code(data[:-2])
+
+
+def test_stored_format_is_pinned():
+    """Stored images outlive the instruction table: the bytes every compiler
+    path produces for the stdlib and the Stanford suite are the bytes they
+    were when opcode numbers were positions in a list (PR 17 moved them into
+    ``isa.OPS``).  A renumbered opcode or a changed emitter shows up here."""
+    import hashlib
+
+    from repro.bench.stanford import PROGRAMS
+    from repro.lang.modules import CompileOptions, compile_stdlib
+
+    modules = dict(compile_stdlib(CompileOptions()))
+    modules.update(
+        (f"stanford:{name}", compile_module(spec.source))
+        for name, spec in PROGRAMS.items()
+    )
+    digest = hashlib.sha256()
+    for _, module in sorted(modules.items()):
+        for _, function in sorted(module.functions.items()):
+            digest.update(encode_code(function.code))
+    assert digest.hexdigest() == (
+        "59e5639de43f928db4e7bf5a18be52666bbddcc6607dc09978568f43f4511b28"
+    )

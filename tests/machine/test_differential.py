@@ -145,3 +145,25 @@ def test_instruction_counts_drop_after_optimization():
     fast = run_vm_opt((5,))
     assert plain.value == fast.value == 7
     assert fast.instructions < plain.instructions
+
+
+@pytest.mark.parametrize(
+    "access",
+    [
+        "(new 3 5 cont(x) ([] x i cc))",
+        "(new 3 5 cont(x) ([]:= x i 0 cc))",
+        "($new 3 5 cont(x) ($[] x i cc))",
+        "($new 3 5 cont(x) ($[]:= x i 0 cc))",
+    ],
+)
+@pytest.mark.parametrize("index", [True, "1", 1.0])
+def test_non_integer_index_is_a_type_error_everywhere(access, index):
+    """The VM used to fold the index's type test into its range test and
+    answer boundsError where the interpreter says typeError."""
+    for run in _engines(f"proc(i ce cc) {access}", default_registry()):
+        with pytest.raises(UncaughtTmlException) as trapped:
+            run((index,))
+        assert trapped.value.value == "typeError"
+        with pytest.raises(UncaughtTmlException) as trapped:
+            run((3,))
+        assert trapped.value.value == "boundsError"
