@@ -523,7 +523,10 @@ def _cmd_backup(args: argparse.Namespace) -> int:
 
     The first backup into an empty destination is always full; later runs
     default to incremental (ship the archive segments the destination
-    lacks) unless ``--full`` forces a fresh base.
+    lacks) unless ``--full`` forces a fresh base — or the destination
+    holds segments of an older commit-log format, which no restore can
+    replay: appending to them would grow a backup that cannot be restored
+    past its base, so a new base is taken instead.
     """
     import json
 
@@ -532,13 +535,22 @@ def _cmd_backup(args: argparse.Namespace) -> int:
         backup_info,
         full_backup,
         incremental_backup,
+        stale_segments,
     )
 
     mode = "full"
     if not args.full:
         try:
             backup_info(args.dest)
-            mode = "incremental"
+            stale = stale_segments(os.path.join(args.dest, "archive"))
+            if stale:
+                print(
+                    f"note: {args.dest!r} holds {len(stale)} archive segment(s) "
+                    "of an older commit-log format; taking a new full backup",
+                    file=sys.stderr,
+                )
+            else:
+                mode = "incremental"
         except ArchiveError:
             mode = "full"
     try:

@@ -307,12 +307,9 @@ def repair_from_upstream(
                 time.sleep(settle)
                 continue
             with txns.lock.write_locked(lock_timeout):
-                # bytes only: keep the replica's own roots and OID counter,
-                # so its replication cursor and logical state are untouched
-                roots = {
-                    name: int(heap.root(name)) for name in heap.root_names()
-                }
-                heap.apply_changes(objects, roots, 0)
+                # bytes only: no root delta and no OID-counter advance, so
+                # its replication cursor and logical state are untouched
+                heap.apply_changes(objects, {}, (), 0)
             txns.bump()
             report["objects_applied"] += len(objects)
             _REPAIR_OBJECTS.inc(len(objects))

@@ -93,19 +93,24 @@ REPL_ROOT = "__replication__"
 TWOPC_STAGING_PREFIX = "__2pc__:"
 
 
-def _twopc_meta(changes: ChangeSet, before: set[str]) -> dict:
+def _twopc_meta(changes: ChangeSet, staging: set[str]) -> dict:
     """Commit-log ``meta`` for a 2PC phase transition (empty otherwise).
 
-    ``before`` is the staging-root set of the previous record; comparing
-    it with the committed root directory classifies the commit: a staging
-    root appearing is a *prepare*, one disappearing is a *decide* (the
-    participant applied or rolled back and retired the staging record).
+    ``staging`` is the set of staging roots the committed image held
+    before this commit, and is brought up to date here.  The commit's own
+    root delta classifies it: a staging root it binds that was not there
+    is a *prepare*, one it unbinds is a *decide* (the participant applied
+    or rolled back and retired the staging record).
     """
-    after = {
-        name for name in changes.roots if name.startswith(TWOPC_STAGING_PREFIX)
+    appeared = {
+        n for n in changes.roots
+        if n.startswith(TWOPC_STAGING_PREFIX) and n not in staging
     }
-    prepared = sorted(n[len(TWOPC_STAGING_PREFIX):] for n in after - before)
-    decided = sorted(n[len(TWOPC_STAGING_PREFIX):] for n in before - after)
+    retired = staging.intersection(changes.removed)
+    staging |= appeared
+    staging -= retired
+    prepared = sorted(n[len(TWOPC_STAGING_PREFIX):] for n in appeared)
+    decided = sorted(n[len(TWOPC_STAGING_PREFIX):] for n in retired)
     meta: dict = {}
     if prepared:
         meta["twopc"] = prepared[0] if len(prepared) == 1 else prepared
@@ -200,7 +205,7 @@ class PrimaryReplication:
         self.log = _open_log(log_path, self.version, state["term"])
         self._pending = self.version
         #: staging roots present in the committed image — the baseline the
-        #: next commit's 2PC phase classification diffs against
+        #: next commit's 2PC phase classification reads (kept by _twopc_meta)
         self._staging = {
             n for n in heap.root_names() if n.startswith(TWOPC_STAGING_PREFIX)
         }
@@ -237,9 +242,6 @@ class PrimaryReplication:
     def _change_sink(self, changes: ChangeSet) -> None:
         self.version = self._pending
         meta = _twopc_meta(changes, self._staging)
-        self._staging = {
-            n for n in changes.roots if n.startswith(TWOPC_STAGING_PREFIX)
-        }
         # the sink runs on the committing request's thread: whatever trace
         # context the daemon activated for that request is current here, so
         # the record carries the originating trace end-to-end
@@ -249,7 +251,8 @@ class PrimaryReplication:
             term=self.term,
             oid_counter=changes.oid_counter,
             objects=changes.objects,
-            roots=dict(changes.roots),
+            roots=changes.roots,
+            removed=changes.removed,
             node=self.node,
             trace_id=ctx.trace_id if ctx is not None else "",
             committed_ts_us=int(time.time() * 1_000_000),
@@ -663,8 +666,9 @@ class ReplicaFollower:
                 ):
                     with self.txns.lock.write_locked(timeout=self.connect_timeout):
                         self.heap.apply_changes(
-                            list(record.objects),
-                            dict(record.roots),
+                            record.objects,
+                            record.roots,
+                            record.removed,
                             record.oid_counter,
                         )
                         self.txns.bump()

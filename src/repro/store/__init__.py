@@ -1,12 +1,13 @@
 """The persistent object store (paper sections 2.2 and 4.1).
 
 Layers: :mod:`repro.store.pager` (checksummed page file with dual-header
-commits) → :mod:`repro.store.heap` (OID → object, roots, atomic commit) →
+commits) → :mod:`repro.store.heap` (OID → object, roots, atomic commit;
+its durable directory is the record chain of :mod:`repro.store.table`) →
 :mod:`repro.store.serialize` (value codec with domain extensions) and
 :mod:`repro.store.ptml` (the compact persistent TML encoding attached to
 compiled functions).  Durability tooling: :mod:`repro.store.faults`
 (fault-injecting file layer), :mod:`repro.store.fsck` (offline
-check/repair) and :mod:`repro.store.format` (v1 → v2 migration); the
+check/repair) and :mod:`repro.store.format` (v1 migration); the
 chaos suites that prove it live in :mod:`repro.testing.chaos`; see
 docs/durability.md.
 """

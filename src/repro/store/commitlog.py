@@ -3,11 +3,11 @@
 Every committed transaction of a replicated image is captured as one
 logical :class:`ChangeRecord`: the serialized payload of each object the
 commit wrote (exactly the bytes :meth:`repro.store.heap.ObjectHeap.commit`
-put on disk), the full root directory after the commit, the OID counter,
-and the replication coordinates — a monotone ``version`` and the fencing
-``term`` of the primary that produced it.  Records are what a primary
-appends locally and streams to replicas, and what a replica applies inside
-a write transaction (:mod:`repro.server.replication`).
+put on disk), the roots the commit bound, rebound or unbound, the OID
+counter, and the replication coordinates — a monotone ``version`` and the
+fencing ``term`` of the primary that produced it.  Records are what a
+primary appends locally and streams to replicas, and what a replica
+applies inside a write transaction (:mod:`repro.server.replication`).
 
 On disk a :class:`CommitLog` is an append-only file of framed records::
 
@@ -77,10 +77,13 @@ MAGIC = b"TYLG"
 #: replicas can report commit-to-apply latency.  Format 3 adds ``meta``,
 #: a small JSON annotation layer the sharding subsystem stamps two-phase
 #: commit phases into (``{"twopc": "<txn>", "phase": "prepare"}``), making
-#: in-doubt transactions visible from the log alone.  Older-format logs
-#: are reset on open: the log is a sidecar of the image (the image is the
-#: truth), so dropping it only costs followers a snapshot resync.
-LOG_FORMAT = 3
+#: in-doubt transactions visible from the log alone.  Format 4 makes the
+#: record a delta: ``roots`` holds only the roots the commit bound or
+#: rebound and ``removed`` the ones it unbound, where format 3 carried the
+#: whole root directory in every record.  Older-format logs are reset on
+#: open: the log is a sidecar of the image (the image is the truth), so
+#: dropping it only costs followers a snapshot resync.
+LOG_FORMAT = 4
 _HEADER = struct.Struct("<4sI")
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
@@ -101,8 +104,11 @@ class ChangeRecord:
     oid_counter: int
     #: ``(oid, serialized payload)`` for every object the commit wrote
     objects: tuple[tuple[int, bytes], ...]
-    #: the full root directory after the commit
+    #: the roots the commit bound or rebound (a snapshot record, built
+    #: from ``snapshot_state`` for ``reset_state``, lists every root)
     roots: dict[str, int] = field(default_factory=dict)
+    #: the roots the commit unbound
+    removed: tuple[str, ...] = ()
     #: node id of the producing primary (diagnostic, not part of fencing)
     node: str = ""
     #: trace id of the request whose commit produced this record ("" when
@@ -137,6 +143,9 @@ class ChangeRecord:
         for name in sorted(self.roots):
             enc.text(name)
             enc.uvarint(self.roots[name])
+        enc.uvarint(len(self.removed))
+        for name in self.removed:
+            enc.text(name)
         return enc.getvalue()
 
     @classmethod
@@ -154,6 +163,7 @@ class ChangeRecord:
                 (dec.uvarint(), dec.raw()) for _ in range(dec.uvarint())
             )
             roots = {dec.text(): dec.uvarint() for _ in range(dec.uvarint())}
+            removed = tuple(dec.text() for _ in range(dec.uvarint()))
         except SerializeError as exc:
             raise CommitLogError(f"corrupt change record: {exc}") from exc
         try:
@@ -166,6 +176,7 @@ class ChangeRecord:
             oid_counter=oid_counter,
             objects=objects,
             roots=roots,
+            removed=removed,
             node=node,
             trace_id=trace_id,
             committed_ts_us=committed_ts_us,
@@ -184,6 +195,7 @@ class ChangeRecord:
             "committed_ts_us": self.committed_ts_us,
             "objects": [[oid, payload.hex()] for oid, payload in self.objects],
             "roots": dict(self.roots),
+            "removed": list(self.removed),
         }
         if self.meta:
             wire["meta"] = dict(self.meta)
@@ -204,6 +216,8 @@ class ChangeRecord:
                     for oid, payload in wire["objects"]
                 ),
                 roots={str(k): int(v) for k, v in wire["roots"].items()},
+                # required: a peer that omits it is sending whole directories
+                removed=tuple(str(name) for name in wire["removed"]),
                 meta=dict(wire.get("meta") or {}),
             )
         except (KeyError, TypeError, ValueError) as exc:

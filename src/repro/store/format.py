@@ -5,15 +5,18 @@ offset 0 (``<4sIQQQQQ``), data pages with an 8-byte next-link and no
 checksum trailer, and a free list threaded *through* the free pages
 themselves.  Format v2 (magic ``TYC2``, :mod:`repro.store.pager`) adds
 per-page checksums, dual header slots with a commit epoch, and a
-shadow-paged free-list record.
+shadow-paged free-list record.  Format v3 keeps v2's pages and header and
+lets the object table be a chain of records (:mod:`repro.store.table`); a
+v2 image is a valid v3 image whose chain has one record, so v2 → v3 needs
+no migration — only v1 does.
 
-Because v2 pages carry a checksum trailer (different chain capacity) and
-the header moved, v1 images cannot be upgraded page-by-page.  Instead
+Because v2/v3 pages carry a checksum trailer (different chain capacity)
+and the header moved, v1 images cannot be upgraded page-by-page.  Instead
 :func:`migrate_v1_image` replays the image *logically*: it walks the v1
 object table, lifts every object's serialized payload, and writes a fresh
-v2 image with identical OIDs, roots and payload bytes.  The rewrite lands
-in a temp file and is published with ``os.replace``, so a crash mid-way
-leaves the original v1 image untouched.
+image in the current format with identical OIDs, roots and payload bytes.
+The rewrite lands in a temp file and is published with ``os.replace``, so
+a crash mid-way leaves the original v1 image untouched.
 
 ``Pager`` calls this automatically when it opens a ``TYC1`` file (see
 ``Pager(..., migrate=...)``); ``python -m repro fsck`` reports the format
@@ -25,7 +28,7 @@ from __future__ import annotations
 import os
 import struct
 
-from repro.store.serialize import Decoder, Encoder
+from repro.store.table import encode_table, load_table
 
 __all__ = ["V1Image", "read_v1_image", "migrate_v1_image"]
 
@@ -86,22 +89,13 @@ def read_v1_image(path: str | os.PathLike) -> V1Image:
     if page_size == 0 or npages < 1 or table_page >= max(npages, 1):
         raise PageError("corrupt v1 header")
     image = V1Image(page_size=page_size, oid_counter=max(oid_counter, 1))
-    if not table_page:
-        return image
-    table_raw = _v1_read_chain(data, page_size, table_page, table_len)
-    decoder = Decoder(table_raw)
-    count = decoder.uvarint()
-    entries: list[tuple[int, int, int]] = []
-    for _ in range(count):
-        oid = decoder.uvarint()
-        head = decoder.uvarint()
-        length = decoder.uvarint()
-        entries.append((oid, head, length))
-    nroots = decoder.uvarint()
-    for _ in range(nroots):
-        name = decoder.text()
-        image.roots[name] = decoder.uvarint()
-    for oid, head, length in entries:
+    # a v1 table is one complete record: a chain of one
+    table, image.roots, _, _ = load_table(
+        lambda head, length: _v1_read_chain(data, page_size, head, length),
+        table_page,
+        table_len,
+    )
+    for oid, (head, length) in table.items():
         image.objects[oid] = _v1_read_chain(data, page_size, head, length)
     return image
 
@@ -109,12 +103,13 @@ def read_v1_image(path: str | os.PathLike) -> V1Image:
 def migrate_v1_image(
     path: str | os.PathLike, checksum: str | None = None
 ) -> dict:
-    """Rewrite a v1 image as v2 in place (atomic ``os.replace`` publish).
+    """Rewrite a v1 image in the current format, in place (atomic
+    ``os.replace`` publish).
 
     OIDs, roots and serialized payloads are preserved byte-for-byte; only
     the page framing changes.  Returns a summary dict for logs/fsck.
     """
-    from repro.store.pager import MIN_PAGE_SIZE, Pager
+    from repro.store.pager import FORMAT_VERSION, MIN_PAGE_SIZE, Pager
 
     path = os.fspath(path)
     image = read_v1_image(path)
@@ -124,18 +119,11 @@ def migrate_v1_image(
         os.remove(tmp)
     pager = Pager(tmp, page_size, checksum=checksum)
     try:
-        table = Encoder()
-        table.uvarint(len(image.objects))
-        for oid, payload in image.objects.items():
-            head = pager.write_chain(payload)
-            table.uvarint(oid)
-            table.uvarint(head)
-            table.uvarint(len(payload))
-        table.uvarint(len(image.roots))
-        for name, oid in image.roots.items():
-            table.text(name)
-            table.uvarint(oid)
-        raw = table.getvalue()
+        table = {
+            oid: (pager.write_chain(payload), len(payload))
+            for oid, payload in image.objects.items()
+        }
+        raw = encode_table(table, image.roots)
         pager.header.table_page = pager.write_chain(raw)
         pager.header.table_len = len(raw)
         pager.header.oid_counter = image.oid_counter
@@ -146,7 +134,7 @@ def migrate_v1_image(
     return {
         "path": path,
         "from_format": 1,
-        "to_format": 2,
+        "to_format": FORMAT_VERSION,
         "objects": len(image.objects),
         "roots": len(image.roots),
         "page_size": page_size,

@@ -24,11 +24,13 @@ With ``repair=True`` the image is rewritten in place:
   record, which *makes* them reachable for later triage;
 * the free list is rebuilt from scratch (every page that no live chain
   references becomes free), clearing leaks and free/in-use conflicts;
-* a fresh table and header are committed through the normal dual-slot
-  protocol, which also overwrites any torn header slot.
+* one complete table record (the object table is a chain of records,
+  :mod:`repro.store.table`; every record of it is checked and accounted)
+  and the header are committed through the normal dual-slot protocol,
+  which also overwrites any torn header slot.
 
 Format v1 images are checked logically (via :mod:`repro.store.format`)
-and left untouched unless ``repair=True``, which migrates them to v2
+and left untouched unless ``repair=True``, which migrates them to v3
 first.  The crash harness (:mod:`repro.testing.chaos.crash`) runs fsck over
 every post-crash image and requires zero errors.
 """
@@ -44,11 +46,13 @@ from repro.core.syntax import Oid
 from repro.obs.metrics import METRICS
 from repro.store.pager import (
     DEFAULT_PAGE_SIZE,
+    FORMAT_VERSION,
     MAGIC_V1,
     PageError,
     Pager,
 )
-from repro.store.serialize import Decoder, Encoder, decode_value, encode_value
+from repro.store.serialize import decode_value, encode_value
+from repro.store.table import encode_table, load_table
 
 __all__ = ["Finding", "FsckResult", "fsck_image", "QUARANTINE_ROOT"]
 
@@ -171,7 +175,7 @@ def _fsck_v1(path: str, result: FsckResult, repair: bool) -> FsckResult:
         "info",
         "format-v1",
         f"format v1 image ({len(image.objects)} objects, "
-        f"{len(image.roots)} roots); opens migrate it to v2",
+        f"{len(image.roots)} roots); opens migrate it to v{FORMAT_VERSION}",
     )
     for oid, payload in image.objects.items():
         try:
@@ -184,7 +188,9 @@ def _fsck_v1(path: str, result: FsckResult, repair: bool) -> FsckResult:
         summary = migrate_v1_image(path)
         result.repaired = True
         result.add(
-            "info", "migrated", f"migrated to format v2 ({summary['objects']} objects)"
+            "info",
+            "migrated",
+            f"migrated to format v{summary['to_format']} ({summary['objects']} objects)",
         )
     return result
 
@@ -219,11 +225,11 @@ def fsck_image(
 
 def _fsck_v2(pager: Pager, result: FsckResult, repair: bool) -> FsckResult:
     header = pager.header
-    result.format = 2
+    result.format = header.version
     result.add(
         "info",
         "geometry",
-        f"format v2, page_size={header.page_size}, npages={header.npages}, "
+        f"format v{header.version}, page_size={header.page_size}, npages={header.npages}, "
         f"epoch={header.epoch}, checksum={header.checksum_kind}",
     )
 
@@ -251,18 +257,10 @@ def _fsck_v2(pager: Pager, result: FsckResult, repair: bool) -> FsckResult:
         referenced.update(pager.chain_pages(header.free_page, header.free_len))
     if header.table_page:
         try:
-            table_pages = pager.chain_pages(header.table_page, header.table_len)
-            raw = pager.read_chain(header.table_page, header.table_len)
-            decoder = Decoder(raw)
-            for _ in range(decoder.uvarint()):
-                oid = decoder.uvarint()
-                head = decoder.uvarint()
-                length = decoder.uvarint()
-                table[oid] = (head, length)
-            for _ in range(decoder.uvarint()):
-                name = decoder.text()
-                roots[name] = decoder.uvarint()
-            referenced.update(table_pages)
+            table, roots, records, _ = load_table(
+                pager.read_chain, header.table_page, header.table_len
+            )
+            record_pages = [pager.chain_pages(*record) for record in records]
         except Exception as exc:
             result.add(
                 "error",
@@ -271,6 +269,14 @@ def _fsck_v2(pager: Pager, result: FsckResult, repair: bool) -> FsckResult:
                 page=header.table_page,
             )
             return result
+        referenced.update(page for pages in record_pages for page in pages)
+        result.add(
+            "info",
+            "table-chain",
+            f"object table is a chain of {len(records)} record(s) on "
+            f"{sum(map(len, record_pages))} page(s), the complete one on "
+            f"{len(record_pages[0])}",
+        )
 
     # --- objects: chains, checksums, payload decode, references -----------
     corrupt: dict[int, str] = {}
@@ -428,17 +434,7 @@ def _repair_v2(
         new_roots[QUARANTINE_ROOT] = qoid
         _FSCK_QUARANTINED.inc(len(quarantine))
 
-    encoder = Encoder()
-    encoder.uvarint(len(keep))
-    for oid, (head, length) in keep.items():
-        encoder.uvarint(oid)
-        encoder.uvarint(head)
-        encoder.uvarint(length)
-    encoder.uvarint(len(new_roots))
-    for name, oid in new_roots.items():
-        encoder.text(name)
-        encoder.uvarint(oid)
-    raw = encoder.getvalue()
+    raw = encode_table(keep, new_roots)  # one complete record: the chain restarts
     header.table_page = pager.write_chain(raw)
     header.table_len = len(raw)
     pager.sync_header()

@@ -9,9 +9,12 @@ Model:
 
 * every stored object has an :class:`~repro.core.syntax.Oid`;
 * ``store(obj)`` assigns a fresh OID; ``update(oid)`` marks it dirty;
-* ``commit()`` serializes dirty objects to page chains, writes a fresh
-  object table, and publishes everything with a single header write
-  (shadow-paging-lite: a crash mid-commit leaves the old state reachable);
+* ``commit()`` serializes dirty objects to page chains, writes a table
+  record holding just the entries and root bindings the transaction
+  changed (:mod:`repro.store.table`), and publishes everything with a
+  single header write (shadow-paging-lite: a crash mid-commit leaves the
+  old state reachable) — a commit costs what it changed, not what the
+  image holds;
 * ``abort()`` drops uncommitted changes;
 * named *roots* (a str → OID directory) make objects reachable across runs.
 
@@ -25,13 +28,14 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.syntax import Oid, Unit
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.store.pager import PageError, Pager
-from repro.store.serialize import Decoder, Encoder, decode_value, encode_value
+from repro.store.serialize import Encoder, decode_value, encode_value
+from repro.store.table import encode_table, load_table
 
 __all__ = ["HeapError", "ChangeSet", "ObjectHeap", "Transaction"]
 
@@ -61,6 +65,13 @@ _HEAP_CACHED_BYTES = METRICS.gauge(
 _HEAP_ROLLBACKS = METRICS.counter(
     "store.heap.io_rollbacks", "rollbacks to durable state after failed commit I/O"
 )
+_HEAP_TABLE_BYTES = METRICS.counter(
+    "store.heap.table_bytes", "object-table record bytes written by commits"
+)
+_HEAP_TABLE_COMPACTIONS = METRICS.counter(
+    "store.heap.table_compactions",
+    "commits that wrote a complete table record (the record chain restarts there)",
+)
 
 #: distinguishes "absent from cache" from a cached ``None``-ish value
 _MISSING = object()
@@ -86,11 +97,15 @@ class ChangeSet:
 
     ``objects`` holds the exact serialized payloads the commit put on
     disk, so a replica applying them reproduces the primary's logical
-    state byte-for-byte per object.
+    state byte-for-byte per object.  ``roots`` and ``removed`` are the
+    commit's *delta* to the root directory, not the directory.
     """
 
     objects: tuple[tuple[int, bytes], ...]
+    #: roots the commit bound or rebound
     roots: dict[str, int]
+    #: roots the commit unbound
+    removed: tuple[str, ...]
     oid_counter: int
 
 
@@ -130,8 +145,16 @@ class ObjectHeap:
         self._table: dict[int, tuple[int, int]] = {}
         #: current root directory (uncommitted edits included)
         self._roots: dict[str, int] = {}
-        #: root directory as of the last commit — restored by abort()
-        self._committed_roots: dict[str, int] = {}
+        #: committed binding (None: unbound) of every root edited since the
+        #: last commit — what abort() restores and what a commit diffs
+        #: against, so neither ever copies or scans the directory
+        self._root_undo: dict[str, int | None] = {}
+        #: ``(head, length)`` of the durable table records, oldest (the
+        #: complete one) first
+        self._chain: list[tuple[int, int]] = []
+        #: entries and root bindings the newest record states, when it is a
+        #: delta: the next commit copies it forward with its own merged in
+        self._tail: tuple[dict[int, tuple[int, int]], dict[str, int]] = ({}, {})
         #: LRU order: oldest first (only consulted when cache_limit is set)
         self._cache: OrderedDict[int, Any] = OrderedDict()
         self._cache_limit = cache_limit
@@ -162,20 +185,10 @@ class ObjectHeap:
     def _recover(self) -> None:
         header = self._pager.header
         self._next_oid = max(1, header.oid_counter)
-        if header.table_page:
-            raw = self._pager.read_chain(header.table_page, header.table_len)
-            decoder = Decoder(raw)
-            count = decoder.uvarint()
-            for _ in range(count):
-                oid = decoder.uvarint()
-                head = decoder.uvarint()
-                length = decoder.uvarint()
-                self._table[oid] = (head, length)
-            nroots = decoder.uvarint()
-            for _ in range(nroots):
-                name = decoder.text()
-                self._roots[name] = decoder.uvarint()
-        self._committed_roots = dict(self._roots)
+        self._table, self._roots, self._chain, self._tail = load_table(
+            self._pager.read_chain, header.table_page, header.table_len
+        )
+        self._root_undo = {}
 
     # ------------------------------------------------------------- object API
 
@@ -267,6 +280,7 @@ class ObjectHeap:
 
     def set_root(self, name: str, oid: Oid | int) -> None:
         self._check_open()
+        self._root_undo.setdefault(name, self._roots.get(name))
         self._roots[name] = int(oid)
 
     def root(self, name: str) -> Oid | None:
@@ -294,7 +308,35 @@ class ObjectHeap:
         decided.
         """
         self._check_open()
-        return self._roots.pop(name, None) is not None
+        old = self._roots.pop(name, None)
+        if old is None:
+            return False
+        self._root_undo.setdefault(name, old)
+        return True
+
+    def _root_delta(self) -> dict[str, int]:
+        """Roots whose binding differs from the committed one: name → OID,
+        0 for a root that was unbound (the table record's sentinel)."""
+        roots = self._roots
+        return {
+            name: roots.get(name, 0)
+            for name, old in self._root_undo.items()
+            if roots.get(name) != old
+        }
+
+    def _undo_root_edits(self, roots: dict[str, int]) -> None:
+        """Take ``roots`` back to the committed bindings, in place."""
+        for name, old in self._root_undo.items():
+            if old is None:
+                roots.pop(name, None)
+            else:
+                roots[name] = old
+
+    def _committed_roots(self) -> dict[str, int]:
+        """The root directory as of the last commit."""
+        roots = dict(self._roots)
+        self._undo_root_edits(roots)
+        return roots
 
     # --------------------------------------------------------- transactions
 
@@ -320,6 +362,7 @@ class ObjectHeap:
                 "pass the object to update(oid, obj) before committing"
             )
         sink = self.change_sink
+        roots = self._root_delta()
         if self._pager is None:
             changes = (
                 tuple((key, encode_value(self._cache[key])) for key in sorted(self._dirty))
@@ -327,9 +370,9 @@ class ObjectHeap:
                 else ()
             )
             self._dirty.clear()
-            self._committed_roots = dict(self._roots)
+            self._root_undo.clear()
             if sink is not None:
-                sink(ChangeSet(changes, dict(self._roots), self._next_oid))
+                sink(self._change_set(changes, roots))
             return
         span = TRACER.span("store.commit", dirty=len(self._dirty))
         released: list[tuple[int, int]] = []
@@ -351,51 +394,88 @@ class ObjectHeap:
         _HEAP_OBJECTS_WRITTEN.inc(written)
         _HEAP_BYTES_COMMITTED.inc(bytes_out)
 
-        self._publish(released)
+        kind, table_bytes = self._publish(released, self._dirty, roots)
         # the dirty set survives until the commit point so that an I/O
         # failure anywhere above leaves rollback_to_durable() enough state
         # to discard the half-written commit cleanly
         self._dirty.clear()
-        span.set(objects_written=written, bytes_written=bytes_out).finish()
+        span.set(
+            objects_written=written, bytes_written=bytes_out,
+            table_bytes=table_bytes, table_kind=kind,
+        ).finish()
         self._evict()  # freshly committed objects are clean, thus evictable
         if sink is not None:
-            sink(ChangeSet(tuple(captured), dict(self._roots), self._next_oid))
+            sink(self._change_set(tuple(captured), roots))
 
-    def _publish(self, released: list[tuple[int, int]]) -> None:
-        """Write a fresh object table and sync — the durable commit tail.
+    def _change_set(self, objects: tuple, roots: dict[str, int]) -> ChangeSet:
+        return ChangeSet(
+            objects,
+            {name: oid for name, oid in roots.items() if oid},
+            tuple(sorted(name for name, oid in roots.items() if not oid)),
+            self._next_oid,
+        )
+
+    def _publish(
+        self,
+        released: list[tuple[int, int]],
+        changed: Iterable[int],
+        roots: dict[str, int],
+        compact: bool = False,
+    ) -> tuple[str, int]:
+        """Write this commit's table record and sync — the durable commit tail.
 
         Shared by :meth:`commit` (local writes) and :meth:`apply_changes`
-        (replicated writes): encode the table + roots, point the header at
-        it, sync (the commit point), then reclaim superseded chains and
-        sync again so the free list is durable too.
+        (replicated writes).  ``changed`` (OIDs) and ``roots`` (name → OID,
+        0 = unbound) are the commit's delta, and the delta is all that is
+        encoded: the record chains to the durable records before it.  The
+        newest delta record is copied forward with this delta merged in for
+        as long as the copy fits one page, so the chain grows by bytes, not
+        by commits; when the delta records would occupy as many pages as
+        the complete record under them, the commit writes a complete record
+        instead (*compacts*) and the old chain is released.  Counted in
+        pages because a page is what a record costs however short it is.
+        Then: point the header at the record, sync (the commit point),
+        reclaim superseded chains, and sync again so the free list is
+        durable too.  Returns the record's kind and size.
         """
-        table = Encoder()
-        table.uvarint(len(self._table))
-        for oid_key, (head, length) in self._table.items():
-            table.uvarint(oid_key)
-            table.uvarint(head)
-            table.uvarint(length)
-        table.uvarint(len(self._roots))
-        for name, oid_key in self._roots.items():
-            table.text(name)
-            table.uvarint(oid_key)
-        raw = table.getvalue()
+        pager = self._pager
+        chain = self._chain
+        compact = compact or not chain
+        if not compact:
+            capacity = pager.chain_capacity
+            entries = {oid: self._table[oid] for oid in changed}
+            tail, kept = (entries, roots), chain  # kept: what the record chains to
+            if len(chain) > 1:
+                merged = ({**self._tail[0], **entries}, {**self._tail[1], **roots})
+                raw = encode_table(*merged, prev=chain[-2])
+                if len(raw) <= capacity:
+                    tail, kept = merged, chain[:-1]
+            if kept is chain:
+                raw = encode_table(entries, roots, prev=chain[-1])
+            pages = [-(-length // capacity) for _, length in [*kept, (0, len(raw))]]
+            compact = sum(pages[1:]) >= pages[0]  # deltas vs the complete record
+        if compact:
+            raw = encode_table(self._table, self._roots)
+            tail, kept = ({}, {}), []
+            _HEAP_TABLE_COMPACTIONS.inc()
+        _HEAP_TABLE_BYTES.inc(len(raw))
 
-        header = self._pager.header
-        old_table = (header.table_page, header.table_len)
-        header.table_page = self._pager.write_chain(raw)
+        header = pager.header
+        header.table_page = pager.write_chain(raw)
         header.table_len = len(raw)
         header.oid_counter = self._next_oid
-        self._pager.sync_header()  # the commit point
-        self._committed_roots = dict(self._roots)
+        pager.sync_header()  # the commit point
+        superseded = chain[len(kept):]
+        self._chain = [*kept, (header.table_page, len(raw))]
+        self._tail = tail
+        self._root_undo.clear()
 
         # space released by superseded versions is reclaimed only after the
         # new state is durable
-        if old_table[0]:
-            self._release_superseded(*old_table)
-        for head, length in released:
+        for head, length in superseded + released:
             self._release_superseded(head, length)
-        self._pager.sync_header()
+        pager.sync_header()
+        return ("delta" if kept else "complete"), len(raw)
 
     def _release_superseded(self, head: int, length: int) -> None:
         """Best-effort reclamation of one superseded chain.
@@ -418,16 +498,18 @@ class ObjectHeap:
         self,
         objects: Sequence[tuple[int, bytes]],
         roots: dict[str, int],
+        removed: Sequence[str],
         oid_counter: int,
     ) -> None:
-        """Apply a replicated commit: raw payloads, wholesale root directory.
+        """Apply a replicated commit: raw payloads and its root delta.
 
-        The replica-side mirror of one primary commit (the payloads come
-        from a :class:`ChangeSet` / change record): each object's serialized
-        bytes are written verbatim under the primary's OID, the root
-        directory is replaced, and the result is published with the same
-        atomic commit tail local writes use — so a crash mid-apply recovers
-        to the previous applied version, never a torn one.
+        The replica-side mirror of one primary commit (the arguments are a
+        :class:`ChangeSet` / change record's fields): each object's
+        serialized bytes are written verbatim under the primary's OID,
+        ``roots`` are bound and ``removed`` unbound over the directory this
+        heap has, and the result is published with the same atomic commit
+        tail local writes use — so a crash mid-apply recovers to the
+        previous applied version, never a torn one.
 
         Only file-backed heaps can host a replica (payloads must decode
         lazily through the table so intra-record references resolve), and
@@ -437,10 +519,10 @@ class ObjectHeap:
         self._check_open()
         if self._pager is None:
             raise HeapError("apply_changes needs a file-backed heap")
-        if self._dirty:
+        if self._dirty or self._root_undo:
             raise HeapError(
-                f"cannot apply replicated changes over {len(self._dirty)} "
-                "uncommitted local write(s)"
+                "cannot apply replicated changes over "
+                f"{len(self._dirty) + len(self._root_undo)} uncommitted local write(s)"
             )
         _HEAP_COMMITS.inc()
         span = TRACER.span("store.apply", objects=len(objects))
@@ -459,12 +541,18 @@ class ObjectHeap:
             head = self._pager.write_chain(payload)
             self._table[key] = (head, len(payload))
             bytes_in += len(payload)
-        self._roots = dict(roots)
+        delta = {name: int(oid) for name, oid in roots.items()}
+        self._roots.update(delta)
+        for name in removed:
+            if self._roots.pop(name, None) is not None:
+                delta[name] = 0
         self._next_oid = max(self._next_oid, oid_counter)
         _HEAP_OBJECTS_WRITTEN.inc(len(objects))
         _HEAP_BYTES_COMMITTED.inc(bytes_in)
-        self._publish(released)
-        span.set(bytes_written=bytes_in).finish()
+        kind, table_bytes = self._publish(
+            released, [int(oid) for oid, _ in objects], delta
+        )
+        span.set(bytes_written=bytes_in, table_bytes=table_bytes, table_kind=kind).finish()
         self._evict()
 
     def reset_state(
@@ -483,7 +571,7 @@ class ObjectHeap:
         self._check_open()
         if self._pager is None:
             raise HeapError("reset_state needs a file-backed heap")
-        if self._dirty:
+        if self._dirty or self._root_undo:
             raise HeapError("cannot reset state over uncommitted local writes")
         released = list(self._table.values())
         self._table.clear()
@@ -491,13 +579,12 @@ class ObjectHeap:
         self._sizes.clear()
         self._cached_bytes = 0
         self._oid_by_identity.clear()
-        self._roots = {}
         self._next_oid = max(1, oid_counter)
         for oid, payload in objects:
             head = self._pager.write_chain(payload)
             self._table[int(oid)] = (head, len(payload))
         self._roots = dict(roots)
-        self._publish(released)
+        self._publish(released, (), {}, compact=True)
         self._evict()
 
     def snapshot_state(self) -> tuple[list[tuple[int, bytes]], dict[str, int], int]:
@@ -513,7 +600,7 @@ class ObjectHeap:
             (oid, self._pager.read_chain(head, length))
             for oid, (head, length) in sorted(self._table.items())
         ]
-        return objects, dict(self._committed_roots), self._next_oid
+        return objects, self._committed_roots(), self._next_oid
 
     def committed_oids(self) -> list[int]:
         """Sorted OIDs present in the durable object table (scrub walk)."""
@@ -558,9 +645,9 @@ class ObjectHeap:
             for oid in sorted(committed):
                 enc.uvarint(oid)
                 enc.raw(encode_value(self._cache[oid]))
-        for name in sorted(self._committed_roots):
+        for name, oid in sorted(self._committed_roots().items()):
             enc.text(name)
-            enc.uvarint(self._committed_roots[name])
+            enc.uvarint(oid)
         h.update(enc.getvalue())
         return h.hexdigest()
 
@@ -568,7 +655,8 @@ class ObjectHeap:
         """Discard uncommitted objects, modifications and root edits."""
         self._check_open()
         self._drop_dirty_cache()
-        self._roots = dict(self._committed_roots)
+        self._undo_root_edits(self._roots)
+        self._root_undo.clear()
         # recompute next oid from durable state
         self._next_oid = (
             self._pager.header.oid_counter if self._pager is not None else self._next_oid
@@ -606,9 +694,6 @@ class ObjectHeap:
         _HEAP_ROLLBACKS.inc()
         self._drop_dirty_cache()
         self._pager.reload()
-        self._table.clear()
-        self._roots = {}
-        self._committed_roots = {}
         self._recover()
         # drop cached objects the durable table no longer knows: they may
         # carry values from the failed commit
@@ -647,13 +732,16 @@ class ObjectHeap:
             _HEAP_CACHED.set(len(self._cache))
             return
         with self._cache_lock:
-            if len(self._cache) > limit:
-                evictable = [
-                    key
-                    for key in self._cache  # oldest first
-                    if key in self._table and key not in self._dirty
-                ]
-                for key in evictable[: len(self._cache) - limit]:
+            excess = len(self._cache) - limit
+            if excess > 0:
+                # collected first: the dict may not change under its iterator
+                victims: list[int] = []
+                for key in self._cache:  # oldest first
+                    if key in self._table and key not in self._dirty:
+                        victims.append(key)
+                        if len(victims) == excess:
+                            break
+                for key in victims:
                     # the writer's own cache edits (commit, abort) do not
                     # take this lock; a key it already dropped is skipped
                     obj = self._cache.pop(key, _MISSING)

@@ -1,11 +1,11 @@
-"""Fixed-size page file — the lowest storage layer (on-disk format v2).
+"""Fixed-size page file — the lowest storage layer (on-disk format v3).
 
 A single file of ``page_size``-byte pages.  Page 0 holds **two** header
 slots (magic, format version, checksum kind, geometry, free-list record,
 object-table location, OID counter, commit epoch); pages are allocated
 from the free list or by extending the file.
 
-Integrity model (format v2, magic ``TYC2``):
+Integrity model (formats v2 and v3, magic ``TYC2``):
 
 * every data page carries a 4-byte checksum trailer
   (:mod:`repro.store.checksum`), verified on every read — a flipped bit or
@@ -34,6 +34,13 @@ the *inactive* header slot is written with ``epoch + 1`` and fsynced —
 the single commit point.  A crash anywhere in between leaves the previous
 consistent state reachable (exhaustively verified by
 :mod:`repro.testing.chaos.crash`).
+
+Format v3 has v2's pages and header; what changed is what the header's
+``table_page/table_len`` may name: the newest record of a *chain* of
+object-table records (:mod:`repro.store.table`) instead of always the
+whole table.  A v2 table is a chain of one, so v2 images open as they are
+and become v3 with the first commit; the version number exists so that a
+v2-only binary refuses an image whose newest record is a delta.
 
 Version 1 images (magic ``TYC1``, no checksums, single header, on-page
 free list) are migrated in place on first open — see
@@ -94,7 +101,9 @@ _SHORT_READS = METRICS.counter(
 
 MAGIC = b"TYC2"
 MAGIC_V1 = b"TYC1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+#: versions this build opens (it only ever writes ``FORMAT_VERSION``)
+_READABLE_VERSIONS = (2, FORMAT_VERSION)
 DEFAULT_PAGE_SIZE = 4096
 #: magic, version, checksum kind, page_size, epoch, npages, free_page,
 #: free_len, table_page, table_len, oid_counter
@@ -127,6 +136,8 @@ class Header:
     oid_counter: int
     epoch: int = 0
     checksum_kind: str = "crc32"
+    #: format version of the slot (as read; every write is FORMAT_VERSION)
+    version: int = FORMAT_VERSION
 
     def pack(self) -> bytes:
         """Serialize into one checksummed header slot."""
@@ -134,7 +145,7 @@ class Header:
         packed = struct.pack(
             _SLOT_FMT,
             MAGIC,
-            FORMAT_VERSION,
+            self.version,
             kind_id,
             self.page_size,
             self.epoch,
@@ -174,7 +185,7 @@ class Header:
             if magic == MAGIC_V1:
                 raise PageError("format v1 header in a v2 slot")
             raise PageError("bad magic: not a Tycoon store file")
-        if version != FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise PageError(f"unsupported format version {version}")
         kind = kind_name(kind_id)
         if kind is None:
@@ -204,6 +215,7 @@ class Header:
             oid_counter=oid_counter,
             epoch=epoch,
             checksum_kind=kind,
+            version=version,
         )
 
 
@@ -575,6 +587,7 @@ class Pager:
         self._file.flush()
         self._fsync()  # data durable before the header points at it
         self.header.epoch += 1
+        self.header.version = FORMAT_VERSION  # a v2 image becomes v3 here
         target = (self._active_slot + 1) % HEADER_SLOTS
         self._write_at(target * SLOT_SIZE, self.header.pack())
         self._file.flush()
@@ -610,7 +623,7 @@ class Pager:
         """Identity and durability state of the open image (ping/fsck)."""
         return {
             "path": self.path,
-            "format": FORMAT_VERSION,
+            "format": self.header.version,
             "page_size": self.header.page_size,
             "npages": self.header.npages,
             "epoch": self.header.epoch,

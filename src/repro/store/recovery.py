@@ -63,6 +63,7 @@ __all__ = [
     "archive_dir",
     "commitlog_path",
     "iter_archive",
+    "stale_segments",
     "load_manifest",
     "full_backup",
     "incremental_backup",
@@ -220,18 +221,36 @@ def _encode_segment(records: list[ChangeRecord]) -> bytes:
     return b"".join(parts)
 
 
+def _segment_format(f) -> int | None:
+    """The commit-log format word of an open segment (None: not a segment)."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
+        return None
+    return _HEADER.unpack(head)[1]
+
+
 def read_segment(path: str):
     """Iterate the records of one archive segment, CRC-verified.
 
     A torn tail (the segment was never durably sealed — e.g. the archive
     fsync was skipped and the machine died) simply ends the iteration;
-    restore's contiguity check is what surfaces the resulting hole.
+    restore's contiguity check is what surfaces the resulting hole.  A
+    segment sealed under another commit-log format is refused with
+    :class:`ArchiveError`: its records mean something else (a format-3
+    record lists the whole root directory, and replayed as a delta it
+    would keep every root that history removed).
     """
     try:
         with open(path, "rb") as f:
-            head = f.read(_HEADER.size)
-            if len(head) < _HEADER.size or head[:4] != MAGIC:
+            fmt = _segment_format(f)
+            if fmt is None:
                 return
+            if fmt != LOG_FORMAT:
+                raise ArchiveError(
+                    f"archive segment {path!r} is in commit-log format {fmt} "
+                    f"(this build reads {LOG_FORMAT}); its records cannot be "
+                    "replayed — take a new full backup"
+                )
             while True:
                 frame = f.read(_FRAME.size)
                 if len(frame) < _FRAME.size:
@@ -248,13 +267,28 @@ def read_segment(path: str):
         return
 
 
+def stale_segments(directory: str) -> list[str]:
+    """Names of the archive's segments sealed under another log format."""
+    stale = []
+    for entry in load_manifest(directory)["segments"]:
+        name = str(entry["name"])
+        try:
+            with open(os.path.join(directory, name), "rb") as f:
+                if _segment_format(f) not in (None, LOG_FORMAT):
+                    stale.append(name)
+        except FileNotFoundError:
+            continue
+    return stale
+
+
 def iter_archive(directory: str, from_version: int = 1, to_version: int | None = None):
     """Iterate archived records with ``from_version <= version`` in order.
 
     Segments are visited in manifest order; overlapping version ranges
     (a tail sealed twice) are deduplicated by skipping already-yielded
     versions.  Holes are *not* filled or detected here — restore enforces
-    contiguity where it matters.
+    contiguity where it matters.  A segment of another log format that
+    the range needs raises :class:`ArchiveError` (see :func:`read_segment`).
     """
     manifest = load_manifest(directory)
     last_yielded = from_version - 1
@@ -630,7 +664,9 @@ def restore_image(
                     f"archive gap: expected version {expected}, "
                     f"found {record.version}"
                 )
-            heap.apply_changes(record.objects, record.roots, record.oid_counter)
+            heap.apply_changes(
+                record.objects, record.roots, record.removed, record.oid_counter
+            )
             last_applied = record.version
             expected += 1
             applied += 1

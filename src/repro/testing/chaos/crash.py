@@ -37,6 +37,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.obs.metrics import METRICS
 from repro.store.faults import CrashPoint, FaultPlan
 from repro.store.fsck import fsck_image
 from repro.store.heap import ObjectHeap
@@ -51,22 +52,34 @@ MODES = ("writethrough", "torn", "writeback", "writeback-torn")
 #: small pages, so the workload's values span multi-page chains
 PAGE_SIZE = 256
 
+#: roots whose names alone push the complete table record onto a second
+#: page: only then do later commits write *delta* records (a delta is
+#: written while the deltas occupy fewer pages than the complete record)
+FILLERS = tuple(f"filler-root-{index:02d}" for index in range(16))
+
 #: one workload step: mutate the heap (the harness commits after each).
 #: ``state`` carries OIDs between steps.
 Step = Callable[[ObjectHeap, dict], None]
 
 
 def default_workload() -> list[Step]:
-    """A five-commit workload covering store/update/rebind/chain-release.
+    """A five-commit workload covering store/update/rebind/chain-release
+    and both kinds of table record.
 
     Values are codec-native (ints, strs, tuples, dicts); the big string
     spans several pages so commits exercise multi-page chains, and the
-    shrinking update forces page releases through the free list.
+    shrinking update forces page releases through the free list.  The
+    table records go complete (first commit), delta, delta (copied forward
+    in its page), complete (s4's delta alone needs two pages, as many as
+    the complete record: the commit compacts and releases the chain), delta
+    (with a removed root in it) — :func:`_meta` checks that they still do.
     """
 
     def s1(heap: ObjectHeap, state: dict) -> None:
         state["a"] = heap.store(("alpha", 1))
         heap.set_root("a", state["a"])
+        for name in FILLERS:
+            heap.set_root(name, state["a"])
 
     def s2(heap: ObjectHeap, state: dict) -> None:
         state["blob"] = heap.store("B" * 3000)
@@ -80,10 +93,13 @@ def default_workload() -> list[Step]:
         # shrink the blob: its old multi-page chain is released, pushing
         # pages through the shadow-paged free list
         heap.update(state["blob"], "C" * 900)
-        heap.set_root("c", heap.store(tuple(range(50))))
+        state["c"] = heap.store(tuple(range(50)))
+        for name in ("c", *FILLERS):
+            heap.set_root(name, state["c"])
 
     def s5(heap: ObjectHeap, state: dict) -> None:
         heap.set_root("a", heap.store("rebound"))
+        heap.remove_root(FILLERS[0])
 
     return [s1, s2, s3, s4, s5]
 
@@ -104,6 +120,7 @@ class Counted:
     baseline: bytes  #: the pristine image every scenario starts from
     states: tuple[dict, ...]  #: expected roots before/after each commit
     io_ops: int  #: I/O operations of one fault-free replay
+    records: tuple[str, ...]  #: table record each commit wrote: complete | delta
 
 
 def counting_run(steps: Sequence[Step]) -> Counted:
@@ -116,12 +133,16 @@ def counting_run(steps: Sequence[Step]) -> Counted:
         heap = ObjectHeap(image, PAGE_SIZE, io_factory=plan.file_factory)
         states = [_snapshot(heap)]
         state: dict = {}
+        complete = METRICS.get("store.heap.table_compactions")
+        records = []
         for step in steps:
             step(heap, state)
+            before = complete.value
             heap.commit()
+            records.append("complete" if complete.value > before else "delta")
             states.append(_snapshot(heap))
         heap.close()
-    return Counted(baseline, tuple(states), plan.ops)
+    return Counted(baseline, tuple(states), plan.ops, tuple(records))
 
 
 def scenarios(
@@ -240,12 +261,31 @@ def negative_control(root: str) -> dict:
 
 
 def _meta() -> dict:
+    """What the sweep covered — and a check that it covered both record
+    kinds: crashing at every I/O op proves nothing about a delta commit, a
+    compacting commit or a removed root if the workload stopped making one."""
     steps = default_workload()
+    counted = counting_run(steps)
+    records = counted.records
+    removed = [
+        sorted(before.keys() - after.keys())
+        for before, after in zip(counted.states, counted.states[1:])
+    ]
+    compacts = ("delta", "complete") in zip(records, records[1:])
+    delta_removes = any(kind == "delta" and names for kind, names in zip(records, removed))
+    if not (compacts and delta_removes):
+        raise InvariantViolation(
+            "crash workload no longer covers a commit that compacts a record "
+            f"chain and a delta that removes a root (records {records}, "
+            f"removed {removed})"
+        )
     return {
-        "io_ops_per_run": counting_run(steps).io_ops,
+        "io_ops_per_run": counted.io_ops,
         "commits": len(steps),
         "page_size": PAGE_SIZE,
         "modes": list(MODES),
+        "table_records": list(records),
+        "roots_removed": [name for names in removed for name in names],
     }
 
 

@@ -30,10 +30,10 @@ later), and asserts the survival invariants:
    excess load sheds with typed errors — never a hung connection.
 
 :func:`negative_control` disables degraded mode (``unsafe_no_degraded``):
-a failed commit then leaves the heap's in-memory table pointing at
-half-written state, and the *next* successful commit publishes the torn
-write the client was told had failed — the check must detect the
-resurrection.  CI inverts the invocation; a passing negative control
+a failed commit then leaves the heap's in-memory table pointing at the
+half-written state, so once the *next* commit has succeeded the daemon
+serves the torn write the client was told had failed (and the next table
+compaction makes it durable) — the check must detect the resurrection.  CI inverts the invocation; a passing negative control
 means the detector is broken.
 """
 
@@ -387,16 +387,19 @@ def negative_control(root: str) -> dict:
     """Degraded mode OFF: the torn-write resurrection MUST be detected.
 
     A steady-state single-key commit's write sequence is: payload chain,
-    table chain, (data fsync), the header-slot write, (the commit-point
-    fsync), then the free-list resync — free-list record and a second
-    header-slot write.  Failing the *first header-slot write* (the last
+    table record, free-list record, (data fsync), the header-slot write,
+    (the commit-point fsync), then the free-list resync — free-list record
+    and a second header-slot write.  Failing the *first header-slot write* (the last
     write before the commit point — position ``W-2`` of a ``W``-write
     commit, measured on an identical steady-state commit; the last two
     writes belong to the post-commit free-list sync) leaves durable
     state untouched but the in-memory table torn.  Without
-    ``rollback_to_durable`` the next successful commit publishes that
-    table — resurrecting the value the client was told had failed.  The
-    check must catch exactly that; CI inverts this suite's exit code.
+    ``rollback_to_durable`` the heap keeps that table: after the next
+    successful commit reads still resolve the key through the failed
+    commit's chain — resurrecting the value the client was told had
+    failed — and the first commit to compact the table records it for
+    good.  The check must catch exactly that; CI inverts this suite's exit
+    code.
     """
     harness = ExhaustionHarness(root, unsafe_no_degraded=True)
     try:

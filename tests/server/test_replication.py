@@ -94,6 +94,28 @@ class TestShipping:
             values = db.get("k0", "k4")
         assert values == {"k0": 0, "k4": 44}
 
+    def test_a_root_removed_on_the_primary_is_gone_on_the_replicas(self, cluster):
+        """Records carry the commit's root delta: a removal has to be in it."""
+        primary, r1, r2 = cluster
+        with connect(primary.port) as db:
+            db.set("kept", 1)
+            db.set("doomed", 2)
+        wait_until(
+            lambda: converged(primary, r1) and converged(primary, r2),
+            message="replicas converged",
+        )
+        with connect(r1.port) as db:
+            assert db.get("doomed")["doomed"] == 2
+        with primary.txns.write():
+            assert primary.heap.remove_root("doomed")
+        wait_until(
+            lambda: converged(primary, r1) and converged(primary, r2),
+            message="removal replicated",
+        )
+        for replica in (r1, r2):
+            assert replica.heap.root("doomed") is None
+            assert replica.heap.load_root("kept") == 1
+
     def test_replica_rejects_writes_with_primary_hint(self, cluster):
         primary, r1, _ = cluster
         with connect(r1.port) as db:

@@ -65,7 +65,7 @@ class TestPing:
             result = db.ping()
         assert result["status"] == "ok"
         assert result["uptime_s"] >= 0
-        assert result["image"]["format"] == 2
+        assert result["image"]["format"] == 3
         assert result["image"]["path"].endswith("resilience.tyc")
 
 

@@ -280,3 +280,58 @@ class TestDecisionReplay:
             assert result["applied"] is False
             assert name not in db.roots()
             assert deployment.staging(0) == []
+
+
+class TestPhaseStamps:
+    """The commit log shows 2PC phases from each commit's own root delta
+    (no socket: a heap, a transaction manager, the primary's change sink)."""
+
+    @staticmethod
+    def _primary(tmp_path):
+        from repro.server.replication import PrimaryReplication
+        from repro.store.concurrency import TransactionManager
+        from repro.store.heap import ObjectHeap
+
+        heap = ObjectHeap(str(tmp_path / "stamps.tyc"))
+        txns = TransactionManager(heap)
+        primary = PrimaryReplication(heap, txns, str(tmp_path / "stamps.log"), node="p")
+        primary.attach()
+        return heap, txns, primary
+
+    def test_prepare_and_decide_are_stamped_and_nothing_else_is(self, tmp_path):
+        heap, txns, primary = self._primary(tmp_path)
+        t1, t2, t3 = (STAGING_PREFIX + name for name in ("t1", "t2", "t3"))
+        with txns.write():
+            heap.set_root("plain", heap.store(1))
+        with txns.write():
+            heap.set_root(t1, heap.store({"writes": 1}))
+        with txns.write():  # the staged object changes, the staging root stays
+            heap.update(heap.root(t1), {"writes": 2})
+        with txns.write():  # rebinding a staging root that exists is no phase
+            heap.set_root(t1, heap.store({"writes": 3}))
+        with txns.write():
+            heap.set_root(t2, heap.store({}))
+            heap.set_root(t3, heap.store({}))
+        with txns.write():  # decide: apply the writes, retire the staging root
+            heap.set_root("applied", heap.store(3))
+            heap.remove_root(t1)
+        primary.stop()
+        heap.close()
+
+        # a restarted primary reads its baseline off the image
+        heap, txns, primary = self._primary(tmp_path)
+        with txns.write():
+            heap.remove_root(t2)
+            heap.remove_root(t3)
+        metas = [record.meta for record in primary.log.read_from(1)]
+        primary.stop()
+        heap.close()
+        assert metas == [
+            {},
+            {"twopc": "t1", "phase": "prepare"},
+            {},
+            {},
+            {"twopc": ["t2", "t3"], "phase": "prepare"},
+            {"twopc": "t1", "phase": "decide"},
+            {"twopc": ["t2", "t3"], "phase": "decide"},
+        ]

@@ -1,10 +1,11 @@
 """Unit tests for the durable, checksummed commit log (repro.store.commitlog)."""
 
 import os
+import struct
 
 import pytest
 
-from repro.store.commitlog import ChangeRecord, CommitLog, CommitLogError
+from repro.store.commitlog import LOG_FORMAT, ChangeRecord, CommitLog, CommitLogError
 
 
 def record(version, term=1, node="n1"):
@@ -14,6 +15,7 @@ def record(version, term=1, node="n1"):
         oid_counter=100 + version,
         objects=((7, b"payload-%d" % version), (8, b"\x00\x01\x02")),
         roots={"root": 7, "other": 8},
+        removed=("retired", "staging:λ"),
         node=node,
     )
 
@@ -30,6 +32,15 @@ class TestRoundtrip:
     def test_malformed_wire_is_structured(self):
         with pytest.raises(CommitLogError):
             ChangeRecord.from_wire({"version": 1})
+
+    def test_a_wire_record_without_its_removed_roots_is_refused(self):
+        """A peer that omits the field is shipping whole root directories
+        (log format 3); merged as a delta they would resurrect removed roots."""
+        wire = record(5).as_wire()
+        assert wire["removed"] == ["retired", "staging:λ"]
+        del wire["removed"]
+        with pytest.raises(CommitLogError, match="removed"):
+            ChangeRecord.from_wire(wire)
 
 
 class TestAppendRead:
@@ -130,6 +141,21 @@ class TestRecovery:
             f.write(bytes([byte[0] ^ 0xFF]))
         with CommitLog(path) as log:
             assert log.last_version == 1  # record 2 failed its CRC
+
+    def test_a_log_of_an_older_format_is_restarted_empty(self, tmp_path):
+        """Format 3 records list the whole root directory: nothing in such a
+        log can be replayed as a delta, and the image is the truth anyway."""
+        path = tmp_path / "log"
+        with CommitLog(path) as log:
+            log.append(record(1))
+        with open(path, "r+b") as f:
+            f.seek(4)
+            f.write(struct.pack("<I", LOG_FORMAT - 1))
+        with CommitLog(path) as log:
+            assert log.last_version is None
+            log.append(record(1))
+        with open(path, "rb") as f:
+            assert f.read(8) == b"TYLG" + struct.pack("<I", LOG_FORMAT)
 
     def test_not_a_log_is_refused(self, tmp_path):
         path = tmp_path / "bogus"

@@ -168,6 +168,13 @@ class TestCrashSimHarness:
         meta = report["meta"]
         assert meta["commits"] == 5
         assert meta["io_ops_per_run"] > 0
+        # all four failure modes hit every I/O op of both record kinds: a
+        # delta copied forward, a commit that compacts the chain, and a
+        # delta that removes a root
+        assert meta["table_records"] == [
+            "complete", "delta", "delta", "complete", "delta",
+        ]
+        assert meta["roots_removed"] == [crash.FILLERS[0]]
         assert report["scenarios"] == meta["io_ops_per_run"] * len(crash.MODES)
         fsck_runs = sum(r["checks"]["fsck"] == "clean" for r in report["results"])
         assert fsck_runs == report["scenarios"]

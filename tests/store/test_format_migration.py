@@ -98,7 +98,7 @@ class TestReadV1:
 class TestMigration:
     def test_explicit_migration_preserves_everything(self, v1_image):
         summary = migrate_v1_image(v1_image)
-        assert summary["from_format"] == 1 and summary["to_format"] == 2
+        assert summary["from_format"] == 1 and summary["to_format"] == 3
         assert summary["objects"] == 2 and summary["roots"] == 2
         with open(v1_image, "rb") as f:
             assert f.read(4) == MAGIC
@@ -112,7 +112,7 @@ class TestMigration:
 
     def test_pager_migrates_automatically(self, v1_image):
         with Pager(v1_image) as pager:
-            assert pager.image_info()["format"] == 2
+            assert pager.image_info()["format"] == 3
 
     def test_heap_opens_v1_image_transparently(self, v1_image):
         heap = ObjectHeap(v1_image)  # default page size: tolerated on reopen
@@ -166,4 +166,4 @@ class TestFsckOnV1:
         result = fsck_image(v1_image, repair=True)
         assert result.repaired
         after = fsck_image(v1_image, page_size=V1_PAGE_SIZE)
-        assert after.format == 2 and after.ok
+        assert after.format == 3 and after.ok

@@ -58,7 +58,7 @@ class TestCleanImage:
         result = fsck_image(image, page_size=PAGE_SIZE)
         assert result.ok
         assert result.errors == []
-        assert result.format == 2
+        assert result.format == 3
         assert result.objects_checked >= 2
         assert _findings(result, "geometry")
 

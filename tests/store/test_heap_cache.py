@@ -3,9 +3,11 @@
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
+from repro.obs.metrics import METRICS
 from repro.store.concurrency import TransactionManager
 from repro.store.heap import HeapError, ObjectHeap
 
@@ -52,6 +54,59 @@ def test_eviction_is_lru(path):
     heap.store(("fresh",))  # push one more in (dirty, not evictable)
     assert int(oids[1]) not in heap._cache
     assert int(oids[0]) in heap._cache
+    heap.close()
+
+
+class _CountingCache(OrderedDict):
+    """The heap's LRU dict, counting every key an iteration hands out."""
+
+    steps = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.steps += 1
+            yield key
+
+
+def test_eviction_walks_only_as_far_as_it_evicts(path):
+    """A cache miss drops one object; finding it must not visit the cache.
+
+    Pinned as a count of steps over the LRU order, not a timing: with every
+    cached object clean, evicting k objects takes exactly k steps, and dirty
+    objects at the old end add only themselves.
+    """
+    limit = 64
+    heap = ObjectHeap(path, cache_limit=limit)
+    oids = [heap.store((i,)) for i in range(3 * limit)]
+    heap.commit()
+    heap._cache = cache = _CountingCache(heap._cache)
+    assert len(cache) == limit
+    evicted = METRICS.get("store.heap.evictions")
+    evictions = evicted.value
+
+    for oid in oids[:limit]:  # all evicted by now: every load is a miss
+        before = cache.steps
+        expected_victim = next(iter(OrderedDict.keys(cache)))
+        heap.load(oid)
+        assert cache.steps - before == 1
+        assert expected_victim not in cache and len(cache) == limit
+    assert evicted.value - evictions == limit
+
+    # three dirty objects at the old end are stepped over, not evicted
+    oldest = list(OrderedDict.keys(cache))[:3]
+    for key in oldest:
+        heap.update(key)
+    before = cache.steps
+    heap.load(oids[-1] if int(oids[-1]) not in cache else oids[limit])
+    assert cache.steps - before == 4
+    assert all(key in cache for key in oldest)
+
+    # shrinking the bound evicts many at once: still one step per victim
+    heap.abort()  # drops the three dirty objects from the cache
+    before, excess = cache.steps, len(cache) - limit // 2
+    heap.set_cache_limit(limit // 2)
+    assert cache.steps - before == excess > 1
+    assert len(cache) == limit // 2
     heap.close()
 
 

@@ -9,11 +9,14 @@ against an in-process daemon, as ``make sim-recovery`` does at scale.
 
 import json
 import os
+import struct
 import time
 
 import pytest
 
+from repro import cli
 from repro.server import ReproServer, ServerConfig, connect
+from repro.store.checksum import crc32
 from repro.store.commitlog import ChangeRecord, CommitLog
 from repro.store.faults import FaultPlan
 from repro.store.fsck import fsck_image
@@ -30,7 +33,9 @@ from repro.store.recovery import (
     load_manifest,
     read_segment,
     restore_image,
+    stale_segments,
 )
+from repro.store.serialize import Encoder
 
 
 def _record(version, *, ts_us=0, key=b"payload"):
@@ -113,6 +118,92 @@ class TestLogArchiver:
         with open(seg, "r+b") as f:
             f.truncate(os.path.getsize(seg) - 5)
         assert [r.version for r in read_segment(seg)] == [1, 2]
+
+
+def _format3_segment(versions) -> bytes:
+    """An archive segment as a log-format-3 daemon sealed it: every record
+    lists the *whole* root directory and has no removed-roots field (the
+    format-3 record encoder, copied as it stood)."""
+    parts = [struct.pack("<4sI", b"TYLG", 3)]
+    for version in versions:
+        enc = Encoder()
+        enc.uvarint(version)  # version
+        enc.uvarint(1)  # term
+        enc.uvarint(version + 10)  # oid_counter
+        enc.text("old-daemon")  # node
+        enc.text("")  # trace_id
+        enc.uvarint(version * 1000)  # committed_ts_us
+        enc.text("")  # meta
+        enc.uvarint(1)
+        enc.uvarint(version)
+        enc.raw(b"payload%d" % version)
+        roots = {f"r{v}": v for v in range(1, version + 1)}  # the directory
+        enc.uvarint(len(roots))
+        for name in sorted(roots):
+            enc.text(name)
+            enc.uvarint(roots[name])
+        payload = enc.getvalue()
+        parts.append(struct.pack("<II", len(payload), crc32(payload)))
+        parts.append(payload)
+    return b"".join(parts)
+
+
+class TestOlderFormatSegments:
+    """A segment's format word is part of what it says: a format-3 record
+    replayed as a delta would keep every root that history removed."""
+
+    def _archive(self, tmp_path):
+        """A sealed current-format archive (v1-3) whose first segment is
+        then replaced by what an older daemon would have written."""
+        image = str(tmp_path / "db.tyc")
+        archiver = LogArchiver(image)
+        with _log_with(commitlog_path(image), [1, 2, 3]) as log:
+            archiver.seal(log)
+            log.append(_record(4))
+            archiver.seal(log)
+        directory = archive_dir(image)
+        old, new = (e["name"] for e in load_manifest(directory)["segments"])
+        with open(os.path.join(directory, old), "wb") as f:
+            f.write(_format3_segment([1, 2, 3]))
+        return directory, old, new
+
+    def test_read_segment_and_iter_archive_refuse_it(self, tmp_path):
+        directory, old, new = self._archive(tmp_path)
+        with pytest.raises(ArchiveError, match="format 3"):
+            list(read_segment(os.path.join(directory, old)))
+        with pytest.raises(ArchiveError, match=old):
+            list(iter_archive(directory))
+        # a range that does not need the old segment is still served
+        assert [r.version for r in iter_archive(directory, from_version=4)] == [4]
+        assert stale_segments(directory) == [old]
+
+    def test_restore_says_which_segment_and_what_to_do(self, tmp_path):
+        server = _make_server(tmp_path)
+        dest = str(tmp_path / "backups")
+        try:
+            full_backup(server.image_path, dest, **_backup_kwargs(server))
+            with connect(server.port) as db:
+                for i in range(4):
+                    db.set(f"k{i}", i)
+            incremental_backup(server.image_path, dest, **_backup_kwargs(server))
+        finally:
+            server.stop()
+        archive = os.path.join(dest, "archive")
+        entry = load_manifest(archive)["segments"][-1]  # the one past the base
+        with open(os.path.join(archive, entry["name"]), "r+b") as f:
+            f.seek(4)
+            f.write(struct.pack("<I", 3))  # sealed by an older daemon
+        with pytest.raises(ArchiveError, match=entry["name"]) as refused:
+            restore_image(dest, str(tmp_path / "out.tyc"))
+        assert "new full backup" in str(refused.value)
+        assert not os.path.exists(tmp_path / "out.tyc")
+
+        # `repro backup` onto that directory starts over instead of appending
+        assert cli.main(["backup", str(tmp_path / "db.tyc"), dest]) == 0
+        assert backup_info(dest)["epoch"] == 1
+        restored = restore_image(dest, str(tmp_path / "out.tyc"))
+        assert restored["records_applied"] == 0
+        assert _digest(str(tmp_path / "out.tyc")) == _digest(str(tmp_path / "db.tyc"))
 
 
 # ----------------------------------------------------------- backup/restore
@@ -211,6 +302,34 @@ class TestBackupRestore:
         digest, roots = _digest(str(tmp_path / "byts.tyc"))
         assert digest == point_digest
         assert roots["victim"] == "clean"
+
+    def test_a_removed_root_stays_removed_after_replay(self, tmp_path):
+        """Records are deltas: a removal is replayed, not implied."""
+        server = _make_server(tmp_path)
+        dest = str(tmp_path / "backups")
+        try:
+            with connect(server.port) as db:
+                db.set("kept", 1)
+                db.set("doomed", 2)
+            full_backup(server.image_path, dest, **_backup_kwargs(server))
+            with connect(server.port) as db:
+                db.set("later", 3)
+            before_removal = server.repl_version()
+            with server.txns.write():
+                assert server.heap.remove_root("doomed")
+            with connect(server.port) as db:
+                db.set("kept", 4)
+            incremental_backup(server.image_path, dest, **_backup_kwargs(server))
+            expected = server.heap.logical_digest()
+        finally:
+            server.stop()
+        restore_image(dest, str(tmp_path / "latest.tyc"))
+        digest, roots = _digest(str(tmp_path / "latest.tyc"))
+        assert digest == expected
+        assert "doomed" not in roots and roots["kept"] == 4
+        restore_image(dest, str(tmp_path / "before.tyc"), to_version=before_removal)
+        _, roots = _digest(str(tmp_path / "before.tyc"))
+        assert roots["doomed"] == 2 and roots["later"] == 3
 
     def test_restore_refuses_point_before_base(self, tmp_path):
         server = _make_server(tmp_path)
