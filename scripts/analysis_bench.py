@@ -8,9 +8,7 @@ Measures the costs the audit/fact-cache design trades against each other:
 * warm audit — the same image again with all facts valid: the advertised
   steady-state cost of ``repro audit`` in CI;
 * incremental audit — after redefining one function: only the dirty slice
-  of the call graph is recomputed;
-* fusion certification — certifying the hottest opcode pairs out of a
-  real Stanford profile.
+  of the call graph is recomputed.
 
 The artifact follows the ``BENCH_vm.json``/``BENCH_opt.json`` envelope so
 the analysis layer's performance trajectory is tracked across PRs too.
@@ -30,10 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.analysis.audit import audit_image  # noqa: E402
-from repro.analysis.fusion import certify_profile  # noqa: E402
-from repro.bench.stanford import PROGRAMS  # noqa: E402
 from repro.lang import TycoonSystem  # noqa: E402
-from repro.obs import profile_call  # noqa: E402
 from repro.store.heap import ObjectHeap  # noqa: E402
 
 SRC = """
@@ -80,26 +75,6 @@ def _audit_timing(image: str) -> dict:
     }
 
 
-def _fusion_timing(program: str = "fib") -> dict:
-    spec = PROGRAMS[program]
-    system = TycoonSystem()
-    system.compile(spec.source)
-    _, profiler = profile_call(system, program, "run", [spec.test_n])
-    start = time.perf_counter()
-    report = certify_profile(profiler, top=16)
-    wall = time.perf_counter() - start
-    return {
-        "program": program,
-        "profiled_pairs": len(profiler.pairs),
-        "wall_s": round(wall, 6),
-        "certified": [
-            {"pair": [c.first, c.second], "count": c.count}
-            for c in report.certified
-        ],
-        "rejected": len(report.rejected),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", default="BENCH_analysis.json")
@@ -116,7 +91,6 @@ def main(argv=None) -> int:
             "platform": sys.platform,
         },
         "audit": _audit_timing(image),
-        "fusion": _fusion_timing(),
     }
     with open(args.json, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, indent=2, sort_keys=True)
@@ -130,10 +104,6 @@ def main(argv=None) -> int:
         f"({audit['warm']['reused']} fact(s) reused), "
         f"incremental {audit['incremental']['wall_s'] * 1000:.1f} ms "
         f"({audit['incremental']['analyzed']} recomputed)"
-    )
-    print(
-        f"fusion: {len(payload['fusion']['certified'])} certified pair(s) "
-        f"out of {payload['fusion']['profiled_pairs']} profiled"
     )
     print(f"wrote {args.json}")
     return 0

@@ -28,9 +28,7 @@ mechanically; this package does:
 * :mod:`repro.analysis.facts` — the persisted analysis-fact cache under
   heap root ``analysis:facts``;
 * :mod:`repro.analysis.audit` — the whole-image audit behind
-  ``python -m repro audit``;
-* :mod:`repro.analysis.fusion` — the fusion-safety certifier for VM
-  superinstruction candidates.
+  ``python -m repro audit``.
 """
 
 from repro.analysis.absint import (
@@ -46,12 +44,6 @@ from repro.analysis.absint import (
 from repro.analysis.audit import AuditReport, audit_heap, audit_image
 from repro.analysis.callgraph import FunctionNode, ImageGraph
 from repro.analysis.facts import FACTS_ROOT, FactRecord, FactStore
-from repro.analysis.fusion import (
-    FusionReport,
-    certify_pair,
-    certify_pairs,
-    certify_profile,
-)
 
 from repro.analysis.diagnostics import (
     AnalysisError,
@@ -90,7 +82,7 @@ __all__ = [
     "lint_term",
     "severity_counts",
     "verify_code",
-    # image-wide analysis (absint / callgraph / facts / audit / fusion)
+    # image-wide analysis (absint / callgraph / facts / audit)
     "AbsVal",
     "AuditReport",
     "FACTS_ROOT",
@@ -98,16 +90,12 @@ __all__ = [
     "FactStore",
     "FunctionAnalysis",
     "FunctionNode",
-    "FusionReport",
     "ImageGraph",
     "Kind",
     "Summary",
     "analyze_code",
     "audit_heap",
     "audit_image",
-    "certify_pair",
-    "certify_pairs",
-    "certify_profile",
     "handler_diagnostics",
     "kind_of_value",
     "summarize_graph",

@@ -6,7 +6,8 @@ Two consistent semantics:
   semantics oracle (call-by-value λ-calculus with store, section 2.1);
 * :mod:`repro.machine.codegen` + :mod:`repro.machine.vm` — the Tycoon
   Abstract Machine back end: TML compiles to register bytecode with
-  tail-call-only control flow.
+  tail-call-only control flow, which the VM interprets or, through
+  :mod:`repro.machine.tier`, runs as one Python function per code object.
 
 Shared runtime values live in :mod:`repro.machine.runtime`.
 """

@@ -16,9 +16,10 @@ Instructions are tuples ``(op, operand...)``.  :data:`OPS` declares every
 opcode exactly once — the paper's section 2.3 discipline of stating
 everything about a primitive in one place, applied to the machine.  The
 bytecode verifier, the binary format, the abstract interpreter's regular
-transfer function, the fusion certifier and the decompiler are consumers of
-that table; the VM's dispatch loop and the code generator's emitters are
-hand-written and checked against it (``tests/machine/test_isa_table.py``).
+transfer function and the decompiler are consumers of that table; the VM's
+dispatch loop, the compiled tier's emitters (:mod:`repro.machine.tier`) and
+the code generator's emitters are hand-written and checked against it
+(``tests/machine/test_isa_table.py``).
 
 Operand kinds (what :mod:`repro.analysis.verify_tam` checks of each, and
 the role each plays in its definite-assignment analysis):
@@ -45,7 +46,7 @@ the role each plays in its definite-assignment analysis):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Any
 
@@ -69,8 +70,7 @@ class Op:
     """One row of the instruction table: everything static about an opcode.
 
     Every claim is checkable against :meth:`repro.machine.vm.VM._execute`;
-    the fusion test suite re-derives the safety-relevant bits empirically
-    and the table test runs every row against the reference interpreter.
+    the table test runs every row against the reference interpreter.
     """
 
     #: the byte :mod:`repro.machine.binfmt` encodes the opcode as.  Literal
@@ -162,9 +162,7 @@ _AIAII = ("array", "int", "array", "int", "int")
 
 #: opcode -> :class:`Op`.  ``const`` may load from the store but can neither
 #: trap nor branch; ``poph`` on an empty stack is a MachineError, so it
-#: counts as trapping.  Terminal opcodes are trivially "branching" for the
-#: purposes of fusion (control leaves the pair), so certifiers must check
-#: both flags.
+#: counts as trapping.
 OPS: dict[str, Op] = {
     "const": Op(0, ("w", "c"), "regs[d] = consts[c], loaded from the store when an OID"),
     "free": Op(2, ("w", "f"), "regs[d] = closure.free[f]"),
@@ -264,7 +262,11 @@ class Label:
 
 @dataclass(slots=True)
 class CodeObject:
-    """Compiled form of one materialized TML abstraction."""
+    """Compiled form of one materialized TML abstraction.
+
+    Immutable once executed: the VM caches what it made of the instructions
+    on the object (``tier``) and does not look for edits to them afterwards.
+    """
 
     name: str
     params: tuple[Name, ...]
@@ -280,6 +282,17 @@ class CodeObject:
     #: augments the generated code ... with a reference to a compact
     #: persistent representation of the TML tree").
     ptml_ref: Any = None
+    #: :func:`repro.machine.tier.compile_code`'s cache: the compiled function,
+    #: ``False`` when declined, ``None`` before the first activation.  Not
+    #: part of the value: never compared, printed, copied or persisted.
+    tier: Any = field(default=None, init=False, compare=False, repr=False)
+    #: instructions on the longest path through ``tier`` (infinite when an
+    #: ``extcall`` handler may run more); set before ``tier`` is
+    tier_max_path: float = field(default=0, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        """Copy and pickle through ``__init__``, i.e. without ``tier``."""
+        return CodeObject, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def arity(self) -> int:

@@ -34,6 +34,8 @@ __all__ = [
     "UncaughtTmlException",
     "MachineError",
     "show_value",
+    "block_move",
+    "EXT_OPS",
     "BOUNDS_ERROR",
     "TYPE_ERROR",
     "ARITY_ERROR",
@@ -194,6 +196,13 @@ class ForeignTable:
         return name in self._functions
 
 
+#: Handlers of the registry-extension primitives the VM runs as ``extcall``:
+#: name -> handler(machine, [arg values]) -> result value.  Filled by the
+#: subsystems that register extension primitives (e.g. the query algebra)
+#: and read at every call, so an entry may be replaced while code runs.
+EXT_OPS: dict[str, Callable] = {}
+
+
 class ObjectResolver(Protocol):
     """What a machine needs from the persistent store: OID resolution."""
 
@@ -284,3 +293,23 @@ def identical(left: Any, right: Any) -> bool:
     if isinstance(left, Oid) and isinstance(right, Oid):
         return left.value == right.value
     return left is right
+
+
+def block_move(dst: Any, di: Any, src: Any, si: Any, n: Any, bytes_mode: bool) -> None:
+    """``dst[di:di+n] = src[si:si+n]`` between arrays (or byte arrays), as the
+    VM's ``amove`` / ``bmove`` do it: typeError, then boundsError, then the
+    copy (through a temporary, so overlapping ranges are safe)."""
+    for index in (di, si, n):
+        if type(index) is not int:
+            raise Trap(TYPE_ERROR)
+    if bytes_mode:
+        if not isinstance(dst, TmlByteArray) or not isinstance(src, TmlByteArray):
+            raise Trap(TYPE_ERROR)
+        target, source = dst.data, src.data
+    else:
+        if not isinstance(dst, TmlArray) or not isinstance(src, (TmlArray, TmlVector)):
+            raise Trap(TYPE_ERROR)
+        target, source = dst.slots, src.slots
+    if n < 0 or di < 0 or si < 0 or di + n > len(target) or si + n > len(source):
+        raise Trap(BOUNDS_ERROR)
+    target[di : di + n] = source[si : si + n]

@@ -9,6 +9,12 @@ The VM agrees observably with the reference interpreter
 (:mod:`repro.machine.cps_interp`); differential tests enforce this.  It also
 counts executed instructions, the concrete realization of the paper's
 "idealized abstract machine" cost measure.
+
+One activation of a code object runs either in :meth:`VM._execute`, the
+bytecode interpreter loop, or as the Python function
+:mod:`repro.machine.tier` compiled the code object to; :meth:`VM._loop`
+chooses from what it can observe (profiler, step limit, the code's shape),
+and the two agree on every value, trap and count.
 """
 
 from __future__ import annotations
@@ -21,32 +27,32 @@ from repro.machine.isa import CodeObject, VMClosure
 from repro.machine.runtime import (
     ARITY_ERROR,
     BOUNDS_ERROR,
+    EXT_OPS,
     ExtRaise,
     ForeignTable,
+    Halted,
     MachineError,
     TYPE_ERROR,
     TmlArray,
     TmlByteArray,
     TmlVector,
+    Trap,
     UncaughtTmlException,
+    block_move,
     identical,
     show_value,
 )
-
-#: Handlers for registry-extension primitives compiled to ``extcall``.
-#: name -> handler(vm, [arg values]) -> result value.  Populated by the
-#: subsystems that register extension primitives (e.g. the query algebra).
-EXT_OPS: dict = {}
+from repro.machine.tier import compile_code
 from repro.obs.metrics import METRICS
 from repro.primitives.arith import OVERFLOW, ZERO_DIVIDE, int_div, int_rem
 from repro.primitives._util import INT_MAX, INT_MIN, wrap_int
 
 _VM_RUNS = METRICS.counter("vm.runs", "completed top-level VM runs")
 _VM_INSTRUCTIONS = METRICS.counter(
-    "vm.instructions", "TAM instructions executed by completed runs"
+    "vm.instructions", "TAM instructions executed by completed top-level runs"
 )
 
-__all__ = ["VM", "VMResult", "instantiate", "StepLimitExceeded"]
+__all__ = ["VM", "VMResult", "instantiate", "StepLimitExceeded", "EXT_OPS"]
 
 
 class StepLimitExceeded(Exception):
@@ -76,25 +82,16 @@ class StepLimitExceeded(Exception):
         self.partial = partial
 
 
-class _VMTrap(Exception):
-    """Internal: a trap to be routed to the dynamic handler stack."""
-
-    def __init__(self, value: Any):
-        self.value = value
-
-
-class _VMHalt(Exception):
-    def __init__(self, value: Any):
-        self.value = value
-
-
 class _TopCont:
-    """Sentinel closures terminating a top-level VM run."""
+    """Sentinel closures terminating a VM run."""
 
     __slots__ = ("kind",)
 
     def __init__(self, kind: str):
         self.kind = kind
+
+
+_TOP_EXCEPTION, _TOP_NORMAL = _TopCont("exception"), _TopCont("normal")
 
 
 @dataclass(slots=True)
@@ -140,27 +137,29 @@ class VM:
         #: optional :class:`repro.obs.profile.VMProfiler`; when attached the
         #: main loop additionally counts per-opcode / per-closure totals
         self.profiler = profiler
+        #: runs in progress: > 1 while an extcall handler has re-entered
+        self._depth = 0
 
     # ------------------------------------------------------------------ API
 
     def call(self, closure: VMClosure, args: list[Any]) -> VMResult:
         """Call a procedure closure with top-level ce/cc continuations."""
-        full_args = list(args) + [_TopCont("exception"), _TopCont("normal")]
-        if closure.arity != len(full_args):
+        start_instr, start_output = self.instructions, len(self.output)
+        value = self.apply(closure, args)
+        return VMResult(value, self.instructions - start_instr, self.output[start_output:])
+
+    def apply(self, closure: VMClosure, args: list[Any]) -> Any:
+        """:meth:`call`, returning the bare value: the re-entry a bulk
+        primitive makes once per row, which has no use for a result record."""
+        if closure.arity != len(args) + 2:
             raise MachineError(
                 f"procedure {closure.code.name} expects {closure.arity} args "
-                f"(incl. continuations), got {len(full_args)}"
+                f"(incl. continuations), got {len(args) + 2}"
             )
-        return self._run(closure, full_args)
-
-    # ------------------------------------------------------------ main loop
-
-    def _run(self, closure: VMClosure, args: list[Any]) -> VMResult:
-        start_instr = self.instructions
-        start_output = len(self.output)
-        pending: tuple[Any, list[Any]] | None = (closure, args)
+        start_instr, start_output = self.instructions, len(self.output)
+        self._depth += 1
         try:
-            return self._loop(pending, start_instr, start_output)
+            value = self._loop(closure, [*args, _TOP_EXCEPTION, _TOP_NORMAL])
         except StepLimitExceeded as exc:
             # enrich with the truncated run's observable state (satellite of
             # the obs layer: profilers/tests inspect how far execution got)
@@ -171,37 +170,58 @@ class VM:
                 output=self.output[start_output:],
             )
             raise
-
-    def _loop(
-        self, pending: tuple[Any, list[Any]], start_instr: int, start_output: int
-    ) -> VMResult:
-        try:
-            while True:
-                try:
-                    target, values = pending
-                    if isinstance(target, _TopCont):
-                        if target.kind == "normal":
-                            raise _VMHalt(values[0])
-                        raise UncaughtTmlException(values[0])
-                    if not isinstance(target, VMClosure):
-                        raise _VMTrap(TYPE_ERROR)
-                    if target.arity != len(values):
-                        raise _VMTrap(ARITY_ERROR)
-                    pending = self._execute(target, values)
-                except _VMTrap as trap:
-                    if not self.handlers:
-                        raise UncaughtTmlException(trap.value) from None
-                    handler = self.handlers.pop()
-                    pending = (handler, [trap.value])
-        except _VMHalt as halted:
-            executed = self.instructions - start_instr
+        finally:
+            self._depth -= 1
+        if not self._depth:
+            # a run entered from an extcall handler is part of the run around it
             _VM_RUNS.inc()
-            _VM_INSTRUCTIONS.inc(executed)
-            return VMResult(
-                value=halted.value,
-                instructions=executed,
-                output=self.output[start_output:],
-            )
+            _VM_INSTRUCTIONS.inc(self.instructions - start_instr)
+        return value
+
+    # ------------------------------------------------------------ main loop
+
+    def _loop(self, target: Any, values: list[Any]) -> Any:
+        """The trampoline: enter closure after closure until a top
+        continuation receives the run's value.
+
+        An activation runs compiled (:mod:`repro.machine.tier`, compiled at a
+        code object's first activation) unless something observable says it
+        cannot: a profiler is attached to this run, the step limit could run
+        out inside it, or the code was declined.  Then :meth:`_execute` runs
+        it, so profiles and ``StepLimitExceeded`` come from one place."""
+        limit = self.step_limit
+        profiled = self.profiler is not None
+        while True:
+            try:
+                while True:
+                    if type(target) is VMClosure:
+                        code = target.code
+                        if len(code.params) != len(values):
+                            raise Trap(ARITY_ERROR)
+                        if profiled:
+                            target, values = self._execute(target, values)
+                            continue
+                        run = code.tier
+                        if run is None:
+                            run = compile_code(code)
+                        if run is False or (
+                            limit is not None and self.instructions + code.tier_max_path > limit
+                        ):
+                            target, values = self._execute(target, values)
+                        else:
+                            target, values = run(self, target.free, values)
+                    elif target is _TOP_NORMAL:
+                        return values[0]
+                    elif target is _TOP_EXCEPTION:
+                        raise UncaughtTmlException(values[0])
+                    else:
+                        raise Trap(TYPE_ERROR)
+            except Trap as trap:
+                if not self.handlers:
+                    raise UncaughtTmlException(trap.value) from None
+                target, values = self.handlers.pop(), [trap.value]
+            except Halted as halted:
+                return halted.value
 
     def _execute(self, closure: VMClosure, args: list[Any]) -> tuple[Any, list[Any]]:
         """Run one code object until it tail-calls out (or halts/raises)."""
@@ -218,9 +238,7 @@ class VM:
         profiler = self.profiler
         if profiler is not None:
             profile_ops = profiler.opcodes
-            profile_pairs = profiler.pairs
             closure_stats = profiler.enter(code.name)
-            prev_pc = -2  # no fall-through into pc 0
 
         while True:
             instr = instrs[pc]
@@ -236,12 +254,6 @@ class VM:
             if profiler is not None:
                 profile_ops[op] += 1
                 closure_stats.instructions += 1
-                # adjacent-pair counts feed the fusion certifier; only
-                # fall-through adjacency counts — a taken branch or error
-                # edge is not a statically fusable boundary
-                if pc == prev_pc + 1:
-                    profile_pairs[(instrs[prev_pc][0], op)] += 1
-                prev_pc = pc
 
             if op == "const":
                 value = consts[instr[2]]
@@ -271,7 +283,7 @@ class VM:
                 a, b = regs[ra], regs[rb]
                 if type(a) is not int or type(b) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 result = a + b if op == "add" else a - b if op == "sub" else a * b
                 if result < INT_MIN or result > INT_MAX:
                     regs[ed] = OVERFLOW
@@ -283,7 +295,7 @@ class VM:
                 a, b = regs[ra], regs[rb]
                 if type(a) is not int or type(b) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if b == 0:
                     regs[ed] = ZERO_DIVIDE
                     pc = epc
@@ -299,7 +311,7 @@ class VM:
                 a, b = regs[ra], regs[rb]
                 if type(a) is not int or type(b) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 taken = (
                     a < b if op == "lt" else a > b if op == "gt" else a <= b if op == "le" else a >= b
                 )
@@ -311,7 +323,7 @@ class VM:
                 a, b = regs[ra], regs[rb]
                 if type(a) is not int or type(b) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if op == "band":
                     regs[dst] = wrap_int(a & b)
                 elif op == "bor":
@@ -326,19 +338,19 @@ class VM:
                 a = regs[instr[2]]
                 if type(a) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 regs[instr[1]] = wrap_int(~a)
             elif op == "c2i":
                 a = regs[instr[2]]
                 if not isinstance(a, Char):
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 regs[instr[1]] = a.code & 0xFF
             elif op == "i2c":
                 a = regs[instr[2]]
                 if type(a) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 regs[instr[1]] = Char(chr(a & 0xFF))
             elif op == "arr":
                 regs[instr[1]] = TmlArray([regs[i] for i in instr[2]])
@@ -348,19 +360,19 @@ class VM:
                 n, init = regs[instr[2]], regs[instr[3]]
                 if type(n) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if n < 0:
                     self.instructions = counted
-                    raise _VMTrap(BOUNDS_ERROR)
+                    raise Trap(BOUNDS_ERROR)
                 regs[instr[1]] = TmlArray([init] * n)
             elif op == "bnew":
                 n, init = regs[instr[2]], regs[instr[3]]
                 if type(n) is not int or type(init) is not int:
                     self.instructions = counted
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if n < 0:
                     self.instructions = counted
-                    raise _VMTrap(BOUNDS_ERROR)
+                    raise Trap(BOUNDS_ERROR)
                 regs[instr[1]] = TmlByteArray(bytes([init & 0xFF]) * n)
             elif op == "aget":
                 target, i = regs[instr[2]], regs[instr[3]]
@@ -370,43 +382,43 @@ class VM:
                 elif isinstance(target, TmlVector):
                     slots = target.slots
                 else:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if type(i) is not int:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if not 0 <= i < len(slots):
-                    raise _VMTrap(BOUNDS_ERROR)
+                    raise Trap(BOUNDS_ERROR)
                 regs[instr[1]] = slots[i]
             elif op == "aset":
                 target, i, value = regs[instr[1]], regs[instr[2]], regs[instr[3]]
                 self.instructions = counted
                 if not isinstance(target, TmlArray):
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if type(i) is not int:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if not 0 <= i < len(target.slots):
-                    raise _VMTrap(BOUNDS_ERROR)
+                    raise Trap(BOUNDS_ERROR)
                 target.slots[i] = value
             elif op == "bget":
                 target, i = regs[instr[2]], regs[instr[3]]
                 self.instructions = counted
                 if not isinstance(target, TmlByteArray):
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if type(i) is not int:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if not 0 <= i < len(target.data):
-                    raise _VMTrap(BOUNDS_ERROR)
+                    raise Trap(BOUNDS_ERROR)
                 regs[instr[1]] = target.data[i]
             elif op == "bset":
                 target, i, value = regs[instr[1]], regs[instr[2]], regs[instr[3]]
                 self.instructions = counted
                 if not isinstance(target, TmlByteArray):
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if type(i) is not int:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if not 0 <= i < len(target.data):
-                    raise _VMTrap(BOUNDS_ERROR)
+                    raise Trap(BOUNDS_ERROR)
                 if type(value) is not int:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 target.data[i] = value & 0xFF
             elif op == "asize":
                 target = regs[instr[2]]
@@ -414,13 +426,13 @@ class VM:
                 if isinstance(target, (TmlArray, TmlVector, TmlByteArray)):
                     regs[instr[1]] = len(target)
                 else:
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
             elif op == "amove":
                 self.instructions = counted
-                self._move(regs, instr, bytes_mode=False)
+                block_move(*(regs[i] for i in instr[1:6]), False)
             elif op == "bmove":
                 self.instructions = counted
-                self._move(regs, instr, bytes_mode=True)
+                block_move(*(regs[i] for i in instr[1:6]), True)
             elif op == "case":
                 _, rs, tag_regs, pcs, else_pc = instr
                 scrutinee = regs[rs]
@@ -431,7 +443,7 @@ class VM:
                         break
                 if target_pc is None:
                     self.instructions = counted
-                    raise _VMTrap("caseError")
+                    raise Trap("caseError")
                 pc = target_pc
                 continue
             elif op == "tailcall":
@@ -445,7 +457,7 @@ class VM:
                 self.handlers.pop()
             elif op == "raise":
                 self.instructions = counted
-                raise _VMTrap(regs[instr[1]])
+                raise Trap(regs[instr[1]])
             elif op == "ccall":
                 _, dst, rf, rv, epc, ed = instr
                 fn_name = regs[rf]
@@ -456,7 +468,7 @@ class VM:
                 if not isinstance(fn_name, str) or not isinstance(
                     argvec, (TmlArray, TmlVector)
                 ):
-                    raise _VMTrap(TYPE_ERROR)
+                    raise Trap(TYPE_ERROR)
                 if profiler is not None:
                     profiler.primitives[f"ccall:{fn_name}"] += 1
                 function = self.foreign.lookup(fn_name)
@@ -480,7 +492,7 @@ class VM:
                 except ExtRaise as ext:
                     counted = self.instructions  # nested calls were counted
                     if epc is None:
-                        raise _VMTrap(ext.value) from None
+                        raise Trap(ext.value) from None
                     regs[ed] = ext.value
                     pc = epc
                     continue
@@ -491,37 +503,8 @@ class VM:
                 self.output.append(show_value(regs[instr[1]]))
             elif op == "halt":
                 self.instructions = counted
-                raise _VMHalt(regs[instr[1]])
+                raise Halted(regs[instr[1]])
             else:  # pragma: no cover - defensive
                 raise MachineError(f"unknown opcode {op!r}")
 
             pc += 1
-
-    @staticmethod
-    def _move(regs: list[Any], instr: tuple, bytes_mode: bool) -> None:
-        dst, di, src, si, n = (regs[i] for i in instr[1:6])
-        for index in (di, si, n):
-            if type(index) is not int:
-                raise _VMTrap(TYPE_ERROR)
-        if bytes_mode:
-            if not isinstance(dst, TmlByteArray) or not isinstance(src, TmlByteArray):
-                raise _VMTrap(TYPE_ERROR)
-            dst_len, src_len = len(dst.data), len(src.data)
-        else:
-            if not isinstance(dst, TmlArray):
-                raise _VMTrap(TYPE_ERROR)
-            if isinstance(src, TmlArray):
-                source = src.slots
-            elif isinstance(src, TmlVector):
-                source = list(src.slots)
-            else:
-                raise _VMTrap(TYPE_ERROR)
-            dst_len, src_len = len(dst.slots), len(source)
-        if n < 0 or di < 0 or si < 0 or di + n > dst_len or si + n > src_len:
-            raise _VMTrap(BOUNDS_ERROR)
-        if bytes_mode:
-            chunk = bytes(src.data[si : si + n])
-            dst.data[di : di + n] = chunk
-        else:
-            chunk = list(source[si : si + n])
-            dst.slots[di : di + n] = chunk

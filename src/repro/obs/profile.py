@@ -8,13 +8,11 @@ actually run hot.  :class:`VMProfiler` plugs into
 * per-opcode totals (``opcodes``),
 * per-code-object invocation and instruction counts (``closures``, keyed by
   the code object's qualified name, e.g. ``sieve.count_primes``),
-* per-primitive call counts for ``ccall``/``extcall`` (``primitives``),
-* adjacent-opcode pair counts (``pairs``): how often opcode *b* executed at
-  ``pc+1`` immediately after opcode *a* at ``pc``.  Only fall-through
-  adjacency is counted — taken branches and error edges are not statically
-  fusable boundaries — so the counts are exactly the dynamic weight of each
-  superinstruction candidate the fusion certifier
-  (:mod:`repro.analysis.fusion`) rules on.
+* per-primitive call counts for ``ccall``/``extcall`` (``primitives``).
+
+A run with a profiler attached executes in the VM's interpreter loop, never
+in the compiled tier (:mod:`repro.machine.tier`), which counts nothing per
+instruction.
 
 Profiles are deterministic: the VM is, so the same program produces an
 identical profile on every run (pinned by ``tests/obs/test_profile.py``).
@@ -40,14 +38,12 @@ class ClosureStats:
 class VMProfiler:
     """Mutable profile accumulated by one or more VM runs."""
 
-    __slots__ = ("opcodes", "closures", "primitives", "pairs")
+    __slots__ = ("opcodes", "closures", "primitives")
 
     def __init__(self):
         self.opcodes: _Counter = _Counter()
         self.closures: dict[str, ClosureStats] = {}
         self.primitives: _Counter = _Counter()
-        #: (prev opcode, opcode) -> fall-through-adjacent execution count
-        self.pairs: _Counter = _Counter()
 
     # -------------------------------------------------------- VM interface
 
@@ -77,15 +73,9 @@ class VMProfiler:
         )
         return ranked[:top] if top is not None else ranked
 
-    def hot_pairs(self, top: int | None = None) -> list[tuple[tuple[str, str], int]]:
-        """Adjacent opcode pairs ordered hottest-first (pair breaks ties)."""
-        ranked = sorted(self.pairs.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:top] if top is not None else ranked
-
     def merge(self, other: "VMProfiler") -> None:
         self.opcodes.update(other.opcodes)
         self.primitives.update(other.primitives)
-        self.pairs.update(other.pairs)
         for name, stats in other.closures.items():
             mine = self.closures.get(name)
             if mine is None:
@@ -98,7 +88,7 @@ class VMProfiler:
     def as_dict(self) -> dict:
         """Deterministic JSON-ready representation (sorted keys)."""
         return {
-            "schema": "repro.profile/v2",
+            "schema": "repro.profile/v3",
             "total_instructions": self.total_instructions,
             "opcodes": {op: self.opcodes[op] for op in sorted(self.opcodes)},
             "closures": {
@@ -110,10 +100,6 @@ class VMProfiler:
             },
             "primitives": {
                 name: self.primitives[name] for name in sorted(self.primitives)
-            },
-            "pairs": {
-                f"{first} {second}": self.pairs[(first, second)]
-                for first, second in sorted(self.pairs)
             },
         }
 

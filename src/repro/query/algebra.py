@@ -29,8 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.syntax import Application, Lit, PrimApp
-from repro.machine.runtime import ExtRaise, TmlVector, UncaughtTmlException
-from repro.machine.vm import EXT_OPS
+from repro.machine.runtime import EXT_OPS, ExtRaise, TmlVector, UncaughtTmlException
 from repro.primitives._util import invoke
 from repro.primitives.effects import EffectClass
 from repro.primitives.registry import Attributes, Primitive, PrimitiveRegistry, Signature
@@ -59,6 +58,11 @@ def _need_relation(value: Any) -> Relation:
 def _call_proc(machine, closure, args: list[Any]) -> Any:
     """Call back into the machine to run a higher-order query argument."""
     try:
+        # the VM returns the bare value; the reference interpreter's only
+        # re-entry builds a result record
+        apply = getattr(machine, "apply", None)
+        if apply is not None:
+            return apply(closure, args)
         return machine.call(closure, args).value
     except UncaughtTmlException as exc:
         # the predicate invoked its exception continuation: propagate to the
@@ -73,7 +77,7 @@ def _need_bool(value: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# operator implementations (machine-agnostic: `machine` has .call)
+# operator implementations (machine-agnostic: `machine` has .apply or .call)
 # ---------------------------------------------------------------------------
 
 

@@ -2,18 +2,19 @@
 
 ``repro.machine.isa.OPS`` declares each TAM opcode once.  The first half
 holds everything hand-written equal to it (no execution): the opcodes
-``VM._execute`` dispatches on, the ones the code generator and the
-registered extension emitters can emit, the arms of the abstract
-interpreter and the decompiler, the binary numbering, and — row by row,
-operand kind by operand kind — what the verifier accepts and which
-``TAM00x`` it answers a violation with.  A row without a producer or an
-executor fails here.
+``VM._execute`` dispatches on, the ones the compiled tier has an emitter
+for, the ones the code generator and the registered extension emitters can
+emit, the arms of the abstract interpreter and the decompiler, the binary
+numbering, and — row by row, operand kind by operand kind — what the
+verifier accepts and which ``TAM00x`` it answers a violation with.  A row
+without a producer or an executor fails here.
 
 The second half runs every row that implements a primitive, on a succeeding
-input and on every way it traps, through the reference interpreter, the
-VM, the VM on optimized code and the VM on decompiled-and-recompiled code,
-and requires one answer; a profiler over the whole sweep must have seen
-every opcode of the table execute.
+input and on every way it traps, through the reference interpreter, the VM's
+interpreter loop, the compiled tier, the VM on optimized code and the VM on
+decompiled-and-recompiled code, and requires one answer — and of the two
+that count TAM instructions, one count; a profiler over the whole sweep must
+have seen every opcode of the table execute.
 """
 
 import ast
@@ -33,7 +34,7 @@ from repro.core.syntax import UNIT, Char
 from repro.machine import codegen
 from repro.machine.binfmt import decode_code, encode_code
 from repro.machine.cps_interp import Interpreter
-from repro.machine.isa import OPS, CodeObject, Op
+from repro.machine.isa import OPS, CodeObject, Op, flatten_codes
 from repro.machine.runtime import (
     ForeignTable,
     MachineError,
@@ -42,6 +43,7 @@ from repro.machine.runtime import (
     TmlVector,
     UncaughtTmlException,
 )
+from repro.machine.tier import EMITTERS
 from repro.machine.vm import VM, instantiate
 from repro.obs.profile import VMProfiler
 from repro.primitives._util import INT_MAX, INT_MIN
@@ -108,6 +110,10 @@ def _emitted(module) -> set[str]:
 class TestOneDeclarationPerOpcode:
     def test_the_vm_executes_exactly_the_table(self):
         assert _dispatched(VM._execute) == set(OPS)
+
+    def test_the_tier_compiles_exactly_the_table(self):
+        # no opcode is left to the interpreter
+        assert set(EMITTERS) == set(OPS)
 
     def test_the_compilers_emit_exactly_the_table(self):
         modules = {codegen}
@@ -461,9 +467,11 @@ class _Program:
             interpreter = Interpreter(registry=REGISTRY, foreign=_foreign())
             return interpreter.call(interpreter.make_closure(term), args)
 
-        def on_vm(code):
+        def on_vm(code, profiler=profiler):
+            """With a profiler the VM interprets; without, it runs compiled."""
+
             def run(args):
-                vm = VM(foreign=_foreign(), profiler=profiler)
+                run.vm = vm = VM(foreign=_foreign(), profiler=profiler)
                 return vm.call(instantiate(code), args)
 
             return run
@@ -471,6 +479,7 @@ class _Program:
         self.engines = {
             "interpreter": interpret,
             "vm": on_vm(self.code),
+            "vm-compiled": on_vm(self.code, profiler=None),
             "vm-optimized": on_vm(optimized),
             "vm-decompiled": on_vm(rebuilt),
         }
@@ -483,6 +492,10 @@ class _Program:
         }
         oracle = outcomes["interpreter"]
         assert all(o == oracle for o in outcomes.values()), (args, outcomes)
+        # value, output or trap — and the count, also when the run trapped
+        counts = [self.engines[name].vm.instructions for name in ("vm", "vm-compiled")]
+        assert counts[0] == counts[1], (args, counts)
+        assert not any(code.tier is False for code in flatten_codes(self.code)), "declined"
         return oracle
 
     def kinds_report(self, args) -> set[str]:

@@ -109,6 +109,31 @@ end"""
     assert vm_mod._VM_INSTRUCTIONS.value - before == result.instructions
 
 
+def test_a_reentrant_run_is_counted_once():
+    """A ``select`` calls its predicate back once per row; those runs are
+    part of the run around them, not top-level runs of their own."""
+    from repro.lang import TycoonSystem
+    from repro.machine import vm as vm_mod
+    from repro.query import Relation
+
+    system = TycoonSystem()
+    rows = Relation("rows", ["id", "v"])
+    rows.insert_many([(i, i * 3) for i in range(12)])
+    system.compile(
+        """
+module q export odd
+type Row = tuple id: Int, v: Int end
+let odd(rows) = select r from rows as r : Row where r.v % 2 == 1 end
+end"""
+    )
+    before = vm_mod._VM_INSTRUCTIONS.value
+    runs_before = vm_mod._VM_RUNS.value
+    result = system.vm().call(system.closure("q", "odd"), [rows])
+    assert len(result.value) == 6
+    assert vm_mod._VM_RUNS.value == runs_before + 1
+    assert vm_mod._VM_INSTRUCTIONS.value - before == result.instructions
+
+
 def test_standalone_counter_and_gauge():
     c = Counter("c")
     c.inc(2)

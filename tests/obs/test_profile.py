@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import TycoonSystem
-from repro.obs.profile import VMProfiler, profile_call
+from repro.obs.profile import profile_call
 
 LOOP_MODULE = """
 module loops export run helper
@@ -44,26 +44,10 @@ def test_profile_is_deterministic_across_runs():
 def test_profile_dict_is_sorted_and_versioned():
     _, profiler = profile_call(_fresh_system(), "loops", "run", [5])
     data = profiler.as_dict()
-    assert data["schema"] == "repro.profile/v2"
+    assert data["schema"] == "repro.profile/v3"
     assert list(data["opcodes"]) == sorted(data["opcodes"])
     assert list(data["closures"]) == sorted(data["closures"])
-    assert list(data["pairs"]) == sorted(data["pairs"])
     assert data["total_instructions"] == profiler.total_instructions
-
-
-def test_adjacent_pair_counts_cover_fallthrough_only():
-    _, profiler = profile_call(_fresh_system(), "loops", "run", [8])
-    assert profiler.pairs, "straight-line CPS code must produce adjacent pairs"
-    # a pair is two opcodes executed at consecutive pcs: its count can never
-    # exceed either opcode's own execution count
-    for (first, second), count in profiler.pairs.items():
-        assert count <= profiler.opcodes[first], (first, second)
-        assert count <= profiler.opcodes[second], (first, second)
-    # hot_pairs ranks by count descending
-    ranked = profiler.hot_pairs()
-    assert [c for _, c in ranked] == sorted(profiler.pairs.values(), reverse=True)
-    top1 = profiler.hot_pairs(top=1)
-    assert len(top1) == 1 and top1[0][1] == max(profiler.pairs.values())
 
 
 def test_entry_closure_and_invocations_recorded():
