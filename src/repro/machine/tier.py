@@ -22,9 +22,10 @@ such code has no static bound on the instructions of one activation
 (``tier_max_path`` is infinite, and under a step limit the trampoline
 interprets it).
 
-Nothing is compiled before a code object's first unprofiled activation,
-nothing is persisted, and the generated source is not kept — :func:`source`
-regenerates it for a look.
+Nothing is compiled before a code object's first activation the trampoline
+does not interpret (a :class:`~repro.obs.profile.VMProfiler` makes it
+interpret every one), nothing is persisted, and the generated source is not
+kept — :func:`source` regenerates it for a look.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def _case(g, at, scrutinee, tags, pcs, else_pc):
 
 def _poph(g, at):
     g.emit(at, "if not vm.handlers:")
-    g.emit(at, "raise MachineError('popHandler on empty handler stack')", indent=1)
+    g.leave(at, "raise MachineError('popHandler on empty handler stack')", indent=1)
     g.emit(at, "vm.handlers.pop()")
 
 

@@ -13,8 +13,8 @@ counts executed instructions, the concrete realization of the paper's
 One activation of a code object runs either in :meth:`VM._execute`, the
 bytecode interpreter loop, or as the Python function
 :mod:`repro.machine.tier` compiled the code object to; :meth:`VM._loop`
-chooses from what it can observe (profiler, step limit, the code's shape),
-and the two agree on every value, trap and count.
+chooses from what it can observe (the profile's class, step limit, the
+code's shape), and the two agree on every value, trap and count.
 """
 
 from __future__ import annotations
@@ -134,11 +134,14 @@ class VM:
         self.handlers: list[Any] = []
         self.output: list[str] = []
         self.instructions = 0
-        #: optional :class:`repro.obs.profile.VMProfiler`; when attached the
-        #: main loop additionally counts per-opcode / per-closure totals
+        #: optional :class:`repro.obs.profile.ClosureProfile` (per-closure
+        #: totals, credited per activation) or
+        #: :class:`~repro.obs.profile.VMProfiler` (plus per-opcode totals)
         self.profiler = profiler
         #: runs in progress: > 1 while an extcall handler has re-entered
         self._depth = 0
+        #: instructions credited to profiled activations so far
+        self._credited = 0
 
     # ------------------------------------------------------------------ API
 
@@ -186,11 +189,17 @@ class VM:
 
         An activation runs compiled (:mod:`repro.machine.tier`, compiled at a
         code object's first activation) unless something observable says it
-        cannot: a profiler is attached to this run, the step limit could run
+        cannot: the attached profile counts per instruction (a
+        :class:`~repro.obs.profile.VMProfiler`), the step limit could run
         out inside it, or the code was declined.  Then :meth:`_execute` runs
-        it, so profiles and ``StepLimitExceeded`` come from one place."""
+        it, so opcode counts and ``StepLimitExceeded`` come from one place.
+
+        Under any profile, each activation is credited here, in both loops:
+        one invocation, and the instructions it ran itself — its span of
+        ``self.instructions`` less what the activations of nested runs were
+        credited — however it ends (tail call, trap, halt, step limit)."""
         limit = self.step_limit
-        profiled = self.profiler is not None
+        profile = self.profiler
         while True:
             try:
                 while True:
@@ -198,8 +207,28 @@ class VM:
                         code = target.code
                         if len(code.params) != len(values):
                             raise Trap(ARITY_ERROR)
-                        if profiled:
-                            target, values = self._execute(target, values)
+                        if profile is not None:
+                            # the choice made below, with the credit around
+                            # it: kept apart so that unprofiled runs, which
+                            # ``VM.apply`` starts once per query row, do no
+                            # accounting at all
+                            stats = profile.enter(code.name)
+                            uncredited = self.instructions - self._credited
+                            try:
+                                run = False if profile.per_instruction else code.tier
+                                if run is None:
+                                    run = compile_code(code)
+                                if run is False or (
+                                    limit is not None
+                                    and self.instructions + code.tier_max_path > limit
+                                ):
+                                    target, values = self._execute(target, values)
+                                else:
+                                    target, values = run(self, target.free, values)
+                            finally:
+                                own = self.instructions - self._credited - uncredited
+                                self._credited += own
+                                stats.instructions += own
                             continue
                         run = code.tier
                         if run is None:
@@ -236,9 +265,10 @@ class VM:
         counted = self.instructions
         limit = self.step_limit
         profiler = self.profiler
-        if profiler is not None:
+        if profiler is not None and profiler.per_instruction:
             profile_ops = profiler.opcodes
-            closure_stats = profiler.enter(code.name)
+        else:
+            profiler = None
 
         while True:
             instr = instrs[pc]
@@ -253,7 +283,6 @@ class VM:
             op = instr[0]
             if profiler is not None:
                 profile_ops[op] += 1
-                closure_stats.instructions += 1
 
             if op == "const":
                 value = consts[instr[2]]
@@ -453,6 +482,7 @@ class VM:
                 self.handlers.append(regs[instr[1]])
             elif op == "poph":
                 if not self.handlers:
+                    self.instructions = counted
                     raise MachineError("popHandler on empty handler stack")
                 self.handlers.pop()
             elif op == "raise":

@@ -7,9 +7,10 @@ Three pieces, one package:
   pipeline and the VM;
 * :mod:`repro.obs.trace` — opt-in structured spans/events (``TRACER``),
   disabled by default with a near-zero no-op path;
-* :mod:`repro.obs.profile` — per-closure/per-opcode VM execution profiles
-  (:class:`VMProfiler`), the runtime evidence consumed by
-  ``repro.reflect.pgo`` for profile-guided reoptimization.
+* :mod:`repro.obs.profile` — VM execution profiles: per-closure evidence
+  (:class:`ClosureProfile`), consumed by ``repro.reflect.pgo`` for
+  profile-guided reoptimization, and per-opcode detail on top of it
+  (:class:`VMProfiler`).
 
 Exporters (:mod:`repro.obs.exporters`) serialize traces as NDJSON and
 metric/bench snapshots as JSON.  See ``docs/observability.md``.
@@ -42,7 +43,7 @@ from repro.obs.metrics import (
     metrics_enabled,
     set_metrics_enabled,
 )
-from repro.obs.profile import ClosureStats, VMProfiler, profile_call
+from repro.obs.profile import ClosureProfile, ClosureStats, VMProfiler, profile_call
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import (
     NULL_SPAN,
@@ -86,6 +87,7 @@ __all__ = [
     "read_ndjson",
     "validate_event",
     "write_metrics_json",
+    "ClosureProfile",
     "ClosureStats",
     "VMProfiler",
     "profile_call",

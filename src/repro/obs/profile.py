@@ -1,22 +1,23 @@
 """Per-closure / per-opcode VM execution profiles.
 
 The paper's reflective optimizer needs runtime *evidence*: which procedures
-actually run hot.  :class:`VMProfiler` plugs into
-:class:`repro.machine.vm.VM` and extends the existing single
-``instructions`` counter into
+actually run hot.  Two profiles plug into :class:`repro.machine.vm.VM`:
 
-* per-opcode totals (``opcodes``),
-* per-code-object invocation and instruction counts (``closures``, keyed by
-  the code object's qualified name, e.g. ``sieve.count_primes``),
-* per-primitive call counts for ``ccall``/``extcall`` (``primitives``).
+* :class:`ClosureProfile` — per-code-object invocation and instruction
+  counts (``closures``, keyed by the code object's qualified name, e.g.
+  ``sieve.count_primes``): the evidence ``repro.reflect.pgo`` and the
+  daemon's PGO worker read.  The VM's trampoline credits it once per
+  activation, so a run under it still executes in the compiled tier
+  (:mod:`repro.machine.tier`);
+* :class:`VMProfiler` — that, plus per-opcode totals (``opcodes``) and
+  per-primitive call counts for ``ccall``/``extcall`` (``primitives``).
+  Those are counted per instruction, so a run under it executes in the
+  VM's interpreter loop.
 
-A run with a profiler attached executes in the VM's interpreter loop, never
-in the compiled tier (:mod:`repro.machine.tier`), which counts nothing per
-instruction.
-
+The VM picks the loop by the profile's class (``per_instruction``).
 Profiles are deterministic: the VM is, so the same program produces an
-identical profile on every run (pinned by ``tests/obs/test_profile.py``).
-``repro.reflect.pgo`` consumes profiles to pick reoptimization targets.
+identical profile on every run (pinned by ``tests/obs/test_profile.py``),
+and the two profiles' ``closures`` agree (``tests/obs/test_evidence.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from dataclasses import dataclass
 
-__all__ = ["ClosureStats", "VMProfiler", "profile_call"]
+__all__ = ["ClosureStats", "ClosureProfile", "VMProfiler", "profile_call"]
 
 
 @dataclass(slots=True)
@@ -35,20 +36,23 @@ class ClosureStats:
     instructions: int = 0
 
 
-class VMProfiler:
-    """Mutable profile accumulated by one or more VM runs."""
+class ClosureProfile:
+    """Per-closure evidence accumulated by one or more VM runs."""
 
-    __slots__ = ("opcodes", "closures", "primitives")
+    __slots__ = ("closures",)
+
+    #: the VM counts nothing per instruction for this profile: it may run
+    #: compiled code under it
+    per_instruction = False
 
     def __init__(self):
-        self.opcodes: _Counter = _Counter()
         self.closures: dict[str, ClosureStats] = {}
-        self.primitives: _Counter = _Counter()
 
     # -------------------------------------------------------- VM interface
 
     def enter(self, code_name: str) -> ClosureStats:
-        """Count one invocation; returns the stats cell for the hot loop."""
+        """Count one invocation; returns the cell the activation's
+        instructions are credited to when it ends."""
         stats = self.closures.get(code_name)
         if stats is None:
             stats = self.closures[code_name] = ClosureStats()
@@ -59,7 +63,7 @@ class VMProfiler:
 
     @property
     def total_instructions(self) -> int:
-        return sum(self.opcodes.values())
+        return sum(stats.instructions for stats in self.closures.values())
 
     def hot_closures(
         self, top: int | None = None, key: str = "instructions"
@@ -73,15 +77,36 @@ class VMProfiler:
         )
         return ranked[:top] if top is not None else ranked
 
-    def merge(self, other: "VMProfiler") -> None:
-        self.opcodes.update(other.opcodes)
-        self.primitives.update(other.primitives)
+    def merge(self, other: "ClosureProfile") -> None:
         for name, stats in other.closures.items():
             mine = self.closures.get(name)
             if mine is None:
                 mine = self.closures[name] = ClosureStats()
             mine.invocations += stats.invocations
             mine.instructions += stats.instructions
+
+
+class VMProfiler(ClosureProfile):
+    """A :class:`ClosureProfile` plus per-opcode and per-primitive counts."""
+
+    __slots__ = ("opcodes", "primitives")
+
+    #: the VM interprets every activation to count its opcodes
+    per_instruction = True
+
+    def __init__(self):
+        super().__init__()
+        self.opcodes: _Counter = _Counter()
+        self.primitives: _Counter = _Counter()
+
+    @property
+    def total_instructions(self) -> int:
+        return sum(self.opcodes.values())
+
+    def merge(self, other: "VMProfiler") -> None:
+        super().merge(other)
+        self.opcodes.update(other.opcodes)
+        self.primitives.update(other.primitives)
 
     # ------------------------------------------------------------- export
 

@@ -2,11 +2,13 @@
 
 Section 4.1 makes optimization a *runtime* activity; this module supplies
 the missing decision input: measured behavior.  A
-:class:`repro.obs.profile.VMProfiler` says which procedures actually ran
-hot (invocation and instruction counts per code object); ``optimize_hot``
-selects the hottest compiled functions by that evidence, runs
-``reflect.optimize`` on each, and links the regenerated closures back into
-the running image so subsequent calls use the optimized code.
+:class:`repro.obs.profile.ClosureProfile` (or the
+:class:`~repro.obs.profile.VMProfiler` that extends it) says which
+procedures actually ran hot (invocation and instruction counts per code
+object); ``optimize_hot`` selects the hottest compiled functions by that
+evidence, runs ``reflect.optimize`` on each, and links the regenerated
+closures back into the running image so subsequent calls use the optimized
+code.
 
 >>> from repro.lang import TycoonSystem
 >>> from repro.obs import profile_call
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.profile import VMProfiler
+from repro.obs.profile import ClosureProfile
 from repro.obs.trace import TRACER
 from repro.reflect.optimize import DYNAMIC_CONFIG, ReflectResult
 
@@ -67,7 +69,7 @@ class PgoReport:
 
 def rank_hot(
     system,
-    profiler: VMProfiler,
+    profiler: ClosureProfile,
     modules=None,
     key: str = "instructions",
 ) -> list[HotCandidate]:
@@ -108,7 +110,7 @@ def rank_hot(
 
 def optimize_hot(
     system,
-    profiler: VMProfiler,
+    profiler: ClosureProfile,
     top: int = 1,
     modules=None,
     key: str = "instructions",

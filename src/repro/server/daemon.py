@@ -23,7 +23,10 @@ Transactions (single-writer / snapshot-reader, see
 Execution requests resolve stored functions through the shared
 compiled-code cache (:mod:`repro.server.codecache`) and run on a fresh VM
 per request with a per-request step limit (the budget errors surface as
-structured ``step_limit`` responses).  Each run is profiled; the
+structured ``step_limit`` responses).  Each run collects PGO evidence — a
+:class:`~repro.obs.profile.ClosureProfile`, per-closure invocations and
+instructions credited once per activation, so the run still executes in the
+compiled tier — whether it returns, raises or runs out of steps; the
 aggregated profile feeds the background PGO worker
 (:mod:`repro.server.pgo`), which rewrites hot functions in the live image
 — sessions transparently pick up the faster code on their next call.
@@ -50,7 +53,7 @@ from repro.lang.stdlib import STDLIB_MODULE_NAMES
 from repro.obs.exporters import NdjsonRecorder
 from repro.obs.history import MetricsHistory
 from repro.obs.metrics import METRICS
-from repro.obs.profile import VMProfiler
+from repro.obs.profile import ClosureProfile
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import NULL_SPAN, TRACER, new_trace_id
 from repro.server import protocol, roles
@@ -127,7 +130,8 @@ class ServerConfig:
         30.0, "--pgo-interval", "seconds between background PGO rounds",
         off=("--no-pgo", "disable the background PGO worker"),
     )
-    #: profile every execution request (the PGO evidence source)
+    #: collect per-closure evidence from every execution request (the PGO
+    #: worker's input; it does not take a request out of the compiled tier)
     profile: bool = True
     enable_debug_ops: bool = _flag(
         False, "--debug-ops", "enable debug protocol ops (sleep) — test use only"
@@ -383,7 +387,7 @@ class ReproServer:
         self._keys: dict[str, str] = {}
         self._keys_lock = threading.Lock()
         #: merged profile of every profiled request since the last PGO round
-        self._profile = VMProfiler()
+        self._profile = ClosureProfile()
         self._profile_lock = threading.Lock()
         self._sessions: dict[int, Session] = {}
         self._sessions_lock = threading.Lock()
@@ -1167,16 +1171,16 @@ class ReproServer:
             self.code_cache.invalidate(key)
             self.fact_store.invalidate(key)
 
-    def take_profile(self) -> VMProfiler:
+    def take_profile(self) -> ClosureProfile:
         """Hand the aggregated profile to the caller, starting a fresh one."""
         with self._profile_lock:
             profile = self._profile
-            self._profile = VMProfiler()
+            self._profile = ClosureProfile()
         return profile
 
-    def merge_profile(self, profiler: VMProfiler) -> None:
+    def merge_profile(self, profile: ClosureProfile) -> None:
         with self._profile_lock:
-            self._profile.merge(profiler)
+            self._profile.merge(profile)
 
     # ---------------------------------------------------------- NDJSON trace
 

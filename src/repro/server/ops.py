@@ -24,7 +24,7 @@ from repro.machine.runtime import (
 )
 from repro.machine.vm import VM, StepLimitExceeded
 from repro.obs.metrics import METRICS
-from repro.obs.profile import VMProfiler
+from repro.obs.profile import ClosureProfile
 from repro.obs.trace import TRACER
 from repro.server import protocol, roles
 from repro.server.pgo import PgoWorker
@@ -71,18 +71,16 @@ def execute(server, closure, args, request: dict):
         # convert the remaining wall-clock budget to instructions, so a
         # deadlined request cannot overstay inside the VM
         limit = max(1, min(limit, int(remaining * STEPS_PER_SECOND)))
-    profiler = VMProfiler() if server.config.profile else None
+    profile = ClosureProfile() if server.config.profile else None
     vm = VM(
         store=server.heap,
         foreign=server.system.foreign,
         step_limit=limit,
-        profiler=profiler,
+        profiler=profile,
     )
     try:
         result = vm.call(closure, list(args))
     except StepLimitExceeded as exc:
-        if profiler is not None:
-            server.merge_profile(profiler)  # truncated runs are evidence too
         request["_steps"] = exc.instructions
         raise RequestError(
             protocol.E_STEP_LIMIT,
@@ -97,8 +95,9 @@ def execute(server, closure, args, request: dict):
         ) from exc
     except MachineError as exc:
         raise RequestError(protocol.E_EXEC, str(exc)) from exc
-    if profiler is not None:
-        server.merge_profile(profiler)
+    finally:
+        if profile is not None:
+            server.merge_profile(profile)  # failed and truncated runs are evidence too
     request["_steps"] = result.instructions
     return result
 

@@ -1,14 +1,17 @@
 """Background profile-guided optimization over the live image.
 
-The paper's reflective loop (§4.1) run as a service: every profiled
-execution request feeds one aggregate :class:`VMProfiler`; periodically
-this worker takes the accumulated evidence, opens a *write* transaction on
-the shared image and runs :func:`repro.reflect.pgo.optimize_hot` on the
-measured-hottest stored functions.  The rewritten code (and its new PTML)
-is committed to the image, the compiled-code cache entries of the replaced
-functions are invalidated, and the next ``call`` from any session links
-the optimized code — the clients never stop, the code under them just
-gets faster.
+The paper's reflective loop (§4.1) run as a service: every execution
+request — whether it returns, raises or runs out of steps — feeds its
+per-closure invocation and instruction counts into one aggregate
+:class:`~repro.obs.profile.ClosureProfile`.  The VM credits those once per
+activation, so collecting them leaves the request in the compiled tier.
+Periodically this worker takes the accumulated evidence, opens a *write*
+transaction on the shared image and runs
+:func:`repro.reflect.pgo.optimize_hot` on the measured-hottest stored
+functions.  The rewritten code (and its new PTML) is committed to the
+image, the compiled-code cache entries of the replaced functions are
+invalidated, and the next ``call`` from any session links the optimized
+code — the clients never stop, the code under them just gets faster.
 
 Each round takes the profile with reset semantics, so evidence is spent
 once: an already-optimized function must earn its next rewrite with fresh

@@ -10,12 +10,16 @@ import time
 
 import pytest
 
+from repro.lang import TycoonSystem
+from repro.machine.vm import StepLimitExceeded
+from repro.obs.profile import VMProfiler, profile_call
 from repro.server import ReproServer, ServerConfig, connect
 from repro.server.client import ServerError
 from repro.server.protocol import (
     E_BACKPRESSURE,
     E_BAD_REQUEST,
     E_BUSY,
+    E_EXEC,
     E_NOT_FOUND,
     E_STEP_LIMIT,
     E_TXN_STATE,
@@ -311,6 +315,18 @@ class TestCodeCacheAndPgo:
             # measurably smaller TAM cost after reflective reoptimization
             assert entry["cost_after"] < entry["cost_before"]
 
+            # selected by the evidence the interpreter would have collected
+            # from the same four calls
+            expected = VMProfiler()
+            system = TycoonSystem()
+            system.compile(BENCH)
+            for _ in range(4):
+                profile_call(system, "bench", "work", [300], profiler=expected)
+            work = expected.closures["bench.work"]
+            assert (entry["invocations"], entry["instructions"]) == (
+                work.invocations, work.instructions,
+            )
+
             # the server never stopped: same session keeps working and the
             # replacement is live — fewer instructions, same result
             after = db.call("bench", "work", [300], full=True)
@@ -328,6 +344,62 @@ class TestCodeCacheAndPgo:
         with connect(server.port) as db:
             db.pgo()  # drain whatever other tests left
             assert db.pgo() == {"optimized": []}
+
+    def test_a_call_that_raises_is_evidence(self, server):
+        with connect(server.port) as db:
+            db.run(RAISES)
+            with pytest.raises(ServerError) as err:
+                db.call("boom", "f", [5])
+            assert err.value.code == E_EXEC
+            report = db.pgo(top=1)
+        assert [e["function"] for e in report["optimized"]] == ["boom.f"]
+        assert report["optimized"][0]["invocations"] == 1
+
+
+RAISES = """
+module boom export f
+let f(n: Int): Int =
+  let a = array(3, 7) in
+  var s := 0 in
+  begin for i = 0 upto n do begin print(i); s := s + a[i] end end; s end
+end"""
+
+
+class TestServedCallsRunCompiled:
+    """The daemon collects PGO evidence without leaving the compiled tier."""
+
+    @pytest.fixture
+    def default_server(self, tmp_path):
+        instance = ReproServer(str(tmp_path / "tier.tyc"))
+        instance.start()
+        yield instance
+        instance.stop()
+
+    def test_a_call_runs_compiled(self, default_server):
+        with connect(default_server.port) as db:
+            db.run(BENCH)
+            before = db.stats(metrics=True)["metrics"]["vm.tier.compiled"]["value"]
+            assert db.call("bench", "work", [10]) == 45
+            after = db.stats(metrics=True)["metrics"]["vm.tier.compiled"]["value"]
+        assert after > before
+
+    def test_a_step_limit_stops_where_the_interpreter_stops(self, default_server):
+        system = TycoonSystem()
+        system.compile(RAISES)
+        vm = system.vm(step_limit=60)
+        vm.profiler = VMProfiler()
+        with pytest.raises(StepLimitExceeded) as stopped:
+            vm.call(system.closure("boom", "f"), [2])
+        with connect(default_server.port) as db:
+            db.run(RAISES)
+            with pytest.raises(ServerError) as err:
+                db.call("boom", "f", [2], step_limit=60)
+        assert err.value.code == E_STEP_LIMIT
+        details = err.value.details
+        assert (details["limit"], details["instructions"], details["output"]) == (
+            60, stopped.value.instructions, stopped.value.partial.output,
+        )
+        assert stopped.value.partial.output  # the limit falls after a print
 
 
 class TestPersistence:
