@@ -169,6 +169,8 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "TAM009": "control can fall off the end of the instruction stream",
     "TAM010": "register read before any definition reaches it",
     "TAM011": "code object metadata inconsistent (params vs nregs)",
+    "TAM012": "control flow is not a tree: a backward jump, or a pc entered by "
+    "more than one edge",
     "TAM020": "popHandler provably executable at handler depth <= 0: it pops "
     "a handler installed by a caller",
     # --- abstract interpretation (repro.analysis.absint) ---

@@ -10,7 +10,11 @@ applied recursively to nested codes, then one over the whole family:
    nested-code / jump operands are in range; closure capture plans match the
    child code's free slot count (``TAM001`` – ``TAM008``, ``TAM011``);
 2. **control** — execution cannot fall off the end of the instruction
-   stream: every path ends in a control transfer (``TAM009``);
+   stream: every path ends in a control transfer (``TAM009``); and the
+   control flow is a tree: every jump goes forward and no pc is entered by
+   more than one edge (``TAM012``), which is what lets
+   :mod:`repro.machine.tier` compile a code object to one Python function
+   with an instruction count that is a constant of each path;
 3. **dataflow** — forward definite-assignment analysis over the CFG: a
    register read must be dominated by a definition (parameters define the
    leading registers; the exception edges of arithmetic, ``ccall`` and
@@ -24,7 +28,7 @@ applied recursively to nested codes, then one over the whole family:
    severity.
 
 The verifier accepts exactly what :mod:`repro.machine.codegen` emits and what
-:mod:`repro.machine.vm` executes; the property suite pins both directions.
+the compiled tier executes; the property suite pins both directions.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.machine.isa import OPS, CodeObject
 
-__all__ = ["verify_code", "assert_verified", "TamVerificationError"]
+__all__ = ["verify_code", "assert_verified", "code_errors", "TamVerificationError"]
 
 
 class TamVerificationError(AnalysisError):
@@ -71,12 +75,20 @@ def verify_code(root: CodeObject, name: str | None = None) -> list[Diagnostic]:
     return found
 
 
-def _verify_one(code: CodeObject, path: str, found: list[Diagnostic]) -> None:
-    before = len(found)
+def code_errors(code: CodeObject, path: str | None = None) -> list[Diagnostic]:
+    """The errors of ``code`` itself, not of its nested codes: metadata and
+    structure, then — on structurally sound code — control flow and dataflow.
+    The compiled tier runs exactly the code objects this passes."""
+    path = path or code.name
+    found: list[Diagnostic] = []
     _check_metadata(code, path, found)
-    structural_ok = _check_instructions(code, path, found) and len(found) == before
-    if structural_ok:
+    if _check_instructions(code, path, found) and not found:
         _check_dataflow(code, path, found)
+    return found
+
+
+def _verify_one(code: CodeObject, path: str, found: list[Diagnostic]) -> None:
+    found.extend(code_errors(code, path))
     for index, nested in enumerate(code.codes):
         _verify_one(nested, f"{path}.codes[{index}]", found)
 
@@ -361,10 +373,13 @@ def _instr_flow(instr: tuple) -> tuple[set, set, list, bool]:
     ``branch_edges`` is a list of ``(target_pc, defs_on_edge)``.
     """
     row = OPS[instr[0]]
-    flow = {"use": set(), "def": set(), "edge": set(), "edge-def": set()}
+    # edges are a list: two to the same pc are a join (``TAM012``)
+    flow = {"use": set(), "def": set(), "edge": [], "edge-def": set()}
     for position, role in _roles(row.operands):
         operand = instr[position]
-        if type(operand) is int:
+        if role == "edge" and operand is not None:
+            flow[role] += operand if type(operand) is tuple else (operand,)
+        elif type(operand) is int:
             flow[role].add(operand)
         elif role == "plan":
             flow["use"].update(_plan_reads(operand))
@@ -384,9 +399,26 @@ def _instr_flow(instr: tuple) -> tuple[set, set, list, bool]:
     return flow["use"], flow["def"], branches, not row.terminal
 
 
+def _check_tree(flows: list, path: str, found: list[Diagnostic]) -> None:
+    """``TAM012`` for each backward jump and each pc entered by more than one
+    edge: :mod:`repro.machine.codegen` gives every jump its own forward label
+    and emits the block it names after the code that jumps there."""
+    entered = [0] * (len(flows) + 1)
+    for pc, (_uses, _defs, branches, falls_through) in enumerate(flows):
+        for target, _edge_defs in branches:
+            if target <= pc:
+                _err(found, "TAM012", f"backward jump to pc {target}", path, pc, target=target)
+            entered[target] += 1
+        entered[pc + 1] += falls_through
+    for pc, edges in enumerate(entered[:-1]):
+        if edges > 1:
+            _err(found, "TAM012", f"{edges} edges enter pc {pc}: control flow joins", path, pc)
+
+
 def _check_dataflow(code: CodeObject, path: str, found: list[Diagnostic]) -> None:
     limit = len(code.instrs)
     flows = [_instr_flow(instr) for instr in code.instrs]
+    _check_tree(flows, path, found)
 
     # forward definite-assignment: IN[pc] = intersection over predecessors
     entry = frozenset(range(len(code.params)))

@@ -154,6 +154,7 @@ class Interpreter:
     def _trampoline(self, current: Application, env: Env) -> RunResult:
         start_steps, start_cost = self.steps, self.cost
         start_output = len(self.output)
+        floor = len(self.handlers)  # this run sees only the handlers it pushes
         try:
             while True:
                 self.steps += 1
@@ -162,7 +163,7 @@ class Interpreter:
                 try:
                     current, env = self._step(current, env)
                 except Trap as trap:
-                    current, env = self._route_exception(trap.value)
+                    current, env = self._route_exception(trap.value, floor)
         except Halted as halted:
             return RunResult(
                 value=halted.value,
@@ -218,9 +219,11 @@ class Interpreter:
         self.cost += CONT_CALL_COST
         return self._enter(entry, [])
 
-    def _route_exception(self, value: Any) -> tuple[Application, Env]:
-        """Transfer control to the topmost dynamic handler (pop-and-invoke)."""
-        if not self.handlers:
+    def _route_exception(self, value: Any, floor: int) -> tuple[Application, Env]:
+        """Transfer control to the topmost dynamic handler (pop-and-invoke) —
+        one the run pushed, above ``floor``: a run a primitive started (a
+        query predicate) must not take a handler of the run around it."""
+        if len(self.handlers) <= floor:
             raise UncaughtTmlException(value)
         handler = self.handlers.pop()
         return self._enter(handler, [value])

@@ -16,10 +16,10 @@ Instructions are tuples ``(op, operand...)``.  :data:`OPS` declares every
 opcode exactly once — the paper's section 2.3 discipline of stating
 everything about a primitive in one place, applied to the machine.  The
 bytecode verifier, the binary format, the abstract interpreter's regular
-transfer function and the decompiler are consumers of that table; the VM's
-dispatch loop, the compiled tier's emitters (:mod:`repro.machine.tier`) and
-the code generator's emitters are hand-written and checked against it
-(``tests/machine/test_isa_table.py``).
+transfer function and the decompiler are consumers of that table; the
+compiled tier's emitters (:mod:`repro.machine.tier`), the code generator's
+emitters and the test-side reference loop are hand-written and checked
+against it (``tests/machine/test_isa_table.py``).
 
 Operand kinds (what :mod:`repro.analysis.verify_tam` checks of each, and
 the role each plays in its definite-assignment analysis):
@@ -69,8 +69,9 @@ __all__ = [
 class Op:
     """One row of the instruction table: everything static about an opcode.
 
-    Every claim is checkable against :meth:`repro.machine.vm.VM._execute`;
-    the table test runs every row against the reference interpreter.
+    Every claim is checkable against the per-instruction reference loop
+    (``tests/machine/reference_vm.py``); the table test runs every row
+    against it, the compiled tier and the reference interpreter.
     """
 
     #: the byte :mod:`repro.machine.binfmt` encodes the opcode as.  Literal
@@ -282,13 +283,17 @@ class CodeObject:
     #: augments the generated code ... with a reference to a compact
     #: persistent representation of the TML tree").
     ptml_ref: Any = None
-    #: :func:`repro.machine.tier.compile_code`'s cache: the compiled function,
-    #: ``False`` when declined, ``None`` before the first activation.  Not
-    #: part of the value: never compared, printed, copied or persisted.
+    #: :func:`repro.machine.tier.compile_code`'s cache: the plain text's
+    #: function, ``None`` before the first activation.  Not part of the
+    #: value: never compared, printed, copied or persisted (nor are the two
+    #: fields below).
     tier: Any = field(default=None, init=False, compare=False, repr=False)
     #: instructions on the longest path through ``tier`` (infinite when an
     #: ``extcall`` handler may run more); set before ``tier`` is
     tier_max_path: float = field(default=0, init=False, compare=False, repr=False)
+    #: the counted text's function (opcode counts, step budget), compiled the
+    #: first time an activation needs it
+    tier_counted: Any = field(default=None, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         """Copy and pickle through ``__init__``, i.e. without ``tier``."""

@@ -33,6 +33,7 @@ __all__ = [
     "Halted",
     "UncaughtTmlException",
     "MachineError",
+    "StepLimitExceeded",
     "show_value",
     "block_move",
     "EXT_OPS",
@@ -249,6 +250,33 @@ class UncaughtTmlException(Exception):
 
 class MachineError(Exception):
     """An internal invariant violation (ill-formed code reached the machine)."""
+
+
+class StepLimitExceeded(Exception):
+    """The configured instruction budget ran out.
+
+    Carries the truncated run as structured state so profilers and tests can
+    inspect how far execution got:
+
+    * ``limit`` — the configured budget;
+    * ``instructions`` — instructions executed by the *run* that hit the
+      limit (filled in by :meth:`repro.machine.vm.VM.apply`);
+    * ``partial`` — a :class:`~repro.machine.vm.VMResult` with ``value=None``
+      holding the instruction count and the output emitted before truncation.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        limit: int | None = None,
+        instructions: int | None = None,
+        partial: Any = None,
+    ):
+        super().__init__(message)
+        self.limit = limit
+        self.instructions = instructions
+        self.partial = partial
 
 
 def show_value(value: Any) -> str:

@@ -3,34 +3,45 @@
 The code generator gives every jump its own forward label and emits a
 deferred block after the code that jumps to it, so inside one code object
 every jump is forward and every pc is entered by at most one edge: **the
-control flow is a tree**.  A tree needs no loop and no dispatch — a branching
-instruction becomes ``if <taken>: <the target's subtree>``, which always ends
-in an exit, followed by the fall-through at the same indentation — and the
-number of instructions executed on the way to any exit is a constant of the
-path.  So registers are locals, ``int``/``bool`` constants are literals, and
-nothing is counted per instruction: every exit (``tailcall``, ``halt``,
-``raise``, each trap site) adds its path's length to ``vm.instructions``.
+control flow is a tree** (``verify_tam`` rejects anything else as
+``TAM012``).  A tree needs no loop and no dispatch — a branching instruction
+becomes ``if <taken>: <the target's subtree>``, which always ends in an exit,
+followed by the fall-through at the same indentation — and the number of
+instructions executed on the way to any exit is a constant of the path.  So
+registers are locals, ``int``/``bool`` constants are literals, and nothing is
+counted per instruction: every exit (``tailcall``, ``halt``, ``raise``, each
+trap site) adds its path's length to ``vm.instructions``.  A subtree nested
+deeper than Python indents continues in a function of its own.  An
+``extcall`` handler may re-enter the VM, so the count is brought up to date
+before the call and the path counts on from zero after it; such code has no
+static bound on one activation's instructions (``tier_max_path`` is
+infinite).
 
-:meth:`repro.machine.vm.VM._execute` stays the reference: each emitter makes
-the checks of its arm there, in that order, and raises the same trap.  Code
-that is not such a tree, that nests deeper than Python indents, or that reads
-a register no instruction on the path wrote (the interpreter reads ``None``; a
-local would be unbound) is declined when first activated and stays
-interpreted.  An ``extcall`` handler may re-enter the VM, so the count is
-brought up to date before the call and the path counts on from zero after it;
-such code has no static bound on the instructions of one activation
-(``tier_max_path`` is infinite, and under a step limit the trampoline
-interprets it).
+This is the VM's only executor: code ``verify_tam`` rejects — not a tree, or
+reading a register no instruction on the path wrote (``TAM010``) — is
+malformed, and :func:`compile_code` raises :class:`MachineError` naming the
+diagnostic.
+Each code object has two texts from one generator.  The *plain* one counts
+only ``vm.instructions``.  The *counted* one, which the trampoline runs under
+a ``VMProfiler`` or when the step limit could run out inside the activation,
+also credits each run of instructions between two updates of the count — a
+segment, whose opcodes are static — to the profiler's ``segments`` in one
+dictionary update, and tests ``vm.instructions + <segment so far> > limit``
+before each instruction whose effect could be seen past the limit (an exit
+or trap, an update of the count, a memory write, a print, a handler-stack
+move, an ``Oid`` load): where it holds, the run stops exactly where a check
+before every instruction would have stopped it.
 
-Nothing is compiled before a code object's first activation the trampoline
-does not interpret (a :class:`~repro.obs.profile.VMProfiler` makes it
-interpret every one), nothing is persisted, and the generated source is not
-kept — :func:`source` regenerates it for a look.
+Nothing is compiled before a code object's first activation, the counted
+text not before the first that needs it; nothing is persisted, and the
+generated source is not kept — :func:`source` regenerates it for a look.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +54,7 @@ from repro.machine.runtime import (
     ExtRaise,
     Halted,
     MachineError,
+    StepLimitExceeded,
     TmlArray,
     TmlByteArray,
     TmlVector,
@@ -52,41 +64,64 @@ from repro.machine.runtime import (
     show_value,
 )
 from repro.obs.metrics import METRICS
+from repro.obs.profile import segment
 from repro.primitives._util import INT_MAX, INT_MIN, wrap_int
 from repro.primitives.arith import OVERFLOW, ZERO_DIVIDE, int_div, int_rem
 
-__all__ = ["EMITTERS", "compile_code", "source"]
+__all__ = ["EMITTERS", "compile_code", "counters", "source"]
 
-_COMPILED = METRICS.counter("vm.tier.compiled", "code objects compiled to Python")
-_COMPILE_S = METRICS.histogram("vm.tier.compile_s", "seconds compiling one code object")
-#: why a code object stays interpreted
-_FALLBACK = {
-    reason: METRICS.counter(f"vm.tier.fallback.{reason}", f"code left interpreted: {why}")
-    for reason, why in (
-        ("shape", "not a tree of known instructions"),
-        ("depth", "branches nest deeper than Python indents"),
-        ("undefined_read", "a path reads a register it did not write"),
-    )
-}
+_COMPILED = METRICS.counter(
+    "vm.tier.compiled", "code-object texts compiled to Python (plain or counted)"
+)
+_COMPILE_S = METRICS.histogram("vm.tier.compile_s", "seconds compiling one code-object text")
 
 #: Python's tokenizer stops at 100 levels of indentation
 _MAX_DEPTH = 80
 _NO_RAISE = object()
+#: the budget of a run without a step limit: no run gets that far, and an
+#: ``int`` compares faster than ``float("inf")``
+_UNLIMITED = sys.maxsize
+
+#: instructions the counted text tests the step budget before: past the
+#: limit, their effect could be seen
+_OBSERVED = frozenset(
+    op for op, row in OPS.items() if row.writes_memory or row.observable or row.handler_delta
+)
+
+#: the :func:`counters` every function of the counted text works with
+_SHARED = ("o", "p", "L")
+
+
+def counters(vm) -> tuple[dict, Counter, int]:
+    """The counted text's last argument: where it credits segments and
+    primitives — the ``VMProfiler``'s, or throwaway ones — and the step
+    limit."""
+    profile = vm.profiler
+    limit = _UNLIMITED if vm.step_limit is None else vm.step_limit
+    if profile is not None and profile.per_instruction:
+        return profile.segments, profile.primitives, limit
+    return {}, Counter(), limit
+
+
+def _exceeded(vm, limit: int, segments: dict, opcodes: tuple) -> StepLimitExceeded:
+    """The budget ran out inside the segment of ``opcodes``: credit those
+    that fit, as the limit check before each instruction would have."""
+    ran = segment(opcodes[: limit - vm.instructions])
+    if ran:
+        segments[ran] = segments.get(ran, 0) + 1
+    vm.instructions = limit
+    return StepLimitExceeded(f"exceeded {limit} instructions", limit=limit)
+
 
 #: what generated code can name besides its own locals
 _ENV = dict(
     BOUNDS_ERROR=BOUNDS_ERROR, EXT_OPS=EXT_OPS, OVERFLOW=OVERFLOW, TYPE_ERROR=TYPE_ERROR,
-    UNIT=UNIT, ZERO_DIVIDE=ZERO_DIVIDE, _NO_RAISE=_NO_RAISE, Char=Char, ExtRaise=ExtRaise,
-    Halted=Halted, MachineError=MachineError, TmlArray=TmlArray, TmlByteArray=TmlByteArray,
-    TmlVector=TmlVector, Trap=Trap, VMClosure=VMClosure, block_move=block_move,
-    identical=identical, int_div=int_div, int_rem=int_rem, show_value=show_value,
-    wrap_int=wrap_int,
+    UNIT=UNIT, ZERO_DIVIDE=ZERO_DIVIDE, _NO_RAISE=_NO_RAISE, _exceeded=_exceeded, Char=Char,
+    ExtRaise=ExtRaise, Halted=Halted, MachineError=MachineError, TmlArray=TmlArray,
+    TmlByteArray=TmlByteArray, TmlVector=TmlVector, Trap=Trap, VMClosure=VMClosure,
+    block_move=block_move, identical=identical, int_div=int_div, int_rem=int_rem,
+    show_value=show_value, wrap_int=wrap_int,
 )
-
-
-class _Declined(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
 
 
 @dataclass
@@ -97,45 +132,24 @@ class _Path:
     depth: int  #: indentation of the statements being emitted
     total: float  #: instructions executed since the activation began
     unpublished: int  #: ... since ``vm.instructions`` was brought up to date
-    defined: set[str]  #: registers written on the way here
+    defined: set[str]  #: registers written on the way here: a split's arguments
+    segment: list[str]  #: the opcodes of the ``unpublished`` instructions
+    checked: bool = False  #: the budget is known to cover ``unpublished``
+
+    def fork(self, pc: int | None, depth: int) -> "_Path":
+        return _Path(pc, depth, self.total, self.unpublished, set(self.defined),
+                     list(self.segment), self.checked)
 
 
-def _check_tree(code: CodeObject) -> None:
-    """Decline unless every instruction is known, every jump goes forward and
-    no pc is entered by more than one edge."""
-    entered = [0] * (len(code.instrs) + 1)
-    for pc, instr in enumerate(code.instrs):
-        row = OPS.get(instr[0])
-        if row is None or len(instr) != len(row.operands) + 1:
-            raise _Declined("shape")
-        for kind, operand in zip(row.operands, instr[1:]):
-            if kind in ("pc", "pc?", "pcs") and operand is not None:
-                for target in operand if kind == "pcs" else (operand,):
-                    if not pc < target < len(code.instrs):
-                        raise _Declined("shape")
-                    entered[target] += 1
-        entered[pc + 1] += not row.terminal
-    if max(entered) > 1:
-        raise _Declined("shape")
-
-
-def _registers(kinds: tuple[str, ...], operands: list) -> tuple[set[str], list[str]]:
-    """The registers an instruction reads, and those it writes on fall-through."""
-    reads, writes = [], []
+def _writes(kinds: tuple[str, ...], operands: list) -> list[str]:
+    """The registers an instruction writes on fall-through."""
+    writes = []
     for kind, operand in zip(kinds, operands):
-        if kind == "r":
-            reads.append(operand)
-        elif kind == "rs":
-            reads += operand
-        elif kind == "w":
+        if kind == "w":
             writes.append(operand)
-        elif kind == "plan":
-            reads += [i for source, i in operand if source == "r"]
-        elif kind == "group":  # every dst is written before a plan is read
+        elif kind == "group":
             writes += [dst for dst, _, _ in operand]
-            reads += [i for _, _, plan in operand for source, i in plan
-                      if source == "r" and i not in writes]
-    return {f"r{reg}" for reg in reads}, [f"r{reg}" for reg in writes]
+    return [f"r{reg}" for reg in writes]
 
 
 def _captures(plan) -> str:
@@ -162,71 +176,122 @@ def _rendered(kind: str, operand):
 
 
 class _Generator:
-    def __init__(self, code: CodeObject):
-        _check_tree(code)
+    def __init__(self, code: CodeObject, counted: bool = False):
+        # imported here: the analysis package imports the VM
+        from repro.analysis.verify_tam import code_errors
+
+        errors = code_errors(code)
+        if errors:
+            error = errors[0]
+            raise MachineError(f"{code.name} cannot run: {error.code} at {error.path}: "
+                               f"{error.message}")
         self.code = code
-        self.lines = ["def run(vm, free, args, K=K, C=C):"]
+        #: which text: the plain one, or the counted one
+        self.counted = counted
         self.max_path = 0.0
+        #: the functions finished so far, each after those it calls
+        self.functions: list[str] = []
+        self.lines: list[str] = []
+        self.callees: list[str] = []
+        self.subtrees = 0
         params = [f"r{reg}" for reg in range(len(code.params))]
-        start = _Path(0, 1, 0, 0, set(params))
-        if params:
-            self.emit(start, ", ".join(params) + ", = args")
-        self.block(start)
+        prologue = [", ".join(params) + ", = args"] if params else []
+        if counted:
+            prologue.append(", ".join(_SHARED) + " = counters")
+        self.function("run", ["args", "counters"] if counted else ["args"],
+                      _Path(0, 1, 0, 0, set(params), []), prologue)
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "\n".join(self.functions) + "\n"
+
+    def function(self, name: str, params: list[str], at: _Path, prologue: list[str]) -> None:
+        """``def name(vm, free, *params)``, whose body is the path at ``at``."""
+        outer = self.lines, self.callees
+        self.lines, self.callees = [], []
+        for line in prologue:
+            self.emit(at, line)
+        self.block(at)
+        defaults = ["K=K", "C=C", *(f"{callee}={callee}" for callee in self.callees)]
+        header = ", ".join(["vm", "free", *params, *defaults])
+        self.functions.append("\n".join([f"def {name}({header}):", *self.lines]))
+        self.lines, self.callees = outer
 
     def emit(self, at: _Path, text: str, indent: int = 0) -> None:
         self.lines.append("    " * (at.depth + indent) + text)
 
-    def leave(self, at: _Path, statement: str, indent: int = 0) -> None:
+    def check(self, at: _Path) -> None:
+        """What follows can be seen: in the counted text, the budget must
+        cover the instructions so far."""
+        if self.counted and at.unpublished and not at.checked:
+            self.emit(at, f"if vm.instructions + {at.unpublished} > L:")
+            self.emit(at, f"raise _exceeded(vm, L, o, {tuple(at.segment)!r})", 1)
+        at.checked = True
+
+    def publish(self, at: _Path) -> None:
+        """Store the count before something that can see it, or fail, runs —
+        in the counted text, after checking the budget and crediting the
+        segment."""
+        if not at.unpublished:
+            return
+        if self.counted:
+            self.check(at)
+            key = segment(at.segment)
+            self.emit(at, "try:")
+            self.emit(at, f"o[{key!r}] += 1", 1)
+            self.emit(at, "except KeyError:")
+            self.emit(at, f"o[{key!r}] = 1", 1)
+        self.emit(at, f"vm.instructions += {at.unpublished}")
+        at.unpublished, at.segment = 0, []
+
+    def leave(self, at: _Path, statement: str) -> None:
         """An exit: bring the instruction count up to date, then go."""
-        if at.unpublished:
-            self.emit(at, f"vm.instructions += {at.unpublished}", indent)
-        self.emit(at, statement, indent)
+        self.publish(at)
+        self.emit(at, statement)
 
     def trap(self, at: _Path, condition: str, value: str) -> None:
         self.emit(at, f"if {condition}:")
-        self.leave(at, f"raise Trap({value})", indent=1)
-
-    def publish(self, at: _Path) -> None:
-        """Store the count before something that can see it, or fail, runs."""
-        if at.unpublished:
-            self.emit(at, f"vm.instructions += {at.unpublished}")
-        at.unpublished = 0
+        self.leave(at.fork(None, at.depth + 1), f"raise Trap({value})")
 
     def branch(self, at: _Path, condition: str, pc: int, ed: str = "", value: str = "") -> None:
         """``if condition:`` the subtree at ``pc``, entered with ``ed = value``
         when the edge writes a register."""
-        if at.depth >= _MAX_DEPTH:
-            raise _Declined("depth")
         self.emit(at, f"if {condition}:")
-        taken = _Path(pc, at.depth + 1, at.total, at.unpublished, set(at.defined))
+        taken = at.fork(pc, at.depth + 1)
         if ed:
             self.emit(taken, f"{ed} = {value}")
             taken.defined.add(ed)
-        self.block(taken)
+        if at.depth < _MAX_DEPTH:
+            self.block(taken)
+            return
+        # every subtree ends in an exit: its function returns what it does
+        self.subtrees += 1
+        name = f"s{self.subtrees}"
+        arguments = [*(_SHARED if self.counted else ()),
+                     *sorted(taken.defined, key=lambda register: int(register[1:]))]
+        self.emit(taken, f"return {name}({', '.join(['vm', 'free', *arguments])})")
+        self.callees.append(name)
+        self.function(name, arguments, taken.fork(pc, 1), [])
 
     def block(self, at: _Path) -> None:
         instrs = self.code.instrs
         while at.pc is not None:
-            if at.pc == len(instrs):
-                raise _Declined("shape")  # runs off the end
             op, *operands = instrs[at.pc]
             row = OPS[op]
-            reads, writes = _registers(row.operands, operands)
-            if not reads <= at.defined:
-                raise _Declined("undefined_read")
             at.pc = None if row.terminal else at.pc + 1
             at.total += 1
             at.unpublished += 1
+            at.segment.append(op)
+            at.checked = False
+            if op in _OBSERVED:
+                self.check(at)
             EMITTERS[op](self, at, *map(_rendered, row.operands, operands))
-            at.defined.update(writes)
+            at.defined.update(_writes(row.operands, operands))
         self.max_path = max(self.max_path, at.total)
 
 
 # ---------------------------------------------------------------------------
-# one emitter per opcode, each the mirror of its arm in ``VM._execute``
+# one emitter per opcode, each the mirror of its arm in the reference loop
+# (``tests/machine/reference_vm.py``): the same checks, in the same order
 # ---------------------------------------------------------------------------
 
 
@@ -291,6 +356,7 @@ def _const(g, at, dst, index):
     if type(value) in (int, bool):
         g.emit(at, f"{dst} = {value!r}")
     elif type(value) is Oid:  # one code object runs on VMs with and without a store
+        g.check(at)
         g.emit(at, f"{dst} = K[{index}] if vm.store is None else vm.store.load(K[{index}])")
     else:
         g.emit(at, f"{dst} = K[{index}]")
@@ -350,7 +416,7 @@ def _case(g, at, scrutinee, tags, pcs, else_pc):
 
 def _poph(g, at):
     g.emit(at, "if not vm.handlers:")
-    g.leave(at, "raise MachineError('popHandler on empty handler stack')", indent=1)
+    g.leave(at.fork(None, at.depth + 1), "raise MachineError('popHandler on empty handler stack')")
     g.emit(at, "vm.handlers.pop()")
 
 
@@ -373,6 +439,8 @@ def _ccall(g, at, dst, function, vector, epc, ed):
     g.emit(at, f"f = {function}.value if isinstance({function}, Char) else {function}")
     g.trap(at, f"not isinstance(f, str) or not isinstance({vector}, (TmlArray, TmlVector))",
            "TYPE_ERROR")
+    if g.counted:
+        g.emit(at, "p['ccall:' + f] += 1")
     g.emit(at, "f = vm.foreign.lookup(f)")
     _call(g, at, f"f(*{vector}.slots)", "Exception", "f'foreignError: {raised}'", epc, ed)
     g.emit(at, f"{dst} = UNIT if t is None else t")
@@ -385,13 +453,15 @@ def _extcall(g, at, name, dst, arguments, epc, ed):
     message = f"no VM handler for extension primitive {name!r}"
     g.emit(at, "if h is None:")
     g.emit(at, f"raise MachineError({message!r})", indent=1)
+    if g.counted:
+        g.emit(at, f"p[{'extcall:' + name!r}] += 1")
     _call(g, at, f"h(vm, {arguments})", "ExtRaise", "raised.value", epc, ed)
     g.emit(at, f"{dst} = t")
     at.total = float("inf")  # the handler may have run any number of instructions
 
 
-#: opcode -> emitter(generator, path, *rendered operands); no opcode is left to
-#: the interpreter (``tests/machine/test_isa_table.py`` holds the keys to ``OPS``)
+#: opcode -> emitter(generator, path, *rendered operands), for every opcode
+#: (``tests/machine/test_isa_table.py`` holds the keys to ``OPS``)
 EMITTERS: dict[str, Callable] = {
     **{op: _straight(*spec) for op, spec in _STRAIGHT.items()},
     "const": _const,
@@ -414,32 +484,30 @@ EMITTERS: dict[str, Callable] = {
 }
 
 
-def source(code: CodeObject) -> str:
-    """The Python the tier runs for ``code`` (regenerated: it is not kept)."""
-    try:
-        return _Generator(code).text()
-    except _Declined as declined:
-        return f"# stays interpreted: {declined.reason}\n"
+def source(code: CodeObject, counted: bool = False) -> str:
+    """The Python the tier runs for ``code`` — its plain text, or its counted
+    one (regenerated: it is not kept)."""
+    return _Generator(code, counted).text()
 
 
-def compile_code(code: CodeObject):
-    """Compile ``code`` and cache the outcome on it (``code.tier``, with
-    ``code.tier_max_path``): ``run(vm, free, args) -> (target, values)``, or
-    ``False`` when declined.
+def compile_code(code: CodeObject, counted: bool = False):
+    """Compile one of ``code``'s texts and cache the function on it — the
+    plain one as ``code.tier`` (with ``code.tier_max_path``), the counted one
+    as ``code.tier_counted``: ``run(vm, free, args) -> (target, values)``.
+    Raises :class:`MachineError` on code ``verify_tam`` rejects.
 
     Threads racing a first activation both compile and both assign; either
     function serves, so there is no lock."""
     started = time.perf_counter()
-    try:
-        generator = _Generator(code)
-    except _Declined as declined:
-        _FALLBACK[declined.reason].inc()
-        code.tier = False
-        return False
+    generator = _Generator(code, counted)
     scope = {"K": code.consts, "C": code.codes}
     exec(compile(generator.text(), f"<tier {code.name}>", "exec"), _ENV, scope)
-    code.tier_max_path = generator.max_path
-    run = code.tier = scope["run"]
+    run = scope["run"]
+    if counted:
+        code.tier_counted = run
+    else:
+        code.tier_max_path = generator.max_path
+        code.tier = run
     _COMPILED.inc()
     _COMPILE_S.observe(time.perf_counter() - started)
     return run

@@ -7,14 +7,16 @@ actually run hot.  Two profiles plug into :class:`repro.machine.vm.VM`:
   counts (``closures``, keyed by the code object's qualified name, e.g.
   ``sieve.count_primes``): the evidence ``repro.reflect.pgo`` and the
   daemon's PGO worker read.  The VM's trampoline credits it once per
-  activation, so a run under it still executes in the compiled tier
+  activation, so a run under it executes each code object's plain text
   (:mod:`repro.machine.tier`);
 * :class:`VMProfiler` — that, plus per-opcode totals (``opcodes``) and
   per-primitive call counts for ``ccall``/``extcall`` (``primitives``).
-  Those are counted per instruction, so a run under it executes in the
-  VM's interpreter loop.
+  A run under it executes each code object's *counted* text: the compiled
+  tier knows statically which opcodes each run of instructions between two
+  updates of the count executes, and credits the run — a *segment* — as a
+  whole, so ``opcodes`` is folded from the ``segments`` on demand.
 
-The VM picks the loop by the profile's class (``per_instruction``).
+The VM picks the text by the profile's class (``per_instruction``).
 Profiles are deterministic: the VM is, so the same program produces an
 identical profile on every run (pinned by ``tests/obs/test_profile.py``),
 and the two profiles' ``closures`` agree (``tests/obs/test_evidence.py``).
@@ -25,7 +27,13 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from dataclasses import dataclass
 
-__all__ = ["ClosureStats", "ClosureProfile", "VMProfiler", "profile_call"]
+__all__ = ["ClosureStats", "ClosureProfile", "VMProfiler", "profile_call", "segment"]
+
+
+def segment(opcodes) -> str:
+    """The :attr:`VMProfiler.segments` key of opcodes executed one after the
+    other: their names, space-separated ("free lt tailcall")."""
+    return " ".join(opcodes)
 
 
 @dataclass(slots=True)
@@ -41,8 +49,8 @@ class ClosureProfile:
 
     __slots__ = ("closures",)
 
-    #: the VM counts nothing per instruction for this profile: it may run
-    #: compiled code under it
+    #: the VM counts nothing per instruction for this profile: it runs each
+    #: code object's plain text under it
     per_instruction = False
 
     def __init__(self):
@@ -89,15 +97,25 @@ class ClosureProfile:
 class VMProfiler(ClosureProfile):
     """A :class:`ClosureProfile` plus per-opcode and per-primitive counts."""
 
-    __slots__ = ("opcodes", "primitives")
+    __slots__ = ("segments", "primitives")
 
-    #: the VM interprets every activation to count its opcodes
+    #: the VM runs every activation's counted text, to count its opcodes
     per_instruction = True
 
     def __init__(self):
         super().__init__()
-        self.opcodes: _Counter = _Counter()
+        #: :func:`segment` -> times executed
+        self.segments: dict[str, int] = {}
         self.primitives: _Counter = _Counter()
+
+    @property
+    def opcodes(self) -> _Counter:
+        """opcode -> times executed, folded from :attr:`segments`."""
+        counts: _Counter = _Counter()
+        for key, times in self.segments.items():
+            for op in key.split():
+                counts[op] += times
+        return counts
 
     @property
     def total_instructions(self) -> int:
@@ -105,7 +123,8 @@ class VMProfiler(ClosureProfile):
 
     def merge(self, other: "VMProfiler") -> None:
         super().merge(other)
-        self.opcodes.update(other.opcodes)
+        for key, times in other.segments.items():
+            self.segments[key] = self.segments.get(key, 0) + times
         self.primitives.update(other.primitives)
 
     # ------------------------------------------------------------- export
@@ -115,7 +134,7 @@ class VMProfiler(ClosureProfile):
         return {
             "schema": "repro.profile/v3",
             "total_instructions": self.total_instructions,
-            "opcodes": {op: self.opcodes[op] for op in sorted(self.opcodes)},
+            "opcodes": dict(sorted(self.opcodes.items())),
             "closures": {
                 name: {
                     "invocations": stats.invocations,
@@ -138,10 +157,11 @@ class VMProfiler(ClosureProfile):
         lines.append("")
         lines.append(f"{'opcode':<12} {'count':>12}")
         lines.append("-" * 25)
-        for op, count in sorted(self.opcodes.items(), key=lambda kv: (-kv[1], kv[0])):
+        opcodes = self.opcodes
+        for op, count in sorted(opcodes.items(), key=lambda kv: (-kv[1], kv[0])):
             lines.append(f"{op:<12} {count:>12}")
         lines.append("-" * 25)
-        lines.append(f"{'total':<12} {self.total_instructions:>12}")
+        lines.append(f"{'total':<12} {sum(opcodes.values()):>12}")
         if self.primitives:
             lines.append("")
             lines.append(f"{'primitive':<24} {'calls':>8}")

@@ -4,7 +4,13 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.verify_tam import TamVerificationError, assert_verified, verify_code
+from repro.analysis.lint import lint_code
+from repro.analysis.verify_tam import (
+    TamVerificationError,
+    assert_verified,
+    code_errors,
+    verify_code,
+)
 from repro.lang.modules import CompileOptions, compile_module, compile_stdlib
 from repro.machine.codegen import compile_function
 from repro.primitives.registry import default_registry
@@ -156,6 +162,38 @@ class TestDataflowPhase:
         pc = len(code.instrs) - 1
         bad = mutate(code, pc, ("bnot", 0, 0))
         assert "TAM009" in {d.code for d in errors(verify_code(bad))}
+
+
+class TestTreeShape:
+    """TAM012: the control flow of a code object is a tree — what lets the
+    compiled tier run it as one Python function with static counts."""
+
+    @staticmethod
+    def _proc(*instrs):
+        return TestStructuralPhase._proc(*instrs)
+
+    def test_a_join_tam012(self):
+        # pc 2 is entered by the jump at 0 and by falling out of 1
+        code = self._proc(("lt", 0, 0, 2), ("bnot", 3, 0), ("tailcall", 2, (0,)))
+        found = errors(verify_code(code))
+        assert [(d.code, d.data["pc"]) for d in found] == [("TAM012", 2)]
+        assert "2 edges enter pc 2" in found[0].message
+        assert [d.code for d in code_errors(code)] == ["TAM012"]
+
+    def test_a_backward_jump_tam012(self):
+        code = self._proc(("tailcall", 2, (0,)), ("lt", 0, 0, 0), ("tailcall", 2, (0,)))
+        found = errors(verify_code(code))
+        assert [(d.code, d.data["target"]) for d in found] == [("TAM012", 0)]
+        assert [d.code for d in code_errors(code)] == ["TAM012"]
+
+    def test_lint_reports_it_as_an_error(self, codes):
+        bad = mutate(codes["branchy"], 0, ("lt", 0, 0, 0))
+        assert "TAM012" in {d.code for d in lint_code(bad) if d.is_error}
+        assert lint_code(codes["branchy"]) == []
+
+    def test_structural_errors_come_first(self, codes):
+        bad = mutate(codes["inc"], 0, ("frobnicate", 0))
+        assert [d.code for d in code_errors(bad)] == ["TAM001"]
 
 
 def _buggy_add_emitter(c, app):

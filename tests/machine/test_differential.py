@@ -2,7 +2,9 @@
 
 The interpreter is the semantics oracle (call-by-value λ-calculus with
 store); these tests run the same terms on both engines — and through the
-optimizer — and require identical observable behaviour.
+optimizer, and on the per-instruction reference loop
+(``tests/machine/reference_vm.py``), which must also count what the VM
+counts — and require identical observable behaviour.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, instantiate
 from repro.primitives.registry import default_registry
 from repro.rewrite import optimize
+
+from tests.machine.reference_vm import ReferenceVM
 
 #: proc sources exercising every corner of the execution model,
 #: paired with (args, expected) cases.
@@ -78,7 +82,11 @@ def _engines(source, registry):
     code = compile_function(term, registry)
 
     def run_vm(args):
-        return VM().call(instantiate(code), list(args))
+        result = VM().call(instantiate(code), list(args))
+        reference = ReferenceVM().call(instantiate(code), list(args))
+        assert (reference.value, reference.output, reference.instructions) == (
+            result.value, result.output, result.instructions)
+        return result
 
     optimized = optimize(term, registry).term
     assert isinstance(optimized, Abs)

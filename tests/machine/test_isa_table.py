@@ -1,20 +1,21 @@
 """The instruction table cannot drift, and every opcode meets the oracle.
 
 ``repro.machine.isa.OPS`` declares each TAM opcode once.  The first half
-holds everything hand-written equal to it (no execution): the opcodes
-``VM._execute`` dispatches on, the ones the compiled tier has an emitter
-for, the ones the code generator and the registered extension emitters can
-emit, the arms of the abstract interpreter and the decompiler, the binary
-numbering, and — row by row, operand kind by operand kind — what the
+holds everything hand-written equal to it (no execution): the opcodes the
+reference loop (``tests/machine/reference_vm.py``) dispatches on, the ones
+the compiled tier has an emitter for, the ones the code generator and the
+registered extension emitters can emit, the arms of the abstract
+interpreter and the decompiler, the binary numbering, and — row by row, operand kind by operand kind — what the
 verifier accepts and which ``TAM00x`` it answers a violation with.  A row
 without a producer or an executor fails here.
 
 The second half runs every row that implements a primitive, on a succeeding
-input and on every way it traps, through the reference interpreter, the VM's
-interpreter loop, the compiled tier, the VM on optimized code and the VM on
-decompiled-and-recompiled code, and requires one answer — and of the two
-that count TAM instructions, one count; a profiler over the whole sweep must
-have seen every opcode of the table execute.
+input and on every way it traps, through the reference interpreter, the
+reference loop, the compiled tier's plain and counted texts, the VM on
+optimized code and the VM on decompiled-and-recompiled code, and requires one
+answer — and of the three that run the same code, one count; a profiler over
+the whole sweep, in the reference loop and in the counted text, must have
+seen every opcode of the table execute, and the same number of times.
 """
 
 import ast
@@ -34,7 +35,7 @@ from repro.core.syntax import UNIT, Char
 from repro.machine import codegen
 from repro.machine.binfmt import decode_code, encode_code
 from repro.machine.cps_interp import Interpreter
-from repro.machine.isa import OPS, CodeObject, Op, flatten_codes
+from repro.machine.isa import OPS, CodeObject, Op
 from repro.machine.runtime import (
     ForeignTable,
     MachineError,
@@ -52,6 +53,8 @@ from repro.query.algebra import query_registry
 from repro.reflect import decompile
 from repro.rewrite import optimize
 from repro.store.serialize import SerializeError
+
+from tests.machine.reference_vm import ReferenceVM
 
 # ---------------------------------------------------------------------------
 # static half: the table against the hand-written code
@@ -109,7 +112,7 @@ def _emitted(module) -> set[str]:
 
 class TestOneDeclarationPerOpcode:
     def test_the_vm_executes_exactly_the_table(self):
-        assert _dispatched(VM._execute) == set(OPS)
+        assert _dispatched(ReferenceVM._execute) == set(OPS)
 
     def test_the_tier_compiles_exactly_the_table(self):
         # no opcode is left to the interpreter
@@ -197,12 +200,16 @@ class TestOneDeclarationPerOpcode:
 # the verifier, row by row and kind by kind
 # ---------------------------------------------------------------------------
 
-#: a well-formed operand of each kind, inside :func:`_host`
+#: a well-formed operand of each kind, inside :func:`_host` followed by
+#: :data:`EXITS`: a jump lands on a ``halt`` of its own (pc 2; a ``case``'s
+#: tag on pc 1), not on the one the instruction falls through to, so the
+#: control flow stays a tree
 SAMPLE = {
     "w": 3, "r": 0, "rs": (0,), "c": 0, "k": 0, "f": 0,
     "plan": (("r", 0),), "group": ((3, 0, (("r", 0),)),),
-    "pc": 1, "pcs": (1,), "pc?": 1, "ew": 4, "ew?": 4, "name": "count",
+    "pc": 2, "pcs": (1,), "pc?": 2, "ew": 4, "ew?": 4, "name": "count",
 }
+EXITS = (("halt", 0), ("halt", 0))
 
 #: operand kind -> (malformed operand, the diagnostic it earns)
 VIOLATIONS = {
@@ -258,7 +265,7 @@ class TestVerifierReadsTheTable:
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_an_instance_of_the_row_verifies(self, name):
-        assert _error_codes(_host(_instance(name), ("halt", 0))) == []
+        assert _error_codes(_host(_instance(name), *EXITS)) == []
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_each_operand_violation_is_its_diagnostic(self, name):
@@ -266,7 +273,7 @@ class TestVerifierReadsTheTable:
         for position, kind in enumerate(OPS[name].operands, start=1):
             for operand, diagnostic in VIOLATIONS[kind]:
                 bad = good[:position] + (operand,) + good[position + 1:]
-                found = set(_error_codes(_host(bad, ("halt", 0))))
+                found = set(_error_codes(_host(bad, *EXITS)))
                 assert found == {diagnostic}, (bad, found)
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -274,14 +281,14 @@ class TestVerifierReadsTheTable:
         good = _instance(name)
         for bad in (good + (0,), good[:-1]):
             if bad:  # ``poph`` has no operand to drop
-                assert _error_codes(_host(bad, ("halt", 0))) == ["TAM002"], bad
+                assert _error_codes(_host(bad, *EXITS)) == ["TAM002"], bad
 
     def test_terminal_rows_end_a_block_and_only_they(self):
         for name, row in OPS.items():
             # with every pc operand pointing back at the instruction itself
             # the only way on is pc + 1, which does not exist
             alone = tuple(
-                {1: 0, (1,): (0,)}.get(operand, operand) for operand in _instance(name)
+                {2: 0, (1,): (0,)}.get(operand, operand) for operand in _instance(name)
             )
             falls_off = "TAM009" in _error_codes(_host(alone))
             assert falls_off == (not row.terminal), name
@@ -455,9 +462,9 @@ def _outcome(run, args):
 
 
 class _Program:
-    """One :class:`Case` compiled for the four engines."""
+    """One :class:`Case` compiled for every engine."""
 
-    def __init__(self, case: Case, profiler: VMProfiler):
+    def __init__(self, case: Case, profilers: dict[str, VMProfiler]):
         term = parse_term(case.source, prims=PRIMS)
         self.code = codegen.compile_function(term, REGISTRY)
         optimized = codegen.compile_function(optimize(term, REGISTRY).term, REGISTRY)
@@ -467,21 +474,21 @@ class _Program:
             interpreter = Interpreter(registry=REGISTRY, foreign=_foreign())
             return interpreter.call(interpreter.make_closure(term), args)
 
-        def on_vm(code, profiler=profiler):
-            """With a profiler the VM interprets; without, it runs compiled."""
-
+        def on(vm_class, code, profiler=None):
             def run(args):
-                run.vm = vm = VM(foreign=_foreign(), profiler=profiler)
+                run.vm = vm = vm_class(foreign=_foreign(), profiler=profiler)
                 return vm.call(instantiate(code), args)
 
             return run
 
         self.engines = {
             "interpreter": interpret,
-            "vm": on_vm(self.code),
-            "vm-compiled": on_vm(self.code, profiler=None),
-            "vm-optimized": on_vm(optimized),
-            "vm-decompiled": on_vm(rebuilt),
+            "reference": on(ReferenceVM, self.code, profilers["reference"]),
+            "vm": on(VM, self.code),
+            # a VMProfiler makes the VM run the counted text
+            "vm-counted": on(VM, self.code, profilers["counted"]),
+            "vm-optimized": on(VM, optimized),
+            "vm-decompiled": on(VM, rebuilt),
         }
 
     def run(self, args) -> tuple:
@@ -493,9 +500,9 @@ class _Program:
         oracle = outcomes["interpreter"]
         assert all(o == oracle for o in outcomes.values()), (args, outcomes)
         # value, output or trap — and the count, also when the run trapped
-        counts = [self.engines[name].vm.instructions for name in ("vm", "vm-compiled")]
-        assert counts[0] == counts[1], (args, counts)
-        assert not any(code.tier is False for code in flatten_codes(self.code)), "declined"
+        counts = {self.engines[name].vm.instructions for name in ("reference", "vm", "vm-counted")}
+        assert len(counts) == 1, (args, counts)
+        assert callable(self.code.tier) and callable(self.code.tier_counted)
         return oracle
 
     def kinds_report(self, args) -> set[str]:
@@ -508,12 +515,13 @@ class _Program:
 @pytest.fixture(scope="module")
 def sweep():
     """Run every case once: ``{row name: [(case, args, expected trap or None,
-    outcome, TAM codes)]}`` plus the profiler that watched all of it."""
-    profiler = VMProfiler()
+    outcome, TAM codes)]}`` plus the profilers that watched the reference
+    loop and the counted text run all of it."""
+    profilers = {"reference": VMProfiler(), "counted": VMProfiler()}
     by_prim = {row.prim: name for name, row in OPS.items() if row.prim is not None}
     runs: dict[str | None, list] = {}
     for case in CASES:
-        program = _Program(case, profiler)
+        program = _Program(case, profilers)
         row = OPS[by_prim[case.prim]] if case.prim is not None else None
         planned = [(args, None, False) for args in case.good]
         planned += [
@@ -529,7 +537,7 @@ def sweep():
             runs.setdefault(by_prim.get(case.prim), []).append(
                 (args, trap, derived, program.run(args), program.kinds_report(args))
             )
-    return runs, profiler
+    return runs, profilers
 
 
 class TestEveryOpcodeAgainstTheOracle:
@@ -566,5 +574,6 @@ class TestEveryOpcodeAgainstTheOracle:
             assert outcome[: len(expected)] == expected
 
     def test_the_sweep_executed_every_opcode(self, sweep):
-        _, profiler = sweep
-        assert set(profiler.opcodes) == set(OPS)
+        _, profilers = sweep
+        assert set(profilers["reference"].opcodes) == set(OPS)
+        assert profilers["counted"].as_dict() == profilers["reference"].as_dict()

@@ -1,9 +1,12 @@
-"""Structured StepLimitExceeded: limit, executed count, partial result."""
+"""Structured StepLimitExceeded: limit, executed count, partial result —
+the same from the VM and from the per-instruction reference loop."""
 
 import pytest
 
 from repro.lang import TycoonSystem
-from repro.machine.vm import StepLimitExceeded
+from repro.machine.vm import VM, StepLimitExceeded
+
+from tests.machine.reference_vm import ReferenceVM
 
 LOOP = """
 module m export spin
@@ -16,13 +19,17 @@ let spin(n: Int): Int =
 end"""
 
 
-def _run_to_limit(limit):
+def _run_to_limit(limit, vm_class=VM):
     system = TycoonSystem()
     system.compile(LOOP)
-    vm = system.vm(step_limit=limit)
+    vm = vm_class(store=system.heap, foreign=system.foreign, step_limit=limit)
     with pytest.raises(StepLimitExceeded) as excinfo:
         vm.call(system.closure("m", "spin"), [0])
     return excinfo.value
+
+
+def _fields(exc):
+    return exc.limit, exc.instructions, str(exc), exc.partial.instructions, exc.partial.output
 
 
 def test_exception_carries_structured_fields():
@@ -32,6 +39,7 @@ def test_exception_carries_structured_fields():
     assert exc.partial is not None
     assert exc.partial.instructions == 400
     assert exc.partial.value is None  # never reached the final continuation
+    assert _fields(exc) == _fields(_run_to_limit(400, ReferenceVM))
 
 
 def test_partial_result_preserves_output_so_far():
@@ -48,13 +56,17 @@ def test_partial_runs_can_be_profiled():
 
     system = TycoonSystem()
     system.compile(LOOP)
-    profiler = VMProfiler()
-    vm = system.vm(step_limit=500)
-    vm.profiler = profiler
-    with pytest.raises(StepLimitExceeded) as excinfo:
-        vm.call(system.closure("m", "spin"), [0])
-    # the profile covers exactly the instructions the truncated run executed
-    assert profiler.total_instructions == excinfo.value.instructions == 500
+    profiles = []
+    for vm_class in (VM, ReferenceVM):
+        profiler = VMProfiler()
+        vm = vm_class(store=system.heap, foreign=system.foreign, step_limit=500)
+        vm.profiler = profiler
+        with pytest.raises(StepLimitExceeded) as excinfo:
+            vm.call(system.closure("m", "spin"), [0])
+        # the profile covers exactly the instructions the truncated run executed
+        assert profiler.total_instructions == excinfo.value.instructions == 500
+        profiles.append(profiler.as_dict())
+    assert profiles[0] == profiles[1]
 
 
 def test_message_still_readable():

@@ -1,20 +1,23 @@
 """The compiled tier against the interpreter loop it stands in for.
 
-``VM._loop`` enters the Python function ``repro.machine.tier`` made of a code
-object unless it can see a reason not to: a profiler is attached, the step
-limit could run out inside the activation, or the code was declined.  There
-is no switch, so the tests select the same way — a VM with a profiler runs
-``VM._execute``, the reference; one without runs compiled — and require the
-two to be indistinguishable: value, output, trap, instruction count, and
-every field of ``StepLimitExceeded`` at every limit.
+``VM._loop`` runs every activation as a Python function ``repro.machine.tier``
+made of the code object: its plain text, or — under a ``VMProfiler``, or
+when the step limit could run out inside the activation — its counted text.
+There is no switch, so the tests select the same way — a VM without a
+profiler runs the plain text, one with a ``VMProfiler`` the counted one — and
+require both to be indistinguishable from the per-instruction reference loop
+(``tests/machine/reference_vm.py``): value, output, trap, instruction count,
+every field of ``StepLimitExceeded`` at every limit, and the profile.
 """
 
+import contextlib
 import copy
 import sys
 import threading
 
 import pytest
 
+from repro.analysis.verify_tam import verify_code
 from repro.core.names import NameSupply
 from repro.core.parser import parse_term
 from repro.core.syntax import Oid
@@ -22,7 +25,7 @@ from repro.lang import TycoonSystem
 from repro.machine.binfmt import encode_code
 from repro.machine.codegen import compile_function
 from repro.machine.isa import CodeObject, VMClosure, flatten_codes
-from repro.machine.runtime import EXT_OPS, UncaughtTmlException
+from repro.machine.runtime import EXT_OPS, MachineError, UncaughtTmlException
 from repro.machine.tier import source
 from repro.machine.vm import VM, StepLimitExceeded, instantiate
 from repro.obs.metrics import METRICS
@@ -31,27 +34,44 @@ from repro.query import Relation
 from repro.query.algebra import query_registry
 from repro.store.serialize import encode_value
 
+from tests.machine.reference_vm import ReferenceVM
 
-def observe(closure, args, *, interpreted, limit=None, store=None):
-    """Everything a caller can see of one call, as a comparable value."""
-    vm = VM(store=store, step_limit=limit, profiler=VMProfiler() if interpreted else None)
+#: the three ways to run a call: the tier's plain text (its counted one for
+#: an activation the step limit could end), its counted text, the reference
+ENGINES = {
+    "plain": lambda **how: VM(**how),
+    "counted": lambda **how: VM(profiler=VMProfiler(), **how),
+    "reference": lambda **how: ReferenceVM(profiler=VMProfiler(), **how),
+}
+
+
+def observe(closure, args, engine, *, limit=None, store=None):
+    """Everything a caller can see of one call, as a comparable value, and
+    the profile when the engine keeps one."""
+    vm = ENGINES[engine](store=store, step_limit=limit)
     try:
         result = vm.call(closure, copy.deepcopy(list(args)))
     except UncaughtTmlException as trap:
-        return ("raise", repr(trap.value), vm.output, vm.instructions)
+        outcome = ("raise", repr(trap.value), vm.output, vm.instructions)
     except StepLimitExceeded as stopped:
         assert stopped.partial.value is None
-        return (
+        outcome = (
             "limit", stopped.limit, stopped.instructions, str(stopped),
             stopped.partial.instructions, stopped.partial.output, vm.instructions,
         )
-    return ("value", repr(result.value), result.output, result.instructions)
+    else:
+        outcome = ("value", repr(result.value), result.output, result.instructions)
+    return outcome, vm.profiler.as_dict() if vm.profiler else None
 
 
 def both(closure, args, **how):
-    compiled = observe(closure, args, interpreted=False, **how)
-    assert compiled == observe(closure, args, interpreted=True, **how)
-    return compiled
+    """Run the call on every engine: one outcome, and one profile."""
+    plain, _ = observe(closure, args, "plain", **how)
+    counted, profile = observe(closure, args, "counted", **how)
+    reference, expected = observe(closure, args, "reference", **how)
+    assert plain == counted == reference
+    assert profile == expected
+    return plain
 
 
 def compiled_codes(closure) -> list[CodeObject]:
@@ -125,19 +145,36 @@ def test_every_step_limit_stops_where_the_interpreter_stops(text, args):
     assert compiled_codes(closure), "the limited runs never entered the tier"
 
 
-def test_an_activation_that_could_cross_the_limit_is_interpreted():
+def test_an_activation_that_could_cross_the_limit_runs_counted():
     closure = proc("proc(x ce cc) (+ x 1 ce cont(t) (+ t 1 ce cc))")
     assert both(closure, [1], limit=4)[:3] == ("limit", 4, 4)  # five instructions
+    assert closure.code.tier_counted is not None
     assert both(closure, [1], limit=5) == ("value", "3", [], 5)
 
 
+def test_profiled_and_budgeted_runs_run_compiled():
+    for how in ({"profiler": VMProfiler()}, {"step_limit": 100}):
+        system = TycoonSystem()
+        system.compile(LOOPING)
+        closure = system.closure("m", "run")
+        before = counter("vm.tier.compiled")
+        vm = system.vm(step_limit=how.get("step_limit"))
+        vm.profiler = how.get("profiler")
+        with pytest.raises(StepLimitExceeded) if vm.step_limit else contextlib.nullcontext():
+            vm.call(closure, [6])
+        assert callable(closure.code.tier), how
+        # the activation the limit lands in runs the counted text
+        assert any(callable(code.tier_counted) for code in flatten_codes(closure.code)), how
+        assert counter("vm.tier.compiled") > before
+
+
 # ---------------------------------------------------------------------------
-# a profiler sees what it always saw, and compiles nothing
+# a profiler sees what it always saw
 # ---------------------------------------------------------------------------
 
 
 def test_a_profile_is_the_interpreters_whether_or_not_the_code_has_run_compiled():
-    def profile(warm: bool) -> dict:
+    def profile(warm: bool, vm_class=VM) -> dict:
         system = TycoonSystem()
         system.compile(LOOPING)
         closure = system.closure("m", "run")
@@ -145,22 +182,47 @@ def test_a_profile_is_the_interpreters_whether_or_not_the_code_has_run_compiled(
             system.vm().call(closure, [5])
             assert compiled_codes(closure)
         profiler = VMProfiler()
-        vm = system.vm()
+        vm = vm_class(store=system.heap, foreign=system.foreign)
         vm.profiler = profiler  # attached after construction, as the benchmark does
         result = vm.call(closure, [5])
         assert profiler.total_instructions == result.instructions
-        if not warm:
-            assert not compiled_codes(closure), "a profiled run compiled code it cannot use"
         return profiler.as_dict()
 
     cold = profile(warm=False)
-    assert cold == profile(warm=True)
+    assert cold == profile(warm=True) == profile(warm=False, vm_class=ReferenceVM)
     assert set(cold) == {"schema", "total_instructions", "opcodes", "closures", "primitives"}
     assert cold["closures"]["m.run"]["invocations"] == 1
 
 
 # ---------------------------------------------------------------------------
-# what the tier declines stays interpreted and answers as before
+# a run sees only the handlers it pushed
+# ---------------------------------------------------------------------------
+
+PREDICATE_TRAPS = """
+module m export run
+type Row = tuple id: Int, v: Int end
+let run(rows) =
+  let a = array(3, 0) in
+  try size(array(1, select r from rows as r : Row where a[r.v] == 0 end))
+  catch(x) begin print(x); 0 - 7 end end
+end"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_trap_in_a_query_predicate_reaches_the_handler_around_the_query(engine):
+    """The predicate's run re-enters the VM inside ``select``'s extcall; its
+    boundsError must not take the handler of the run around it (whose catch
+    would then run inside the predicate), but fail the predicate, which
+    hands the trap to ``select``'s exception continuation."""
+    system = TycoonSystem()
+    system.compile(PREDICATE_TRAPS)
+    vm = ENGINES[engine](store=system.heap, foreign=system.foreign)
+    result = vm.call(system.closure("m", "run"), [_rows(4)])
+    assert (result.value, result.output, vm.handlers) == (-7, ["boundsError"], [])
+
+
+# ---------------------------------------------------------------------------
+# malformed code is refused, whatever runs it; deep code compiles
 # ---------------------------------------------------------------------------
 
 
@@ -181,40 +243,55 @@ def nest(depth: int) -> list[tuple]:
     return branches + [("halt", 1)]
 
 
-DECLINED = {
+MALFORMED = {
     # pc 2 is entered from the jump at 0 and by falling out of 1
-    "a-join": ("shape", [("lt", 0, 1, 2), ("const", 4, 0), ("halt", 0)], [9], (1, 2), 1),
+    "a-join": ("TAM012", [("lt", 0, 1, 2), ("const", 4, 0), ("halt", 0)], [9], (1, 2)),
     # count r0 down to zero: the ``lt`` at 4 never holds, so it jumps back
     "a-backward-jump": (
-        "shape",
+        "TAM012",
         [("const", 4, 0), ("const", 5, 1), ("gt", 0, 5, 6), ("sub", 0, 0, 4, 7, 6),
          ("lt", 4, 5, 2), ("halt", 1), ("halt", 0), ("halt", 6)],
-        [1, 0], (3, 5), 0,
+        [1, 0], (3, 5),
     ),
-    # the interpreter's registers start as None; a local would be unbound
-    "an-unwritten-register": ("undefined_read", [("halt", 5)], [], (1, 2), None),
-    "nesting-python-will-not-indent": ("depth", nest(80), [], (2, 1), 1),
+    # the reference loop's registers start as None; a local would be unbound
+    "an-unwritten-register": ("TAM010", [("halt", 5)], [], (1, 2)),
 }
 
 
-@pytest.mark.parametrize("name", DECLINED)
-def test_declined_code_stays_interpreted(name):
-    reason, instrs, consts, args, value = DECLINED[name]
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_code_is_refused(name):
+    """What ``verify_tam`` rejects the tier will not run: it raises
+    ``MachineError`` naming the diagnostic, with or without a profiler."""
+    diagnostic, instrs, consts, args = MALFORMED[name]
     closure = hand_built(instrs, consts)
-    before = counter(f"vm.tier.fallback.{reason}"), counter("vm.tier.compiled")
-    outcome = both(closure, args)
-    assert outcome[:2] == ("value", repr(value))
-    assert closure.code.tier is False
-    assert source(closure.code) == f"# stays interpreted: {reason}\n"
-    both(closure, args)  # declined once, not once per run
-    after = counter(f"vm.tier.fallback.{reason}"), counter("vm.tier.compiled")
-    assert after == (before[0] + 1, before[1])
+    assert diagnostic in {d.code for d in verify_code(closure.code)}
+    before = counter("vm.tier.compiled")
+    for engine in ("plain", "counted"):
+        with pytest.raises(MachineError, match=diagnostic):
+            ENGINES[engine]().call(closure, list(args))
+        with pytest.raises(MachineError, match=diagnostic):
+            source(closure.code, counted=engine == "counted")
+    assert closure.code.tier is None and counter("vm.tier.compiled") == before
 
 
 def test_nesting_python_does_indent_compiles():
     closure = hand_built(nest(79))
     assert both(closure, (2, 1)) == ("value", "1", [], 80)
     assert compiled_codes(closure)
+
+
+@pytest.mark.parametrize("depth", [80, 200])
+def test_nesting_deeper_than_python_indents_compiles(depth):
+    """Past 80 levels, a subtree continues in a function of its own."""
+    closure = hand_built(nest(depth))
+    assert verify_code(closure.code) == []
+    assert both(closure, (2, 1)) == ("value", "1", [], depth + 1)  # every jump taken
+    assert both(closure, (1, 2)) == ("value", "1", [], 2)
+    for limit in (1, 80, depth, depth + 1):
+        both(closure, (2, 1), limit=limit)
+    assert callable(closure.code.tier) and closure.code.tier_max_path == depth + 1
+    for counted in (False, True):
+        assert source(closure.code, counted).count("\ndef ") == depth // 80
 
 
 def test_compilation_is_counted_once_per_code_object():

@@ -1,12 +1,13 @@
-"""PGO evidence from the compiled tier ≡ the interpreter's.
+"""PGO evidence from the compiled tier ≡ the reference loop's.
 
 A ``ClosureProfile`` (per-closure invocations and instructions, what
-``rank_hot`` reads) leaves the VM free to run compiled; a ``VMProfiler``
-makes it interpret every activation.  Both are credited by the trampoline,
-once per activation, so on every program below the two runs must report the
-same ``closures`` — and each must account for every instruction the VM
-executed exactly once, which for the ``VMProfiler`` is also its per-opcode
-total, counted per instruction in the interpreter loop.
+``rank_hot`` reads) leaves the VM on each code object's plain text; a
+``VMProfiler`` makes it run the counted text.  Both are credited by the
+trampoline, once per activation, so on every program below the two runs —
+and a ``VMProfiler`` run of the per-instruction reference loop
+(``tests/machine/reference_vm.py``) — must report the same ``closures``, and
+each must account for every instruction the VM executed exactly once, which
+for a ``VMProfiler`` is also its per-opcode total.
 """
 
 import copy
@@ -18,11 +19,12 @@ from perf.corpus import QUERY_SOURCE
 from repro.bench.stanford import PROGRAMS
 from repro.lang import TycoonSystem
 from repro.machine.runtime import UncaughtTmlException
-from repro.machine.vm import StepLimitExceeded
+from repro.machine.vm import VM, StepLimitExceeded
 from repro.obs.profile import ClosureProfile, VMProfiler
 from repro.query import Relation
 
 from tests.conftest import tl_int_expression
+from tests.machine.reference_vm import ReferenceVM
 from tests.machine.test_tier import LOOPING, REENTERING, TRAPPING, _rows, compiled_codes
 
 UNCAUGHT = """
@@ -38,10 +40,10 @@ def _shown(value):
     return value.to_tuples() if isinstance(value, Relation) else repr(value)
 
 
-def run_under(profile_class, system, closure, args, limit=None):
+def run_under(profile_class, system, closure, args, limit=None, vm_class=VM):
     """The outcome of one call and the ``closures`` its profile collected."""
     profile = profile_class()
-    vm = system.vm(step_limit=limit)
+    vm = vm_class(store=system.heap, foreign=system.foreign, step_limit=limit)
     vm.profiler = profile
     try:
         result = vm.call(closure, copy.deepcopy(list(args)))
@@ -60,6 +62,7 @@ def run_under(profile_class, system, closure, args, limit=None):
 def agree(system, closure, args, limit=None):
     evidence = run_under(ClosureProfile, system, closure, args, limit)
     assert evidence == run_under(VMProfiler, system, closure, args, limit)
+    assert evidence == run_under(VMProfiler, system, closure, args, limit, ReferenceVM)
     return evidence
 
 

@@ -6,7 +6,7 @@ from repro.core.parser import parse_term
 from repro.core.syntax import Abs, UNIT
 from repro.machine.codegen import compile_function
 from repro.machine.cps_interp import Interpreter
-from repro.machine.runtime import TmlVector, UncaughtTmlException
+from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, instantiate
 from repro.query.algebra import query_registry
 from repro.query.relation import Relation
@@ -25,21 +25,52 @@ def people():
 
 
 def run_both(source, args, registry):
-    """Run a proc on both engines; assert agreement; return the value."""
+    """Run a proc on both engines; assert agreement; return the value — or
+    raise the VM's ``UncaughtTmlException`` when both raise the same one."""
     term = parse_term(source, prims=registry.names())
     assert isinstance(term, Abs)
 
     interp = Interpreter(registry=registry)
-    interp_result = interp.call(interp.make_closure(term), list(args))
-
     code = compile_function(term, registry)
-    vm_result = VM().call(instantiate(code), list(args))
+    outcomes = []
+    for run in (
+        lambda: interp.call(interp.make_closure(term), list(args)).value,
+        lambda: VM().call(instantiate(code), list(args)).value,
+    ):
+        try:
+            outcomes.append(run())
+        except UncaughtTmlException as raised:
+            outcomes.append(raised)
+    interp_value, vm_value = outcomes
 
-    if isinstance(interp_result.value, Relation):
-        assert interp_result.value.to_tuples() == vm_result.value.to_tuples()
+    if isinstance(vm_value, UncaughtTmlException):
+        assert isinstance(interp_value, UncaughtTmlException), interp_value
+        assert interp_value.value == vm_value.value
+        raise vm_value
+    if isinstance(interp_value, Relation):
+        assert interp_value.to_tuples() == vm_value.to_tuples()
     else:
-        assert interp_result.value == vm_result.value
-    return vm_result.value
+        assert interp_value == vm_value
+    return vm_value
+
+
+PREDICATE_TRAPS = """
+proc(rel ce cc)
+  (λ(^h) (pushHandler h cont()
+            (select proc(x ce2 cc2) ([] x 9 cont(v) (cc2 true)) rel ce
+                    cont(r) (popHandler cont() (cc 1))))
+   cont(exv) (cc exv))
+"""
+
+
+def test_a_trap_in_a_predicate_does_not_take_the_handler_around_the_query(people, registry):
+    """The predicate's run sees only the handlers it pushed: its boundsError
+    fails the predicate, and ``select`` hands it to its own ``ce`` — here the
+    caller's — instead of the handler pushed around the query answering it
+    as the predicate's result."""
+    with pytest.raises(UncaughtTmlException) as raised:
+        run_both(PREDICATE_TRAPS, [people], registry)
+    assert raised.value.value == "boundsError"
 
 
 ADULTS = """
