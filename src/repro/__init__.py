@@ -23,62 +23,34 @@ Quickstart::
     print(system.vm().call(fast, [21]).value)                 # 42, fewer instructions
 """
 
-from repro import reflect
-from repro.core import (
-    Abs,
-    App,
-    Lit,
-    Name,
-    NameSupply,
-    Oid,
-    PrimApp,
-    TmlBuilder,
-    Var,
-    check,
-    parse_term,
-    pretty,
-    term_size,
-)
-from repro.lang import CompileOptions, TycoonSystem, compile_module
-from repro.machine import VM, Interpreter, compile_function
-from repro.primitives import default_registry
-from repro.query import Relation, integrated_optimize, query_registry
-from repro.rewrite import OptimizerConfig, RuleConfig, optimize, reduce_only
-from repro.store import ObjectHeap, decode_ptml, encode_ptml
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "reflect",
-    "Abs",
-    "App",
-    "Lit",
-    "Name",
-    "NameSupply",
-    "Oid",
-    "PrimApp",
-    "TmlBuilder",
-    "Var",
-    "check",
-    "parse_term",
-    "pretty",
-    "term_size",
-    "CompileOptions",
-    "TycoonSystem",
-    "compile_module",
-    "VM",
-    "Interpreter",
-    "compile_function",
-    "default_registry",
-    "Relation",
-    "integrated_optimize",
-    "query_registry",
-    "OptimizerConfig",
-    "RuleConfig",
-    "optimize",
-    "reduce_only",
-    "ObjectHeap",
-    "decode_ptml",
-    "encode_ptml",
-    "__version__",
-]
+# every name resolves on first use, straight from the module defining it
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submodules=["reflect"],
+    submod_attrs={
+        ".core.builder": ["TmlBuilder"],
+        ".core.names": ["Name", "NameSupply"],
+        ".core.parser": ["parse_term"],
+        ".core.pretty": ["pretty"],
+        ".core.syntax": ["Abs", "App", "Lit", "Oid", "PrimApp", "Var", "term_size"],
+        ".core.wellformed": ["check"],
+        ".lang.modules": ["CompileOptions", "compile_module"],
+        ".lang.system": ["TycoonSystem"],
+        ".machine.codegen": ["compile_function"],
+        ".machine.cps_interp": ["Interpreter"],
+        ".machine.vm": ["VM"],
+        ".primitives.registry": ["default_registry"],
+        ".query.algebra": ["query_registry"],
+        ".query.optimizer": ["integrated_optimize"],
+        ".query.relation": ["Relation"],
+        ".rewrite.pipeline": ["OptimizerConfig", "optimize", "reduce_only"],
+        ".rewrite.rules": ["RuleConfig"],
+        ".store.heap": ["ObjectHeap"],
+        ".store.ptml": ["decode_ptml", "encode_ptml"],
+    },
+)
+__all__ += ["__version__"]

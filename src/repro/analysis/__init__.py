@@ -31,72 +31,24 @@ mechanically; this package does:
   ``python -m repro audit``.
 """
 
-from repro.analysis.absint import (
-    AbsVal,
-    FunctionAnalysis,
-    Kind,
-    Summary,
-    analyze_code,
-    handler_diagnostics,
-    kind_of_value,
-    summarize_graph,
-)
-from repro.analysis.audit import AuditReport, audit_heap, audit_image
-from repro.analysis.callgraph import FunctionNode, ImageGraph
-from repro.analysis.facts import FACTS_ROOT, FactRecord, FactStore
+from repro._lazy import attach
 
-from repro.analysis.diagnostics import (
-    AnalysisError,
-    Diagnostic,
-    DIAGNOSTIC_CODES,
-    Severity,
-    format_diagnostics,
-    format_path,
-    has_errors,
-    severity_counts,
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".absint": [
+            "AbsVal", "FunctionAnalysis", "Kind", "Summary", "analyze_code",
+            "handler_diagnostics", "kind_of_value", "summarize_graph",
+        ],
+        ".audit": ["AuditReport", "audit_heap", "audit_image"],
+        ".callgraph": ["FunctionNode", "ImageGraph"],
+        ".diagnostics": [
+            "AnalysisError", "DIAGNOSTIC_CODES", "Diagnostic", "Severity",
+            "format_diagnostics", "format_path", "has_errors", "severity_counts",
+        ],
+        ".effects": ["effect_join", "effect_le", "infer_effect"],
+        ".facts": ["FACTS_ROOT", "FactRecord", "FactStore"],
+        ".lint": ["lint_code", "lint_function", "lint_registry", "lint_term"],
+        ".verify_tam": ["TamVerificationError", "assert_verified", "verify_code"],
+    },
 )
-from repro.analysis.effects import effect_join, effect_le, infer_effect
-from repro.analysis.lint import lint_code, lint_function, lint_registry, lint_term
-from repro.analysis.verify_tam import (
-    TamVerificationError,
-    assert_verified,
-    verify_code,
-)
-
-__all__ = [
-    "AnalysisError",
-    "Diagnostic",
-    "DIAGNOSTIC_CODES",
-    "Severity",
-    "TamVerificationError",
-    "assert_verified",
-    "effect_join",
-    "effect_le",
-    "format_diagnostics",
-    "format_path",
-    "has_errors",
-    "infer_effect",
-    "lint_code",
-    "lint_function",
-    "lint_registry",
-    "lint_term",
-    "severity_counts",
-    "verify_code",
-    # image-wide analysis (absint / callgraph / facts / audit)
-    "AbsVal",
-    "AuditReport",
-    "FACTS_ROOT",
-    "FactRecord",
-    "FactStore",
-    "FunctionAnalysis",
-    "FunctionNode",
-    "ImageGraph",
-    "Kind",
-    "Summary",
-    "analyze_code",
-    "audit_heap",
-    "audit_image",
-    "handler_diagnostics",
-    "kind_of_value",
-    "summarize_graph",
-]

@@ -24,8 +24,8 @@ import sys
 import time
 
 from repro.bench.harness import StanfordRow, geometric_mean, run_stanford
-from repro.bench.stanford import PROGRAMS
-from repro.lang import TycoonSystem
+from repro.bench.stanford.programs import PROGRAMS
+from repro.lang.system import TycoonSystem
 from repro.obs.metrics import METRICS
 
 __all__ = ["vm_payload", "opt_payload", "write_bench_artifacts"]

@@ -22,8 +22,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.bench.stanford import PROGRAMS
-from repro.lang import CompileOptions, TycoonSystem
+from repro.bench.stanford.programs import PROGRAMS
+from repro.lang.modules import CompileOptions
+from repro.lang.system import TycoonSystem
 from repro.machine.isa import VMClosure
 from repro.reflect import optimize_result
 from repro.rewrite.pipeline import OptimizerConfig

@@ -1,5 +1,7 @@
 """The Stanford benchmark suite, written in TL (paper section 6 workload)."""
 
-from repro.bench.stanford.programs import PROGRAMS, StanfordProgram
+from repro._lazy import attach
 
-__all__ = ["PROGRAMS", "StanfordProgram"]
+__getattr__, __dir__, __all__ = attach(
+    __name__, submod_attrs={".programs": ["PROGRAMS", "StanfordProgram"]}
+)

@@ -59,26 +59,32 @@ import dataclasses
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from repro.bench.harness import format_table, run_stanford
-from repro.core.pretty import PrettyOptions, pretty
-from repro.lang import CompileOptions, TycoonSystem
-from repro.lang.parser import parse_modules
-from repro.machine.runtime import UncaughtTmlException, show_value
-from repro.reflect import optimize_result, term_of_closure
-from repro.rewrite import OptimizerConfig
-from repro.store.heap import ObjectHeap
+if TYPE_CHECKING:
+    from repro.lang.modules import CompileOptions
+    from repro.lang.system import TycoonSystem
 
 __all__ = ["main"]
 
+# Each subcommand imports what it runs: ``repro client`` never loads the
+# compiler or the store, and ``repro serve`` only what a daemon executes.
+
 
 def _options(level: str) -> CompileOptions:
+    from repro.lang.modules import CompileOptions
+    from repro.rewrite.pipeline import OptimizerConfig
+
     if level == "none":
         return CompileOptions(optimizer=None)
     return CompileOptions(optimizer=OptimizerConfig())
 
 
 def _load_system(path: str, opt: str, store: str | None) -> TycoonSystem:
+    from repro.lang.parser import parse_modules
+    from repro.lang.system import TycoonSystem
+    from repro.store.heap import ObjectHeap
+
     heap = ObjectHeap(store) if store else None
     system = TycoonSystem(heap=heap, options=_options(opt))
     with open(path, "r", encoding="utf-8") as handle:
@@ -115,6 +121,9 @@ def _split_entry(entry: str, system: TycoonSystem) -> tuple[str, str]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.machine.runtime import UncaughtTmlException, show_value
+    from repro.reflect import optimize_result
+
     system = _load_system(args.file, args.opt, args.store)
     entry = args.entry
     if entry is None:
@@ -141,6 +150,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_tml(args: argparse.Namespace) -> int:
+    from repro.core.pretty import PrettyOptions, pretty
+    from repro.reflect import optimize_result
+    from repro.reflect.reach import term_of_closure
+
     system = _load_system(args.file, args.opt, args.store)
     module, function = _split_entry(args.function, system)
     closure = system.closure(module, function)
@@ -161,6 +174,8 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench.harness import format_table, run_stanford
+
     names = args.programs.split(",") if args.programs else None
     rows = run_stanford(names=names, scale=args.scale, repeats=args.repeats)
     print(format_table(rows))
@@ -175,8 +190,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.machine.runtime import UncaughtTmlException, show_value
     from repro.machine.vm import StepLimitExceeded
-    from repro.obs import VMProfiler, write_metrics_json
+    from repro.obs.exporters import write_metrics_json
+    from repro.obs.profile import VMProfiler
 
     system = _load_system(args.file, args.opt, args.store)
     entry = args.entry
@@ -247,7 +264,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.history:
         return _cmd_stats_history(args)
-    from repro.obs import METRICS, write_metrics_json
+    from repro.machine.runtime import UncaughtTmlException, show_value
+    from repro.obs.exporters import write_metrics_json
+    from repro.obs.metrics import METRICS
 
     # importing the instrumented layers registers their metric catalog even
     # before anything runs
@@ -297,6 +316,7 @@ def _cmd_stats_history(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs.history import read_history
+    from repro.store.heap import ObjectHeap
 
     if args.file is None:
         raise SystemExit("error: stats --history needs a store image path")
@@ -346,6 +366,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
+    from repro.store.heap import ObjectHeap
+
     heap = ObjectHeap(args.path)
     try:
         if args.action == "ls":
@@ -363,7 +385,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import Severity, lint_code, lint_registry, lint_term
+    from repro.analysis.diagnostics import Severity
+    from repro.analysis.lint import lint_code, lint_registry, lint_term
     from repro.primitives.registry import default_registry
 
     registry = default_registry()
@@ -426,6 +449,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _stored_targets(store_path: str, oid: int):
     """Lintable (label, term, code) triples for one stored object."""
     from repro.machine.isa import CodeObject
+    from repro.store.heap import ObjectHeap
     from repro.store.ptml import decode_ptml
     from repro.store.serialize import Blob
 
@@ -488,7 +512,8 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.analysis import Severity, audit_image
+    from repro.analysis.audit import audit_image
+    from repro.analysis.diagnostics import Severity
 
     report = audit_image(args.image, update_facts=not args.no_update)
     ordered = sorted(
@@ -592,7 +617,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 def _config_flags():
     """The :class:`ServerConfig` fields that declare a ``serve`` flag."""
-    from repro.server.daemon import ServerConfig
+    from repro.server.config import ServerConfig
 
     return [f for f in dataclasses.fields(ServerConfig) if "flag" in f.metadata]
 
@@ -628,7 +653,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _serve_config(args: argparse.Namespace):
-    from repro.server.daemon import ServerConfig
+    from repro.server.config import ServerConfig
 
     values = {f.name: getattr(args, f.name) for f in _config_flags()}
     # the two structured values arrive as text
@@ -645,7 +670,7 @@ def _serve_config(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.server import ReproServer
+    from repro.server.daemon import ReproServer
 
     server = ReproServer(args.image, _serve_config(args))
     server.start()
@@ -1036,7 +1061,8 @@ def main(argv: list[str] | None = None) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return args.handler(args)
-    from repro.obs import NdjsonRecorder, TRACER
+    from repro.obs.exporters import NdjsonRecorder
+    from repro.obs.trace import TRACER
 
     with NdjsonRecorder(trace_path) as recorder:
         with TRACER.recording(recorder):

@@ -5,65 +5,23 @@ substitution, free-variable/binding analysis, well-formedness checking, and
 concrete syntax (parser + pretty-printer).
 """
 
-from repro.core.builder import TmlBuilder
-from repro.core.names import CONT_SORT, VAL_SORT, Name, NameSupply
-from repro.core.parser import ParseError, parse_term
-from repro.core.pretty import PrettyOptions, pretty, pretty_compact
-from repro.core.syntax import (
-    Abs,
-    App,
-    Application,
-    Char,
-    Lit,
-    Oid,
-    PrimApp,
-    Term,
-    UNIT,
-    Unit,
-    Value,
-    Var,
-    is_application,
-    is_value,
-    iter_abstractions,
-    iter_applications,
-    iter_subterms,
-    max_uid,
-    term_size,
-)
-from repro.core.wellformed import WellFormednessError, check, is_well_formed, violations
+from repro._lazy import attach
 
-__all__ = [
-    "TmlBuilder",
-    "CONT_SORT",
-    "VAL_SORT",
-    "Name",
-    "NameSupply",
-    "ParseError",
-    "parse_term",
-    "PrettyOptions",
-    "pretty",
-    "pretty_compact",
-    "Abs",
-    "App",
-    "Application",
-    "Char",
-    "Lit",
-    "Oid",
-    "PrimApp",
-    "Term",
-    "UNIT",
-    "Unit",
-    "Value",
-    "Var",
-    "is_application",
-    "is_value",
-    "iter_abstractions",
-    "iter_applications",
-    "iter_subterms",
-    "max_uid",
-    "term_size",
-    "WellFormednessError",
-    "check",
-    "is_well_formed",
-    "violations",
-]
+# no ``pretty``: importing the submodule ``repro.core.pretty`` binds that
+# name to the module, so the function is exported as ``repro.pretty`` only
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".builder": ["TmlBuilder"],
+        ".names": ["CONT_SORT", "VAL_SORT", "Name", "NameSupply"],
+        ".parser": ["ParseError", "parse_term"],
+        ".pretty": ["PrettyOptions", "pretty_compact"],
+        ".syntax": [
+            "Abs", "App", "Application", "Char", "Lit", "Oid", "PrimApp", "Term",
+            "UNIT", "Unit", "Value", "Var", "is_application", "is_value",
+            "iter_abstractions", "iter_applications", "iter_subterms", "max_uid",
+            "term_size",
+        ],
+        ".wellformed": ["WellFormednessError", "check", "is_well_formed", "violations"],
+    },
+)

@@ -6,41 +6,19 @@ dynamically bound standard library (the abstraction barriers of sections
 4.1 and 6).
 """
 
-from repro.lang.check import CheckedModule, check_module
-from repro.lang.errors import TLCheckError, TLError, TLSyntaxError
-from repro.lang.modules import (
-    CompileOptions,
-    CompiledFunction,
-    CompiledModule,
-    ModuleValue,
-    compile_module,
-    compile_stdlib,
-    link_module,
-    link_stdlib,
-    load_module,
-    store_module,
-)
-from repro.lang.parser import parse_expression, parse_module, parse_modules
-from repro.lang.system import TycoonSystem
+from repro._lazy import attach
 
-__all__ = [
-    "CheckedModule",
-    "check_module",
-    "TLCheckError",
-    "TLError",
-    "TLSyntaxError",
-    "CompileOptions",
-    "CompiledFunction",
-    "CompiledModule",
-    "ModuleValue",
-    "compile_module",
-    "compile_stdlib",
-    "link_module",
-    "link_stdlib",
-    "load_module",
-    "store_module",
-    "parse_expression",
-    "parse_module",
-    "parse_modules",
-    "TycoonSystem",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".check": ["CheckedModule", "check_module"],
+        ".errors": ["TLCheckError", "TLError", "TLSyntaxError"],
+        ".modules": [
+            "CompileOptions", "CompiledFunction", "CompiledModule", "ModuleValue",
+            "compile_module", "compile_stdlib", "link_module", "link_stdlib",
+            "load_module", "store_module",
+        ],
+        ".parser": ["parse_expression", "parse_module", "parse_modules"],
+        ".system": ["TycoonSystem"],
+    },
+)

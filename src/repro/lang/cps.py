@@ -33,31 +33,9 @@ from repro.lang import ast
 from repro.lang.check import CheckedModule
 from repro.lang.errors import TLCheckError
 from repro.lang.stdlib import OP_FUNS
+from repro.lang.types import ExternalRef
 
-__all__ = ["ExternalRef", "CpsConverter"]
-
-
-class ExternalRef:
-    """What a free variable of a converted function denotes.
-
-    ``kind``: ``import`` (a member of another module, including all library
-    functions) or ``sibling`` (another function of the same module).
-    """
-
-    __slots__ = ("kind", "module", "member")
-
-    def __init__(self, kind: str, module: str | None, member: str):
-        self.kind = kind
-        self.module = module
-        self.member = member
-
-    def key(self) -> tuple:
-        return (self.kind, self.module, self.member)
-
-    def __repr__(self) -> str:
-        if self.kind == "import":
-            return f"<import {self.module}.{self.member}>"
-        return f"<sibling {self.member}>"
+__all__ = ["CpsConverter"]
 
 
 _SIMPLE = (ast.IntLit, ast.BoolLit, ast.CharLit, ast.StrLit, ast.UnitLit)

@@ -17,26 +17,28 @@ The lifecycle (paper Fig. 3):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro._lazy import attach
 from repro.analysis.verify_tam import assert_verified
 from repro.core.names import Name, NameSupply
 from repro.core.syntax import Abs, Char, UNIT
 from repro.core.wellformed import check as check_wf
-from repro.lang import ast
-from repro.lang.check import CheckedModule, check_module
-from repro.lang.cps import CpsConverter, ExternalRef
 from repro.lang.errors import TLCheckError, TLError
-from repro.lang.parser import parse_module
 from repro.lang.stdlib import build_stdlib
-from repro.lang.types import FunSig, ModuleInterface, UNKNOWN
+from repro.lang.types import ExternalRef, FunSig, ModuleInterface, UNKNOWN
 from repro.machine.codegen import compile_function
-from repro.machine.isa import CodeObject, VMClosure
+from repro.machine.isa import CodeObject, VMClosure, flatten_codes
 from repro.primitives.registry import PrimitiveRegistry, default_registry
 from repro.rewrite.pipeline import OptimizerConfig, optimize
-from repro.store.heap import ObjectHeap
-from repro.store.ptml import encode_ptml
-from repro.store.serialize import Blob, register_codec
+from repro.store.heap import HeapError, ObjectHeap
+from repro.store.pager import PageError
+from repro.store.ptml import encode_ptml, ptml_key
+from repro.store.serialize import Blob, SerializeError, register_codec
+
+if TYPE_CHECKING:
+    from repro.lang import ast
+    from repro.lang.check import CheckedModule
 
 __all__ = [
     "CompileOptions",
@@ -50,6 +52,21 @@ __all__ = [
     "store_module",
     "load_module",
 ]
+
+# The TL front end is imported by the first compile: a process that only
+# loads, links and runs stored modules — a restarted daemon — never parses.
+# Its names stay attributes of this module rather than function-local
+# imports, so a binding put here (a profiler wrapping ``parse_module``) is
+# the one ``compile_module`` calls.
+__getattr__, __dir__, _FRONT_END = attach(
+    __name__,
+    submodules=["ast"],
+    submod_attrs={
+        ".check": ["check_module"],
+        ".cps": ["CpsConverter"],
+        ".parser": ["parse_module"],
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,9 @@ def compile_module(
     options: CompileOptions | None = None,
 ) -> CompiledModule:
     """Compile TL source (or a parsed/checked module) to TAM code + PTML."""
+    for name in _FRONT_END:
+        if name not in globals():
+            __getattr__(name)
     options = options or CompileOptions()
     registry = options.registry or default_registry()
 
@@ -309,11 +329,14 @@ def link_stdlib(
 
     With a heap, every library function's PTML blob is stored and the code's
     ``ptml_ref`` becomes an OID — the persistent system state of section 4.1.
+    A module whose stored copy has the same PTML is not stored again, so
+    booting over an image adds nothing to it.
     """
     compiled = compile_stdlib(options)
     if heap is not None:
         for module in compiled.values():
-            store_module(heap, module)
+            if not _adopt_stored_ptml(heap, module):
+                store_module(heap, module)
     return {name: link_module(module, {}) for name, module in compiled.items()}
 
 
@@ -391,12 +414,45 @@ def store_module(heap: ObjectHeap, compiled: CompiledModule) -> Any:
     return oid
 
 
+def _adopt_stored_ptml(heap: ObjectHeap, compiled: CompiledModule) -> bool:
+    """Point ``compiled``'s code at the PTML objects of its stored copy.
+
+    True when ``heap`` holds the module under its root with the same
+    exports and functions, and PTML equal by hash; otherwise (no copy, a
+    different one, or one that cannot be read) nothing changes and the
+    caller stores the module.
+    """
+    oid = heap.root(f"module:{compiled.name}")
+    if oid is None:
+        return False
+    try:
+        stored = heap.load(oid)
+        if not isinstance(stored, StoredModule) or (
+            tuple(stored.exports) != tuple(compiled.exports)
+            or [name for name, _, _ in stored.functions] != list(compiled.functions)
+        ):
+            return False
+        fresh = [
+            c for fn in compiled.functions.values() for c in flatten_codes(fn.code)
+            if c.ptml_ref is not None
+        ]
+        kept = [
+            c for _, code, _ in stored.functions for c in flatten_codes(code)
+            if c.ptml_ref is not None
+        ]
+        if [ptml_key(c) for c in fresh] != [ptml_key(c, heap) for c in kept]:
+            return False
+    except (HeapError, PageError, SerializeError):
+        return False
+    for code, stored_code in zip(fresh, kept):
+        code.ptml_ref = stored_code.ptml_ref
+    return True
+
+
 def _fact_verified(heap: ObjectHeap, code: CodeObject, facts) -> bool:
     """True when a verified analysis fact vouches for this code's PTML."""
     if facts is None:
         return False
-    from repro.store.ptml import ptml_key
-
     key = ptml_key(code, heap)
     if key is None:
         return False

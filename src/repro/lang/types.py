@@ -11,9 +11,12 @@ else degrades gracefully to ``TUnknown``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.lang import ast
 from repro.lang.errors import TLCheckError
+
+if TYPE_CHECKING:
+    from repro.lang import ast
 
 __all__ = [
     "Type",
@@ -34,6 +37,7 @@ __all__ = [
     "UNKNOWN",
     "FunSig",
     "ModuleInterface",
+    "ExternalRef",
     "resolve_type",
 ]
 
@@ -172,6 +176,29 @@ class ModuleInterface:
         return self.values.get(member, UNKNOWN)
 
 
+class ExternalRef:
+    """What a free variable of a converted function denotes.
+
+    ``kind``: ``import`` (a member of another module, including all library
+    functions) or ``sibling`` (another function of the same module).
+    """
+
+    __slots__ = ("kind", "module", "member")
+
+    def __init__(self, kind: str, module: str | None, member: str):
+        self.kind = kind
+        self.module = module
+        self.member = member
+
+    def key(self) -> tuple:
+        return (self.kind, self.module, self.member)
+
+    def __repr__(self) -> str:
+        if self.kind == "import":
+            return f"<import {self.module}.{self.member}>"
+        return f"<sibling {self.member}>"
+
+
 def resolve_type(
     expr: ast.TypeExpr | None,
     local_types: dict[str, TRecord],
@@ -183,6 +210,8 @@ def resolve_type(
     Unknown names resolve to :data:`UNKNOWN` (annotations are permissive);
     only malformed module-qualified references raise.
     """
+    from repro.lang import ast
+
     if expr is None:
         return UNKNOWN
     if isinstance(expr, ast.NamedType):

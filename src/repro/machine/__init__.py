@@ -12,44 +12,18 @@ Two consistent semantics:
 Shared runtime values live in :mod:`repro.machine.runtime`.
 """
 
-from repro.machine.codegen import CodegenError, compile_function
-from repro.machine.cps_interp import Interpreter, RunResult
-from repro.machine.isa import CodeObject, VMClosure, code_size
-from repro.machine.runtime import (
-    Closure,
-    Env,
-    ForeignTable,
-    Halted,
-    MachineError,
-    TmlArray,
-    TmlByteArray,
-    TmlVector,
-    Trap,
-    UncaughtTmlException,
-    show_value,
-)
-from repro.machine.vm import VM, VMResult, instantiate
+from repro._lazy import attach
 
-__all__ = [
-    "CodegenError",
-    "compile_function",
-    "Interpreter",
-    "RunResult",
-    "CodeObject",
-    "VMClosure",
-    "code_size",
-    "Closure",
-    "Env",
-    "ForeignTable",
-    "Halted",
-    "MachineError",
-    "TmlArray",
-    "TmlByteArray",
-    "TmlVector",
-    "Trap",
-    "UncaughtTmlException",
-    "show_value",
-    "VM",
-    "VMResult",
-    "instantiate",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".codegen": ["CodegenError", "compile_function"],
+        ".cps_interp": ["Interpreter", "RunResult"],
+        ".isa": ["CodeObject", "VMClosure", "code_size"],
+        ".runtime": [
+            "Closure", "Env", "ForeignTable", "Halted", "MachineError", "TmlArray",
+            "TmlByteArray", "TmlVector", "Trap", "UncaughtTmlException", "show_value",
+        ],
+        ".vm": ["VM", "VMResult", "instantiate"],
+    },
+)

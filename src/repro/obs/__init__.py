@@ -16,79 +16,26 @@ Exporters (:mod:`repro.obs.exporters`) serialize traces as NDJSON and
 metric/bench snapshots as JSON.  See ``docs/observability.md``.
 """
 
-from repro.obs.exporters import (
-    ListRecorder,
-    NdjsonRecorder,
-    SCHEMA_VERSION,
-    TraceSchemaError,
-    event_from_dict,
-    event_to_dict,
-    read_ndjson,
-    validate_event,
-    write_metrics_json,
-)
-from repro.obs.history import (
-    HISTORY_ROOT,
-    MetricsHistory,
-    read_history,
-    sanitize_snapshot,
-)
-from repro.obs.metrics import (
-    METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metrics_disabled,
-    metrics_enabled,
-    set_metrics_enabled,
-)
-from repro.obs.profile import ClosureProfile, ClosureStats, VMProfiler, profile_call
-from repro.obs.slowlog import SlowLog
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    TraceContext,
-    TraceEvent,
-    Tracer,
-    TRACER,
-    new_span_id,
-    new_trace_id,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "METRICS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "metrics_enabled",
-    "set_metrics_enabled",
-    "metrics_disabled",
-    "TRACER",
-    "Tracer",
-    "TraceEvent",
-    "TraceContext",
-    "Span",
-    "NULL_SPAN",
-    "new_trace_id",
-    "new_span_id",
-    "SlowLog",
-    "MetricsHistory",
-    "HISTORY_ROOT",
-    "read_history",
-    "sanitize_snapshot",
-    "ListRecorder",
-    "NdjsonRecorder",
-    "SCHEMA_VERSION",
-    "TraceSchemaError",
-    "event_to_dict",
-    "event_from_dict",
-    "read_ndjson",
-    "validate_event",
-    "write_metrics_json",
-    "ClosureProfile",
-    "ClosureStats",
-    "VMProfiler",
-    "profile_call",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".exporters": [
+            "ListRecorder", "NdjsonRecorder", "SCHEMA_VERSION", "TraceSchemaError",
+            "event_from_dict", "event_to_dict", "read_ndjson", "validate_event",
+            "write_metrics_json",
+        ],
+        ".history": ["HISTORY_ROOT", "MetricsHistory", "read_history", "sanitize_snapshot"],
+        ".metrics": [
+            "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+            "metrics_disabled", "metrics_enabled", "set_metrics_enabled",
+        ],
+        ".profile": ["ClosureProfile", "ClosureStats", "VMProfiler", "profile_call"],
+        ".slowlog": ["SlowLog"],
+        ".trace": [
+            "NULL_SPAN", "Span", "TRACER", "TraceContext", "TraceEvent", "Tracer",
+            "new_span_id", "new_trace_id",
+        ],
+    },
+)

@@ -8,21 +8,12 @@ complete language; the query subsystem extends it with relational primitives
 at registration time — the paper's adaptability story.
 """
 
-from repro.primitives.effects import EffectClass, may_commute
-from repro.primitives.registry import (
-    Attributes,
-    Primitive,
-    PrimitiveRegistry,
-    Signature,
-    default_registry,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "EffectClass",
-    "may_commute",
-    "Attributes",
-    "Primitive",
-    "PrimitiveRegistry",
-    "Signature",
-    "default_registry",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".effects": ["EffectClass", "may_commute"],
+        ".registry": ["Attributes", "Primitive", "PrimitiveRegistry", "Signature", "default_registry"],
+    },
+)

@@ -5,27 +5,19 @@ primitives, embedded ``select``/``exists`` in TL, algebraic rewrite rules in
 CPS notation, and the integrated program/query optimizer of Fig. 4.
 """
 
-from repro.query.algebra import QUERY_PRIMITIVES, query_registry, register_query_primitives
-from repro.query.index import HashIndex, OrderedIndex
-from repro.query.optimizer import IntegratedResult, integrated_optimize
-from repro.query.relation import QueryError, Relation
-from repro.query.rules import QueryRewriteStats, QueryRewriter, is_effect_safe
+from repro._lazy import attach
 
-__all__ = [
-    "QUERY_PRIMITIVES",
-    "query_registry",
-    "register_query_primitives",
-    "HashIndex",
-    "OrderedIndex",
-    "IntegratedResult",
-    "integrated_optimize",
-    "QueryError",
-    "Relation",
-    "QueryRewriteStats",
-    "QueryRewriter",
-    "is_effect_safe",
-    "optimize_query_function",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".algebra": ["QUERY_PRIMITIVES", "query_registry", "register_query_primitives"],
+        ".index": ["HashIndex", "OrderedIndex"],
+        ".optimizer": ["IntegratedResult", "integrated_optimize"],
+        ".relation": ["QueryError", "Relation"],
+        ".rules": ["QueryRewriteStats", "QueryRewriter", "is_effect_safe"],
+    },
+)
+__all__ += ["optimize_query_function"]
 
 
 def optimize_query_function(system, module: str, function: str, config=None):
@@ -36,6 +28,9 @@ def optimize_query_function(system, module: str, function: str, config=None):
     rewrites the combined scope with access to the running store's bindings
     (e.g. indexes).  Returns a :class:`repro.reflect.ReflectResult`.
     """
+    # integrated_optimize is read through this package, where it is a lazy
+    # public binding; a rebinding of it there is honoured
+    from repro.query import integrated_optimize
     from repro.reflect.optimize import optimize_closure
 
     closure = system.closure(module, function)

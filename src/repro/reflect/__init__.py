@@ -16,44 +16,21 @@ The public entry point is :func:`optimize_function`, mirroring the paper's
 41
 """
 
-from repro.reflect.attributes import (
-    DerivedAttributes,
-    cached_optimize,
-    load_attributes,
-    record_attributes,
-)
-from repro.reflect.decompile import decompile_code
-from repro.reflect.optimize import DYNAMIC_CONFIG, ReflectResult, optimize_closure
-from repro.reflect.pgo import HotCandidate, PgoReport, optimize_hot, rank_hot
-from repro.reflect.reach import (
-    Entity,
-    EntityGraph,
-    ReflectError,
-    collect_entities,
-    term_of_closure,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "DerivedAttributes",
-    "cached_optimize",
-    "load_attributes",
-    "record_attributes",
-    "DYNAMIC_CONFIG",
-    "ReflectResult",
-    "optimize_closure",
-    "Entity",
-    "EntityGraph",
-    "ReflectError",
-    "collect_entities",
-    "term_of_closure",
-    "decompile_code",
-    "optimize_function",
-    "optimize_result",
-    "HotCandidate",
-    "PgoReport",
-    "optimize_hot",
-    "rank_hot",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".attributes": [
+            "DerivedAttributes", "cached_optimize", "load_attributes", "record_attributes",
+        ],
+        ".decompile": ["decompile_code"],
+        ".optimize": ["DYNAMIC_CONFIG", "ReflectResult", "optimize_closure"],
+        ".pgo": ["HotCandidate", "PgoReport", "optimize_hot", "rank_hot"],
+        ".reach": ["Entity", "EntityGraph", "ReflectError", "collect_entities", "term_of_closure"],
+    },
+)
+__all__ += ["optimize_function", "optimize_result"]
 
 
 def optimize_function(system, module: str, function: str, config=None):
@@ -65,8 +42,11 @@ def optimize_function(system, module: str, function: str, config=None):
     return optimize_result(system, module, function, config).closure
 
 
-def optimize_result(system, module: str, function: str, config=None) -> ReflectResult:
-    """Like :func:`optimize_function` but returns the full ReflectResult."""
+def optimize_result(system, module: str, function: str, config=None):
+    """Like :func:`optimize_function` but returns the full
+    :class:`~repro.reflect.optimize.ReflectResult`."""
+    from repro.reflect.optimize import DYNAMIC_CONFIG, optimize_closure
+
     closure = system.closure(module, function)
     return optimize_closure(
         closure,

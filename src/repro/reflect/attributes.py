@@ -124,10 +124,12 @@ def cached_optimize(
     """
     config = config or DYNAMIC_CONFIG
     key = (id(closure), config_fingerprint(config))
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    entry = _cache.get(key)
+    # an id is reused once its object is gone: the entry holds the closure
+    # it was computed for, and only that closure may have the result
+    if entry is not None and entry[0] is closure:
+        return entry[1]
     result = optimize_closure(closure, heap=heap, registry=registry, config=config)
     record_attributes(heap, closure.code.name, config, result)
-    _cache[key] = result
+    _cache[key] = (closure, result)
     return result

@@ -14,10 +14,9 @@ bound at instantiation time.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Any
-
-import networkx as nx
 
 from repro.core.names import Name, NameSupply
 from repro.core.syntax import Char, Oid, Term, Unit, max_uid
@@ -25,7 +24,14 @@ from repro.machine.isa import VMClosure
 from repro.store.ptml import decode_ptml
 from repro.store.serialize import Blob
 
-__all__ = ["ReflectError", "Entity", "EntityGraph", "collect_entities", "term_of_closure"]
+__all__ = [
+    "ReflectError",
+    "Entity",
+    "EntityGraph",
+    "collect_entities",
+    "strongly_connected_components",
+    "term_of_closure",
+]
 
 
 class ReflectError(Exception):
@@ -93,15 +99,62 @@ class EntityGraph:
     holes: dict[Name, Any]
     supply: NameSupply
 
-    def dependency_graph(self) -> "nx.DiGraph":
-        """entity key -> entity key edges (u depends on v)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.entities)
-        for key, entity in self.entities.items():
-            for binding in entity.bindings.values():
-                if binding.kind == "entity":
-                    graph.add_edge(key, binding.value)
-        return graph
+    def dependency_graph(self) -> dict[int, list[int]]:
+        """Entity key -> the keys of the entities it references (u depends
+        on v), every entity a node, in collection order."""
+        return {
+            key: [b.value for b in entity.bindings.values() if b.kind == "entity"]
+            for key, entity in self.entities.items()
+        }
+
+
+def strongly_connected_components(
+    graph: dict[Hashable, list[Hashable]],
+) -> list[list[Hashable]]:
+    """Tarjan's algorithm over ``graph`` (node -> successors, each a node).
+
+    Returns the strongly connected components, each listed after every
+    component it has an edge into: dependencies first.  Iterative, so the
+    depth of the graph is not bounded by Python's recursion limit.
+    """
+    index: dict[Hashable, int] = {}
+    low: dict[Hashable, int] = {}
+    stack: list[Hashable] = []
+    on_stack: set[Hashable] = set()
+    components: list[list[Hashable]] = []
+    # the DFS path: (node, its successors not yet looked at)
+    work: list = []
+
+    def visit(node: Hashable) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(graph[node])))
+
+    for root in graph:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    visit(successor)
+                    break
+                if successor in on_stack:
+                    low[node] = min(low[node], index[successor])
+            else:  # every successor done: node is finished
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    components.append(component)
+    return components
 
 
 _SIMPLE_TYPES = (bool, int, str, Char, Unit)

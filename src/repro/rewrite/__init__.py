@@ -5,21 +5,15 @@ expansion pass performs cost-model-guided procedure inlining; the pipeline
 alternates the two under an accumulated-penalty bound.
 """
 
-from repro.rewrite.expansion import ExpansionConfig, expand_pass
-from repro.rewrite.pipeline import OptimizeResult, OptimizerConfig, optimize, reduce_only
-from repro.rewrite.reduction import reduce_to_fixpoint
-from repro.rewrite.rules import ALL_RULES, RuleConfig
-from repro.rewrite.stats import RewriteStats
+from repro._lazy import attach
 
-__all__ = [
-    "ExpansionConfig",
-    "expand_pass",
-    "OptimizeResult",
-    "OptimizerConfig",
-    "optimize",
-    "reduce_only",
-    "reduce_to_fixpoint",
-    "ALL_RULES",
-    "RuleConfig",
-    "RewriteStats",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".expansion": ["ExpansionConfig", "expand_pass"],
+        ".pipeline": ["OptimizeResult", "OptimizerConfig", "optimize", "reduce_only"],
+        ".reduction": ["reduce_to_fixpoint"],
+        ".rules": ["ALL_RULES", "RuleConfig"],
+        ".stats": ["RewriteStats"],
+    },
+)

@@ -23,48 +23,20 @@ client`` talks to it.  Protocol and lifecycle are specified in
 ``docs/server.md``.
 """
 
-from repro.server.client import (
-    BackpressureError,
-    BusyError,
-    Client,
-    ClientError,
-    ConnectionLost,
-    RetryPolicy,
-    ServerError,
-    ShuttingDownError,
-    connect,
-)
-from repro.server.codecache import CodeCache
-from repro.server.daemon import ReproServer, ServerConfig
-from repro.server.pgo import PgoWorker
-from repro.server.pool import Backpressure, WorkerPool
-from repro.server.protocol import (
-    ProtocolError,
-    from_jsonable,
-    recv_frame,
-    send_frame,
-    to_jsonable,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Client",
-    "ClientError",
-    "ConnectionLost",
-    "ServerError",
-    "BusyError",
-    "BackpressureError",
-    "ShuttingDownError",
-    "RetryPolicy",
-    "connect",
-    "CodeCache",
-    "ReproServer",
-    "ServerConfig",
-    "PgoWorker",
-    "Backpressure",
-    "WorkerPool",
-    "ProtocolError",
-    "send_frame",
-    "recv_frame",
-    "to_jsonable",
-    "from_jsonable",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".client": [
+            "BackpressureError", "BusyError", "Client", "ClientError", "ConnectionLost",
+            "RetryPolicy", "ServerError", "ShuttingDownError", "connect",
+        ],
+        ".codecache": ["CodeCache"],
+        ".config": ["ServerConfig"],
+        ".daemon": ["ReproServer"],
+        ".pgo": ["PgoWorker"],
+        ".pool": ["Backpressure", "WorkerPool"],
+        ".protocol": ["ProtocolError", "from_jsonable", "recv_frame", "send_frame", "to_jsonable"],
+    },
+)

@@ -15,7 +15,6 @@ import time
 from typing import Callable, NamedTuple
 
 from repro.lang.errors import TLError
-from repro.lang.parser import parse_modules
 from repro.machine.runtime import (
     MachineError,
     TmlVector,
@@ -127,6 +126,8 @@ def run(server, session, request):
     source = request.get("source")
     if not isinstance(source, str):
         raise RequestError(protocol.E_BAD_REQUEST, "run needs TL source text")
+    from repro.lang.parser import parse_modules  # the compiler loads on the first run
+
     try:
         modules = [server.system.compile_ast(ast) for ast in parse_modules(source)]
     except TLError as exc:
@@ -408,6 +409,7 @@ def stats(server, session, request):
         "role": server.role,
         "repl_version": server.repl_version(),
         "uptime_s": server.uptime_s(),
+        "boot": {phase: round(seconds, 6) for phase, seconds in server.boot_phases.items()},
         "requests": {
             "total": _count("server.requests"),
             "errors": _count("server.request_errors"),

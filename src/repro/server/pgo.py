@@ -22,10 +22,13 @@ whose profile entries no longer match any export — no rewrite thrash).
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
-from repro.reflect.pgo import PgoReport, optimize_hot
+
+if TYPE_CHECKING:
+    from repro.reflect.pgo import PgoReport
 
 __all__ = ["PgoWorker"]
 
@@ -81,6 +84,9 @@ class PgoWorker:
         invalidates their code-cache entries and persists the refreshed
         image-resident code table.
         """
+        # the reflective optimizer loads with the first round, not the daemon
+        from repro.reflect.pgo import optimize_hot
+
         server = self.server
         with self._lock:
             profile = server.take_profile()

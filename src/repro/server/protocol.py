@@ -37,7 +37,6 @@ import struct
 from typing import Any, NamedTuple
 
 from repro.core.syntax import Char, Oid, UNIT, Unit
-from repro.machine.runtime import TmlArray, TmlByteArray, TmlVector
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -261,6 +260,10 @@ def to_jsonable(value: Any) -> Any:
     """
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
+    # the VM's value types, imported where a value needs them: a client
+    # process that sends only scalars never loads the machine
+    from repro.machine.runtime import TmlArray, TmlByteArray, TmlVector
+
     if isinstance(value, Char):
         return {"$char": value.value}
     if isinstance(value, Unit):
@@ -284,6 +287,8 @@ def from_jsonable(value: Any) -> Any:
     """JSON wire representation → TML runtime value (inverse of above)."""
     if value is None or isinstance(value, (bool, int, str, float)):
         return value
+    from repro.machine.runtime import TmlArray, TmlByteArray, TmlVector
+
     if isinstance(value, list):
         return TmlVector([from_jsonable(v) for v in value])
     if isinstance(value, dict):

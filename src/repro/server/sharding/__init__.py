@@ -15,31 +15,12 @@ reads by shipping plan fragments to every shard and merging the partial
 results.  See docs/sharding.md for the full design and failure matrix.
 """
 
-# NOTE: Coordinator is intentionally NOT re-exported here.  The client
-# imports the ring (pure placement) and the coordinator imports the
-# client (routing); pulling the coordinator into the package __init__
-# would close that cycle.  Import it from its module:
-# ``from repro.server.sharding.coordinator import Coordinator``.
-from repro.server.sharding.ring import (
-    HashRing,
-    ShardTopology,
-    TOPOLOGY_ROOT,
-    is_system_root,
-)
-from repro.server.sharding.twopc import (
-    DECISION_PREFIX,
-    STAGING_PREFIX,
-    decision_root,
-    staging_root,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "HashRing",
-    "ShardTopology",
-    "TOPOLOGY_ROOT",
-    "is_system_root",
-    "STAGING_PREFIX",
-    "DECISION_PREFIX",
-    "staging_root",
-    "decision_root",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".ring": ["HashRing", "ShardTopology", "TOPOLOGY_ROOT", "is_system_root"],
+        ".twopc": ["DECISION_PREFIX", "STAGING_PREFIX", "decision_root", "staging_root"],
+    },
+)

@@ -12,43 +12,19 @@ chaos suites that prove it live in :mod:`repro.testing.chaos`; see
 docs/durability.md.
 """
 
-from repro.store.faults import CrashPoint, FaultFile, FaultPlan
-from repro.store.fsck import FsckResult, fsck_image
-from repro.store.heap import HeapError, ObjectHeap, Transaction
-from repro.store.pager import FORMAT_VERSION, PageError, Pager
-from repro.store.ptml import DecodedPtml, PtmlError, decode_ptml, encode_ptml, ptml_size
-from repro.store.serialize import (
-    Blob,
-    Decoder,
-    Encoder,
-    SerializeError,
-    decode_value,
-    encode_value,
-    register_codec,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "HeapError",
-    "ObjectHeap",
-    "Transaction",
-    "PageError",
-    "Pager",
-    "FORMAT_VERSION",
-    "CrashPoint",
-    "FaultFile",
-    "FaultPlan",
-    "FsckResult",
-    "fsck_image",
-    "DecodedPtml",
-    "PtmlError",
-    "decode_ptml",
-    "encode_ptml",
-    "ptml_size",
-    "Blob",
-    "Decoder",
-    "Encoder",
-    "SerializeError",
-    "decode_value",
-    "encode_value",
-    "register_codec",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submod_attrs={
+        ".faults": ["CrashPoint", "FaultFile", "FaultPlan"],
+        ".fsck": ["FsckResult", "fsck_image"],
+        ".heap": ["HeapError", "ObjectHeap", "Transaction"],
+        ".pager": ["FORMAT_VERSION", "PageError", "Pager"],
+        ".ptml": ["DecodedPtml", "PtmlError", "decode_ptml", "encode_ptml", "ptml_size"],
+        ".serialize": [
+            "Blob", "Decoder", "Encoder", "SerializeError", "decode_value",
+            "encode_value", "register_codec",
+        ],
+    },
+)

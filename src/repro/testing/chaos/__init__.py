@@ -15,28 +15,13 @@ fault-injecting TCP relay; the suites live in the modules named after
 them.  Drive it with ``scripts/sim.py --suite NAME`` / ``make sim-NAME``.
 """
 
-from repro.testing.chaos import crash, exhaustion, recovery, replication, sharding
-from repro.testing.chaos.runner import (
-    InvariantViolation,
-    ScenarioResult,
-    Suite,
-    print_progress,
-    run,
+from repro._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    submodules=["crash", "exhaustion", "recovery", "replication", "sharding"],
+    submod_attrs={
+        ".runner": ["InvariantViolation", "ScenarioResult", "Suite", "print_progress", "run"],
+        ".suites": ["SUITES"],
+    },
 )
-
-__all__ = [
-    "SUITES",
-    "InvariantViolation",
-    "ScenarioResult",
-    "Suite",
-    "print_progress",
-    "run",
-]
-
-SUITES: dict[str, Suite] = {
-    "crash": crash.SUITE,
-    "replication": replication.SUITE,
-    "sharding": sharding.SUITE,
-    "exhaustion": exhaustion.SUITE,
-    "recovery": recovery.SUITE,
-}

@@ -6,8 +6,6 @@ reflective optimizer invoked at runtime in a *fresh* session against the
 persistent store, and the regenerated code linked into the running image.
 """
 
-import pytest
-
 from repro.lang import TycoonSystem
 from repro.reflect import (
     cached_optimize,
@@ -102,6 +100,23 @@ class TestDerivedAttributes:
         first = cached_optimize(heap, closure, registry=system.registry)
         second = cached_optimize(heap, closure, registry=system.registry)
         assert first is second  # session cache hit
+        heap.close()
+
+    def test_cached_optimize_ignores_an_entry_for_a_reused_id(self, tmp_path):
+        heap = ObjectHeap(str(tmp_path / "e.tyc"))
+        system = TycoonSystem(heap=heap)
+        system.compile(SRC)
+        system.compile(SRC.replace("geo", "box").replace("w + h", "w - h"))
+        area, box = system.closure("geo", "area"), system.closure("box", "area")
+        cache = {}
+        first = cached_optimize(heap, area, registry=system.registry, _cache=cache)
+        # CPython hands a dead object's id to a new one: file geo.area's
+        # entry under box.area's id, as if box.area had reused it
+        ((_, fingerprint), entry), = cache.items()
+        cache = {(id(box), fingerprint): entry}
+        second = cached_optimize(heap, box, registry=system.registry, _cache=cache)
+        assert second is not first
+        assert system.vm().call(second.closure, [3, 4]).value == 11
         heap.close()
 
     def test_missing_attributes_is_none(self, tmp_path):

@@ -1,11 +1,17 @@
 """Tests for transitive reachability collection (repro.reflect.reach)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.syntax import Abs, Lit, Oid
+from repro.core.syntax import Abs, Oid
 from repro.lang import CompileOptions, TycoonSystem
 from repro.machine.runtime import TmlArray
-from repro.reflect.reach import ReflectError, collect_entities, term_of_closure
+from repro.reflect.reach import (
+    ReflectError,
+    collect_entities,
+    strongly_connected_components,
+    term_of_closure,
+)
 from repro.store.heap import ObjectHeap
 
 
@@ -52,9 +58,7 @@ def test_collects_sibling_recursion(system):
 
     # the dependency graph has the f <-> g cycle
     dep = graph.dependency_graph()
-    import networkx as nx
-
-    cycles = [scc for scc in nx.strongly_connected_components(dep) if len(scc) > 1]
+    cycles = [scc for scc in strongly_connected_components(dep) if len(scc) > 1]
     assert cycles
 
 
@@ -132,3 +136,50 @@ def test_supply_above_all_uids(system):
 
     top = max(max_uid(e.term) for e in graph.entities.values())
     assert graph.supply.peek() > top
+
+
+# ---------------------------------------------------------------------------
+# Tarjan against the definition: mutual reachability, dependencies first
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def digraphs(draw):
+    """node -> successors over a shuffled set of labels (self-loops and
+    repeated edges included)."""
+    labels = draw(st.permutations(range(draw(st.integers(0, 12)))))
+    graph = {node: [] for node in labels}
+    if labels:
+        edge = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+        for source, target in draw(st.lists(edge, max_size=3 * len(labels))):
+            graph[source].append(target)
+    return graph
+
+
+def _reachable(graph, start):
+    seen, todo = {start}, [start]
+    while todo:
+        for successor in graph[todo.pop()]:
+            if successor not in seen:
+                seen.add(successor)
+                todo.append(successor)
+    return seen
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_tarjan_matches_mutual_reachability(graph):
+    components = strongly_connected_components(graph)
+    reach = {node: _reachable(graph, node) for node in graph}
+    # a partition of the nodes ...
+    members = [node for component in components for node in component]
+    assert sorted(members) == sorted(graph)
+    # ... into the classes of mutual reachability
+    for component in components:
+        for node in component:
+            assert set(component) == {other for other in reach[node] if node in reach[other]}
+    # every edge points at its own component or at one listed earlier
+    position = {node: i for i, component in enumerate(components) for node in component}
+    for node, successors in graph.items():
+        for successor in successors:
+            assert position[successor] <= position[node]

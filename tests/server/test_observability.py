@@ -7,7 +7,6 @@ one client write produces NDJSON events sharing a single trace id in
 *both* the primary's and the replica's export files.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -81,6 +80,24 @@ class TestStatsOp:
         assert stats["slowlog"]["capacity"] > 0
         assert stats["trace"]["recording"] is False
         assert stats["history"]["capacity"] > 0
+
+    def test_boot_phases_in_stats_and_the_boot_event(self, tmp_path):
+        config = ServerConfig(pgo_interval=None, history_interval=None)
+        image = str(tmp_path / "boot.tyc")
+        ReproServer(image, config).stop()  # the second boot reattaches to an image
+        with TRACER.recording(recorder := ListRecorder()):
+            instance = ReproServer(image, config)
+        instance.start()
+        try:
+            with connect(instance.port) as db:
+                boot = db.stats()["boot"]
+        finally:
+            instance.stop()
+        phases = {"open_s", "stdlib_s", "modules_s", "commit_s"}
+        assert set(boot) == phases
+        assert all(seconds >= 0 for seconds in boot.values())
+        (event,) = recorder.named("server.boot")
+        assert all(event.attrs[phase] >= 0 for phase in phases)
 
     def test_ping_reports_cache_hit_rates(self, client):
         client.run(BENCH)

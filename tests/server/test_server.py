@@ -5,6 +5,7 @@ loopback port, real worker threads) so the tests exercise exactly the wire
 path clients use, without subprocess flakiness.
 """
 
+import os
 import threading
 import time
 
@@ -25,6 +26,8 @@ from repro.server.protocol import (
     E_TXN_STATE,
     PROTOCOL_VERSION,
 )
+from repro.store.heap import ObjectHeap
+from repro.store.ptml import ptml_key
 
 BENCH = """
 module bench export work idle
@@ -423,6 +426,26 @@ class TestPersistence:
                 assert db.stats()["codecache"]["persisted_codes"] >= 1
         finally:
             reborn.stop()
+
+    def test_reboots_do_not_grow_the_image(self, tmp_path):
+        # the stdlib links over the image's own copy once the image has one
+        path = str(tmp_path / "reboot.tyc")
+        config = ServerConfig(pgo_interval=None, history_interval=None)
+        sizes = []
+        for _ in range(3):
+            ReproServer(path, config).stop()
+            heap = ObjectHeap(path)
+            sizes.append((os.path.getsize(path), len(list(heap.oids()))))
+            heap.close()
+        assert sizes[1] == sizes[2]
+        server = ReproServer(path, config)
+        try:
+            # the linked stdlib code names the image's PTML objects
+            code = server.system.linked["int"].member("add").code
+            assert server.heap.contains(code.ptml_ref)
+            assert ptml_key(code, server.heap) is not None
+        finally:
+            server.stop()
 
     def test_shutdown_op_stops_server(self, tmp_path):
         server = ReproServer(
