@@ -8,7 +8,8 @@ Shows the full open-database-environment story on one store file:
   application module (code, PTML and data live in the same store);
 * session 2 reopens the image cold: loads the module, runs queries,
   reflectively re-optimizes them against the store's indexes, and persists
-  the optimizer's derived attributes;
+  the optimizer's derived attributes on the record of the optimized code's
+  PTML hash;
 * session 3 demonstrates durability of all three kinds of state — data,
   code, and optimization metadata.
 """
@@ -18,9 +19,11 @@ import sys
 import tempfile
 
 from repro import TycoonSystem
+from repro.analysis.facts import FactStore
 from repro.query import Relation, optimize_query_function
-from repro.reflect import DYNAMIC_CONFIG, load_attributes, record_attributes
+from repro.reflect import DYNAMIC_CONFIG, config_fingerprint
 from repro.store.heap import ObjectHeap, Transaction
+from repro.store.ptml import ptml_key
 
 APP_SRC = """
 module library export overdue by_member
@@ -71,9 +74,15 @@ def session_two(path: str) -> None:
     print(f"  after runtime optimization: {fast.instructions} instructions "
           f"(index-select fired {result.query_stats.count('index-select')}x)")
 
+    facts = FactStore()
+    facts.attach(heap)
+    key = ptml_key(system.closure("library", "by_member").code, heap)
     with Transaction(heap):
-        attrs = record_attributes(heap, "library.by_member", DYNAMIC_CONFIG, result)
-    print(f"  persisted derived attributes: savings {attrs.savings}")
+        facts.annotate(key, "library.by_member", config_fingerprint(DYNAMIC_CONFIG),
+                       result.attributes)
+        facts.flush(heap)
+    print(f"  persisted derived attributes for PTML {key[:12]}: savings "
+          f"{result.cost_before - result.cost_after}")
     heap.close()
 
 
@@ -88,10 +97,12 @@ def session_three(path: str) -> None:
     overdue = system.call("library", "overdue", [55])
     print(f"  overdue(55): {len(overdue.value)} loans")
 
-    attrs = load_attributes(heap, "library.by_member", DYNAMIC_CONFIG)
-    assert attrs is not None
-    print(f"  optimizer metadata from session 2: cost {attrs.cost_before} -> "
-          f"{attrs.cost_after}")
+    facts = FactStore()
+    facts.attach(heap)
+    record = facts.lookup(ptml_key(system.closure("library", "by_member").code, heap))
+    attrs = record.attributes[config_fingerprint(DYNAMIC_CONFIG)]
+    print(f"  optimizer metadata from session 2: cost {attrs['cost_before']} -> "
+          f"{attrs['cost_after']}")
     heap.close()
 
 

@@ -15,6 +15,8 @@ exactly as printed in the paper.
 """
 
 from repro import TycoonSystem, pretty, reflect
+from repro.analysis.facts import FactStore
+from repro.store.ptml import ptml_key
 
 COMPLEX_SRC = """
 module complex export T new x y
@@ -64,14 +66,18 @@ def main() -> None:
     )
     assert fast.value == slow.value == 5
 
-    # the derived attributes the optimizer persists (section 4.1)
-    attrs = reflect.record_attributes(
-        system.heap, "app.abs", reflect.DYNAMIC_CONFIG, result
-    )
+    # the derived attributes the optimizer persists (section 4.1), on the
+    # record of the optimized code's PTML hash
+    fingerprint = reflect.config_fingerprint(reflect.DYNAMIC_CONFIG)
+    facts = FactStore()
+    key = ptml_key(system.closure("app", "abs").code)
+    record = facts.annotate(key, "app.abs", fingerprint, result.attributes)
+    facts.flush(system.heap)
+    attrs = record.attributes[fingerprint]
     print(
-        f"\npersisted derived attributes: cost {attrs.cost_before} -> "
-        f"{attrs.cost_after} (savings {attrs.savings}), "
-        f"code size {attrs.code_size} instructions"
+        f"\npersisted derived attributes: cost {attrs['cost_before']} -> "
+        f"{attrs['cost_after']} (savings {attrs['cost_before'] - attrs['cost_after']}), "
+        f"code size {attrs['code_size']} instructions"
     )
 
 

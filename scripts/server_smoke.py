@@ -7,11 +7,13 @@ then drives it the way the docs promise it works:
 1. eight concurrent client sessions transactionally increment one shared
    counter — every increment must survive (serialized commits, no lost
    updates);
-2. a stored function is called from several sessions — the shared compiled
-   -code cache must serve at least one hit;
-3. one explicit PGO round replaces the measured-hot function with a
+2. a stored function is called from several sessions — the second session
+   must find its module already linked (a code-cache hit);
+3. a library redefined under an importer that was already called is seen
+   by the importer's next call, with no restart;
+4. one explicit PGO round replaces the measured-hot function with a
    cheaper body while the server keeps answering;
-4. a ``shutdown`` request stops the daemon gracefully (exit code 0).
+5. a ``shutdown`` request stops the daemon gracefully (exit code 0).
 
 Exits nonzero on the first violated expectation.  The trace file
 (``artifacts/server-smoke-trace.ndjson`` by default) is uploaded as a
@@ -38,6 +40,9 @@ let work(n: Int): Int =
   var s := 0 in var i := 0 in
   begin while i < n do begin s := s + i; i := i + 1 end end; s end
 end"""
+
+LIB = "module lib export f let f(n: Int): Int = n + {} end"
+APP = "module app export g import lib let g(n: Int): Int = lib.f(n) + lib.f(n) end"
 
 SESSIONS = 8
 INCREMENTS = 4
@@ -127,7 +132,20 @@ def main() -> int:
         check(result["cache"] == "hit", "second session hit the compiled-code cache")
         check(stats["codecache"]["hits"] >= 1, "code cache hit counter advanced")
 
-        # --- 3. a PGO round swaps in faster code while serving ------------
+        # --- 3. importers see a redefined library without a restart -------
+        with connect(port) as db:
+            db.run(LIB.format(1))
+            db.run(APP)
+            check(db.call("app", "g", [1]) == 4, "app.g calls lib.f (n + 1)")
+            db.run(LIB.format(100))
+            reply = db.call("app", "g", [1], full=True)
+        check(
+            (reply["value"], reply["cache"]) == (202, "miss"),
+            f"app.g relinked against the redefined lib.f (got {reply['value']}, "
+            f"{reply['cache']})",
+        )
+
+        # --- 4. a PGO round swaps in faster code while serving ------------
         with connect(port) as db:
             before = db.call("bench", "work", [200], full=True)
             report = db.pgo(top=1)
@@ -142,7 +160,7 @@ def main() -> int:
             )
             check(db.ping()["pong"] is True, "server still serving after the swap")
 
-        # --- 4. graceful shutdown ----------------------------------------
+        # --- 5. graceful shutdown ----------------------------------------
         with connect(port) as db:
             check(db.shutdown() == {"stopping": True}, "shutdown acknowledged")
         daemon.wait(timeout=60)

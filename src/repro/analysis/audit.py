@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.absint import Summary, analyze_code, summarize_graph
+from repro.analysis.absint import Summary, summarize_graph
 from repro.analysis.callgraph import ImageGraph
 from repro.analysis.diagnostics import Diagnostic, Severity, severity_counts
 from repro.analysis.effects import EFFECT_RANK, infer_effect
@@ -53,8 +53,6 @@ class AuditReport:
     analyzed: int = 0
     #: functions whose cached facts were still valid (verify+absint skipped)
     reused: int = 0
-    #: orphan code objects audited out of ``server:code-cache``
-    cache_codes: int = 0
     #: stale fact records dropped before analysis (TAM112)
     pruned: tuple = ()
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -82,7 +80,6 @@ class AuditReport:
             "functions": self.functions,
             "analyzed": self.analyzed,
             "reused": self.reused,
-            "cache_codes": self.cache_codes,
             "pruned": list(self.pruned),
             "counts": self.counts,
             "findings": [
@@ -157,7 +154,7 @@ def audit_heap(
         if node.ptml_hash is None:
             continue
         record = facts.lookup(node.ptml_hash, current)
-        if record is not None:
+        if record is not None and record.summary is not None:
             seeded[qualified] = record.summary
             report.summaries[qualified] = record.summary
             if record.verified:
@@ -229,9 +226,6 @@ def audit_heap(
             subject=qualified,
         ))
 
-    # ---- orphan entries in the server's compiled-code cache
-    report.cache_codes = _audit_code_cache(heap, current, registry, report)
-
     # ---- install fresh facts for clean functions, then flush
     if update_facts:
         transitive = _transitive_deps(graph)
@@ -294,30 +288,3 @@ def _transitive_deps(graph: ImageGraph) -> dict[str, set[str]]:
                 changed = True
     return closure
 
-
-def _audit_code_cache(heap, current, registry, report) -> int:
-    """Verify + analyze cache codes whose hash no stored module carries."""
-    from repro.server.codecache import CACHE_ROOT
-
-    oid = heap.root(CACHE_ROOT)
-    if oid is None:
-        return 0
-    try:
-        stored = heap.load(oid)
-    except Exception:
-        return 0
-    if not isinstance(stored, dict):
-        return 0
-    live_hashes = set(current.values())
-    audited = 0
-    for key, code in sorted(stored.items()):
-        if not isinstance(key, str) or key in live_hashes:
-            continue
-        audited += 1
-        label = f"code-cache:{key[:12]}"
-        found = verify_code(code, name=label)
-        report.diagnostics.extend(found)
-        if not any(d.severity is Severity.ERROR for d in found):
-            fa = analyze_code(code, name=label, registry=registry)
-            report.diagnostics.extend(fa.diagnostics)
-    return audited

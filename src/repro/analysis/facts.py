@@ -1,12 +1,21 @@
-"""The image-resident analysis-fact cache, keyed by PTML content hash.
+"""The image-resident record of each stored function, keyed by PTML hash.
 
-The mirror image of the server's compiled-code cache
-(:mod:`repro.server.codecache`): where that cache maps ``sha256(PTML)`` to
-ready-to-run code, this one maps the same key to *analysis facts* — the
-interprocedural :class:`~repro.analysis.absint.Summary` plus a verification
-bit — persisted under heap root ``analysis:facts``.  PTML identity makes
-the keying sound: two functions with byte-identical PTML have identical
-summaries, whatever session computed them.
+The paper attaches the persistent TML tree (PTML) to every compiled
+function; ``sha256(PTML bytes)`` is therefore the function's identity —
+two functions with byte-identical PTML behave identically, whatever
+session compiled them.  This module keeps *one* record per such hash,
+persisted under heap root ``analysis:facts``, holding everything derived
+from that code:
+
+* the interprocedural :class:`~repro.analysis.absint.Summary` and a
+  verification bit, computed by the audit (``summary`` is None on a record
+  that carries only attributes);
+* the optimizer's derived attributes (§4.1: "costs, savings, ... attached
+  to the generated code which also become part of the persistent system
+  state"), per optimizer fingerprint: ``{fingerprint: {cost_before,
+  cost_after, entities, code_size}}``.  They belong to the hash of the code
+  that was optimized, so a redefined function never inherits its
+  predecessor's costs.
 
 Staleness is interprocedural: a summary for ``A`` computed when ``A`` calls
 ``B`` calls ``C`` depends on all three bodies, so each record carries the
@@ -15,9 +24,8 @@ valid only while its own hash and every dependency hash still name the
 current stored code — redefining ``C`` invalidates ``A``'s fact even though
 ``A``'s own PTML is unchanged.
 
-Invalidation mirrors the code cache's: when background PGO or ``run``
-redefines a function, the daemon drops the old hash's record; the next
-audit (or PGO round) recomputes facts only for the invalidated slice of the
+When ``run`` redefines a function the daemon drops the old hash's record;
+the next audit recomputes facts only for the invalidated slice of the
 graph.  Records serialize as plain dicts, so no codec registration is
 needed and older readers skip unknown fields.
 """
@@ -46,17 +54,18 @@ _ENTRIES = METRICS.gauge("analysis.facts.entries", "live analysis-fact records")
 
 
 class FactRecord:
-    """One persisted analysis fact for one PTML hash."""
+    """Everything persisted about one PTML hash."""
 
-    __slots__ = ("key", "name", "summary", "verified", "deps")
+    __slots__ = ("key", "name", "summary", "verified", "deps", "attributes")
 
     def __init__(
         self,
         key: str,
         name: str,
-        summary: Summary,
+        summary: Summary | None = None,
         verified: bool = False,
         deps: tuple = (),
+        attributes: dict | None = None,
     ):
         self.key = key
         self.name = name
@@ -64,6 +73,8 @@ class FactRecord:
         self.verified = verified
         #: ((qualified callee, its PTML hash), ...) over *transitive* callees
         self.deps = tuple(deps)
+        #: optimizer fingerprint -> {cost_before, cost_after, entities, code_size}
+        self.attributes = dict(attributes or {})
 
     def valid_for(self, current: dict[str, str | None]) -> bool:
         """True while every dependency still names the current stored code.
@@ -78,31 +89,40 @@ class FactRecord:
         return True
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "schema": FACTS_SCHEMA,
             "key": self.key,
             "name": self.name,
-            "summary": self.summary.as_dict(),
             "verified": self.verified,
             "deps": tuple((qualified, dep_hash) for qualified, dep_hash in self.deps),
         }
+        if self.summary is not None:
+            data["summary"] = self.summary.as_dict()
+        if self.attributes:
+            data["attributes"] = {fp: dict(attrs) for fp, attrs in self.attributes.items()}
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "FactRecord | None":
         if not isinstance(data, dict) or data.get("schema") != FACTS_SCHEMA:
             return None
         try:
+            summary = data.get("summary")
             return FactRecord(
                 key=str(data["key"]),
                 name=str(data.get("name", "?")),
-                summary=Summary.from_dict(data["summary"]),
+                summary=None if summary is None else Summary.from_dict(summary),
                 verified=bool(data.get("verified", False)),
                 deps=tuple(
                     (str(qualified), str(dep_hash) if dep_hash is not None else None)
                     for qualified, dep_hash in data.get("deps", ())
                 ),
+                attributes={
+                    str(fp): dict(attrs)
+                    for fp, attrs in data.get("attributes", {}).items()
+                },
             )
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, AttributeError):
             return None
 
     def __repr__(self) -> str:
@@ -110,7 +130,7 @@ class FactRecord:
 
 
 class FactStore:
-    """Shared analysis-fact cache over one persistent image."""
+    """The records of one persistent image, by PTML hash."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -135,10 +155,28 @@ class FactStore:
         return record
 
     def install(self, record: FactRecord) -> None:
+        """Store ``record``; attributes of the record it replaces carry over
+        unless ``record`` has its own for the same fingerprint."""
         with self._lock:
+            old = self._records.get(record.key)
+            if old is not None and old.attributes:
+                record.attributes = {**old.attributes, **record.attributes}
             self._records[record.key] = record
             self._dirty = True
             _ENTRIES.set(len(self._records))
+
+    def annotate(self, key: str, name: str, fingerprint: str, attributes: dict
+                 ) -> FactRecord:
+        """Attach derived attributes under ``fingerprint`` to ``key``'s
+        record, creating an attributes-only record when there is none."""
+        with self._lock:
+            record = self._records.get(key)
+            if record is None:
+                record = self._records[key] = FactRecord(key, name)
+                _ENTRIES.set(len(self._records))
+            record.attributes[fingerprint] = dict(attributes)
+            self._dirty = True
+        return record
 
     def invalidate(self, key: str) -> bool:
         """Drop a record (its function was redefined); True when present."""

@@ -457,7 +457,7 @@ def _fact_verified(heap: ObjectHeap, code: CodeObject, facts) -> bool:
     if key is None:
         return False
     record = facts.lookup(key)
-    return record is not None and record.verified
+    return record is not None and record.summary is not None and record.verified
 
 
 def _store_ptml_refs(heap: ObjectHeap, code: CodeObject) -> None:

@@ -103,8 +103,26 @@ class TycoonSystem:
         module = compile_module(source, self.interfaces, self.options)
         self.compiled[module.name] = module
         self.interfaces[module.name] = module.interface
-        self.linked.pop(module.name, None)  # invalidate stale link
+        self._unlink(module.name)
         return module
+
+    def _unlink(self, name: str) -> None:
+        """Drop the link of ``name`` and of every module importing it,
+        transitively: a link freezes the values of its imports, so each
+        of those would keep calling the replaced code."""
+        stale = [name]
+        while stale:
+            current = stale.pop()
+            self.linked.pop(current, None)
+            stale.extend(
+                importer
+                for importer, module in self.compiled.items()
+                if importer in self.linked and any(
+                    ref.kind == "import" and ref.module == current
+                    for fn in module.functions.values()
+                    for ref in fn.externals.values()
+                )
+            )
 
     def compile_ast(self, module_ast) -> CompiledModule:
         """Compile an already-parsed :class:`repro.lang.ast.Module`."""

@@ -2,7 +2,7 @@
 
 The daemon periodically snapshots its :class:`MetricsRegistry` into a
 bounded ring persisted under heap root ``obs:history``, flushed alongside
-the compiled-code cache on the next write commit.  The image then carries
+the analysis facts on the next write commit.  The image then carries
 its own recent operational record: after a crash or restart,
 ``python -m repro stats IMAGE --history`` replays what the server was
 doing — request rates, latency percentiles, replication lag — without any
@@ -116,7 +116,7 @@ class MetricsHistory:
         """Persist the ring under ``obs:history``.
 
         Must run inside a write transaction — the surrounding commit
-        publishes it (same contract as ``CodeCache.flush``).
+        publishes it (same contract as ``FactStore.flush``).
         """
         with self._lock:
             if not self._dirty:

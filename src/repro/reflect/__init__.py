@@ -21,11 +21,8 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     submod_attrs={
-        ".attributes": [
-            "DerivedAttributes", "cached_optimize", "load_attributes", "record_attributes",
-        ],
         ".decompile": ["decompile_code"],
-        ".optimize": ["DYNAMIC_CONFIG", "ReflectResult", "optimize_closure"],
+        ".optimize": ["DYNAMIC_CONFIG", "ReflectResult", "config_fingerprint", "optimize_closure"],
         ".pgo": ["HotCandidate", "PgoReport", "optimize_hot", "rank_hot"],
         ".reach": ["Entity", "EntityGraph", "ReflectError", "collect_entities", "term_of_closure"],
     },

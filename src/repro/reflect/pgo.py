@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.profile import ClosureProfile
 from repro.obs.trace import TRACER
-from repro.reflect.optimize import DYNAMIC_CONFIG, ReflectResult
+from repro.reflect.optimize import DYNAMIC_CONFIG, ReflectResult, config_fingerprint
 
 __all__ = ["HotCandidate", "PgoReport", "rank_hot", "optimize_hot"]
 
@@ -130,29 +130,36 @@ def optimize_hot(
 
     ``facts`` (a :class:`~repro.analysis.facts.FactStore`) closes the loop
     with the whole-image analysis: the candidate's stored summary (effect
-    class, result kind) is consulted and attached to the trace evidence,
-    and the rewritten function's *old* PTML hash is invalidated so the next
-    audit recomputes facts only for the regenerated slice of the graph.
+    class, result kind) is attached to the trace evidence, and the
+    optimization's derived attributes are recorded on the record of the
+    code that was optimized.  That record stays valid: the relink is in
+    memory only, so the stored module still carries that code.
     """
     from repro.reflect import optimize_result  # lazy: avoid import cycle
+    from repro.store.ptml import ptml_key
 
+    config = config or DYNAMIC_CONFIG
     ranking = rank_hot(system, profiler, modules=modules, key=key)
     report = PgoReport(ranking=ranking)
     for candidate in ranking[:top]:
         if candidate.instructions < min_instructions:
             continue
-        old_fact = _candidate_fact(system, candidate, facts)
-        result = optimize_result(
-            system, candidate.module, candidate.function, config or DYNAMIC_CONFIG
-        )
+        code_key = None
+        if facts is not None:
+            code_key = ptml_key(
+                system.closure(candidate.module, candidate.function).code, system.heap
+            )
+        record = None if code_key is None else facts.lookup(code_key)
+        summary = None if record is None else record.summary
+        result = optimize_result(system, candidate.module, candidate.function, config)
         report.selected.append(candidate)
         report.results[candidate.qualified] = result
+        if code_key is not None:
+            facts.annotate(
+                code_key, candidate.qualified, config_fingerprint(config), result.attributes
+            )
         if relink:
             system.link(candidate.module).exports[candidate.function] = result.closure
-            if facts is not None and old_fact is not None:
-                # the binding moved to new code: the old hash's fact is
-                # about a function the image no longer serves
-                facts.invalidate(old_fact.key)
         TRACER.event(
             "reflect.pgo",
             function=candidate.qualified,
@@ -162,23 +169,8 @@ def optimize_hot(
             cost_after=result.cost_after,
             estimated_speedup=result.estimated_speedup,
             relinked=relink,
-            effect=None if old_fact is None else old_fact.summary.effect,
-            result_kind=None if old_fact is None else old_fact.summary.result,
+            effect=None if summary is None else summary.effect,
+            result_kind=None if summary is None else summary.result,
         )
     return report
 
-
-def _candidate_fact(system, candidate: HotCandidate, facts):
-    """The stored analysis fact for a candidate's current code, if any."""
-    if facts is None:
-        return None
-    from repro.store.ptml import ptml_key
-
-    try:
-        closure = system.closure(candidate.module, candidate.function)
-    except Exception:
-        return None
-    key = ptml_key(closure.code, getattr(system, "heap", None))
-    if key is None:
-        return None
-    return facts.lookup(key)

@@ -8,8 +8,8 @@ actual service:
 * :mod:`repro.server.daemon` — :class:`ReproServer`: one persistent image,
   many concurrent sessions over a length-prefixed JSON protocol on TCP,
   per-session transactions (single-writer / snapshot-reader), a bounded
-  worker pool with backpressure, and an image-resident compiled-code cache
-  keyed by PTML content hash;
+  worker pool with backpressure, and code resolved through the system's
+  live links, with one record per PTML content hash in the image;
 * :mod:`repro.server.ops` — the op table: every wire operation declared
   once as ``Op(handler, txn, lane)``;
 * :mod:`repro.server.pgo` — the background profile-guided optimization
@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = attach(
             "BackpressureError", "BusyError", "Client", "ClientError", "ConnectionLost",
             "RetryPolicy", "ServerError", "ShuttingDownError", "connect",
         ],
-        ".codecache": ["CodeCache"],
         ".config": ["ServerConfig"],
         ".daemon": ["ReproServer"],
         ".pgo": ["PgoWorker"],

@@ -20,10 +20,10 @@ Transactions (single-writer / snapshot-reader, see
   spanning several requests; a write transaction holds the image
   exclusively until the session commits, aborts or disconnects.
 
-Execution requests resolve stored functions through the shared
-compiled-code cache (:mod:`repro.server.codecache`) and run on a fresh VM
-per request with a per-request step limit (the budget errors surface as
-structured ``step_limit`` responses).  Each run collects PGO evidence — a
+Execution requests resolve stored functions through the system's live
+links (:meth:`ReproServer.resolve`) and run on a fresh VM per request with
+a per-request step limit (the budget errors surface as structured
+``step_limit`` responses).  Each run collects PGO evidence — a
 :class:`~repro.obs.profile.ClosureProfile`, per-closure invocations and
 instructions credited once per activation, so the run still executes in the
 compiled tier — whether it returns, raises or runs out of steps; the
@@ -56,7 +56,6 @@ from repro.obs.profile import ClosureProfile
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import NULL_SPAN, TRACER, new_trace_id
 from repro.server import protocol, roles
-from repro.server.codecache import CodeCache
 from repro.server.config import ServerConfig
 from repro.server.health import HEAP_CACHE_LIMIT, Health, note_io_error
 from repro.server.ops import OPS
@@ -95,6 +94,12 @@ _SHED_OVERLOADED = METRICS.counter(
 )
 _SLOW_CLIENT_CLOSES = METRICS.counter(
     "server.slow_client_closes", "sessions closed for blocking in send too long"
+)
+_CODE_HITS = METRICS.counter(
+    "server.codecache.hits", "calls into a module that was already linked"
+)
+_CODE_MISSES = METRICS.counter(
+    "server.codecache.misses", "calls that linked their module first"
 )
 
 
@@ -185,7 +190,6 @@ class ReproServer:
             default_timeout=self.config.lock_timeout,
             io_rollback=not self.config.unsafe_no_degraded,
         )
-        self.code_cache = CodeCache()
         self.fact_store = FactStore()
         self.slowlog = SlowLog(self.config.slowlog_capacity)
         self.history = MetricsHistory()
@@ -213,9 +217,6 @@ class ReproServer:
         self.replication: PrimaryReplication | None = None
         self.follower: ReplicaFollower | None = None
         self.role_lock = threading.Lock()
-        #: qualified function name -> current code-cache key
-        self._keys: dict[str, str] = {}
-        self._keys_lock = threading.Lock()
         #: merged profile of every profiled request since the last PGO round
         self._profile = ClosureProfile()
         self._profile_lock = threading.Lock()
@@ -280,7 +281,7 @@ class ReproServer:
     # ----------------------------------------------------------------- boot
 
     def _boot(self) -> None:
-        """Load persisted modules, warm the code cache, commit boot state.
+        """Load persisted modules and the fact store, commit boot state.
 
         Building the :class:`TycoonSystem` stores the stdlib's PTML into
         the image (dirty objects), so a fresh image gets one boot commit
@@ -302,7 +303,6 @@ class ReproServer:
                 loaded.append(name)
             except (TLError, HeapError) as exc:
                 print(f"repro-server: skipping module {name!r}: {exc}", file=sys.stderr)
-        warm = self.code_cache.attach(self.heap)
         # the persisted metrics history survives restarts: reload the ring
         # so `stats --history` sees across-restart continuity
         warm_history = self.history.attach(self.heap)
@@ -312,9 +312,9 @@ class ReproServer:
             modules_s=committing - started, commit_s=time.monotonic() - committing
         )
         TRACER.event(
-            "server.boot", modules=loaded, warm_code_entries=warm,
-            warm_fact_entries=warm_facts, warm_history=warm_history,
-            roots=len(self.heap.root_names()), **self.boot_phases,
+            "server.boot", modules=loaded, warm_fact_entries=warm_facts,
+            warm_history=warm_history, roots=len(self.heap.root_names()),
+            **self.boot_phases,
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -488,7 +488,6 @@ class ReproServer:
                 self.record_history_snapshot(reason="shutdown")
             try:
                 with self.txns.write():
-                    self.code_cache.flush(self.heap)
                     self.fact_store.flush(self.heap)
                     self.history.flush(self.heap)
             except OSError as exc:
@@ -969,42 +968,20 @@ class ReproServer:
     # ------------------------------------------------------ code and profile
 
     def resolve(self, module: str, function: str):
-        """Resolve a stored function through the compiled-code cache.
+        """The closure a ``call`` of ``module.function`` runs, and whether
+        the module was already linked (a ``hit``).
 
-        Returns ``(closure, hit)``; a miss links through the system and
-        installs the closure under its PTML content hash.
+        The link lives in :attr:`TycoonSystem.linked`; compiling a module
+        drops its link and its importers', so a call observes the newest
+        committed definition of everything it reaches.
         """
-        qualified = f"{module}.{function}"
-        with self._keys_lock:
-            key = self._keys.get(qualified)
-        if key is not None:
-            closure = self.code_cache.lookup(key)
-            if closure is not None:
-                return closure, True
+        hit = module in self.system.linked
         try:
             closure = self.system.closure(module, function)
         except TLError as exc:
             raise RequestError(protocol.E_NOT_FOUND, str(exc)) from exc
-        key = self.code_cache.key_of(closure.code, self.heap)
-        if key is None:
-            key = f"name:{qualified}"  # PTML-less code: name-keyed fallback
-        self.code_cache.install(key, closure)
-        with self._keys_lock:
-            self._keys[qualified] = key
-        return closure, False
-
-    def invalidate_function(self, module: str, function: str) -> None:
-        """Drop the cache entries for a rewritten function (PGO/recompile).
-
-        Both caches key by PTML hash, so one redefinition drops the stale
-        compiled code *and* the stale analysis fact together.
-        """
-        qualified = f"{module}.{function}"
-        with self._keys_lock:
-            key = self._keys.pop(qualified, None)
-        if key is not None:
-            self.code_cache.invalidate(key)
-            self.fact_store.invalidate(key)
+        (_CODE_HITS if hit else _CODE_MISSES).inc()
+        return closure, hit
 
     def take_profile(self) -> ClosureProfile:
         """Hand the aggregated profile to the caller, starting a fresh one."""

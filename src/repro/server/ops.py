@@ -33,6 +33,7 @@ from repro.server.sharding.participant import check_owned, current_topology
 from repro.server.sharding.ring import is_system_root
 from repro.store.concurrency import LockTimeout
 from repro.store.heap import HeapError
+from repro.store.ptml import ptml_key
 
 __all__ = ["Op", "OPS", "execute"]
 
@@ -128,17 +129,25 @@ def run(server, session, request):
         raise RequestError(protocol.E_BAD_REQUEST, "run needs TL source text")
     from repro.lang.parser import parse_modules  # the compiler loads on the first run
 
+    system = server.system
+    replaced = []
     try:
-        modules = [server.system.compile_ast(ast) for ast in parse_modules(source)]
+        for ast in parse_modules(source):
+            old = system.compiled.get(ast.name)
+            replaced.append((system.compile_ast(ast), old))
     except TLError as exc:
         raise RequestError(protocol.E_BAD_REQUEST, str(exc)) from exc
-    names = []
-    for module in modules:
-        server.system.persist(module.name)
-        names.append(module.name)
-        for function in module.functions:
-            server.invalidate_function(module.name, function)
-    return {"modules": names}
+    for module, old in replaced:
+        system.persist(module.name)
+        if old is not None:
+            # the replaced code's records describe functions the image no
+            # longer serves (an unchanged function keeps its hash, and its record)
+            kept = {ptml_key(fn.code, server.heap) for fn in module.functions.values()}
+            for fn in old.functions.values():
+                key = ptml_key(fn.code, server.heap)
+                if key is not None and key not in kept:
+                    server.fact_store.invalidate(key)
+    return {"modules": [module.name for module, _ in replaced]}
 
 
 def pgo(server, session, request):
@@ -374,7 +383,7 @@ def ping(server, session, request):
     if shard is not None:
         reply["shard"] = shard
     reply["caches"] = {
-        "code": _hit_rate(server.code_cache.stats()),
+        "code": _hit_rate(_code_stats()),
         "facts": _hit_rate(server.fact_store.stats()),
     }
     return reply
@@ -394,6 +403,14 @@ def _latency_summary(histogram) -> dict:
 
 def _count(metric: str) -> int:
     return METRICS.get(metric).value
+
+
+def _code_stats() -> dict:
+    """Calls into an already-linked module (hits) and those that linked it."""
+    return {
+        "hits": _count("server.codecache.hits"),
+        "misses": _count("server.codecache.misses"),
+    }
 
 
 def stats(server, session, request):
@@ -416,7 +433,7 @@ def stats(server, session, request):
         },
         "latency_us": _latency_summary(METRICS.get("server.request_latency_us")),
         "ops": per_op,
-        "codecache": server.code_cache.stats(),
+        "codecache": _code_stats(),
         "facts": server.fact_store.stats(),
         "roots": len(server.heap.root_names()),
         "slowlog": server.slowlog.stats(),

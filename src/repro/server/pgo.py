@@ -8,10 +8,11 @@ activation, so collecting them leaves the request in the compiled tier.
 Periodically this worker takes the accumulated evidence, opens a *write*
 transaction on the shared image and runs
 :func:`repro.reflect.pgo.optimize_hot` on the measured-hottest stored
-functions.  The rewritten code (and its new PTML) is committed to the
-image, the compiled-code cache entries of the replaced functions are
-invalidated, and the next ``call`` from any session links the optimized
-code — the clients never stop, the code under them just gets faster.
+functions.  The rewritten code replaces the export in the live link
+(:attr:`TycoonSystem.linked`), its new PTML and the optimizer's derived
+attributes are committed to the image, and the next ``call`` from any
+session runs the optimized code — the clients never stop, the code under
+them just gets faster.
 
 Each round takes the profile with reset semantics, so evidence is spent
 once: an already-optimized function must earn its next rewrite with fresh
@@ -80,9 +81,9 @@ class PgoWorker:
         """Run one optimization round now; None when there was no evidence.
 
         Takes the server's aggregated profile (reset semantics), rewrites
-        up to ``top`` hot functions inside one write transaction, then
-        invalidates their code-cache entries and persists the refreshed
-        image-resident code table.
+        up to ``top`` hot functions inside one write transaction, relinks
+        them in memory and persists their derived attributes under
+        ``analysis:facts``.
         """
         # the reflective optimizer loads with the first round, not the daemon
         from repro.reflect.pgo import optimize_hot
@@ -103,9 +104,6 @@ class PgoWorker:
                         relink=True,
                         facts=server.fact_store,
                     )
-                    for candidate in report.selected:
-                        server.invalidate_function(candidate.module, candidate.function)
-                    server.code_cache.flush(server.heap)
                     server.fact_store.flush(server.heap)
             except Exception:
                 self.errors += 1

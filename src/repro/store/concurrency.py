@@ -265,7 +265,7 @@ class TransactionManager:
                         # the failure may have struck *after* the commit
                         # point, in which case the rollback adopted the new
                         # durable state: bump so version-keyed caches
-                        # (code cache, snapshots) never serve stale reads
+                        # (snapshots) never serve stale reads
                         with self._version_lock:
                             self._version += 1
                     except Exception:

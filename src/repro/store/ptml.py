@@ -263,8 +263,8 @@ def ptml_key(ref, heap=None) -> str | None:
     or any object with a ``ptml_ref`` attribute (a
     :class:`~repro.machine.isa.CodeObject`).  Two functions with the same
     key have byte-identical PTML and therefore identical observable
-    behavior — the keying invariant shared by the server's compiled-code
-    cache and the persisted analysis-fact cache.  Returns None when no PTML
+    behavior — the keying invariant of the persisted fact store
+    (:mod:`repro.analysis.facts`).  Returns None when no PTML
     is attached or the reference cannot be resolved.
     """
     import hashlib

@@ -57,6 +57,31 @@ def test_transitive_import_linking(system):
     assert system.call("c", "three", []).value == 3
 
 
+LIB = "module lib export f let f(n: Int): Int = n + {} end"
+APP = "module app export g import lib let g(n: Int): Int = lib.f(n) + lib.f(n) end"
+
+
+def test_importers_see_a_redefined_library(system):
+    system.compile(LIB.format(1))
+    system.compile(APP)
+    assert system.call("app", "g", [1]).value == 4
+    system.compile(LIB.format(100))
+    assert system.call("app", "g", [1]).value == 202
+
+
+def test_redefinition_unlinks_importers_transitively(system):
+    system.compile(LIB.format(1))
+    system.compile(APP)
+    system.compile("module top export h import app let h(n: Int): Int = app.g(n) end")
+    system.compile("module other export k let k(): Int = 7 end")
+    assert system.call("top", "h", [1]).value == 4
+    assert system.call("other", "k", []).value == 7
+    system.compile(LIB.format(100))
+    assert {"lib", "app", "top"}.isdisjoint(system.linked)
+    assert "other" in system.linked  # imports nothing that moved
+    assert system.call("top", "h", [1]).value == 202
+
+
 def test_data_module_members(system):
     rel = Relation("r", ["v"])
     system.register_data_module("db", {"r": rel, "limit": 10})

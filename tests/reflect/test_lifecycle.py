@@ -6,22 +6,20 @@ reflective optimizer invoked at runtime in a *fresh* session against the
 persistent store, and the regenerated code linked into the running image.
 """
 
+from repro.analysis.facts import FactStore
 from repro.lang import TycoonSystem
-from repro.reflect import (
-    cached_optimize,
-    load_attributes,
-    optimize_closure,
-    optimize_result,
-    record_attributes,
-)
-from repro.reflect.optimize import DYNAMIC_CONFIG
+from repro.reflect import optimize_closure, optimize_result
+from repro.reflect.optimize import DYNAMIC_CONFIG, config_fingerprint
 from repro.store.heap import ObjectHeap
+from repro.store.ptml import ptml_key
 
 SRC = """
 module geo export area
 let area(w: Int, h: Int): Int = w * h + w + h
 end
 """
+
+FINGERPRINT = config_fingerprint(DYNAMIC_CONFIG)
 
 
 def test_fig3_lifecycle(tmp_path):
@@ -64,62 +62,56 @@ def test_reoptimization_of_optimized_code(tmp_path):
 
 
 class TestDerivedAttributes:
+    """§4.1's derived attributes live on the record of the optimized code's
+    PTML hash, beside its analysis facts."""
+
+    def _optimized(self, heap, source=SRC):
+        system = TycoonSystem(heap=heap)
+        system.compile(source)
+        key = ptml_key(system.closure("geo", "area").code, heap)
+        return key, optimize_result(system, "geo", "area")
+
     def test_attributes_persisted(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "a.tyc"))
-        system = TycoonSystem(heap=heap)
-        system.compile(SRC)
-        result = optimize_result(system, "geo", "area")
-        attrs = record_attributes(heap, "geo.area", DYNAMIC_CONFIG, result)
-        assert attrs.savings > 0
-
-        loaded = load_attributes(heap, "geo.area", DYNAMIC_CONFIG)
-        assert loaded == attrs
+        key, result = self._optimized(heap)
+        facts = FactStore()
+        facts.annotate(key, "geo.area", FINGERPRINT, result.attributes)
+        attrs = facts.lookup(key).attributes[FINGERPRINT]
+        assert attrs["cost_before"] > attrs["cost_after"]
+        assert attrs == result.attributes
         heap.close()
 
     def test_attributes_survive_commit(self, tmp_path):
         path = str(tmp_path / "b.tyc")
         heap = ObjectHeap(path)
-        system = TycoonSystem(heap=heap)
-        system.compile(SRC)
-        result = optimize_result(system, "geo", "area")
-        record_attributes(heap, "geo.area", DYNAMIC_CONFIG, result)
+        key, result = self._optimized(heap)
+        facts = FactStore()
+        facts.annotate(key, "geo.area", FINGERPRINT, result.attributes)
+        facts.flush(heap)
         heap.commit()
         heap.close()
 
         heap2 = ObjectHeap(path)
-        loaded = load_attributes(heap2, "geo.area", DYNAMIC_CONFIG)
-        assert loaded is not None
-        assert loaded.function == "geo.area"
+        reopened = FactStore()
+        reopened.attach(heap2)
+        record = reopened.lookup(key)
+        assert record is not None and record.name == "geo.area"
+        assert record.attributes[FINGERPRINT] == result.attributes
         heap2.close()
 
-    def test_cached_optimize_reuses_results(self, tmp_path):
-        heap = ObjectHeap(str(tmp_path / "c.tyc"))
-        system = TycoonSystem(heap=heap)
-        system.compile(SRC)
-        closure = system.closure("geo", "area")
-        first = cached_optimize(heap, closure, registry=system.registry)
-        second = cached_optimize(heap, closure, registry=system.registry)
-        assert first is second  # session cache hit
-        heap.close()
-
-    def test_cached_optimize_ignores_an_entry_for_a_reused_id(self, tmp_path):
+    def test_a_redefined_function_does_not_inherit_attributes(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "e.tyc"))
-        system = TycoonSystem(heap=heap)
-        system.compile(SRC)
-        system.compile(SRC.replace("geo", "box").replace("w + h", "w - h"))
-        area, box = system.closure("geo", "area"), system.closure("box", "area")
-        cache = {}
-        first = cached_optimize(heap, area, registry=system.registry, _cache=cache)
-        # CPython hands a dead object's id to a new one: file geo.area's
-        # entry under box.area's id, as if box.area had reused it
-        ((_, fingerprint), entry), = cache.items()
-        cache = {(id(box), fingerprint): entry}
-        second = cached_optimize(heap, box, registry=system.registry, _cache=cache)
-        assert second is not first
-        assert system.vm().call(second.closure, [3, 4]).value == 11
+        key, result = self._optimized(heap)
+        facts = FactStore()
+        facts.annotate(key, "geo.area", FINGERPRINT, result.attributes)
+        redefined, _ = self._optimized(heap, SRC.replace("w + h", "w - h"))
+        assert redefined != key
+        assert facts.lookup(redefined) is None
         heap.close()
 
     def test_missing_attributes_is_none(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "d.tyc"))
-        assert load_attributes(heap, "nope", DYNAMIC_CONFIG) is None
+        facts = FactStore()
+        facts.attach(heap)
+        assert facts.lookup("nope") is None
         heap.close()

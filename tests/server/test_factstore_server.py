@@ -1,9 +1,8 @@
 """Server integration of the analysis-fact cache (daemon + PGO + audit)."""
 
-import pytest
-
 from repro.analysis.audit import audit_heap
 from repro.server import ReproServer, ServerConfig, connect
+from repro.store.ptml import ptml_key
 
 BENCH = """
 module bench export work idle
@@ -75,7 +74,6 @@ def test_redefinition_invalidates_the_functions_fact(tmp_path):
     try:
         with connect(server.port) as db:
             db.run(BENCH)
-            db.call("bench", "idle", [1])  # resolve: daemon learns the key
         with server.txns.write():
             audit_heap(server.heap, facts=server.fact_store)
         invalidations = server.fact_store.stats()["invalidations"]
@@ -93,7 +91,9 @@ def test_redefinition_invalidates_the_functions_fact(tmp_path):
         server.stop()
 
 
-def test_pgo_round_flushes_and_invalidates_facts(tmp_path):
+def test_pgo_round_persists_attributes_on_the_functions_record(tmp_path):
+    """The optimizer's costs land on the record of the code it optimized,
+    beside the audited summary, and a restart finds them there."""
     path = str(tmp_path / "img.tyc")
     server = ReproServer(path, _config())
     server.start()
@@ -102,13 +102,27 @@ def test_pgo_round_flushes_and_invalidates_facts(tmp_path):
             db.run(BENCH)
         with server.txns.write():
             audit_heap(server.heap, facts=server.fact_store)
+        key = ptml_key(server.system.closure("bench", "work").code, server.heap)
+        invalidations = server.fact_store.stats()["invalidations"]
         with connect(server.port) as db:
             for _ in range(3):
                 db.call("bench", "work", [300])
-            report = db.pgo(top=1)
-            assert report["optimized"]
-        # the rewritten function's old fact is gone from the store
-        stats = server.fact_store.stats()
-        assert stats["invalidations"] >= 1
+            (optimized,) = db.pgo(top=1)["optimized"]
+        # the stored module still carries that code: its record stays
+        assert server.fact_store.stats()["invalidations"] == invalidations
     finally:
-        server.stop()
+        server.crash()  # only the round's own commit reaches the image
+
+    reborn = ReproServer(path, _config())
+    try:
+        record = reborn.fact_store.lookup(key)
+        assert record.summary is not None and record.verified
+        (attributes,) = record.attributes.values()
+        assert (attributes["cost_before"], attributes["cost_after"]) == (
+            optimized["cost_before"], optimized["cost_after"],
+        )
+        # nothing the round did made the audit's facts stale
+        with reborn.txns.write():
+            assert audit_heap(reborn.heap, facts=reborn.fact_store).analyzed == 0
+    finally:
+        reborn.stop()

@@ -308,7 +308,6 @@ class TestCodeCacheAndPgo:
                 with connect(server.port) as other:
                     other.call("bench", "work", [300])
 
-            invalidations_before = db.stats()["codecache"]["invalidations"]
             report = db.pgo(top=1)
             optimized = {entry["function"] for entry in report["optimized"]}
             assert "bench.work" in optimized
@@ -335,9 +334,8 @@ class TestCodeCacheAndPgo:
             after = db.call("bench", "work", [300], full=True)
             assert after["value"] == baseline["value"]
             assert after["instructions"] < baseline["instructions"]
-            assert (
-                db.stats()["codecache"]["invalidations"] > invalidations_before
-            )
+            # relinked in place: the module's link stays, so the call hits
+            assert after["cache"] == "hit"
             # other sessions observe the optimized code too
             with connect(server.port) as other:
                 again = other.call("bench", "work", [300], full=True)
@@ -421,9 +419,10 @@ class TestPersistence:
         try:
             with connect(reborn.port) as db:
                 assert db.get("mark") == {"mark": 7}
-                assert db.call("bench", "work", [10]) == 45
-                # the image-resident code table warmed up from the image
-                assert db.stats()["codecache"]["persisted_codes"] >= 1
+                # the first call links the stored module, the next reuses it
+                for cache in ("miss", "hit"):
+                    reply = db.call("bench", "work", [10], full=True)
+                    assert (reply["value"], reply["cache"]) == (45, cache)
         finally:
             reborn.stop()
 
