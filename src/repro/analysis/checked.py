@@ -8,8 +8,10 @@ check=True)`` enforces all three *dynamically*:
 * after every reduction pass that changed the tree: well-formedness
   (``TML040``), strict size decrease (``TML041``) and effect preservation
   (``TML042``), attributing the failure to the rules that fired in that pass;
-* after every expansion pass: well-formedness and effect preservation
-  (growth is the point of expansion, so no size check);
+* after every expansion pass that changed the tree: well-formedness and
+  effect preservation (growth is the point of expansion, so no size
+  check), attributing the failure to the inlining and query rules that
+  fired in that pass;
 * around every *individual* fold: :func:`checked_registry` wraps each
   primitive's meta-evaluation function so a fold that fires on a
   non-discardable primitive (``TML043``) or fails to shrink the call
@@ -22,6 +24,7 @@ offending rule name and before/after pretty-printed terms.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import AnalysisError, Diagnostic, Severity
@@ -77,33 +80,17 @@ class PassChecker:
 
     # hook signature expected by reduce_to_fixpoint(on_pass=...)
     def reduction_pass_hook(self, before: Term, after: Term, fired: "Counter") -> None:
-        rules = tuple(sorted(fired))
-        label = ", ".join(f"{rule}x{fired[rule]}" for rule in rules) or "none"
-        self._check(
-            before,
-            after,
-            rules=rules,
-            stage=f"reduction pass (rules fired: {label})",
-            require_shrink=True,
-        )
+        self._check(before, after, fired, "reduction", require_shrink=True)
 
-    def expansion_check(self, before: Term, after: Term) -> None:
-        self._check(
-            before,
-            after,
-            rules=("expand",),
-            stage="expansion pass",
-            require_shrink=False,
-        )
+    def expansion_check(self, before: Term, after: Term, fired: "Counter") -> None:
+        self._check(before, after, fired, "expansion", require_shrink=False)
 
     def _check(
-        self,
-        before: Term,
-        after: Term,
-        rules: tuple[str, ...],
-        stage: str,
-        require_shrink: bool,
+        self, before: Term, after: Term, fired: "Counter", kind: str, require_shrink: bool
     ) -> None:
+        rules = tuple(sorted(fired))
+        label = ", ".join(f"{rule}x{fired[rule]}" for rule in rules) or "none"
+        stage = f"{kind} pass (rules fired: {label})"
         found: list[Diagnostic] = []
         data = {"rules": rules, "before": _clip(before), "after": _clip(after)}
 
@@ -173,20 +160,7 @@ def checked_registry(registry: PrimitiveRegistry) -> PrimitiveRegistry:
     """
     clone = PrimitiveRegistry()
     for prim in registry:
-        if prim.fold is None:
-            clone.register(prim)
-            continue
-        clone.register(
-            Primitive(
-                name=prim.name,
-                signature=prim.signature,
-                attrs=prim.attrs,
-                fold=_guarded_fold(prim),
-                cost=prim.cost,
-                interp=prim.interp,
-                emit=prim.emit,
-            )
-        )
+        clone.register(prim if prim.fold is None else replace(prim, fold=_guarded_fold(prim)))
     return clone
 
 

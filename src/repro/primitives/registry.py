@@ -13,6 +13,10 @@ providing four things (section 2.3):
 4. *attributes* for the optimizer — commutativity, side-effect class,
    per-rule enable flags — with worst-case defaults.
 
+A primitive may also carry an ``expand`` hook: the rewrite rules of its own
+domain, applied by the expansion pass of a runtime optimization (the query
+rules of section 4.2 are the relational primitives' hooks).
+
 The registry is the single source of truth consulted by the well-formedness
 checker (calling conventions), the optimizer (fold, cost, attributes), the
 reference interpreter and the code generator (both register their handlers
@@ -26,7 +30,7 @@ touching the core language — exactly the paper's pitch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.core.syntax import Application, PrimApp
 from repro.primitives.effects import EffectClass
@@ -37,6 +41,7 @@ __all__ = [
     "Primitive",
     "PrimitiveRegistry",
     "default_registry",
+    "ExpandFn",
     "FoldFn",
 ]
 
@@ -45,6 +50,11 @@ __all__ = [
 #: or None when no useful meta-evaluation is possible (paper: "it simply
 #: returns the original call").
 FoldFn = Callable[[PrimApp], Optional[Application]]
+
+#: An expansion hook: given a primitive application and the expansion pass's
+#: state (registry, heap, rule config, name supply, stats), return a
+#: replacement application, or the call itself when no rule applies.
+ExpandFn = Callable[[PrimApp, Any], Application]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +137,9 @@ class Primitive:
     interp: Callable | None = None
     #: Bytecode emitter; registered by repro.machine.codegen.
     emit: Callable | None = None
+    #: Domain rewrite rules run by the expansion pass when it optimizes
+    #: against a heap (see :data:`ExpandFn`).
+    expand: ExpandFn | None = None
 
     def meta_evaluate(self, call: PrimApp) -> Application | None:
         """Apply the meta-evaluation function if enabled and applicable."""
@@ -186,20 +199,8 @@ class PrimitiveRegistry:
         clone = PrimitiveRegistry()
         for prim in self:
             if prim.name in disabled:
-                attrs = replace(prim.attrs, fold_enabled=False)
-                clone.register(
-                    Primitive(
-                        name=prim.name,
-                        signature=prim.signature,
-                        attrs=attrs,
-                        fold=prim.fold,
-                        cost=prim.cost,
-                        interp=prim.interp,
-                        emit=prim.emit,
-                    )
-                )
-            else:
-                clone.register(prim)
+                prim = replace(prim, attrs=replace(prim.attrs, fold_enabled=False))
+            clone.register(prim)
         return clone
 
     def copy(self) -> "PrimitiveRegistry":

@@ -2,7 +2,8 @@
 
 Relations and indexes in the persistent store, relational-algebra extension
 primitives, embedded ``select``/``exists`` in TL, algebraic rewrite rules in
-CPS notation, and the integrated program/query optimizer of Fig. 4.
+CPS notation (the relational primitives' expansion hooks), and the
+integrated program/query optimizer of Fig. 4.
 """
 
 from repro._lazy import attach
@@ -12,9 +13,9 @@ __getattr__, __dir__, __all__ = attach(
     submod_attrs={
         ".algebra": ["QUERY_PRIMITIVES", "query_registry", "register_query_primitives"],
         ".index": ["HashIndex", "OrderedIndex"],
-        ".optimizer": ["IntegratedResult", "integrated_optimize"],
+        ".optimizer": ["IntegratedResult", "QueryRewriteStats", "integrated_optimize"],
         ".relation": ["QueryError", "Relation"],
-        ".rules": ["QueryRewriteStats", "QueryRewriter", "is_effect_safe"],
+        ".rules": ["QueryRewriter", "is_effect_safe"],
     },
 )
 __all__ += ["optimize_query_function"]

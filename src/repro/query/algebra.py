@@ -22,6 +22,10 @@ Conventions (higher-order arguments are user-level procedures ``proc(x ce cc)``)
 
 Predicates raising (through their exception continuation) surface at the
 operator's ``ce`` — exception control flow stays explicit end to end.
+
+``select``, ``project``, ``exists`` and ``join`` carry the query rules as
+their ``expand`` hook (:mod:`repro.query.rules`), which the program
+optimizer's expansion pass runs in a runtime optimization.
 """
 
 from __future__ import annotations
@@ -241,6 +245,14 @@ def _fold_not(call: PrimApp) -> Application | None:
     return None
 
 
+def _expand(call: PrimApp, state) -> Application:
+    """The query rules' hook.  Bound on first use: a process that never
+    optimizes a query (the daemon) never loads the rules."""
+    from repro.query.rules import QueryRewriter
+
+    return QueryRewriter(state).rewrite(call)
+
+
 # ---------------------------------------------------------------------------
 # registration: interpreter handlers, VM extcall handlers, codegen emitters
 # ---------------------------------------------------------------------------
@@ -300,6 +312,7 @@ def _make_primitive(
     fold=None,
     commutative: bool = False,
     bulk: bool = False,
+    expand=None,
 ) -> Primitive:
     EXT_OPS[name] = impl
     return Primitive(
@@ -310,14 +323,18 @@ def _make_primitive(
         cost=cost,
         interp=_interp_handler(impl, n_args, has_exc),
         emit=_vm_emitter(name, n_args, has_exc),
+        expand=expand,
     )
 
 
+#: the bulk operators iterate a relation; the query rules rewrite them
+_BULK = {"bulk": True, "expand": _expand}
+
 QUERY_PRIMITIVES = [
-    _make_primitive("select", _op_select, 2, True, EffectClass.READ, 50, bulk=True),
-    _make_primitive("project", _op_project, 2, True, EffectClass.READ, 50, bulk=True),
-    _make_primitive("join", _op_join, 3, True, EffectClass.READ, 200, bulk=True),
-    _make_primitive("exists", _op_exists, 2, True, EffectClass.READ, 30, bulk=True),
+    _make_primitive("select", _op_select, 2, True, EffectClass.READ, 50, **_BULK),
+    _make_primitive("project", _op_project, 2, True, EffectClass.READ, 50, **_BULK),
+    _make_primitive("join", _op_join, 3, True, EffectClass.READ, 200, **_BULK),
+    _make_primitive("exists", _op_exists, 2, True, EffectClass.READ, 30, **_BULK),
     _make_primitive("empty", _op_empty, 1, False, EffectClass.READ, 3),
     _make_primitive("count", _op_count, 1, False, EffectClass.READ, 3),
     _make_primitive(

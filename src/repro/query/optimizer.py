@@ -5,16 +5,21 @@ it invokes the query optimizer on the respective TML subtree ...  Similarly,
 the query optimizer invokes the program optimizer to analyze and optimize
 nested programming language expressions which appear in query constructs."
 
-Because both optimizers work on the *same* representation, the interaction
-is simply an alternation to a fixpoint: the program optimizer (reduction +
-expansion) simplifies predicates and dissolves abstraction barriers, which
-exposes algebraic patterns to the query rewriter (e.g. an inlined library
-``int.eq`` call becomes the bare equality shape the index-select rule
-matches); query rewrites in turn create new β-redexes for the program
-optimizer.
+Both optimizers work on the *same* representation, so here they are one:
+:func:`repro.rewrite.pipeline.optimize` given a heap.  Its expansion pass
+runs the query rules at every relational primitive it rebuilds (the
+primitives' ``expand`` hooks, :mod:`repro.query.rules`), and its
+reduce/expand alternation is the interaction: reduction and inlining
+dissolve abstraction barriers, which exposes algebraic patterns to the
+query rules (e.g. an inlined library ``int.eq`` call becomes the bare
+equality shape the index-select rule matches); a query rewrite in turn
+creates new β-redexes, and the pass that made it counts as a change, so
+another reduction follows.  One fixpoint, one set of rule counters, one
+``RuleConfig``, one checked mode.
 
-With a heap attached, the runtime-binding rules (index access paths) fire —
-the reason the paper delays query optimization until runtime.
+The heap is what makes the query rules fire: they read the relations and
+indexes behind OID literals, the reason the paper delays query
+optimization until runtime.
 """
 
 from __future__ import annotations
@@ -22,35 +27,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.syntax import Term, term_size
-from repro.obs.trace import TRACER
 from repro.primitives.registry import PrimitiveRegistry
 from repro.query.algebra import query_registry
-from repro.query.rules import QueryRewriter, QueryRewriteStats
+from repro.query.rules import QueryRewriter
 from repro.rewrite.pipeline import OptimizerConfig, optimize
-from repro.rewrite.stats import RewriteStats
+from repro.rewrite.stats import QUERY_RULES, RewriteStats
 
-__all__ = ["IntegratedResult", "integrated_optimize"]
-
-_MAX_ROUNDS = 6
+__all__ = ["IntegratedResult", "QueryRewriteStats", "QueryRewriter", "integrated_optimize"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class QueryRewriteStats:
+    """The query rules' counts in one optimization's :class:`RewriteStats`."""
+
+    stats: RewriteStats
+
+    def count(self, rule: str) -> int:
+        return self.stats.count(rule) if rule in QUERY_RULES else 0
+
+    @property
+    def total(self) -> int:
+        return self.stats.query_rewrites
+
+
+@dataclass(frozen=True, slots=True)
 class IntegratedResult:
-    """Outcome of the alternating program/query optimization."""
+    """Outcome of the integrated program/query optimization."""
 
     term: Term
-    program_stats: RewriteStats
-    query_stats: QueryRewriteStats
-    rounds: int
+    stats: RewriteStats
 
     @property
     def size(self) -> int:
         return term_size(self.term)
 
     @property
-    def stats(self) -> RewriteStats:
-        """Alias so this result is interchangeable with OptimizeResult."""
-        return self.program_stats
+    def query_stats(self) -> QueryRewriteStats:
+        return QueryRewriteStats(self.stats)
 
 
 def integrated_optimize(
@@ -58,79 +71,13 @@ def integrated_optimize(
     registry: PrimitiveRegistry | None = None,
     heap=None,
     config: OptimizerConfig | None = None,
-    query_rules: frozenset[str] | None = None,
     check: bool = False,
 ) -> IntegratedResult:
-    """Alternate the program optimizer and the query rewriter to a fixpoint.
+    """Optimize ``term`` with the program and query rules against ``heap``.
 
-    With ``check=True`` the program phases run in checked mode (see
-    :func:`repro.rewrite.pipeline.optimize`) and the tree is re-verified for
-    well-formedness after every query-rewriter round, so an unsound algebraic
-    rule is caught before the next program phase can consume its output.
+    Without a heap only the program rules run.  ``check=True`` is the
+    optimizer's checked mode, which re-verifies the tree after every pass,
+    including each expansion pass a query rule fired in.
     """
-    registry = registry or query_registry()
-    config = config or OptimizerConfig()
-    program_stats = RewriteStats()
-    query_stats = QueryRewriteStats()
-    rounds = 0
-
-    for rounds in range(1, _MAX_ROUNDS + 1):
-        with TRACER.span(
-            "query.round", round=rounds, runtime=heap is not None
-        ) as span:
-            program_result = optimize(term, registry, config, check=check)
-            program_stats.merge(program_result.stats)
-            term = program_result.term
-
-            rewriter = QueryRewriter(registry, heap=heap, enabled=query_rules)
-            term = rewriter.rewrite(term)
-            query_stats.counts.update(rewriter.stats.counts)
-            span.set(
-                program_rewrites=program_result.stats.total_rewrites,
-                query_rewrites=rewriter.stats.total,
-                query_rules={
-                    name: rewriter.stats.counts[name]
-                    for name in sorted(rewriter.stats.counts)
-                    if rewriter.stats.counts[name]
-                },
-                size=term_size(term),
-            )
-        if check and rewriter.stats.total > 0:
-            _check_query_round(term, registry, rewriter.stats)
-        if rewriter.stats.total == 0:
-            break
-
-    program_stats.size_after = term_size(term)
-    return IntegratedResult(
-        term=term,
-        program_stats=program_stats,
-        query_stats=query_stats,
-        rounds=rounds,
-    )
-
-
-def _check_query_round(term, registry, stats: QueryRewriteStats) -> None:
-    """Raise RewriteCheckError if a query-rewriter round broke constraints 1-5."""
-    from repro.analysis.checked import RewriteCheckError
-    from repro.analysis.diagnostics import Diagnostic, Severity
-    from repro.analysis.linearity import analyze
-
-    errors = [d for d in analyze(term, registry) if d.is_error]
-    if not errors:
-        return
-    rules = tuple(sorted(rule for rule, n in stats.counts.items() if n))
-    detail = "; ".join(f"{d.code} {d.path}: {d.message}" for d in errors[:5])
-    raise RewriteCheckError(
-        [
-            Diagnostic(
-                code="TML040",
-                severity=Severity.ERROR,
-                message=f"query rewriter round (rules fired: "
-                f"{', '.join(rules) or 'none'}) broke well-formedness: {detail}",
-                subject=term,
-                data={"rules": rules},
-            )
-        ],
-        context="integrated_optimize",
-        rules=rules,
-    )
+    result = optimize(term, registry or query_registry(), config, check=check, heap=heap)
+    return IntegratedResult(result.term, result.stats)

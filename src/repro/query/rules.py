@@ -25,38 +25,35 @@ can be expressed quite naturally in CPS":
   ``(empty R ...)`` first so the predicate runs at most once, which the
   paper's ``p ∧ ¬empty(R)`` form reduces to after boolean folding.
 
+* **push-select-join** — σp(R ⋈ S) → σp(R) ⋈ S when p reads only R's
+  columns, which needs R's arity: the relation behind the OID literal.
+
 * **index-select** — access-path selection: a selection whose predicate is
   an equality on a field of a relation *that has an index at runtime*
   becomes an ``indexscan``.  This rule needs the object store (the relation
   behind the OID literal), which is exactly why the paper delays query
   optimization until runtime (section 4.2).
+
+There is no query-rewrite engine here.  The rules are the ``expand`` hook
+of ``select``, ``project``, ``exists`` and ``join``
+(:mod:`repro.query.algebra`): the program optimizer's expansion pass calls
+:meth:`QueryRewriter.rewrite` on each of their applications when it runs
+against a heap, with its name supply, rule switches and statistics, and
+the reduce/expand alternation is the fixpoint (Fig. 4's "the program
+optimizer invokes the query optimizer").
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-
-from repro.core.names import Name, NameSupply, fresh_supply_above
+from repro.core.names import Name
 from repro.core.occurrences import count as count_occurrences
-from repro.core.syntax import (
-    Abs,
-    App,
-    Application,
-    Lit,
-    Oid,
-    PrimApp,
-    Term,
-    Value,
-    Var,
-    max_uid,
-)
+from repro.core.syntax import Abs, App, Application, Lit, Oid, PrimApp, Term, Value, Var
 from repro.obs.trace import TRACER
 from repro.primitives.effects import EffectClass
 from repro.primitives.registry import PrimitiveRegistry
 from repro.query.relation import Relation
 
-__all__ = ["QueryRewriteStats", "QueryRewriter", "is_effect_safe"]
+__all__ = ["QueryRewriter", "is_effect_safe"]
 
 _SAFE_EFFECTS = {EffectClass.PURE, EffectClass.READ}
 
@@ -86,46 +83,30 @@ def is_effect_safe(term: Term, registry: PrimitiveRegistry) -> bool:
     return True
 
 
-@dataclass
-class QueryRewriteStats:
-    """Per-rule application counts for one query-rewrite run."""
-
-    counts: Counter = field(default_factory=Counter)
-
-    def fired(self, rule: str) -> None:
-        self.counts[rule] += 1
-
-    def count(self, rule: str) -> int:
-        return self.counts.get(rule, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 class QueryRewriter:
-    """Applies the query rules bottom-up to a fixpoint.
+    """The query rules at one relational primitive application.
 
-    ``heap`` enables the runtime-binding rules (index-select); without it
-    only the purely algebraic rules fire — the static/dynamic split of
-    section 4.2.
+    ``state`` is the expansion pass's: ``registry``, ``heap`` (never None
+    here), ``rules`` (a :class:`repro.rewrite.rules.RuleConfig`), ``supply``
+    and ``stats``.
     """
 
-    def __init__(
-        self,
-        registry: PrimitiveRegistry,
-        heap=None,
-        supply: NameSupply | None = None,
-        enabled: frozenset[str] | None = None,
-    ):
-        self.registry = registry
-        self.heap = heap
-        self.supply = supply
-        self.enabled = enabled  # None = all
-        self.stats = QueryRewriteStats()
+    __slots__ = ("state",)
 
-    def allows(self, rule: str) -> bool:
-        return self.enabled is None or rule in self.enabled
+    def __init__(self, state):
+        self.state = state
+
+    def rewrite(self, call: PrimApp) -> Application:
+        """The first enabled rule that applies to ``call``, or ``call``."""
+        arity, rules = _RULES[call.prim]
+        if len(call.args) != arity:
+            return call
+        for rule, apply in rules:
+            if self.state.rules.allows(rule):
+                out = apply(self, call)
+                if out is not call:
+                    return out
+        return call
 
     def _fired(self, rule: str, relation=None, **attrs) -> None:
         """Count a rule application and, when tracing, explain the choice.
@@ -134,7 +115,7 @@ class QueryRewriter:
         estimates behind the decision (e.g. scan-vs-index cost for
         index-select), so a trace answers *why* a plan was chosen.
         """
-        self.stats.fired(rule)
+        self.state.stats.fired(rule)
         if TRACER.enabled:
             if relation is not None:
                 attrs["relation"] = self._describe_rel(relation)
@@ -148,127 +129,25 @@ class QueryRewriter:
             return str(rel.name)
         return type(rel).__name__
 
-    def _cardinality(self, rel) -> int | None:
-        """Runtime row count of a relation operand, when resolvable."""
-        if self.heap is None:
-            return None
+    def _relation(self, rel) -> Relation | None:
+        """The stored relation behind an OID literal operand, if any."""
         if not (isinstance(rel, Lit) and isinstance(rel.value, Oid)):
             return None
         try:
-            relation = self.heap.load(rel.value)
+            relation = self.state.heap.load(rel.value)
         except Exception:
             return None
-        return len(relation) if isinstance(relation, Relation) else None
-
-    # ------------------------------------------------------------- driver
-
-    def rewrite(self, term: Term) -> Term:
-        if self.supply is None:
-            self.supply = fresh_supply_above([max_uid(term)])
-        for _ in range(64):  # fixpoint bound; each pass strictly simplifies
-            new_term, changed = self._pass(term)
-            term = new_term
-            if not changed:
-                break
-        return term
-
-    def _pass(self, term: Term) -> tuple[Term, bool]:
-        EXPAND, BUILD = 0, 1
-        work: list[tuple[Term, int]] = [(term, EXPAND)]
-        results: list[Term] = []
-        changed = False
-
-        while work:
-            node, phase = work.pop()
-            if phase == EXPAND:
-                if isinstance(node, (Lit, Var)):
-                    results.append(node)
-                elif isinstance(node, Abs):
-                    work.append((node, BUILD))
-                    work.append((node.body, EXPAND))
-                elif isinstance(node, App):
-                    work.append((node, BUILD))
-                    for arg in reversed(node.args):
-                        work.append((arg, EXPAND))
-                    work.append((node.fn, EXPAND))
-                else:
-                    work.append((node, BUILD))
-                    for arg in reversed(node.args):
-                        work.append((arg, EXPAND))
-            else:
-                if isinstance(node, Abs):
-                    body = results.pop()
-                    results.append(node if body is node.body else Abs(node.params, body))
-                elif isinstance(node, App):
-                    count = 1 + len(node.args)
-                    parts = results[-count:]
-                    del results[-count:]
-                    fn, args = parts[0], tuple(parts[1:])
-                    rebuilt = (
-                        node
-                        if fn is node.fn and all(a is b for a, b in zip(args, node.args))
-                        else App(fn, args)
-                    )
-                    results.append(rebuilt)
-                else:
-                    count = len(node.args)
-                    args = tuple(results[-count:]) if count else ()
-                    if count:
-                        del results[-count:]
-                    rebuilt = (
-                        node
-                        if all(a is b for a, b in zip(args, node.args))
-                        else PrimApp(node.prim, args)
-                    )
-                    rewritten = self._rewrite_prim(rebuilt)
-                    if rewritten is not rebuilt:
-                        changed = True
-                    results.append(rewritten)
-
-        assert len(results) == 1
-        return results[0], changed
+        return relation if isinstance(relation, Relation) else None
 
     # -------------------------------------------------------------- rules
 
-    def _rewrite_prim(self, node: PrimApp) -> Application:
-        if node.prim == "select":
-            out = self._merge_select(node)
-            if out is not node:
-                return out
-            return self._index_select(node)
-        if node.prim == "project":
-            return self._merge_project(node)
-        if node.prim == "exists":
-            return self._trivial_exists(node)
-        if node.prim == "join":
-            return self._push_select_left(node)
-        return node
-
     def _merge_select(self, node: PrimApp) -> Application:
         """σp(σq(R)) → σ(q∧p)(R) — the paper's merge-select."""
-        if not self.allows("merge-select") or len(node.args) != 4:
+        inner = _consumed_by(node, "select")
+        if inner is None:
             return node
-        q, rel, ce, k = node.args
-        if not isinstance(k, Abs) or len(k.params) != 1:
-            return node
-        temp = k.params[0]
-        inner = k.body
-        if not (isinstance(inner, PrimApp) and inner.prim == "select"):
-            return node
-        if len(inner.args) != 4:
-            return node
-        p, inner_rel, ce2, cc2 = inner.args
-        if not (isinstance(inner_rel, Var) and inner_rel.name == temp):
-            return node
-        # the temporary relation must not be referenced anywhere else
-        if count_occurrences(inner, temp) != 1:
-            return node
-        # both selections must share the exception continuation
-        if not (
-            isinstance(ce, Var) and isinstance(ce2, Var) and ce.name == ce2.name
-        ):
-            return node
-
+        q, rel, ce, _ = node.args
+        p, _, _, cc2 = inner.args
         merged = self._conjoin(q, p)
         self._fired(
             "merge-select",
@@ -277,14 +156,15 @@ class QueryRewriter:
             scans_after=1,
             materializes_temp=False,
         )
-        return PrimApp("select", (merged, rel, ce2, cc2))
+        return PrimApp("select", (merged, rel, ce, cc2))
 
     def _conjoin(self, q: Value, p: Value) -> Abs:
         """proc(x ce cc): q(x) and then p(x), short-circuiting on false."""
-        x = self.supply.fresh_val("x")
-        ce = self.supply.fresh_cont("ce")
-        cc = self.supply.fresh_cont("cc")
-        b = self.supply.fresh_val("b")
+        supply = self.state.supply
+        x = supply.fresh_val("x")
+        ce = supply.fresh_cont("ce")
+        cc = supply.fresh_cont("cc")
+        b = supply.fresh_val("b")
         miss = Abs((), App(Var(cc), (Lit(False),)))
         hit = Abs((), App(p, (Var(x), Var(ce), Var(cc))))
         test = PrimApp("==", (Var(b), Lit(True), hit, miss))
@@ -293,31 +173,16 @@ class QueryRewriter:
 
     def _merge_project(self, node: PrimApp) -> Application:
         """π_f(π_g(R)) → π_{f∘g}(R)."""
-        if not self.allows("merge-project") or len(node.args) != 4:
+        inner = _consumed_by(node, "project")
+        if inner is None:
             return node
-        g, rel, ce, k = node.args
-        if not isinstance(k, Abs) or len(k.params) != 1:
-            return node
-        temp = k.params[0]
-        inner = k.body
-        if not (isinstance(inner, PrimApp) and inner.prim == "project"):
-            return node
-        if len(inner.args) != 4:
-            return node
-        f, inner_rel, ce2, cc2 = inner.args
-        if not (isinstance(inner_rel, Var) and inner_rel.name == temp):
-            return node
-        if count_occurrences(inner, temp) != 1:
-            return node
-        if not (
-            isinstance(ce, Var) and isinstance(ce2, Var) and ce.name == ce2.name
-        ):
-            return node
-
-        x = self.supply.fresh_val("x")
-        ce_n = self.supply.fresh_cont("ce")
-        cc_n = self.supply.fresh_cont("cc")
-        t = self.supply.fresh_val("t")
+        g, rel, ce, _ = node.args
+        f, _, _, cc2 = inner.args
+        supply = self.state.supply
+        x = supply.fresh_val("x")
+        ce_n = supply.fresh_cont("ce")
+        cc_n = supply.fresh_cont("cc")
+        t = supply.fresh_val("t")
         inner_call = App(f, (Var(t), Var(ce_n), Var(cc_n)))
         body = App(g, (Var(x), Var(ce_n), Abs((t,), inner_call)))
         composed = Abs((x, ce_n, cc_n), body)
@@ -328,42 +193,33 @@ class QueryRewriter:
             scans_after=1,
             materializes_temp=False,
         )
-        return PrimApp("project", (composed, rel, ce2, cc2))
+        return PrimApp("project", (composed, rel, ce, cc2))
 
     def _trivial_exists(self, node: PrimApp) -> Application:
         """(|p|_x = 0): ∃x∈R: p  →  ¬empty(R) ∧ p (paper's trivial-exists)."""
-        if not self.allows("trivial-exists") or len(node.args) != 4:
-            return node
         pred, rel, ce, cc = node.args
         if not isinstance(pred, Abs) or len(pred.params) != 3:
             return node
         x = pred.params[0]
         if count_occurrences(pred.body, x) != 0:
             return node
-        if not is_effect_safe(pred.body, self.registry):
+        if not is_effect_safe(pred.body, self.state.registry):
             return node
 
-        e = self.supply.fresh_val("e")
-        on_empty = Abs((), self._apply_cont(cc, Lit(False)))
-        on_nonempty = Abs((), App(pred, (Lit(0), ce, cc)))
+        supply = self.state.supply
+        e = supply.fresh_val("e")
+        self._fired("trivial-exists", relation=rel, predicate_evals_after=1)
         # cc may be an abstraction; it is placed twice, so λ-bind it first
         if isinstance(cc, Abs):
-            j = self.supply.fresh_cont("j")
+            j = supply.fresh_cont("j")
             test = PrimApp("==", (Var(e), Lit(True),
                                   Abs((), App(Var(j), (Lit(False),))),
                                   Abs((), App(pred, (Lit(0), ce, Var(j))))))
-            body = PrimApp("empty", (rel, Abs((e,), test)))
-            self._fired(
-                "trivial-exists", relation=rel, predicate_evals_after=1
-            )
-            return App(Abs((j,), body), (cc,))
+            return App(Abs((j,), PrimApp("empty", (rel, Abs((e,), test)))), (cc,))
+        on_empty = Abs((), App(cc, (Lit(False),)))
+        on_nonempty = Abs((), App(pred, (Lit(0), ce, cc)))
         test = PrimApp("==", (Var(e), Lit(True), on_empty, on_nonempty))
-        self._fired("trivial-exists", relation=rel, predicate_evals_after=1)
         return PrimApp("empty", (rel, Abs((e,), test)))
-
-    @staticmethod
-    def _apply_cont(cc: Value, value: Value) -> Application:
-        return App(cc, (value,))
 
     def _push_select_left(self, node: PrimApp) -> Application:
         """σp(R ⋈ S) → σp(R) ⋈ S when p touches only R's columns.
@@ -379,76 +235,48 @@ class QueryRewriter:
         indexed load below ``arity(R)`` applies unchanged to bare R rows.
         ``arity(R)`` is a *runtime binding* (the relation behind the OID
         literal), which is why this, too, only fires in the runtime
-        optimizer (section 4.2).
+        optimizer (section 4.2).  Pushed, p also runs on R rows that match
+        nothing in S, so p must not raise: it never uses its exception
+        continuation.
         """
-        if not self.allows("push-select-join") or self.heap is None:
+        inner = _consumed_by(node, "select")
+        if inner is None:
             return node
-        if len(node.args) != 5:
-            return node
-        jp, left_rel, right_rel, ce, k = node.args
-        if not isinstance(k, Abs) or len(k.params) != 1:
-            return node
-        temp = k.params[0]
-        inner = k.body
-        if not (isinstance(inner, PrimApp) and inner.prim == "select"):
-            return node
-        if len(inner.args) != 4:
-            return node
-        p, inner_rel, ce2, cc2 = inner.args
-        if not (isinstance(inner_rel, Var) and inner_rel.name == temp):
-            return node
-        if count_occurrences(inner, temp) != 1:
-            return node
-        if not (
-            isinstance(ce, Var) and isinstance(ce2, Var) and ce.name == ce2.name
-        ):
-            return node
-        if not (isinstance(left_rel, Lit) and isinstance(left_rel.value, Oid)):
-            return node
-        try:
-            relation = self.heap.load(left_rel.value)
-        except Exception:
-            return node
-        if not isinstance(relation, Relation):
-            return node
+        jp, left_rel, right_rel, ce, _ = node.args
+        p, _, _, cc2 = inner.args
         if not isinstance(p, Abs) or len(p.params) != 3:
             return node
-        if not _accesses_only_below(p, relation.arity):
+        if count_occurrences(p.body, p.params[1]) != 0:
             return node
-        if not is_effect_safe(p.body, self.registry):
+        relation = self._relation(left_rel)
+        if relation is None or not _accesses_only_below(p, relation.arity):
+            return node
+        if not is_effect_safe(p.body, self.state.registry):
             return node
 
-        temp2 = self.supply.fresh_val("tempRel")
-        new_join = PrimApp("join", (jp, Var(temp2), right_rel, ce2, cc2))
+        temp2 = self.state.supply.fresh_val("tempRel")
+        new_join = PrimApp("join", (jp, Var(temp2), right_rel, ce, cc2))
         left_rows = len(relation)
+        right = self._relation(right_rel)
         self._fired(
             "push-select-join",
             relation=left_rel,
             left_rows=left_rows,
-            right=self._cardinality(right_rel),
+            right=None if right is None else len(right),
             est_join_input_before=left_rows,
         )
         return PrimApp("select", (p, left_rel, ce, Abs((temp2,), new_join)))
 
     def _index_select(self, node: PrimApp) -> Application:
         """Equality selection on an indexed field → indexscan (runtime rule)."""
-        if not self.allows("index-select") or self.heap is None:
-            return node
-        if len(node.args) != 4:
-            return node
         pred, rel, ce, cc = node.args
-        if not (isinstance(rel, Lit) and isinstance(rel.value, Oid)):
-            return node
         match = _match_equality_pred(pred)
         if match is None:
             return node
+        relation = self._relation(rel)
+        if relation is None:
+            return node
         field_position, key_value = match
-        try:
-            relation = self.heap.load(rel.value)
-        except Exception:
-            return node
-        if not isinstance(relation, Relation):
-            return node
         field_name = relation.field_at(field_position)
         if field_name is None or not relation.has_index(field_name):
             return node
@@ -462,6 +290,44 @@ class QueryRewriter:
             est_index_cost=1,
         )
         return PrimApp("indexscan", (rel, Lit(field_name), key_value, ce, cc))
+
+
+#: relational primitive -> (its arity, its rules in the order they are tried)
+_RULES = {
+    "select": (
+        4,
+        (("merge-select", QueryRewriter._merge_select),
+         ("index-select", QueryRewriter._index_select)),
+    ),
+    "project": (4, (("merge-project", QueryRewriter._merge_project),)),
+    "exists": (4, (("trivial-exists", QueryRewriter._trivial_exists),)),
+    "join": (5, (("push-select-join", QueryRewriter._push_select_left),)),
+}
+
+
+def _consumed_by(node: PrimApp, prim: str) -> PrimApp | None:
+    """The operator that consumes ``node``'s result, if it fuses with it.
+
+    That is ``node``'s continuation ``cont(t) (prim f t ce' cc)`` when the
+    temporary ``t`` occurs there exactly once (as the relation operand) and
+    ``ce'`` is ``node``'s own exception continuation: the two operators
+    then run as one, with no temporary relation between them.
+    """
+    ce, k = node.args[-2:]
+    if not (isinstance(k, Abs) and len(k.params) == 1):
+        return None
+    inner = k.body
+    if not (isinstance(inner, PrimApp) and inner.prim == prim and len(inner.args) == 4):
+        return None
+    temp = k.params[0]
+    inner_rel, ce2 = inner.args[1], inner.args[2]
+    if not (isinstance(inner_rel, Var) and inner_rel.name == temp):
+        return None
+    if count_occurrences(inner, temp) != 1:
+        return None
+    if not (isinstance(ce, Var) and isinstance(ce2, Var) and ce.name == ce2.name):
+        return None
+    return inner
 
 
 def _accesses_only_below(pred: Abs, limit: int) -> bool:

@@ -1,7 +1,8 @@
 """Analysis and rewriting of TML intermediate representations (paper §3).
 
 The reduction pass applies the eight core rewrite rules to a fixpoint; the
-expansion pass performs cost-model-guided procedure inlining; the pipeline
+expansion pass performs cost-model-guided procedure inlining and, given a
+heap, runs the primitives' ``expand`` hooks (the query rules); the pipeline
 alternates the two under an accumulated-penalty bound.
 """
 

@@ -18,6 +18,13 @@ and Y-bound recursive procedures are candidates; expanding a recursive
 procedure into its own body is loop unrolling, which the paper lists among
 the classic optimizations subsumed by these rules.  Unrolling is off by
 default and bounded by the penalty mechanism when enabled.
+
+Given a heap (a runtime optimization), the same rebuild also runs each
+primitive's ``expand`` hook on every rebuilt application of it.  That is
+where the query rules of section 4.2 fire (the relational primitives'
+hooks, :mod:`repro.query.rules`): view expansion meets the query
+constructs it exposes, and the rules read the relations behind OID
+literals from the heap.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from repro.core.substitution import alpha_rename
 from repro.core.syntax import Abs, App, Lit, PrimApp, Term, Var, max_uid
 from repro.primitives.registry import PrimitiveRegistry
 from repro.rewrite.cost import site_decision
-from repro.rewrite.rules import _split_fix  # shared Y destructuring
+from repro.rewrite.rules import RuleConfig, _split_fix  # shared Y destructuring
 from repro.rewrite.stats import RewriteStats
 
 __all__ = ["ExpansionConfig", "expand_pass"]
@@ -61,10 +68,13 @@ class _ExpansionState:
     config: ExpansionConfig
     supply: NameSupply
     stats: RewriteStats
+    #: the object store a runtime optimization reads; None runs no hooks
+    heap: object | None
+    #: which rules the ``expand`` hooks may fire
+    rules: RuleConfig
     #: name -> (definition, is_recursive, is_y_bound)
     candidates: dict[Name, tuple[Abs, bool, bool]] = field(default_factory=dict)
     sites_inlined: int = 0
-    changed: bool = False
 
 
 def expand_pass(
@@ -72,8 +82,11 @@ def expand_pass(
     registry: PrimitiveRegistry,
     config: ExpansionConfig | None = None,
     stats: RewriteStats | None = None,
+    heap=None,
+    rules: RuleConfig | None = None,
 ) -> Term:
-    """Inline cost-approved call sites of multiply-referenced abstractions."""
+    """Inline cost-approved call sites of multiply-referenced abstractions;
+    with a ``heap``, also run the primitives' ``expand`` hooks."""
     config = config or ExpansionConfig()
     stats = stats if stats is not None else RewriteStats()
     state = _ExpansionState(
@@ -81,9 +94,11 @@ def expand_pass(
         config=config,
         supply=fresh_supply_above([max_uid(term)]),
         stats=stats,
+        heap=heap,
+        rules=rules or RuleConfig(),
     )
     _collect_candidates(term, state)
-    if not state.candidates:
+    if not state.candidates and heap is None:
         return term
     occurrences = count_all(term)
     new_term = _rewrite_sites(term, state, occurrences)
@@ -129,7 +144,8 @@ def _collect_candidates(term: Term, state: _ExpansionState) -> None:
 
 
 def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
-    """Rebuild the tree, replacing approved call sites with fresh copies."""
+    """Rebuild the tree, replacing approved call sites with fresh copies
+    and, with a heap, primitive applications with what their hooks return."""
     EXPAND, BUILD = 0, 1
     work: list[tuple[Term, int]] = [(term, EXPAND)]
     results: list[Term] = []
@@ -176,6 +192,10 @@ def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
                     if all(a is b for a, b in zip(args, node.args))
                     else PrimApp(node.prim, args)
                 )
+                if state.heap is not None:
+                    prim = state.registry.get(node.prim)
+                    if prim is not None and prim.expand is not None:
+                        rebuilt = prim.expand(rebuilt, state)
                 results.append(rebuilt)
 
     assert len(results) == 1
@@ -213,6 +233,5 @@ def _maybe_inline(app: App, state: _ExpansionState, occurrences) -> App:
     copy = alpha_rename(definition, state.supply)
     assert isinstance(copy, Abs)
     state.sites_inlined += 1
-    state.changed = True
     state.stats.fired("expand-inline")
     return App(copy, app.args)

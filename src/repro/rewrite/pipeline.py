@@ -12,10 +12,16 @@ stops when this penalty reaches a certain limit."
 Penalty here is the number of inlined sites per round; when the accumulated
 penalty crosses ``penalty_limit`` the growth budget collapses to zero and
 the alternation necessarily stops.
+
+Given a heap, ``optimize`` is the runtime optimizer of section 4.2 as well:
+the expansion pass runs the relational primitives' query rules, and a pass
+in which one fired counts as a change, so the alternation goes on.  The
+static compiler passes no heap and gets no query rule.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.core.syntax import Term, term_size
@@ -68,8 +74,13 @@ def optimize(
     registry: PrimitiveRegistry | None = None,
     config: OptimizerConfig | None = None,
     check: bool = False,
+    heap=None,
 ) -> OptimizeResult:
     """Run the alternating reduction/expansion optimizer to quiescence.
+
+    ``heap`` makes this a runtime optimization: the expansion pass also runs
+    the primitives' ``expand`` hooks (the query rules), which read the
+    objects behind OID literals from it.
 
     With ``check=True`` every pass is re-verified against the paper's
     invariants (well-formedness, strict shrink, effect preservation, fold
@@ -98,14 +109,16 @@ def optimize(
         if penalty >= config.penalty_limit:
             break
         inlined_before = stats.inlined_sites
+        counts_before = Counter(stats.rule_counts)
         with tracer.span("rewrite.expansion", round=round_index + 1) as exp_span:
-            expanded = expand_pass(term, registry, expansion_config, stats)
+            expanded = expand_pass(term, registry, expansion_config, stats, heap, config.rules)
             new_sites = stats.inlined_sites - inlined_before
             exp_span.set(inlined_sites=new_sites)
-        if checker and new_sites > 0:
-            checker.expansion_check(term, expanded)
+        fired = stats.rule_counts - counts_before
+        if checker and fired:
+            checker.expansion_check(term, expanded, fired)
         term = expanded
-        if new_sites == 0:
+        if not fired:
             break
         penalty += new_sites
         stats.penalty = penalty

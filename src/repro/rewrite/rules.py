@@ -38,13 +38,18 @@ from repro.core.syntax import Abs, App, Application, Lit, PrimApp, Value, Var
 from repro.core.substitution import substitute_many
 from repro.primitives.control import case_parts
 from repro.primitives.registry import PrimitiveRegistry
-from repro.rewrite.stats import RewriteStats
+from repro.rewrite.stats import QUERY_RULES, RewriteStats
 
 __all__ = ["ALL_RULES", "RuleConfig", "ReductionState", "rewrite_app", "rewrite_prim", "try_eta"]
 
-#: Names of the eight core rules, for configuration and ablation.
-ALL_RULES = frozenset(
-    ["subst", "remove", "reduce", "eta-reduce", "fold", "case-subst", "Y-remove", "Y-reduce"]
+#: Names of the eight core rules and the five query rules (which fire only
+#: in a runtime optimization, see :func:`repro.rewrite.pipeline.optimize`),
+#: for configuration and ablation.
+ALL_RULES = (
+    frozenset(
+        ["subst", "remove", "reduce", "eta-reduce", "fold", "case-subst", "Y-remove", "Y-reduce"]
+    )
+    | QUERY_RULES
 )
 
 

@@ -10,7 +10,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["RewriteStats", "RuleTimer"]
+__all__ = ["QUERY_RULES", "RewriteStats", "RuleTimer"]
+
+#: The section 4.2 query rules.  They fire in the expansion pass (through the
+#: relational primitives' ``expand`` hooks) and are counted in the same
+#: ``rule_counts``, but ``total_rewrites`` leaves them out: their total is
+#: the query optimizer's own figure.
+QUERY_RULES = frozenset(
+    ["merge-select", "merge-project", "trivial-exists", "push-select-join", "index-select"]
+)
 
 
 @dataclass(slots=True)
@@ -34,7 +42,13 @@ class RewriteStats:
 
     @property
     def total_rewrites(self) -> int:
-        return sum(self.rule_counts.values())
+        """Applications of the program rules (reduction and inlining)."""
+        return sum(n for rule, n in self.rule_counts.items() if rule not in QUERY_RULES)
+
+    @property
+    def query_rewrites(self) -> int:
+        """Applications of the query rules."""
+        return sum(self.rule_counts[rule] for rule in QUERY_RULES)
 
     def merge(self, other: "RewriteStats") -> None:
         """Fold a later run's counters into this one.

@@ -202,6 +202,7 @@ def fsck_image(
 ) -> FsckResult:
     """Check (and optionally repair) a store image; see module docstring."""
     _FSCK_RUNS.inc()
+    _register_codecs()
     path = os.fspath(path)
     result = FsckResult(path=path)
     if not os.path.exists(path) or os.path.getsize(path) == 0:
@@ -221,6 +222,15 @@ def fsck_image(
         return _fsck_v2(pager, result, repair)
     finally:
         pager.close()
+
+
+def _register_codecs() -> None:
+    """Register the codecs of the domain objects an image holds: stored
+    modules (``tl-module``) and relations (``relation``).  Their modules
+    register them on import, which a fresh ``python -m repro fsck`` does
+    not otherwise do; without them every such object reads as undecodable."""
+    import repro.lang.modules  # noqa: F401
+    import repro.query.relation  # noqa: F401
 
 
 def _fsck_v2(pager: Pager, result: FsckResult, repair: bool) -> FsckResult:

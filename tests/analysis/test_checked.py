@@ -104,7 +104,16 @@ class TestPassChecker:
         checker = PassChecker(registry)
         before = parse_term("proc(x ce cc) (+ x 1 ce cc)")
         after = parse_term("proc(x ce cc) (+ x 1 ce cont(t) (cc t))")
-        checker.expansion_check(before, after)  # growth is fine; WF holds
+        checker.expansion_check(before, after, Counter({"expand-inline": 1}))  # WF holds
+
+    def test_expansion_check_names_the_rules_that_fired(self, registry):
+        checker = PassChecker(registry)
+        before = parse_term("proc(x ce cc) (+ x 1 ce cc)")
+        after = parse_term("proc(x ce cc) (+ x 1 ce)")
+        with pytest.raises(RewriteCheckError) as info:
+            checker.expansion_check(before, after, Counter({"merge-select": 1}))
+        assert info.value.rules == ("merge-select",)
+        assert "merge-selectx1" in str(info.value)
 
 
 class TestCheckedRegistry:
@@ -124,3 +133,64 @@ class TestCheckedRegistry:
         term = parse_term("proc(x ce cc) (+ x 1 ce cc)")
         result = integrated_optimize(term, check=True)
         assert result.term is not None
+
+    def test_clones_keep_every_field(self):
+        from dataclasses import fields
+
+        from repro.query.algebra import query_registry
+
+        registry = query_registry()
+        for clone, changed in (
+            (checked_registry(registry), "fold"),
+            (registry.with_disabled_fold(registry.names()), "attrs"),
+        ):
+            for prim in registry:
+                copy = clone.get(prim.name)
+                for field in fields(prim):
+                    if field.name != changed:
+                        assert getattr(copy, field.name) is getattr(prim, field.name), (
+                            prim.name,
+                            field.name,
+                        )
+        assert registry.get("select").expand is not None
+
+    def test_checked_runtime_optimization_fires_the_query_rules(self):
+        from repro.query.algebra import query_registry
+        from repro.query.optimizer import integrated_optimize
+        from repro.store.heap import ObjectHeap
+
+        registry = query_registry()
+        term = parse_term(
+            """
+            proc(rel ce cc)
+              (select proc(x ce1 cc1) (cc1 true) rel ce
+                      cont(t) (select proc(y ce2 cc2) (cc2 true) t ce cc))
+            """,
+            prims=registry.names(),
+        )
+        result = integrated_optimize(term, registry, heap=ObjectHeap(), check=True)
+        assert result.query_stats.count("merge-select") == 1
+        assert result.term == integrated_optimize(term, registry, heap=ObjectHeap()).term
+
+    def test_an_unsound_query_rule_is_caught_by_name(self):
+        from dataclasses import replace
+
+        from repro.primitives.registry import PrimitiveRegistry
+        from repro.query.algebra import query_registry
+        from repro.store.heap import ObjectHeap
+
+        def drop_cc(call, state):  # an "optimization" that loses the continuation
+            state.stats.fired("merge-select")
+            return PrimApp("select", call.args[:3])
+
+        registry = PrimitiveRegistry(
+            replace(p, expand=drop_cc) if p.name == "select" else p for p in query_registry()
+        )
+        term = parse_term(
+            "proc(rel ce cc) (select proc(x ce1 cc1) (cc1 true) rel ce cc)",
+            prims=registry.names(),
+        )
+        optimize(term, registry, heap=ObjectHeap())  # unchecked: goes through
+        with pytest.raises(RewriteCheckError) as info:
+            optimize(term, registry, check=True, heap=ObjectHeap())
+        assert info.value.rules == ("merge-select",)

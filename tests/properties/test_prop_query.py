@@ -1,0 +1,174 @@
+"""The query differential property: a runtime-optimized query plan ≡ its
+static plan.
+
+Hypothesis draws a relation (with or without a hash index on ``id`` and an
+ordered index on ``v``) and a query from a small grammar: equality, modulo
+and comparison predicates, a predicate that divides by the argument ``k``
+(so ``k = 0`` raises inside the scan), stacked ``select``, ``exists`` with
+and without its range variable, and projection.  The function compiled
+statically and the same function after ``optimize_query_function`` must
+return the same rows (in order, unless the optimized plan reads an index),
+the same scalar, or raise the same exception to their caller.
+
+TL has no join syntax, so ``select`` over ``join`` is drawn as a TML term
+and its plain and ``integrated_optimize``-d forms are compared the same way.
+"""
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.parser import parse_term
+from repro.lang import TycoonSystem
+from repro.machine.codegen import compile_function
+from repro.machine.runtime import UncaughtTmlException
+from repro.machine.vm import VM, instantiate
+from repro.query import Relation, integrated_optimize, optimize_query_function
+from repro.query.algebra import query_registry
+from repro.store.heap import ObjectHeap
+
+_HEAP = ObjectHeap()
+_SYSTEM = TycoonSystem(heap=_HEAP)
+_counter = [0]
+
+_ROWS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 50)), max_size=14)
+
+
+def _predicate():
+    """A where-clause over the range variable ``{r}`` and the argument ``k``."""
+    return st.one_of(
+        st.just("{r}.id == k"),
+        st.just("k == {r}.id"),
+        st.builds("{{r}}.v % {} == {}".format, st.integers(2, 7), st.integers(0, 6)),
+        st.builds(
+            "{{r}}.v {} {}".format, st.sampled_from(["<", ">=", ">"]), st.integers(0, 50)
+        ),
+        st.builds("{{r}}.v / k > {}".format, st.integers(0, 10)),
+        st.builds("k > {}".format, st.integers(-1, 20)),
+    )
+
+
+def _select(pred):
+    return pred.map(
+        lambda p: "select r from db.data as r : Row where " + p.format(r="r") + " end"
+    )
+
+
+def _stacked(pred):
+    return st.tuples(pred, pred).map(
+        lambda ps: "select b from (select a from db.data as a : Row where "
+        + ps[0].format(r="a")
+        + " end) as b : Row where "
+        + ps[1].format(r="b")
+        + " end"
+    )
+
+
+def _exists(pred):
+    return pred.map(lambda p: "exists r : Row in db.data : " + p.format(r="r"))
+
+
+def _project(pred):
+    return st.tuples(st.sampled_from(["r.v", "r.v + k", "r.id * 2"]), pred).map(
+        lambda tp: f"select {tp[0]} from db.data as r : Row where "
+        + tp[1].format(r="r")
+        + " end"
+    )
+
+
+#: query shape -> (result annotation of ``f``, strategy of its body over ``db.data``)
+_QUERIES = {
+    "select": ("", _select),
+    "stacked": ("", _stacked),
+    "exists": (": Bool", _exists),
+    "project": ("", _project),
+}
+
+
+def _observe(call, in_order: bool):
+    try:
+        value = call().value
+    except UncaughtTmlException as exc:
+        return ("raise", exc.value)
+    if isinstance(value, Relation):
+        rows = value.to_tuples()
+        return ("rows", rows if in_order else sorted(rows))
+    return ("value", value)
+
+
+@pytest.mark.parametrize("shape", sorted(_QUERIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_optimized_query_function_matches_its_static_plan(shape, data):
+    annotation, body = _QUERIES[shape]
+    rows = data.draw(_ROWS)
+    expression = data.draw(body(_predicate()))
+    k = data.draw(st.integers(-2, 14))
+    _counter[0] += 1
+    db, module = f"db{_counter[0]}", f"q{_counter[0]}"
+    relation = Relation("data", ["id", "v"])
+    relation.insert_many(rows)
+    if data.draw(st.booleans()):
+        relation.create_index("id")
+    if data.draw(st.booleans()):
+        relation.create_index("v", ordered=True)
+    _HEAP.store(relation)
+    _SYSTEM.register_data_module(db, {"data": relation})
+    _SYSTEM.compile(
+        f"module {module} export f\nimport {db}\n"
+        "type Row = tuple id: Int, v: Int end\n"
+        f"let f(k: Int){annotation} = {expression.replace('db.data', db + '.data')}\nend"
+    )
+
+    result = optimize_query_function(_SYSTEM, module, "f")
+    in_order = result.query_stats.count("index-select") == 0
+    static = _observe(lambda: _SYSTEM.call(module, "f", [k]), in_order)
+    optimized = _observe(lambda: _SYSTEM.vm().call(result.closure, [k]), in_order)
+    assert optimized == static, (expression, k, result.query_stats.total)
+
+
+_JOIN = """
+proc(right k ce cc)
+  (join proc(a b cej ccj)
+          ([] a 0 cont(x) ([] b 0 cont(y)
+            (== x y cont() (ccj true) cont() (ccj false))))
+        #oid:{oid} right ce
+        cont(t)
+          (select proc(row ce2 cc2) ([] row {column} cont(val) {test})
+                  t ce cc))
+"""
+
+#: the selection's test of column ``val`` of a join row; the second raises
+#: through ``ce2`` when ``k = 0``
+_JOIN_TESTS = [
+    "(> val {c} cont() (cc2 true) cont() (cc2 false))",
+    "(/ val k ce2 cont(q) (> q {c} cont() (cc2 true) cont() (cc2 false)))",
+]
+
+
+@given(
+    _ROWS,
+    _ROWS,
+    st.sampled_from([0, 1, 2, 3]),
+    st.sampled_from(_JOIN_TESTS),
+    st.integers(0, 30),
+    st.integers(-1, 3),
+)
+@example([(0, 0)], [], 0, _JOIN_TESTS[1], 0, 0)  # a raising predicate, nothing to join
+@settings(max_examples=40, deadline=None)
+def test_select_over_join_matches_its_plain_plan(left_rows, right_rows, column, test, c, k):
+    registry = query_registry()
+    left = Relation("l", ["id", "v"])
+    left.insert_many(left_rows)
+    right = Relation("r", ["key", "w"])
+    right.insert_many(right_rows)
+    oid = _HEAP.store(left)
+    source = _JOIN.format(oid=int(oid), column=column, test=test.format(c=c))
+    term = parse_term(source, prims=registry.names())
+    optimized = integrated_optimize(term, registry, heap=_HEAP).term
+
+    def run(code_term):
+        code = compile_function(code_term, registry)
+        return lambda: VM(store=_HEAP).call(instantiate(code), [right, k])
+
+    plain = _observe(run(term), in_order=False)
+    assert _observe(run(optimized), in_order=False) == plain, (source, k)

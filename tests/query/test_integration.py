@@ -154,5 +154,5 @@ class TestIntegratedOptimization:
         closure = system.closure("q", "adults")
         term = term_of_closure(closure, system.heap)
         result = integrated_optimize(term, system.registry, heap=system.heap)
-        assert result.rounds >= 1
+        assert result.stats.rounds >= 1
         assert result.size > 0

@@ -1,12 +1,25 @@
 """Unit tests for the integrated optimizer driver and rewrite statistics."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.parser import parse_term
+from repro.core.syntax import PrimApp, iter_subterms
+from repro.primitives.registry import PrimitiveRegistry
 from repro.query.algebra import query_registry
-from repro.query.optimizer import IntegratedResult, integrated_optimize
-from repro.query.rules import QueryRewriteStats
-from repro.rewrite.stats import RewriteStats
+from repro.query.optimizer import QueryRewriteStats, integrated_optimize
+from repro.rewrite import OptimizerConfig, RuleConfig, optimize
+from repro.rewrite.rules import ALL_RULES
+from repro.rewrite.stats import QUERY_RULES, RewriteStats
+from repro.store.heap import ObjectHeap
+
+STACKED = """
+proc(rel ce cc)
+  (select proc(x ce1 cc1) (cc1 true)
+          rel ce
+          cont(t) (select proc(y ce2 cc2) (cc2 true) t ce cc))
+"""
 
 
 @pytest.fixture
@@ -14,56 +27,76 @@ def registry():
     return query_registry()
 
 
-def test_plain_program_converges_in_one_round(registry):
+@pytest.fixture
+def heap():
+    return ObjectHeap()
+
+
+def test_plain_program_converges_in_one_round(registry, heap):
     term = parse_term("proc(x ce cc) (+ x 1 ce cc)", prims=registry.names())
-    result = integrated_optimize(term, registry)
-    assert result.rounds == 1  # no query rewrites: stop immediately
+    result = integrated_optimize(term, registry, heap=heap)
+    assert result.stats.rounds == 1  # nothing to inline, no query rule: stop
     assert result.query_stats.total == 0
 
 
-def test_query_rewrite_triggers_another_program_round(registry):
-    src = """
-    proc(rel ce cc)
-      (select proc(x ce1 cc1) (cc1 true)
-              rel ce
-              cont(t) (select proc(y ce2 cc2) (cc2 true) t ce cc))
-    """
-    term = parse_term(src, prims=registry.names())
-    result = integrated_optimize(term, registry)
+def test_query_rewrite_triggers_another_program_round(registry, heap):
+    term = parse_term(STACKED, prims=registry.names())
+    result = integrated_optimize(term, registry, heap=heap)
     assert result.query_stats.count("merge-select") == 1
-    assert result.rounds >= 2  # the rewrite forced a second program round
+    # the expansion pass that merged counts as a change: the alternation
+    # reduces the merged predicate in a second round
+    assert result.stats.rounds >= 2
+    assert result.stats.count("reduce") > 0
 
 
 def test_stats_alias(registry):
     term = parse_term("proc(x ce cc) (cc x)", prims=registry.names())
     result = integrated_optimize(term, registry)
-    assert result.stats is result.program_stats
+    assert result.query_stats.stats is result.stats
     assert result.size > 0
 
 
-def test_enabled_rule_subset(registry):
-    src = """
-    proc(rel ce cc)
-      (select proc(x ce1 cc1) (cc1 true)
-              rel ce
-              cont(t) (select proc(y ce2 cc2) (cc2 true) t ce cc))
-    """
-    term = parse_term(src, prims=registry.names())
-    result = integrated_optimize(
-        term, registry, query_rules=frozenset({"trivial-exists"})
-    )
+def test_enabled_rule_subset(registry, heap):
+    term = parse_term(STACKED, prims=registry.names())
+    config = OptimizerConfig(rules=RuleConfig.without("merge-select"))
+    result = integrated_optimize(term, registry, heap=heap, config=config)
     assert result.query_stats.count("merge-select") == 0
+    prims = [n.prim for n in iter_subterms(result.term) if isinstance(n, PrimApp)]
+    assert prims == ["select", "select"]
+
+
+def test_the_query_rules_are_rewrite_rules():
+    assert QUERY_RULES <= ALL_RULES
+    assert "merge-select" not in RuleConfig.without("merge-select").enabled
+
+
+def test_no_heap_no_hook(registry):
+    """Static optimization never runs an expansion hook."""
+
+    def boom(call, state):
+        raise AssertionError(f"hook ran on {call.prim}")
+
+    hooked = PrimitiveRegistry(replace(p, expand=boom) if p.expand else p for p in registry)
+    term = parse_term(STACKED, prims=registry.names())
+    assert optimize(term, hooked).stats.query_rewrites == 0
+    with pytest.raises(AssertionError, match="hook ran on select"):
+        optimize(term, hooked, heap=ObjectHeap())
 
 
 class TestQueryRewriteStats:
     def test_counts(self):
-        stats = QueryRewriteStats()
+        stats = RewriteStats()
         stats.fired("merge-select")
         stats.fired("merge-select")
         stats.fired("index-select")
-        assert stats.count("merge-select") == 2
-        assert stats.total == 3
-        assert stats.count("never") == 0
+        stats.fired("subst", 4)
+        view = QueryRewriteStats(stats)
+        assert view.count("merge-select") == 2
+        assert view.total == 3
+        assert view.count("subst") == 0
+        assert view.count("never") == 0
+        # the program total leaves the query rules out
+        assert stats.total_rewrites == 4
 
 
 class TestRewriteStats:

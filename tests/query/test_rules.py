@@ -1,15 +1,20 @@
-"""Tests for the §4.2 query rewrite rules on CPS terms."""
+"""Tests for the §4.2 query rewrite rules on CPS terms.
+
+The rules fire in the program optimizer's expansion pass when it runs
+against a heap, so each test optimizes its term with ``integrated_optimize``.
+"""
 
 import pytest
 
 from repro.core.parser import parse_term
-from repro.core.syntax import Abs, Lit, Oid, PrimApp
+from repro.core.syntax import Abs, PrimApp
 from repro.core.wellformed import check
 from repro.machine.codegen import compile_function
 from repro.machine.vm import VM, instantiate
 from repro.query.algebra import query_registry
 from repro.query.relation import Relation
-from repro.query.rules import QueryRewriter, is_effect_safe
+from repro.query.optimizer import integrated_optimize
+from repro.query.rules import is_effect_safe
 from repro.store.heap import ObjectHeap
 
 
@@ -20,6 +25,11 @@ def registry():
 
 def parse(source, registry):
     return parse_term(source, prims=registry.names())
+
+
+def optimize(term, registry, heap=None):
+    """A runtime optimization of ``term``: a fresh heap unless one is given."""
+    return integrated_optimize(term, registry, heap=heap or ObjectHeap())
 
 
 #: σp(σq(R)) in the paper's CPS template
@@ -38,9 +48,9 @@ proc(rel ce cc)
 class TestMergeSelect:
     def test_fires_on_paper_shape(self, registry):
         term = parse(NESTED_SELECTS, registry)
-        rewriter = QueryRewriter(registry)
-        out = rewriter.rewrite(term)
-        assert rewriter.stats.count("merge-select") == 1
+        result = optimize(term, registry)
+        out = result.term
+        assert result.query_stats.count("merge-select") == 1
         check(out, registry)
         # exactly one select remains
         selects = [
@@ -53,8 +63,7 @@ class TestMergeSelect:
         rel.insert_many([(i,) for i in range(0, 40, 3)])
 
         term = parse(NESTED_SELECTS, registry)
-        rewriter = QueryRewriter(registry)
-        merged = rewriter.rewrite(term)
+        merged = optimize(term, registry).term
 
         out_orig = _run(term, [rel], registry)
         scans_orig = rel.scans
@@ -85,7 +94,7 @@ class TestMergeSelect:
         rel = Relation("nums", ["v"])
         rel.insert_many([(0,), (5,), (50,)])  # 0 would divide-by-zero in p
         term = parse(src, registry)
-        merged = QueryRewriter(registry).rewrite(term)
+        merged = optimize(term, registry).term
         out = _run(merged, [rel], registry)
         assert out.to_tuples() == [(5,)]
 
@@ -98,10 +107,8 @@ class TestMergeSelect:
                     (select proc(y ce2 cc2) (cc2 true)
                             t ce cont(r) (join p t r ce cc)))
         """
-        term = parse(src, registry)
-        rewriter = QueryRewriter(registry)
-        rewriter.rewrite(term)
-        assert rewriter.stats.count("merge-select") == 0
+        result = optimize(parse(src, registry), registry)
+        assert result.query_stats.count("merge-select") == 0
 
     def test_blocked_on_different_exception_continuations(self, registry):
         src = """
@@ -111,10 +118,8 @@ class TestMergeSelect:
                   cont(t)
                     (select proc(y ce2 cc2) (cc2 true) t ce cc))
         """
-        term = parse(src, registry)
-        rewriter = QueryRewriter(registry)
-        rewriter.rewrite(term)
-        assert rewriter.stats.count("merge-select") == 0
+        result = optimize(parse(src, registry), registry)
+        assert result.query_stats.count("merge-select") == 0
 
 
 class TestMergeProject:
@@ -130,9 +135,9 @@ class TestMergeProject:
         rel = Relation("nums", ["v"])
         rel.insert_many([(2,), (3,)])
         term = parse(src, registry)
-        rewriter = QueryRewriter(registry)
-        merged = rewriter.rewrite(term)
-        assert rewriter.stats.count("merge-project") == 1
+        result = optimize(term, registry)
+        merged = result.term
+        assert result.query_stats.count("merge-project") == 1
         assert _run(merged, [rel], registry).to_tuples() == [(4,), (9,)]
 
 
@@ -146,9 +151,9 @@ class TestTrivialExists:
 
     def test_fires_when_var_unused(self, registry):
         term = parse(self.SRC, registry)
-        rewriter = QueryRewriter(registry)
-        out = rewriter.rewrite(term)
-        assert rewriter.stats.count("trivial-exists") == 1
+        result = optimize(term, registry)
+        out = result.term
+        assert result.query_stats.count("trivial-exists") == 1
         # rewrites to an O(1) emptiness check + one predicate evaluation
         prims = {n.prim for n in _prims(out)}
         assert "exists" not in prims
@@ -157,7 +162,7 @@ class TestTrivialExists:
     def test_equivalence(self, registry):
         rel = Relation("r", ["v"])
         term = parse(self.SRC, registry)
-        merged = QueryRewriter(registry).rewrite(term)
+        merged = optimize(term, registry).term
 
         # empty relation: false regardless of the predicate
         assert _run(merged, [rel, 500], registry) is False
@@ -172,18 +177,16 @@ class TestTrivialExists:
                     ([] x 0 cont(v) (> v 0 cont() (cc1 true) cont() (cc1 false)))
                   rel ce cc)
         """
-        rewriter = QueryRewriter(registry)
-        rewriter.rewrite(parse(src, registry))
-        assert rewriter.stats.count("trivial-exists") == 0
+        result = optimize(parse(src, registry), registry)
+        assert result.query_stats.count("trivial-exists") == 0
 
     def test_blocked_on_effectful_predicate(self, registry):
         src = """
         proc(rel f ce cc)
           (exists proc(x ce1 cc1) (f 1 ce1 cc1) rel ce cc)
         """
-        rewriter = QueryRewriter(registry)
-        rewriter.rewrite(parse(src, registry))
-        assert rewriter.stats.count("trivial-exists") == 0
+        result = optimize(parse(src, registry), registry)
+        assert result.query_stats.count("trivial-exists") == 0
 
 
 class TestIndexSelect:
@@ -208,28 +211,26 @@ class TestIndexSelect:
     def test_fires_with_index(self, registry, tmp_path):
         heap, rel, oid = self._stored_relation(tmp_path)
         term = self._select_by_id(oid, registry)
-        rewriter = QueryRewriter(registry, heap=heap)
-        out = rewriter.rewrite(term)
-        assert rewriter.stats.count("index-select") == 1
+        result = optimize(term, registry, heap)
+        out = result.term
+        assert result.query_stats.count("index-select") == 1
         prims = {n.prim for n in _prims(out)}
         assert "indexscan" in prims and "select" not in prims
 
     def test_blocked_without_index(self, registry, tmp_path):
         heap, rel, oid = self._stored_relation(tmp_path, indexed=False)
-        rewriter = QueryRewriter(registry, heap=heap)
-        rewriter.rewrite(self._select_by_id(oid, registry))
-        assert rewriter.stats.count("index-select") == 0
+        result = optimize(self._select_by_id(oid, registry), registry, heap)
+        assert result.query_stats.count("index-select") == 0
 
     def test_blocked_without_heap(self, registry, tmp_path):
         heap, rel, oid = self._stored_relation(tmp_path)
-        rewriter = QueryRewriter(registry, heap=None)
-        rewriter.rewrite(self._select_by_id(oid, registry))
-        assert rewriter.stats.count("index-select") == 0
+        result = integrated_optimize(self._select_by_id(oid, registry), registry)
+        assert result.query_stats.count("index-select") == 0
 
     def test_equivalence_and_no_scan(self, registry, tmp_path):
         heap, rel, oid = self._stored_relation(tmp_path)
         term = self._select_by_id(oid, registry)
-        out = QueryRewriter(registry, heap=heap).rewrite(term)
+        out = optimize(term, registry, heap).term
 
         before = rel.scans
         result = _run(out, [7], registry, store=heap)
@@ -244,9 +245,8 @@ class TestIndexSelect:
                     ([] x 0 cont(t) (== k t cont() (cc1 true) cont() (cc1 false)))
                   #oid:{int(oid)} ce cc)
         """
-        rewriter = QueryRewriter(registry, heap=heap)
-        rewriter.rewrite(parse(src, registry))
-        assert rewriter.stats.count("index-select") == 1
+        result = optimize(parse(src, registry), registry, heap)
+        assert result.query_stats.count("index-select") == 1
 
 
 class TestEffectSafety:
@@ -310,9 +310,9 @@ class TestPushSelectJoin:
     def test_fires_when_predicate_is_left_only(self, registry):
         heap, left, right, loid = self._setup()
         term = self._query(loid, registry)
-        rewriter = QueryRewriter(registry, heap=heap)
-        out = rewriter.rewrite(term)
-        assert rewriter.stats.count("push-select-join") == 1
+        result = optimize(term, registry, heap)
+        out = result.term
+        assert result.query_stats.count("push-select-join") == 1
         # select now sits on the base relation, inside-out
         prims = [n.prim for n in _prims(out)]
         assert prims.index("select") < prims.index("join")
@@ -320,7 +320,7 @@ class TestPushSelectJoin:
     def test_equivalence_and_fewer_join_probes(self, registry):
         heap, left, right, loid = self._setup()
         term = self._query(loid, registry)
-        pushed = QueryRewriter(registry, heap=heap).rewrite(term)
+        pushed = optimize(term, registry, heap).term
 
         out_orig = _run(term, [right], registry, store=heap)
         scans_orig = (left.scans, right.scans)
@@ -344,17 +344,14 @@ class TestPushSelectJoin:
                               (> val 20 cont() (cc2 true) cont() (cc2 false)))
                           t ce cc))
         """
-        term = parse_term(src, prims=registry.names())
-        rewriter = QueryRewriter(registry, heap=heap)
-        rewriter.rewrite(term)
-        assert rewriter.stats.count("push-select-join") == 0
+        result = optimize(parse_term(src, prims=registry.names()), registry, heap)
+        assert result.query_stats.count("push-select-join") == 0
 
     def test_blocked_without_heap(self, registry):
         heap, left, right, loid = self._setup()
         term = self._query(loid, registry)
-        rewriter = QueryRewriter(registry, heap=None)
-        rewriter.rewrite(term)
-        assert rewriter.stats.count("push-select-join") == 0
+        result = integrated_optimize(term, registry)
+        assert result.query_stats.count("push-select-join") == 0
 
     def test_blocked_when_row_escapes(self, registry):
         heap, left, right, loid = self._setup()
@@ -366,7 +363,24 @@ class TestPushSelectJoin:
                   (select proc(row ce2 cc2) (f row ce2 cc2)
                           t ce cc))
         """
+        result = optimize(parse_term(src, prims=registry.names()), registry, heap)
+        assert result.query_stats.count("push-select-join") == 0
+
+    def test_blocked_when_predicate_can_raise(self, registry):
+        # pushed below the join the predicate would also run on left rows
+        # that match nothing on the right, and raise where the join does not
+        heap, left, right, loid = self._setup()
+        src = f"""
+        proc(right k ce cc)
+          (join proc(a b cej ccj) (ccj false)
+                #oid:{int(loid)} right ce
+                cont(t)
+                  (select proc(row ce2 cc2)
+                            ([] row 1 cont(val)
+                              (/ val k ce2 cont(q) (> q 1 cont() (cc2 true) cont() (cc2 false))))
+                          t ce cc))
+        """
         term = parse_term(src, prims=registry.names())
-        rewriter = QueryRewriter(registry, heap=heap)
-        rewriter.rewrite(term)
-        assert rewriter.stats.count("push-select-join") == 0
+        result = optimize(term, registry, heap)
+        assert result.query_stats.count("push-select-join") == 0
+        assert _run(result.term, [right, 0], registry, store=heap).to_tuples() == []

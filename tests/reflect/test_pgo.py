@@ -124,3 +124,23 @@ def test_pgo_emits_trace_events_when_recording():
     assert event.attrs["function"] == "m.work"
     assert event.attrs["relinked"] is True
     assert recorder.named("reflect.optimize")  # the span from optimize_closure
+
+
+def test_a_library_redefined_under_an_inlined_copy_is_seen():
+    """An importer whose PGO variant inlined a library sees the library's
+    redefinition: the variant lives in the importer's link, which the
+    redefinition drops."""
+    system = TycoonSystem()
+    system.compile("module lib export f let f(n: Int): Int = n + 1 end")
+    system.compile("module app export g import lib let g(n: Int): Int = lib.f(n) + lib.f(n) end")
+    assert system.call("app", "g", [1]).value == 4
+
+    _, profiler = profile_call(system, "app", "g", [1])
+    report = optimize_hot(system, profiler, top=1, modules=["app"])
+    assert [c.qualified for c in report.selected] == ["app.g"]
+    assert report.results["app.g"].entities == 3  # app.g, lib.f and int.add merged
+    assert system.closure("app", "g") is report.closure("app", "g")
+    assert system.call("app", "g", [1]).value == 4
+
+    system.compile("module lib export f let f(n: Int): Int = n + 100 end")
+    assert system.call("app", "g", [1]).value == 202

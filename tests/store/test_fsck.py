@@ -247,3 +247,31 @@ class TestFsckCli:
         assert main(["fsck", image]) == 1  # errors -> nonzero
         assert main(["fsck", image, "--repair"]) == 0
         assert main(["fsck", image]) == 0
+
+    def test_a_fresh_process_decodes_stored_modules_and_relations(self, tmp_path):
+        # in a fresh interpreter nothing has loaded the codecs of the domain
+        # objects yet; fsck must register them rather than report every
+        # stored module and relation as undecodable
+        import subprocess
+        import sys
+
+        import repro
+        from repro.lang.modules import compile_module, store_module
+        from repro.query.relation import Relation
+
+        path = str(tmp_path / "domain.tyc")
+        heap = ObjectHeap(path)
+        store_module(heap, compile_module("module m export f let f(x: Int): Int = x end"))
+        relation = Relation("r", ["id", "v"])
+        relation.insert_many([(1, 2), (3, 4)])
+        heap.set_root("data", heap.store(relation))
+        heap.commit()
+        heap.close()
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "fsck", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert " 0 error(s)" in run.stdout

@@ -49,6 +49,14 @@ def test_the_daemon_imports_no_compiler_optimizer_or_benchmark():
     )
 
 
+def test_the_program_optimizer_imports_no_query_code():
+    # the query rules reach the optimizer as the relational primitives'
+    # expand hooks, through the registry; rewrite never imports them
+    loaded = _loaded_by("repro.rewrite.pipeline")
+    assert "repro.rewrite.pipeline" in loaded
+    assert not _under(loaded, "repro.query")
+
+
 def test_the_cli_and_the_client_import_no_machine_language_or_heap():
     for module in ("repro.cli", "repro.server.client"):
         loaded = _loaded_by(module)
