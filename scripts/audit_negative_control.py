@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Negative control for ``python -m repro audit`` (CI runs this inverted).
 
-Builds a fresh image, persists a known-good module, then flips one bit of
-one stored instruction's opcode — exactly the class of silent bytecode
+Builds a fresh image, persists a known-good module and audits it, which
+installs analysis facts for every function; then flips one bit of one
+stored instruction's opcode — exactly the class of silent bytecode
 corruption the whole-image audit exists to catch (the physical layer is
 fine, so ``fsck`` stays green; only semantic verification can see it).
-The script then runs the real CLI audit against the tampered image and
-exits 0 **only if the audit failed** — a green audit on corrupt code
-turns ``make audit`` (and CI) red.
+The flip leaves the function's PTML hash, and so its fact record, in
+place: the control runs on the warm path.  The script then runs the real
+CLI audit against the tampered image and exits 0 **only if the audit
+failed** — a green audit on corrupt code turns ``make audit`` (and CI) red.
 """
 
 from __future__ import annotations
@@ -73,10 +75,7 @@ def main(argv=None) -> int:
     )
     build_image(image)
 
-    # --no-update: the sanity pass must not install facts, or the tampered
-    # pass would reuse them (the PTML hash does not move when raw bytecode
-    # is flipped — cold verification is the point of this control)
-    clean = repro_main(["audit", image, "--no-update"])
+    clean = repro_main(["audit", image])
     if clean != 0:
         print("control error: audit of the untampered image failed", file=sys.stderr)
         return 1

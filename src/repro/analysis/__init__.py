@@ -15,8 +15,8 @@ mechanically; this package does:
   registry attribute lint;
 * :mod:`repro.analysis.usage` — dead bindings and unused parameters, feeding
   the expansion pass's savings estimate;
-* :mod:`repro.analysis.verify_tam` — the TAM bytecode verifier run by the
-  linker before code is persisted or executed;
+* :mod:`repro.analysis.verify_tam` — the TAM bytecode verifier, the gate
+  code passes wherever it enters (compile, load, reflect, the tier);
 * :mod:`repro.analysis.checked` — invariant re-verification after every
   optimizer pass (``optimize(..., check=True)``);
 * :mod:`repro.analysis.lint` — the aggregate entry point behind
@@ -39,7 +39,7 @@ __getattr__, __dir__, __all__ = attach(
     submod_attrs={
         ".absint": [
             "AbsVal", "FunctionAnalysis", "Kind", "Summary", "analyze_code",
-            "handler_diagnostics", "kind_of_value", "summarize_graph",
+            "kind_of_value", "summarize_graph",
         ],
         ".audit": ["AuditReport", "audit_heap", "audit_image"],
         ".callgraph": ["FunctionNode", "ImageGraph"],

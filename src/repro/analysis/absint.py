@@ -29,7 +29,8 @@ terminating VM run of a procedure, the kind of the observed result value is
 
 The handler-depth half of the state is a small-set lattice (possible depths
 relative to function entry, widened to ⊤): it both powers the precise
-``TAM020`` check in :mod:`repro.analysis.verify_tam` and yields the
+``TAM020`` check :func:`analyze_code` reports (the one place it is
+reported; ``lint`` and ``audit`` run it) and yields the
 ``handler-depth delta`` component of summaries.  Unknown callees are
 assumed handler-depth neutral (they invoke the continuations they were
 passed at the depth of the call site); resolved callees use their
@@ -68,7 +69,6 @@ __all__ = [
     "kind_of_value",
     "kind_from_token",
     "analyze_code",
-    "handler_diagnostics",
     "summarize_graph",
 ]
 
@@ -867,13 +867,6 @@ def analyze_code(
     return FunctionAnalysis(
         summary=family.summary(), diagnostics=diagnostics, deps=deps
     )
-
-
-def handler_diagnostics(root: CodeObject, path: str | None = None) -> list[Diagnostic]:
-    """The handler-depth findings alone (used by the bytecode verifier)."""
-    family = _Family(root, path or root.name, None, None, None, None)
-    family.run()
-    return family.handler_findings()
 
 
 def summarize_graph(

@@ -17,12 +17,14 @@ TAM111    ERROR    external reference into a stored module lacking the member
 TAM112    INFO     stale analysis fact dropped (dependency hash moved)
 ========  =======  ==========================================================
 
-The audit is incremental: valid records in the persisted fact cache
-(:mod:`repro.analysis.facts`, root ``analysis:facts``) are trusted — their
-functions are neither re-verified nor re-analyzed — so a warm audit after a
-partial redefinition re-analyzes exactly the invalidated slice of the call
-graph.  Freshly computed facts for *clean* functions are installed back
-into the image (suppress with ``update_facts=False`` or ``--no-update``).
+Every function passes the bytecode verifier on every audit.  The
+interprocedural analysis is incremental: the summary of a valid record in
+the persisted fact cache (:mod:`repro.analysis.facts`, root
+``analysis:facts``) is reused for a function that verifies, so a warm audit
+after a partial redefinition re-analyzes exactly the invalidated slice of
+the call graph.  Freshly computed facts for *clean* functions are installed
+back into the image and the records of functions with an error finding are
+dropped (``update_facts=False`` or ``--no-update`` is read-only).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class AuditReport:
     functions: int = 0
     #: functions freshly analyzed this pass
     analyzed: int = 0
-    #: functions whose cached facts were still valid (verify+absint skipped)
+    #: functions whose cached summaries were still valid (absint skipped)
     reused: int = 0
     #: stale fact records dropped before analysis (TAM112)
     pruned: tuple = ()
@@ -118,8 +120,9 @@ def audit_heap(
     """Audit every stored code object reachable through ``module:*`` roots.
 
     With ``update_facts`` the freshly-computed facts of *clean* functions
-    (no error findings) are installed into ``facts`` and flushed to the
-    heap; the caller owns the commit.  A shared :class:`FactStore` (e.g.
+    (no error findings) are installed into ``facts``, the records of the
+    others are dropped, and the store is flushed to the heap; the caller
+    owns the commit.  A shared :class:`FactStore` (e.g.
     the daemon's) may be passed in; otherwise a private one is attached.
     """
     start = time.perf_counter()
@@ -148,17 +151,24 @@ def audit_heap(
             subject=name,
         ))
 
+    # ---- the verifier gate, on every function: a record is keyed by a
+    # hash that does not cover bytecode, so it cannot vouch for it
+    clean: set[str] = set()
+    for qualified, node in sorted(graph.nodes.items()):
+        found = verify_code(node.code, name=qualified)
+        report.diagnostics.extend(found)
+        if not found:
+            clean.add(qualified)
+
     seeded: dict[str, Summary] = {}
-    cached_verified: set[str] = set()
-    for qualified, node in graph.nodes.items():
+    for qualified in clean:
+        node = graph.nodes[qualified]
         if node.ptml_hash is None:
             continue
         record = facts.lookup(node.ptml_hash, current)
         if record is not None and record.summary is not None:
             seeded[qualified] = record.summary
             report.summaries[qualified] = record.summary
-            if record.verified:
-                cached_verified.add(qualified)
     report.reused = len(seeded)
 
     # ---- broken frozen bindings (TAM111) — linking these functions fails
@@ -172,16 +182,6 @@ def audit_heap(
             ),
             subject=qualified,
         ))
-
-    # ---- structural verification (skipped for cached-verified functions)
-    clean: set[str] = set(cached_verified)
-    for qualified, node in sorted(graph.nodes.items()):
-        if qualified in cached_verified:
-            continue
-        found = verify_code(node.code, name=qualified)
-        report.diagnostics.extend(found)
-        if not any(d.severity is Severity.ERROR for d in found):
-            clean.add(qualified)
 
     # ---- interprocedural abstract interpretation over the rest
     analyses = summarize_graph(graph, registry=registry, seeded=seeded)
@@ -226,8 +226,11 @@ def audit_heap(
             subject=qualified,
         ))
 
-    # ---- install fresh facts for clean functions, then flush
+    # ---- install fresh facts for clean functions, drop the rest, flush
     if update_facts:
+        for qualified, node in graph.nodes.items():
+            if node.ptml_hash is not None and qualified not in clean:
+                facts.invalidate(node.ptml_hash)
         transitive = _transitive_deps(graph)
         for qualified, fa in analyses.items():
             node = graph.nodes[qualified]
@@ -242,7 +245,6 @@ def audit_heap(
                 key=node.ptml_hash,
                 name=qualified,
                 summary=fa.summary,
-                verified=True,
                 deps=deps,
             ))
         facts.flush(heap)

@@ -7,9 +7,10 @@ session compiled them.  This module keeps *one* record per such hash,
 persisted under heap root ``analysis:facts``, holding everything derived
 from that code:
 
-* the interprocedural :class:`~repro.analysis.absint.Summary` and a
-  verification bit, computed by the audit (``summary`` is None on a record
-  that carries only attributes);
+* the interprocedural :class:`~repro.analysis.absint.Summary` computed by
+  the audit (None on a record that carries only attributes).  No record
+  vouches for the bytecode itself — the hash does not cover it — so code is
+  verified wherever it enters, never skipped on a record's say-so;
 * the optimizer's derived attributes (§4.1: "costs, savings, ... attached
   to the generated code which also become part of the persistent system
   state"), per optimizer fingerprint: ``{fingerprint: {cost_before,
@@ -33,9 +34,12 @@ needed and older readers skip unknown fields.
 from __future__ import annotations
 
 import threading
+from typing import TYPE_CHECKING
 
-from repro.analysis.absint import Summary
 from repro.obs.metrics import METRICS
+
+if TYPE_CHECKING:
+    from repro.analysis.absint import Summary
 
 __all__ = ["FactRecord", "FactStore", "FACTS_ROOT", "FACTS_SCHEMA"]
 
@@ -48,7 +52,7 @@ _STALE = METRICS.counter(
     "analysis.facts.stale", "records rejected because a dependency hash moved"
 )
 _INVALIDATIONS = METRICS.counter(
-    "analysis.facts.invalidations", "records dropped after redefinition"
+    "analysis.facts.invalidations", "records dropped (redefinition, failed audit)"
 )
 _ENTRIES = METRICS.gauge("analysis.facts.entries", "live analysis-fact records")
 
@@ -56,21 +60,19 @@ _ENTRIES = METRICS.gauge("analysis.facts.entries", "live analysis-fact records")
 class FactRecord:
     """Everything persisted about one PTML hash."""
 
-    __slots__ = ("key", "name", "summary", "verified", "deps", "attributes")
+    __slots__ = ("key", "name", "summary", "deps", "attributes")
 
     def __init__(
         self,
         key: str,
         name: str,
         summary: Summary | None = None,
-        verified: bool = False,
         deps: tuple = (),
         attributes: dict | None = None,
     ):
         self.key = key
         self.name = name
         self.summary = summary
-        self.verified = verified
         #: ((qualified callee, its PTML hash), ...) over *transitive* callees
         self.deps = tuple(deps)
         #: optimizer fingerprint -> {cost_before, cost_after, entities, code_size}
@@ -93,7 +95,6 @@ class FactRecord:
             "schema": FACTS_SCHEMA,
             "key": self.key,
             "name": self.name,
-            "verified": self.verified,
             "deps": tuple((qualified, dep_hash) for qualified, dep_hash in self.deps),
         }
         if self.summary is not None:
@@ -104,15 +105,21 @@ class FactRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "FactRecord | None":
+        """A record from its persisted dict; the ``verified`` key older
+        writers stored is ignored."""
         if not isinstance(data, dict) or data.get("schema") != FACTS_SCHEMA:
             return None
         try:
             summary = data.get("summary")
+            if summary is not None:
+                # the abstract interpreter loads only when a summary is read
+                from repro.analysis import absint
+
+                summary = absint.Summary.from_dict(summary)
             return FactRecord(
                 key=str(data["key"]),
                 name=str(data.get("name", "?")),
-                summary=None if summary is None else Summary.from_dict(summary),
-                verified=bool(data.get("verified", False)),
+                summary=summary,
                 deps=tuple(
                     (str(qualified), str(dep_hash) if dep_hash is not None else None)
                     for qualified, dep_hash in data.get("deps", ())
@@ -179,7 +186,8 @@ class FactStore:
         return record
 
     def invalidate(self, key: str) -> bool:
-        """Drop a record (its function was redefined); True when present."""
+        """Drop a record (its function was redefined, or an audit found an
+        error in it); True when present."""
         with self._lock:
             dropped = self._records.pop(key, None) is not None
             if dropped:

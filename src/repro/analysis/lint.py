@@ -42,17 +42,16 @@ def lint_code(
     Structural verification first; when it finds no errors, the abstract
     interpreter (:mod:`repro.analysis.absint`) runs over the family with
     worst-case free-variable bindings and contributes the TAM1xx findings
-    (guaranteed-trap sites, arity mismatches).  Interprocedural precision —
-    resolved callees, effect conformance, reachability — needs the whole
-    image and lives in ``python -m repro audit``.
+    (guaranteed-trap sites, arity mismatches) and handler depth (TAM020).
+    Interprocedural precision — resolved callees, effect conformance,
+    reachability — needs the whole image and lives in ``python -m repro
+    audit``.
     """
     found = verify_code(code, name=name)
-    if not any(d.is_error for d in found):
+    if not found:
         from repro.analysis.absint import analyze_code
 
-        analysis = analyze_code(code, name=name or code.name, registry=registry)
-        # verify_code already reported the handler-depth findings
-        found.extend(d for d in analysis.diagnostics if d.code != "TAM020")
+        found = analyze_code(code, name=name or code.name, registry=registry).diagnostics
     return found
 
 

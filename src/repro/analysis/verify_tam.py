@@ -1,9 +1,14 @@
-"""TAM bytecode verifier: abstract interpretation over :mod:`repro.machine.isa`.
+"""TAM bytecode verifier: the one gate code passes where it enters.
 
 Stored code outlives the compiler that produced it (the central risk of a
-persistent code representation), so the linker verifies every code object
-before it is persisted, loaded or executed.  Three phases per code object,
-applied recursively to nested codes, then one over the whole family:
+persistent code representation), so code is checked wherever it enters:
+:func:`repro.lang.modules.compile_module` and ``compile_stdlib`` before it
+is linked or persisted, :func:`repro.lang.modules.load_module` before a
+stored module is relinked, :func:`repro.reflect.optimize.optimize_closure`
+before reoptimized code replaces working code, and the compiled tier
+(:mod:`repro.machine.tier`) before it generates a text.  The gate is not
+cached: nothing persisted vouches for bytecode, which no hash covers.
+Three phases per code object, applied to each member of the family:
 
 1. **structural** — every instruction is a row of :data:`repro.machine.isa.OPS`
    with the right operand count and kinds; register / constant-pool /
@@ -19,13 +24,12 @@ applied recursively to nested codes, then one over the whole family:
    register read must be dominated by a definition (parameters define the
    leading registers; the exception edges of arithmetic, ``ccall`` and
    ``extcall`` define their error register on the branch target).  Reads of
-   possibly-undefined registers are ``TAM010``;
-4. **handler depth** — on structurally sound code the abstract interpreter
-   (:func:`repro.analysis.absint.handler_diagnostics`) tracks the handler
-   stack depth per path across the whole family, continuations
-   materialized into their own closures included, and reports a
-   ``popHandler`` provably reachable at depth <= 0 as ``TAM020`` at WARNING
-   severity.
+   possibly-undefined registers are ``TAM010``.
+
+Every finding is an error.  Handler-depth discipline (``TAM020``, a
+warning) is a property of the whole family that needs the abstract
+interpreter; :func:`repro.analysis.absint.analyze_code` reports it, behind
+``lint`` and ``audit``.
 
 The verifier accepts exactly what :mod:`repro.machine.codegen` emits and what
 the compiled tier executes; the property suite pins both directions.
@@ -35,12 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.analysis.absint import handler_diagnostics
-from repro.analysis.diagnostics import (
-    AnalysisError,
-    Diagnostic,
-    Severity,
-)
+from repro.analysis.diagnostics import AnalysisError, Diagnostic, Severity
 from repro.machine.isa import OPS, CodeObject
 
 __all__ = ["verify_code", "assert_verified", "code_errors", "TamVerificationError"]
@@ -51,27 +50,17 @@ class TamVerificationError(AnalysisError):
 
 
 def assert_verified(root: CodeObject, name: str | None = None) -> CodeObject:
-    """Verify ``root`` (and nested codes); raise on any error diagnostic."""
-    found = verify_code(root, name=name)
-    errors = [d for d in found if d.is_error]
+    """Verify ``root`` and its nested codes; raise on any error."""
+    errors = verify_code(root, name=name)
     if errors:
         raise TamVerificationError(errors, context=name or root.name)
     return root
 
 
 def verify_code(root: CodeObject, name: str | None = None) -> list[Diagnostic]:
-    """All verifier diagnostics for ``root`` and its nested code objects."""
+    """The :func:`code_errors` of ``root`` and of every nested code object."""
     found: list[Diagnostic] = []
     _verify_one(root, name or root.name, found)
-    if not any(d.is_error for d in found):
-        # handler-depth discipline (TAM020) is a *family-level* property:
-        # a continuation materialized into its own code object legitimately
-        # pops a handler its parent pushed, so per-code-object counting
-        # cannot be precise.  The abstract interpreter tracks depth across
-        # closure creation and continuation invocation and reports only
-        # provable underflows (structurally-broken code is skipped — the
-        # errors above already gate linking).
-        found.extend(handler_diagnostics(root, name or root.name))
     return found
 
 
@@ -99,7 +88,6 @@ def _err(
     message: str,
     path: str,
     pc: int | None = None,
-    severity: Severity = Severity.ERROR,
     **data,
 ) -> None:
     where = path if pc is None else f"{path}.instrs[{pc}]"
@@ -107,7 +95,7 @@ def _err(
         data.setdefault("pc", pc)
     found.append(
         Diagnostic(
-            code=code, severity=severity, message=message, path=where, data=data
+            code=code, severity=Severity.ERROR, message=message, path=where, data=data
         )
     )
 

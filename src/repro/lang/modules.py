@@ -79,9 +79,9 @@ class CompileOptions:
     the space cost measured by E3, and the enabler of runtime optimization.
     ``library_ops``: route operators/builtins through the dynamically bound
     library (section 6); ``False`` open-codes primitives (ablation).
-    ``verify_code``: run the TAM bytecode verifier
-    (:func:`repro.analysis.verify_tam.assert_verified`) over every generated
-    code object before it is linked or persisted.
+    Every generated code object passes the TAM bytecode verifier
+    (:func:`repro.analysis.verify_tam.assert_verified`) before it is linked
+    or persisted.
     """
 
     optimizer: OptimizerConfig | None = field(
@@ -90,7 +90,6 @@ class CompileOptions:
     attach_ptml: bool = True
     library_ops: bool = True
     check_wellformed: bool = True
-    verify_code: bool = True
     registry: PrimitiveRegistry | None = None
 
 
@@ -199,8 +198,7 @@ def compile_module(
             if options.check_wellformed:
                 check_wf(term, registry)
         code = compile_function(term, registry, name=f"{checked.module.name}.{decl.name}")
-        if options.verify_code:
-            assert_verified(code, name=f"{checked.module.name}.{decl.name}")
+        assert_verified(code, name=f"{checked.module.name}.{decl.name}")
         if options.attach_ptml:
             code.ptml_ref = encode_ptml(term)
         sig = checked.interface.functions.get(decl.name) or FunSig(
@@ -248,8 +246,7 @@ def compile_stdlib(
                 term = optimize(term, registry, options.optimizer).term
                 assert isinstance(term, Abs)
             code = compile_function(term, registry, name=f"{name}.{std_fn.name}")
-            if options.verify_code:
-                assert_verified(code, name=f"{name}.{std_fn.name}")
+            assert_verified(code, name=f"{name}.{std_fn.name}")
             if options.attach_ptml:
                 code.ptml_ref = encode_ptml(term)
             functions[std_fn.name] = CompiledFunction(
@@ -449,17 +446,6 @@ def _adopt_stored_ptml(heap: ObjectHeap, compiled: CompiledModule) -> bool:
     return True
 
 
-def _fact_verified(heap: ObjectHeap, code: CodeObject, facts) -> bool:
-    """True when a verified analysis fact vouches for this code's PTML."""
-    if facts is None:
-        return False
-    key = ptml_key(code, heap)
-    if key is None:
-        return False
-    record = facts.lookup(key)
-    return record is not None and record.summary is not None and record.verified
-
-
 def _store_ptml_refs(heap: ObjectHeap, code: CodeObject) -> None:
     if isinstance(code.ptml_ref, Blob):
         code.ptml_ref = heap.store(code.ptml_ref)
@@ -467,28 +453,21 @@ def _store_ptml_refs(heap: ObjectHeap, code: CodeObject) -> None:
         _store_ptml_refs(heap, nested)
 
 
-def load_module(
-    heap: ObjectHeap,
-    name: str,
-    verify: bool = True,
-    facts=None,
-) -> CompiledModule:
+def load_module(heap: ObjectHeap, name: str) -> CompiledModule:
     """Recover a compiled module from the store (interface is signature-less).
 
     Stored bytecode is untrusted — it may come from an older writer or a
-    corrupted heap — so each code object is re-verified before it can be
-    linked (``verify=False`` opts out, e.g. for forensic inspection).  A
-    :class:`~repro.analysis.facts.FactStore` passed as ``facts`` lets a
-    code object whose PTML hash carries a ``verified`` analysis fact skip
-    re-verification: byte-identical PTML means the verdict transfers.
+    corrupted heap — so each code object is verified before it can be
+    linked; :class:`~repro.analysis.verify_tam.TamVerificationError` names
+    the first function that fails.  No persisted verdict stands in for the
+    check: the PTML hash a fact record is keyed by does not cover bytecode.
     """
     stored = heap.load_root(f"module:{name}")
     if not isinstance(stored, StoredModule):
         raise TLError(f"root module:{name} is not a stored module")
     functions: dict[str, CompiledFunction] = {}
     for fn_name, code, externals in stored.functions:
-        if verify and not _fact_verified(heap, code, facts):
-            assert_verified(code, name=f"{name}.{fn_name}")
+        assert_verified(code, name=f"{name}.{fn_name}")
         functions[fn_name] = CompiledFunction(
             name=fn_name,
             term=None,  # recoverable from PTML on demand

@@ -132,14 +132,10 @@ class TycoonSystem:
         """Store a compiled module (and its PTML blobs) in the heap."""
         return store_module(self.heap, self._compiled(name))
 
-    def load(self, name: str, facts=None) -> CompiledModule:
-        """Load a previously persisted module from the heap.
-
-        ``facts`` (a :class:`~repro.analysis.facts.FactStore`) lets code
-        whose PTML hash carries a verified analysis fact skip the load-time
-        bytecode re-verification.
-        """
-        module = load_module(self.heap, name, facts=facts)
+    def load(self, name: str) -> CompiledModule:
+        """Load a previously persisted module from the heap; its code is
+        verified first (:func:`repro.lang.modules.load_module`)."""
+        module = load_module(self.heap, name)
         self.compiled[name] = module
         return module
 

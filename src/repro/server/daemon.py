@@ -46,6 +46,7 @@ import time
 import traceback
 
 from repro.analysis.facts import FactStore
+from repro.analysis.verify_tam import TamVerificationError
 from repro.lang.errors import TLError
 from repro.lang.stdlib import STDLIB_MODULE_NAMES
 from repro.lang.system import TycoonSystem
@@ -285,12 +286,11 @@ class ReproServer:
 
         Building the :class:`TycoonSystem` stores the stdlib's PTML into
         the image (dirty objects), so a fresh image gets one boot commit
-        establishing the baseline.
+        establishing the baseline.  A module that cannot be decoded or
+        whose code fails verification is skipped; the others are served.
         """
         started = time.monotonic()
         loaded = []
-        # attach facts first: verified records let module loading skip the
-        # per-code re-verification for unchanged PTML hashes
         warm_facts = self.fact_store.attach(self.heap)
         for root in self.heap.root_names():
             if not root.startswith("module:"):
@@ -299,9 +299,9 @@ class ReproServer:
             if name in STDLIB_MODULE_NAMES:
                 continue
             try:
-                self.system.load(name, facts=self.fact_store)
+                self.system.load(name)
                 loaded.append(name)
-            except (TLError, HeapError) as exc:
+            except (TLError, HeapError, TamVerificationError) as exc:
                 print(f"repro-server: skipping module {name!r}: {exc}", file=sys.stderr)
         # the persisted metrics history survives restarts: reload the ring
         # so `stats --history` sees across-restart continuity

@@ -14,11 +14,13 @@ On disk a :class:`CommitLog` is an append-only file of framed records::
     magic "TYLG" | u32 format
     [ u32 payload_len | u32 crc32(payload) | payload ]*
 
-The CRC (reused from :mod:`repro.store.checksum`) makes a torn tail
-self-describing: opening the log stops at the first frame that fails to
-verify and truncates it away, so a crash mid-append costs at most the
-record being appended — which the image itself still has (the log append
-happens *after* the heap's commit point), so nothing durable is lost.
+Archive segments (:mod:`repro.store.recovery`) share the layout and the
+codec (:func:`pack_frame`, :func:`read_frame`).  The CRC (reused from
+:mod:`repro.store.checksum`) makes a torn tail self-describing: opening the
+log stops at the first frame that fails to verify and truncates it away,
+so a crash mid-append costs at most the record being appended — which the
+image itself still has (the log append happens *after* the heap's commit
+point), so nothing durable is lost.
 
 Appends are fsynced before :meth:`CommitLog.append` returns; a record a
 primary has streamed is therefore always recoverable locally for
@@ -39,7 +41,10 @@ from repro.obs.metrics import METRICS
 from repro.store.checksum import crc32
 from repro.store.serialize import Decoder, Encoder, SerializeError
 
-__all__ = ["CommitLogError", "ChangeRecord", "CommitLog", "READ_BATCH"]
+__all__ = [
+    "CommitLogError", "ChangeRecord", "CommitLog", "READ_BATCH",
+    "LOG_HEADER", "read_format", "pack_frame", "read_frame",
+]
 
 _APPENDS = METRICS.counter("store.commitlog.appends", "records appended")
 _APPEND_BYTES = METRICS.counter("store.commitlog.bytes", "record payload bytes appended")
@@ -86,6 +91,8 @@ MAGIC = b"TYLG"
 LOG_FORMAT = 4
 _HEADER = struct.Struct("<4sI")
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+#: the first bytes of a log or archive segment written by this build
+LOG_HEADER = _HEADER.pack(MAGIC, LOG_FORMAT)
 
 
 class CommitLogError(Exception):
@@ -224,6 +231,37 @@ class ChangeRecord:
             raise CommitLogError(f"malformed wire record: {exc!r}") from exc
 
 
+def read_format(f) -> int | None:
+    """The format word of the log file ``f``, read from its current
+    position (its start); None when ``f`` is not a commit log."""
+    head = f.read(_HEADER.size)
+    if len(head) < _HEADER.size or head[:4] != MAGIC:
+        return None
+    return _HEADER.unpack(head)[1]
+
+
+def pack_frame(record: ChangeRecord) -> bytes:
+    """``record`` as one length-prefixed, CRC-checked frame."""
+    payload = record.encode()
+    return _FRAME.pack(len(payload), crc32(payload)) + payload
+
+
+def read_frame(f) -> ChangeRecord | None:
+    """The record of the frame at ``f``'s position; None at the end.
+
+    A frame that is cut short, fails its CRC or does not decode raises
+    :class:`CommitLogError`: each caller decides what a torn tail means.
+    """
+    head = f.read(_FRAME.size)
+    if len(head) < _FRAME.size:
+        return None
+    length, stored_crc = _FRAME.unpack(head)
+    payload = f.read(length)
+    if len(payload) < length or crc32(payload) != stored_crc:
+        raise CommitLogError("torn or corrupt frame")
+    return ChangeRecord.decode(payload)
+
+
 class CommitLog:
     """Append-only, checksummed, crash-truncating record log."""
 
@@ -248,7 +286,7 @@ class CommitLog:
         if existed:
             self._recover()
         else:
-            self._file.write(_HEADER.pack(MAGIC, LOG_FORMAT))
+            self._file.write(LOG_HEADER)
             self._file.flush()
             os.fsync(self._file.fileno())
 
@@ -256,40 +294,32 @@ class CommitLog:
 
     def _recover(self) -> None:
         self._file.seek(0)
-        head = self._file.read(_HEADER.size)
-        if len(head) < _HEADER.size or head[:4] != MAGIC:
+        fmt = read_format(self._file)
+        if fmt is None:
             raise CommitLogError(f"{self.path!r} is not a commit log")
-        (_, fmt) = _HEADER.unpack(head)
         if fmt < LOG_FORMAT:
             # older record encoding: the image is the truth, the log just a
             # catch-up sidecar — restart it empty under the current format
             # (followers older than this point resync via snapshot)
             self._file.seek(0)
             self._file.truncate(0)
-            self._file.write(_HEADER.pack(MAGIC, LOG_FORMAT))
+            self._file.write(LOG_HEADER)
             self._file.flush()
             os.fsync(self._file.fileno())
             _TRUNCATIONS.inc()
             return
         if fmt != LOG_FORMAT:
             raise CommitLogError(f"unsupported commit-log format {fmt}")
-        offset = _HEADER.size
-        good_end = offset
+        good_end = _HEADER.size
         while True:
-            frame = self._file.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                break
-            length, stored_crc = _FRAME.unpack(frame)
-            payload = self._file.read(length)
-            if len(payload) < length or crc32(payload) != stored_crc:
-                break  # torn tail: everything from here on is garbage
             try:
-                record = ChangeRecord.decode(payload)
+                record = read_frame(self._file)
             except CommitLogError:
+                break  # torn tail: everything from here on is garbage
+            if record is None:
                 break
-            self._note(record, offset)
-            offset += _FRAME.size + length
-            good_end = offset
+            self._note(record, good_end)
+            good_end = self._file.tell()
         self._file.seek(0, os.SEEK_END)
         if self._file.tell() > good_end:
             _TRUNCATIONS.inc()
@@ -315,11 +345,11 @@ class CommitLog:
                     f"non-contiguous append: version {record.version} "
                     f"after {self.last_version}"
                 )
-            payload = record.encode()
+            frame = pack_frame(record)
             self._file.seek(0, os.SEEK_END)
             offset = self._file.tell()
             try:
-                self._file.write(_FRAME.pack(len(payload), crc32(payload)) + payload)
+                self._file.write(frame)
                 self._file.flush()
                 os.fsync(self._file.fileno())
             except OSError:
@@ -335,7 +365,7 @@ class CommitLog:
                 raise
             self._note(record, offset)
             _APPENDS.inc()
-            _APPEND_BYTES.inc(len(payload))
+            _APPEND_BYTES.inc(len(frame) - _FRAME.size)
 
     def reset(self) -> None:
         """Discard every record, keeping only the file header.
@@ -429,14 +459,13 @@ class CommitLog:
                 self._file.seek(start)
                 records: list[ChangeRecord] = []
                 while len(records) < batch:
-                    frame = self._file.read(_FRAME.size)
-                    if len(frame) < _FRAME.size:
+                    try:
+                        record = read_frame(self._file)
+                    except CommitLogError as exc:
+                        raise CommitLogError(f"corrupt record mid-log: {exc}") from exc
+                    if record is None:
                         break
-                    length, stored_crc = _FRAME.unpack(frame)
-                    payload = self._file.read(length)
-                    if len(payload) < length or crc32(payload) != stored_crc:
-                        raise CommitLogError("corrupt record mid-log")
-                    records.append(ChangeRecord.decode(payload))
+                    records.append(record)
             if not records:
                 return
             yield from records

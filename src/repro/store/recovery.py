@@ -44,15 +44,14 @@ import time
 import threading
 
 from repro.obs.metrics import METRICS
-from repro.store.checksum import crc32
 from repro.store.commitlog import (
-    _FRAME,
-    _HEADER,
     LOG_FORMAT,
-    MAGIC,
-    ChangeRecord,
+    LOG_HEADER,
     CommitLog,
     CommitLogError,
+    pack_frame,
+    read_format,
+    read_frame,
 )
 from repro.store.fsck import fsck_image
 from repro.store.heap import ObjectHeap
@@ -212,23 +211,6 @@ def _store_manifest(
 # -------------------------------------------------------------------- segments
 
 
-def _encode_segment(records: list[ChangeRecord]) -> bytes:
-    parts = [_HEADER.pack(MAGIC, LOG_FORMAT)]
-    for record in records:
-        payload = record.encode()
-        parts.append(_FRAME.pack(len(payload), crc32(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def _segment_format(f) -> int | None:
-    """The commit-log format word of an open segment (None: not a segment)."""
-    head = f.read(_HEADER.size)
-    if len(head) < _HEADER.size or head[:4] != MAGIC:
-        return None
-    return _HEADER.unpack(head)[1]
-
-
 def read_segment(path: str):
     """Iterate the records of one archive segment, CRC-verified.
 
@@ -242,7 +224,7 @@ def read_segment(path: str):
     """
     try:
         with open(path, "rb") as f:
-            fmt = _segment_format(f)
+            fmt = read_format(f)
             if fmt is None:
                 return
             if fmt != LOG_FORMAT:
@@ -252,17 +234,13 @@ def read_segment(path: str):
                     "replayed — take a new full backup"
                 )
             while True:
-                frame = f.read(_FRAME.size)
-                if len(frame) < _FRAME.size:
-                    return
-                length, stored_crc = _FRAME.unpack(frame)
-                payload = f.read(length)
-                if len(payload) < length or crc32(payload) != stored_crc:
-                    return  # torn tail: the records end here
                 try:
-                    yield ChangeRecord.decode(payload)
+                    record = read_frame(f)
                 except CommitLogError:
+                    return  # torn tail: the records end here
+                if record is None:
                     return
+                yield record
     except FileNotFoundError:
         return
 
@@ -274,7 +252,7 @@ def stale_segments(directory: str) -> list[str]:
         name = str(entry["name"])
         try:
             with open(os.path.join(directory, name), "rb") as f:
-                if _segment_format(f) not in (None, LOG_FORMAT):
+                if read_format(f) not in (None, LOG_FORMAT):
                     stale.append(name)
         except FileNotFoundError:
             continue
@@ -361,7 +339,7 @@ class LogArchiver:
         os.makedirs(self.directory, exist_ok=True)
         seq = int(manifest.get("next_seq", 1))
         name = f"{seq:06d}.tylg"
-        data = _encode_segment(records)
+        data = LOG_HEADER + b"".join(pack_frame(record) for record in records)
         _write_atomic(
             os.path.join(self.directory, name),
             data,

@@ -14,7 +14,6 @@ from repro.analysis.absint import (
     Summary,
     analyze_code,
     closure_kind,
-    handler_diagnostics,
     join_kind,
     kind_from_token,
     kind_le,
@@ -192,11 +191,15 @@ class TestGuaranteedTraps:
         assert {d.code for d in analysis.diagnostics if d.is_error} == {"TAM101"}
 
 
+def _handler_findings(code):
+    return [d for d in analyze_code(code).diagnostics if d.code == "TAM020"]
+
+
 class TestHandlerDepth:
     def test_bare_poph_fires_tam020(self):
         supply = NameSupply()
         code = _proc(supply, instrs=[("poph",), ("tailcall", 2, (0,))])
-        found = handler_diagnostics(code)
+        found = _handler_findings(code)
         assert [d.code for d in found] == ["TAM020"]
         assert found[0].severity == Severity.WARNING
 
@@ -206,7 +209,7 @@ class TestHandlerDepth:
             supply,
             instrs=[("pushh", 0), ("poph",), ("tailcall", 2, (0,))],
         )
-        assert handler_diagnostics(code) == []
+        assert _handler_findings(code) == []
 
     def test_double_pop_fires(self):
         supply = NameSupply()
@@ -214,7 +217,7 @@ class TestHandlerDepth:
             supply,
             instrs=[("pushh", 0), ("poph",), ("poph",), ("tailcall", 2, (0,))],
         )
-        assert [d.code for d in handler_diagnostics(code)] == ["TAM020"]
+        assert [d.code for d in _handler_findings(code)] == ["TAM020"]
 
 
 # ----------------------------------------------------------- interprocedural

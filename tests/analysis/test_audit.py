@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.audit import audit_image
 from repro.analysis.facts import FactStore
+from repro.analysis.verify_tam import TamVerificationError
 from repro.cli import main
 from repro.lang import TycoonSystem
 from repro.store.heap import ObjectHeap
@@ -95,21 +96,29 @@ class TestInvalidation:
         assert third.reused == third.functions
 
 
+def _flip_one_opcode_bit(path, fn="fact"):
+    """Flip the low bit of the opcode of ``t.<fn>``'s first instruction.
+
+    The PTML (and so the function's hash) does not move: only the bytecode
+    is corrupt, which no persisted fact record can see."""
+    heap = ObjectHeap(path)
+    oid = heap.root("module:t")
+    stored = heap.load(oid)
+    for fn_name, code, _externals in stored.functions:
+        if fn_name == fn:
+            op, *rest = code.instrs[0]
+            code.instrs[0] = (op[:-1] + chr(ord(op[-1]) ^ 1), *rest)
+            break
+    heap.update(oid, stored)
+    heap.commit()
+    heap.close()
+
+
 class TestNegativeControl:
     def test_bit_flipped_bytecode_fails_the_audit(self, image):
         # flip one stored instruction's opcode — the structural verifier
         # must catch it and the audit must go red
-        heap = ObjectHeap(image)
-        oid = heap.root("module:t")
-        stored = heap.load(oid)
-        for fn_name, code, _externals in stored.functions:
-            if fn_name == "fact":
-                op, *rest = code.instrs[0]
-                code.instrs[0] = (op[:-1] + chr(ord(op[-1]) ^ 1), *rest)
-                break
-        heap.update(oid, stored)
-        heap.commit()
-        heap.close()
+        _flip_one_opcode_bit(image)
         report = audit_image(image)
         assert not report.ok
         assert any(d.code == "TAM001" for d in report.diagnostics)
@@ -127,6 +136,45 @@ class TestNegativeControl:
             store.lookup(k).name for k in graph_keys if store.lookup(k)
         }
         assert not report.ok
+
+    def test_a_warm_audit_still_verifies_every_function(self, image, capsys):
+        warm = audit_image(image)
+        assert warm.ok and warm.analyzed > 0  # facts for t.fact installed
+        _flip_one_opcode_bit(image)
+        report = audit_image(image)
+        assert not report.ok
+        assert [d.subject or d.path for d in report.diagnostics if d.is_error] == [
+            "t.fact.instrs[0]"
+        ]
+        assert report.reused == report.functions - 1  # only t.fact re-analyzed
+        assert main(["audit", image]) == 1
+        assert "TAM001" in capsys.readouterr().out
+
+    def test_a_failing_function_loses_its_record(self, image):
+        audit_image(image)
+        _flip_one_opcode_bit(image)
+        audit_image(image)
+        heap = ObjectHeap(image)
+        store = FactStore()
+        store.attach(heap)
+        heap.close()
+        names = {store.lookup(key).name for key in store.keys()}
+        assert "t.main" in names and "t.fact" not in names
+
+    def test_load_after_an_audit_still_verifies(self, image):
+        audit_image(image)
+        _flip_one_opcode_bit(image)
+        system = TycoonSystem(heap=ObjectHeap(image))
+        facts = FactStore()
+        facts.attach(system.heap)
+        try:
+            with pytest.raises(TamVerificationError, match="TAM001"):
+                system.load("t")
+            # no fact record can be handed in to stand for the check
+            with pytest.raises(TypeError):
+                system.load("t", facts=facts)
+        finally:
+            system.heap.close()
 
 
 class TestCli:

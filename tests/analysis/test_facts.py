@@ -11,7 +11,6 @@ def _record(key="k1", name="m.f", deps=()):
         name=name,
         summary=Summary(name=name, arity=3, is_proc=True, result="int",
                         raises="str", effect="pure", ret_deltas=(0,)),
-        verified=True,
         deps=tuple(deps),
     )
 
@@ -73,7 +72,6 @@ class TestImageResidence:
         warm = FactStore()
         assert warm.attach(heap) == 1
         record = warm.lookup("k1")
-        assert record.verified
         assert record.summary.result == "int"
         assert record.deps == (("m.f", "k1"), ("m.g", "k2"))
         heap.close()
@@ -84,6 +82,13 @@ class TestImageResidence:
         store.flush(heap)  # nothing installed: no root created
         assert heap.root(FACTS_ROOT) is None
         heap.close()
+
+    def test_an_older_record_with_a_verified_bit_still_reads(self):
+        data = _record().as_dict()
+        assert "verified" not in data
+        record = FactRecord.from_dict({**data, "verified": True})
+        assert record.summary.result == "int"
+        assert not hasattr(record, "verified")
 
     def test_unknown_schema_records_skipped(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "facts.db"))

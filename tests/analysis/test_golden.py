@@ -26,7 +26,7 @@ GOLDEN = Path(__file__).with_name("golden_warnings.json")
 
 # compile without the optimizer so the checked pipeline sees the raw CPS
 # terms and every rule application happens under supervision
-_RAW = CompileOptions(optimizer=None, verify_code=False)
+_RAW = CompileOptions(optimizer=None)
 
 
 def _lint_unit(term, code, registry):

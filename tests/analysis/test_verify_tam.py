@@ -255,7 +255,9 @@ class TestHandlerDepthPrecision:
 
     Regression suite for the materialized-continuation pattern: a nested
     closure that pops a handler its *parent* pushed is balanced — the old
-    per-code heuristic could not see across the family boundary.
+    per-code heuristic could not see across the family boundary.  The
+    abstract interpreter reports it, through ``lint_code``; the verifier
+    gate does not.
     """
 
     @staticmethod
@@ -298,20 +300,22 @@ class TestHandlerDepthPrecision:
         # the child pops the handler the parent pushed before calling out:
         # depth at the child's poph is provably 1, so no finding
         code = self._family(pops_in_child=1)
-        assert verify_code(code, name="with_handler") == []
+        assert lint_code(code, name="with_handler") == []
 
     def test_double_pop_through_continuation_fires(self):
         # a second poph in the child provably reaches depth 0: it would pop
         # a handler installed by with_handler's own caller
         code = self._family(pops_in_child=2)
-        found = verify_code(code, name="with_handler")
+        found = lint_code(code, name="with_handler")
         assert [d.code for d in found] == ["TAM020"]
         assert not any(d.is_error for d in found)  # warning severity
+        # a warning is not the gate's business: the code verifies
+        assert verify_code(code, name="with_handler") == []
 
     def test_pop_without_any_push_fires_at_root(self):
         import dataclasses as dc
 
         code = self._family(pops_in_child=1)
         bare = dc.replace(code, instrs=[("poph",)] + list(code.instrs[1:]))
-        found = verify_code(bare, name="with_handler")
+        found = lint_code(bare, name="with_handler")
         assert "TAM020" in {d.code for d in found}

@@ -91,7 +91,7 @@ def test_flush_and_attach_roundtrip(tmp_path):
     warm = FactStore()
     assert warm.attach(reopened) == 1
     record = warm.lookup(key)
-    assert record.summary is None and not record.verified
+    assert record.summary is None
     assert record.attributes == {fingerprint: {"cost_before": 9, "cost_after": 4}}
     assert all(reopened.root(root) is None for root in LEGACY_ROOTS)
     reopened.close()

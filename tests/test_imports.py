@@ -45,6 +45,7 @@ def test_the_daemon_imports_no_compiler_optimizer_or_benchmark():
         "repro.reflect", "repro.bench",
         "repro.query.rules", "repro.query.optimizer",
         "repro.analysis.audit", "repro.analysis.lint",
+        "repro.analysis.absint", "repro.analysis.effects",
         "repro.machine.cps_interp",
     )
 
