@@ -284,13 +284,10 @@ class CodeObject:
     #: persistent representation of the TML tree").
     ptml_ref: Any = None
     #: :func:`repro.machine.tier.compile_code`'s cache: the plain text's
-    #: function, ``None`` before the first activation.  Not part of the
-    #: value: never compared, printed, copied or persisted (nor are the two
-    #: fields below).
+    #: function (its ``max_path`` the instructions on its longest path),
+    #: ``None`` before the first activation.  Not part of the value: never
+    #: compared, printed, copied or persisted (nor is the field below).
     tier: Any = field(default=None, init=False, compare=False, repr=False)
-    #: instructions on the longest path through ``tier`` (infinite when an
-    #: ``extcall`` handler may run more); set before ``tier`` is
-    tier_max_path: float = field(default=0, init=False, compare=False, repr=False)
     #: the counted text's function (opcode counts, step budget), compiled the
     #: first time an activation needs it
     tier_counted: Any = field(default=None, init=False, compare=False, repr=False)

@@ -14,13 +14,26 @@ trap site) adds its path's length to ``vm.instructions``.  A subtree nested
 deeper than Python indents continues in a function of its own.  An
 ``extcall`` handler may re-enter the VM, so the count is brought up to date
 before the call and the path counts on from zero after it; such code has no
-static bound on one activation's instructions (``tier_max_path`` is
+static bound on one activation's instructions (the text's ``max_path`` is
 infinite).
+
+The plain text is compiled at the code object's first activation and sees
+that activation's bindings: a ``tailcall`` through a register a ``free``
+loaded from a slot holding a *leaf* closure — no free variables or nested
+codes, no ``free``, ``closure``, ``fix``, ``extcall``, ``ccall``, ``pushh``
+or ``poph``, no constants but ``int``, ``bool`` and unit: every library
+wrapper but ``math.sqrt`` — runs the callee's body inline when
+``vm.profiler is None`` and the closure called has that code object.  A leaf
+reads nothing but its arguments, so its code object fixes what it does and
+the guard needs no dependency hash; on a miss the call goes through the
+trampoline as before.  The inlined path's length counts towards the
+caller's, so counts, traps and ``max_path`` are those of the two
+activations; the counted text has no inline sites.
 
 This is the VM's only executor: code ``verify_tam`` rejects — not a tree, or
 reading a register no instruction on the path wrote (``TAM010``) — is
 malformed, and :func:`compile_code` raises :class:`MachineError` naming the
-diagnostic.
+diagnostic; an inlined callee passes the same gate.
 Each code object has two texts from one generator.  The *plain* one counts
 only ``vm.instructions``.  The *counted* one, which the trampoline runs under
 a ``VMProfiler`` or when the step limit could run out inside the activation,
@@ -74,6 +87,9 @@ _COMPILED = METRICS.counter(
     "vm.tier.compiled", "code-object texts compiled to Python (plain or counted)"
 )
 _COMPILE_S = METRICS.histogram("vm.tier.compile_s", "seconds compiling one code-object text")
+_INLINED = METRICS.counter(
+    "vm.tier.inlined", "library-call sites compiled inline behind a code-identity guard"
+)
 
 #: Python's tokenizer stops at 100 levels of indentation
 _MAX_DEPTH = 80
@@ -90,6 +106,10 @@ _OBSERVED = frozenset(
 
 #: the :func:`counters` every function of the counted text works with
 _SHARED = ("o", "p", "L")
+
+#: what a leaf does not do: read free variables, make closures, call out of
+#: the VM, move the handler stack
+_NOT_IN_A_LEAF = frozenset({"free", "closure", "fix", "extcall", "ccall", "pushh", "poph"})
 
 
 def counters(vm) -> tuple[dict, Counter, int]:
@@ -141,7 +161,7 @@ class _Path:
                      list(self.segment), self.checked)
 
 
-def _writes(kinds: tuple[str, ...], operands: list) -> list[str]:
+def _writes(kinds: tuple[str, ...], operands: list) -> list[int]:
     """The registers an instruction writes on fall-through."""
     writes = []
     for kind, operand in zip(kinds, operands):
@@ -149,7 +169,7 @@ def _writes(kinds: tuple[str, ...], operands: list) -> list[str]:
             writes.append(operand)
         elif kind == "group":
             writes += [dst for dst, _, _ in operand]
-    return [f"r{reg}" for reg in writes]
+    return writes
 
 
 def _captures(plan) -> str:
@@ -163,24 +183,32 @@ class _Registers(tuple):
         return "[" + ", ".join(self) + "]"
 
 
-def _rendered(kind: str, operand):
-    """An operand as emitters see it: a register as the local it becomes, a
-    capture plan as the list display it evaluates to, the rest as it is."""
-    if kind in ("r", "w", "ew", "ew?"):
-        return f"r{operand}"
-    if kind == "rs":
-        return _Registers(f"r{reg}" for reg in operand)
-    if kind == "plan":
-        return _captures(operand)
-    return operand
+def _errors(code: CodeObject) -> list:
+    # imported here: the analysis package imports the VM
+    from repro.analysis.verify_tam import code_errors
+
+    return code_errors(code)
+
+
+def _leaf(code: CodeObject) -> bool:
+    """``code`` can run inside its caller's text: it passes the tier's gate,
+    reads nothing but its parameters — which it does not write: they are
+    the caller's locals — and has only constants a text spells literally."""
+    if code.free_names or code.codes or _errors(code):
+        return False
+    if any(type(value) not in (int, bool) and value is not UNIT for value in code.consts):
+        return False
+    return not any(
+        instr[0] in _NOT_IN_A_LEAF
+        or any(kind in ("w", "ew") and reg < len(code.params)
+               for kind, reg in zip(OPS[instr[0]].operands, instr[1:]))
+        for instr in code.instrs
+    )
 
 
 class _Generator:
-    def __init__(self, code: CodeObject, counted: bool = False):
-        # imported here: the analysis package imports the VM
-        from repro.analysis.verify_tam import code_errors
-
-        errors = code_errors(code)
+    def __init__(self, code: CodeObject, counted: bool = False, free: list | None = None):
+        errors = _errors(code)
         if errors:
             error = errors[0]
             raise MachineError(f"{code.name} cannot run: {error.code} at {error.path}: "
@@ -188,6 +216,18 @@ class _Generator:
         self.code = code
         #: which text: the plain one, or the counted one
         self.counted = counted
+        #: the first activation's free slots: the plain text calls the leaf
+        #: closures among them inline
+        self.free = None if counted else free
+        #: register -> the closure a ``free`` loaded into it from ``free``
+        self.loaded: dict[str, VMClosure] = {}
+        #: guard name -> the code object its inline sites run
+        self.guards: dict[str, CodeObject] = {}
+        self.inlined = 0
+        #: while a callee is emitted inline: the locals its parameters are,
+        #: and how far its other registers are renumbered past the caller's
+        self.args: tuple[str, ...] = ()
+        self.offset = 0
         self.max_path = 0.0
         #: the functions finished so far, each after those it calls
         self.functions: list[str] = []
@@ -272,6 +312,48 @@ class _Generator:
         self.callees.append(name)
         self.function(name, arguments, taken.fork(pc, 1), [])
 
+    def local(self, reg: int) -> str:
+        """The local holding register ``reg`` of the code being emitted."""
+        if not self.offset:
+            return f"r{reg}"
+        return self.args[reg] if reg < len(self.args) else f"r{reg + self.offset}"
+
+    def rendered(self, kind: str, operand):
+        """An operand as emitters see it: a register as the local it is, a
+        capture plan as the list display it evaluates to, the rest as it is."""
+        if kind in ("r", "w", "ew", "ew?"):
+            return self.local(operand)
+        if kind == "rs":
+            return _Registers(self.local(reg) for reg in operand)
+        if kind == "plan":
+            return _captures(operand)
+        return operand
+
+    def inlinable(self, target: str, arguments: int) -> CodeObject | None:
+        """The code object a call of ``target`` with ``arguments`` values may
+        run inline: a leaf's, which the first activation bound ``target``'s
+        slot to.  Not inside an inlined body: the sites do not nest."""
+        closure = self.loaded.get(target)
+        if closure is None or self.offset or len(closure.code.params) != arguments:
+            return None
+        return closure.code if _leaf(closure.code) else None
+
+    def inline(self, at: _Path, target: str, arguments: tuple[str, ...], callee) -> None:
+        """``if`` the call of ``target`` is unprofiled and enters ``callee``:
+        ``callee``'s body, on the caller's path."""
+        guard = next((name for name, code in self.guards.items() if code is callee),
+                     f"G{len(self.guards)}")
+        self.guards[guard] = callee
+        if guard not in self.callees:
+            self.callees.append(guard)  # bound as a default, like a split subtree
+        self.emit(at, f"if vm.profiler is None and type({target}) is VMClosure"
+                      f" and {target}.code is {guard}:")
+        outer = self.code, self.args, self.offset
+        self.code, self.args, self.offset = callee, arguments, self.code.nregs
+        self.block(at.fork(0, at.depth + 1))
+        self.code, self.args, self.offset = outer
+        self.inlined += 1
+
     def block(self, at: _Path) -> None:
         instrs = self.code.instrs
         while at.pc is not None:
@@ -284,8 +366,8 @@ class _Generator:
             at.checked = False
             if op in _OBSERVED:
                 self.check(at)
-            EMITTERS[op](self, at, *map(_rendered, row.operands, operands))
-            at.defined.update(_writes(row.operands, operands))
+            EMITTERS[op](self, at, *map(self.rendered, row.operands, operands))
+            at.defined.update(map(self.local, _writes(row.operands, operands)))
         self.max_path = max(self.max_path, at.total)
 
 
@@ -304,10 +386,8 @@ _INT, _INTS = _not_int("{1}"), _not_int("{1}", "{2}")
 #: opcode -> (statement, (trap condition, trap value)...) for the instructions
 #: that check, then do one thing; ``{n}`` is the n-th operand, rendered
 _STRAIGHT = {
-    "tailcall": ("return {0}, {1}",),
     "raise": ("raise Trap({0})",),
     "halt": ("raise Halted({0})",),
-    "free": ("{0} = free[{1}]",),
     "closure": ("{0} = VMClosure(C[{1}], {2})",),
     "band": ("{0} = wrap_int({1} & {2})", (_INTS, "TYPE_ERROR")),
     "bor": ("{0} = wrap_int({1} | {2})", (_INTS, "TYPE_ERROR")),
@@ -351,10 +431,27 @@ def _straight(statement: str, *traps: tuple[str, str]):
     return emitter
 
 
+def _tailcall(g, at, target, arguments):
+    callee = g.inlinable(target, len(arguments))
+    if callee is not None:
+        g.inline(at, target, arguments, callee)
+    g.leave(at, f"return {target}, {arguments}")
+
+
+def _free(g, at, dst, slot):
+    g.emit(at, f"{dst} = free[{slot}]")
+    if g.free is not None and slot < len(g.free) and type(g.free[slot]) is VMClosure:
+        # kept when ``dst`` is written again: the guard, not this, is what
+        # makes an inline site right
+        g.loaded[dst] = g.free[slot]
+
+
 def _const(g, at, dst, index):
     value = g.code.consts[index]
     if type(value) in (int, bool):
         g.emit(at, f"{dst} = {value!r}")
+    elif g.offset:  # unit, in an inlined leaf: ``K`` is the caller's pool
+        g.emit(at, f"{dst} = UNIT")
     elif type(value) is Oid:  # one code object runs on VMs with and without a store
         g.check(at)
         g.emit(at, f"{dst} = K[{index}] if vm.store is None else vm.store.load(K[{index}])")
@@ -464,6 +561,8 @@ def _extcall(g, at, name, dst, arguments, epc, ed):
 #: (``tests/machine/test_isa_table.py`` holds the keys to ``OPS``)
 EMITTERS: dict[str, Callable] = {
     **{op: _straight(*spec) for op, spec in _STRAIGHT.items()},
+    "tailcall": _tailcall,
+    "free": _free,
     "const": _const,
     "fix": _fix,
     "add": _arith("+"),
@@ -484,30 +583,35 @@ EMITTERS: dict[str, Callable] = {
 }
 
 
-def source(code: CodeObject, counted: bool = False) -> str:
-    """The Python the tier runs for ``code`` — its plain text, or its counted
-    one (regenerated: it is not kept)."""
-    return _Generator(code, counted).text()
+def source(code: CodeObject, counted: bool = False, free: list | None = None) -> str:
+    """The Python the tier runs for ``code`` — its plain text, with the leaf
+    closures among ``free``'s slots called inline, or its counted one
+    (regenerated: it is not kept)."""
+    return _Generator(code, counted, free).text()
 
 
-def compile_code(code: CodeObject, counted: bool = False):
+def compile_code(code: CodeObject, counted: bool = False, free: list | None = None):
     """Compile one of ``code``'s texts and cache the function on it — the
-    plain one as ``code.tier`` (with ``code.tier_max_path``), the counted one
-    as ``code.tier_counted``: ``run(vm, free, args) -> (target, values)``.
-    Raises :class:`MachineError` on code ``verify_tam`` rejects.
+    plain one, which calls the leaf closures among ``free``'s slots inline,
+    as ``code.tier``, the counted one as ``code.tier_counted``:
+    ``run(vm, free, args) -> (target, values)``, whose ``max_path`` is the
+    most instructions one call runs.  Raises :class:`MachineError` on code
+    ``verify_tam`` rejects.
 
-    Threads racing a first activation both compile and both assign; either
-    function serves, so there is no lock."""
+    Threads racing a first activation all compile and all assign; each
+    function carries its own ``max_path``, so whichever is left serves, and
+    there is no lock."""
     started = time.perf_counter()
-    generator = _Generator(code, counted)
-    scope = {"K": code.consts, "C": code.codes}
+    generator = _Generator(code, counted, free)
+    scope = {"K": code.consts, "C": code.codes, **generator.guards}
     exec(compile(generator.text(), f"<tier {code.name}>", "exec"), _ENV, scope)
     run = scope["run"]
+    run.max_path = generator.max_path
     if counted:
         code.tier_counted = run
     else:
-        code.tier_max_path = generator.max_path
         code.tier = run
     _COMPILED.inc()
+    _INLINED.inc(generator.inlined)
     _COMPILE_S.observe(time.perf_counter() - started)
     return run

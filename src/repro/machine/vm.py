@@ -191,7 +191,7 @@ class VM:
                                 run = code.tier or compile_code(code)
                                 if profile.per_instruction or (
                                     limit is not None
-                                    and self.instructions + code.tier_max_path > limit
+                                    and self.instructions + run.max_path > limit
                                 ):
                                     counted = counted or counters(self)
                                     run = code.tier_counted or compile_code(code, counted=True)
@@ -203,8 +203,10 @@ class VM:
                                 self._credited += own
                                 stats.instructions += own
                             continue
-                        run = code.tier or compile_code(code)
-                        if limit is not None and self.instructions + code.tier_max_path > limit:
+                        # compiled with this activation's bindings: it calls
+                        # the leaf closures among them inline
+                        run = code.tier or compile_code(code, free=target.free)
+                        if limit is not None and self.instructions + run.max_path > limit:
                             counted = counted or counters(self)
                             run = code.tier_counted or compile_code(code, counted=True)
                             target, values = run(self, target.free, values, counted)

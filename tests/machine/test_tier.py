@@ -20,16 +20,25 @@ import pytest
 from repro.analysis.verify_tam import verify_code
 from repro.core.names import NameSupply
 from repro.core.parser import parse_term
-from repro.core.syntax import Oid
+from repro.core.syntax import Char, Oid
 from repro.lang import TycoonSystem
 from repro.machine.binfmt import encode_code
 from repro.machine.codegen import compile_function
 from repro.machine.isa import CodeObject, VMClosure, flatten_codes
-from repro.machine.runtime import EXT_OPS, MachineError, UncaughtTmlException
+from repro.machine.runtime import (
+    ARITY_ERROR,
+    EXT_OPS,
+    TYPE_ERROR,
+    MachineError,
+    TmlArray,
+    TmlVector,
+    UncaughtTmlException,
+)
 from repro.machine.tier import source
 from repro.machine.vm import VM, StepLimitExceeded, instantiate
 from repro.obs.metrics import METRICS
 from repro.obs.profile import VMProfiler
+from repro.primitives._util import INT_MAX, INT_MIN
 from repro.query import Relation
 from repro.query.algebra import query_registry
 from repro.store.serialize import encode_value
@@ -128,10 +137,15 @@ def _rows(n: int) -> Relation:
     ids=["looping", "trapping-into-a-handler", "extcall-that-re-enters"],
 )
 def test_every_step_limit_stops_where_the_interpreter_stops(text, args):
+    """The library calls (``int.add``, ``arraylib.get``, ...) run inline in
+    the plain text, whose ``max_path`` then counts their bodies: which text
+    a limit selects moves, where it stops does not."""
     system = TycoonSystem()
     system.compile(text)
     closure = system.closure("m", "run")
+    inlined = counter("vm.tier.inlined")
     unbounded = both(closure, args)
+    assert counter("vm.tier.inlined") > inlined, "no library call was compiled inline"
     assert unbounded[0] == "value"
     total = unbounded[3]
     assert 100 < total < 2000
@@ -289,7 +303,7 @@ def test_nesting_deeper_than_python_indents_compiles(depth):
     assert both(closure, (1, 2)) == ("value", "1", [], 2)
     for limit in (1, 80, depth, depth + 1):
         both(closure, (2, 1), limit=limit)
-    assert callable(closure.code.tier) and closure.code.tier_max_path == depth + 1
+    assert callable(closure.code.tier) and closure.code.tier.max_path == depth + 1
     for counted in (False, True):
         assert source(closure.code, counted).count("\ndef ") == depth // 80
 
@@ -348,18 +362,36 @@ def test_an_oid_constant_is_loaded_from_the_store_the_vm_has():
 
 
 def test_threads_racing_the_first_activation_all_get_the_answer():
+    """The racers' first activations of one caller bind its slot to
+    ``int.add`` or to a closure that prints, so each compiles a text of its
+    own; under a step limit one short of the run in every other thread,
+    each text must come with its own ``max_path``."""
     system = TycoonSystem()
     system.compile(LOOPING)
     closure = system.closure("m", "run")
+    code = calling(system.closure("int", "add")).code
+    bindings = [system.closure("int", "add"), PRINTING]
+    # the reference loop compiles nothing: ``code`` is still to be raced for
+    totals = [observe(VMClosure(code, [slot]), (1, 2), "reference")[0][3] for slot in bindings]
+    expected = {
+        (kind, short): observe(VMClosure(code, [bindings[kind]]), (1, 2), "reference",
+                               limit=totals[kind] - short)[0]
+        for kind in (0, 1) for short in (0, 1)
+    }
+    assert code.tier is None
     workers = 8
     barrier = threading.Barrier(workers)
-    answers = []
+    answers, outcomes = [], []
 
-    def first_call():
+    def first_call(i: int):
+        kind, short = i % 2, i // 2 % 2
         barrier.wait(timeout=10)
+        caller = VMClosure(code, [bindings[kind]])
+        outcome = observe(caller, (1, 2), "plain", limit=totals[kind] - short)[0]
+        outcomes.append(outcome == expected[kind, short])
         answers.append(system.vm().call(closure, [20]).value)
 
-    threads = [threading.Thread(target=first_call) for _ in range(workers)]
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(workers)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -370,5 +402,116 @@ def test_threads_racing_the_first_activation_all_get_the_answer():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [True] * workers
     assert answers == [sum(i * i for i in range(1, 21))] * workers
-    assert callable(closure.code.tier)
+    assert callable(closure.code.tier) and callable(code.tier)
+
+
+# ---------------------------------------------------------------------------
+# library calls run inline
+# ---------------------------------------------------------------------------
+
+
+def calling(callee: VMClosure) -> VMClosure:
+    """``proc(v.. ce cc) (f v.. ce cc)``, its free slot ``f`` bound to
+    ``callee``: a library call, as compiled TL code makes it."""
+    supply = NameSupply()
+    n = callee.arity
+    params = (*(supply.fresh_val(f"v{i}") for i in range(n - 2)),
+              supply.fresh_cont("ce"), supply.fresh_cont("cc"))
+    code = CodeObject("caller", params, n + 1, [("free", n, 0), ("tailcall", n, tuple(range(n)))],
+                      free_names=(supply.fresh_val("f"),), is_proc=True)
+    return VMClosure(code, [callee])
+
+
+#: the library the calls below are made to
+_LIBRARY = TycoonSystem()
+#: a leaf too, with code of its own: it prints, then adds
+PRINTING = proc("proc(a b ce cc) (print a cont(u) (+ a b ce cc))")
+
+_ARRAY, _VECTOR = TmlArray([4, 5, 6]), TmlVector([4, 5])
+_BINARY = [(6, 3), (-7, 2), ("x", 1), (1, Char("a"))]
+
+#: every leaf wrapper of the library, with arguments that succeed, take the
+#: ``ce`` edge (overflow, zero divide), trap with a type or a bounds error
+LIBRARY_CALLS = {
+    "int.add": [(1, 2), (INT_MAX, 1), ("x", 1)],
+    "int.sub": [(1, 2), (INT_MIN, 1), (1, "x")],
+    "int.mul": [(6, 7), (INT_MAX, 2), (_ARRAY, 2)],
+    "int.div": [(7, 2), (-7, 2), (1, 0), (INT_MIN, -1), ("x", 1)],
+    "int.mod": [(7, 2), (-7, 2), (1, 0), (1, "x")],
+    **{f"int.{name}": [(1, 2), (2, 1), (2, 2), (1, "x")]
+       for name in ("lt", "gt", "le", "ge", "min", "max")},
+    "int.eq": [(1, 1), (1, 2), ("x", "x"), (_ARRAY, 1)],
+    "int.ne": [(1, 1), (1, 2), (Char("a"), Char("a"))],
+    "int.neg": [(5,), (INT_MIN,), ("x",)],
+    "arraylib.new": [(2, 7), (0, 1), (-1, 0), ("x", 0)],
+    "arraylib.get": [(_ARRAY, 1), (_VECTOR, 0), (_ARRAY, 3), (_ARRAY, -1), (_ARRAY, "x"), (5, 0)],
+    "arraylib.set": [(_ARRAY, 1, 9), (_ARRAY, 3, 9), (_VECTOR, 0, 9), (_ARRAY, "x", 9)],
+    "arraylib.size": [(_ARRAY,), (_VECTOR,), (5,)],
+    "arraylib.copy": [(_ARRAY, 0, TmlArray([0] * 4), 1, 3), (_ARRAY, 2, _ARRAY, 0, 5),
+                      (5, 0, _ARRAY, 0, 1)],
+    "io.print": [(7,), ("s",), (_ARRAY,), (Char("c"),)],
+    "charlib.ord": [(Char("a"),), (65,)],
+    "charlib.chr": [(65,), (321,), (Char("a"),)],
+    **{f"bits.{name}": _BINARY + [(1, 64), (-1, 63)]
+       for name in ("band", "bor", "bxor", "shl", "shr")},
+    "bits.bnot": [(5,), (INT_MIN,), ("x",)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+def test_a_library_call_runs_inline_as_the_interpreter_runs_the_call(name):
+    library = _LIBRARY.closure(*name.split("."))
+    kinds = set()
+    for args in LIBRARY_CALLS[name]:
+        callee = VMClosure(copy.deepcopy(library.code), [])
+        caller = calling(callee)
+        inlined = counter("vm.tier.inlined")
+        first, _ = observe(caller, args, "plain")
+        assert counter("vm.tier.inlined") == inlined + 1, "the call was not compiled inline"
+        assert callee.code.tier is None, "the inline site was not taken"
+        assert both(caller, args) == first
+        kinds.add(first[0])
+    total = name in ("int.eq", "int.ne", "io.print")  # they take any value
+    assert kinds == ({"value"} if total else {"value", "raise"})
+
+
+def test_math_sqrt_and_a_closure_with_free_variables_are_not_leaves():
+    for callee in (_LIBRARY.closure("math", "sqrt"), calling(_LIBRARY.closure("int", "add"))):
+        caller = calling(callee)
+        assert source(caller.code, free=caller.free) == source(caller.code)
+
+
+def test_a_binding_the_guard_does_not_accept_goes_through_the_trampoline():
+    """The caller's text is compiled at its first activation, with ``int.add``
+    in its slot; later closures of the same code bind the slot to a closure
+    that prints, to another leaf, to a leaf of another arity and to no
+    closure at all."""
+    caller = calling(_LIBRARY.closure("int", "add"))
+    inlined = counter("vm.tier.inlined")
+    assert both(caller, (1, 2)) == ("value", "3", [], 4)
+    assert counter("vm.tier.inlined") == inlined + 1
+    for slot, seen in [
+        (PRINTING, ("value", "3", ["1"])),
+        (_LIBRARY.closure("int", "sub"), ("value", "-1", [])),
+        (_LIBRARY.closure("int", "neg"), ("raise", repr(ARITY_ERROR), [])),
+        (5, ("raise", repr(TYPE_ERROR), [])),
+    ]:
+        assert both(VMClosure(caller.code, [slot]), (1, 2))[:3] == seen
+    assert both(caller, (1, 2)) == ("value", "3", [], 4)
+
+
+def test_the_plain_text_has_inline_sites_only_given_the_bindings():
+    caller = calling(_LIBRARY.closure("int", "add"))
+    assert source(caller.code) == (
+        "def run(vm, free, args, K=K, C=C):\n"
+        "    r0, r1, r2, r3, = args\n"
+        "    r4 = free[0]\n"
+        "    vm.instructions += 2\n"
+        "    return r4, [r0, r1, r2, r3]\n"
+    )
+    inlined = source(caller.code, free=caller.free)
+    assert inlined.startswith("def run(vm, free, args, K=K, C=C, G0=G0):")
+    assert "if vm.profiler is None and type(r4) is VMClosure and r4.code is G0:" in inlined
+    assert source(caller.code, counted=True, free=caller.free) == source(caller.code, True)
