@@ -145,6 +145,12 @@ class Interpreter:
         env = Env(dict(zip(closure.abs.params, full_args)), closure.env)
         return self._trampoline(closure.abs.body, env)
 
+    def procedure(self, closure: Closure, n: int) -> Callable[..., Any]:
+        """The re-entry a bulk primitive makes once per row
+        (:meth:`repro.machine.vm.VM.procedure`): a callable running
+        ``closure`` on ``n`` values as one :meth:`call`, to its value."""
+        return lambda *args: self.call(closure, list(args)).value
+
     def make_closure(self, abs_node: Abs, bindings: dict[Name, Any] | None = None) -> Closure:
         """Close an abstraction over explicit bindings."""
         return Closure(abs_node, Env(dict(bindings or {})))

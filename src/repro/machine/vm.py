@@ -16,12 +16,14 @@ its counted one when a :class:`~repro.obs.profile.VMProfiler` wants opcode
 counts or the step limit could run out inside the activation.
 :meth:`VM._loop` is the trampoline between activations and chooses the text
 from what it can observe; the two agree on every value, trap and count.
+:meth:`VM.procedure`, the re-entry of a bulk query primitive, calls a
+predicate's plain text without it when no profile or step limit is attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.machine.isa import CodeObject, VMClosure
 from repro.machine.runtime import (
@@ -103,6 +105,7 @@ class VM:
         #: :class:`~repro.obs.profile.VMProfiler` (plus per-opcode totals)
         self.profiler = profiler
         #: runs in progress: > 1 while an extcall handler has re-entered
+        #: through :meth:`apply`
         self._depth = 0
         #: instructions credited to profiled activations so far
         self._credited = 0
@@ -116,8 +119,8 @@ class VM:
         return VMResult(value, self.instructions - start_instr, self.output[start_output:])
 
     def apply(self, closure: VMClosure, args: list[Any]) -> Any:
-        """:meth:`call`, returning the bare value: the re-entry a bulk
-        primitive makes once per row, which has no use for a result record."""
+        """:meth:`call`, returning the bare value: a nested run, for a caller
+        that has no use for a result record."""
         if len(closure.code.params) != len(args) + 2:  # ``arity``, without a call per row
             raise MachineError(
                 f"procedure {closure.code.name} expects {closure.arity} args "
@@ -126,7 +129,7 @@ class VM:
         start_instr, start_output = self.instructions, len(self.output)
         self._depth += 1
         try:
-            value = self._loop(closure, [*args, _TOP_EXCEPTION, _TOP_NORMAL])
+            value = self._loop(closure, [*args, _TOP_EXCEPTION, _TOP_NORMAL], len(self.handlers))
         except StepLimitExceeded as exc:
             # enrich with the truncated run's observable state (satellite of
             # the obs layer: profilers/tests inspect how far execution got)
@@ -145,9 +148,49 @@ class VM:
             _VM_INSTRUCTIONS.inc(self.instructions - start_instr)
         return value
 
+    def procedure(self, closure: Any, n: int) -> Callable[..., Any]:
+        """The re-entry a bulk primitive makes once per row: a callable that
+        runs ``closure`` on ``n`` values and returns what its ``cc``
+        receives, or raises :class:`UncaughtTmlException` with what its
+        ``ce`` receives (or a trap no handler it pushed caught).
+
+        With no profile and no step limit, a closure taking ``n`` values
+        calls its code object's plain text directly, and only an activation
+        that does not answer at once — a tail call to another closure, a
+        trap, a halt — goes on in :meth:`_loop`, floored where the call
+        began.  Otherwise each call is :meth:`apply`'s nested run, so
+        profiles, step budgets and the arity error are those of one.  The
+        choice is made here: a run's profile and step limit are fixed for
+        its duration."""
+        if (
+            self.profiler is not None
+            or self.step_limit is not None
+            or type(closure) is not VMClosure
+            or len(closure.code.params) != n + 2
+        ):
+            return lambda *args: self.apply(closure, list(args))
+        code, free, handlers = closure.code, closure.free, self.handlers
+        run = code.tier or compile_code(code, free=free)
+
+        def call(*args):
+            floor = len(handlers)
+            try:
+                target, values = run(self, free, [*args, _TOP_EXCEPTION, _TOP_NORMAL])
+                if target is _TOP_NORMAL:
+                    return values[0]
+            except Trap as trap:
+                if len(handlers) <= floor:
+                    raise UncaughtTmlException(trap.value) from None
+                target, values = handlers.pop(), [trap.value]
+            except Halted as halted:
+                return halted.value
+            return self._loop(target, values, floor)
+
+        return call
+
     # ------------------------------------------------------------ main loop
 
-    def _loop(self, target: Any, values: list[Any]) -> Any:
+    def _loop(self, target: Any, values: list[Any], floor: int) -> Any:
         """The trampoline: enter closure after closure until a top
         continuation receives the run's value.
 
@@ -164,14 +207,13 @@ class VM:
         ``self.instructions`` less what the activations of nested runs were
         credited — however it ends (tail call, trap, halt, step limit).
 
-        A run sees only the handlers it pushed: a trap with none above the
-        depth the stack had when the run began ends the run as an
-        :class:`UncaughtTmlException` — which, for a run an ``extcall``
-        handler started (a query predicate), the primitive hands to its own
-        exception continuation."""
+        A run sees only the handlers it pushed: a trap with none above
+        ``floor``, the depth the stack had when the run began, ends the run
+        as an :class:`UncaughtTmlException` — which, for a run an
+        ``extcall`` handler started (a query predicate), the primitive hands
+        to its own exception continuation."""
         limit = self.step_limit
         profile = self.profiler
-        floor = len(self.handlers)
         counted = None  # the counted text's counters, made when first needed
         while True:
             try:
@@ -182,8 +224,7 @@ class VM:
                             raise Trap(ARITY_ERROR)
                         if profile is not None:
                             # the choice made below, with the credit around
-                            # it: kept apart so that unprofiled runs, which
-                            # ``VM.apply`` starts once per query row, do no
+                            # it: kept apart so that unprofiled runs do no
                             # accounting at all
                             stats = profile.enter(code.name)
                             uncredited = self.instructions - self._credited

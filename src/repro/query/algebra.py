@@ -30,6 +30,7 @@ optimizer's expansion pass runs in a runtime optimization.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Callable
 
 from repro.core.syntax import Application, Lit, PrimApp
@@ -59,18 +60,14 @@ def _need_relation(value: Any) -> Relation:
     return value
 
 
-def _call_proc(machine, closure, args: list[Any]) -> Any:
-    """Call back into the machine to run a higher-order query argument."""
+@contextmanager
+def _predicate_raises():
+    """Around an operator's row loop: a predicate that invoked its exception
+    continuation (or trapped with no handler of its own) fails the operator
+    at its ``ce``."""
     try:
-        # the VM returns the bare value; the reference interpreter's only
-        # re-entry builds a result record
-        apply = getattr(machine, "apply", None)
-        if apply is not None:
-            return apply(closure, args)
-        return machine.call(closure, args).value
+        yield
     except UncaughtTmlException as exc:
-        # the predicate invoked its exception continuation: propagate to the
-        # operator's ce
         raise ExtRaise(exc.value) from None
 
 
@@ -81,7 +78,8 @@ def _need_bool(value: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# operator implementations (machine-agnostic: `machine` has .apply or .call)
+# operator implementations (machine-agnostic: ``machine.procedure(closure,
+# n)`` is the callable that runs a higher-order argument on n values)
 # ---------------------------------------------------------------------------
 
 
@@ -89,16 +87,19 @@ def _op_select(machine, args: list[Any]) -> Relation:
     pred, rel = args
     relation = _need_relation(rel)
     out = Relation(_temp_name("select"), relation.fields)
-    for row in relation.scan():
-        if _need_bool(_call_proc(machine, pred, [row])):
-            out.insert(row)
+    test = machine.procedure(pred, 1)
+    with _predicate_raises():
+        for row in relation.scan():
+            if _need_bool(test(row)):
+                out.insert(row)
     return out
 
 
 def _op_project(machine, args: list[Any]) -> Relation:
     fn, rel = args
     relation = _need_relation(rel)
-    results = [_call_proc(machine, fn, [row]) for row in relation.scan()]
+    with _predicate_raises():
+        results = list(map(machine.procedure(fn, 1), relation.scan()))
     if results and all(
         isinstance(r, TmlVector) and len(r.slots) == len(results[0].slots)
         for r in results
@@ -121,20 +122,27 @@ def _op_join(machine, args: list[Any]) -> Relation:
     fields = list(left_rel.fields)
     for field in right_rel.fields:
         fields.append(f"r_{field}" if field in left_rel.fields else field)
+    if len(set(fields)) < len(fields):
+        # a renamed right field is a left field too
+        raise ExtRaise(f"queryError: join: duplicate field names {tuple(fields)}")
     out = Relation(_temp_name("join"), fields)
-    for lrow in left_rel.scan():
-        for rrow in right_rel.scan():
-            if _need_bool(_call_proc(machine, pred, [lrow, rrow])):
-                out.insert(TmlVector(list(lrow.slots) + list(rrow.slots)))
+    test = machine.procedure(pred, 2)
+    with _predicate_raises():
+        for lrow in left_rel.scan():
+            for rrow in right_rel.scan():
+                if _need_bool(test(lrow, rrow)):
+                    out.insert(TmlVector(list(lrow.slots) + list(rrow.slots)))
     return out
 
 
 def _op_exists(machine, args: list[Any]) -> bool:
     pred, rel = args
     relation = _need_relation(rel)
-    for row in relation.scan():
-        if _need_bool(_call_proc(machine, pred, [row])):
-            return True
+    test = machine.procedure(pred, 1)
+    with _predicate_raises():
+        for row in relation.scan():
+            if _need_bool(test(row)):
+                return True
     return False
 
 

@@ -10,10 +10,10 @@ instruction and counts every opcode as it executes it, so none of those
 numbers needs an argument to believe.
 
 ``ReferenceVM`` is a :class:`~repro.machine.vm.VM` whose trampoline runs
-every activation here — nested runs too, since an ``extcall`` handler
-re-enters through ``VM.apply``.  A new opcode needs an arm here as well as a
-row, a ``codegen`` emitter and a tier emitter
-(``tests/machine/test_isa_table.py`` says which is missing).
+every activation here — a query predicate's too, since its ``procedure``
+re-enters through ``VM.apply`` on every row and never calls a tier text.
+A new opcode needs an arm here as well as a row, a ``codegen`` emitter and
+a tier emitter (``tests/machine/test_isa_table.py`` says which is missing).
 """
 
 from __future__ import annotations
@@ -50,11 +50,15 @@ __all__ = ["ReferenceVM"]
 class ReferenceVM(VM):
     """A VM that interprets every activation, one instruction at a time."""
 
-    def _loop(self, target: Any, values: list[Any]) -> Any:
+    def procedure(self, closure: Any, n: int):
+        """Every call a nested run of this trampoline: the reference has no
+        direct path into a tier text."""
+        return lambda *args: self.apply(closure, list(args))
+
+    def _loop(self, target: Any, values: list[Any], floor: int) -> Any:
         """:meth:`VM._loop` with :meth:`_execute` in place of the tier: the
         same profile credit per activation, the same handler floor."""
         profile = self.profiler
-        floor = len(self.handlers)
         while True:
             try:
                 while True:

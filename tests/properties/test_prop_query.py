@@ -8,7 +8,9 @@ and comparison predicates, a predicate that divides by the argument ``k``
 and without its range variable, and projection.  The function compiled
 statically and the same function after ``optimize_query_function`` must
 return the same rows (in order, unless the optimized plan reads an index),
-the same scalar, or raise the same exception to their caller.
+the same scalar, or raise the same exception to their caller.  Each plan
+gives one outcome, instruction count included, on the VM, on the reference
+loop and on a VM under a ``ClosureProfile``.
 
 TL has no join syntax, so ``select`` over ``join`` is drawn as a TML term
 and its plain and ``integrated_optimize``-d forms are compared the same way.
@@ -22,9 +24,12 @@ from repro.lang import TycoonSystem
 from repro.machine.codegen import compile_function
 from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, instantiate
+from repro.obs.profile import ClosureProfile
 from repro.query import Relation, integrated_optimize, optimize_query_function
 from repro.query.algebra import query_registry
 from repro.store.heap import ObjectHeap
+
+from tests.machine.reference_vm import ReferenceVM
 
 _HEAP = ObjectHeap()
 _SYSTEM = TycoonSystem(heap=_HEAP)
@@ -84,15 +89,27 @@ _QUERIES = {
 }
 
 
-def _observe(call, in_order: bool):
-    try:
-        value = call().value
-    except UncaughtTmlException as exc:
-        return ("raise", exc.value)
-    if isinstance(value, Relation):
-        rows = value.to_tuples()
-        return ("rows", rows if in_order else sorted(rows))
-    return ("value", value)
+#: every way to run a plan: the VM (its row loops call the predicates'
+#: texts directly), the reference loop, a profiled VM (a nested run per row)
+_ENGINES = (VM, ReferenceVM, lambda **how: VM(profiler=ClosureProfile(), **how))
+
+
+def _observe(closure, args, in_order: bool):
+    """One plan's outcome, the same on every engine, to the instruction."""
+    outcomes = []
+    for engine in _ENGINES:
+        vm = engine(store=_HEAP, foreign=_SYSTEM.foreign)
+        try:
+            value = vm.call(closure, list(args)).value
+        except UncaughtTmlException as exc:
+            outcomes.append(("raise", exc.value, vm.instructions))
+            continue
+        if isinstance(value, Relation):
+            rows = value.to_tuples()
+            value = ("rows", rows if in_order else sorted(rows))
+        outcomes.append(("value", value, vm.instructions))
+    assert outcomes[1:] == outcomes[:1] * 2, outcomes
+    return outcomes[0][:2]
 
 
 @pytest.mark.parametrize("shape", sorted(_QUERIES))
@@ -121,8 +138,8 @@ def test_optimized_query_function_matches_its_static_plan(shape, data):
 
     result = optimize_query_function(_SYSTEM, module, "f")
     in_order = result.query_stats.count("index-select") == 0
-    static = _observe(lambda: _SYSTEM.call(module, "f", [k]), in_order)
-    optimized = _observe(lambda: _SYSTEM.vm().call(result.closure, [k]), in_order)
+    static = _observe(_SYSTEM.closure(module, "f"), [k], in_order)
+    optimized = _observe(result.closure, [k], in_order)
     assert optimized == static, (expression, k, result.query_stats.total)
 
 
@@ -167,8 +184,6 @@ def test_select_over_join_matches_its_plain_plan(left_rows, right_rows, column, 
     optimized = integrated_optimize(term, registry, heap=_HEAP).term
 
     def run(code_term):
-        code = compile_function(code_term, registry)
-        return lambda: VM(store=_HEAP).call(instantiate(code), [right, k])
+        return _observe(instantiate(compile_function(code_term, registry)), [right, k], False)
 
-    plain = _observe(run(term), in_order=False)
-    assert _observe(run(optimized), in_order=False) == plain, (source, k)
+    assert run(optimized) == run(term), (source, k)

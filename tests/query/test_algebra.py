@@ -6,10 +6,14 @@ from repro.core.parser import parse_term
 from repro.core.syntax import Abs, UNIT
 from repro.machine.codegen import compile_function
 from repro.machine.cps_interp import Interpreter
-from repro.machine.runtime import UncaughtTmlException
-from repro.machine.vm import VM, instantiate
+from repro.machine.isa import flatten_codes
+from repro.machine.runtime import MachineError, UncaughtTmlException
+from repro.machine.vm import VM, StepLimitExceeded, instantiate
+from repro.obs.profile import ClosureProfile
 from repro.query.algebra import query_registry
 from repro.query.relation import Relation
+
+from tests.machine.reference_vm import ReferenceVM
 
 
 @pytest.fixture
@@ -222,3 +226,207 @@ def test_boolean_folds_registered(registry):
 
     call = parse_term("(not true ^k)", prims=registry.names())
     assert registry.lookup("not").meta_evaluate(call).args == (Lit(False),)
+
+
+def test_join_whose_renamed_field_collides_reaches_ce(registry):
+    """``r_a`` is the right ``a`` renamed, and a left field too: the join has
+    no name for it, and says so at its exception continuation."""
+    left = Relation("l", ["a", "r_a"])
+    left.insert_many([(1, 2)])
+    right = Relation("r", ["a"])
+    right.insert_many([(1,)])
+    src = "proc(l r ce cc) (join proc(a b ce2 cc2) (cc2 true) l r ce cc)"
+    with pytest.raises(UncaughtTmlException) as raised:
+        run_both(src, [left, right], registry)
+    assert raised.value.value == "queryError: join: duplicate field names ('a', 'r_a', 'r_a')"
+
+
+# ---------------------------------------------------------------------------
+# the row loop: every operator, every way a predicate can end, on the VM (its
+# direct path into the predicate's text), the reference loop and the CPS
+# interpreter
+# ---------------------------------------------------------------------------
+
+#: how a predicate of the row ``x`` ends -> its body
+PREDICATES = {
+    "one-activation": (
+        "([] x 1 cont(age) (print age cont(u)"
+        " (>= age 18 cont() (cc2 true) cont() (cc2 false))))"
+    ),
+    # ``k`` is a closure of its own: every row takes two activations
+    "several-activations": (
+        "(print x cont(w) ([] x 1 cont(age) (λ(k) (k age) cont(a) (print a cont(u)"
+        " (>= a 18 cont() (cc2 true) cont() (cc2 false))))))"
+    ),
+    "raises-through-ce": (
+        '([] x 1 cont(age) (print age cont(u) (>= age 18 cont() (ce2 "old") cont() (cc2 false))))'
+    ),
+    "traps-unhandled": "(print x cont(u) ([] x 9 cont(v) (cc2 true)))",
+    "traps-unhandled-in-a-later-activation": "(λ(k) (k x) cont(r) ([] r 9 cont(v) (cc2 true)))",
+    "traps-into-its-own-handler": (
+        "(λ(^h) (pushHandler h cont() ([] x 9 cont(v) (popHandler cont() (cc2 true))))"
+        " cont(exv) (print exv cont(u) (cc2 false)))"
+    ),
+    "halts": "([] x 1 cont(age) (>= age 18 cont() (halt true) cont() (cc2 false)))",
+    "non-boolean": "([] x 1 cont(age) (cc2 age))",
+}
+
+#: operator -> a call of it with the predicate ``{body}`` over ``rel``
+OPERATORS = {
+    "select": "(select proc(x ce2 cc2) {body} rel ce {cc})",
+    "project": "(project proc(x ce2 cc2) {body} rel ce {cc})",
+    "exists": "(exists proc(x ce2 cc2) {body} rel ce {cc})",
+    "join": "(join proc(x y ce2 cc2) {body} rel rel ce {cc})",
+}
+
+
+def under_a_handler(operator, body):
+    """The operator's call inside a handler of the run around it, which the
+    predicate must not see: a trap no handler of its own answers fails the
+    predicate at the operator's ``ce``."""
+    call = OPERATORS[operator].format(body=body, cc="cont(r) (popHandler cont() (cc r))")
+    return f'(λ(^h) (pushHandler h cont() {call}) cont(exv) (cc "the handler around"))'
+
+#: a predicate taking one value fewer than the operator passes
+WRONG_ARITY = {
+    "select": "(select proc(ce2 cc2) (cc2 true) rel ce cc)",
+    "project": "(project proc(ce2 cc2) (cc2 true) rel ce cc)",
+    "exists": "(exists proc(ce2 cc2) (cc2 true) rel ce cc)",
+    "join": "(join proc(x ce2 cc2) (cc2 true) rel rel ce cc)",
+}
+
+
+def _shown(value):
+    if isinstance(value, Relation):
+        return ("relation", value.fields, value.to_tuples())
+    return repr(value)
+
+
+def _outcome(machine, run):
+    """What a caller sees of one run: how it ended, with what, and the output."""
+    try:
+        value = run().value
+    except UncaughtTmlException as raised:
+        return ("raise", _shown(raised.value), machine.output)
+    except MachineError:
+        return ("error", None, machine.output)
+    return ("value", _shown(value), machine.output)
+
+
+def query(body, registry):
+    """The TML term ``proc(rel ce cc) body`` and a closure of its code."""
+    term = parse_term(f"proc(rel ce cc) {body}", prims=registry.names())
+    return term, instantiate(compile_function(term, registry))
+
+
+def row_loop(body, rows, registry):
+    """Run ``proc(rel ce cc) body`` over ``rows`` on the VM, the reference loop
+    and the interpreter; assert agreement (instructions too, between the two
+    TAM engines) and return the outcome."""
+    relation = Relation("people", ["name", "age"])
+    relation.insert_many(rows)
+    term, closure = query(body, registry)
+    outcomes = []
+    for machine in (VM(), ReferenceVM()):
+        outcome = _outcome(machine, lambda: machine.call(closure, [relation]))
+        outcomes.append((*outcome, machine.instructions))
+    vm, reference = outcomes
+    assert vm == reference
+    interp = Interpreter(registry=registry)
+    assert _outcome(interp, lambda: interp.call(interp.make_closure(term), [relation])) == vm[:3]
+    return vm
+
+
+ROWS = [("ann", 34), ("bob", 12), ("cy", 19)]
+
+
+@pytest.mark.parametrize("ending", sorted(PREDICATES))
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+def test_row_loop_matches_the_reference(operator, ending, registry):
+    kind, _, _, instructions = row_loop(under_a_handler(operator, PREDICATES[ending]), ROWS, registry)
+    assert instructions > 0
+    if ending.startswith(("raises", "traps-unhandled")) or (
+        ending == "non-boolean" and operator != "project"
+    ):
+        assert kind == "raise"
+    else:
+        assert kind == "value"
+
+
+@pytest.mark.parametrize("rows", [[], ROWS], ids=["empty", "three-rows"])
+@pytest.mark.parametrize("operator", sorted(WRONG_ARITY))
+def test_row_loop_with_a_predicate_of_the_wrong_arity(operator, rows, registry):
+    """The arity error is the nested run's, on the first row: a relation
+    without rows never calls the predicate."""
+    kind, _, _, _ = row_loop(WRONG_ARITY[operator], rows, registry)
+    assert kind == ("error" if rows else "value")
+
+
+def test_an_unprofiled_row_loop_does_not_go_through_apply(people, registry, monkeypatch):
+    """The rows call the predicate's text directly, and the test above is not
+    about the fallback: with ``VM.apply`` unusable the query still answers."""
+    closure = instantiate(compile_function(parse_term(ADULTS, prims=registry.names()), registry))
+
+    def no_apply(self, closure, args):
+        raise AssertionError("VM.apply re-entered")
+
+    monkeypatch.setattr(VM, "apply", no_apply)
+    out = VM().procedure(closure, 1)(people)
+    assert out.to_tuples() == [("ann", 34), ("cy", 19)]
+
+
+def test_the_reference_never_runs_a_tier_text(people, registry):
+    """``ReferenceVM`` re-enters through its own loop, so its query runs stay
+    reference runs: with every text of the query made to fail, it answers,
+    and the VM does not."""
+    closure = instantiate(compile_function(parse_term(ADULTS, prims=registry.names()), registry))
+
+    def tier(vm, free, args, *counted):
+        raise AssertionError("a tier text ran")
+
+    for code in flatten_codes(closure.code):
+        code.tier = code.tier_counted = tier
+    assert ReferenceVM().call(closure, [people]).value.to_tuples() == [("ann", 34), ("cy", 19)]
+    with pytest.raises(AssertionError, match="a tier text ran"):
+        VM().call(closure, [people])
+
+
+# ---------------------------------------------------------------------------
+# a step limit or a profile: every row is a nested run
+# ---------------------------------------------------------------------------
+
+SEVERAL = OPERATORS["select"].format(body=PREDICATES["several-activations"], cc="cc")
+
+
+def _stopped(machine_type, closure, relation, limit):
+    machine = machine_type(step_limit=limit)
+    try:
+        result = machine.call(closure, [relation])
+    except StepLimitExceeded as stopped:
+        return ("limit", stopped.instructions, stopped.partial.output, machine.instructions)
+    return ("value", _shown(result.value), result.output, result.instructions)
+
+
+def test_every_step_limit_over_a_multi_activation_select(people, registry):
+    _, closure = query(SEVERAL, registry)
+    total = VM().call(closure, [people]).instructions
+    outcomes = set()
+    for limit in range(1, total + 2):
+        outcome = _stopped(VM, closure, people, limit)
+        assert outcome == _stopped(ReferenceVM, closure, people, limit), limit
+        outcomes.add(outcome[0])
+    assert outcomes == {"limit", "value"}
+
+
+@pytest.mark.parametrize("ending", sorted(PREDICATES))
+def test_profiled_row_loop_credits_the_predicate_like_the_reference(ending, people, registry):
+    _, closure = query(under_a_handler("select", PREDICATES[ending]), registry)
+    credits = []
+    for machine_type in (VM, ReferenceVM):
+        machine = machine_type(profiler=ClosureProfile())
+        _outcome(machine, lambda: machine.call(closure, [people]))
+        credits.append(
+            {name: (s.invocations, s.instructions) for name, s in machine.profiler.closures.items()}
+        )
+    assert credits[0] == credits[1]
+    assert credits[0]["anon"][0] > 0  # the predicate's, credited to it
