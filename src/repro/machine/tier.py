@@ -17,18 +17,24 @@ before the call and the path counts on from zero after it; such code has no
 static bound on one activation's instructions (the text's ``max_path`` is
 infinite).
 
-The plain text is compiled at the code object's first activation and sees
-that activation's bindings: a ``tailcall`` through a register a ``free``
-loaded from a slot holding a *leaf* closure — no free variables or nested
-codes, no ``free``, ``closure``, ``fix``, ``extcall``, ``ccall``, ``pushh``
-or ``poph``, no constants but ``int``, ``bool`` and unit: every library
-wrapper but ``math.sqrt`` — runs the callee's body inline when
-``vm.profiler is None`` and the closure called has that code object.  A leaf
-reads nothing but its arguments, so its code object fixes what it does and
-the guard needs no dependency hash; on a miss the call goes through the
-trampoline as before.  The inlined path's length counts towards the
-caller's, so counts, traps and ``max_path`` are those of the two
-activations; the counted text has no inline sites.
+The plain text runs two kinds of ``tailcall`` on the caller's path when
+``vm.profiler is None`` (a ``ClosureProfile`` credits per activation), the
+trampoline being the miss.  It is compiled at the code object's first
+activation, and a call through a register a ``free`` loaded from a slot then
+holding a *leaf* closure — no free variables or nested codes, no ``free``,
+``closure``, ``fix``, ``extcall``, ``ccall``, ``pushh`` or ``poph``, no
+constants but ``int``, ``bool`` and unit: every library wrapper but
+``math.sqrt`` — runs the callee's body when the closure called has that code
+object: a leaf reads nothing but its arguments, so the guard needs no
+dependency hash.  A call of a *join*, a closure a ``closure`` instruction on
+the path made, runs its body with the captured expressions as its free
+slots unless its code has an ``extcall`` or the call returns from an inlined
+leaf; a join several calls reach is entered only by those passing a literal
+its leading ``case`` folds on.  ``closure`` itself emits nothing: the object
+is allocated where it escapes — read, captured by one allocated, a captured
+register rewritten, a split — or on the miss.  An inlined path's length
+counts towards the caller's, so counts, traps and ``max_path`` are those of
+the activations; the counted text has no inline sites and no deferral.
 
 This is the VM's only executor: code ``verify_tam`` rejects — not a tree, or
 reading a register no instruction on the path wrote (``TAM010``) — is
@@ -55,7 +61,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.syntax import UNIT, Char, Oid
@@ -89,6 +95,9 @@ _COMPILED = METRICS.counter(
 _COMPILE_S = METRICS.histogram("vm.tier.compile_s", "seconds compiling one code-object text")
 _INLINED = METRICS.counter(
     "vm.tier.inlined", "library-call sites compiled inline behind a code-identity guard"
+)
+_JOINED = METRICS.counter(
+    "vm.tier.joined", "tail calls of a closure made on the same path compiled as its body"
 )
 
 #: Python's tokenizer stops at 100 levels of indentation
@@ -146,7 +155,8 @@ _ENV = dict(
 
 @dataclass
 class _Path:
-    """Where the generator stands on one root-to-exit path."""
+    """Where the generator stands on one root-to-exit path, and what the
+    plain text knows there of its locals (a write to one forgets it)."""
 
     pc: int | None  #: the next instruction; None once the path has left
     depth: int  #: indentation of the statements being emitted
@@ -155,10 +165,50 @@ class _Path:
     defined: set[str]  #: registers written on the way here: a split's arguments
     segment: list[str]  #: the opcodes of the ``unpublished`` instructions
     checked: bool = False  #: the budget is known to cover ``unpublished``
+    #: local -> the closure a ``closure`` instruction on the path made in it
+    made: dict[str, "_Made"] = field(default_factory=dict)
+    #: the locals of ``made`` not yet allocated (ordered, unlike a set)
+    pending: dict[str, None] = field(default_factory=dict)
+    #: local -> the ``int`` or ``bool`` literal it holds
+    literals: dict[str, int | bool] = field(default_factory=dict)
+    unprofiled: bool = False  #: inside ``if vm.profiler is None:``
 
     def fork(self, pc: int | None, depth: int) -> "_Path":
         return _Path(pc, depth, self.total, self.unpublished, set(self.defined),
-                     list(self.segment), self.checked)
+                     list(self.segment), self.checked, dict(self.made), dict(self.pending),
+                     dict(self.literals), self.unprofiled)
+
+
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """What the generator emits one code object's instructions from: the
+    activation's own code, a join entered in place or an inlined leaf."""
+
+    code: CodeObject
+    args: tuple[str, ...]  #: the locals its parameters are
+    offset: int  #: how far its other registers are renumbered
+    free: tuple[str, ...] | None  #: what its ``free`` slots read; None: ``free``
+    bound: list | None = None  #: the first activation's ``free``, for inline sites
+    leaf: bool = False  #: an inlined library body: no sites inside it
+
+    def local(self, reg: int) -> str:
+        return self.args[reg] if reg < len(self.args) else f"r{reg + self.offset}"
+
+    def slot(self, index: int) -> str:
+        return f"free[{index}]" if self.free is None else self.free[index]
+
+
+@dataclass(frozen=True)
+class _Made:
+    """A closure made on the path: ``frame``'s ``C[index]``, whose code is
+    ``code``, over ``sources``; ``exits`` ``tailcall``s through its register
+    follow the ``closure``."""
+
+    frame: _Frame
+    index: int
+    code: CodeObject
+    sources: "_Registers"
+    exits: int
 
 
 def _writes(kinds: tuple[str, ...], operands: list) -> list[int]:
@@ -172,8 +222,37 @@ def _writes(kinds: tuple[str, ...], operands: list) -> list[int]:
     return writes
 
 
-def _captures(plan) -> str:
-    return "[" + ", ".join(f"r{i}" if source == "r" else f"free[{i}]" for source, i in plan) + "]"
+def _exits(code: CodeObject, pc: int, reg: int) -> int:
+    """The ``tailcall``s through ``reg`` from ``pc`` until ``reg`` is written."""
+    count, stack = 0, [pc]
+    while stack:
+        op, *operands = code.instrs[pc := stack.pop()]
+        row, kinds = OPS[op], dict(zip(OPS[op].operands, operands))
+        count += op == "tailcall" and operands[0] == reg
+        if not row.terminal and reg not in _writes(row.operands, operands):
+            stack.append(pc + 1)
+        edge = kinds.get("pc", kinds.get("pc?"))
+        if edge is not None and kinds.get("ew", kinds.get("ew?")) != reg:
+            stack.append(edge)
+        stack += kinds.get("pcs", ())
+    return count
+
+
+def _writes_params(code: CodeObject) -> bool:
+    return any(
+        kind in ("w", "ew") and reg < len(code.params)
+        for instr in code.instrs for kind, reg in zip(OPS[instr[0]].operands, instr[1:])
+    )
+
+
+def _folds(code: CodeObject, args: tuple[str, ...], literals: dict) -> bool:
+    """``code`` begins with ``const``s and a ``case`` of them on a parameter
+    ``args`` passes a literal in: entered, it emits one alternative."""
+    first = next(pc for pc, instr in enumerate(code.instrs) if instr[0] != "const")
+    consts = {dst: code.consts[index] for _, dst, index in code.instrs[:first]}
+    op, *operands = code.instrs[first]
+    return (op == "case" and operands[0] < len(args) and args[operands[0]] in literals
+            and all(type(consts.get(tag)) in (int, bool) for tag in operands[1]))
 
 
 class _Registers(tuple):
@@ -194,16 +273,11 @@ def _leaf(code: CodeObject) -> bool:
     """``code`` can run inside its caller's text: it passes the tier's gate,
     reads nothing but its parameters — which it does not write: they are
     the caller's locals — and has only constants a text spells literally."""
-    if code.free_names or code.codes or _errors(code):
+    if code.free_names or code.codes or _errors(code) or _writes_params(code):
         return False
     if any(type(value) not in (int, bool) and value is not UNIT for value in code.consts):
         return False
-    return not any(
-        instr[0] in _NOT_IN_A_LEAF
-        or any(kind in ("w", "ew") and reg < len(code.params)
-               for kind, reg in zip(OPS[instr[0]].operands, instr[1:]))
-        for instr in code.instrs
-    )
+    return not any(instr[0] in _NOT_IN_A_LEAF for instr in code.instrs)
 
 
 class _Generator:
@@ -213,28 +287,23 @@ class _Generator:
             error = errors[0]
             raise MachineError(f"{code.name} cannot run: {error.code} at {error.path}: "
                                f"{error.message}")
-        self.code = code
         #: which text: the plain one, or the counted one
         self.counted = counted
-        #: the first activation's free slots: the plain text calls the leaf
-        #: closures among them inline
-        self.free = None if counted else free
-        #: register -> the closure a ``free`` loaded into it from ``free``
+        params = tuple(f"r{reg}" for reg in range(len(code.params)))
+        #: the frame being emitted from
+        self.frame = _Frame(code, params, 0, None, None if counted else free)
+        #: register -> the closure a ``free`` loaded into it from a bound slot
         self.loaded: dict[str, VMClosure] = {}
-        #: guard name -> the code object its inline sites run
-        self.guards: dict[str, CodeObject] = {}
-        self.inlined = 0
-        #: while a callee is emitted inline: the locals its parameters are,
-        #: and how far its other registers are renumbered past the caller's
-        self.args: tuple[str, ...] = ()
-        self.offset = 0
+        #: what the text names besides ``_ENV``: constant and code pools
+        #: (``K``, ``C``, ``K1``, ...), inline sites' guards (``G0``, ...)
+        self.scope: dict[str, object] = {"K": code.consts, "C": code.codes}
+        self.inlined = self.joined = 0
         self.max_path = 0.0
         #: the functions finished so far, each after those it calls
         self.functions: list[str] = []
         self.lines: list[str] = []
         self.callees: list[str] = []
         self.subtrees = 0
-        params = [f"r{reg}" for reg in range(len(code.params))]
         prologue = [", ".join(params) + ", = args"] if params else []
         if counted:
             prologue.append(", ".join(_SHARED) + " = counters")
@@ -255,6 +324,15 @@ class _Generator:
         header = ", ".join(["vm", "free", *params, *defaults])
         self.functions.append("\n".join([f"def {name}({header}):", *self.lines]))
         self.lines, self.callees = outer
+
+    def bind(self, prefix: str, value) -> str:
+        """The name the function being emitted reads ``value`` by."""
+        names = [name for name in self.scope if name.startswith(prefix)]
+        name = next((name for name in names if self.scope[name] is value), f"{prefix}{len(names)}")
+        self.scope[name] = value
+        if name not in ("K", "C") and name not in self.callees:
+            self.callees.append(name)  # bound as a default, like a split subtree
+        return name
 
     def emit(self, at: _Path, text: str, indent: int = 0) -> None:
         self.lines.append("    " * (at.depth + indent) + text)
@@ -298,12 +376,16 @@ class _Generator:
         self.emit(at, f"if {condition}:")
         taken = at.fork(pc, at.depth + 1)
         if ed:
+            self.wrote(taken, [ed])
             self.emit(taken, f"{ed} = {value}")
             taken.defined.add(ed)
         if at.depth < _MAX_DEPTH:
             self.block(taken)
             return
-        # every subtree ends in an exit: its function returns what it does
+        # every subtree ends in an exit: its function returns what it does,
+        # and the locals it is passed hold their values
+        for local in list(taken.pending):
+            self.allocate(taken, local)
         self.subtrees += 1
         name = f"s{self.subtrees}"
         arguments = [*(_SHARED if self.counted else ()),
@@ -312,50 +394,135 @@ class _Generator:
         self.callees.append(name)
         self.function(name, arguments, taken.fork(pc, 1), [])
 
-    def local(self, reg: int) -> str:
-        """The local holding register ``reg`` of the code being emitted."""
-        if not self.offset:
-            return f"r{reg}"
-        return self.args[reg] if reg < len(self.args) else f"r{reg + self.offset}"
-
     def rendered(self, kind: str, operand):
         """An operand as emitters see it: a register as the local it is, a
-        capture plan as the list display it evaluates to, the rest as it is."""
+        capture plan as the expressions it captures, the rest as it is."""
+        frame = self.frame
         if kind in ("r", "w", "ew", "ew?"):
-            return self.local(operand)
+            return operand if operand is None else frame.local(operand)
         if kind == "rs":
-            return _Registers(self.local(reg) for reg in operand)
+            return _Registers(frame.local(reg) for reg in operand)
         if kind == "plan":
-            return _captures(operand)
+            return _Registers(frame.local(index) if source == "r" else frame.slot(index)
+                              for source, index in operand)
+        if kind == "group":
+            return tuple((frame.local(dst), index, self.rendered("plan", plan))
+                         for dst, index, plan in operand)
         return operand
+
+    # -- what the plain text knows of its locals --------------------------
+
+    def allocate(self, at: _Path, local: str) -> None:
+        """Allocate the closure made in ``local``, after those it captures."""
+        del at.pending[local]
+        made = at.made[local]
+        for source in made.sources:
+            if source in at.pending:
+                self.allocate(at, source)
+        codes = self.bind("C", made.frame.code.codes)
+        self.emit(at, f"{local} = VMClosure({codes}[{made.index}], {made.sources})")
+
+    def wrote(self, at: _Path, locals_: list[str]) -> None:
+        """Before ``locals_`` are written: allocate the closures that captured
+        them, and forget what the path knew of them."""
+        for local in locals_:
+            for other, made in list(at.made.items()):
+                if local in made.sources:
+                    if other in at.pending:
+                        self.allocate(at, other)
+                    del at.made[other]
+            at.made.pop(local, None)
+            at.pending.pop(local, None)
+            at.literals.pop(local, None)
+
+    def before(self, at: _Path, op: str, kinds: tuple[str, ...], operands: list,
+               rendered: list) -> None:
+        """Allocate the pending closures the instruction reads (but a call's
+        target and a capture), and those that captured a register it writes."""
+        reads: list[str] = []
+        for n, (kind, value) in enumerate(zip(kinds, rendered)):
+            if kind == "r" and not (op == "tailcall" and n == 0):
+                reads.append(value)
+            elif kind == "rs":
+                reads += value
+            elif kind == "group":
+                reads += [source for _, _, plan in value for source in plan]
+            elif kind == "f":
+                reads.append(self.frame.slot(value))
+        for local in reads:
+            if local in at.pending:
+                self.allocate(at, local)
+        self.wrote(at, list(map(self.frame.local, _writes(kinds, operands))))
+
+    # -- calls run on the caller's path -----------------------------------
+
+    def guard(self, at: _Path, condition: str) -> _Path:
+        """``if condition`` (and ``vm.profiler is None``): the path inside."""
+        if not at.unprofiled:
+            condition = "vm.profiler is None" + (f" and {condition}" if condition else "")
+        self.emit(at, f"if {condition}:")
+        inside = at.fork(0, at.depth + 1)
+        inside.unprofiled = True
+        return inside
+
+    def run_inline(self, at: _Path, code: CodeObject, args: tuple[str, ...],
+                   free: tuple[str, ...], leaf: bool = False) -> None:
+        """``code``'s body at ``at``, its registers past the frame's."""
+        outer = self.frame
+        self.frame = _Frame(code, args, outer.offset + outer.code.nregs, free, leaf=leaf)
+        self.block(at)
+        self.frame = outer
 
     def inlinable(self, target: str, arguments: int) -> CodeObject | None:
         """The code object a call of ``target`` with ``arguments`` values may
         run inline: a leaf's, which the first activation bound ``target``'s
-        slot to.  Not inside an inlined body: the sites do not nest."""
+        slot to.  Not inside an inlined leaf: the sites do not nest."""
         closure = self.loaded.get(target)
-        if closure is None or self.offset or len(closure.code.params) != arguments:
+        if closure is None or self.frame.leaf or len(closure.code.params) != arguments:
             return None
         return closure.code if _leaf(closure.code) else None
 
     def inline(self, at: _Path, target: str, arguments: tuple[str, ...], callee) -> None:
         """``if`` the call of ``target`` is unprofiled and enters ``callee``:
         ``callee``'s body, on the caller's path."""
-        guard = next((name for name, code in self.guards.items() if code is callee),
-                     f"G{len(self.guards)}")
-        self.guards[guard] = callee
-        if guard not in self.callees:
-            self.callees.append(guard)  # bound as a default, like a split subtree
-        self.emit(at, f"if vm.profiler is None and type({target}) is VMClosure"
-                      f" and {target}.code is {guard}:")
-        outer = self.code, self.args, self.offset
-        self.code, self.args, self.offset = callee, arguments, self.code.nregs
-        self.block(at.fork(0, at.depth + 1))
-        self.code, self.args, self.offset = outer
+        guard = self.bind("G", callee)
+        inside = self.guard(at, f"type({target}) is VMClosure and {target}.code is {guard}")
+        self.run_inline(inside, callee, arguments, (), leaf=True)
         self.inlined += 1
 
+    def enters(self, at: _Path, made: _Made, arguments: tuple[str, ...]) -> bool:
+        """The call of ``made`` runs its body here: made in this frame (an
+        inlined leaf makes none), of code the tier runs that writes no
+        parameter — a caller's local — and has a bounded path."""
+        code = made.code
+        if made.frame is not self.frame or len(code.params) != len(arguments):
+            return False
+        if _errors(code) or _writes_params(code) or any(i[0] == "extcall" for i in code.instrs):
+            return False
+        return made.exits == 1 or _folds(code, arguments, at.literals)
+
+    def enter(self, at: _Path, target: str, arguments: tuple[str, ...]) -> bool:
+        """The body of the closure in ``target``, its ``free`` slots the
+        expressions it captured; whether the path goes on (to the miss)
+        after it."""
+        made = at.made[target]
+        inside = at if at.unprofiled else self.guard(at, "")
+        # nothing the body reads holds the closure, nor one still pending
+        # that captured it: the body neither allocates nor passes them
+        dead = {target} if target in inside.pending else set()
+        for local, other in list(inside.made.items()):
+            if local in dead or local in inside.pending and dead.intersection(other.sources):
+                dead.add(local)
+                del inside.made[local], inside.pending[local]
+                inside.defined.discard(local)
+        inside.pc = 0
+        self.run_inline(inside, made.code, arguments, tuple(made.sources))
+        self.joined += 1
+        return inside is not at
+
     def block(self, at: _Path) -> None:
-        instrs = self.code.instrs
+        frame = self.frame
+        instrs = frame.code.instrs
         while at.pc is not None:
             op, *operands = instrs[at.pc]
             row = OPS[op]
@@ -366,8 +533,11 @@ class _Generator:
             at.checked = False
             if op in _OBSERVED:
                 self.check(at)
-            EMITTERS[op](self, at, *map(self.rendered, row.operands, operands))
-            at.defined.update(map(self.local, _writes(row.operands, operands)))
+            rendered = list(map(self.rendered, row.operands, operands))
+            if not self.counted:
+                self.before(at, op, row.operands, operands, rendered)
+            EMITTERS[op](self, at, *rendered)
+            at.defined.update(map(frame.local, _writes(row.operands, operands)))
         self.max_path = max(self.max_path, at.total)
 
 
@@ -388,7 +558,6 @@ _INT, _INTS = _not_int("{1}"), _not_int("{1}", "{2}")
 _STRAIGHT = {
     "raise": ("raise Trap({0})",),
     "halt": ("raise Halted({0})",),
-    "closure": ("{0} = VMClosure(C[{1}], {2})",),
     "band": ("{0} = wrap_int({1} & {2})", (_INTS, "TYPE_ERROR")),
     "bor": ("{0} = wrap_int({1} | {2})", (_INTS, "TYPE_ERROR")),
     "bxor": ("{0} = wrap_int({1} ^ {2})", (_INTS, "TYPE_ERROR")),
@@ -432,38 +601,61 @@ def _straight(statement: str, *traps: tuple[str, str]):
 
 
 def _tailcall(g, at, target, arguments):
-    callee = g.inlinable(target, len(arguments))
-    if callee is not None:
-        g.inline(at, target, arguments, callee)
+    made = at.made.get(target)
+    if made is not None and g.enters(at, made, arguments):
+        if not g.enter(at, target, arguments):
+            return  # the path knew it is unprofiled: there is no miss
+    else:
+        callee = g.inlinable(target, len(arguments))
+        if callee is not None:
+            g.inline(at, target, arguments, callee)
+    if target in at.pending:
+        g.allocate(at, target)
     g.leave(at, f"return {target}, {arguments}")
 
 
+def _closure(g, at, dst, index, plan):
+    code = g.frame.code
+    exits = _exits(code, at.pc, code.instrs[at.pc - 1][1])
+    at.made[dst], at.pending[dst] = _Made(g.frame, index, code.codes[index], plan, exits), None
+    if g.counted or dst in plan:  # the latter captures what ``dst`` held before
+        g.allocate(at, dst)
+        del at.made[dst]
+
+
 def _free(g, at, dst, slot):
-    g.emit(at, f"{dst} = free[{slot}]")
-    if g.free is not None and slot < len(g.free) and type(g.free[slot]) is VMClosure:
+    g.emit(at, f"{dst} = {g.frame.slot(slot)}")
+    bound = g.frame.bound
+    if bound is not None and slot < len(bound) and type(bound[slot]) is VMClosure:
         # kept when ``dst`` is written again: the guard, not this, is what
         # makes an inline site right
-        g.loaded[dst] = g.free[slot]
+        g.loaded[dst] = bound[slot]
 
 
 def _const(g, at, dst, index):
-    value = g.code.consts[index]
+    value = g.frame.code.consts[index]
     if type(value) in (int, bool):
         g.emit(at, f"{dst} = {value!r}")
-    elif g.offset:  # unit, in an inlined leaf: ``K`` is the caller's pool
+        if not g.counted:
+            at.literals[dst] = value
+    elif value is UNIT:
         g.emit(at, f"{dst} = UNIT")
-    elif type(value) is Oid:  # one code object runs on VMs with and without a store
-        g.check(at)
-        g.emit(at, f"{dst} = K[{index}] if vm.store is None else vm.store.load(K[{index}])")
     else:
-        g.emit(at, f"{dst} = K[{index}]")
+        pool = g.bind("K", g.frame.code.consts)
+        if type(value) is Oid:  # one code object runs on VMs with and without a store
+            g.check(at)
+            g.emit(at, f"{dst} = {pool}[{index}] if vm.store is None "
+                       f"else vm.store.load({pool}[{index}])")
+        else:
+            g.emit(at, f"{dst} = {pool}[{index}]")
 
 
 def _fix(g, at, group):
+    codes = g.bind("C", g.frame.code.codes)
     for n, (dst, index, _plan) in enumerate(group):
-        g.emit(at, f"r{dst} = g{n} = VMClosure(C[{index}], None)")
+        g.emit(at, f"{dst} = g{n} = VMClosure({codes}[{index}], None)")
     for n, (_dst, _index, plan) in enumerate(group):
-        g.emit(at, f"g{n}.free = {_captures(plan)}")
+        g.emit(at, f"g{n}.free = {plan}")
 
 
 def _arith(sign: str):
@@ -504,10 +696,16 @@ def _move(bytes_mode: bool):
 
 
 def _case(g, at, scrutinee, tags, pcs, else_pc):
-    for tag, pc in zip(tags, pcs):
-        g.branch(at, f"identical({scrutinee}, {tag})", pc)
-    at.pc = else_pc  # the last alternative needs no ``if``
-    if else_pc is None:
+    known = at.literals
+    if scrutinee in known and all(tag in known for tag in tags):
+        # literals: the alternative taken is known here, the others are not emitted
+        at.pc = next((pc for tag, pc in zip(tags, pcs) if identical(known[scrutinee], known[tag])),
+                     else_pc)
+    else:
+        for tag, pc in zip(tags, pcs):
+            g.branch(at, f"identical({scrutinee}, {tag})", pc)
+        at.pc = else_pc  # the last alternative needs no ``if``
+    if at.pc is None:
         g.leave(at, "raise Trap('caseError')")
 
 
@@ -565,6 +763,7 @@ EMITTERS: dict[str, Callable] = {
     "free": _free,
     "const": _const,
     "fix": _fix,
+    "closure": _closure,
     "add": _arith("+"),
     "sub": _arith("-"),
     "mul": _arith("*"),
@@ -603,7 +802,7 @@ def compile_code(code: CodeObject, counted: bool = False, free: list | None = No
     there is no lock."""
     started = time.perf_counter()
     generator = _Generator(code, counted, free)
-    scope = {"K": code.consts, "C": code.codes, **generator.guards}
+    scope = dict(generator.scope)
     exec(compile(generator.text(), f"<tier {code.name}>", "exec"), _ENV, scope)
     run = scope["run"]
     run.max_path = generator.max_path
@@ -613,5 +812,6 @@ def compile_code(code: CodeObject, counted: bool = False, free: list | None = No
         code.tier = run
     _COMPILED.inc()
     _INLINED.inc(generator.inlined)
+    _JOINED.inc(generator.joined)
     _COMPILE_S.observe(time.perf_counter() - started)
     return run

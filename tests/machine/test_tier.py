@@ -18,12 +18,14 @@ import threading
 import pytest
 
 from repro.analysis.verify_tam import verify_code
+from repro.bench.stanford import PROGRAMS
 from repro.core.names import NameSupply
 from repro.core.parser import parse_term
 from repro.core.syntax import Char, Oid
 from repro.lang import TycoonSystem
 from repro.machine.binfmt import encode_code
 from repro.machine.codegen import compile_function
+from repro.machine.cps_interp import Interpreter
 from repro.machine.isa import CodeObject, VMClosure, flatten_codes
 from repro.machine.runtime import (
     ARITY_ERROR,
@@ -37,10 +39,12 @@ from repro.machine.runtime import (
 from repro.machine.tier import source
 from repro.machine.vm import VM, StepLimitExceeded, instantiate
 from repro.obs.metrics import METRICS
-from repro.obs.profile import VMProfiler
+from repro.obs.profile import ClosureProfile, VMProfiler
 from repro.primitives._util import INT_MAX, INT_MIN
+from repro.primitives.arith import OVERFLOW
 from repro.query import Relation
 from repro.query.algebra import query_registry
+from repro.reflect import optimize_function
 from repro.store.serialize import encode_value
 
 from tests.machine.reference_vm import ReferenceVM
@@ -515,3 +519,215 @@ def test_the_plain_text_has_inline_sites_only_given_the_bindings():
     assert inlined.startswith("def run(vm, free, args, K=K, C=C, G0=G0):")
     assert "if vm.profiler is None and type(r4) is VMClosure and r4.code is G0:" in inlined
     assert source(caller.code, counted=True, free=caller.free) == source(caller.code, True)
+
+
+# ---------------------------------------------------------------------------
+# join continuations run in place
+# ---------------------------------------------------------------------------
+
+
+#: ``proc`` texts whose code makes a closure ``k`` and tail-calls it on the
+#: same path: (text, argument tuples, ``C`` index -> whether the plain text
+#: enters that code wherever it is reached, or calls it through the
+#: trampoline at least once).  The argument tuples reach each of them.
+JOINS = {
+    # both arms pass a literal and the join begins with a ``case`` on it
+    "two-literal-arms": (
+        "proc(a b ce cc) (λ(k) (< a b cont() (k true) cont() (k false))"
+        " cont(x) (== x true cont() (cc a) cont() (cc b)))",
+        [(1, 2), (2, 1)], {0: True}),
+    # literals, but the join begins with no ``case``: not entered
+    "two-literal-arms-no-case": (
+        "proc(a b ce cc) (λ(k) (< a b cont() (k 1) cont() (k 2)) cont(x) (print x cont(u) (cc x)))",
+        [(1, 2), (2, 1)], {0: False}),
+    # two computed arguments: entered from neither, never duplicated
+    "two-computed-arms": (
+        "proc(a b ce cc) (λ(k) (< a b cont() (k a) cont() (k b)) cont(x) (+ x 1 ce cc))",
+        [(1, 2), (2, 1), (INT_MAX, INT_MAX)], {0: False}),
+    "entered-once": (
+        "proc(a b ce cc) (λ(k) (+ a b ce cont(s) (k s)) cont(x) (* x 2 ce cc))",
+        [(1, 2), (INT_MAX, 0), (INT_MAX - 1, 1)], {0: True}),
+    "body-traps": (
+        "proc(a b ce cc) (λ(k) (+ b 1 ce cont(s) (k s)) cont(x) ([] a x cc))",
+        [(TmlArray([4, 5, 6]), 1), (TmlArray([4]), 1), (TmlVector([4, 5]), 0)], {0: True}),
+    "body-halts": (
+        "proc(a b ce cc) (λ(k) (< a b cont() (k true) cont() (k false))"
+        " cont(x) (== x true cont() (halt a) cont() (cc b)))",
+        [(1, 2), (2, 1)], {0: True}),
+    "body-pushes-and-pops-a-handler": (
+        "proc(a b ce cc) (λ(k) (+ a 1 ce cont(s) (k s)) cont(x)"
+        " (λ(^h) (pushHandler h cont() (== x 1 cont() (raise b)"
+        " cont() (popHandler cont() (cc x)))) cont(e) (+ e 100 ce cc)))",
+        [(0, 5), (1, 5), (0, "b")], {0: True}),
+    "body-has-a-fix": (
+        "proc(a b ce cc) (λ(k) (+ a 1 ce cont(s) (k s))"
+        " cont(x) (Y λ(^c0 f ^c) (c cont() (f x) cont(y) (+ y b ce cc))))",
+        [(1, 2), (1, INT_MAX)], {0: True}),
+    # a literal on each arm, but the join calls out of the VM
+    "body-has-an-extcall": (
+        "proc(rel a ce cc) (λ(k) (< a 0 cont() (k true) cont() (k false))"
+        " cont(x) (== x true cont() (count rel cc) cont() (cc a)))",
+        [(_rows(4), -1), (_rows(4), 1)], {0: False}),
+    # ``k`` is entered on one path; on the other it is the argument of the
+    # join ``g``, entered there, which calls it through the trampoline: a
+    # closure is entered only in the frame that made it
+    "pending-passed-as-an-argument": (
+        "proc(a b ce cc) (λ(k) (< a b cont() (k 1) cont() (λ(g) (g k) cont(q) (q 5)))"
+        " cont(x) (+ x a ce cc))",
+        [(1, 2), (2, 1)], {0: False, 1: True}),
+    "pending-stored-in-a-vector": (
+        "proc(a b ce cc) (λ(k) (vector k a cont(v) ([] v 0 cont(q) (q 7)))"
+        " cont(x) (+ x b ce cc))",
+        [(1, 2)], {0: False}),
+    # ``m`` captures ``k`` before either is allocated; entered, ``m`` reads
+    # ``k`` through its free slot
+    "pending-read-through-an-entered-free-slot": (
+        "proc(a b ce cc) (λ(k) (λ(m) (< a b cont() (m a) cont() (k b))"
+        " cont(y) (+ y 1 ce k)) cont(x) (* x 3 ce cc))",
+        [(1, 2), (2, 1), (INT_MAX, INT_MAX)], {0: False, 1: True}),
+    # ``m`` captures ``k`` and is stored: ``k`` is allocated first
+    "pending-captured-by-a-pending-one": (
+        "proc(a b ce cc) (λ(k) (λ(m) (vector m cont(v) ([] v 0 cont(q) (q a)))"
+        " cont(y) (k y)) cont(x) (* x 3 ce cc))",
+        [(2, 0)], {0: False}),
+    "pending-captured-by-a-fix-plan": (
+        "proc(a b ce cc) (λ(k) (Y λ(^c0 f ^c) (c cont() (f a)"
+        " cont(y) (< y b cont() (k y) cont() (k b)))) cont(x) (* x 3 ce cc))",
+        [(1, 2), (3, 2)], {0: False}),
+}
+
+
+def interpret(term, registry, args):
+    """What ``cps_interp`` sees of a call: value or uncaught payload, and output."""
+    interpreter = Interpreter(registry=registry)
+    try:
+        result = interpreter.call(interpreter.make_closure(term), copy.deepcopy(list(args)))
+    except UncaughtTmlException as trap:
+        return "raise", repr(trap.value), interpreter.output
+    return "value", repr(result.value), result.output
+
+
+def closure_profiled(closure, args, vm_class=VM):
+    """A call under a ``ClosureProfile``: the outcome, and what it credited."""
+    vm = vm_class(profiler=ClosureProfile())
+    try:
+        result = vm.call(closure, copy.deepcopy(list(args)))
+        outcome = ("value", repr(result.value), result.output, result.instructions)
+    except UncaughtTmlException as trap:
+        outcome = ("raise", repr(trap.value), vm.output, vm.instructions)
+    credited = {name: (s.invocations, s.instructions) for name, s in vm.profiler.closures.items()}
+    return outcome, credited
+
+
+def sweep(closure, args) -> None:
+    """Every step limit from 1 to one past the run stops where the
+    reference stops."""
+    total = both(closure, args)[3]
+    for limit in range(1, total + 2):
+        both(closure, args, limit=limit)
+
+
+@pytest.mark.parametrize("name", JOINS)
+def test_a_join_runs_in_place_as_the_interpreter_runs_it(name):
+    text, cases, entered = JOINS[name]
+    registry = query_registry() if "extcall" in name else None
+    term = parse_term(text, prims=registry.names() if registry else None)
+    closure = instantiate(compile_function(term, registry))
+    joined = counter("vm.tier.joined")
+    seen = [observe(closure, args, "plain")[0] for args in cases]
+    # before a profiled run, which compiles the plain text of every code
+    # object it enters
+    assert {index: closure.code.codes[index].tier is None for index in entered} == entered
+    assert (counter("vm.tier.joined") > joined) == any(entered.values())
+    for args, plain in zip(cases, seen):
+        assert plain[:3] == interpret(term, registry, args), args
+        assert both(closure, args) == plain
+        assert closure_profiled(closure, args) == closure_profiled(closure, args, ReferenceVM)
+    if not any(entered.values()):  # not even a copy of the join's body
+        assert "vm.profiler is None" not in source(closure.code)
+    sweep(closure, cases[0])
+
+
+def with_join(instrs, consts=()) -> VMClosure:
+    """``hand_built``, its ``C[0]`` the join ``cont(x)`` over ``v`` and ``k``:
+    ``k(x + v)``, or ``k`` of the overflow."""
+    closure = hand_built(instrs, consts)
+    supply = NameSupply()
+    join = [("free", 1, 0), ("add", 2, 0, 1, 4, 3), ("free", 4, 1), ("tailcall", 4, (2,)),
+            ("free", 5, 1), ("tailcall", 5, (3,))]
+    closure.code.codes.append(CodeObject(
+        "join", (supply.fresh_val("x"),), 6, join,
+        free_names=(supply.fresh_val("v"), supply.fresh_cont("k"))))
+    return closure
+
+
+#: hand-built code the codegen does not make, each a join ``C[0]`` made in
+#: register 4 over register 5 or 6: (instructions, constants, arguments ->
+#: the value, whether the plain text enters the join)
+HAND_BUILT_JOINS = {
+    # register 5 is written after the closure captured it: the closure
+    # holds 10, and is allocated before the write
+    "captured-register-rewritten": (
+        [("const", 5, 0), ("closure", 4, 0, (("r", 5), ("r", 3))), ("const", 5, 1),
+         ("tailcall", 4, (5,))],
+        [10, 20], {(0, 0): 30}, False),
+    # the same, written on an overflow edge: the join adds 10, not the error
+    "captured-register-rewritten-on-an-error-edge": (
+        [("const", 6, 0), ("closure", 4, 0, (("r", 6), ("r", 3))),
+         ("add", 7, 0, 1, 4, 6), ("tailcall", 3, (7,)), ("tailcall", 4, (1,))],
+        [10], {(1, 2): 3, (INT_MAX, 1): 11}, False),
+    # not written: the closure is entered and never allocated
+    "captured-register-kept": (
+        [("const", 5, 0), ("closure", 4, 0, (("r", 5), ("r", 3))), ("const", 6, 1),
+         ("tailcall", 4, (6,))],
+        [10, 20], {(0, 0): 30}, True),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT_JOINS)
+def test_a_join_captures_what_the_register_held_when_it_was_made(name):
+    instrs, consts, cases, entered = HAND_BUILT_JOINS[name]
+    closure = with_join(instrs, consts)
+    seen = {args: observe(closure, args, "plain")[0] for args in cases}
+    assert (closure.code.codes[0].tier is None) == entered
+    for args, plain in seen.items():
+        assert plain[:2] == ("value", repr(cases[args]))
+        assert both(closure, args) == plain
+        assert closure_profiled(closure, args) == closure_profiled(closure, args, ReferenceVM)
+        sweep(closure, args)
+
+
+@pytest.mark.parametrize("depth", [79, 100, 200])
+def test_a_pending_closure_crosses_into_a_split_subtree(depth):
+    """``if not a < b: if not a < b: ... k(b)``: the closure made before the
+    branches is allocated where the code continues in a function of its
+    own, and entered there; at 79, the entered body is what splits."""
+    branches = [i for pc in range(1, 2 * depth, 2) for i in (("lt", 0, 1, pc + 2), ("halt", 0))]
+    closure = with_join([("closure", 4, 0, (("r", 0), ("r", 3))), *branches,
+                         ("tailcall", 4, (1,))])
+    assert observe(closure, (2, 1), "plain")[0] == ("value", "3", [], depth + 6)
+    assert closure.code.codes[0].tier is None
+    text = source(closure.code)
+    assert "\ndef run(" in text  # split, at the latest inside the join's body
+    # allocated once: in ``run``, before the split, or on the miss path
+    assert text.count("VMClosure(C[0]") == 1
+    assert "VMClosure(C[0]" in text[text.index("def run("):]
+    assert both(closure, (2, 1)) == ("value", "3", [], depth + 6)
+    assert both(closure, (1, 2)) == ("value", "1", [], 3)
+    # the join's overflow edge is the subtree split off at 79
+    assert both(closure, (INT_MAX, INT_MAX)) == ("value", repr(OVERFLOW), [], depth + 6)
+    for limit in (1, depth, depth + 5, depth + 6):
+        both(closure, (2, 1), limit=limit)
+    assert closure_profiled(closure, (2, 1)) == closure_profiled(closure, (2, 1), ReferenceVM)
+
+
+def test_a_reflectively_optimized_stanford_call_enters_joins():
+    """The optimizer inlines ``int.lt``'s body: ``fib``'s ``if`` becomes a
+    join both arms of the comparison tail-call with a literal."""
+    program = PROGRAMS["fib"]
+    system = TycoonSystem()
+    system.compile(program.source)
+    closure = optimize_function(system, program.name, "run")
+    joined = counter("vm.tier.joined")
+    assert system.vm().call(closure, [program.test_n]).value == program.reference(program.test_n)
+    assert counter("vm.tier.joined") > joined

@@ -1,7 +1,9 @@
 """Differential property: the compiled tier ≡ the per-instruction reference.
 
 On random TL programs — integer expressions from the generator the pipeline
-property uses, and loops over arrays that trap into handlers — the VM running
+property uses, loops over arrays that trap into handlers, and ``if``s in
+value position that the reflective optimizer turns into join continuations
+the plain text enters in place — the VM running
 the tier's plain text (no profiler), the VM running its counted text (a
 ``VMProfiler``, which is how ``VM._loop`` selects) and the reference loop
 (``tests/machine/reference_vm.py``) must agree on the value, the output, the
@@ -15,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.lang import CompileOptions, TycoonSystem
 from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, StepLimitExceeded
+from repro.obs.metrics import METRICS
 from repro.obs.profile import VMProfiler
+from repro.reflect import optimize_function
 from repro.rewrite import OptimizerConfig
 
 from tests.conftest import tl_int_expression
@@ -26,6 +30,8 @@ _SYSTEMS = (
     TycoonSystem(options=CompileOptions(optimizer=OptimizerConfig())),
 )
 _counter = [0]
+#: examples whose reflectively optimized code compiled a join entry
+_entered = [0]
 
 
 def _observe(system, closure, args, vm_class, profiled: bool, limit):
@@ -43,16 +49,19 @@ def _observe(system, closure, args, vm_class, profiled: bool, limit):
     return outcome, vm.profiler.as_dict() if profiled else None
 
 
-def _agree(body: str, params: str, args, fraction: float) -> None:
+def _agree(body: str, params: str, args, fraction: float, reflect: bool = False) -> None:
     _counter[0] += 1
     module = f"tier{_counter[0]}"
     source = f"module {module} export f\nlet f({params}): Int = {body}\nend"
+    joined = METRICS.get("vm.tier.joined").value
     for system in _SYSTEMS:
         system.compile(source)
-        closure = system.closure(module, "f")
+        closure = (optimize_function(system, module, "f") if reflect
+                   else system.closure(module, "f"))
         reference, expected = _observe(system, closure, args, ReferenceVM, True, None)
         # a limit somewhere inside the run, or just past its end
         limit = max(1, round(fraction * (reference[-1] + 1)))
+        # the plain text first: a profiled run would compile the joins' own
         for bound in (None, limit):
             reference, expected = _observe(system, closure, args, ReferenceVM, True, bound)
             plain, _ = _observe(system, closure, args, VM, False, bound)
@@ -60,6 +69,7 @@ def _agree(body: str, params: str, args, fraction: float) -> None:
             assert plain == counted == reference, (source, bound)
             assert profile == expected, (source, bound)
         assert callable(closure.code.tier)
+    _entered[0] += METRICS.get("vm.tier.joined").value > joined
 
 
 @given(tl_int_expression(max_depth=3), st.integers(-50, 50), st.floats(0, 1))
@@ -93,3 +103,48 @@ def test_arrays_and_handlers(size, last, step, fallback, fraction):
     s + size(a)
   end"""
     _agree(body, "n: Int, last: Int", [size, last], fraction)
+
+
+_CONDITIONS = st.sampled_from(["p0 < 3", "p1 == 2", "p0 > p1", "s < p1"])
+
+
+def _block(value: str) -> str:
+    """An arm too big for the optimizer to copy into each branch: the
+    continuation stays one closure both branches tail-call."""
+    return f"begin print({value}); print({value} + p1); {value} * 2 + p0 end"
+
+
+_ARMS = st.recursive(
+    st.one_of(
+        st.integers(-3, 3).map(str),  # a literal
+        st.sampled_from(["p0 + 1", "p1 * s", "s - p0", "7 / p1"]),  # computed
+        st.sampled_from(["p0", "s", "p1 - 1"]).map(_block),
+    ),
+    lambda arms: st.tuples(_CONDITIONS, arms, arms).map(
+        lambda parts: "if {} then {} else {} end".format(*parts)),
+    max_leaves=5,
+)
+
+
+@given(
+    first=_ARMS, second=_ARMS, third=_ARMS,
+    p0=st.integers(-2, 5), p1=st.integers(-1, 4), fraction=st.floats(0, 1),
+)
+@settings(max_examples=50, deadline=None)
+def _value_ifs(first, second, third, p0, p1, fraction):
+    """``if``s in value position, nested, with literal and computed arms;
+    the ``var`` ``s`` is reassigned after the continuations captured it."""
+    body = f"""
+  var s := p0 in
+  begin
+    s := (if p1 < s then {first} else s end);
+    let t = (if p0 < 2 then {second} else p1 end) in
+    begin s := s + t; print(s); (if s > t then {third} else t end) + s end
+  end"""
+    _agree(body, "p0: Int, p1: Int", [p0, p1], fraction, reflect=True)
+
+
+def test_ifs_in_value_position_become_joins_entered_in_place():
+    before = _entered[0]
+    _value_ifs()
+    assert _entered[0] > before, "no example entered a join"
