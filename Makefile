@@ -61,9 +61,9 @@ fsck-smoke: server-smoke
 	$(PYTHON) -m repro fsck artifacts/server-smoke.tyc --json fsck-report.json -v
 
 # whole-image semantic audit of the server-smoke image: verify + abstractly
-# interpret every stored code object over the call graph and refresh the
+# interpret every stored function over the call graph and refresh the
 # persisted analysis-fact cache (see docs/analysis.md); then the negative
-# control — a bit-flipped stored opcode must turn the audit red
+# control — one flipped bit in a stored PTML blob must turn the audit red
 audit: server-smoke
 	$(PYTHON) -m repro audit artifacts/server-smoke.tyc --json audit-report.json -v
 	$(PYTHON) scripts/audit_negative_control.py --json audit-negative-control.json

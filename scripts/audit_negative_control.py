@@ -2,14 +2,16 @@
 """Negative control for ``python -m repro audit`` (CI runs this inverted).
 
 Builds a fresh image, persists a known-good module and audits it, which
-installs analysis facts for every function; then flips one bit of one
-stored instruction's opcode — exactly the class of silent bytecode
-corruption the whole-image audit exists to catch (the physical layer is
-fine, so ``fsck`` stays green; only semantic verification can see it).
-The flip leaves the function's PTML hash, and so its fact record, in
-place: the control runs on the warm path.  The script then runs the real
-CLI audit against the tampered image and exits 0 **only if the audit
-failed** — a green audit on corrupt code turns ``make audit`` (and CI) red.
+installs analysis facts for every function; then flips one bit of the PTML
+blob stored for ``ctrl.fact`` — the one stored form of its code.  The bit
+is the sort flag of the function's first parameter, so ``n`` becomes a
+continuation variable, and the tree fails well-formedness (constraint 1:
+a value argument follows a continuation argument).  The physical layer is
+fine, so ``fsck`` stays green; the audit must refuse the module when it
+regenerates its code (``TAM113``), as a daemon booting over the image
+skips it.  The script then runs the real CLI audit against the tampered
+image and exits 0 **only if the audit failed** — a green audit on corrupt
+code turns ``make audit`` (and CI) red.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro.cli import main as repro_main  # noqa: E402
 from repro.lang import TycoonSystem  # noqa: E402
 from repro.store.heap import ObjectHeap  # noqa: E402
+from repro.store.serialize import Blob, Decoder  # noqa: E402
 
 SRC = """
 module ctrl
@@ -43,23 +46,27 @@ def build_image(path: str) -> None:
     system.heap.close()
 
 
-def flip_one_bit(path: str) -> str:
-    """Flip the low bit of the last opcode byte of ctrl.fact's first instr."""
+def flip_one_bit(path: str, module: str = "ctrl", function: str = "fact") -> str:
+    """Flip the sort bit of the first name in ``module.function``'s stored
+    PTML (the function's first parameter) and commit; returns that name."""
     heap = ObjectHeap(path)
-    oid = heap.root("module:ctrl")
-    stored = heap.load(oid)
-    flipped = None
-    for fn_name, code, _externals in stored.functions:
-        if fn_name == "fact":
-            op, *rest = code.instrs[0]
-            flipped = op[:-1] + chr(ord(op[-1]) ^ 1)
-            code.instrs[0] = (flipped, *rest)
-            break
-    assert flipped is not None, "ctrl.fact not found in the stored module"
-    heap.update(oid, stored)
-    heap.commit()
-    heap.close()
-    return flipped
+    try:
+        stored = heap.load_root(f"module:{module}")
+        ref = next(ref for name, ref, _ in stored.functions if name == function)
+        data = bytearray(heap.load(ref).data)
+        # PTML opens with its string table, then the name table: the first
+        # entry is a string index, a uid and the sort byte flipped here
+        decoder = Decoder(bytes(data))
+        strings = [decoder.text() for _ in range(decoder.uvarint())]
+        decoder.uvarint()  # number of names
+        base = strings[decoder.uvarint()]
+        decoder.uvarint()  # uid
+        data[decoder.pos] ^= 1
+        heap.update(ref, Blob(bytes(data)))
+        heap.commit()
+        return base
+    finally:
+        heap.close()
 
 
 def main(argv=None) -> int:
@@ -82,7 +89,7 @@ def main(argv=None) -> int:
     print(f"untampered image audits clean: {image}")
 
     flipped = flip_one_bit(image)
-    print(f"flipped one opcode bit in ctrl.fact (now {flipped!r})")
+    print(f"flipped the sort bit of {flipped!r} in ctrl.fact's stored PTML")
 
     audit_argv = ["audit", image]
     if args.json:

@@ -1,4 +1,4 @@
-"""The image-wide call graph over persistently stored TAM code.
+"""The image-wide call graph over the code of every stored module.
 
 Section 6 of the paper notes that dynamically-bound library code defeats
 compile-time interprocedural analysis; the open-database answer is that the
@@ -9,10 +9,12 @@ Those references are frozen at store time, so the whole-image call graph is
 static and exact, and interprocedural summaries
 (:func:`repro.analysis.absint.summarize_graph`) can flow along it.
 
-Nodes are qualified ``module.function`` names.  Exported constants become
-typed value bindings; imports of modules absent from the image (data
-modules registered at runtime, unlinked holes) are recorded as *unresolved*
-and analyzed as ⊤.
+The graph is built from what :func:`~repro.lang.modules.load_module`
+regenerates from each module's PTML — the code a daemon booting over the
+image would run.  Nodes are qualified ``module.function`` names.  Exported
+constants become typed value bindings; imports of modules absent from the
+image (data modules registered at runtime, unlinked holes) are recorded as
+*unresolved* and analyzed as ⊤.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.absint import AbsVal, Kind, closure_kind, kind_of_value
 from repro.core.names import Name
+from repro.core.syntax import Abs
 from repro.machine.isa import CodeObject
 from repro.store.ptml import ptml_key
 
@@ -31,11 +34,13 @@ MODULE_ROOT_PREFIX = "module:"
 
 @dataclass
 class FunctionNode:
-    """One stored function: its code plus frozen external bindings."""
+    """One stored function: its TML, its code and its frozen external
+    bindings."""
 
     qualified: str
     module: str
     function: str
+    term: Abs
     code: CodeObject
     #: free Name -> ExternalRef (kind "sibling" | "import")
     externals: dict
@@ -62,57 +67,58 @@ class ImageGraph:
     #: module -> tuple of exported member names (may include type names,
     #: which have no runtime artifact)
     exports: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: module -> why ``load_module`` refused it (its functions are absent)
+    unloadable: dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------ builders
 
     @staticmethod
-    def from_heap(heap) -> "ImageGraph":
-        """Build the graph from every ``module:*`` root in an image."""
-        from repro.lang.modules import StoredModule
+    def from_heap(heap, registry=None) -> "ImageGraph":
+        """Build the graph from every ``module:*`` root in an image, each
+        module loaded with ``registry`` (the one its code was compiled with)."""
+        from repro.lang.modules import load_module
 
         modules: dict[str, object] = {}
+        unloadable: dict[str, str] = {}
         for root_name in heap.root_names():
             if not root_name.startswith(MODULE_ROOT_PREFIX):
                 continue
+            name = root_name[len(MODULE_ROOT_PREFIX):]
             try:
-                stored = heap.load_root(root_name)
-            except Exception:
-                continue
-            if isinstance(stored, StoredModule):
-                modules[stored.name] = stored
-        return ImageGraph.from_modules(modules, heap=heap)
+                modules[name] = load_module(heap, name, registry)
+            except Exception as exc:  # whatever the cause, the module cannot run
+                unloadable[name] = str(exc)
+        graph = ImageGraph.from_modules(modules, heap=heap)
+        graph.unloadable = unloadable
+        return graph
 
     @staticmethod
     def from_system(system) -> "ImageGraph":
         """Build the graph from a live :class:`TycoonSystem`'s image."""
-        return ImageGraph.from_heap(system.heap)
+        return ImageGraph.from_heap(system.heap, system.registry)
 
     @staticmethod
     def from_modules(modules: dict, heap=None) -> "ImageGraph":
-        """Build from module objects (stored or freshly compiled).
-
-        Accepts :class:`~repro.lang.modules.StoredModule` (functions as
-        ``(name, code, externals)`` tuples) and
-        :class:`~repro.lang.modules.CompiledModule` (functions as a dict of
-        :class:`CompiledFunction`), mixed freely.
-        """
+        """Build from :class:`~repro.lang.modules.CompiledModule` objects,
+        compiled or loaded."""
         graph = ImageGraph()
         for module_name, module in modules.items():
-            exports = tuple(getattr(module, "exports", ()) or ())
+            exports = tuple(module.exports)
             graph.exports[module_name] = exports
             exported = set(exports)
-            for fn_name, code, externals in _functions_of(module):
+            for fn_name, fn in module.functions.items():
                 qualified = f"{module_name}.{fn_name}"
                 graph.nodes[qualified] = FunctionNode(
                     qualified=qualified,
                     module=module_name,
                     function=fn_name,
-                    code=code,
-                    externals=dict(externals),
+                    term=fn.term,
+                    code=fn.code,
+                    externals=dict(fn.externals),
                     exported=fn_name in exported,
-                    ptml_hash=ptml_key(code, heap),
+                    ptml_hash=ptml_key(fn.code, heap),
                 )
-            for const_name, value in getattr(module, "constants", {}).items():
+            for const_name, value in module.constants.items():
                 graph.constants[f"{module_name}.{const_name}"] = kind_of_value(value)
         graph._resolve_edges()
         return graph
@@ -191,13 +197,3 @@ class ImageGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-
-def _functions_of(module):
-    """Normalize the two module shapes to (name, code, externals) triples."""
-    functions = getattr(module, "functions", None)
-    if isinstance(functions, dict):  # CompiledModule
-        for fn_name, fn in functions.items():
-            yield fn_name, fn.code, fn.externals
-    elif functions is not None:  # StoredModule
-        for fn_name, code, externals in functions:
-            yield fn_name, code, externals

@@ -179,10 +179,12 @@ DIAGNOSTIC_CODES: dict[str, str] = {
     "TAM102": "call to a resolved function with the wrong argument count: "
     "guaranteed arityError",
     # --- whole-image audit (repro.analysis.audit) ---
-    "TAM105": "stored code's effect class exceeds what its persistent TML "
-    "admits: the code does not implement its own source",
+    "TAM105": "generated code's effect class exceeds what its persistent TML "
+    "admits: code generation does not implement its source",
     "TAM110": "stored function unreachable from every module's export surface",
     "TAM111": "frozen external reference into a stored module that does not "
     "define the member: linking fails",
     "TAM112": "stale analysis fact dropped: a dependency's PTML hash moved",
+    "TAM113": "stored module does not load: its PTML is refused or its code "
+    "cannot be regenerated",
 }

@@ -1,13 +1,14 @@
 """TAM bytecode verifier: the one gate code passes where it enters.
 
-Stored code outlives the compiler that produced it (the central risk of a
-persistent code representation), so code is checked wherever it enters:
-:func:`repro.lang.modules.compile_module` and ``compile_stdlib`` before it
-is linked or persisted, :func:`repro.lang.modules.load_module` before a
-stored module is relinked, :func:`repro.reflect.optimize.optimize_closure`
-before reoptimized code replaces working code, and the compiled tier
+Stored PTML outlives the compiler that produced it (the central risk of a
+persistent code representation), so the code generated from it is checked
+wherever it enters: :func:`repro.lang.modules.compile_module` and
+``compile_stdlib`` before it is linked or persisted,
+:func:`repro.lang.modules.load_module` when it regenerates a stored
+module's code, :func:`repro.reflect.optimize.optimize_closure` before
+reoptimized code replaces working code, and the compiled tier
 (:mod:`repro.machine.tier`) before it generates a text.  The gate is not
-cached: nothing persisted vouches for bytecode, which no hash covers.
+cached: nothing persisted vouches for generated code.
 Three phases per code object, applied to each member of the family:
 
 1. **structural** — every instruction is a row of :data:`repro.machine.isa.OPS`

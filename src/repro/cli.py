@@ -447,8 +447,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _stored_targets(store_path: str, oid: int):
-    """Lintable (label, term, code) triples for one stored object."""
-    from repro.machine.isa import CodeObject
+    """Lintable (label, term, code) triples for one stored object: a PTML
+    blob, or a module record, whose functions are loaded as a daemon loads
+    them (:func:`repro.lang.modules.load_module`)."""
+    from repro.core.syntax import Oid
+    from repro.lang.modules import StoredModule, load_module
+    from repro.query.algebra import query_registry
     from repro.store.heap import ObjectHeap
     from repro.store.ptml import decode_ptml
     from repro.store.serialize import Blob
@@ -459,25 +463,17 @@ def _stored_targets(store_path: str, oid: int):
         label = f"oid:{oid}"
         if isinstance(obj, Blob):
             return [(label, decode_ptml(obj).term, None)]
-        if isinstance(obj, CodeObject):
-            term = None
-            if obj.ptml_ref is not None:
-                ref = obj.ptml_ref
-                blob = heap.load(ref) if not isinstance(ref, Blob) else ref
-                term = decode_ptml(blob).term
-            return [(label, term, obj)]
-        if hasattr(obj, "functions"):  # a StoredModule
-            targets = []
-            for fn_name, code, _externals in obj.functions:
-                term = None
-                if code.ptml_ref is not None:
-                    ref = code.ptml_ref
-                    blob = heap.load(ref) if not isinstance(ref, Blob) else ref
-                    term = decode_ptml(blob).term
-                targets.append((f"oid:{oid}/{fn_name}", term, code))
-            return targets
+        if isinstance(obj, StoredModule):
+            if heap.root(f"module:{obj.name}") != Oid(oid):
+                raise SystemExit(f"error: oid {oid} is a replaced record of module "
+                                 f"{obj.name!r}; lint the one its root names")
+            module = load_module(heap, obj.name, query_registry())
+            return [
+                (f"{label}/{fn.name}", fn.term, fn.code)
+                for fn in module.functions.values()
+            ]
         raise SystemExit(f"error: oid {oid} holds {type(obj).__name__}, "
-                         "not PTML, code, or a stored module")
+                         "not PTML or a stored module")
     finally:
         heap.close()
 

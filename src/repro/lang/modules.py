@@ -10,8 +10,11 @@ The lifecycle (paper Fig. 3):
    imported module members and constants.  Linking yields a
    :class:`ModuleValue`, the runtime first-class module.
 3. :func:`store_module` / :func:`load_module` — persist a compiled module
-   (code objects + PTML blobs + interface) into the object heap and recover
-   it in a later session.
+   into the object heap and recover it in a later session.  PTML is the only
+   stored code: a stored function is its name, the OID of its PTML blob and
+   its external bindings, and loading maps the PTML back to TML and runs the
+   code generator again (section 4.1), so the TAM a later session runs is
+   derived from the one persistent representation the hash covers.
 """
 
 from __future__ import annotations
@@ -22,18 +25,18 @@ from typing import TYPE_CHECKING, Any
 from repro._lazy import attach
 from repro.analysis.verify_tam import assert_verified
 from repro.core.names import Name, NameSupply
-from repro.core.syntax import Abs, Char, UNIT
-from repro.core.wellformed import check as check_wf
+from repro.core.syntax import Abs, Char, Oid, UNIT
+from repro.core.wellformed import WellFormednessError, check as check_wf
 from repro.lang.errors import TLCheckError, TLError
 from repro.lang.stdlib import build_stdlib
 from repro.lang.types import ExternalRef, FunSig, ModuleInterface, UNKNOWN
-from repro.machine.codegen import compile_function
-from repro.machine.isa import CodeObject, VMClosure, flatten_codes
+from repro.machine.codegen import CodegenError, compile_function
+from repro.machine.isa import CodeObject, VMClosure
 from repro.primitives.registry import PrimitiveRegistry, default_registry
 from repro.rewrite.pipeline import OptimizerConfig, optimize
 from repro.store.heap import HeapError, ObjectHeap
 from repro.store.pager import PageError
-from repro.store.ptml import encode_ptml, ptml_key
+from repro.store.ptml import PtmlError, decode_ptml, encode_ptml, ptml_key
 from repro.store.serialize import Blob, SerializeError, register_codec
 
 if TYPE_CHECKING:
@@ -75,8 +78,6 @@ class CompileOptions:
 
     ``optimizer``: the static (local) optimizer configuration, or None to
     skip static optimization entirely (the E1 baseline).
-    ``attach_ptml``: encode each function's TML and attach it to the code —
-    the space cost measured by E3, and the enabler of runtime optimization.
     ``library_ops``: route operators/builtins through the dynamically bound
     library (section 6); ``False`` open-codes primitives (ablation).
     Every generated code object passes the TAM bytecode verifier
@@ -87,7 +88,6 @@ class CompileOptions:
     optimizer: OptimizerConfig | None = field(
         default_factory=OptimizerConfig.reduction_only
     )
-    attach_ptml: bool = True
     library_ops: bool = True
     check_wellformed: bool = True
     registry: PrimitiveRegistry | None = None
@@ -199,8 +199,7 @@ def compile_module(
                 check_wf(term, registry)
         code = compile_function(term, registry, name=f"{checked.module.name}.{decl.name}")
         assert_verified(code, name=f"{checked.module.name}.{decl.name}")
-        if options.attach_ptml:
-            code.ptml_ref = encode_ptml(term)
+        code.ptml_ref = encode_ptml(term)
         sig = checked.interface.functions.get(decl.name) or FunSig(
             decl.name,
             tuple(UNKNOWN for _ in decl.params),
@@ -247,8 +246,7 @@ def compile_stdlib(
                 assert isinstance(term, Abs)
             code = compile_function(term, registry, name=f"{name}.{std_fn.name}")
             assert_verified(code, name=f"{name}.{std_fn.name}")
-            if options.attach_ptml:
-                code.ptml_ref = encode_ptml(term)
+            code.ptml_ref = encode_ptml(term)
             functions[std_fn.name] = CompiledFunction(
                 name=std_fn.name,
                 term=term,
@@ -347,9 +345,9 @@ def _encode_module(module: "StoredModule", enc) -> None:
     enc.value(tuple(module.exports))
     enc.value(dict(module.constants))
     enc.uvarint(len(module.functions))
-    for fn_name, code, externals in module.functions:
+    for fn_name, ptml_ref, externals in module.functions:
         enc.value(fn_name)
-        enc.value(code)
+        enc.value(ptml_ref)
         enc.uvarint(len(externals))
         for name, ref in externals.items():
             enc.value(name)
@@ -365,7 +363,9 @@ def _decode_module(dec) -> "StoredModule":
     functions = []
     for _ in range(dec.uvarint()):
         fn_name = dec.value()
-        code = dec.value()
+        # an image written before PTML was the only stored code holds a
+        # code object here; the decoder reads it down to its PTML reference
+        ptml_ref = dec.reference()
         externals = {}
         for _ in range(dec.uvarint()):
             free_name = dec.value()
@@ -373,18 +373,19 @@ def _decode_module(dec) -> "StoredModule":
             module = dec.value()
             member = dec.value()
             externals[free_name] = ExternalRef(kind, module, member)
-        functions.append((fn_name, code, externals))
+        functions.append((fn_name, ptml_ref, externals))
     return StoredModule(name, exports, constants, functions)
 
 
 @dataclass
 class StoredModule:
-    """The persisted form of a compiled module (codes reference PTML OIDs)."""
+    """The persisted form of a compiled module: per function its name, the
+    OID of its PTML blob and its external bindings."""
 
     name: str
     exports: tuple[str, ...]
     constants: dict[str, Any]
-    functions: list[tuple[str, CodeObject, dict[Name, ExternalRef]]]
+    functions: list[tuple[str, Any, dict[Name, ExternalRef]]]
 
 
 register_codec("tl-module", StoredModule, _encode_module, _decode_module)
@@ -396,13 +397,14 @@ def store_module(heap: ObjectHeap, compiled: CompiledModule) -> Any:
     Returns the module's OID and registers it under root ``module:<name>``.
     """
     for fn in compiled.functions.values():
-        _store_ptml_refs(heap, fn.code)
+        if isinstance(fn.code.ptml_ref, Blob):
+            fn.code.ptml_ref = heap.store(fn.code.ptml_ref)
     stored = StoredModule(
         name=compiled.name,
         exports=tuple(compiled.exports),
         constants=dict(compiled.constants),
         functions=[
-            (fn.name, fn.code, dict(fn.externals))
+            (fn.name, fn.code.ptml_ref, dict(fn.externals))
             for fn in compiled.functions.values()
         ],
     )
@@ -424,53 +426,57 @@ def _adopt_stored_ptml(heap: ObjectHeap, compiled: CompiledModule) -> bool:
         return False
     try:
         stored = heap.load(oid)
-        if not isinstance(stored, StoredModule) or (
-            tuple(stored.exports) != tuple(compiled.exports)
-            or [name for name, _, _ in stored.functions] != list(compiled.functions)
-        ):
-            return False
-        fresh = [
-            c for fn in compiled.functions.values() for c in flatten_codes(fn.code)
-            if c.ptml_ref is not None
-        ]
-        kept = [
-            c for _, code, _ in stored.functions for c in flatten_codes(code)
-            if c.ptml_ref is not None
-        ]
-        if [ptml_key(c) for c in fresh] != [ptml_key(c, heap) for c in kept]:
-            return False
     except (HeapError, PageError, SerializeError):
         return False
-    for code, stored_code in zip(fresh, kept):
-        code.ptml_ref = stored_code.ptml_ref
+    if not isinstance(stored, StoredModule) or (
+        tuple(stored.exports) != tuple(compiled.exports)
+        or [name for name, _, _ in stored.functions] != list(compiled.functions)
+    ):
+        return False
+    refs = [ref for _, ref, _ in stored.functions]
+    fresh = [fn.code for fn in compiled.functions.values()]
+    if [ptml_key(code) for code in fresh] != [ptml_key(ref, heap) for ref in refs]:
+        return False
+    for code, ref in zip(fresh, refs):
+        code.ptml_ref = ref
     return True
 
 
-def _store_ptml_refs(heap: ObjectHeap, code: CodeObject) -> None:
-    if isinstance(code.ptml_ref, Blob):
-        code.ptml_ref = heap.store(code.ptml_ref)
-    for nested in code.codes:
-        _store_ptml_refs(heap, nested)
-
-
-def load_module(heap: ObjectHeap, name: str) -> CompiledModule:
+def load_module(
+    heap: ObjectHeap, name: str, registry: PrimitiveRegistry | None = None
+) -> CompiledModule:
     """Recover a compiled module from the store (interface is signature-less).
 
-    Stored bytecode is untrusted — it may come from an older writer or a
-    corrupted heap — so each code object is verified before it can be
-    linked; :class:`~repro.analysis.verify_tam.TamVerificationError` names
-    the first function that fails.  No persisted verdict stands in for the
-    check: the PTML hash a fact record is keyed by does not cover bytecode.
+    Each function's PTML is mapped back to TML, checked for well-formedness
+    and compiled again with ``registry`` — which must be the registry the
+    module was compiled with; the generated code passes the same verifier
+    gate as a compile's.  Stored PTML is input from outside the program (an
+    older writer, a corrupted heap): a blob that does not decode or is not
+    well-formed raises :class:`TLError` naming the function.
     """
+    registry = registry or default_registry()
     stored = heap.load_root(f"module:{name}")
     if not isinstance(stored, StoredModule):
         raise TLError(f"root module:{name} is not a stored module")
     functions: dict[str, CompiledFunction] = {}
-    for fn_name, code, externals in stored.functions:
-        assert_verified(code, name=f"{name}.{fn_name}")
+    for fn_name, ref, externals in stored.functions:
+        qualified = f"{name}.{fn_name}"
+        blob = heap.load(ref) if isinstance(ref, Oid) else None
+        if not isinstance(blob, Blob):
+            raise TLError(f"{qualified}: the stored function has no PTML")
+        try:
+            term = decode_ptml(blob).term
+            if not isinstance(term, Abs):
+                raise PtmlError("the term is not an abstraction")
+            check_wf(term, registry)
+            code = compile_function(term, registry, name=qualified)
+        except (SerializeError, WellFormednessError, CodegenError) as exc:
+            raise TLError(f"{qualified}: stored PTML refused: {exc}") from exc
+        assert_verified(code, name=qualified)
+        code.ptml_ref = ref
         functions[fn_name] = CompiledFunction(
             name=fn_name,
-            term=None,  # recoverable from PTML on demand
+            term=term,
             code=code,
             externals=externals,
             sig=FunSig(fn_name, tuple(UNKNOWN for _ in code.params[:-2]), UNKNOWN),

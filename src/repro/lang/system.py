@@ -101,10 +101,24 @@ class TycoonSystem:
         """Compile a TL module (source text or parsed AST) and register its
         interface for later imports."""
         module = compile_module(source, self.interfaces, self.options)
+        self.forget(module.name)
         self.compiled[module.name] = module
         self.interfaces[module.name] = module.interface
-        self._unlink(module.name)
         return module
+
+    def forget(self, name: str) -> None:
+        """Drop what this process holds of module ``name``: its compiled
+        code and the links of it and of its importers.
+
+        ``compiled`` is a cache of the image, so the next call that reaches
+        the module loads its newest committed definition — what a restart
+        would run.  A replica calls this for every module a replicated
+        commit rebinds; the standard library is always linked and is kept.
+        """
+        if name in STDLIB_MODULE_NAMES:
+            return
+        self._unlink(name)
+        self.compiled.pop(name, None)
 
     def _unlink(self, name: str) -> None:
         """Drop the link of ``name`` and of every module importing it,
@@ -133,9 +147,10 @@ class TycoonSystem:
         return store_module(self.heap, self._compiled(name))
 
     def load(self, name: str) -> CompiledModule:
-        """Load a previously persisted module from the heap; its code is
-        verified first (:func:`repro.lang.modules.load_module`)."""
-        module = load_module(self.heap, name)
+        """Load a persisted module from the heap, regenerating its code from
+        its PTML with this system's registry
+        (:func:`repro.lang.modules.load_module`)."""
+        module = load_module(self.heap, name, self.registry)
         self.compiled[name] = module
         return module
 
@@ -161,7 +176,9 @@ class TycoonSystem:
         if module is None:
             if name in STDLIB_MODULE_NAMES:
                 raise TLError(f"{name!r} is a library module; it is always linked")
-            raise TLError(f"module {name!r} has not been compiled")
+            if self.heap.root(f"module:{name}") is None:
+                raise TLError(f"module {name!r} has not been compiled")
+            module = self.load(name)
         return module
 
     # ---------------------------------------------------------------- run

@@ -52,10 +52,7 @@ def term_of_closure(closure: VMClosure, heap=None, allow_decompile: bool = False
             from repro.reflect.decompile import decompile_code
 
             return decompile_code(closure.code)
-        raise ReflectError(
-            f"procedure {closure.code.name!r} carries no PTML "
-            "(compiled with attach_ptml=False?)"
-        )
+        raise ReflectError(f"procedure {closure.code.name!r} carries no PTML")
     if isinstance(ref, Oid):
         if heap is None:
             raise ReflectError("PTML reference is an OID but no heap was supplied")

@@ -33,6 +33,13 @@ write's response until N subscribers acknowledged the commit's version
 structured ``replication_timeout`` error (the write *is* committed
 locally), so a client-visible success implies the write survives failover
 to any acked replica.
+
+**Code.**  A stored module is PTML in the image, so replicating the image
+replicates the code.  An applied record that binds or removes a
+``module:*`` root, and every snapshot resync, makes the replica's
+:class:`~repro.lang.system.TycoonSystem` forget the modules concerned
+(:meth:`~repro.lang.system.TycoonSystem.forget`, under the write lock);
+the next ``call`` that reaches one regenerates it from the applied image.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import queue
 import socket
 import threading
 import time
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -49,6 +57,9 @@ from repro.server.protocol import recv_frame, send_frame
 from repro.store.commitlog import ChangeRecord, CommitLog, CommitLogError
 from repro.store.concurrency import TransactionManager
 from repro.store.heap import ChangeSet, HeapError, ObjectHeap
+
+if TYPE_CHECKING:
+    from repro.lang.system import TycoonSystem
 
 __all__ = [
     "REPL_ROOT",
@@ -456,6 +467,7 @@ class ReplicaFollower:
         self,
         heap: ObjectHeap,
         txns: TransactionManager,
+        system: TycoonSystem,
         upstream: tuple[str, int],
         log_path: str,
         node: str,
@@ -465,6 +477,8 @@ class ReplicaFollower:
     ):
         self.heap = heap
         self.txns = txns
+        #: the code this node runs: each apply drops what it rebinds
+        self.system = system
         self.upstream = (upstream[0], int(upstream[1]))
         self.node = node
         self.fence = fence
@@ -632,6 +646,8 @@ class ReplicaFollower:
                 self.heap.reset_state(
                     list(snapshot.objects), dict(snapshot.roots), snapshot.oid_counter
                 )
+                for name in list(self.system.compiled):
+                    self.system.forget(name)
                 self.txns.bump()
             self.version = snapshot.version
             self.term = max(self.term, snapshot.term)
@@ -671,6 +687,9 @@ class ReplicaFollower:
                             record.removed,
                             record.oid_counter,
                         )
+                        for root in (*record.roots, *record.removed):
+                            if root.startswith("module:"):
+                                self.system.forget(root[len("module:"):])
                         self.txns.bump()
             self.version = record.version
             self.term = max(self.term, record.term)

@@ -45,6 +45,7 @@ def make_follower(server, upstream: tuple[str, int]) -> ReplicaFollower:
     return ReplicaFollower(
         server.heap,
         server.txns,
+        server.system,
         upstream,
         f"{server.image_path}.commitlog",
         node=server.config.node_id or "replica",

@@ -37,10 +37,8 @@ every post-crash image and requires zero errors.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.syntax import Oid
 from repro.obs.metrics import METRICS
@@ -127,38 +125,6 @@ class FsckResult:
             "warnings": len(self.warnings),
             "findings": [f.as_dict() for f in self.findings],
         }
-
-
-def _collect_refs(obj: Any, refs: set[int], seen: set[int]) -> None:
-    """Find every :class:`Oid` inside a decoded object graph.
-
-    The decoder's resolver hook catches most references, but some decode
-    paths deliberately bypass it (``CodeObject.ptml_ref`` stays a lazy
-    reference), so reachability needs this structural walk as well.
-    """
-    if isinstance(obj, Oid):
-        refs.add(obj.value)
-        return
-    if isinstance(obj, (str, bytes, int, float, bool, type(None))):
-        return
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _collect_refs(key, refs, seen)
-            _collect_refs(value, refs, seen)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for value in obj:
-            _collect_refs(value, refs, seen)
-    elif dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            _collect_refs(getattr(obj, f.name, None), refs, seen)
-    else:
-        attrs = getattr(obj, "__dict__", None)
-        if attrs:
-            for value in attrs.values():
-                _collect_refs(value, refs, seen)
 
 
 def _fsck_v1(path: str, result: FsckResult, repair: bool) -> FsckResult:
@@ -321,8 +287,7 @@ def _fsck_v2(pager: Pager, result: FsckResult, repair: bool) -> FsckResult:
                 _refs.add(ref.value)
                 return ref
 
-            obj = decode_value(raw, resolver=_record)
-            _collect_refs(obj, refs, set())
+            decode_value(raw, resolver=_record)
             outrefs[oid] = refs
         except Exception as exc:
             corrupt[oid] = f"payload does not decode: {exc}"

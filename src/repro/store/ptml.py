@@ -184,7 +184,7 @@ def decode_ptml(blob: Blob | bytes) -> DecodedPtml:
             raise PtmlError("name base out of range")
         names.append(Name(strings[base_index], uid, sort))
 
-    free = tuple(names[decoder.uvarint()] for _ in range(decoder.uvarint()))
+    free = tuple(_entry(names, decoder.uvarint()) for _ in range(decoder.uvarint()))
 
     # -- node stream: iterative preorder parse with a frame stack --
     # frame: [builder_kind, meta, needed, children]
@@ -220,13 +220,10 @@ def decode_ptml(blob: Blob | bytes) -> DecodedPtml:
         if op == _OP_LIT:
             finished = complete(Lit(decoder.value()))
         elif op == _OP_VAR:
-            index = decoder.uvarint()
-            if index >= len(names):
-                raise PtmlError("variable name out of range")
-            finished = complete(Var(names[index]))
+            finished = complete(Var(_entry(names, decoder.uvarint())))
         elif op == _OP_ABS:
             count = decoder.uvarint()
-            params = tuple(names[decoder.uvarint()] for _ in range(count))
+            params = tuple(_entry(names, decoder.uvarint()) for _ in range(count))
             frames.append([_OP_ABS, params, 1, []])
             finished = None
         elif op == _OP_APP:
@@ -234,7 +231,7 @@ def decode_ptml(blob: Blob | bytes) -> DecodedPtml:
             frames.append([_OP_APP, None, count + 1, []])
             finished = None
         elif op == _OP_PRIM:
-            prim = strings[decoder.uvarint()]
+            prim = _entry(strings, decoder.uvarint())
             count = decoder.uvarint()
             if count == 0:
                 finished = complete(PrimApp(prim, ()))
@@ -249,6 +246,12 @@ def decode_ptml(blob: Blob | bytes) -> DecodedPtml:
     if decoder.pos != len(data):
         raise PtmlError("trailing bytes after node stream")
     return DecodedPtml(term=result, free=free)
+
+
+def _entry(table: list, index: int):
+    if index >= len(table):
+        raise PtmlError(f"table index {index} out of range")
+    return table[index]
 
 
 def ptml_size(term: Term) -> int:

@@ -2,15 +2,16 @@
 
 A compact varint-tagged binary format covering the TML runtime universe:
 simple values, arrays/vectors/byte arrays, OID references, names, tuples,
-dicts, raw blobs and compiled :class:`~repro.machine.isa.CodeObject` trees.
-Domain objects (relations, modules, ...) plug in through the extension-codec
-registry — the store stays ignorant of their structure, mirroring how the
-Tycoon store treats ADT values as opaque complex objects.
+dicts and raw blobs.  Domain objects (relations, modules, ...) plug in
+through the extension-codec registry — the store stays ignorant of their
+structure, mirroring how the Tycoon store treats ADT values as opaque
+complex objects.
 
 Nested OID references are *swizzled* on decode when a resolver is supplied:
 the reference is replaced by the referenced object (loaded through the
-heap).  Codecs that must avoid eager loading (e.g. modules referencing other
-modules) decode their references lazily instead.
+heap).  A codec that keeps a reference (a module keeps the OIDs of its
+functions' PTML) reads it with :meth:`Decoder.reference`, which still
+shows it to the resolver.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any, Callable
 
 from repro.core.names import Name
 from repro.core.syntax import Char, Oid, UNIT, Unit
-from repro.machine.isa import CodeObject
 from repro.machine.runtime import TmlArray, TmlByteArray, TmlVector
 
 __all__ = [
@@ -119,7 +119,7 @@ _T_TUPLE = 11
 _T_DICT = 12
 _T_BLOB = 13
 _T_NAME = 14
-_T_CODE = 15
+_T_CODE = 15  # a TAM code object: written by old images only, see Decoder._code
 _T_EXT = 16
 _T_BIGINT = 17  # arbitrary precision, for values outside the 64-bit range
 
@@ -220,9 +220,6 @@ class Encoder:
             self.text(obj.base)
             self.uvarint(obj.uid)
             self.buf.append(1 if obj.is_cont else 0)
-        elif isinstance(obj, CodeObject):
-            self.buf.append(_T_CODE)
-            self._code(obj)
         else:
             tag = _EXT_BY_TYPE.get(type(obj))
             if tag is None:
@@ -231,19 +228,6 @@ class Encoder:
             self.buf.append(_T_EXT)
             self.text(tag)
             encode(obj, self)
-
-    def _code(self, code: CodeObject) -> None:
-        self.text(code.name)
-        self.value(tuple(code.params))
-        self.uvarint(code.nregs)
-        self.value(tuple(tuple(instr) for instr in code.instrs))
-        self.value(tuple(code.consts))
-        self.uvarint(len(code.codes))
-        for nested in code.codes:
-            self._code(nested)
-        self.value(tuple(code.free_names))
-        self.buf.append(1 if code.is_proc else 0)
-        self.value(code.ptml_ref)
 
     def getvalue(self) -> bytes:
         return bytes(self.buf)
@@ -275,7 +259,10 @@ class Decoder:
         return chunk
 
     def text(self) -> str:
-        return self.raw().decode("utf-8")
+        try:
+            return self.raw().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializeError(f"text field is not UTF-8: {exc}") from None
 
     def byte(self) -> int:
         if self.pos >= len(self.data):
@@ -337,34 +324,32 @@ class Decoder:
             return decode(self)
         raise SerializeError(f"unknown tag {tag}")
 
-    def _code(self) -> CodeObject:
-        name = self.text()
-        params = self.value()
-        nregs = self.uvarint()
-        instrs = [tuple(instr) for instr in self.value()]
-        consts = list(self.value())
-        ncodes = self.uvarint()
-        codes = [self._code() for _ in range(ncodes)]
-        free_names = self.value()
-        is_proc = bool(self.byte())
-        # ptml_ref must stay a reference: the reflective optimizer loads the
-        # PTML blob lazily, never as part of loading the code object.
-        saved_resolver, self.resolver = self.resolver, None
+    def reference(self) -> Any:
+        """Read one value whose OID stays a reference.  The resolver still
+        sees the OID — fsck counts it, a heap loads its target — but the
+        caller keeps the OID."""
+        resolver, self.resolver = self.resolver, None
         try:
-            ptml_ref = self.value()
+            ref = self.value()
         finally:
-            self.resolver = saved_resolver
-        return CodeObject(
-            name=name,
-            params=params,
-            nregs=nregs,
-            instrs=instrs,
-            consts=consts,
-            codes=codes,
-            free_names=free_names,
-            is_proc=is_proc,
-            ptml_ref=ptml_ref,
-        )
+            self.resolver = resolver
+        if isinstance(ref, Oid) and resolver is not None:
+            resolver(ref)
+        return ref
+
+    def _code(self) -> Any:
+        """Skip a TAM code object of an image written before PTML was the
+        only stored code; what remains of it is its PTML reference."""
+        self.text()  # name
+        self.value()  # params
+        self.uvarint()  # nregs
+        self.value()  # instrs
+        self.value()  # consts
+        for _ in range(self.uvarint()):
+            self._code()
+        self.value()  # free names
+        self.byte()  # is_proc
+        return self.value()
 
 
 def encode_value(obj: Any) -> bytes:

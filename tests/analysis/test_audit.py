@@ -6,10 +6,10 @@ import pytest
 
 from repro.analysis.audit import audit_image
 from repro.analysis.facts import FactStore
-from repro.analysis.verify_tam import TamVerificationError
 from repro.cli import main
-from repro.lang import TycoonSystem
+from repro.lang import TLError, TycoonSystem
 from repro.store.heap import ObjectHeap
+from scripts.audit_negative_control import flip_one_bit
 
 SRC = """
 module t
@@ -96,35 +96,27 @@ class TestInvalidation:
         assert third.reused == third.functions
 
 
-def _flip_one_opcode_bit(path, fn="fact"):
-    """Flip the low bit of the opcode of ``t.<fn>``'s first instruction.
+def _flip_ptml(path):
+    """Flip one bit of ``t.fact``'s stored PTML: its parameter ``n``
+    becomes a continuation variable and the tree is no longer well-formed."""
+    flip_one_bit(path, "t", "fact")
 
-    The PTML (and so the function's hash) does not move: only the bytecode
-    is corrupt, which no persisted fact record can see."""
-    heap = ObjectHeap(path)
-    oid = heap.root("module:t")
-    stored = heap.load(oid)
-    for fn_name, code, _externals in stored.functions:
-        if fn_name == fn:
-            op, *rest = code.instrs[0]
-            code.instrs[0] = (op[:-1] + chr(ord(op[-1]) ^ 1), *rest)
-            break
-    heap.update(oid, stored)
-    heap.commit()
-    heap.close()
+
+def _refusals(report):
+    return [(d.code, d.subject) for d in report.diagnostics if d.is_error]
 
 
 class TestNegativeControl:
-    def test_bit_flipped_bytecode_fails_the_audit(self, image):
-        # flip one stored instruction's opcode — the structural verifier
-        # must catch it and the audit must go red
-        _flip_one_opcode_bit(image)
+    def test_bit_flipped_ptml_fails_the_audit(self, image):
+        # the module cannot be regenerated, so the audit must go red
+        _flip_ptml(image)
         report = audit_image(image)
         assert not report.ok
-        assert any(d.code == "TAM001" for d in report.diagnostics)
+        assert _refusals(report) == [("TAM113", "t")]
+        assert any("t.fact" in d.message for d in report.diagnostics)
 
     def test_tampered_function_gets_no_fact(self, image):
-        self.test_bit_flipped_bytecode_fails_the_audit(image)
+        self.test_bit_flipped_ptml_fails_the_audit(image)
         heap = ObjectHeap(image)
         store = FactStore()
         store.attach(heap)
@@ -140,35 +132,36 @@ class TestNegativeControl:
     def test_a_warm_audit_still_verifies_every_function(self, image, capsys):
         warm = audit_image(image)
         assert warm.ok and warm.analyzed > 0  # facts for t.fact installed
-        _flip_one_opcode_bit(image)
+        _flip_ptml(image)
         report = audit_image(image)
         assert not report.ok
-        assert [d.subject or d.path for d in report.diagnostics if d.is_error] == [
-            "t.fact.instrs[0]"
-        ]
-        assert report.reused == report.functions - 1  # only t.fact re-analyzed
+        assert _refusals(report) == [("TAM113", "t")]
+        # every function that still loads is reused; t's are gone
+        assert report.reused == report.functions == warm.functions - 2
         assert main(["audit", image]) == 1
-        assert "TAM001" in capsys.readouterr().out
+        assert "TAM113" in capsys.readouterr().out
 
     def test_a_failing_function_loses_its_record(self, image):
         audit_image(image)
-        _flip_one_opcode_bit(image)
+        _flip_ptml(image)
         audit_image(image)
         heap = ObjectHeap(image)
         store = FactStore()
         store.attach(heap)
         heap.close()
         names = {store.lookup(key).name for key in store.keys()}
-        assert "t.main" in names and "t.fact" not in names
+        # a module that does not load keeps no record for any function
+        assert "int.add" in names
+        assert not {"t.fact", "t.main"} & names
 
     def test_load_after_an_audit_still_verifies(self, image):
         audit_image(image)
-        _flip_one_opcode_bit(image)
+        _flip_ptml(image)
         system = TycoonSystem(heap=ObjectHeap(image))
         facts = FactStore()
         facts.attach(system.heap)
         try:
-            with pytest.raises(TamVerificationError, match="TAM001"):
+            with pytest.raises(TLError, match="t.fact: stored PTML refused"):
                 system.load("t")
             # no fact record can be handed in to stand for the check
             with pytest.raises(TypeError):
@@ -194,9 +187,9 @@ class TestCli:
         assert "t.fact" in data["summaries"]
 
     def test_audit_exits_nonzero_on_corrupt_image(self, image, capsys):
-        TestNegativeControl().test_bit_flipped_bytecode_fails_the_audit(image)
+        TestNegativeControl().test_bit_flipped_ptml_fails_the_audit(image)
         assert main(["audit", image]) == 1
-        assert "TAM001" in capsys.readouterr().out
+        assert "TAM113" in capsys.readouterr().out
 
     def test_strict_promotes_warnings(self, tmp_path, capsys):
         path = str(tmp_path / "warn.db")

@@ -91,6 +91,19 @@ def test_lint_stored_module(store, capsys):
     assert "0 error(s)" in capsys.readouterr().out
 
 
+def test_lint_stored_module_lints_the_code_a_load_regenerates(store, capsys):
+    source = "module m export f let f(x: Int): Int = x + {} end"
+    heap = ObjectHeap(store)
+    replaced = store_module(heap, compile_module(source.format(1)))
+    current = store_module(heap, compile_module(source.format(2)))
+    heap.commit()
+    heap.close()
+    assert main(["lint", "--store", store, "--oid", str(int(current))]) == 0
+    assert "linted 1 object(s)" in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="replaced record of module 'm'"):
+        main(["lint", "--store", store, "--oid", str(int(replaced))])
+
+
 def test_lint_stored_ill_formed_ptml_exits_one(store, capsys):
     supply = NameSupply()
     x = supply.fresh_val("x")

@@ -2,6 +2,12 @@
 
 import pytest
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 from repro.core.syntax import Abs, Oid
 from repro.lang import (
     CompileOptions,
@@ -12,11 +18,14 @@ from repro.lang import (
     load_module,
     store_module,
 )
-from repro.lang.modules import link_stdlib
+from repro.lang.modules import StoredModule, compile_stdlib, link_stdlib
+from repro.machine.binfmt import encode_code
 from repro.machine.isa import VMClosure
 from repro.machine.vm import VM
 from repro.store.heap import ObjectHeap
 from repro.store.serialize import Blob
+from scripts.audit_negative_control import flip_one_bit
+from tests.store import legacy_module
 
 SRC = """
 module calc export inc fact
@@ -37,10 +46,6 @@ class TestCompilation:
     def test_ptml_attached_by_default(self):
         compiled = compile_module(SRC)
         assert isinstance(compiled.functions["inc"].code.ptml_ref, Blob)
-
-    def test_ptml_can_be_disabled(self):
-        compiled = compile_module(SRC, options=CompileOptions(attach_ptml=False))
-        assert compiled.functions["inc"].code.ptml_ref is None
 
     def test_externals_cover_free_names(self):
         compiled = compile_module(SRC)
@@ -153,3 +158,157 @@ class TestPersistence:
         system2.load("calc")
         assert system2.call("calc", "fact", [5]).value == 120
         heap2.close()
+
+    def test_the_record_holds_ptml_references_and_load_regenerates(self, tmp_path):
+        heap = ObjectHeap(str(tmp_path / "ref.tyc"))
+        compiled = compile_module(SRC)
+        store_module(heap, compiled)
+        stored = heap.load_root("module:calc")
+        assert [(name, ref) for name, ref, _ in stored.functions] == [
+            (name, fn.code.ptml_ref) for name, fn in compiled.functions.items()
+        ]
+        loaded = load_module(heap, "calc")
+        for name, fn in compiled.functions.items():
+            again = loaded.functions[name]
+            assert again.code.ptml_ref == fn.code.ptml_ref
+            assert again.term == fn.term
+            assert encode_code(again.code) == encode_code(fn.code)
+        heap.close()
+
+    def test_a_function_without_ptml_is_refused_by_name(self, tmp_path):
+        heap = ObjectHeap(str(tmp_path / "none.tyc"))
+        heap.set_root("module:calc", heap.store(
+            StoredModule("calc", ("inc",), {}, [("inc", None, {})])
+        ))
+        with pytest.raises(TLError, match="calc.inc"):
+            load_module(heap, "calc")
+        heap.close()
+
+    def test_ill_formed_ptml_is_refused_by_name(self, tmp_path):
+        path = str(tmp_path / "flip.tyc")
+        heap = ObjectHeap(path)
+        store_module(heap, compile_module(SRC))
+        heap.commit()
+        heap.close()
+        assert flip_one_bit(path, "calc", "fact") == "n"
+        heap = ObjectHeap(path)
+        with pytest.raises(TLError, match="calc.fact: stored PTML refused"):
+            load_module(heap, "calc")
+        heap.close()
+
+
+class TestOldImages:
+    """An image whose module records hold TAM code objects (the layout
+    before PTML was the only stored code) loads with no migration."""
+
+    def test_an_old_layout_record_loads_and_answers(self, tmp_path):
+        heap = ObjectHeap(str(tmp_path / "old.tyc"))
+        legacy_module.install(heap)
+        loaded = load_module(heap, "calc")
+        for name, oid in legacy_module.PTML_OIDS.items():
+            assert loaded.functions[name].code.ptml_ref == Oid(oid)
+        linked = link_module(loaded, link_stdlib())
+        assert VM(store=heap).call(linked.member("fact"), [6]).value == 720
+        assert VM(store=heap).call(linked.member("inc"), [41]).value == 42
+        heap.close()
+
+    def test_old_code_regenerates_as_the_source_compiles(self, tmp_path):
+        heap = ObjectHeap(str(tmp_path / "old.tyc"))
+        legacy_module.install(heap)
+        loaded = load_module(heap, "calc")
+        fresh = compile_module(legacy_module.SOURCE)
+        for name, fn in fresh.functions.items():
+            assert encode_code(loaded.functions[name].code) == encode_code(fn.code)
+        heap.close()
+
+    def test_a_system_calls_an_old_module_without_loading_it_first(self, tmp_path):
+        path = str(tmp_path / "old.tyc")
+        heap = ObjectHeap(path)
+        legacy_module.install(heap)
+        heap.close()
+        system = TycoonSystem(heap=ObjectHeap(path))
+        assert system.call("calc", "fact", [5]).value == 120
+        system.heap.close()
+
+
+def _corpus_image(path):
+    """Compile and persist every Stanford program and the query corpus
+    into a file image (the system stores the stdlib itself); returns the
+    image's module names and ``qualified -> encode_code`` of what compiled."""
+    from perf.corpus import QUERY_SOURCE, stanford_programs
+    from repro.query.relation import Relation
+
+    system = TycoonSystem(heap=ObjectHeap(path))
+    system.register_data_module("db", {"data": Relation("data", ["id", "v"])})
+    modules = [system.compile(p.source) for p in stanford_programs()]
+    modules.append(system.compile(QUERY_SOURCE))
+    for module in modules:
+        system.persist(module.name)
+    modules += compile_stdlib(system.options).values()
+    system.commit()
+    system.heap.close()
+    codes = {
+        f"{module.name}.{name}": encode_code(fn.code)
+        for module in modules
+        for name, fn in module.functions.items()
+    }
+    return [module.name for module in modules], codes
+
+
+_REGENERATE = """
+import hashlib, json, sys
+from repro.lang.modules import load_module
+from repro.machine.binfmt import encode_code
+from repro.query.algebra import query_registry
+from repro.store.heap import ObjectHeap
+
+heap = ObjectHeap(sys.argv[1])
+digests = {}
+for name in json.loads(sys.argv[2]):
+    for fn_name, fn in load_module(heap, name, query_registry()).functions.items():
+        digests[f"{name}.{fn_name}"] = hashlib.sha256(encode_code(fn.code)).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+class TestRegeneration:
+    """TAM is a pure function of PTML: every function of the stdlib, the
+    Stanford suite and the query corpus loads as the code it compiled to."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("corpus") / "corpus.tyc")
+        names, codes = _corpus_image(path)
+        return path, names, codes
+
+    def test_in_process(self, corpus):
+        from repro.query.algebra import query_registry
+
+        path, names, codes = corpus
+        heap = ObjectHeap(path)
+        regenerated = {
+            f"{name}.{fn_name}": encode_code(fn.code)
+            for name in names
+            for fn_name, fn in load_module(heap, name, query_registry()).functions.items()
+        }
+        heap.close()
+        assert len(codes) > 40
+        assert regenerated == codes
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_in_a_fresh_process(self, corpus, seed):
+        import repro
+
+        path, names, codes = corpus
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _REGENERATE, path, json.dumps(names)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        assert json.loads(run.stdout) == {
+            name: hashlib.sha256(code).hexdigest() for name, code in codes.items()
+        }

@@ -118,6 +118,6 @@ def test_stdlib_ptml_stored_in_heap():
     heap = ObjectHeap()
     link_stdlib(heap=heap)
     module = heap.load_root("module:int")
-    for name, code, _ in module.functions:
-        assert isinstance(code.ptml_ref, Oid)
-        assert isinstance(heap.load(code.ptml_ref), Blob)
+    for name, ref, _ in module.functions:
+        assert isinstance(ref, Oid)
+        assert isinstance(heap.load(ref), Blob)

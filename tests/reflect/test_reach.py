@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.syntax import Abs, Oid
-from repro.lang import CompileOptions, TycoonSystem
+from repro.lang import TycoonSystem
 from repro.machine.runtime import TmlArray
 from repro.reflect.reach import (
     ReflectError,
@@ -28,11 +28,12 @@ def test_term_of_closure_roundtrips(system):
     assert len(term.params) == 3  # x, ce, cc
 
 
-def test_missing_ptml_rejected():
-    system = TycoonSystem(options=CompileOptions(attach_ptml=False))
+def test_missing_ptml_rejected(system):
     system.compile("module m export f let f(x: Int): Int = x end")
+    closure = system.closure("m", "f")
+    closure.code.ptml_ref = None  # code built outside the compiler
     with pytest.raises(ReflectError, match="no PTML"):
-        term_of_closure(system.closure("m", "f"), system.heap)
+        term_of_closure(closure, system.heap)
 
 
 def test_collects_library_entities(system):

@@ -1,9 +1,9 @@
-"""Booting over an image whose stored bytecode fails verification.
+"""Booting over an image whose stored PTML is refused.
 
-Stored code is input from outside the daemon: a module whose code does not
-verify is skipped at boot like one that cannot be decoded, and the other
-modules are served.  Whether the image was audited first (so its fact
-store has a record for the tampered function's PTML hash) changes nothing.
+Stored PTML is input from outside the daemon: a module whose code cannot
+be regenerated from it is skipped at boot like one that cannot be decoded,
+and the other modules are served.  Whether the image was audited first (so
+its fact store has records for the module's functions) changes nothing.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.lang import TycoonSystem
 from repro.server import ReproServer, ServerConfig, connect
 from repro.server.client import ServerError
 from repro.store.heap import ObjectHeap
+from scripts.audit_negative_control import flip_one_bit
 
 CTRL = """
 module ctrl
@@ -33,17 +34,7 @@ def _tampered_image(path, audited):
     system.heap.close()
     if audited:
         assert audit_image(path).ok
-    # flip the low bit of the opcode of ctrl.fact's first instruction
-    heap = ObjectHeap(path)
-    oid = heap.root("module:ctrl")
-    stored = heap.load(oid)
-    for fn_name, code, _externals in stored.functions:
-        if fn_name == "fact":
-            op, *rest = code.instrs[0]
-            code.instrs[0] = (op[:-1] + chr(ord(op[-1]) ^ 1), *rest)
-    heap.update(oid, stored)
-    heap.commit()
-    heap.close()
+    flip_one_bit(path, "ctrl", "fact")  # ctrl.fact's PTML is no longer well-formed
 
 
 @pytest.mark.parametrize("audited", [False, True], ids=["cold", "audited"])

@@ -2,9 +2,10 @@
 record per PTML hash under ``analysis:facts``, and the ``cache`` field plus
 ``server.codecache.{hits,misses}`` counters a ``call`` reports."""
 
+import base64
+
 from repro.analysis.facts import FACTS_ROOT, FactStore
 from repro.lang import TycoonSystem
-from repro.machine.isa import CodeObject
 from repro.reflect.optimize import DYNAMIC_CONFIG, config_fingerprint
 from repro.server import ReproServer, ServerConfig, connect
 from repro.store.heap import ObjectHeap
@@ -128,24 +129,32 @@ def test_a_call_sees_a_library_redefined_under_its_importer(tmp_path):
         server.stop()
 
 
+#: the ``server:code-cache`` table as its last writer stored it: PTML hash
+#: -> the TAM code object of ``demo.double``, whose PTML is OID 36 in an
+#: image built like :func:`_stored_system`'s.  Code objects are no longer
+#: stored values, so the payload is kept as written.
+CODE_CACHE_PAYLOAD = base64.b64decode(
+    "DAEEQDEzZGI3MWQxNmRhNTBhNjY2NzhmNjBlNTQyNGJjOWRlYTcyYjNmYWI4N2VlNWEx"
+    "MGViM2NmNWM2ZjBlYWU2MjUPC2RlbW8uZG91YmxlCwMOAXgAAA4CY2UBAQ4CY2MCAQQL"
+    "AgsDBARmcmVlAwYDAAsDBAh0YWlsY2FsbAMGCwQDAAMAAwIDBAsAAAsBDgdpbnQuYWRk"
+    "AwABBiQ="
+)
+
+
 def _legacy_image(path):
     """An image carrying both retired roots, written the way they were:
     PTML hash -> CodeObject, and ``function@fingerprint`` -> attributes."""
     system, heap = _stored_system(path)
-    code = system.closure("demo", "double").code
     fingerprint = config_fingerprint(DYNAMIC_CONFIG)
-    tables = {
-        "server:code-cache": {ptml_key(code, heap): code},
-        "reflect:attributes": {
-            f"demo.double@{fingerprint}": {
-                "function": "demo.double", "fingerprint": fingerprint,
-                "cost_before": 9, "cost_after": 4, "entities": 3, "code_size": 12,
-            }
-        },
-    }
-    for root, table in tables.items():
-        heap.set_root(root, heap.store(table))
+    heap.set_root("reflect:attributes", heap.store({
+        f"demo.double@{fingerprint}": {
+            "function": "demo.double", "fingerprint": fingerprint,
+            "cost_before": 9, "cost_after": 4, "entities": 3, "code_size": 12,
+        }
+    }))
     heap.commit()
+    oid = max(heap.committed_oids()) + 1
+    heap.apply_changes([(oid, CODE_CACHE_PAYLOAD)], {"server:code-cache": oid}, [], oid + 1)
     oids = {heap.root(root) for root in LEGACY_ROOTS}
     heap.close()
     return oids
@@ -191,7 +200,8 @@ def test_an_image_with_retired_roots_serves_audits_and_keeps_them(tmp_path, caps
     assert "0 error(s)" in capsys.readouterr().out
     heap = ObjectHeap(path)
     try:
-        assert isinstance(heap.load_root("server:code-cache").popitem()[1], CodeObject)
+        kept = heap.committed_payload(heap.root("server:code-cache"))
+        assert kept == CODE_CACHE_PAYLOAD
         assert len(heap.load_root("reflect:attributes")) == 1
     finally:
         heap.close()

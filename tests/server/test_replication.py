@@ -177,6 +177,61 @@ class TestShipping:
                     pass
 
 
+class TestReplicatedCode:
+    """A ``call`` on a replica observes the newest committed definition of
+    every function it reaches — what a restart of the replica would run."""
+
+    def test_a_module_defined_after_the_replica_started_is_callable(self, cluster):
+        primary, r1, _ = cluster
+        with connect(primary.port) as db:
+            db.run("module app export step let step(n: Int): Int = n + 1 end")
+        wait_until(lambda: converged(primary, r1), message="module replicated")
+        with connect(r1.port) as db:
+            assert db.call("app", "step", [1]) == 2
+
+    def test_a_library_redefinition_reaches_the_replicas_importer(self, cluster):
+        primary, r1, _ = cluster
+        lib = "module lib export f let f(n: Int): Int = n + {} end"
+        app = "module app export g import lib let g(n: Int): Int = lib.f(n) * 2 end"
+        with connect(primary.port) as db:
+            db.run(lib.format(1))
+            db.run(app)
+        wait_until(lambda: converged(primary, r1), message="modules replicated")
+        with connect(r1.port) as db:
+            assert db.call("app", "g", [10]) == 22
+        with connect(primary.port) as db:
+            db.run(lib.format(5))
+        wait_until(lambda: converged(primary, r1), message="redefinition replicated")
+        with connect(r1.port) as db:
+            assert db.call("app", "g", [10]) == 30
+
+    def test_a_snapshot_resync_drops_every_module_the_replica_ran(self, tmp_path):
+        app = "module app export step let step(n: Int): Int = n + {} end"
+        p1 = make_primary(tmp_path, "p1")
+        p2 = make_primary(tmp_path, "p2")
+        r1 = make_replica(tmp_path, p1, "r1")
+        try:
+            with connect(p2.port) as db:
+                db.run(app.format(10))
+            with connect(p1.port) as db:
+                db.run(app.format(1))
+                for i in range(5):  # p1 ends ahead of p2: following p2 resyncs
+                    db.set(f"k{i}", i)
+            wait_until(lambda: converged(p1, r1), message="r1 follows p1")
+            with connect(r1.port) as db:
+                assert db.call("app", "step", [1]) == 2
+                db.follow("127.0.0.1", p2.port)
+            wait_until(lambda: converged(p2, r1), message="r1 resynced from p2")
+            with connect(r1.port) as db:
+                assert db.call("app", "step", [1]) == 11
+        finally:
+            for server in (p1, p2, r1):
+                try:
+                    server.stop()
+                except Exception:
+                    pass
+
+
 class TestFailover:
     def test_promote_bumps_term_and_accepts_writes(self, cluster):
         primary, r1, r2 = cluster

@@ -14,6 +14,7 @@ import pytest
 from repro.store.fsck import QUARANTINE_ROOT, fsck_image
 from repro.store.heap import ObjectHeap
 from repro.store.pager import SLOT_SIZE, PageError, Pager
+from tests.store import legacy_module
 
 PAGE_SIZE = 256
 
@@ -215,6 +216,52 @@ class TestReferenceIntegrity:
         finally:
             heap.close()
         assert fsck_image(image, page_size=PAGE_SIZE).ok
+
+
+def _code_image(path, layout):
+    """A committed image holding module ``calc``, written in ``layout``
+    ("ptml": a compile + persist now; "legacy": the old-layout fixture,
+    whose records hold code objects); returns ``fact``'s PTML OID."""
+    from repro.lang import TycoonSystem
+
+    heap = ObjectHeap(path)
+    if layout == "legacy":
+        legacy_module.install(heap)
+        heap.close()
+        return legacy_module.PTML_OIDS["fact"]
+    system = TycoonSystem(heap=heap)
+    system.compile(legacy_module.SOURCE)
+    system.persist("calc")
+    system.commit()
+    heap.close()
+    return int(system.compiled["calc"].functions["fact"].code.ptml_ref)
+
+
+@pytest.mark.parametrize("layout", ["ptml", "legacy"])
+class TestStoredCode:
+    """A module record's PTML references reach fsck through the decoder's
+    resolver, as every other OID does."""
+
+    def test_a_stored_module_leaves_nothing_unreachable(self, tmp_path, layout):
+        path = str(tmp_path / "code.tyc")
+        _code_image(path, layout)
+        result = fsck_image(path)
+        assert result.ok
+        assert _findings(result, "unreachable") == []
+
+    def test_a_dropped_ptml_object_is_a_dangling_reference(self, tmp_path, layout):
+        path = str(tmp_path / "code.tyc")
+        ptml = _code_image(path, layout)
+        heap = ObjectHeap(path)
+        objects, roots, counter = heap.snapshot_state()
+        record = int(heap.root("module:calc"))
+        heap.reset_state([(oid, data) for oid, data in objects if oid != ptml], roots, counter)
+        heap.close()
+        result = fsck_image(path)
+        assert not result.ok
+        assert [(f.oid, f.message) for f in _findings(result, "dangling-ref")] == [
+            (record, f"oid {record} references missing oid {ptml}")
+        ]
 
 
 class TestLeakedPages:

@@ -9,6 +9,7 @@ from repro.machine.runtime import TmlArray, TmlByteArray, TmlVector
 from repro.core.parser import parse_term
 from repro.store.serialize import (
     Blob,
+    Decoder,
     SerializeError,
     decode_value,
     encode_value,
@@ -83,35 +84,20 @@ class TestNames:
         assert back == name and back.base == "loop" and back.is_cont
 
 
-class TestCodeObjects:
-    def test_code_roundtrip(self):
-        term = parse_term(
-            "proc(n ce cc) (Y λ(^c0 loop ^c) (c cont() (loop n) cont(i) (cc i)))"
+class TestReferences:
+    def test_reference_stays_an_oid_the_resolver_sees(self):
+        seen = []
+        decoder = Decoder(
+            encode_value(Oid(123)), resolver=lambda oid: seen.append(oid) or "LOADED"
         )
-        code = compile_function(term, name="m.f")
-        back = roundtrip(code)
-        assert back.name == "m.f"
-        assert back.instrs == code.instrs
-        assert back.nregs == code.nregs
-        assert [c.instrs for c in back.codes] == [c.instrs for c in code.codes]
-        assert back.free_names == code.free_names
-        assert back.is_proc == code.is_proc
+        assert decoder.reference() == Oid(123)
+        assert seen == [Oid(123)]
 
-    def test_ptml_ref_not_swizzled(self):
-        term = parse_term("proc(x ce cc) (cc x)")
-        code = compile_function(term)
-        code.ptml_ref = Oid(123)
-        back = decode_value(
-            encode_value(code), resolver=lambda oid: "SHOULD NOT RESOLVE"
-        )
-        assert back.ptml_ref == Oid(123)
-
-    def test_code_executes_after_roundtrip(self):
-        from repro.machine.vm import VM, instantiate
-
-        term = parse_term("proc(x ce cc) (* x 3 ce cc)")
-        back = roundtrip(compile_function(term))
-        assert VM().call(instantiate(back), [7]).value == 21
+    def test_code_objects_are_not_stored_values(self):
+        # PTML is the stored form of code; binfmt serializes TAM for disasm
+        code = compile_function(parse_term("proc(x ce cc) (cc x)"))
+        with pytest.raises(SerializeError, match="CodeObject"):
+            encode_value(code)
 
 
 class TestExtensionCodecs:

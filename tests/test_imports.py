@@ -50,6 +50,13 @@ def test_the_daemon_imports_no_compiler_optimizer_or_benchmark():
     )
 
 
+def test_the_value_codec_imports_no_code_objects():
+    # PTML is the only stored code: the store's codec knows no TAM
+    loaded = _loaded_by("repro.store.serialize")
+    assert "repro.store.serialize" in loaded
+    assert not _under(loaded, "repro.machine.isa")
+
+
 def test_the_program_optimizer_imports_no_query_code():
     # the query rules reach the optimizer as the relational primitives'
     # expand hooks, through the registry; rewrite never imports them
