@@ -7,11 +7,12 @@ Shows the full open-database-environment story on one store file:
 * session 1 creates relations and indexes, compiles and persists the
   application module (code, PTML and data live in the same store);
 * session 2 reopens the image cold: loads the module, runs queries,
-  reflectively re-optimizes them against the store's indexes, and persists
-  the optimizer's derived attributes on the record of the optimized code's
-  PTML hash;
+  reflectively re-optimizes one against the store's indexes, and lets
+  profile-guided optimization commit a variant of the hot function — the
+  optimized PTML with the optimizer's derived attributes — into the
+  module's record;
 * session 3 demonstrates durability of all three kinds of state — data,
-  code, and optimization metadata.
+  code, and optimized code with its metadata.
 """
 
 import os
@@ -19,11 +20,10 @@ import sys
 import tempfile
 
 from repro import TycoonSystem
-from repro.analysis.facts import FactStore
+from repro.obs.profile import profile_call
 from repro.query import Relation, optimize_query_function
-from repro.reflect import DYNAMIC_CONFIG, config_fingerprint
+from repro.reflect import optimize_hot
 from repro.store.heap import ObjectHeap, Transaction
-from repro.store.ptml import ptml_key
 
 APP_SRC = """
 module library export overdue by_member
@@ -64,7 +64,7 @@ def session_two(path: str) -> None:
     system.register_data_module("db", {"loans": loans})
     system.load("library")
 
-    slow = system.call("library", "by_member", [42])
+    slow, profile = profile_call(system, "library", "by_member", [42])
     print(f"  by_member(42): {len(slow.value)} loans, "
           f"{slow.instructions} instructions (full scan)")
 
@@ -74,15 +74,11 @@ def session_two(path: str) -> None:
     print(f"  after runtime optimization: {fast.instructions} instructions "
           f"(index-select fired {result.query_stats.count('index-select')}x)")
 
-    facts = FactStore()
-    facts.attach(heap)
-    key = ptml_key(system.closure("library", "by_member").code, heap)
     with Transaction(heap):
-        facts.annotate(key, "library.by_member", config_fingerprint(DYNAMIC_CONFIG),
-                       result.attributes)
-        facts.flush(heap)
-    print(f"  persisted derived attributes for PTML {key[:12]}: savings "
-          f"{result.cost_before - result.cost_after}")
+        report = optimize_hot(system, profile, top=1)
+    pgo = report.results["library.by_member"]
+    print(f"  committed a variant of library.by_member: savings "
+          f"{pgo.cost_before - pgo.cost_after}")
     heap.close()
 
 
@@ -97,12 +93,10 @@ def session_three(path: str) -> None:
     overdue = system.call("library", "overdue", [55])
     print(f"  overdue(55): {len(overdue.value)} loans")
 
-    facts = FactStore()
-    facts.attach(heap)
-    record = facts.lookup(ptml_key(system.closure("library", "by_member").code, heap))
-    attrs = record.attributes[config_fingerprint(DYNAMIC_CONFIG)]
-    print(f"  optimizer metadata from session 2: cost {attrs['cost_before']} -> "
-          f"{attrs['cost_after']}")
+    attrs = system.compiled["library"].functions["by_member"].variant.attributes
+    fast = system.call("library", "by_member", [42])
+    print(f"  by_member(42) runs session 2's variant: {fast.instructions} "
+          f"instructions, cost {attrs['cost_before']} -> {attrs['cost_after']}")
     heap.close()
 
 

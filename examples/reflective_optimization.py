@@ -15,8 +15,7 @@ exactly as printed in the paper.
 """
 
 from repro import TycoonSystem, pretty, reflect
-from repro.analysis.facts import FactStore
-from repro.store.ptml import ptml_key
+from repro.obs.profile import profile_call
 
 COMPLEX_SRC = """
 module complex export T new x y
@@ -66,14 +65,12 @@ def main() -> None:
     )
     assert fast.value == slow.value == 5
 
-    # the derived attributes the optimizer persists (section 4.1), on the
-    # record of the optimized code's PTML hash
-    fingerprint = reflect.config_fingerprint(reflect.DYNAMIC_CONFIG)
-    facts = FactStore()
-    key = ptml_key(system.closure("app", "abs").code)
-    record = facts.annotate(key, "app.abs", fingerprint, result.attributes)
-    facts.flush(system.heap)
-    attrs = record.attributes[fingerprint]
+    # profile-guided optimization makes the result part of the persistent
+    # system state (section 4.1): a variant in app's module record, carrying
+    # the optimizer's derived attributes, which every later call links
+    _, profile = profile_call(system, "app", "abs", [point])
+    reflect.optimize_hot(system, profile, top=1, modules=["app"])
+    attrs = system.load("app").functions["abs"].variant.attributes
     print(
         f"\npersisted derived attributes: cost {attrs['cost_before']} -> "
         f"{attrs['cost_after']} (savings {attrs['cost_before'] - attrs['cost_after']}), "

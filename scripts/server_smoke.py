@@ -13,7 +13,10 @@ then drives it the way the docs promise it works:
    by the importer's next call, with no restart;
 4. one explicit PGO round replaces the measured-hot function with a
    cheaper body while the server keeps answering;
-5. a ``shutdown`` request stops the daemon gracefully (exit code 0).
+5. a ``shutdown`` request stops the daemon gracefully (exit code 0);
+6. a daemon restarted over the image runs what the first one committed:
+   the PGO round's optimized code, and the redefined library under its
+   importer; then it shuts down gracefully too.
 
 Exits nonzero on the first violated expectation.  The trace file
 (``artifacts/server-smoke-trace.ndjson`` by default) is uploaded as a
@@ -59,6 +62,40 @@ def check(condition: bool, message: str) -> None:
     print(f"ok: {message}")
 
 
+def boot(image: str, *options: str) -> tuple[subprocess.Popen, int]:
+    """Start ``python -m repro serve image``; the daemon and its port."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    daemon = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", image,
+            "--no-pgo",  # rounds are driven explicitly for determinism
+            *options,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=env,
+    )
+    ready = daemon.stdout.readline().strip()
+    match = re.fullmatch(r"listening on (\S+):(\d+)", ready)
+    if match is None:
+        daemon.kill()
+        daemon.wait(timeout=30)
+        fail(f"daemon did not announce readiness, got {ready!r}")
+    print(f"daemon ready on port {match.group(2)}")
+    return daemon, int(match.group(2))
+
+
+def shut_down(daemon: subprocess.Popen, port: int) -> None:
+    with connect(port) as db:
+        check(db.shutdown() == {"stopping": True}, "shutdown acknowledged")
+    daemon.wait(timeout=60)
+    check(daemon.returncode == 0, "daemon exited cleanly")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--image", default="artifacts/server-smoke.tyc")
@@ -70,28 +107,8 @@ def main() -> int:
         if parent:
             os.makedirs(parent, exist_ok=True)
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    daemon = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", args.image,
-            "--no-pgo",  # rounds are driven explicitly for determinism
-            "--trace", args.trace,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
+    daemon, port = boot(args.image, "--trace", args.trace)
     try:
-        ready = daemon.stdout.readline().strip()
-        match = re.fullmatch(r"listening on (\S+):(\d+)", ready)
-        if match is None:
-            fail(f"daemon did not announce readiness, got {ready!r}")
-        port = int(match.group(2))
-        print(f"daemon ready on port {port}")
 
         # --- 1. concurrent transactional commits, no lost updates --------
         with connect(port) as db:
@@ -161,14 +178,25 @@ def main() -> int:
             check(db.ping()["pong"] is True, "server still serving after the swap")
 
         # --- 5. graceful shutdown ----------------------------------------
-        with connect(port) as db:
-            check(db.shutdown() == {"stopping": True}, "shutdown acknowledged")
-        daemon.wait(timeout=60)
-        check(daemon.returncode == 0, "daemon exited cleanly")
+        shut_down(daemon, port)
         check(
             os.path.exists(args.trace) and os.path.getsize(args.trace) > 0,
             f"trace artifact {args.trace} written",
         )
+
+        # --- 6. a restart runs what the first daemon committed -------------
+        # (no --trace: the first daemon's trace stays the artifact)
+        daemon, port = boot(args.image)
+        with connect(port) as db:
+            restarted = db.call("bench", "work", [200], full=True)
+            check(
+                (restarted["value"], restarted["instructions"])
+                == (after["value"], after["instructions"]),
+                f"bench.work runs the PGO round's code after a restart "
+                f"({restarted['instructions']} instructions)",
+            )
+            check(db.call("app", "g", [1]) == 202, "app.g still calls the redefined lib.f")
+        shut_down(daemon, port)
         print("server smoke: all checks passed")
         return 0
     finally:

@@ -25,9 +25,8 @@ mechanically; this package does:
   code families (value kinds, effects, handler depth, escapes);
 * :mod:`repro.analysis.callgraph` — the image-wide call graph over frozen
   inter-module bindings;
-* :mod:`repro.analysis.facts` — one persisted record per PTML hash
-  (analysis facts and the optimizer's derived attributes) under heap root
-  ``analysis:facts``;
+* :mod:`repro.analysis.facts` — the audit's summary cache, one persisted
+  record per PTML hash under heap root ``analysis:facts``;
 * :mod:`repro.analysis.audit` — the whole-image audit behind
   ``python -m repro audit``.
 """

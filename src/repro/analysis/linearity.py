@@ -56,6 +56,9 @@ _CTX_VALUE_ARG = "value-arg"  # argument position expecting a value
 _CTX_CONT_ARG = "cont-arg"  # argument position expecting a continuation
 _CTX_Y_FN = "y-fn"  # the abstraction argument of the Y primitive
 _CTX_BODY = "body"  # body of an abstraction
+#: body of the Y abstraction, ``(c entry abs1..absn)``: the entry
+#: continuation precedes the bindings by the primitive's definition
+_CTX_Y_BODY = "y-body"
 
 
 def analyze(
@@ -159,7 +162,8 @@ def _check_structure(term, registry, found: list[Diagnostic]) -> None:
                 )
         elif isinstance(node, Abs):
             _check_abs_shape(node, ctx, path, found)
-            stack.append((node.body, _CTX_BODY, path + ("body",)))
+            body_ctx = _CTX_Y_BODY if ctx == _CTX_Y_FN else _CTX_BODY
+            stack.append((node.body, body_ctx, path + ("body",)))
         elif isinstance(node, App):
             if isinstance(node.fn, Abs) and node.fn.arity != len(node.args):
                 _diag(
@@ -180,7 +184,8 @@ def _check_structure(term, registry, found: list[Diagnostic]) -> None:
                 # require continuation *suffix* discipline below.
                 ctx_arg = _CTX_CONT_ARG if _is_cont_value(arg) else _CTX_VALUE_ARG
                 stack.append((arg, ctx_arg, path + (("args", index),)))
-            _check_cont_suffix(node.args, path, found)
+            if ctx != _CTX_Y_BODY:
+                _check_cont_suffix(node.args, path, found)
         elif isinstance(node, PrimApp):
             cont_positions = _prim_cont_positions(node, registry, path, found)
             for index, arg in enumerate(node.args):

@@ -236,8 +236,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
         report = optimize_hot(system, profiler, top=args.pgo)
         print()
-        if not report.selected:
+        if not report.selected and not report.refused:
             print("pgo: no profiled compiled function to reoptimize")
+        for qualified, reason in report.refused.items():
+            print(f"pgo: left {qualified} as it was: {reason}")
         for candidate in report.selected:
             reflected = report.results[candidate.qualified]
             print(

@@ -14,7 +14,8 @@ The lifecycle (paper Fig. 3):
    stored code: a stored function is its name, the OID of its PTML blob and
    its external bindings, and loading maps the PTML back to TML and runs the
    code generator again (section 4.1), so the TAM a later session runs is
-   derived from the one persistent representation the hash covers.
+   derived from the one persistent representation the hash covers.  A
+   PGO-optimized function also stores its :class:`Variant`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CompileOptions",
     "CompiledFunction",
+    "Variant",
     "CompiledModule",
     "ModuleValue",
     "compile_module",
@@ -89,8 +91,20 @@ class CompileOptions:
         default_factory=OptimizerConfig.reduction_only
     )
     library_ops: bool = True
-    check_wellformed: bool = True
     registry: PrimitiveRegistry | None = None
+
+
+@dataclass
+class Variant:
+    """A reflectively optimized version of one function (section 4.1):
+    closed ``code`` generated from the optimized PTML (its ``ptml_ref``),
+    the §4.1 ``attributes`` under the optimizer ``fingerprint``, and
+    ``deps``, which a link checks (:meth:`repro.lang.TycoonSystem.current`)."""
+
+    code: CodeObject
+    fingerprint: str
+    deps: tuple[tuple[str, str], ...]
+    attributes: dict[str, int]
 
 
 @dataclass
@@ -102,6 +116,7 @@ class CompiledFunction:
     code: CodeObject
     externals: dict[Name, ExternalRef]
     sig: FunSig
+    variant: Variant | None = None
 
 
 @dataclass
@@ -186,8 +201,7 @@ def compile_module(
 
     for decl in checked.module.functions():
         term = converter.convert_function(decl)
-        if options.check_wellformed:
-            check_wf(term, registry)
+        check_wf(term, registry)
         if options.optimizer is not None:
             original = term
             term = optimize(term, registry, options.optimizer).term
@@ -195,8 +209,7 @@ def compile_module(
                 # the optimizer η-reduced a pure forwarder (run(n) = f(n)) to
                 # the target value itself; re-expand so it stays compilable
                 term = _eta_expand(term, original, NameSupply(start=0))
-            if options.check_wellformed:
-                check_wf(term, registry)
+            check_wf(term, registry)
         code = compile_function(term, registry, name=f"{checked.module.name}.{decl.name}")
         assert_verified(code, name=f"{checked.module.name}.{decl.name}")
         code.ptml_ref = encode_ptml(term)
@@ -272,19 +285,21 @@ def compile_stdlib(
 def link_module(
     compiled: CompiledModule,
     environment: dict[str, ModuleValue],
+    variants=(),
 ) -> ModuleValue:
     """Instantiate a compiled module against its imported module values.
 
     Sibling references are backpatched after all closures exist, giving
-    mutual recursion across functions of one module.
+    mutual recursion across functions of one module.  A function named in
+    ``variants`` is instantiated from its (closed) :class:`Variant`.
     """
-    closures: dict[str, VMClosure] = {
-        name: VMClosure(fn.code, [None] * len(fn.code.free_names))
-        for name, fn in compiled.functions.items()
-    }
+    closures: dict[str, VMClosure] = {}
+    for name, fn in compiled.functions.items():
+        code = fn.variant.code if name in variants else fn.code
+        closures[name] = VMClosure(code, [None] * len(code.free_names))
     for name, fn in compiled.functions.items():
         closure = closures[name]
-        for slot, free_name in enumerate(fn.code.free_names):
+        for slot, free_name in enumerate(closure.code.free_names):
             ref = fn.externals.get(free_name)
             if ref is None:
                 raise TLError(
@@ -354,6 +369,11 @@ def _encode_module(module: "StoredModule", enc) -> None:
             enc.value(ref.kind)
             enc.value(ref.module)
             enc.value(ref.member)
+    if module.variants:  # else the record ends as before variants existed
+        enc.uvarint(len(module.variants))
+        for fn_name, (ptml_ref, fingerprint, deps, attributes) in module.variants.items():
+            for part in (fn_name, ptml_ref, fingerprint, tuple(deps), dict(attributes)):
+                enc.value(part)
 
 
 def _decode_module(dec) -> "StoredModule":
@@ -374,18 +394,25 @@ def _decode_module(dec) -> "StoredModule":
             member = dec.value()
             externals[free_name] = ExternalRef(kind, module, member)
         functions.append((fn_name, ptml_ref, externals))
-    return StoredModule(name, exports, constants, functions)
+    # a module record is a heap object of its own: bytes left are variants
+    variants = {
+        dec.value(): (dec.reference(), dec.value(), dec.value(), dec.value())
+        for _ in range(dec.uvarint() if dec.pos < len(dec.data) else 0)
+    }
+    return StoredModule(name, exports, constants, functions, variants)
 
 
 @dataclass
 class StoredModule:
     """The persisted form of a compiled module: per function its name, the
-    OID of its PTML blob and its external bindings."""
+    OID of its PTML blob and its external bindings; per :class:`Variant`
+    the OID of its PTML, its fingerprint, dependencies and attributes."""
 
     name: str
     exports: tuple[str, ...]
     constants: dict[str, Any]
     functions: list[tuple[str, Any, dict[Name, ExternalRef]]]
+    variants: dict[str, tuple] = field(default_factory=dict)
 
 
 register_codec("tl-module", StoredModule, _encode_module, _decode_module)
@@ -396,17 +423,22 @@ def store_module(heap: ObjectHeap, compiled: CompiledModule) -> Any:
 
     Returns the module's OID and registers it under root ``module:<name>``.
     """
-    for fn in compiled.functions.values():
-        if isinstance(fn.code.ptml_ref, Blob):
-            fn.code.ptml_ref = heap.store(fn.code.ptml_ref)
+    functions = compiled.functions.values()
+    for code in [fn.code for fn in functions] + [fn.variant.code for fn in functions if fn.variant]:
+        if isinstance(code.ptml_ref, Blob):
+            code.ptml_ref = heap.store(code.ptml_ref)
     stored = StoredModule(
         name=compiled.name,
         exports=tuple(compiled.exports),
         constants=dict(compiled.constants),
         functions=[
-            (fn.name, fn.code.ptml_ref, dict(fn.externals))
-            for fn in compiled.functions.values()
+            (fn.name, fn.code.ptml_ref, dict(fn.externals)) for fn in functions
         ],
+        variants={
+            fn.name: (v.code.ptml_ref, v.fingerprint, v.deps, v.attributes)
+            for fn in functions
+            if (v := fn.variant) is not None
+        },
     )
     oid = heap.store(stored)
     heap.set_root(f"module:{compiled.name}", oid)
@@ -442,17 +474,38 @@ def _adopt_stored_ptml(heap: ObjectHeap, compiled: CompiledModule) -> bool:
     return True
 
 
+def _regenerate(
+    heap: ObjectHeap, ref: Any, registry: PrimitiveRegistry, qualified: str
+) -> tuple[Abs, CodeObject]:
+    """The term and verified code of the PTML blob ``ref`` names."""
+    blob = heap.load(ref) if isinstance(ref, Oid) else None
+    if not isinstance(blob, Blob):
+        raise TLError(f"{qualified}: the stored function has no PTML")
+    try:
+        term = decode_ptml(blob).term
+        if not isinstance(term, Abs):
+            raise PtmlError("the term is not an abstraction")
+        check_wf(term, registry)
+        code = compile_function(term, registry, name=qualified)
+    except (SerializeError, WellFormednessError, CodegenError) as exc:
+        raise TLError(f"{qualified}: stored PTML refused: {exc}") from exc
+    assert_verified(code, name=qualified)
+    code.ptml_ref = ref
+    return term, code
+
+
 def load_module(
     heap: ObjectHeap, name: str, registry: PrimitiveRegistry | None = None
 ) -> CompiledModule:
     """Recover a compiled module from the store (interface is signature-less).
 
-    Each function's PTML is mapped back to TML, checked for well-formedness
-    and compiled again with ``registry`` — which must be the registry the
-    module was compiled with; the generated code passes the same verifier
-    gate as a compile's.  Stored PTML is input from outside the program (an
-    older writer, a corrupted heap): a blob that does not decode or is not
-    well-formed raises :class:`TLError` naming the function.
+    Each function's PTML, and a variant's, is mapped back to TML, checked
+    for well-formedness and compiled again with ``registry`` — which must
+    be the registry the module was compiled with; the generated code passes
+    the same verifier gate as a compile's.  Stored PTML is input from
+    outside the program (an older writer, a corrupted heap): a blob that
+    does not decode or is not well-formed raises :class:`TLError` naming
+    the function.
     """
     registry = registry or default_registry()
     stored = heap.load_root(f"module:{name}")
@@ -461,25 +514,19 @@ def load_module(
     functions: dict[str, CompiledFunction] = {}
     for fn_name, ref, externals in stored.functions:
         qualified = f"{name}.{fn_name}"
-        blob = heap.load(ref) if isinstance(ref, Oid) else None
-        if not isinstance(blob, Blob):
-            raise TLError(f"{qualified}: the stored function has no PTML")
-        try:
-            term = decode_ptml(blob).term
-            if not isinstance(term, Abs):
-                raise PtmlError("the term is not an abstraction")
-            check_wf(term, registry)
-            code = compile_function(term, registry, name=qualified)
-        except (SerializeError, WellFormednessError, CodegenError) as exc:
-            raise TLError(f"{qualified}: stored PTML refused: {exc}") from exc
-        assert_verified(code, name=qualified)
-        code.ptml_ref = ref
+        term, code = _regenerate(heap, ref, registry, qualified)
+        variant = None
+        if fn_name in stored.variants:
+            variant_ref, fingerprint, deps, attributes = stored.variants[fn_name]
+            variant_code = _regenerate(heap, variant_ref, registry, f"{qualified}'")[1]
+            variant = Variant(variant_code, fingerprint, tuple(deps), dict(attributes))
         functions[fn_name] = CompiledFunction(
             name=fn_name,
             term=term,
             code=code,
             externals=externals,
             sig=FunSig(fn_name, tuple(UNKNOWN for _ in code.params[:-2]), UNKNOWN),
+            variant=variant,
         )
     interface = ModuleInterface(name=stored.name)
     return CompiledModule(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.syntax import Char, Unit
 from repro.lang.errors import TLError
 from repro.lang.foreign import default_foreign
 from repro.lang.modules import (
@@ -33,10 +34,11 @@ from repro.lang.modules import (
 )
 from repro.lang.stdlib import STDLIB_MODULE_NAMES, stdlib_interfaces
 from repro.lang.types import ModuleInterface, UNKNOWN as _UNKNOWN_TYPE
-from repro.machine.isa import VMClosure
+from repro.machine.isa import CodeObject, VMClosure
 from repro.machine.vm import VM, VMResult
 from repro.primitives.registry import PrimitiveRegistry
 from repro.store.heap import ObjectHeap
+from repro.store.ptml import ptml_key
 
 __all__ = ["TycoonSystem"]
 
@@ -157,7 +159,7 @@ class TycoonSystem:
     # --------------------------------------------------------------- link
 
     def link(self, name: str) -> ModuleValue:
-        """Link a module, recursively linking its imports first."""
+        """Link a module and its imports; a variant links while :meth:`current`."""
         linked = self.linked.get(name)
         if linked is not None:
             return linked
@@ -167,9 +169,43 @@ class TycoonSystem:
             for ref in fn.externals.values():
                 if ref.kind == "import" and ref.module not in environment:
                     environment[ref.module] = self.link(ref.module)
-        linked = link_module(compiled, environment)
+        variants = [
+            fn_name for fn_name, fn in compiled.functions.items()
+            if fn.variant is not None and self.current(fn.variant.deps)
+        ]
+        linked = link_module(compiled, environment, variants)
         self.linked[name] = linked
         return linked
+
+    def current(self, deps) -> bool:
+        """True while each ``(qualified name, key)`` of ``deps`` is the
+        :meth:`dependency_key` of what that name compiles to now."""
+        try:
+            return all(self.dependency_key(self._static(name)) == key for name, key in deps)
+        except (TLError, KeyError):
+            return False
+
+    def _static(self, qualified: str) -> Any:
+        """Static code or constant of a module (loaded on a miss), else a member
+        of a linked library or data module."""
+        module, _, member = qualified.partition(".")
+        if module in self.linked and module not in self.compiled:
+            return self.linked[module].member(member)
+        compiled = self._compiled(module)
+        fn = compiled.functions.get(member)
+        return compiled.constants[member] if fn is None else fn.code
+
+    def dependency_key(self, value) -> str | None:
+        """A function's PTML hash, a literal's type and text, a stored
+        object's OID: how a variant names what it merged or baked in."""
+        if isinstance(value, VMClosure):
+            value = value.code
+        if isinstance(value, CodeObject):
+            return ptml_key(value, self.heap)
+        if isinstance(value, (bool, int, str, Char, Unit)):
+            return f"{type(value).__name__}:{value!r}"
+        oid = self.heap.oid_of(value)
+        return None if oid is None else f"oid:{int(oid)}"
 
     def _compiled(self, name: str) -> CompiledModule:
         module = self.compiled.get(name)

@@ -65,7 +65,9 @@ class _FnCompiler:
         self.parent = parent
         self.registry = registry
         self.code = CodeObject(
-            name=name,
+            # nested code is named under its function (``app.g/loop_7``),
+            # so a profile credits the function with its family
+            name=name if parent is None else f"{parent.code.name.partition('/')[0]}/{name}",
             params=abs_node.params,
             is_proc=abs_node.is_proc_abs,
         )

@@ -1,8 +1,8 @@
 """In-image metrics history — observability that survives the process.
 
 The daemon periodically snapshots its :class:`MetricsRegistry` into a
-bounded ring persisted under heap root ``obs:history``, flushed alongside
-the analysis facts on the next write commit.  The image then carries
+bounded ring persisted under heap root ``obs:history``, flushed on the
+next write commit.  The image then carries
 its own recent operational record: after a crash or restart,
 ``python -m repro stats IMAGE --history`` replays what the server was
 doing — request rates, latency percentiles, replication lag — without any
@@ -113,11 +113,8 @@ class MetricsHistory:
             return len(self._entries)
 
     def flush(self, heap) -> None:
-        """Persist the ring under ``obs:history``.
-
-        Must run inside a write transaction — the surrounding commit
-        publishes it (same contract as ``FactStore.flush``).
-        """
+        """Persist the ring under ``obs:history``; must run inside a write
+        transaction, whose commit publishes it."""
         with self._lock:
             if not self._dirty:
                 return

@@ -204,7 +204,8 @@ class _Decompiler:
         for dst, code_index, _plan in group:
             nested = self.code.codes[code_index]
             sort = "cont" if not nested.is_proc else "val"
-            name = self.supply.fresh(nested.name if nested.name != "anon" else "rec", sort)
+            hint = nested.name.rpartition("/")[2]
+            name = self.supply.fresh(hint if hint != "anon" else "rec", sort)
             member_names.append(name)
             inner_regs[dst] = Var(name)
 

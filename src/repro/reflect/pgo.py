@@ -5,10 +5,11 @@ the missing decision input: measured behavior.  A
 :class:`repro.obs.profile.ClosureProfile` (or the
 :class:`~repro.obs.profile.VMProfiler` that extends it) says which
 procedures actually ran hot (invocation and instruction counts per code
-object); ``optimize_hot`` selects the hottest compiled functions by that
-evidence, runs ``reflect.optimize`` on each, and links the regenerated
-closures back into the running image so subsequent calls use the optimized
-code.
+object, a function credited with its nested code objects); ``optimize_hot``
+selects the hottest compiled functions by that evidence, runs
+``reflect.optimize`` on each and writes the result into the function's
+module record as a variant, so subsequent calls — in this process, after a
+restart, on a replica — run the optimized code.
 
 >>> from repro.lang import TycoonSystem
 >>> from repro.obs import profile_call
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.machine.isa import VMClosure
 from repro.obs.profile import ClosureProfile
 from repro.obs.trace import TRACER
 from repro.reflect.optimize import DYNAMIC_CONFIG, ReflectResult, config_fingerprint
@@ -56,15 +58,14 @@ class HotCandidate:
 class PgoReport:
     """Outcome of one profile-guided optimization round."""
 
-    #: candidates that were selected and re-optimized, hottest first
+    #: candidates re-optimized and installed as variants, hottest first
     selected: list[HotCandidate] = field(default_factory=list)
     #: qualified name → the reflective-optimization diagnostics
     results: dict[str, ReflectResult] = field(default_factory=dict)
+    #: qualified name → why its result was not installed
+    refused: dict[str, str] = field(default_factory=dict)
     #: every measured candidate, hottest first (selection context)
     ranking: list[HotCandidate] = field(default_factory=list)
-
-    def closure(self, module: str, function: str):
-        return self.results[f"{module}.{function}"].closure
 
 
 def rank_hot(
@@ -75,35 +76,31 @@ def rank_hot(
 ) -> list[HotCandidate]:
     """Rank the system's compiled functions by measured execution totals.
 
-    Only *exported* functions that actually appeared in the profile are
-    returned (profiles key closures by qualified code-object name,
-    ``module.function``; exports are the procedures reflect can look up and
-    relink — a hot internal helper is reached through its exported caller's
-    combined scope instead).  ``key`` is ``"instructions"`` (default —
-    where the time went) or ``"invocations"`` (what was called most).
+    Only *exported* functions that appeared in the profile are returned (a
+    hot internal helper is reached through its exported caller's combined
+    scope).  Profiles key code objects by name, ``module.function`` and
+    ``module.function/loop_7`` for code nested in it: a function's
+    ``instructions`` are its whole family's, its ``invocations`` its own.
+    ``key`` is ``"instructions"`` (default — where the time went) or
+    ``"invocations"`` (what was called most).
     """
     if key not in ("instructions", "invocations"):
         raise ValueError(f"unknown profile key {key!r}")
-    wanted = set(modules) if modules is not None else None
+    family: dict[str, int] = {}
+    for name, stats in profiler.closures.items():
+        root = name.partition("/")[0]
+        family[root] = family.get(root, 0) + stats.instructions
     candidates: list[HotCandidate] = []
     for module_name, module in system.compiled.items():
-        if wanted is not None and module_name not in wanted:
+        if modules is not None and module_name not in modules:
             continue
         for fn_name in module.exports:
-            fn = module.functions.get(fn_name)
-            if fn is None:  # exported constant, not a procedure
-                continue
-            stats = profiler.closures.get(f"{module_name}.{fn.name}")
-            if stats is None:
-                continue
-            candidates.append(
-                HotCandidate(
-                    module=module_name,
-                    function=fn.name,
-                    invocations=stats.invocations,
-                    instructions=stats.instructions,
+            qualified = f"{module_name}.{fn_name}"
+            stats = profiler.closures.get(qualified)
+            if stats is not None and fn_name in module.functions:  # not a constant
+                candidates.append(
+                    HotCandidate(module_name, fn_name, stats.invocations, family[qualified])
                 )
-            )
     candidates.sort(key=lambda c: (-getattr(c, key), c.qualified))
     return candidates
 
@@ -116,27 +113,21 @@ def optimize_hot(
     key: str = "instructions",
     min_instructions: int = 0,
     config=None,
-    relink: bool = True,
-    facts=None,
 ) -> PgoReport:
     """Reflectively re-optimize the measured-hottest compiled functions.
 
-    Selection is purely evidence-driven: the ``top`` functions by profiled
-    ``key`` (with at least ``min_instructions`` executed) are passed through
-    :func:`repro.reflect.optimize_result`.  With ``relink=True`` (default)
-    each regenerated closure replaces the export binding in the running
-    image, so later ``system.call``/``system.closure`` lookups — though not
-    closures other modules captured earlier — use the optimized code.
-
-    ``facts`` (a :class:`~repro.analysis.facts.FactStore`) closes the loop
-    with the whole-image analysis: the candidate's stored summary (effect
-    class, result kind) is attached to the trace evidence, and the
-    optimization's derived attributes are recorded on the record of the
-    code that was optimized.  That record stays valid: the relink is in
-    memory only, so the stored module still carries that code.
+    The ``top`` functions by profiled ``key`` (with at least
+    ``min_instructions`` executed), but one running its variant, pass
+    through :func:`repro.reflect.optimize_result`.  Each result becomes its
+    function's :class:`~repro.lang.modules.Variant` and the module is
+    persisted and forgotten, so the next call links the variant from the
+    image, as a restart or a replica does; the caller commits.  A result
+    with a hole (a runtime value the image cannot name), stale merged code
+    or ill-formed TML is reported in ``refused``, not installed.
     """
+    from repro.core.wellformed import is_well_formed
+    from repro.lang.modules import Variant
     from repro.reflect import optimize_result  # lazy: avoid import cycle
-    from repro.store.ptml import ptml_key
 
     config = config or DYNAMIC_CONFIG
     ranking = rank_hot(system, profiler, modules=modules, key=key)
@@ -144,22 +135,24 @@ def optimize_hot(
     for candidate in ranking[:top]:
         if candidate.instructions < min_instructions:
             continue
-        code_key = None
-        if facts is not None:
-            code_key = ptml_key(
-                system.closure(candidate.module, candidate.function).code, system.heap
-            )
-        record = None if code_key is None else facts.lookup(code_key)
-        summary = None if record is None else record.summary
+        function = system.compiled[candidate.module].functions[candidate.function]
+        if system.closure(candidate.module, candidate.function).code is not function.code:
+            report.refused[candidate.qualified] = "it runs its variant"
+            continue
         result = optimize_result(system, candidate.module, candidate.function, config)
-        report.selected.append(candidate)
         report.results[candidate.qualified] = result
-        if code_key is not None:
-            facts.annotate(
-                code_key, candidate.qualified, config_fingerprint(config), result.attributes
+        deps = _dependencies(system, result.merged)
+        if result.holes:
+            report.refused[candidate.qualified] = f"{result.holes} hole(s) in its scope"
+        elif not system.current(deps):
+            report.refused[candidate.qualified] = "merged code the image does not name"
+        elif not is_well_formed(result.term, system.registry):
+            report.refused[candidate.qualified] = "its TML is not well-formed"
+        else:
+            report.selected.append(candidate)
+            function.variant = Variant(
+                result.closure.code, config_fingerprint(config), deps, result.attributes
             )
-        if relink:
-            system.link(candidate.module).exports[candidate.function] = result.closure
         TRACER.event(
             "reflect.pgo",
             function=candidate.qualified,
@@ -168,9 +161,37 @@ def optimize_hot(
             cost_before=result.cost_before,
             cost_after=result.cost_after,
             estimated_speedup=result.estimated_speedup,
-            relinked=relink,
-            effect=None if summary is None else summary.effect,
-            result_kind=None if summary is None else summary.result,
+            installed=candidate.qualified not in report.refused,
         )
+    for module in dict.fromkeys(c.module for c in report.selected):
+        system.persist(module)
+        system.forget(module)
     return report
 
+
+def _dependencies(system, merged) -> tuple[tuple[str, str], ...]:
+    """A variant's ``(qualified name, dependency_key)`` pairs: every static
+    function merged and every imported value one reads (baked in as a
+    literal); a merged closure running a variant contributes its deps."""
+    variants = {
+        id(fn.variant.code): fn.variant.deps
+        for module in system.compiled.values()
+        for fn in module.functions.values()
+        if fn.variant is not None
+    }
+    deps = set()
+    for closure in merged:
+        code = closure.code
+        if id(code) in variants:
+            deps.update(variants[id(code)])
+            continue
+        deps.add((code.name, system.dependency_key(code)))
+        module, _, name = code.name.partition(".")
+        if module not in system.compiled:  # the library is never redefined
+            continue
+        externals = system.compiled[module].functions[name].externals
+        for free_name, value in zip(code.free_names, closure.free):
+            ref = externals.get(free_name)
+            if ref is not None and ref.kind == "import" and not isinstance(value, VMClosure):
+                deps.add((f"{ref.module}.{ref.member}", system.dependency_key(value)))
+    return tuple(sorted(deps))

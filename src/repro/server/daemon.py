@@ -45,7 +45,6 @@ import threading
 import time
 import traceback
 
-from repro.analysis.facts import FactStore
 from repro.analysis.verify_tam import TamVerificationError
 from repro.lang.errors import TLError
 from repro.lang.stdlib import STDLIB_MODULE_NAMES
@@ -191,7 +190,6 @@ class ReproServer:
             default_timeout=self.config.lock_timeout,
             io_rollback=not self.config.unsafe_no_degraded,
         )
-        self.fact_store = FactStore()
         self.slowlog = SlowLog(self.config.slowlog_capacity)
         self.history = MetricsHistory()
         #: NDJSON recorder installed by the ``trace`` op (daemon-managed;
@@ -282,7 +280,7 @@ class ReproServer:
     # ----------------------------------------------------------------- boot
 
     def _boot(self) -> None:
-        """Load persisted modules and the fact store, commit boot state.
+        """Load persisted modules and the metrics history, commit boot state.
 
         Building the :class:`TycoonSystem` stores the stdlib's PTML into
         the image (dirty objects), so a fresh image gets one boot commit
@@ -291,7 +289,6 @@ class ReproServer:
         """
         started = time.monotonic()
         loaded = []
-        warm_facts = self.fact_store.attach(self.heap)
         for root in self.heap.root_names():
             if not root.startswith("module:"):
                 continue
@@ -312,9 +309,8 @@ class ReproServer:
             modules_s=committing - started, commit_s=time.monotonic() - committing
         )
         TRACER.event(
-            "server.boot", modules=loaded, warm_fact_entries=warm_facts,
-            warm_history=warm_history, roots=len(self.heap.root_names()),
-            **self.boot_phases,
+            "server.boot", modules=loaded, warm_history=warm_history,
+            roots=len(self.heap.root_names()), **self.boot_phases,
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -488,7 +484,6 @@ class ReproServer:
                 self.record_history_snapshot(reason="shutdown")
             try:
                 with self.txns.write():
-                    self.fact_store.flush(self.heap)
                     self.history.flush(self.heap)
             except OSError as exc:
                 # shutdown must complete even on a full disk: the rollback

@@ -33,7 +33,6 @@ from repro.server.sharding.participant import check_owned, current_topology
 from repro.server.sharding.ring import is_system_root
 from repro.store.concurrency import LockTimeout
 from repro.store.heap import HeapError
-from repro.store.ptml import ptml_key
 
 __all__ = ["Op", "OPS", "execute"]
 
@@ -130,24 +129,13 @@ def run(server, session, request):
     from repro.lang.parser import parse_modules  # the compiler loads on the first run
 
     system = server.system
-    replaced = []
     try:
-        for ast in parse_modules(source):
-            old = system.compiled.get(ast.name)
-            replaced.append((system.compile_ast(ast), old))
+        modules = [system.compile_ast(ast) for ast in parse_modules(source)]
     except TLError as exc:
         raise RequestError(protocol.E_BAD_REQUEST, str(exc)) from exc
-    for module, old in replaced:
+    for module in modules:
         system.persist(module.name)
-        if old is not None:
-            # the replaced code's records describe functions the image no
-            # longer serves (an unchanged function keeps its hash, and its record)
-            kept = {ptml_key(fn.code, server.heap) for fn in module.functions.values()}
-            for fn in old.functions.values():
-                key = ptml_key(fn.code, server.heap)
-                if key is not None and key not in kept:
-                    server.fact_store.invalidate(key)
-    return {"modules": [module.name for module, _ in replaced]}
+    return {"modules": [module.name for module in modules]}
 
 
 def pgo(server, session, request):
@@ -382,10 +370,7 @@ def ping(server, session, request):
     shard = _shard_identity(server)
     if shard is not None:
         reply["shard"] = shard
-    reply["caches"] = {
-        "code": _hit_rate(_code_stats()),
-        "facts": _hit_rate(server.fact_store.stats()),
-    }
+    reply["caches"] = {"code": _hit_rate(_code_stats())}
     return reply
 
 
@@ -434,7 +419,6 @@ def stats(server, session, request):
         "latency_us": _latency_summary(METRICS.get("server.request_latency_us")),
         "ops": per_op,
         "codecache": _code_stats(),
-        "facts": server.fact_store.stats(),
         "roots": len(server.heap.root_names()),
         "slowlog": server.slowlog.stats(),
         "trace": server.trace_status(),

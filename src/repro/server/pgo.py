@@ -8,16 +8,16 @@ activation, so collecting them leaves the request in the compiled tier.
 Periodically this worker takes the accumulated evidence, opens a *write*
 transaction on the shared image and runs
 :func:`repro.reflect.pgo.optimize_hot` on the measured-hottest stored
-functions.  The rewritten code replaces the export in the live link
-(:attr:`TycoonSystem.linked`), its new PTML and the optimizer's derived
-attributes are committed to the image, and the next ``call`` from any
-session runs the optimized code — the clients never stop, the code under
-them just gets faster.
+functions.  Each result is written into its module's record as the
+function's variant and the transaction commits it, like any redefinition:
+the next ``call`` from any session links the optimized code, and so do a
+restart and a replica — the clients never stop, the code under them just
+gets faster.
 
 Each round takes the profile with reset semantics, so evidence is spent
-once: an already-optimized function must earn its next rewrite with fresh
-measurements (``optimize_hot`` names regenerated code ``module.fn'``,
-whose profile entries no longer match any export — no rewrite thrash).
+once.  A variant's code is named ``module.fn'``, whose profile entries
+match no export, and a function running its variant is not optimized
+again — no rewrite thrash.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = ["PgoWorker"]
 
 _ROUNDS = METRICS.counter("server.pgo.rounds", "completed background PGO rounds")
 _RELINKED = METRICS.counter(
-    "server.pgo.relinked", "stored functions replaced by background PGO"
+    "server.pgo.relinked", "variants background PGO wrote into the image"
 )
 _ERRORS = METRICS.counter("server.pgo.errors", "background PGO rounds that failed")
 _SKIPPED = METRICS.counter(
@@ -80,10 +80,9 @@ class PgoWorker:
     ) -> PgoReport | None:
         """Run one optimization round now; None when there was no evidence.
 
-        Takes the server's aggregated profile (reset semantics), rewrites
-        up to ``top`` hot functions inside one write transaction, relinks
-        them in memory and persists their derived attributes under
-        ``analysis:facts``.
+        Takes the server's aggregated profile (reset semantics) and
+        rewrites up to ``top`` hot functions inside one write transaction,
+        which commits their variants.
         """
         # the reflective optimizer loads with the first round, not the daemon
         from repro.reflect.pgo import optimize_hot
@@ -101,10 +100,7 @@ class PgoWorker:
                         profile,
                         top=TOP if top is None else top,
                         min_instructions=min_instructions,
-                        relink=True,
-                        facts=server.fact_store,
                     )
-                    server.fact_store.flush(server.heap)
             except Exception:
                 self.errors += 1
                 _ERRORS.inc()

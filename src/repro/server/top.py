@@ -86,17 +86,13 @@ def render(stats: dict, prev: dict | None = None, elapsed: float | None = None) 
     latency = stats.get("latency_us")
     if latency:
         lines.append(f"latency  {_latency_cells(latency)}")
-    caches = []
     code = stats.get("codecache", {})
-    facts = stats.get("facts", {})
-    for label, cache in (("code", code), ("facts", facts)):
-        hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-        seen = hits + misses
-        caches.append(
-            f"{label}={_fmt_rate(hits / seen if seen else None)}"
-            f" ({_fmt_count(hits)}/{_fmt_count(seen)})"
-        )
-    lines.append(f"caches   {'  '.join(caches)}")
+    hits, misses = code.get("hits", 0), code.get("misses", 0)
+    seen = hits + misses
+    lines.append(
+        f"caches   code={_fmt_rate(hits / seen if seen else None)}"
+        f" ({_fmt_count(hits)}/{_fmt_count(seen)})"
+    )
 
     degraded = stats.get("degraded")
     if degraded:

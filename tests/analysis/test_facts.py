@@ -53,10 +53,6 @@ class TestStoreOps:
         assert pruned == ["m.old"]
         assert store.keys() == ["k1"]
 
-    def test_stats_shape(self):
-        stats = FactStore().stats()
-        assert set(stats) >= {"entries", "hits", "misses", "stale", "invalidations"}
-
 
 class TestImageResidence:
     def test_flush_and_attach_roundtrip(self, tmp_path):

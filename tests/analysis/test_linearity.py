@@ -29,6 +29,14 @@ class TestCleanTerms:
         term = parse_term("(Y λ(^c0 ^loop ^c) (c cont() (loop) cont() (halt 0)))")
         assert analyze(term, registry) == []
 
+    def test_y_binding_procedures_after_the_entry(self, registry):
+        """``(c entry abs1..absn)`` puts the entry continuation before the
+        bindings by the definition of ``Y``: procedure bindings follow it."""
+        term = parse_term(
+            "proc(ce cc) (Y λ(^c0 f ^c) (c cont() (f 1 ce cc) proc(x ce1 cc1) (cc1 x)))"
+        )
+        assert analyze(term, registry) == []
+
 
 class TestConstraintDiagnostics:
     def test_duplicate_binding_tml001(self):
@@ -101,6 +109,26 @@ class TestConstraintDiagnostics:
         assert "TML004" in codes(found)
         [d] = [d for d in found if d.code == "TML004"]
         assert d.path.endswith("args[1]")
+
+    def test_the_y_body_shape_elsewhere_tml004(self, registry):
+        """Only the body of the ``Y`` abstraction is exempt: the same shape
+        as an ordinary application is a mangled call."""
+        found = analyze(
+            parse_term("proc(g ce cc) (g cont() (halt 0) proc(x ce1 cc1) (cc1 x))"), registry
+        )
+        assert [(d.code, d.path) for d in found] == [("TML004", "body.args[1]")]
+
+    def test_inside_a_y_binding_tml004(self, registry):
+        """The suffix rule still holds in the bodies the bindings hold."""
+        found = analyze(
+            parse_term(
+                "proc(ce cc) (Y λ(^c0 f ^c) (c cont() (f 1 ce cc) proc(x ce1 cc1) (g cc1 1)))"
+            ),
+            registry,
+        )
+        assert [(d.code, d.path) for d in found] == [
+            ("TML004", "body.args[0].body.args[1].body.args[1]")
+        ]
 
 
 class TestWellformedBridge:

@@ -197,6 +197,66 @@ class TestPersistence:
         heap.close()
 
 
+LIB = "module lib export f let f(n: Int): Int = n + {} end"
+APP = "module app export g import lib let g(n: Int): Int = lib.f(n) + lib.f(n) end"
+
+
+def _optimized_image(path):
+    """``lib`` and ``app`` persisted, ``app.g`` given a variant by a PGO
+    round and committed."""
+    from repro.obs.profile import profile_call
+    from repro.reflect import optimize_hot
+
+    system = TycoonSystem(heap=ObjectHeap(path))
+    system.compile(LIB.format(1))
+    system.compile(APP)
+    system.persist("lib")
+    _, profile = profile_call(system, "app", "g", [1])
+    assert [c.qualified for c in optimize_hot(system, profile, top=1).selected] == ["app.g"]
+    system.commit()
+    return system
+
+
+class TestVariants:
+    """A function's PGO variant is part of its module record."""
+
+    def test_the_record_carries_the_variant_and_load_regenerates_it(self, tmp_path):
+        system = _optimized_image(str(tmp_path / "v.tyc"))
+        stored = system.heap.load_root("module:app")
+        ((name, (ref, fingerprint, deps, attributes)),) = stored.variants.items()
+        assert name == "g" and isinstance(ref, Oid)
+        assert isinstance(system.heap.load(ref), Blob)
+        first = load_module(system.heap, "app", system.registry)
+        again = load_module(system.heap, "app", system.registry)
+        variant = first.functions["g"].variant
+        assert variant.code.name == "app.g'" and variant.code.free_names == ()
+        assert (variant.code.ptml_ref, variant.fingerprint, variant.deps) == (ref, fingerprint, deps)
+        assert variant.attributes == attributes
+        assert encode_code(again.functions["g"].variant.code) == encode_code(variant.code)
+        system.heap.close()
+
+    def test_corrupt_variant_ptml_is_refused_by_name(self, tmp_path):
+        system = _optimized_image(str(tmp_path / "bad.tyc"))
+        ref = system.heap.load_root("module:app").variants["g"][0]
+        system.heap.update(ref, Blob(b"not ptml"))
+        with pytest.raises(TLError, match="app.g': stored PTML refused"):
+            load_module(system.heap, "app", system.registry)
+        system.heap.close()
+
+    def test_the_link_uses_the_variant_while_its_dependencies_are_current(self, tmp_path):
+        system = _optimized_image(str(tmp_path / "link.tyc"))
+        variant = system._compiled("app").functions["g"].variant
+        assert [name for name, _ in variant.deps] == ["app.g", "int.add", "lib.f"]
+        assert system.current(variant.deps)
+        assert system.closure("app", "g").code is variant.code
+        assert system.call("app", "g", [1]).value == 4
+        system.compile(LIB.format(100))  # not persisted: in-process only
+        assert not system.current(variant.deps)
+        assert system.closure("app", "g").code.name == "app.g"
+        assert system.call("app", "g", [1]).value == 202
+        system.heap.close()
+
+
 class TestOldImages:
     """An image whose module records hold TAM code objects (the layout
     before PTML was the only stored code) loads with no migration."""
@@ -207,6 +267,7 @@ class TestOldImages:
         loaded = load_module(heap, "calc")
         for name, oid in legacy_module.PTML_OIDS.items():
             assert loaded.functions[name].code.ptml_ref == Oid(oid)
+            assert loaded.functions[name].variant is None
         linked = link_module(loaded, link_stdlib())
         assert VM(store=heap).call(linked.member("fact"), [6]).value == 720
         assert VM(store=heap).call(linked.member("inc"), [41]).value == 42

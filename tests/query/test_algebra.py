@@ -429,4 +429,4 @@ def test_profiled_row_loop_credits_the_predicate_like_the_reference(ending, peop
             {name: (s.invocations, s.instructions) for name, s in machine.profiler.closures.items()}
         )
     assert credits[0] == credits[1]
-    assert credits[0]["anon"][0] > 0  # the predicate's, credited to it
+    assert credits[0]["fn/anon"][0] > 0  # the predicate's, credited to it

@@ -6,12 +6,11 @@ reflective optimizer invoked at runtime in a *fresh* session against the
 persistent store, and the regenerated code linked into the running image.
 """
 
-from repro.analysis.facts import FactStore
 from repro.lang import TycoonSystem
-from repro.reflect import optimize_closure, optimize_result
+from repro.obs.profile import profile_call
+from repro.reflect import optimize_closure, optimize_hot, optimize_result
 from repro.reflect.optimize import DYNAMIC_CONFIG, config_fingerprint
 from repro.store.heap import ObjectHeap
-from repro.store.ptml import ptml_key
 
 SRC = """
 module geo export area
@@ -62,56 +61,50 @@ def test_reoptimization_of_optimized_code(tmp_path):
 
 
 class TestDerivedAttributes:
-    """§4.1's derived attributes live on the record of the optimized code's
-    PTML hash, beside its analysis facts."""
+    """§4.1's derived attributes live on the variant they describe, in the
+    optimized function's module record."""
 
     def _optimized(self, heap, source=SRC):
         system = TycoonSystem(heap=heap)
         system.compile(source)
-        key = ptml_key(system.closure("geo", "area").code, heap)
-        return key, optimize_result(system, "geo", "area")
+        _, profile = profile_call(system, "geo", "area", [3, 4])
+        report = optimize_hot(system, profile, top=1)
+        return system, report.results["geo.area"]
 
     def test_attributes_persisted(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "a.tyc"))
-        key, result = self._optimized(heap)
-        facts = FactStore()
-        facts.annotate(key, "geo.area", FINGERPRINT, result.attributes)
-        attrs = facts.lookup(key).attributes[FINGERPRINT]
-        assert attrs["cost_before"] > attrs["cost_after"]
-        assert attrs == result.attributes
+        system, result = self._optimized(heap)
+        variant = system.load("geo").functions["area"].variant
+        assert variant.fingerprint == FINGERPRINT
+        assert variant.attributes["cost_before"] > variant.attributes["cost_after"]
+        assert variant.attributes == result.attributes
         heap.close()
 
     def test_attributes_survive_commit(self, tmp_path):
         path = str(tmp_path / "b.tyc")
         heap = ObjectHeap(path)
-        key, result = self._optimized(heap)
-        facts = FactStore()
-        facts.annotate(key, "geo.area", FINGERPRINT, result.attributes)
-        facts.flush(heap)
+        _, result = self._optimized(heap)
         heap.commit()
         heap.close()
 
         heap2 = ObjectHeap(path)
-        reopened = FactStore()
-        reopened.attach(heap2)
-        record = reopened.lookup(key)
-        assert record is not None and record.name == "geo.area"
-        assert record.attributes[FINGERPRINT] == result.attributes
+        variant = TycoonSystem(heap=heap2).load("geo").functions["area"].variant
+        assert variant.attributes == result.attributes
         heap2.close()
 
     def test_a_redefined_function_does_not_inherit_attributes(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "e.tyc"))
-        key, result = self._optimized(heap)
-        facts = FactStore()
-        facts.annotate(key, "geo.area", FINGERPRINT, result.attributes)
-        redefined, _ = self._optimized(heap, SRC.replace("w + h", "w - h"))
-        assert redefined != key
-        assert facts.lookup(redefined) is None
+        system, _ = self._optimized(heap)
+        redefined = system.compile(SRC.replace("w + h", "w - h"))
+        system.persist("geo")
+        assert redefined.functions["area"].variant is None
+        assert system.load("geo").functions["area"].variant is None
         heap.close()
 
     def test_missing_attributes_is_none(self, tmp_path):
         heap = ObjectHeap(str(tmp_path / "d.tyc"))
-        facts = FactStore()
-        facts.attach(heap)
-        assert facts.lookup("nope") is None
+        system = TycoonSystem(heap=heap)
+        system.compile(SRC)
+        system.persist("geo")
+        assert system.load("geo").functions["area"].variant is None
         heap.close()

@@ -1,10 +1,12 @@
-"""Code resolution in the daemon: links in ``TycoonSystem.linked``, one
-record per PTML hash under ``analysis:facts``, and the ``cache`` field plus
-``server.codecache.{hits,misses}`` counters a ``call`` reports."""
+"""Code resolution in the daemon: links in ``TycoonSystem.linked``, the
+audit's one record per PTML hash under ``analysis:facts``, and the
+``cache`` field plus ``server.codecache.{hits,misses}`` counters a ``call``
+reports."""
 
 import base64
 
-from repro.analysis.facts import FACTS_ROOT, FactStore
+from repro.analysis.absint import Summary
+from repro.analysis.facts import FACTS_ROOT, FactRecord, FactStore
 from repro.lang import TycoonSystem
 from repro.reflect.optimize import DYNAMIC_CONFIG, config_fingerprint
 from repro.server import ReproServer, ServerConfig, connect
@@ -76,14 +78,15 @@ def test_install_lookup_invalidate(tmp_path):
 
 
 def test_flush_and_attach_roundtrip(tmp_path):
-    """Derived attributes live on the record of the code's PTML hash and
-    come back with it in a fresh process."""
+    """A summary lives on the record of the code's PTML hash and comes back
+    with it in a fresh process."""
     path = str(tmp_path / "c.tyc")
     system, heap = _stored_system(path)
     key = ptml_key(system.closure("demo", "double").code, heap)
     facts = FactStore()
-    fingerprint = config_fingerprint(DYNAMIC_CONFIG)
-    facts.annotate(key, "demo.double", fingerprint, {"cost_before": 9, "cost_after": 4})
+    summary = Summary(name="demo.double", arity=3, is_proc=True, result="int",
+                      raises="str", effect="pure", ret_deltas=(0,))
+    facts.install(FactRecord(key, "demo.double", summary))
     facts.flush(heap)
     heap.commit()
     heap.close()
@@ -92,8 +95,7 @@ def test_flush_and_attach_roundtrip(tmp_path):
     warm = FactStore()
     assert warm.attach(reopened) == 1
     record = warm.lookup(key)
-    assert record.summary is None
-    assert record.attributes == {fingerprint: {"cost_before": 9, "cost_after": 4}}
+    assert record.summary.as_dict() == summary.as_dict()
     assert all(reopened.root(root) is None for root in LEGACY_ROOTS)
     reopened.close()
 
@@ -194,7 +196,7 @@ def test_an_image_with_retired_roots_serves_audits_and_keeps_them(tmp_path, caps
     finally:
         server.stop()
     assert legacy.isdisjoint(written)
-    assert FACTS_ROOT in written  # the round did write the image
+    assert "module:demo" in written  # the round did write the image
 
     assert main(["audit", path]) == 0
     assert "0 error(s)" in capsys.readouterr().out

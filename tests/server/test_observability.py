@@ -105,7 +105,7 @@ class TestStatsOp:
             client.call("bench", "work", [50])
         info = client.ping()
         caches = info["caches"]
-        assert set(caches) == {"code", "facts"}
+        assert set(caches) == {"code"}
         for cache in caches.values():
             assert set(cache) == {"hits", "misses", "hit_rate"}
         assert caches["code"]["hits"] >= 2  # repeat calls hit the code cache

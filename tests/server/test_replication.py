@@ -205,6 +205,28 @@ class TestReplicatedCode:
         with connect(r1.port) as db:
             assert db.call("app", "g", [10]) == 30
 
+    def test_a_replica_runs_the_variant_a_pgo_round_committed(self, cluster):
+        primary, r1, _ = cluster
+        lib = "module lib export f let f(n: Int): Int = n + 1 end"
+        app = """module app export g import lib
+        let g(n: Int): Int =
+          var s := 0 in var i := 0 in
+          begin while i < n do begin s := s + lib.f(i); i := i + 1 end end; s end
+        end"""
+        with connect(primary.port) as db:
+            db.run(lib)
+            db.run(app)
+            static = db.call("app", "g", [50], full=True)
+            (optimized,) = db.pgo(top=1)["optimized"]
+            assert optimized["function"] == "app.g"
+            after = db.call("app", "g", [50], full=True)
+        assert after["value"] == static["value"]
+        assert after["instructions"] < static["instructions"]
+        wait_until(lambda: converged(primary, r1), message="round replicated")
+        with connect(r1.port) as db:
+            reply = db.call("app", "g", [50], full=True)
+        assert (reply["value"], reply["instructions"]) == (after["value"], after["instructions"])
+
     def test_a_snapshot_resync_drops_every_module_the_replica_ran(self, tmp_path):
         app = "module app export step let step(n: Int): Int = n + {} end"
         p1 = make_primary(tmp_path, "p1")
