@@ -8,7 +8,8 @@ and after the rewrite.
 import pytest
 
 from repro.lang import TycoonSystem
-from repro.query import Relation, optimize_query_function
+from repro.query import Relation
+from repro.reflect import optimize_result
 from repro.store.heap import ObjectHeap
 
 SIZES = [300, 3000]
@@ -41,7 +42,7 @@ def _build(n):
 @pytest.fixture(scope="module", params=SIZES)
 def setup(request):
     system, data = _build(request.param)
-    result = optimize_query_function(system, "q", "stacked")
+    result = optimize_result(system, "q", "stacked")
     assert result.query_stats.count("merge-select") == 1
     return request.param, system, data, result
 

@@ -10,7 +10,8 @@ cost must be flat in |R| while the original grows linearly.
 import pytest
 
 from repro.lang import TycoonSystem
-from repro.query import Relation, optimize_query_function
+from repro.query import Relation
+from repro.reflect import optimize_result
 from repro.store.heap import ObjectHeap
 
 SIZES = [100, 1000, 10_000]
@@ -34,7 +35,7 @@ def _build(n):
     heap.store(data)
     system.register_data_module("db", {"data": data})
     system.compile(SRC)
-    result = optimize_query_function(system, "q", "anybig")
+    result = optimize_result(system, "q", "anybig")
     assert result.query_stats.count("trivial-exists") == 1
     return system, result
 

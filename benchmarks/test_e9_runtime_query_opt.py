@@ -13,7 +13,8 @@ becomes O(log n / 1), with the win growing with |R|.
 import pytest
 
 from repro.lang import TycoonSystem
-from repro.query import Relation, optimize_query_function
+from repro.query import Relation
+from repro.reflect import optimize_result
 from repro.store.heap import ObjectHeap
 
 SIZES = [200, 2000, 20_000]
@@ -63,7 +64,7 @@ def test_e9_static_plan_scans(benchmark, systems, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_e9_runtime_plan_uses_index(benchmark, systems, n):
     system, _ = systems[(n, True)]
-    result = optimize_query_function(system, "q", "byid")
+    result = optimize_result(system, "q", "byid")
     assert result.query_stats.count("index-select") == 1
     vm = system.vm()
     out = benchmark(lambda: vm.call(result.closure, [n // 2]).value)
@@ -77,7 +78,7 @@ def test_e9_report(once, systems):
     for n in SIZES:
         system, data = systems[(n, True)]
         slow = system.vm().call(system.closure("q", "byid"), [n // 2])
-        result = optimize_query_function(system, "q", "byid")
+        result = optimize_result(system, "q", "byid")
         fast = system.vm().call(result.closure, [n // 2])
         assert slow.value.to_tuples() == fast.value.to_tuples()
         gains[n] = slow.instructions / fast.instructions
@@ -93,7 +94,7 @@ def test_e9_report(once, systems):
 def test_e9_no_index_no_rewrite(once, systems):
     once(lambda: None)
     system, _ = systems[(2000, False)]
-    result = optimize_query_function(system, "q", "byid")
+    result = optimize_result(system, "q", "byid")
     # runtime binding says: no index — the rewrite correctly does not fire
     assert result.query_stats.count("index-select") == 0
     out = system.vm().call(result.closure, [7])

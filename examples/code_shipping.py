@@ -12,7 +12,8 @@ in B.
 """
 
 from repro import TycoonSystem, pretty
-from repro.query import Relation, optimize_query_function
+from repro.query import Relation
+from repro.reflect import optimize_result
 from repro.reflect.reach import term_of_closure
 from repro.store.heap import ObjectHeap
 from repro.store.ptml import decode_ptml, encode_ptml
@@ -60,7 +61,7 @@ def main() -> None:
     assert received.term == term  # byte-exact code mobility
 
     system_b.compile(SOURCE)  # (re-link the shipped term against B's bindings)
-    optimized = optimize_query_function(system_b, "finder", "by_key")
+    optimized = optimize_result(system_b, "finder", "by_key")
     print(
         f"  B re-optimizes against its own store: index-select fired "
         f"{optimized.query_stats.count('index-select')}x"

@@ -13,7 +13,8 @@ where-clause, correlation variables, nested queries), and shows the three
 """
 
 from repro import TycoonSystem, pretty
-from repro.query import Relation, optimize_query_function
+from repro.query import Relation
+from repro.reflect import optimize_result
 from repro.store.heap import ObjectHeap
 
 SOURCE = """
@@ -55,7 +56,7 @@ def main() -> None:
 
     # --- merge-select -----------------------------------------------------
     slow = system.call("payroll", "wellpaid_seniors", [])
-    merged = optimize_query_function(system, "payroll", "wellpaid_seniors")
+    merged = optimize_result(system, "payroll", "wellpaid_seniors")
     fast = system.vm().call(merged.closure, [])
     assert slow.value.to_tuples() == fast.value.to_tuples()
     print(
@@ -64,7 +65,7 @@ def main() -> None:
     )
 
     # --- index-select ------------------------------------------------------
-    point = optimize_query_function(system, "payroll", "by_badge")
+    point = optimize_result(system, "payroll", "by_badge")
     print(
         f"index-select fired {point.query_stats.count('index-select')}x; "
         "optimized plan:"
@@ -79,7 +80,7 @@ def main() -> None:
     )
 
     # --- trivial-exists -----------------------------------------------------
-    exists_q = optimize_query_function(system, "payroll", "any_budget")
+    exists_q = optimize_result(system, "payroll", "any_budget")
     slow_e = system.call("payroll", "any_budget", [50_000])
     fast_e = system.vm().call(exists_q.closure, [50_000])
     assert slow_e.value is fast_e.value is False

@@ -9,8 +9,8 @@ Shows the full open-database-environment story on one store file:
 * session 2 reopens the image cold: loads the module, runs queries,
   reflectively re-optimizes one against the store's indexes, and lets
   profile-guided optimization commit a variant of the hot function — the
-  optimized PTML with the optimizer's derived attributes — into the
-  module's record;
+  same index-select plan, as optimized PTML with the optimizer's derived
+  attributes — into the module's record;
 * session 3 demonstrates durability of all three kinds of state — data,
   code, and optimized code with its metadata.
 """
@@ -21,8 +21,8 @@ import tempfile
 
 from repro import TycoonSystem
 from repro.obs.profile import profile_call
-from repro.query import Relation, optimize_query_function
-from repro.reflect import optimize_hot
+from repro.query import Relation
+from repro.reflect import optimize_hot, optimize_result
 from repro.store.heap import ObjectHeap, Transaction
 
 APP_SRC = """
@@ -68,7 +68,7 @@ def session_two(path: str) -> None:
     print(f"  by_member(42): {len(slow.value)} loans, "
           f"{slow.instructions} instructions (full scan)")
 
-    result = optimize_query_function(system, "library", "by_member")
+    result = optimize_result(system, "library", "by_member")
     fast = system.vm().call(result.closure, [42])
     assert fast.value.to_tuples() == slow.value.to_tuples()
     print(f"  after runtime optimization: {fast.instructions} instructions "

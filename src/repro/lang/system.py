@@ -197,7 +197,9 @@ class TycoonSystem:
 
     def dependency_key(self, value) -> str | None:
         """A function's PTML hash, a literal's type and text, a stored
-        object's OID: how a variant names what it merged or baked in."""
+        object's OID: how a variant names what it merged or baked in.  A
+        stored object with indexes (a relation) adds their sorted names,
+        ``oid:N[member]``: the query rules chose a plan by them."""
         if isinstance(value, VMClosure):
             value = value.code
         if isinstance(value, CodeObject):
@@ -205,7 +207,10 @@ class TycoonSystem:
         if isinstance(value, (bool, int, str, Char, Unit)):
             return f"{type(value).__name__}:{value!r}"
         oid = self.heap.oid_of(value)
-        return None if oid is None else f"oid:{int(oid)}"
+        if oid is None:
+            return None
+        key, indexes = f"oid:{int(oid)}", getattr(value, "indexes", None)
+        return key if indexes is None else f"{key}[{','.join(sorted(indexes))}]"
 
     def _compiled(self, name: str) -> CompiledModule:
         module = self.compiled.get(name)

@@ -19,51 +19,20 @@ another reduction follows.  One fixpoint, one set of rule counters, one
 
 The heap is what makes the query rules fire: they read the relations and
 indexes behind OID literals, the reason the paper delays query
-optimization until runtime.
+optimization until runtime.  The reflective optimizer always passes the
+running store's heap, so every reflectively optimized function, a PGO
+variant included, is optimized against the live indexes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.syntax import Term, term_size
+from repro.core.syntax import Term
 from repro.primitives.registry import PrimitiveRegistry
 from repro.query.algebra import query_registry
 from repro.query.rules import QueryRewriter
-from repro.rewrite.pipeline import OptimizerConfig, optimize
-from repro.rewrite.stats import QUERY_RULES, RewriteStats
+from repro.rewrite.pipeline import OptimizeResult, OptimizerConfig, optimize
 
-__all__ = ["IntegratedResult", "QueryRewriteStats", "QueryRewriter", "integrated_optimize"]
-
-
-@dataclass(frozen=True, slots=True)
-class QueryRewriteStats:
-    """The query rules' counts in one optimization's :class:`RewriteStats`."""
-
-    stats: RewriteStats
-
-    def count(self, rule: str) -> int:
-        return self.stats.count(rule) if rule in QUERY_RULES else 0
-
-    @property
-    def total(self) -> int:
-        return self.stats.query_rewrites
-
-
-@dataclass(frozen=True, slots=True)
-class IntegratedResult:
-    """Outcome of the integrated program/query optimization."""
-
-    term: Term
-    stats: RewriteStats
-
-    @property
-    def size(self) -> int:
-        return term_size(self.term)
-
-    @property
-    def query_stats(self) -> QueryRewriteStats:
-        return QueryRewriteStats(self.stats)
+__all__ = ["QueryRewriter", "integrated_optimize"]
 
 
 def integrated_optimize(
@@ -72,12 +41,8 @@ def integrated_optimize(
     heap=None,
     config: OptimizerConfig | None = None,
     check: bool = False,
-) -> IntegratedResult:
-    """Optimize ``term`` with the program and query rules against ``heap``.
-
-    Without a heap only the program rules run.  ``check=True`` is the
-    optimizer's checked mode, which re-verifies the tree after every pass,
-    including each expansion pass a query rule fired in.
-    """
-    result = optimize(term, registry or query_registry(), config, check=check, heap=heap)
-    return IntegratedResult(result.term, result.stats)
+) -> OptimizeResult:
+    """:func:`repro.rewrite.pipeline.optimize` with the query registry as the
+    default: the program and query rules against ``heap``, none of the
+    latter without one."""
+    return optimize(term, registry or query_registry(), config, check=check, heap=heap)

@@ -41,7 +41,8 @@ def optimize_function(system, module: str, function: str, config=None):
 
 def optimize_result(system, module: str, function: str, config=None):
     """Like :func:`optimize_function` but returns the full
-    :class:`~repro.reflect.optimize.ReflectResult`."""
+    :class:`~repro.reflect.optimize.ReflectResult`.  Embedded queries are
+    optimized against ``system.heap``'s relations and indexes."""
     from repro.reflect.optimize import DYNAMIC_CONFIG, optimize_closure
 
     closure = system.closure(module, function)

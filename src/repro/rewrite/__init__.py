@@ -15,6 +15,6 @@ __getattr__, __dir__, __all__ = attach(
         ".pipeline": ["OptimizeResult", "OptimizerConfig", "optimize", "reduce_only"],
         ".reduction": ["reduce_to_fixpoint"],
         ".rules": ["ALL_RULES", "RuleConfig"],
-        ".stats": ["RewriteStats"],
+        ".stats": ["QueryRewriteStats", "RewriteStats"],
     },
 )

@@ -31,7 +31,7 @@ from repro.primitives.registry import PrimitiveRegistry, default_registry
 from repro.rewrite.expansion import ExpansionConfig, expand_pass
 from repro.rewrite.reduction import reduce_to_fixpoint
 from repro.rewrite.rules import RuleConfig
-from repro.rewrite.stats import RewriteStats, RuleTimer
+from repro.rewrite.stats import QueryRewriteStats, RewriteStats, RuleTimer
 
 __all__ = ["OptimizerConfig", "OptimizeResult", "optimize", "reduce_only"]
 
@@ -67,6 +67,10 @@ class OptimizeResult:
 
     term: Term
     stats: RewriteStats
+
+    @property
+    def query_stats(self) -> QueryRewriteStats:
+        return QueryRewriteStats(self.stats)
 
 
 def optimize(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["QUERY_RULES", "RewriteStats", "RuleTimer"]
+__all__ = ["QUERY_RULES", "QueryRewriteStats", "RewriteStats", "RuleTimer"]
 
 #: The section 4.2 query rules.  They fire in the expansion pass (through the
 #: relational primitives' ``expand`` hooks) and are counted in the same
@@ -88,6 +88,20 @@ class RewriteStats:
             f"size {self.size_before} -> {self.size_after} in {self.rounds} round(s); "
             f"{self.inlined_sites} site(s) inlined; rules: {rules or 'none'}"
         )
+
+
+@dataclass(frozen=True, slots=True)
+class QueryRewriteStats:
+    """The query rules' counts in one optimization's :class:`RewriteStats`."""
+
+    stats: RewriteStats
+
+    def count(self, rule: str) -> int:
+        return self.stats.count(rule) if rule in QUERY_RULES else 0
+
+    @property
+    def total(self) -> int:
+        return self.stats.query_rewrites
 
 
 class RuleTimer:

@@ -172,6 +172,29 @@ class TestCheckedRegistry:
         assert result.query_stats.count("merge-select") == 1
         assert result.term == integrated_optimize(term, registry, heap=ObjectHeap()).term
 
+    def test_checked_reflective_optimization_fires_the_query_rules(self):
+        """The reflective optimizer optimizes against the heap under checked
+        mode too: a stored query function's scan becomes an index scan."""
+        from repro.lang.system import TycoonSystem
+        from repro.query.relation import Relation
+        from repro.reflect.optimize import optimize_closure
+
+        system = TycoonSystem()
+        people = Relation("people", ["id", "age"], [(i, i % 90) for i in range(50)])
+        people.create_index("id")
+        system.heap.store(people)
+        system.register_data_module("db", {"people": people})
+        system.compile(
+            "module q export byid import db "
+            "type P = tuple id: Int, age: Int end "
+            "let byid(k: Int) = select p from db.people as p : P where p.id == k end end"
+        )
+        system.persist("q")
+        closure = system.closure("q", "byid")
+        result = optimize_closure(closure, system.heap, system.registry, check=True)
+        assert result.query_stats.count("index-select") == 1
+        assert system.vm().call(result.closure, [7]).value.to_tuples() == [(7, 7)]
+
     def test_an_unsound_query_rule_is_caught_by_name(self):
         from dataclasses import replace
 

@@ -1,14 +1,18 @@
-"""A stateful model of code in one file image: definitions, calls and PGO.
+"""A stateful model of code and data in one file image: definitions, calls,
+PGO and the relation a query reads.
 
 A :class:`TycoonSystem` over a file image is driven through redefining
 ``lib`` (a function and a constant ``app`` reads) and ``app`` (each
-persisted), calls of ``app.g``, profile-guided
-optimization rounds and commit + reopen.  The oracle is a fresh
-``TycoonSystem`` compiled from the latest sources: every call answers what
-it answers.  A reopen is a restart, so it keeps what a call runs, to the
-instruction; and after a round that gave ``app.g`` a variant, with no
-redefinition since, the call runs that variant — in this process and after
-a reopen.
+persisted; one ``app`` is a select over the stored relation ``db.data``),
+inserting rows into that relation and indexing it (each a ``heap.update``),
+calls of ``app.g``, profile-guided optimization rounds and commit + reopen.
+The oracle is a fresh ``TycoonSystem`` compiled from the latest sources
+over an unindexed relation of the latest rows: every call answers what it
+answers, its rows compared as a multiset once a plan may read an index.  A
+reopen is a restart, so it keeps what a call runs, to the instruction; and
+after a round that gave ``app.g`` a variant, with no redefinition and no
+new index it read since, the call runs that variant — in this process and
+after a reopen.
 """
 
 import shutil
@@ -25,6 +29,7 @@ from hypothesis.stateful import (
 
 from repro.lang import TycoonSystem
 from repro.obs.profile import ClosureProfile, profile_call
+from repro.query.relation import Relation
 from repro.reflect import optimize_hot
 from repro.store.heap import ObjectHeap
 
@@ -42,24 +47,40 @@ APPS = {
         let h(n: Int): Int = lib.f(n) * 2 + lib.c
         let g(n: Int): Int = h(n) + h(1)
         end""",
+    "query": """module app export g import lib, db
+        type Row = tuple id: Int, v: Int end
+        let g(n: Int) = select r from db.data as r : Row where r.id == n end
+        end""",
 }
+ROWS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 50)), max_size=4)
 
 _ORACLES: dict = {}
 
 
-def oracle(lib: tuple[int, int], app: str, n: int):
-    """``app.g(n)`` in a fresh system compiled from these sources."""
-    system = _ORACLES.get((lib, app))
+def oracle(lib: tuple[int, int], app: str, rows: tuple, n: int):
+    """``app.g(n)`` in a fresh system compiled from these sources, ``db.data``
+    an unindexed relation of these rows."""
+    system = _ORACLES.get((lib, app, rows))
     if system is None:
-        system = _ORACLES[(lib, app)] = TycoonSystem()
+        system = _ORACLES[(lib, app, rows)] = TycoonSystem()
+        system.register_data_module("db", {"data": Relation("data", ["id", "v"], rows)})
         system.compile(LIB.format(k=lib[0], c=lib[1]))
         system.compile(APPS[app])
     return system.call("app", "g", [n]).value
 
 
+def observed(value, ordered: bool):
+    """A call's answer: a relation as its rows, sorted unless ``ordered``."""
+    if isinstance(value, Relation):
+        rows = value.to_tuples()
+        return tuple(rows if ordered else sorted(rows))
+    return value
+
+
 class CodeModel(RuleBasedStateMachine):
-    #: rounds, over the whole run, that gave app.g a variant
-    optimized_rounds = 0
+    #: rounds, over the whole run, that gave app.g a variant, and of those
+    #: the ones whose variant reads an index
+    optimized_rounds = indexed_rounds = 0
 
     def __init__(self):
         super().__init__()
@@ -70,10 +91,25 @@ class CodeModel(RuleBasedStateMachine):
         #: app.g has a variant from a round, and nothing was redefined since
         self.optimized = False
 
-    @initialize(k=st.integers(1, 3), c=st.integers(0, 2), app=st.sampled_from(sorted(APPS)))
-    def define(self, k, c, app):
+    @initialize(
+        k=st.integers(1, 3), c=st.integers(0, 2), app=st.sampled_from(sorted(APPS)), rows=ROWS
+    )
+    def define(self, k, c, app, rows):
+        heap = self.system.heap
+        heap.set_root("data", heap.store(Relation("data", ["id", "v"], rows)))
+        self.rows, self.indexes = tuple(rows), set()
+        self.bind_data()
         self.define_lib(k, c)
         self.define_app(app)
+
+    def bind_data(self):
+        """Data modules live in the process: bind ``db`` to the stored relation."""
+        self.relation = self.system.heap.load_root("data")
+        self.system.register_data_module("db", {"data": self.relation})
+
+    def outcome(self, result):
+        # an index lookup gives its rows in another order than a scan
+        return observed(result.value, not self.indexes), result.instructions
 
     def teardown(self):
         self.system.heap.close()
@@ -102,11 +138,32 @@ class CodeModel(RuleBasedStateMachine):
         self.system.persist("app")
         self.app, self.optimized = app, False
 
+    @rule(rows=ROWS.filter(bool))
+    def insert_rows(self, rows):
+        self.relation.insert_many(rows)
+        self.system.heap.update(self.system.heap.root("data"))
+        self.rows += tuple(rows)
+
+    @rule(field=st.sampled_from(["id", "v"]), ordered=st.booleans())
+    def create_index(self, field, ordered):
+        if field in self.indexes:
+            return
+        self.relation.create_index(field, ordered=ordered)
+        self.system.heap.update(self.system.heap.root("data"))
+        self.indexes.add(field)
+        # a link keeps its variant until the module is forgotten; relinked,
+        # a variant that read the relation without this index is passed over
+        self.system.forget("app")
+        if self.app == "query":
+            self.optimized = False
+            assert self.system.closure("app", "g").code.name == "app.g"
+
     @rule(n=st.integers(0, 12))
     def call(self, n):
         result, _ = profile_call(self.system, "app", "g", [n], profiler=self.profile)
-        assert result.value == oracle(self.lib, self.app, n)
-        assert result.value == self.system.call("app", "g", [n]).value
+        value = self.outcome(result)[0]
+        assert value == observed(oracle(self.lib, self.app, self.rows, n), not self.indexes)
+        assert value == self.outcome(self.system.call("app", "g", [n]))[0]
         if self.optimized:
             assert self.system.closure("app", "g").code.name == "app.g'"
 
@@ -121,22 +178,25 @@ class CodeModel(RuleBasedStateMachine):
         if "app.g" in {c.qualified for c in report.selected}:
             self.optimized = True
             CodeModel.optimized_rounds += 1
+            if report.results["app.g"].query_stats.count("index-select"):
+                CodeModel.indexed_rounds += 1
 
     @rule(n=st.integers(0, 12))
     def commit_and_reopen(self, n):
         self.system.commit()
-        before = self.system.call("app", "g", [n])
+        before = self.outcome(self.system.call("app", "g", [n]))
         self.system.heap.close()
         self.system = TycoonSystem(heap=ObjectHeap(self.path))
-        after = self.system.call("app", "g", [n])
-        assert (after.value, after.instructions) == (before.value, before.instructions)
-        assert after.value == oracle(self.lib, self.app, n)
+        self.bind_data()
+        after = self.outcome(self.system.call("app", "g", [n]))
+        assert after == before
+        assert after[0] == observed(oracle(self.lib, self.app, self.rows, n), not self.indexes)
         if self.optimized:
             assert self.system.closure("app", "g").code.name == "app.g'"
 
 
 def test_code_in_an_image_follows_the_model():
-    CodeModel.optimized_rounds = 0
+    CodeModel.optimized_rounds = CodeModel.indexed_rounds = 0
     run_state_machine_as_test(
         CodeModel,
         settings=settings(
@@ -144,3 +204,4 @@ def test_code_in_an_image_follows_the_model():
         ),
     )
     assert CodeModel.optimized_rounds > 5
+    assert CodeModel.indexed_rounds > 0

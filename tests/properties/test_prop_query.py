@@ -6,11 +6,13 @@ ordered index on ``v``) and a query from a small grammar: equality, modulo
 and comparison predicates, a predicate that divides by the argument ``k``
 (so ``k = 0`` raises inside the scan), stacked ``select``, ``exists`` with
 and without its range variable, and projection.  The function compiled
-statically and the same function after ``optimize_query_function`` must
-return the same rows (in order, unless the optimized plan reads an index),
-the same scalar, or raise the same exception to their caller.  Each plan
-gives one outcome, instruction count included, on the VM, on the reference
-loop and on a VM under a ``ClosureProfile``.
+statically and the same function reflectively optimized must return the
+same rows (in order, unless the optimized plan reads an index), the same
+scalar, or raise the same exception to their caller.  The optimized plan is
+drawn two ways: ``optimize_result``'s closure, or the variant one PGO round
+installs after profiling a call of the function.  Each plan gives one
+outcome, instruction count included, on the VM, on the reference loop and
+on a VM under a ``ClosureProfile``.
 
 TL has no join syntax, so ``select`` over ``join`` is drawn as a TML term
 and its plain and ``integrated_optimize``-d forms are compared the same way.
@@ -25,8 +27,9 @@ from repro.machine.codegen import compile_function
 from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, instantiate
 from repro.obs.profile import ClosureProfile
-from repro.query import Relation, integrated_optimize, optimize_query_function
+from repro.query import Relation, integrated_optimize
 from repro.query.algebra import query_registry
+from repro.reflect import optimize_hot, optimize_result
 from repro.store.heap import ObjectHeap
 
 from tests.machine.reference_vm import ReferenceVM
@@ -136,11 +139,34 @@ def test_optimized_query_function_matches_its_static_plan(shape, data):
         f"let f(k: Int){annotation} = {expression.replace('db.data', db + '.data')}\nend"
     )
 
-    result = optimize_query_function(_SYSTEM, module, "f")
+    static_plan = _SYSTEM.closure(module, "f")
+    if data.draw(st.booleans(), label="through PGO"):
+        result, plan = _pgo_variant(module, k)
+    else:
+        result = optimize_result(_SYSTEM, module, "f")
+        plan = result.closure
     in_order = result.query_stats.count("index-select") == 0
-    static = _observe(_SYSTEM.closure(module, "f"), [k], in_order)
-    optimized = _observe(result.closure, [k], in_order)
+    static = _observe(static_plan, [k], in_order)
+    optimized = _observe(plan, [k], in_order)
     assert optimized == static, (expression, k, result.query_stats.total)
+
+
+def _pgo_variant(module: str, k: int):
+    """Profile one call of ``module.f``, run a PGO round over the module and
+    link what it installed: (the round's result, the linked variant)."""
+    profile = ClosureProfile()
+    vm = _SYSTEM.vm()
+    vm.profiler = profile
+    try:
+        vm.call(_SYSTEM.closure(module, "f"), [k])
+    except UncaughtTmlException:
+        pass
+    qualified = f"{module}.f"
+    report = optimize_hot(_SYSTEM, profile, top=1, modules=[module])
+    assert [c.qualified for c in report.selected] == [qualified], report.refused
+    variant = _SYSTEM.closure(module, "f")
+    assert variant.code.name == f"{qualified}'"
+    return report.results[qualified], variant
 
 
 _JOIN = """

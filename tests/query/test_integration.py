@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.syntax import PrimApp, iter_subterms
+from repro.core.syntax import PrimApp, iter_subterms, term_size
 from repro.lang import TycoonSystem
 from repro.machine.runtime import UncaughtTmlException
-from repro.query import Relation, integrated_optimize, optimize_query_function
+from repro.query import Relation, integrated_optimize
+from repro.reflect import optimize_result
 from repro.store.heap import ObjectHeap
 
 
@@ -110,7 +111,7 @@ class TestEmbeddedQueries:
 class TestIntegratedOptimization:
     def test_merge_select_through_reflection(self, setup):
         system, people = setup
-        result = optimize_query_function(system, "q", "seniors_of_adults")
+        result = optimize_result(system, "q", "seniors_of_adults")
         assert result.query_stats.count("merge-select") == 1
         slow = system.call("q", "seniors_of_adults", [])
         fast = system.vm().call(result.closure, [])
@@ -118,7 +119,7 @@ class TestIntegratedOptimization:
 
     def test_index_select_through_reflection(self, setup):
         system, people = setup
-        result = optimize_query_function(system, "q", "byid")
+        result = optimize_result(system, "q", "byid")
         assert result.query_stats.count("index-select") == 1
         prims = {
             n.prim for n in iter_subterms(result.term) if isinstance(n, PrimApp)
@@ -132,7 +133,7 @@ class TestIntegratedOptimization:
 
     def test_trivial_exists_through_reflection(self, setup):
         system, people = setup
-        result = optimize_query_function(system, "q", "anyone")
+        result = optimize_result(system, "q", "anyone")
         assert result.query_stats.count("trivial-exists") == 1
         assert system.vm().call(result.closure, [50]).value is True
         assert system.vm().call(result.closure, [5]).value is False
@@ -141,7 +142,7 @@ class TestIntegratedOptimization:
         """Fig. 4: program inlining exposes the query pattern, the query
         rewrite then replaces the access path — neither alone suffices."""
         system, people = setup
-        result = optimize_query_function(system, "q", "byid")
+        result = optimize_result(system, "q", "byid")
         # program optimizer inlined library calls (int.eq et al.)...
         assert result.stats.inlined_sites + result.stats.count("subst") > 0
         # ...which enabled the runtime query rewrite
@@ -155,4 +156,4 @@ class TestIntegratedOptimization:
         term = term_of_closure(closure, system.heap)
         result = integrated_optimize(term, system.registry, heap=system.heap)
         assert result.stats.rounds >= 1
-        assert result.size > 0
+        assert term_size(result.term) > 0

@@ -5,13 +5,13 @@ from dataclasses import replace
 import pytest
 
 from repro.core.parser import parse_term
-from repro.core.syntax import PrimApp, iter_subterms
+from repro.core.syntax import PrimApp, iter_subterms, term_size
 from repro.primitives.registry import PrimitiveRegistry
 from repro.query.algebra import query_registry
-from repro.query.optimizer import QueryRewriteStats, integrated_optimize
+from repro.query.optimizer import integrated_optimize
 from repro.rewrite import OptimizerConfig, RuleConfig, optimize
 from repro.rewrite.rules import ALL_RULES
-from repro.rewrite.stats import QUERY_RULES, RewriteStats
+from repro.rewrite.stats import QUERY_RULES, QueryRewriteStats, RewriteStats
 from repro.store.heap import ObjectHeap
 
 STACKED = """
@@ -53,7 +53,7 @@ def test_stats_alias(registry):
     term = parse_term("proc(x ce cc) (cc x)", prims=registry.names())
     result = integrated_optimize(term, registry)
     assert result.query_stats.stats is result.stats
-    assert result.size > 0
+    assert term_size(result.term) > 0
 
 
 def test_enabled_rule_subset(registry, heap):

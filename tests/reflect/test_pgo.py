@@ -12,6 +12,7 @@ from repro.core.syntax import Oid
 from repro.lang import TycoonSystem
 from repro.machine.runtime import TmlArray
 from repro.obs.profile import VMProfiler, profile_call
+from repro.query.relation import Relation
 from repro.reflect import optimize_hot, rank_hot
 from repro.store.fsck import fsck_image
 from repro.store.heap import ObjectHeap
@@ -294,6 +295,58 @@ def test_a_variant_depends_on_the_stored_object_it_reads(tmp_path):
         assert reopened.call("m", "f", [1]).value == value
         assert reopened.closure("m", "f").code.name == name
         reopened.heap.close()
+
+
+LOANS_APP = """
+module library export by_member
+import db
+type Loan = tuple member: Int, title: String end
+let by_member(m: Int) = select l from db.loans as l : Loan where l.member == m end
+end"""
+
+
+def test_a_variant_depends_on_the_index_set_of_the_relation_it_reads(tmp_path):
+    """The query rules choose a plan by the relation's indexes, so its key
+    names them, ``oid:N[member]``: a variant optimized before
+    ``create_index`` is passed over once the index is committed and the
+    module linked again, and the next round installs index-select."""
+    path = str(tmp_path / "index.tyc")
+    system = TycoonSystem(heap=ObjectHeap(path))
+    loans = Relation("loans", ["member", "title"], [(i % 7, f"b{i}") for i in range(140)])
+    oid = system.heap.store(loans)
+    system.heap.set_root("loans", oid)
+    system.register_data_module("db", {"loans": loans})
+    system.compile(LOANS_APP)
+    system.persist("library")
+    static, profiler = profile_call(system, "library", "by_member", [3])
+    scan = optimize_hot(system, profiler, top=1).results["library.by_member"]
+    assert scan.query_stats.count("index-select") == 0
+    deps = system.load("library").functions["by_member"].variant.deps
+    assert ("db.loans", f"oid:{int(oid)}[]") in deps
+    assert system.closure("library", "by_member").code.name == "library.by_member'"
+    loans.create_index("member")
+    system.heap.update(oid)
+    system.commit()
+    # a link made before the index keeps its variant until the module is
+    # forgotten
+    assert system.closure("library", "by_member").code.name == "library.by_member'"
+    system.forget("library")
+    assert system.closure("library", "by_member").code.name == "library.by_member"
+    system.heap.close()
+
+    reopened = TycoonSystem(heap=ObjectHeap(path))
+    reopened.register_data_module("db", {"loans": reopened.heap.load_root("loans")})
+    again, profiler = profile_call(reopened, "library", "by_member", [3])
+    assert reopened.closure("library", "by_member").code.name == "library.by_member"
+    assert again.instructions == static.instructions
+    report = optimize_hot(reopened, profiler, top=1)
+    assert [c.qualified for c in report.selected] == ["library.by_member"]
+    assert report.results["library.by_member"].query_stats.count("index-select") == 1
+    reopened.commit()
+    fast = reopened.call("library", "by_member", [3])
+    assert sorted(fast.value.to_tuples()) == sorted(static.value.to_tuples())
+    assert fast.instructions <= 10 < static.instructions
+    reopened.heap.close()
 
 
 def test_rounds_leave_no_ptml_unreachable(tmp_path):

@@ -1,6 +1,7 @@
 """Every example in examples/ must run clean (they are living documentation)."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -52,6 +53,9 @@ def test_persistent_database():
     assert result.returncode == 0, result.stderr
     assert "everything survived" in result.stdout
     assert result.stdout.strip().endswith("OK")
+    # session 3 runs session 2's committed variant: the index-select plan
+    (line,) = [s for s in result.stdout.splitlines() if "runs session 2's variant" in s]
+    assert int(re.search(r"(\d+) instructions", line).group(1)) <= 10, line
 
 
 @pytest.mark.slow
