@@ -4,8 +4,9 @@ Run:  python examples/persistent_database.py [store-file]
 
 Shows the full open-database-environment story on one store file:
 
-* session 1 creates relations and indexes, compiles and persists the
-  application module (code, PTML and data live in the same store);
+* session 1 creates relations and indexes, binds them in the data module
+  ``db``, compiles and persists the application module (code, PTML, data
+  and the modules that name it live in the same store);
 * session 2 reopens the image cold: loads the module, runs queries,
   reflectively re-optimizes one against the store's indexes, and lets
   profile-guided optimization commit a variant of the hot function — the
@@ -60,8 +61,6 @@ def session_two(path: str) -> None:
     print("— session 2: cold start, query, re-optimize against the live index")
     heap = ObjectHeap(path)
     system = TycoonSystem(heap=heap)
-    loans = heap.load_root("data:loans")
-    system.register_data_module("db", {"loans": loans})
     system.load("library")
 
     slow, profile = profile_call(system, "library", "by_member", [42])
@@ -86,8 +85,6 @@ def session_three(path: str) -> None:
     print("— session 3: everything survived")
     heap = ObjectHeap(path)
     system = TycoonSystem(heap=heap)
-    loans = heap.load_root("data:loans")
-    system.register_data_module("db", {"loans": loans})
     system.load("library")
 
     overdue = system.call("library", "overdue", [55])

@@ -16,7 +16,9 @@ then drives it the way the docs promise it works:
 5. a ``shutdown`` request stops the daemon gracefully (exit code 0);
 6. a daemon restarted over the image runs what the first one committed:
    the PGO round's optimized code, and the redefined library under its
-   importer; then it shuts down gracefully too.
+   importer; it compiles a new importer of the stored library against the
+   interface in the library's record, and refuses an ill-typed one with
+   ``bad_request``; then it shuts down gracefully too.
 
 Exits nonzero on the first violated expectation.  The trace file
 (``artifacts/server-smoke-trace.ndjson`` by default) is uploaded as a
@@ -35,7 +37,7 @@ import threading
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.server.client import connect  # noqa: E402
+from repro.server.client import ServerError, connect  # noqa: E402
 
 BENCH = """
 module bench export work
@@ -46,6 +48,8 @@ end"""
 
 LIB = "module lib export f let f(n: Int): Int = n + {} end"
 APP = "module app export g import lib let g(n: Int): Int = lib.f(n) + lib.f(n) end"
+IMPORTER = "module app2 export h import lib let h(n: Int): Int = lib.f(n) * 3 end"
+ILL_TYPED = "module bad export h import lib let h(n: Int): Int = lib.f(n, n) end"
 
 SESSIONS = 8
 INCREMENTS = 4
@@ -196,6 +200,14 @@ def main() -> int:
                 f"({restarted['instructions']} instructions)",
             )
             check(db.call("app", "g", [1]) == 202, "app.g still calls the redefined lib.f")
+            check(db.run(IMPORTER) == ["app2"], "a new importer of the stored lib compiles")
+            check(db.call("app2", "h", [1]) == 303, "app2.h calls the stored lib.f")
+            refused = None
+            try:
+                db.run(ILL_TYPED)
+            except ServerError as exc:
+                refused = exc.code
+            check(refused == "bad_request", f"an ill-typed importer is refused (got {refused})")
         shut_down(daemon, port)
         print("server smoke: all checks passed")
         return 0

@@ -12,9 +12,9 @@ static and exact, and interprocedural summaries
 The graph is built from what :func:`~repro.lang.modules.load_module`
 regenerates from each module's PTML — the code a daemon booting over the
 image would run.  Nodes are qualified ``module.function`` names.  Exported
-constants become typed value bindings; imports of modules absent from the
-image (data modules registered at runtime, unlinked holes) are recorded as
-*unresolved* and analyzed as ⊤.
+constants — data modules' store objects included — become typed value
+bindings; imports of modules absent from the image, or of records that do
+not load, are recorded as *unresolved* and analyzed as ⊤.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class ImageGraph:
     #: caller qualified -> set of callee qualified
     edges: dict[str, set[str]] = field(default_factory=dict)
     #: (caller qualified, free name string) pairs whose target module is not
-    #: in the image at all (runtime data modules, unlinked holes) — analyzed ⊤
+    #: in the image at all (absent, or a record that does not load) — analyzed ⊤
     unresolved: set = field(default_factory=set)
     #: (caller qualified, free name string, target qualified) refs into a
     #: stored module that has no such member: linking this function FAILS

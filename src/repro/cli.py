@@ -90,7 +90,7 @@ def _load_system(path: str, opt: str, store: str | None) -> TycoonSystem:
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     for module in parse_modules(source):
-        system.compile_ast(module)
+        system.compile(module)
     return system
 
 

@@ -20,7 +20,7 @@ CPS converter consults (keyed by node identity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.lang import ast
 from repro.lang.errors import TLCheckError
@@ -458,19 +458,16 @@ class _Checker:
 
 def check_module(
     module: ast.Module,
-    available: dict[str, ModuleInterface] | None = None,
+    available: Callable[[str], ModuleInterface | None] | None = None,
 ) -> CheckedModule:
     """Check one module against the interfaces of its imports.
 
-    ``available`` maps module names to interfaces; the standard library is
-    always available.
+    ``available`` maps a module name to its interface, or None; the
+    standard library is always available.
     """
-    interfaces = dict(stdlib_interfaces())
-    if available:
-        interfaces.update(available)
     imports: dict[str, ModuleInterface] = {}
     for name in module.imports():
-        interface = interfaces.get(name)
+        interface = stdlib_interfaces().get(name) or (available(name) if available else None)
         if interface is None:
             raise TLCheckError(f"import of unknown module {name!r}")
         imports[name] = interface

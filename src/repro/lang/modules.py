@@ -15,22 +15,23 @@ The lifecycle (paper Fig. 3):
    its external bindings, and loading maps the PTML back to TML and runs the
    code generator again (section 4.1), so the TAM a later session runs is
    derived from the one persistent representation the hash covers.  A
-   PGO-optimized function also stores its :class:`Variant`.
+   PGO-optimized function also stores its :class:`Variant`; the record also
+   carries the module's interface, which importers are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro._lazy import attach
 from repro.analysis.verify_tam import assert_verified
 from repro.core.names import Name, NameSupply
-from repro.core.syntax import Abs, Char, Oid, UNIT
+from repro.core.syntax import Abs, Char, Oid, UNIT, Unit
 from repro.core.wellformed import WellFormednessError, check as check_wf
 from repro.lang.errors import TLCheckError, TLError
 from repro.lang.stdlib import build_stdlib
-from repro.lang.types import ExternalRef, FunSig, ModuleInterface, UNKNOWN
+from repro.lang.types import ExternalRef, FunSig, ModuleInterface, TFun, term_type, type_term
 from repro.machine.codegen import CodegenError, compile_function
 from repro.machine.isa import CodeObject, VMClosure
 from repro.primitives.registry import PrimitiveRegistry, default_registry
@@ -38,7 +39,7 @@ from repro.rewrite.pipeline import OptimizerConfig, optimize
 from repro.store.heap import HeapError, ObjectHeap
 from repro.store.pager import PageError
 from repro.store.ptml import PtmlError, decode_ptml, encode_ptml, ptml_key
-from repro.store.serialize import Blob, SerializeError, register_codec
+from repro.store.serialize import Blob, SerializeError, encode_value, register_codec
 
 if TYPE_CHECKING:
     from repro.lang import ast
@@ -115,7 +116,6 @@ class CompiledFunction:
     term: Abs
     code: CodeObject
     externals: dict[Name, ExternalRef]
-    sig: FunSig
     variant: Variant | None = None
 
 
@@ -179,10 +179,11 @@ def _literal_value(expr: ast.Expr) -> Any:
 
 def compile_module(
     source: str | ast.Module | CheckedModule,
-    interfaces: dict[str, ModuleInterface] | None = None,
+    interfaces: Callable[[str], ModuleInterface | None] | None = None,
     options: CompileOptions | None = None,
 ) -> CompiledModule:
-    """Compile TL source (or a parsed/checked module) to TAM code + PTML."""
+    """Compile TL source (or a parsed/checked module) to TAM code + PTML;
+    ``interfaces`` maps an imported module's name to its interface."""
     for name in _FRONT_END:
         if name not in globals():
             __getattr__(name)
@@ -213,11 +214,6 @@ def compile_module(
         code = compile_function(term, registry, name=f"{checked.module.name}.{decl.name}")
         assert_verified(code, name=f"{checked.module.name}.{decl.name}")
         code.ptml_ref = encode_ptml(term)
-        sig = checked.interface.functions.get(decl.name) or FunSig(
-            decl.name,
-            tuple(UNKNOWN for _ in decl.params),
-            UNKNOWN,
-        )
         functions[decl.name] = CompiledFunction(
             name=decl.name,
             term=term,
@@ -227,7 +223,6 @@ def compile_module(
                 for name, ref in converter.external_refs.items()
                 if name in code.free_names
             },
-            sig=sig,
         )
 
     constants = {
@@ -265,7 +260,6 @@ def compile_stdlib(
                 term=term,
                 code=code,
                 externals={},
-                sig=std_fn.sig,
             )
         compiled[name] = CompiledModule(
             name=name,
@@ -354,6 +348,9 @@ def link_stdlib(
 # persistence
 # ---------------------------------------------------------------------------
 
+#: what a module record holds in place; any other value is a store object
+LITERALS = (bool, int, str, Char, Unit)
+
 
 def _encode_module(module: "StoredModule", enc) -> None:
     enc.value(module.name)
@@ -369,11 +366,16 @@ def _encode_module(module: "StoredModule", enc) -> None:
             enc.value(ref.kind)
             enc.value(ref.module)
             enc.value(ref.member)
-    if module.variants:  # else the record ends as before variants existed
-        enc.uvarint(len(module.variants))
-        for fn_name, (ptml_ref, fingerprint, deps, attributes) in module.variants.items():
-            for part in (fn_name, ptml_ref, fingerprint, tuple(deps), dict(attributes)):
-                enc.value(part)
+    enc.uvarint(len(module.variants))
+    for fn_name, (ptml_ref, fingerprint, deps, attributes) in module.variants.items():
+        for part in (fn_name, ptml_ref, fingerprint, tuple(deps), dict(attributes)):
+            enc.value(part)
+    interface = module.interface or ModuleInterface(module.name)
+    enc.value((
+        {name: type_term(ty) for name, ty in interface.types.items()},
+        {name: type_term(TFun(sig.params, sig.result)) for name, sig in interface.functions.items()},
+        {name: type_term(ty) for name, ty in interface.values.items()},
+    ))
 
 
 def _decode_module(dec) -> "StoredModule":
@@ -394,32 +396,44 @@ def _decode_module(dec) -> "StoredModule":
             member = dec.value()
             externals[free_name] = ExternalRef(kind, module, member)
         functions.append((fn_name, ptml_ref, externals))
-    # a module record is a heap object of its own: bytes left are variants
+    # a module record is a heap object of its own: an old one ends early
     variants = {
         dec.value(): (dec.reference(), dec.value(), dec.value(), dec.value())
         for _ in range(dec.uvarint() if dec.pos < len(dec.data) else 0)
     }
-    return StoredModule(name, exports, constants, functions, variants)
+    interface = ModuleInterface(name)
+    if dec.pos < len(dec.data):
+        types, signatures, values = dec.value()
+        interface.types = {n: term_type(t) for n, t in types.items()}
+        for n, t in signatures.items():
+            fun = term_type(t)
+            interface.functions[n] = FunSig(n, fun.params, fun.result)
+        interface.values = {n: term_type(t) for n, t in values.items()}
+    return StoredModule(name, exports, constants, functions, variants, interface)
 
 
 @dataclass
 class StoredModule:
     """The persisted form of a compiled module: per function its name, the
     OID of its PTML blob and its external bindings; per :class:`Variant`
-    the OID of its PTML, its fingerprint, dependencies and attributes."""
+    the OID of its PTML, its fingerprint, dependencies and attributes; the
+    interface; constants as literals or OIDs of store objects."""
 
     name: str
     exports: tuple[str, ...]
     constants: dict[str, Any]
     functions: list[tuple[str, Any, dict[Name, ExternalRef]]]
     variants: dict[str, tuple] = field(default_factory=dict)
+    interface: ModuleInterface | None = None
 
 
 register_codec("tl-module", StoredModule, _encode_module, _decode_module)
 
 
 def store_module(heap: ObjectHeap, compiled: CompiledModule) -> Any:
-    """Persist a compiled module; PTML blobs become separate store objects.
+    """Persist a compiled module; PTML blobs and constants other than
+    literals become separate store objects (one the store cannot serialize
+    is refused here).
 
     Returns the module's OID and registers it under root ``module:<name>``.
     """
@@ -427,10 +441,20 @@ def store_module(heap: ObjectHeap, compiled: CompiledModule) -> Any:
     for code in [fn.code for fn in functions] + [fn.variant.code for fn in functions if fn.variant]:
         if isinstance(code.ptml_ref, Blob):
             code.ptml_ref = heap.store(code.ptml_ref)
+    constants = dict(compiled.constants)
+    for member, value in constants.items():
+        if isinstance(value, LITERALS):
+            continue
+        if heap.oid_of(value) is None:
+            try:
+                encode_value(value)
+            except SerializeError as exc:
+                raise TLError(f"{compiled.name}.{member} cannot be stored: {exc}") from None
+        constants[member] = heap.oid_of(value) or heap.store(value)
     stored = StoredModule(
         name=compiled.name,
         exports=tuple(compiled.exports),
-        constants=dict(compiled.constants),
+        constants=constants,
         functions=[
             (fn.name, fn.code.ptml_ref, dict(fn.externals)) for fn in functions
         ],
@@ -439,6 +463,7 @@ def store_module(heap: ObjectHeap, compiled: CompiledModule) -> Any:
             for fn in functions
             if (v := fn.variant) is not None
         },
+        interface=compiled.interface,
     )
     oid = heap.store(stored)
     heap.set_root(f"module:{compiled.name}", oid)
@@ -497,7 +522,7 @@ def _regenerate(
 def load_module(
     heap: ObjectHeap, name: str, registry: PrimitiveRegistry | None = None
 ) -> CompiledModule:
-    """Recover a compiled module from the store (interface is signature-less).
+    """Recover a compiled module and its interface from the store.
 
     Each function's PTML, and a variant's, is mapped back to TML, checked
     for well-formedness and compiled again with ``registry`` — which must
@@ -525,14 +550,15 @@ def load_module(
             term=term,
             code=code,
             externals=externals,
-            sig=FunSig(fn_name, tuple(UNKNOWN for _ in code.params[:-2]), UNKNOWN),
             variant=variant,
         )
-    interface = ModuleInterface(name=stored.name)
     return CompiledModule(
         name=stored.name,
-        interface=interface,
+        interface=stored.interface or ModuleInterface(stored.name),
         functions=functions,
-        constants=dict(stored.constants),
+        constants={
+            member: heap.load(value) if isinstance(value, Oid) else value
+            for member, value in stored.constants.items()
+        },
         exports=tuple(stored.exports),
     )

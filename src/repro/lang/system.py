@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.syntax import Char, Unit
-from repro.lang.errors import TLError
+from repro.lang.errors import TLCheckError, TLError
 from repro.lang.foreign import default_foreign
 from repro.lang.modules import (
+    LITERALS,
     CompileOptions,
     CompiledModule,
     ModuleValue,
@@ -32,7 +32,7 @@ from repro.lang.modules import (
     load_module,
     store_module,
 )
-from repro.lang.stdlib import STDLIB_MODULE_NAMES, stdlib_interfaces
+from repro.lang.stdlib import STDLIB_MODULE_NAMES
 from repro.lang.types import ModuleInterface, UNKNOWN as _UNKNOWN_TYPE
 from repro.machine.isa import CodeObject, VMClosure
 from repro.machine.vm import VM, VMResult
@@ -69,7 +69,6 @@ class TycoonSystem:
             self.options = replace(self.options, registry=self.registry)
         self.heap = heap if heap is not None else ObjectHeap()
         self.foreign = default_foreign()
-        self.interfaces: dict[str, ModuleInterface] = dict(stdlib_interfaces())
         self.compiled: dict[str, CompiledModule] = {}
         # persist_stdlib=False links the stdlib purely in memory — replica
         # daemons must not write locally (their heap state mirrors the
@@ -82,31 +81,36 @@ class TycoonSystem:
     # ----------------------------------------------------------- data modules
 
     def register_data_module(self, name: str, values: dict[str, Any]) -> ModuleValue:
-        """Expose store objects (relations, constants) as a linked module.
+        """Bind ``module:name`` in the image to a record of store objects
+        (relations, arrays) and literals, and link it.
 
         TL code may then ``import name`` and reference ``name.member``.  The
-        members become link-time R-value bindings; when a member is a stored
-        heap object the reflective optimizer sees it as an OID literal —
+        record names each object by its OID, so a later session links the
+        same objects and the reflective optimizer sees OID literals —
         enabling runtime query optimization against actual indexes (§4.2).
         """
-        interface = ModuleInterface(name=name)
-        for member in values:
-            interface.values[member] = _UNKNOWN_TYPE
-        self.interfaces[name] = interface
-        module_value = ModuleValue(name, dict(values))
-        self.linked[name] = module_value
-        return module_value
+        interface = ModuleInterface(name, values=dict.fromkeys(values, _UNKNOWN_TYPE))
+        store_module(self.heap, CompiledModule(name, interface, {}, dict(values), tuple(values)))
+        self.forget(name)
+        return self.link(name)
 
     # ------------------------------------------------------------- compile
 
     def compile(self, source) -> CompiledModule:
-        """Compile a TL module (source text or parsed AST) and register its
-        interface for later imports."""
-        module = compile_module(source, self.interfaces, self.options)
+        """Compile a TL module (source text or parsed AST); each import is
+        checked against the interface of that module here or in the image."""
+        module = compile_module(source, self._interface, self.options)
         self.forget(module.name)
         self.compiled[module.name] = module
-        self.interfaces[module.name] = module.interface
         return module
+
+    def _interface(self, name: str) -> ModuleInterface | None:
+        if name not in self.compiled and self.heap.root(f"module:{name}") is None:
+            return None
+        module = self._compiled(name)
+        if module.exports and module.interface == ModuleInterface(name):
+            raise TLCheckError(f"module {name!r} is stored without its interface: compile it again")
+        return module.interface
 
     def forget(self, name: str) -> None:
         """Drop what this process holds of module ``name``: its compiled
@@ -139,10 +143,6 @@ class TycoonSystem:
                     for ref in fn.externals.values()
                 )
             )
-
-    def compile_ast(self, module_ast) -> CompiledModule:
-        """Compile an already-parsed :class:`repro.lang.ast.Module`."""
-        return self.compile(module_ast)
 
     def persist(self, name: str) -> Any:
         """Store a compiled module (and its PTML blobs) in the heap."""
@@ -186,10 +186,10 @@ class TycoonSystem:
             return False
 
     def _static(self, qualified: str) -> Any:
-        """Static code or constant of a module (loaded on a miss), else a member
-        of a linked library or data module."""
+        """Static code or constant of a module (loaded on a miss), else a
+        library member."""
         module, _, member = qualified.partition(".")
-        if module in self.linked and module not in self.compiled:
+        if module in STDLIB_MODULE_NAMES:
             return self.linked[module].member(member)
         compiled = self._compiled(module)
         fn = compiled.functions.get(member)
@@ -204,7 +204,7 @@ class TycoonSystem:
             value = value.code
         if isinstance(value, CodeObject):
             return ptml_key(value, self.heap)
-        if isinstance(value, (bool, int, str, Char, Unit)):
+        if isinstance(value, LITERALS):
             return f"{type(value).__name__}:{value!r}"
         oid = self.heap.oid_of(value)
         if oid is None:

@@ -39,6 +39,8 @@ __all__ = [
     "ModuleInterface",
     "ExternalRef",
     "resolve_type",
+    "type_term",
+    "term_type",
 ]
 
 
@@ -174,6 +176,32 @@ class ModuleInterface:
         if sig is not None:
             return TFun(sig.params, sig.result)
         return self.values.get(member, UNKNOWN)
+
+
+def type_term(ty: Type):
+    """``ty`` as plain data a module record stores: a base type's name, else
+    a tuple tagged ``Array``, ``tuple`` (a record) or ``Fun``."""
+    if isinstance(ty, TArray):
+        return ("Array", type_term(ty.element))
+    if isinstance(ty, TRecord):
+        return ("tuple", tuple((name, type_term(t)) for name, t in ty.fields))
+    if isinstance(ty, TFun):
+        return ("Fun", tuple(map(type_term, ty.params)), type_term(ty.result))
+    return ty.describe()
+
+
+_BY_NAME = {ty.describe(): ty for ty in (INT, BOOL, CHAR, STRING, UNIT, UNKNOWN)}
+
+
+def term_type(term) -> Type:
+    """The inverse of :func:`type_term`."""
+    if isinstance(term, str):
+        return _BY_NAME[term]
+    if term[0] == "Array":
+        return TArray(term_type(term[1]))
+    if term[0] == "tuple":
+        return TRecord(tuple((name, term_type(t)) for name, t in term[1]))
+    return TFun(tuple(map(term_type, term[1])), term_type(term[2]))
 
 
 class ExternalRef:

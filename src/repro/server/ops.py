@@ -130,7 +130,7 @@ def run(server, session, request):
 
     system = server.system
     try:
-        modules = [system.compile_ast(ast) for ast in parse_modules(source)]
+        modules = [system.compile(ast) for ast in parse_modules(source)]
     except TLError as exc:
         raise RequestError(protocol.E_BAD_REQUEST, str(exc)) from exc
     for module in modules:

@@ -310,8 +310,9 @@ class PrimaryReplication:
                 if from_version > self.version:
                     resync = True  # follower is ahead: divergent lineage
                 elif from_version < self.version:
-                    lineage_ok = from_version == 0 or (
+                    lineage_ok = (
                         self.log.term_at(from_version) == last_term
+                        if from_version else self._log_starts_empty()
                     )
                     if lineage_ok and self.log.has(from_version + 1):
                         catchup = self.log.read_from(from_version + 1)
@@ -356,6 +357,13 @@ class PrimaryReplication:
             resync=resync, catchup=caught_up,
         )
         return result
+
+    def _log_starts_empty(self) -> bool:
+        """True when record 1 wrote every object below its OID counter, so
+        an empty follower may replay the log; an image built before its
+        first replicated commit holds objects no record carries."""
+        first = next(self.log.read_from(1, batch=1), None) if self.log.has(1) else None
+        return first is not None and len(first.objects) == first.oid_counter - 1
 
     def _pump(self, sub: _Subscriber) -> None:
         while sub.alive and not self._stopped:

@@ -9,7 +9,7 @@ from repro.lang.types import ModuleInterface, TRecord, INT, FunSig
 
 
 def check_src(source, available=None):
-    return check_module(parse_module(source), available)
+    return check_module(parse_module(source), (available or {}).get)
 
 
 class TestBinding:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,12 +19,17 @@ from repro.lang import (
     load_module,
     store_module,
 )
-from repro.lang.modules import StoredModule, compile_stdlib, link_stdlib
+from repro.lang.errors import TLCheckError
+from repro.lang.modules import CompiledModule, StoredModule, compile_stdlib, link_stdlib
+from repro.lang.types import (
+    BOOL, CHAR, INT, STRING, UNIT, UNKNOWN, FunSig, ModuleInterface, TArray, TFun, TRecord,
+    term_type, type_term,
+)
 from repro.machine.binfmt import encode_code
 from repro.machine.isa import VMClosure
 from repro.machine.vm import VM
 from repro.store.heap import ObjectHeap
-from repro.store.serialize import Blob
+from repro.store.serialize import Blob, decode_value, encode_value
 from scripts.audit_negative_control import flip_one_bit
 from tests.store import legacy_module
 
@@ -257,6 +263,69 @@ class TestVariants:
         system.heap.close()
 
 
+def _reopened(path, compiled):
+    """``compiled`` stored, committed and loaded back from a reopened heap
+    (so the record is decoded, not served from the cache)."""
+    heap = ObjectHeap(path)
+    store_module(heap, compiled)
+    heap.commit()
+    heap.close()
+    heap = ObjectHeap(path)
+    try:
+        return load_module(heap, compiled.name)
+    finally:
+        heap.close()
+
+
+class TestInterfaces:
+    """A module record carries the module's interface."""
+
+    ROW = TRecord((("x", INT), ("tags", TArray(CHAR))))
+    SHAPES = ModuleInterface(
+        "shapes",
+        types={"Row": ROW, "Table": TRecord((("rows", TArray(ROW)), ("ok", BOOL)))},
+        functions={"g": FunSig("g", (TArray(ROW), UNKNOWN), TFun((INT, STRING), UNIT))},
+        values={"v": TArray(TFun((), TArray(INT))), "s": STRING},
+    )
+
+    def test_every_type_shape_round_trips_through_its_term(self):
+        shapes = [*self.SHAPES.types.values(), *self.SHAPES.values.values()]
+        shapes += [INT, BOOL, CHAR, STRING, UNIT, UNKNOWN, TFun((), UNIT)]
+        for ty in shapes:
+            assert term_type(type_term(ty)) == ty
+
+    def test_every_type_shape_round_trips_through_a_module_record(self, tmp_path):
+        compiled = CompiledModule("shapes", self.SHAPES, {}, {"s": "text"}, ("g", "v", "s"))
+        assert _reopened(str(tmp_path / "shapes.tyc"), compiled).interface == self.SHAPES
+
+    def test_a_compiled_interface_loads_as_it_compiled(self, tmp_path):
+        source = """
+        module shapes export Row, Table, first, limit
+        type Row = tuple x: Int, tags: Array(Char) end
+        type Table = tuple rows: Array(Row), ok: Bool end
+        let limit = 3
+        let first(t: Table, tag: Char): Row = t.rows[0]
+        end
+        """
+        compiled = compile_module(source)
+        assert compiled.interface.functions["first"].params[0].fields[0][1] == TArray(
+            compiled.interface.types["Row"]
+        )
+        assert _reopened(str(tmp_path / "c.tyc"), compiled).interface == compiled.interface
+
+    def test_a_record_with_variants_and_an_interface_loads(self, tmp_path):
+        path = str(tmp_path / "both.tyc")
+        _optimized_image(path).heap.close()
+        system = TycoonSystem(heap=ObjectHeap(path))
+        loaded = system.load("app")
+        assert loaded.functions["g"].variant is not None
+        assert loaded.interface == ModuleInterface("app", functions={"g": FunSig("g", (INT,), INT)})
+        system.compile("module app2 export h import app let h(n: Int): Int = app.g(n) + 1 end")
+        assert system.call("app2", "h", [1]).value == 5
+        assert system.closure("app", "g").code.name == "app.g'"
+        system.heap.close()
+
+
 class TestOldImages:
     """An image whose module records hold TAM code objects (the layout
     before PTML was the only stored code) loads with no migration."""
@@ -281,6 +350,34 @@ class TestOldImages:
         for name, fn in fresh.functions.items():
             assert encode_code(loaded.functions[name].code) == encode_code(fn.code)
         heap.close()
+
+    def test_records_that_end_before_the_interface_or_the_variants_load(self, tmp_path):
+        """The record's tail is optional: one written before interfaces
+        (with or without variants) loads with an empty interface."""
+        system = _optimized_image(str(tmp_path / "tail.tyc"))
+        stored = system.heap.load_root("module:app")
+        system.heap.close()
+        empty = dataclasses.replace(stored, interface=ModuleInterface("app"))
+        interface_tail = len(encode_value(({}, {}, {})))
+        old = decode_value(encode_value(empty)[:-interface_tail])
+        assert old.interface == ModuleInterface("app")
+        assert old.variants == stored.variants
+        bare = dataclasses.replace(empty, variants={})
+        older = decode_value(encode_value(bare)[:-interface_tail - 1])
+        assert (older.variants, older.interface) == ({}, ModuleInterface("app"))
+        assert [f[:2] for f in older.functions] == [f[:2] for f in stored.functions]
+
+    def test_an_importer_of_an_old_record_is_refused_by_its_missing_interface(self, tmp_path):
+        path = str(tmp_path / "old.tyc")
+        heap = ObjectHeap(path)
+        legacy_module.install(heap)
+        heap.close()
+        system = TycoonSystem(heap=ObjectHeap(path))
+        assert system.load("calc").interface == ModuleInterface("calc")
+        with pytest.raises(TLCheckError, match="'calc' is stored without its interface"):
+            system.compile("module user export h import calc let h(n: Int): Int = calc.inc(n) end")
+        assert system.call("calc", "inc", [1]).value == 2
+        system.heap.close()
 
     def test_a_system_calls_an_old_module_without_loading_it_first(self, tmp_path):
         path = str(tmp_path / "old.tyc")

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.lang import CompileOptions, TLError, TycoonSystem
+from repro.machine.runtime import TmlArray
 from repro.machine.vm import StepLimitExceeded
 from repro.query.relation import Relation
+from repro.store.heap import ObjectHeap
 
 
 @pytest.fixture
@@ -94,6 +96,48 @@ def test_data_module_members(system):
         """
     )
     assert system.call("m", "f", []).value == 20
+
+
+def test_a_data_module_is_a_record_of_the_image(tmp_path):
+    """The record names a stored member by its OID and keeps a literal in
+    place; a reopened image links the same objects and compiles against
+    the record's interface."""
+    path = str(tmp_path / "data.tyc")
+    system = TycoonSystem(heap=ObjectHeap(path))
+    system.register_data_module("db", {"a": TmlArray([4, 5, 6]), "limit": 10})
+    stored = system.heap.load_root("module:db")
+    assert stored.constants["limit"] == 10
+    assert system.heap.load(stored.constants["a"]).slots == [4, 5, 6]
+    system.commit()
+    system.heap.close()
+
+    reopened = TycoonSystem(heap=ObjectHeap(path))
+    reopened.compile(
+        "module m export f import db let f(): Int = db.limit + db.a[1] end"
+    )
+    assert reopened.call("m", "f", []).value == 15
+    reopened.heap.close()
+
+
+def test_rebinding_a_data_module_relinks_its_importers(system):
+    system.register_data_module("db", {"data": Relation("data", ["v"], [(1,)])})
+    system.compile(
+        """
+        module app export rows import db
+        type Row = tuple v: Int end
+        let rows() = select r from db.data as r : Row where true end
+        end
+        """
+    )
+    assert system.call("app", "rows", []).value.to_tuples() == [(1,)]
+    system.register_data_module("db", {"data": Relation("data", ["v"], [(2,)])})
+    assert system.call("app", "rows", []).value.to_tuples() == [(2,)]
+
+
+def test_a_member_the_store_cannot_hold_is_refused_at_registration(system):
+    with pytest.raises(TLError, match="db.f cannot be stored"):
+        system.register_data_module("db", {"f": 1.5})
+    assert system.heap.root("module:db") is None
 
 
 def test_registry_threads_into_options(system):

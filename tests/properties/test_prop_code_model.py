@@ -5,8 +5,10 @@ A :class:`TycoonSystem` over a file image is driven through redefining
 ``lib`` (a function and a constant ``app`` reads) and ``app`` (each
 persisted; one ``app`` is a select over the stored relation ``db.data``),
 inserting rows into that relation and indexing it (each a ``heap.update``),
-calls of ``app.g``, profile-guided optimization rounds and commit + reopen.
-The oracle is a fresh ``TycoonSystem`` compiled from the latest sources
+calls of ``app.g``, profile-guided optimization rounds, commit + reopen,
+and compiling a new importer of ``lib``, which type-checks against the
+interface in ``lib``'s record whether or not the image was reopened.  The
+oracle is a fresh ``TycoonSystem`` compiled from the latest sources
 over an unindexed relation of the latest rows: every call answers what it
 answers, its rows compared as a multiset once a plan may read an index.  A
 reopen is a restart, so it keeps what a call runs, to the instruction; and
@@ -18,6 +20,7 @@ after a reopen.
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -27,7 +30,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.lang import TycoonSystem
+from repro.lang import TLCheckError, TycoonSystem
 from repro.obs.profile import ClosureProfile, profile_call
 from repro.query.relation import Relation
 from repro.reflect import optimize_hot
@@ -52,21 +55,28 @@ APPS = {
         let g(n: Int) = select r from db.data as r : Row where r.id == n end
         end""",
 }
+IMPORTER = "module app2 export h import lib let h(n: Int): Int = lib.f(n) + lib.c end"
+ILL_TYPED = "module bad export h import lib let h(n: Int): Int = lib.f(n, 2) end"
 ROWS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 50)), max_size=4)
 
 _ORACLES: dict = {}
 
 
-def oracle(lib: tuple[int, int], app: str, rows: tuple, n: int):
-    """``app.g(n)`` in a fresh system compiled from these sources, ``db.data``
-    an unindexed relation of these rows."""
+def oracle_system(lib: tuple[int, int], app: str, rows: tuple) -> TycoonSystem:
+    """A fresh system compiled from these sources, ``db.data`` an unindexed
+    relation of these rows."""
     system = _ORACLES.get((lib, app, rows))
     if system is None:
         system = _ORACLES[(lib, app, rows)] = TycoonSystem()
         system.register_data_module("db", {"data": Relation("data", ["id", "v"], rows)})
         system.compile(LIB.format(k=lib[0], c=lib[1]))
         system.compile(APPS[app])
-    return system.call("app", "g", [n]).value
+    return system
+
+
+def oracle(lib: tuple[int, int], app: str, rows: tuple, n: int):
+    """``app.g(n)`` in the :func:`oracle_system` of these sources and rows."""
+    return oracle_system(lib, app, rows).call("app", "g", [n]).value
 
 
 def observed(value, ordered: bool):
@@ -79,8 +89,8 @@ def observed(value, ordered: bool):
 
 class CodeModel(RuleBasedStateMachine):
     #: rounds, over the whole run, that gave app.g a variant, and of those
-    #: the ones whose variant reads an index
-    optimized_rounds = indexed_rounds = 0
+    #: the ones whose variant reads an index; importers compiled after a reopen
+    optimized_rounds = indexed_rounds = reopened_importers = 0
 
     def __init__(self):
         super().__init__()
@@ -90,6 +100,7 @@ class CodeModel(RuleBasedStateMachine):
         self.profile = ClosureProfile()
         #: app.g has a variant from a round, and nothing was redefined since
         self.optimized = False
+        self.reopened = False
 
     @initialize(
         k=st.integers(1, 3), c=st.integers(0, 2), app=st.sampled_from(sorted(APPS)), rows=ROWS
@@ -103,7 +114,7 @@ class CodeModel(RuleBasedStateMachine):
         self.define_app(app)
 
     def bind_data(self):
-        """Data modules live in the process: bind ``db`` to the stored relation."""
+        """Bind the data module ``db`` in the image to the stored relation."""
         self.relation = self.system.heap.load_root("data")
         self.system.register_data_module("db", {"data": self.relation})
 
@@ -128,15 +139,23 @@ class CodeModel(RuleBasedStateMachine):
 
     @rule(app=st.sampled_from(sorted(APPS)))
     def define_app(self, app):
-        if "lib" not in self.system.interfaces:
-            # interfaces are not stored: a reopened system type-checks an
-            # import against lib only once it compiled lib's source again
-            # (a redefinition: lib's variant, if any, is gone)
-            self.system.compile(LIB.format(k=self.lib[0], c=self.lib[1]))
-            self.system.persist("lib")
         self.system.compile(APPS[app])
         self.system.persist("app")
         self.app, self.optimized = app, False
+
+    @rule(n=st.integers(0, 12))
+    def compile_importer(self, n):
+        """A new importer of ``lib`` compiles and answers; one calling
+        ``lib.f`` with two arguments is refused as in a fresh system."""
+        self.system.compile(IMPORTER)
+        k, c = self.lib
+        assert self.system.call("app2", "h", [n]).value == n * k + 1 + c
+        with pytest.raises(TLCheckError) as refused:
+            self.system.compile(ILL_TYPED)
+        with pytest.raises(TLCheckError) as fresh:
+            oracle_system(self.lib, self.app, self.rows).compile(ILL_TYPED)
+        assert str(refused.value) == str(fresh.value)
+        CodeModel.reopened_importers += self.reopened
 
     @rule(rows=ROWS.filter(bool))
     def insert_rows(self, rows):
@@ -187,7 +206,7 @@ class CodeModel(RuleBasedStateMachine):
         before = self.outcome(self.system.call("app", "g", [n]))
         self.system.heap.close()
         self.system = TycoonSystem(heap=ObjectHeap(self.path))
-        self.bind_data()
+        self.relation, self.reopened = self.system.heap.load_root("data"), True
         after = self.outcome(self.system.call("app", "g", [n]))
         assert after == before
         assert after[0] == observed(oracle(self.lib, self.app, self.rows, n), not self.indexes)
@@ -196,7 +215,7 @@ class CodeModel(RuleBasedStateMachine):
 
 
 def test_code_in_an_image_follows_the_model():
-    CodeModel.optimized_rounds = CodeModel.indexed_rounds = 0
+    CodeModel.optimized_rounds = CodeModel.indexed_rounds = CodeModel.reopened_importers = 0
     run_state_machine_as_test(
         CodeModel,
         settings=settings(
@@ -205,3 +224,4 @@ def test_code_in_an_image_follows_the_model():
     )
     assert CodeModel.optimized_rounds > 5
     assert CodeModel.indexed_rounds > 0
+    assert CodeModel.reopened_importers > 0

@@ -10,6 +10,9 @@ import time
 
 import pytest
 
+from examples.persistent_database import APP_SRC as LIBRARY
+from repro.lang import TycoonSystem
+from repro.query import Relation
 from repro.server import ReproServer, ServerConfig, connect
 from repro.server.client import (
     ClusterClient,
@@ -17,6 +20,7 @@ from repro.server.client import (
     RetryPolicy,
     StaleReadError,
 )
+from repro.store.heap import ObjectHeap
 
 
 def wait_until(predicate, timeout=20.0, interval=0.02, message="condition"):
@@ -252,6 +256,89 @@ class TestReplicatedCode:
                     server.stop()
                 except Exception:
                     pass
+
+
+def prebuild(tmp_path, build, name="primary"):
+    """Write the image a daemon named ``name`` will open, in-process and
+    before any daemon ran on it: ``build(system)``, then one commit."""
+    system = TycoonSystem(heap=ObjectHeap(str(tmp_path / f"{name}.tyc")))
+    build(system)
+    system.commit()
+    system.heap.close()
+
+
+def stop_all(*servers):
+    for server in servers:
+        try:
+            server.stop()
+        except Exception:
+            pass
+
+
+class TestPrebuiltImages:
+    """A daemon booted over an image written in-process serves all of it,
+    and so does a replica that attaches to it."""
+
+    def test_a_replica_of_a_prebuilt_image_gets_all_of_it(self, tmp_path):
+        def build(system):
+            system.heap.set_root("k", system.heap.store(7))
+            system.compile("module lib export f let f(n: Int): Int = n + 1 end")
+            system.compile("module app export g import lib let g(n: Int): Int = lib.f(n) * 2 end")
+            system.persist("lib")
+            system.persist("app")
+
+        prebuild(tmp_path, build)
+        primary = make_primary(tmp_path)
+        r1 = make_replica(tmp_path, primary, "r1")
+        try:
+            wait_until(lambda: converged(primary, r1), message="replica converged")
+            with connect(r1.port) as db:
+                assert db.get("k") == {"k": 7}
+                assert db.call("app", "g", [10]) == 22
+            with connect(primary.port) as db:
+                db.set("later", 1)
+            wait_until(lambda: converged(primary, r1), message="later write replicated")
+            with connect(r1.port) as db:
+                assert db.get("k", "later") == {"k": 7, "later": 1}
+        finally:
+            stop_all(primary, r1)
+
+    def test_the_daemon_serves_a_stored_query_at_its_index_plan(self, tmp_path):
+        """``db`` is a data module record naming an indexed relation; a
+        PGO round commits ``by_member``'s index-select variant, which the
+        primary, a replica and the restarted primary all run."""
+
+        def build(system):
+            loans = Relation("loans", ["member", "title", "days"])
+            loans.insert_many((i % 97, f"book-{i}", (i * 13) % 60) for i in range(2000))
+            loans.create_index("member")
+            system.heap.set_root("data:loans", system.heap.store(loans))
+            system.register_data_module("db", {"loans": loans})
+            system.compile(LIBRARY)
+            system.persist("library")
+
+        def instructions(server):
+            # a relation is display-only on the wire: read the raw reply
+            with connect(server.port) as db:
+                reply = db.request("call", module="library", function="by_member", args=[42])
+            return reply["instructions"]
+
+        prebuild(tmp_path, build)
+        primary = make_primary(tmp_path)
+        r1 = make_replica(tmp_path, primary, "r1")
+        try:
+            assert instructions(primary) == 16004
+            with connect(primary.port) as db:
+                (optimized,) = db.pgo(top=1)["optimized"]
+            assert optimized["function"] == "library.by_member"
+            assert instructions(primary) <= 10
+            wait_until(lambda: converged(primary, r1), message="round replicated")
+            assert instructions(r1) <= 10
+            primary.stop()
+            primary = make_primary(tmp_path)
+            assert instructions(primary) <= 10
+        finally:
+            stop_all(primary, r1)
 
 
 class TestFailover:
