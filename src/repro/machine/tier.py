@@ -17,7 +17,7 @@ before the call and the path counts on from zero after it; such code has no
 static bound on one activation's instructions (the text's ``max_path`` is
 infinite).
 
-The plain text runs two kinds of ``tailcall`` on the caller's path when
+The plain text runs three kinds of ``tailcall`` on the caller's path when
 ``vm.profiler is None`` (a ``ClosureProfile`` credits per activation), the
 trampoline being the miss.  It is compiled at the code object's first
 activation, and a call through a register a ``free`` loaded from a slot then
@@ -34,7 +34,19 @@ its leading ``case`` folds on.  ``closure`` itself emits nothing: the object
 is allocated where it escapes — read, captured by one allocated, a captured
 register rewritten, a split — or on the miss.  An inlined path's length
 counts towards the caller's, so counts, traps and ``max_path`` are those of
-the activations; the counted text has no inline sites and no deferral.
+the activations.  A call, in ``run`` itself or in a join it entered, through
+a register a ``free`` loaded from a slot the first activation bound to its
+own closure is a *loop site*: when ``vm.step_limit is None`` too and the
+closure called has this code object and this ``free`` list, the path
+publishes its count, rebinds the parameters and goes round ``while True:``,
+which wraps ``run``'s body only in a text with such a site.  No iteration
+goes round under a step limit, so ``max_path`` stays the bound of one; a
+self call in a split subtree returns to the trampoline.  The plain text also
+knows which locals hold an ``int`` literal or passed an ``int`` test on the
+path: a ``case`` on a ``bool`` or ``int`` tag is ``identical``'s rule for it
+spelled out (``x is True``, ``type(x) is int and x == 3``), and an ``int``
+test of such a local is not emitted.  The counted text has no inline or loop
+sites, no deferral and no such knowledge.
 
 This is the VM's only executor: code ``verify_tam`` rejects — not a tree, or
 reading a register no instruction on the path wrote (``TAM010``) — is
@@ -98,6 +110,9 @@ _INLINED = METRICS.counter(
 )
 _JOINED = METRICS.counter(
     "vm.tier.joined", "tail calls of a closure made on the same path compiled as its body"
+)
+_LOOPED = METRICS.counter(
+    "vm.tier.looped", "self tail calls compiled as an iteration of a loop around the body"
 )
 
 #: Python's tokenizer stops at 100 levels of indentation
@@ -172,11 +187,20 @@ class _Path:
     #: local -> the ``int`` or ``bool`` literal it holds
     literals: dict[str, int | bool] = field(default_factory=dict)
     unprofiled: bool = False  #: inside ``if vm.profiler is None:``
+    #: locals a ``free`` loaded from a slot the first activation bound to
+    #: its own closure
+    selves: set[str] = field(default_factory=set)
+    #: locals known to hold an ``int`` besides ``literals``': they passed
+    #: an ``int`` test, or an instruction that gives one wrote them
+    ints: set[str] = field(default_factory=set)
 
     def fork(self, pc: int | None, depth: int) -> "_Path":
         return _Path(pc, depth, self.total, self.unpublished, set(self.defined),
                      list(self.segment), self.checked, dict(self.made), dict(self.pending),
-                     dict(self.literals), self.unprofiled)
+                     dict(self.literals), self.unprofiled, set(self.selves), set(self.ints))
+
+    def holds_int(self, local: str) -> bool:
+        return local in self.ints or type(self.literals.get(local)) is int
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +212,7 @@ class _Frame:
     args: tuple[str, ...]  #: the locals its parameters are
     offset: int  #: how far its other registers are renumbered
     free: tuple[str, ...] | None  #: what its ``free`` slots read; None: ``free``
-    bound: list | None = None  #: the first activation's ``free``, for inline sites
+    bound: list | None = None  #: the first activation's ``free``, for inline and loop sites
     leaf: bool = False  #: an inlined library body: no sites inside it
 
     def local(self, reg: int) -> str:
@@ -290,14 +314,23 @@ class _Generator:
         #: which text: the plain one, or the counted one
         self.counted = counted
         params = tuple(f"r{reg}" for reg in range(len(code.params)))
-        #: the frame being emitted from
-        self.frame = _Frame(code, params, 0, None, None if counted else free)
+        #: the frame being emitted from; the activation's own
+        self.frame = self.root = _Frame(code, params, 0, None, None if counted else free)
+        #: the slots the first activation bound to its own closure, as the
+        #: root frame reads them
+        self.own_slots = {
+            f"free[{index}]" for index, value in enumerate(self.root.bound or ())
+            if type(value) is VMClosure and value.code is code and value.free is free
+        }
         #: register -> the closure a ``free`` loaded into it from a bound slot
         self.loaded: dict[str, VMClosure] = {}
         #: what the text names besides ``_ENV``: constant and code pools
         #: (``K``, ``C``, ``K1``, ...), inline sites' guards (``G0``, ...)
         self.scope: dict[str, object] = {"K": code.consts, "C": code.codes}
-        self.inlined = self.joined = 0
+        self.inlined = self.joined = self.looped = 0
+        #: whether the function being emitted is ``run``, which a self tail
+        #: call can go round again
+        self.in_run = False
         self.max_path = 0.0
         #: the functions finished so far, each after those it calls
         self.functions: list[str] = []
@@ -314,16 +347,20 @@ class _Generator:
         return "\n".join(self.functions) + "\n"
 
     def function(self, name: str, params: list[str], at: _Path, prologue: list[str]) -> None:
-        """``def name(vm, free, *params)``, whose body is the path at ``at``."""
-        outer = self.lines, self.callees
-        self.lines, self.callees = [], []
+        """``def name(vm, free, *params)``, whose body is the path at ``at``
+        — in ``run``, inside ``while True:`` when a self tail call loops."""
+        outer = self.lines, self.callees, self.in_run
+        self.lines, self.callees, self.in_run = [], [], name == "run"
         for line in prologue:
             self.emit(at, line)
         self.block(at)
+        if self.in_run and self.looped:
+            body = self.lines[len(prologue):]
+            self.lines[len(prologue):] = ["    while True:", *("    " + line for line in body)]
         defaults = ["K=K", "C=C", *(f"{callee}={callee}" for callee in self.callees)]
         header = ", ".join(["vm", "free", *params, *defaults])
         self.functions.append("\n".join([f"def {name}({header}):", *self.lines]))
-        self.lines, self.callees = outer
+        self.lines, self.callees, self.in_run = outer
 
     def bind(self, prefix: str, value) -> str:
         """The name the function being emitted reads ``value`` by."""
@@ -366,9 +403,16 @@ class _Generator:
         self.publish(at)
         self.emit(at, statement)
 
-    def trap(self, at: _Path, condition: str, value: str) -> None:
-        self.emit(at, f"if {condition}:")
-        self.leave(at.fork(None, at.depth + 1), f"raise Trap({value})")
+    def trap(self, at: _Path, condition: str, value: str, ints: tuple[str, ...] = ()) -> None:
+        """``if condition``, or one of ``ints`` holds no ``int``: ``raise
+        Trap(value)`` — a local the path knows holds an ``int`` is not tested."""
+        tests = [condition] if condition else []
+        tests += [f"type({local}) is not int" for local in ints if not at.holds_int(local)]
+        if tests:
+            self.emit(at, f"if {' or '.join(tests)}:")
+            self.leave(at.fork(None, at.depth + 1), f"raise Trap({value})")
+        if not self.counted:
+            at.ints.update(ints)
 
     def branch(self, at: _Path, condition: str, pc: int, ed: str = "", value: str = "") -> None:
         """``if condition:`` the subtree at ``pc``, entered with ``ed = value``
@@ -434,6 +478,8 @@ class _Generator:
             at.made.pop(local, None)
             at.pending.pop(local, None)
             at.literals.pop(local, None)
+            at.selves.discard(local)
+            at.ints.discard(local)
 
     def before(self, at: _Path, op: str, kinds: tuple[str, ...], operands: list,
                rendered: list) -> None:
@@ -490,6 +536,30 @@ class _Generator:
         self.run_inline(inside, callee, arguments, (), leaf=True)
         self.inlined += 1
 
+    def loops(self, at: _Path, target: str, arguments: tuple[str, ...]) -> bool:
+        """The call of ``target`` may go round ``run`` again: ``target`` holds
+        what the first activation's own slot held, the path is ``run``'s and
+        not an inlined leaf's return, and the call passes as many values as
+        the activation took."""
+        return (target in at.selves and self.in_run and not self.frame.leaf
+                and len(arguments) == len(self.root.args))
+
+    def loop(self, at: _Path, target: str, arguments: tuple[str, ...]) -> None:
+        """``if`` the call of ``target`` is an unprofiled, unlimited call of
+        the activation's own closure: its parameters rebound to
+        ``arguments``, the next iteration of ``run``'s loop."""
+        guard = self.bind("G", self.root.code)
+        inside = self.guard(at, f"vm.step_limit is None and type({target}) is VMClosure"
+                                f" and {target}.code is {guard} and {target}.free is free")
+        self.publish(inside)
+        rebound = [(param, value) for param, value in zip(self.root.args, arguments)
+                   if param != value]
+        if rebound:
+            params, values = zip(*rebound)
+            self.emit(inside, f"{', '.join(params)} = {', '.join(values)}")
+        self.emit(inside, "continue")
+        self.looped += 1
+
     def enters(self, at: _Path, made: _Made, arguments: tuple[str, ...]) -> bool:
         """The call of ``made`` runs its body here: made in this frame (an
         inlined leaf makes none), of code the tier runs that writes no
@@ -537,7 +607,12 @@ class _Generator:
             if not self.counted:
                 self.before(at, op, row.operands, operands, rendered)
             EMITTERS[op](self, at, *rendered)
-            at.defined.update(map(frame.local, _writes(row.operands, operands)))
+            written = list(map(frame.local, _writes(row.operands, operands)))
+            if row.gives == "int" and not self.counted:
+                at.ints.update(written)
+            else:  # an operand the instruction tested may be what it wrote over
+                at.ints.difference_update(written)
+            at.defined.update(written)
         self.max_path = max(self.max_path, at.total)
 
 
@@ -547,14 +622,11 @@ class _Generator:
 # ---------------------------------------------------------------------------
 
 
-def _not_int(*names: str) -> str:
-    return " or ".join(f"type({name}) is not int" for name in names)
+_INT, _INTS = ("", 1), ("", 1, 2)
 
-
-_INT, _INTS = _not_int("{1}"), _not_int("{1}", "{2}")
-
-#: opcode -> (statement, (trap condition, trap value)...) for the instructions
-#: that check, then do one thing; ``{n}`` is the n-th operand, rendered
+#: opcode -> (statement, ((trap condition, operand...), trap value)...) for
+#: the instructions that check, then do one thing; ``{n}`` is the n-th
+#: operand, rendered, and a trap's operands are those it tests are ``int``s
 _STRAIGHT = {
     "raise": ("raise Trap({0})",),
     "halt": ("raise Halted({0})",),
@@ -564,37 +636,37 @@ _STRAIGHT = {
     "shl": ("{0} = wrap_int({1} << ({2} % 64))", (_INTS, "TYPE_ERROR")),
     "shr": ("{0} = wrap_int({1} >> ({2} % 64))", (_INTS, "TYPE_ERROR")),
     "bnot": ("{0} = wrap_int(~{1})", (_INT, "TYPE_ERROR")),
-    "c2i": ("{0} = {1}.code & 0xFF", ("not isinstance({1}, Char)", "TYPE_ERROR")),
+    "c2i": ("{0} = {1}.code & 0xFF", (("not isinstance({1}, Char)",), "TYPE_ERROR")),
     "i2c": ("{0} = Char(chr({1} & 0xFF))", (_INT, "TYPE_ERROR")),
     "arr": ("{0} = TmlArray({1})",),
     "vec": ("{0} = TmlVector({1})",),
-    "anew": ("{0} = TmlArray([{2}] * {1})", (_INT, "TYPE_ERROR"), ("{1} < 0", "BOUNDS_ERROR")),
+    "anew": ("{0} = TmlArray([{2}] * {1})", (_INT, "TYPE_ERROR"), (("{1} < 0",), "BOUNDS_ERROR")),
     "bnew": ("{0} = TmlByteArray(bytes([{2} & 0xFF]) * {1})",
-             (_INTS, "TYPE_ERROR"), ("{1} < 0", "BOUNDS_ERROR")),
+             (_INTS, "TYPE_ERROR"), (("{1} < 0",), "BOUNDS_ERROR")),
     "aget": ("{0} = {1}.slots[{2}]",
-             ("not isinstance({1}, (TmlArray, TmlVector)) or type({2}) is not int", "TYPE_ERROR"),
-             ("not 0 <= {2} < len({1}.slots)", "BOUNDS_ERROR")),
+             (("not isinstance({1}, (TmlArray, TmlVector))", 2), "TYPE_ERROR"),
+             (("not 0 <= {2} < len({1}.slots)",), "BOUNDS_ERROR")),
     "aset": ("{0}.slots[{1}] = {2}",
-             ("not isinstance({0}, TmlArray) or type({1}) is not int", "TYPE_ERROR"),
-             ("not 0 <= {1} < len({0}.slots)", "BOUNDS_ERROR")),
+             (("not isinstance({0}, TmlArray)", 1), "TYPE_ERROR"),
+             (("not 0 <= {1} < len({0}.slots)",), "BOUNDS_ERROR")),
     "bget": ("{0} = {1}.data[{2}]",
-             ("not isinstance({1}, TmlByteArray) or type({2}) is not int", "TYPE_ERROR"),
-             ("not 0 <= {2} < len({1}.data)", "BOUNDS_ERROR")),
+             (("not isinstance({1}, TmlByteArray)", 2), "TYPE_ERROR"),
+             (("not 0 <= {2} < len({1}.data)",), "BOUNDS_ERROR")),
     "bset": ("{0}.data[{1}] = {2} & 0xFF",
-             ("not isinstance({0}, TmlByteArray) or type({1}) is not int", "TYPE_ERROR"),
-             ("not 0 <= {1} < len({0}.data)", "BOUNDS_ERROR"),
-             ("type({2}) is not int", "TYPE_ERROR")),
+             (("not isinstance({0}, TmlByteArray)", 1), "TYPE_ERROR"),
+             (("not 0 <= {1} < len({0}.data)",), "BOUNDS_ERROR"),
+             (("", 2), "TYPE_ERROR")),
     "asize": ("{0} = len({1})",
-              ("not isinstance({1}, (TmlArray, TmlVector, TmlByteArray))", "TYPE_ERROR")),
+              (("not isinstance({1}, (TmlArray, TmlVector, TmlByteArray))",), "TYPE_ERROR")),
     "pushh": ("vm.handlers.append({0})",),
     "print": ("vm.output.append(show_value({0}))",),
 }
 
 
-def _straight(statement: str, *traps: tuple[str, str]):
+def _straight(statement: str, *traps: tuple[tuple, str]):
     def emitter(g, at, *operands):
-        for condition, value in traps:
-            g.trap(at, condition.format(*operands), value)
+        for (condition, *ints), value in traps:
+            g.trap(at, condition.format(*operands), value, tuple(operands[n] for n in ints))
         (g.emit if at.pc is not None else g.leave)(at, statement.format(*operands))
 
     return emitter
@@ -605,6 +677,8 @@ def _tailcall(g, at, target, arguments):
     if made is not None and g.enters(at, made, arguments):
         if not g.enter(at, target, arguments):
             return  # the path knew it is unprofiled: there is no miss
+    elif g.loops(at, target, arguments):
+        g.loop(at, target, arguments)
     else:
         callee = g.inlinable(target, len(arguments))
         if callee is not None:
@@ -624,7 +698,12 @@ def _closure(g, at, dst, index, plan):
 
 
 def _free(g, at, dst, slot):
-    g.emit(at, f"{dst} = {g.frame.slot(slot)}")
+    source = g.frame.slot(slot)
+    g.emit(at, f"{dst} = {source}")
+    if source in g.own_slots:  # read in ``run``, or in a join entered as its ``free[k]``
+        at.selves.add(dst)
+    if at.holds_int(source):  # a join entered reads a local of the frame that made it
+        at.ints.add(dst)
     bound = g.frame.bound
     if bound is not None and slot < len(bound) and type(bound[slot]) is VMClosure:
         # kept when ``dst`` is written again: the guard, not this, is what
@@ -660,7 +739,7 @@ def _fix(g, at, group):
 
 def _arith(sign: str):
     def emitter(g, at, dst, a, b, epc, ed):
-        g.trap(at, _not_int(a, b), "TYPE_ERROR")
+        g.trap(at, "", "TYPE_ERROR", (a, b))
         g.emit(at, f"t = {a} {sign} {b}")
         g.branch(at, f"t < {INT_MIN} or t > {INT_MAX}", epc, ed, "OVERFLOW")
         g.emit(at, f"{dst} = t")
@@ -670,7 +749,7 @@ def _arith(sign: str):
 
 def _divide(function: str):
     def emitter(g, at, dst, a, b, epc, ed):
-        g.trap(at, _not_int(a, b), "TYPE_ERROR")
+        g.trap(at, "", "TYPE_ERROR", (a, b))
         g.emit(at, f"t = None if {b} == 0 else {function}({a}, {b})")
         g.branch(at, f"t is None or t < {INT_MIN} or t > {INT_MAX}", epc,
                  ed, "ZERO_DIVIDE if t is None else OVERFLOW")
@@ -681,7 +760,7 @@ def _divide(function: str):
 
 def _compare(negated: str):
     def emitter(g, at, a, b, else_pc):
-        g.trap(at, _not_int(a, b), "TYPE_ERROR")
+        g.trap(at, "", "TYPE_ERROR", (a, b))
         g.branch(at, f"{a} {negated} {b}", else_pc)
 
     return emitter
@@ -695,6 +774,16 @@ def _move(bytes_mode: bool):
     return emitter
 
 
+def _identical(value: str, tag: str, known: dict) -> str:
+    """``identical(value, tag)``: spelled out as its rule for ``bool`` and
+    ``int`` when ``tag`` holds a literal of one of them."""
+    if tag not in known:
+        return f"identical({value}, {tag})"
+    if type(known[tag]) is bool:
+        return f"{value} is {known[tag]!r}"
+    return f"type({value}) is int and {value} == {known[tag]!r}"
+
+
 def _case(g, at, scrutinee, tags, pcs, else_pc):
     known = at.literals
     if scrutinee in known and all(tag in known for tag in tags):
@@ -703,7 +792,7 @@ def _case(g, at, scrutinee, tags, pcs, else_pc):
                      else_pc)
     else:
         for tag, pc in zip(tags, pcs):
-            g.branch(at, f"identical({scrutinee}, {tag})", pc)
+            g.branch(at, _identical(scrutinee, tag, known), pc)
         at.pc = else_pc  # the last alternative needs no ``if``
     if at.pc is None:
         g.leave(at, "raise Trap('caseError')")
@@ -784,17 +873,20 @@ EMITTERS: dict[str, Callable] = {
 
 def source(code: CodeObject, counted: bool = False, free: list | None = None) -> str:
     """The Python the tier runs for ``code`` — its plain text, with the leaf
-    closures among ``free``'s slots called inline, or its counted one
+    closures among ``free``'s slots called inline and calls through a slot
+    holding the closure over ``free`` looping, or its counted one
     (regenerated: it is not kept)."""
     return _Generator(code, counted, free).text()
 
 
 def compile_code(code: CodeObject, counted: bool = False, free: list | None = None):
     """Compile one of ``code``'s texts and cache the function on it — the
-    plain one, which calls the leaf closures among ``free``'s slots inline,
-    as ``code.tier``, the counted one as ``code.tier_counted``:
+    plain one, which calls the leaf closures among ``free``'s slots inline
+    and loops through a slot holding the closure over ``free``, as
+    ``code.tier``, the counted one as ``code.tier_counted``:
     ``run(vm, free, args) -> (target, values)``, whose ``max_path`` is the
-    most instructions one call runs.  Raises :class:`MachineError` on code
+    most instructions one call runs under a step limit (a loop goes round
+    only without one).  Raises :class:`MachineError` on code
     ``verify_tam`` rejects.
 
     Threads racing a first activation all compile and all assign; each
@@ -813,5 +905,6 @@ def compile_code(code: CodeObject, counted: bool = False, free: list | None = No
     _COMPILED.inc()
     _INLINED.inc(generator.inlined)
     _JOINED.inc(generator.joined)
+    _LOOPED.inc(generator.looped)
     _COMPILE_S.observe(time.perf_counter() - started)
     return run

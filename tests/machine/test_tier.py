@@ -21,7 +21,7 @@ from repro.analysis.verify_tam import verify_code
 from repro.bench.stanford import PROGRAMS
 from repro.core.names import NameSupply
 from repro.core.parser import parse_term
-from repro.core.syntax import Char, Oid
+from repro.core.syntax import UNIT, Char, Oid
 from repro.lang import TycoonSystem
 from repro.machine.binfmt import encode_code
 from repro.machine.codegen import compile_function
@@ -730,3 +730,291 @@ def test_a_reflectively_optimized_stanford_call_enters_joins():
     joined = counter("vm.tier.joined")
     assert system.vm().call(closure, [program.test_n]).value == program.reference(program.test_n)
     assert counter("vm.tier.joined") > joined
+
+
+# ---------------------------------------------------------------------------
+# a self tail call goes round ``run`` again
+# ---------------------------------------------------------------------------
+
+
+def _loop_over(body: str) -> str:
+    """``proc(a n ce cc)`` whose ``Y``-bound ``loop(i acc)`` runs ``body``
+    for ``i`` from 0 while ``i < n``, then answers ``acc``."""
+    return ("proc(a n ce cc) (Y λ(^c0 loop ^c) (c cont() (loop 0 0)"
+            f" cont(i acc) (>= i n cont() (cc acc) cont() {body})))")
+
+
+#: ``(loop j s)`` with ``j = i + 1``
+_NEXT = "(+ i 1 ce cont(j) (loop j s))"
+_SUM = _loop_over(f"([] a i cont(v) (+ acc v ce cont(s) {_NEXT}))")
+
+#: ``proc`` texts whose ``loop`` tail-calls itself: (text, argument tuples)
+LOOPS = {
+    "sums-an-array": (_SUM, [(TmlArray([1, 2, 3, 4, 5]), 5), (TmlArray([]), 0)]),
+    # a typeError in the third iteration, a boundsError in the fourth
+    "traps-in-iteration-k": (_SUM, [(TmlArray([1, 2, "x", 4]), 4), (TmlArray([1, 2, 3]), 5)]),
+    # the second iteration's ``+`` overflows: its ``ce`` edge answers the error
+    "takes-an-overflow-edge-in-iteration-k": (
+        _loop_over(f"([] a i cont(v) (+ acc v cont(e) (cc e) cont(s) {_NEXT}))"),
+        [(TmlArray([1, INT_MAX, 1]), 3), (TmlArray([1, 2, 1]), 3)]),
+    # each iteration pushes a handler around ``a[i]`` and pops it; past the
+    # end of ``a`` the handler answers ``acc + 1000``
+    "pushes-and-pops-a-handler-in-the-body": (
+        _loop_over("(λ(^h) (pushHandler h cont() ([] a i cont(v) (popHandler cont()"
+                   f" (+ acc v ce cont(s) {_NEXT})))) cont(e) (+ acc 1000 ce cc))"),
+        [(TmlArray([1, 2, 3]), 3), (TmlArray([1, 2, 3]), 5), (TmlArray([1, "x"]), 2)]),
+    # the handlers pile up: the last one pushed catches the trap
+    "pushes-a-handler-it-never-pops": (
+        _loop_over("(λ(^h) (pushHandler h cont() ([] a i cont(v)"
+                   f" (+ acc v ce cont(s) {_NEXT}))) cont(e) (+ acc i ce cc))"),
+        [(TmlArray([1, 2, 3]), 3), (TmlArray([1, 2, "x", 4]), 4)]),
+    # each iteration prints: the output is in order
+    "prints-in-the-body": (
+        _loop_over(f"([] a i cont(v) (print v cont(u) (+ acc v ce cont(s) {_NEXT})))"),
+        [(TmlArray([4, 5, 6]), 3)]),
+}
+
+
+def loop_code(closure: VMClosure) -> CodeObject:
+    return closure.code.codes[0]
+
+
+def counting_activations(code: CodeObject) -> list:
+    """Wrap ``code``'s plain text: the list grows by each activation's
+    ``free``."""
+    run, activations = code.tier, []
+
+    def counting(vm, free, args):
+        activations.append(free)
+        return run(vm, free, args)
+
+    counting.max_path = run.max_path
+    code.tier = counting
+    return activations
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_a_self_tail_call_loops_as_the_interpreter_runs_it(name):
+    """Value, output, trap and count are the reference's, and so are a
+    ``ClosureProfile``'s credits and where every step limit stops; an
+    unprofiled, unlimited run enters the loop's text once per trampoline
+    trip — a trap a handler catches is one — not once per iteration."""
+    text, cases = LOOPS[name]
+    term = parse_term(text)
+    closure = instantiate(compile_function(term))
+    looped = counter("vm.tier.looped")
+    seen = [observe(closure, args, "plain")[0] for args in cases]
+    assert counter("vm.tier.looped") == looped + 1, "no loop site was compiled"
+    activations = counting_activations(loop_code(closure))
+    for args, plain in zip(cases, seen):
+        assert plain[:3] == interpret(term, None, args), args
+        del activations[:]
+        assert observe(closure, args, "plain")[0] == plain
+        assert len(activations) == 1, args
+        assert "while True:" in source(loop_code(closure), free=activations[0])
+        profiled, credited = closure_profiled(closure, args, ReferenceVM)
+        assert closure_profiled(closure, args) == (profiled, credited)
+        assert credited[loop_code(closure).name][0] > 1 or args[1] == 0
+        assert both(closure, args) == plain
+        sweep(closure, args)
+    assert counter("vm.tier.looped") == looped + 1
+
+
+def self_bound(text: str, **values) -> VMClosure:
+    """The ``loop`` a ``_loop_over`` text makes, as a closure of its own:
+    its ``loop`` slot holds it, its others ``values``."""
+    code = copy.deepcopy(loop_code(proc(text)))
+    closure = VMClosure(code, [])
+    closure.free = [closure if name.base == "loop" else values[name.base]
+                    for name in code.free_names]
+    return closure
+
+
+def test_a_loop_site_is_compiled_for_the_slot_that_held_the_activations_own_closure():
+    """``loop`` takes ``i acc``; wrapped in ``calling``'s shape it is a
+    procedure: ``proc(i acc ce cc)`` whose slot ``loop`` holds itself."""
+    text = ("proc(n ce cc) (Y λ(^c0 loop ^c) (c cont() (loop 0 0 ce cc)"
+            " proc(i acc ce1 cc1) (>= i n cont() (cc1 acc) cont()"
+            " (+ acc i ce1 cont(s) (+ i 1 ce1 cont(j) (loop j s ce1 cc1))))))")
+    first = self_bound(text, n=10)
+    code = first.code
+    plain = observe(first, (0, 0), "plain")[0]
+    assert plain == ("value", "45", [], observe(first, (0, 0), "reference")[0][3])
+    assert "while True:" in source(code, free=first.free)
+    activations = counting_activations(code)
+    # another closure of the same code, its own in its slot: the guard holds
+    second = VMClosure(code, [])
+    second.free = [second if value is first else 4 for value in first.free]
+    assert observe(second, (0, 0), "plain")[0] == observe(second, (0, 0), "reference")[0]
+    assert len(activations) == 1
+    # ``third``'s slot holds ``first``: same code, another ``free``, so the
+    # guard misses and the trampoline enters ``first``, which counts to 10
+    third = VMClosure(code, [first if value is first else 4 for value in first.free])
+    del activations[:]
+    missed = observe(third, (0, 0), "plain")[0]
+    assert missed == observe(third, (0, 0), "reference")[0]
+    assert missed[:2] == ("value", "45") and len(activations) == 2
+    assert both(third, (0, 0)) == missed
+    assert closure_profiled(third, (0, 0)) == closure_profiled(third, (0, 0), ReferenceVM)
+    # no closure in the slot at all: the call traps, as the trampoline's
+    fourth = VMClosure(code, [5 if value is first else 4 for value in first.free])
+    assert both(fourth, (0, 0))[:2] == ("raise", repr(TYPE_ERROR))
+    # with no self slot, the text is the one compiled without bindings
+    assert source(code, free=third.free) == source(code)
+    assert "while True:" not in source(code)
+
+
+def test_a_self_call_from_a_split_subtree_takes_the_trampoline():
+    """``if not a < b: ... a - 1``, 100 levels deep: the self call sits in a
+    function of its own, which cannot go round ``run``; at 78, it can."""
+    for depth, loops in ((78, True), (100, False)):
+        branches = [i for pc in range(0, 2 * depth, 2)
+                    for i in (("lt", 0, 1, pc + 2), ("halt", 0))]
+        end = len(branches)
+        tail = [("const", 4, 0), ("sub", 5, 0, 4, end + 4, 7), ("free", 6, 0),
+                ("tailcall", 6, (5, 1, 2, 3)), ("halt", 7)]
+        params = hand_built([]).code.params
+        closure = VMClosure(CodeObject("hand", params, 8, branches + tail, [1],
+                                       free_names=(NameSupply().fresh_val("self"),),
+                                       is_proc=True), [])
+        closure.free.append(closure)
+        assert verify_code(closure.code) == []
+        looped = counter("vm.tier.looped")
+        outcome = observe(closure, (5, 2), "plain")[0]
+        assert outcome[:2] == ("value", "1")
+        assert counter("vm.tier.looped") == looped + loops
+        text = source(closure.code, free=closure.free)
+        assert ("while True:" in text) == loops and ("\ndef run(" in text) != loops
+        activations = counting_activations(closure.code)
+        assert both(closure, (5, 2)) == outcome
+        assert len(activations) == (1 if loops else 5)
+        assert both(closure, (INT_MIN, INT_MIN))[:2] == ("value", repr(OVERFLOW))
+        for limit in (1, depth, outcome[3] - 1, outcome[3]):
+            both(closure, (5, 2), limit=limit)
+
+
+def test_a_looping_predicate_runs_in_place_through_procedure():
+    """``VM.procedure`` calls a predicate's plain text directly: the
+    predicate's loop goes round inside that one call."""
+    text = ("proc(n ce cc) (Y λ(^c0 loop ^c) (c cont() (loop n 0 ce cc)"
+            " proc(i acc ce1 cc1) (<= i 0 cont() (cc1 acc) cont()"
+            " (+ acc i ce1 cont(s) (- i 1 ce1 cont(j) (loop j s ce1 cc1))))))")
+    predicate = self_bound(text, n=0)
+    expected = [ReferenceVM().procedure(predicate, 2)(i, 0) for i in range(6)]
+    assert expected == [0, 1, 3, 6, 10, 15]
+    looped = counter("vm.tier.looped")
+    call = VM().procedure(predicate, 2)
+    assert counter("vm.tier.looped") == looped + 1
+    assert [call(i, 0) for i in range(6)] == expected
+    activations = counting_activations(predicate.code)
+    call = VM().procedure(predicate, 2)
+    assert [call(i, 0) for i in range(6)] == expected and len(activations) == 6
+    for args, payload in (("x", 0), TYPE_ERROR), ((3, INT_MAX), OVERFLOW):
+        for vm_class in (VM, ReferenceVM):
+            with pytest.raises(UncaughtTmlException) as raised:
+                vm_class().procedure(predicate, 2)(*args)
+            assert raised.value.value == payload
+
+
+# ---------------------------------------------------------------------------
+# what a served call runs
+# ---------------------------------------------------------------------------
+
+
+def test_a_looping_text_keeps_the_bound_of_one_iteration():
+    """Under a step limit no iteration goes round in place, so ``max_path``
+    bounds one activation; the daemon's ``ClosureProfile`` with a limit far
+    above it keeps the plain text."""
+    closure = instantiate(compile_function(parse_term(_SUM)))
+    args = (TmlArray(list(range(50))), 50)
+    total = observe(closure, args, "plain")[0][3]
+    run = loop_code(closure).tier
+    activations = counting_activations(loop_code(closure))
+    observe(closure, args, "plain")
+    assert "while True:" in source(loop_code(closure), free=activations[0])
+    loop_code(closure).tier = run
+    assert 0 < run.max_path < 20 < total
+    vm = VM(profiler=ClosureProfile(), step_limit=5_000_000)
+    result = vm.call(closure, copy.deepcopy(list(args)))
+    assert (result.value, result.instructions) == (sum(range(50)), total)
+    assert loop_code(closure).tier is run and loop_code(closure).tier_counted is None
+    assert vm.profiler.closures[loop_code(closure).name].invocations == 51
+
+
+def test_a_reflectively_optimized_stanford_call_loops_in_place():
+    """``sieve``'s ``for`` and ``while`` bodies end in a call of their own
+    closure, through a slot of the join their ``if`` made."""
+    program = PROGRAMS["sieve"]
+    system = TycoonSystem()
+    system.compile(program.source)
+    closure = optimize_function(system, program.name, "run")
+    looped = counter("vm.tier.looped")
+    assert system.vm().call(closure, [program.test_n]).value == program.reference(program.test_n)
+    assert counter("vm.tier.looped") > looped
+
+
+# ---------------------------------------------------------------------------
+# a literal ``case`` tag is tested inline
+# ---------------------------------------------------------------------------
+
+#: ``case`` texts: (text, arguments, whether the text still calls ``identical``)
+LITERAL_CASES = {
+    "int-tag": ("proc(x ce cc) (== x 1 2 cont() (cc 10) cont() (cc 20) cont() (cc 30))",
+                [(1,), (2,), (3,), (True,), (Char("a"),), ("1",)], False),
+    "bool-tag": ("proc(x ce cc) (== x true cont() (cc 10) cont() (cc 20))",
+                 [(True,), (False,), (1,), (0,), (TmlArray([]),)], False),
+    "negative-int-tag": ("proc(x ce cc) (== x -3 cont() (cc 10) cont() (cc 20))",
+                         [(-3,), (3,), (False,)], False),
+    "char-tag": ("proc(x ce cc) (== x 'a' cont() (cc 10) cont() (cc 20))",
+                 [(Char("a"),), (Char("b"),), ("a",), (97,)], True),
+    "string-tag": ('proc(x ce cc) (== x "ab" cont() (cc 10) cont() (cc 20))',
+                   [("ab",), ("b",), (Char("a"),)], True),
+    "unit-tag": ("proc(x ce cc) (== x unit cont() (cc 10) cont() (cc 20))",
+                 [(UNIT,), (0,), (False,)], True),
+    "oid-tag": ("proc(x ce cc) (== x #oid:7 cont() (cc 10) cont() (cc 20))",
+                [(Oid(7),), (Oid(8),), (7,)], True),
+}
+
+
+@pytest.mark.parametrize("name", LITERAL_CASES)
+def test_a_literal_tag_is_tested_as_identical_tests_it(name):
+    text, cases, calls = LITERAL_CASES[name]
+    term = parse_term(text)
+    closure = instantiate(compile_function(term))
+    plain = source(closure.code)
+    assert ("identical(" in plain) == calls
+    assert ("identical(" in source(closure.code, counted=True))
+    for args in cases:
+        outcome = both(closure, args)
+        assert outcome[:3] == interpret(term, None, args), args
+
+
+# ---------------------------------------------------------------------------
+# a local the path knows holds an ``int`` is not tested again
+# ---------------------------------------------------------------------------
+
+#: code whose ``int`` tests the plain text may or may not drop: (code,
+#: arguments, how many ``int`` tests the plain text keeps)
+INT_TESTS = {
+    # ``true`` is no ``int``: ``+`` must test it
+    "a-bool-literal": (lambda: proc("proc(x ce cc) (+ x true ce cc)"), [(1,), ("x",)], 2),
+    # ``a < b`` tested both: the ``+`` on either arm tests neither
+    "tested-by-a-comparison": (
+        lambda: proc("proc(a b ce cc) (< a b cont() (+ a b ce cc) cont() (- b 1 ce cc))"),
+        [(1, 2), (2, 1), ("x", 1), (INT_MAX, INT_MAX)], 2),
+    # ``aget`` tests its index ``b``, then writes the element over it: the
+    # ``add`` must test ``b`` again
+    "tested-then-overwritten": (
+        lambda: hand_built([("aget", 1, 0, 1), ("add", 4, 1, 1, 3, 5),
+                            ("tailcall", 3, (4,)), ("tailcall", 2, (5,))]),
+        [(TmlArray(["x"]), 0), (TmlArray([3]), 0), (TmlArray([INT_MAX]), 0)], 3),
+}
+
+
+@pytest.mark.parametrize("name", INT_TESTS)
+def test_an_int_test_is_dropped_only_where_it_cannot_fail(name):
+    make, cases, kept = INT_TESTS[name]
+    closure = make()
+    assert source(closure.code).count("is not int") == kept
+    for args in cases:
+        assert both(closure, args) == observe(closure, args, "reference")[0]

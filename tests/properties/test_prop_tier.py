@@ -30,8 +30,8 @@ _SYSTEMS = (
     TycoonSystem(options=CompileOptions(optimizer=OptimizerConfig())),
 )
 _counter = [0]
-#: examples whose reflectively optimized code compiled a join entry
-_entered = [0]
+#: examples whose reflectively optimized code compiled a join entry, a loop site
+_entered, _looped = [0], [0]
 
 
 def _observe(system, closure, args, vm_class, profiled: bool, limit):
@@ -53,7 +53,7 @@ def _agree(body: str, params: str, args, fraction: float, reflect: bool = False)
     _counter[0] += 1
     module = f"tier{_counter[0]}"
     source = f"module {module} export f\nlet f({params}): Int = {body}\nend"
-    joined = METRICS.get("vm.tier.joined").value
+    joined, looped = METRICS.get("vm.tier.joined").value, METRICS.get("vm.tier.looped").value
     for system in _SYSTEMS:
         system.compile(source)
         closure = (optimize_function(system, module, "f") if reflect
@@ -70,6 +70,7 @@ def _agree(body: str, params: str, args, fraction: float, reflect: bool = False)
             assert profile == expected, (source, bound)
         assert callable(closure.code.tier)
     _entered[0] += METRICS.get("vm.tier.joined").value > joined
+    _looped[0] += METRICS.get("vm.tier.looped").value > looped
 
 
 @given(tl_int_expression(max_depth=3), st.integers(-50, 50), st.floats(0, 1))
@@ -79,15 +80,16 @@ def test_integer_expressions(case, arg, fraction):
     _agree(f"p0 + ({expression})", "p0: Int", [arg], fraction)
 
 
-@given(
+_ARRAYS = dict(
     size=st.integers(-1, 4),
     last=st.integers(-2, 6),
     step=tl_int_expression(max_depth=2),
     fallback=st.integers(-9, 9),
     fraction=st.floats(0, 1),
 )
-@settings(max_examples=60, deadline=None)
-def test_arrays_and_handlers(size, last, step, fallback, fraction):
+
+
+def _arrays(size, last, step, fallback, fraction, reflect=False):
     """Allocate (a negative size traps), fill and sum an array by index
     (indices outside it trap), with a handler around each access that prints
     what it caught; the random expression may itself raise inside the loop."""
@@ -102,7 +104,28 @@ def test_arrays_and_handlers(size, last, step, fallback, fraction):
     end;
     s + size(a)
   end"""
-    _agree(body, "n: Int, last: Int", [size, last], fraction)
+    _agree(body, "n: Int, last: Int", [size, last], fraction, reflect=reflect)
+
+
+@given(**_ARRAYS)
+@settings(max_examples=60, deadline=None)
+def test_arrays_and_handlers(size, last, step, fallback, fraction):
+    _arrays(size, last, step, fallback, fraction)
+
+
+@given(**_ARRAYS)
+@settings(max_examples=30, deadline=None)
+def _reflected_arrays(size, last, step, fallback, fraction):
+    _arrays(size, last, step, fallback, fraction, reflect=True)
+
+
+def test_reflectively_optimized_loops_go_round_in_place():
+    """The optimizer inlines the loop body's library calls: the ``for``
+    closure's body ends in a call of itself, which the plain text runs as
+    the next iteration of its loop."""
+    before = _looped[0]
+    _reflected_arrays()
+    assert _looped[0] > before, "no example compiled a loop site"
 
 
 _CONDITIONS = st.sampled_from(["p0 < 3", "p1 == 2", "p0 > p1", "s < p1"])
