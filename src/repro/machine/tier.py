@@ -42,11 +42,19 @@ publishes its count, rebinds the parameters and goes round ``while True:``,
 which wraps ``run``'s body only in a text with such a site.  No iteration
 goes round under a step limit, so ``max_path`` stays the bound of one; a
 self call in a split subtree returns to the trampoline.  The plain text also
-knows which locals hold an ``int`` literal or passed an ``int`` test on the
-path: a ``case`` on a ``bool`` or ``int`` tag is ``identical``'s rule for it
-spelled out (``x is True``, ``type(x) is int and x == 3``), and an ``int``
-test of such a local is not emitted.  The counted text has no inline or loop
-sites, no deferral and no such knowledge.
+knows which locals hold an ``int`` or ``bool`` literal and which hold an
+``int`` (one that passed an ``int`` test, or an instruction's result) on the
+path, and emits no test such knowledge decides: no ``int`` test of a known
+``int``; a ``case`` on a known ``bool`` or ``int`` operand is ``identical``'s
+rule for it spelled out (``x is True``, ``type(x) is int and x == k``,
+``x == k``); ``div``/``rem`` by an ``int`` literal other than 0 and -1 is
+C's truncation inline, with neither the zero test nor the overflow branch
+(the result is no larger than the dividend); ``add``/``sub`` of an ``int``
+literal tests the one bound it pushes towards (``a + k``, ``k + a``,
+``a - k``); a non-negative literal index is tested against the length only;
+and a literal size or negative literal index decides its bounds test.  The
+counted text has no inline or loop sites, no deferral and no such knowledge,
+so its counts and traps are the instructions'.
 
 This is the VM's only executor: code ``verify_tam`` rejects — not a tree, or
 reading a register no instruction on the path wrote (``TAM010``) — is
@@ -201,6 +209,11 @@ class _Path:
 
     def holds_int(self, local: str) -> bool:
         return local in self.ints or type(self.literals.get(local)) is int
+
+    def int_literal(self, local: str) -> int | None:
+        """The ``int`` literal ``local`` holds, if it holds one."""
+        value = self.literals.get(local)
+        return value if type(value) is int else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,9 +416,16 @@ class _Generator:
         self.publish(at)
         self.emit(at, statement)
 
-    def trap(self, at: _Path, condition: str, value: str, ints: tuple[str, ...] = ()) -> None:
+    def trap(self, at: _Path, condition: str | bool, value: str,
+             ints: tuple[str, ...] = ()) -> bool:
         """``if condition``, or one of ``ints`` holds no ``int``: ``raise
-        Trap(value)`` — a local the path knows holds an ``int`` is not tested."""
+        Trap(value)`` — a local the path knows holds an ``int`` is not tested,
+        and a ``condition`` the path decided is ``True`` or empty.  Whether
+        the path goes on."""
+        if condition is True:
+            self.leave(at, f"raise Trap({value})")
+            at.pc = None
+            return False
         tests = [condition] if condition else []
         tests += [f"type({local}) is not int" for local in ints if not at.holds_int(local)]
         if tests:
@@ -413,6 +433,7 @@ class _Generator:
             self.leave(at.fork(None, at.depth + 1), f"raise Trap({value})")
         if not self.counted:
             at.ints.update(ints)
+        return True
 
     def branch(self, at: _Path, condition: str, pc: int, ed: str = "", value: str = "") -> None:
         """``if condition:`` the subtree at ``pc``, entered with ``ed = value``
@@ -624,9 +645,38 @@ class _Generator:
 
 _INT, _INTS = ("", 1), ("", 1, 2)
 
+
+def _outside(target: int, index: int, items: str) -> Callable:
+    """The bounds test of operand ``index`` into operand ``target``'s
+    ``items``: an ``int`` literal index decides its ``0 <=`` half, and a
+    negative one the whole test."""
+    def condition(at: _Path, operands: tuple) -> str | bool:
+        array, local = operands[target], operands[index]
+        literal = at.int_literal(local)
+        if literal is None:
+            return f"not 0 <= {local} < len({array}.{items})"
+        if literal < 0:
+            return True
+        return f"len({array}.{items}) <= {literal}"
+
+    return condition
+
+
+def _negative(size: int) -> Callable:
+    """The bounds test of operand ``size``, a new array's: an ``int``
+    literal decides it."""
+    def condition(at: _Path, operands: tuple) -> str | bool:
+        literal = at.int_literal(operands[size])
+        return f"{operands[size]} < 0" if literal is None else literal < 0
+
+    return condition
+
+
 #: opcode -> (statement, ((trap condition, operand...), trap value)...) for
 #: the instructions that check, then do one thing; ``{n}`` is the n-th
-#: operand, rendered, and a trap's operands are those it tests are ``int``s
+#: operand, rendered, a condition a callable of the path and the operands
+#: where a literal can decide it, and a trap's operands are those it tests
+#: are ``int``s
 _STRAIGHT = {
     "raise": ("raise Trap({0})",),
     "halt": ("raise Halted({0})",),
@@ -640,21 +690,22 @@ _STRAIGHT = {
     "i2c": ("{0} = Char(chr({1} & 0xFF))", (_INT, "TYPE_ERROR")),
     "arr": ("{0} = TmlArray({1})",),
     "vec": ("{0} = TmlVector({1})",),
-    "anew": ("{0} = TmlArray([{2}] * {1})", (_INT, "TYPE_ERROR"), (("{1} < 0",), "BOUNDS_ERROR")),
+    "anew": ("{0} = TmlArray([{2}] * {1})",
+             (_INT, "TYPE_ERROR"), ((_negative(1),), "BOUNDS_ERROR")),
     "bnew": ("{0} = TmlByteArray(bytes([{2} & 0xFF]) * {1})",
-             (_INTS, "TYPE_ERROR"), (("{1} < 0",), "BOUNDS_ERROR")),
+             (_INTS, "TYPE_ERROR"), ((_negative(1),), "BOUNDS_ERROR")),
     "aget": ("{0} = {1}.slots[{2}]",
              (("not isinstance({1}, (TmlArray, TmlVector))", 2), "TYPE_ERROR"),
-             (("not 0 <= {2} < len({1}.slots)",), "BOUNDS_ERROR")),
+             ((_outside(1, 2, "slots"),), "BOUNDS_ERROR")),
     "aset": ("{0}.slots[{1}] = {2}",
              (("not isinstance({0}, TmlArray)", 1), "TYPE_ERROR"),
-             (("not 0 <= {1} < len({0}.slots)",), "BOUNDS_ERROR")),
+             ((_outside(0, 1, "slots"),), "BOUNDS_ERROR")),
     "bget": ("{0} = {1}.data[{2}]",
              (("not isinstance({1}, TmlByteArray)", 2), "TYPE_ERROR"),
-             (("not 0 <= {2} < len({1}.data)",), "BOUNDS_ERROR")),
+             ((_outside(1, 2, "data"),), "BOUNDS_ERROR")),
     "bset": ("{0}.data[{1}] = {2} & 0xFF",
              (("not isinstance({0}, TmlByteArray)", 1), "TYPE_ERROR"),
-             (("not 0 <= {1} < len({0}.data)",), "BOUNDS_ERROR"),
+             ((_outside(0, 1, "data"),), "BOUNDS_ERROR"),
              (("", 2), "TYPE_ERROR")),
     "asize": ("{0} = len({1})",
               (("not isinstance({1}, (TmlArray, TmlVector, TmlByteArray))",), "TYPE_ERROR")),
@@ -666,7 +717,9 @@ _STRAIGHT = {
 def _straight(statement: str, *traps: tuple[tuple, str]):
     def emitter(g, at, *operands):
         for (condition, *ints), value in traps:
-            g.trap(at, condition.format(*operands), value, tuple(operands[n] for n in ints))
+            test = condition(at, operands) if callable(condition) else condition.format(*operands)
+            if not g.trap(at, test, value, tuple(operands[n] for n in ints)):
+                return  # the trap is certain: the path ends there
         (g.emit if at.pc is not None else g.leave)(at, statement.format(*operands))
 
     return emitter
@@ -702,7 +755,10 @@ def _free(g, at, dst, slot):
     g.emit(at, f"{dst} = {source}")
     if source in g.own_slots:  # read in ``run``, or in a join entered as its ``free[k]``
         at.selves.add(dst)
-    if at.holds_int(source):  # a join entered reads a local of the frame that made it
+    # a join entered reads a local of the frame that made it
+    if source in at.literals:
+        at.literals[dst] = at.literals[source]
+    elif at.holds_int(source):
         at.ints.add(dst)
     bound = g.frame.bound
     if bound is not None and slot < len(bound) and type(bound[slot]) is VMClosure:
@@ -737,19 +793,50 @@ def _fix(g, at, group):
         g.emit(at, f"g{n}.free = {plan}")
 
 
+def _overflows(at: _Path, sign: str, a: str, b: str) -> str:
+    """The overflow test of ``t = a sign b``: an ``int`` literal added, or
+    subtracted from the other operand, pushes ``t`` past one bound only —
+    past none when it is 0."""
+    for local in (b, a) if sign == "+" else (b,) if sign == "-" else ():
+        literal = at.int_literal(local)
+        if literal is not None:
+            pushed = -literal if sign == "-" else literal
+            if pushed == 0:
+                return ""
+            return f"t > {INT_MAX}" if pushed > 0 else f"t < {INT_MIN}"
+    return f"t < {INT_MIN} or t > {INT_MAX}"
+
+
 def _arith(sign: str):
     def emitter(g, at, dst, a, b, epc, ed):
         g.trap(at, "", "TYPE_ERROR", (a, b))
         g.emit(at, f"t = {a} {sign} {b}")
-        g.branch(at, f"t < {INT_MIN} or t > {INT_MAX}", epc, ed, "OVERFLOW")
+        overflows = _overflows(at, sign, a, b)
+        if overflows:
+            g.branch(at, overflows, epc, ed, "OVERFLOW")
         g.emit(at, f"{dst} = t")
 
     return emitter
 
 
-def _divide(function: str):
+def _truncated(op: str, a: str, divisor: int) -> str:
+    """``a op divisor`` in C's truncating division, ``divisor`` not 0."""
+    m = abs(divisor)
+    if op == "%":  # the remainder takes the dividend's sign
+        return f"{a} % {m} if {a} >= 0 else -(-{a} % {m})"
+    if divisor > 0:
+        return f"{a} // {m} if {a} >= 0 else -(-{a} // {m})"
+    return f"-({a} // {m}) if {a} >= 0 else -{a} // {m}"
+
+
+def _divide(function: str, op: str):
     def emitter(g, at, dst, a, b, epc, ed):
         g.trap(at, "", "TYPE_ERROR", (a, b))
+        divisor = at.int_literal(b)
+        if divisor not in (None, 0, -1):
+            # |a op divisor| <= |a|: neither the zero divisor nor overflow
+            g.emit(at, f"{dst} = {_truncated(op, a, divisor)}")
+            return
         g.emit(at, f"t = None if {b} == 0 else {function}({a}, {b})")
         g.branch(at, f"t is None or t < {INT_MIN} or t > {INT_MAX}", epc,
                  ed, "ZERO_DIVIDE if t is None else OVERFLOW")
@@ -774,26 +861,31 @@ def _move(bytes_mode: bool):
     return emitter
 
 
-def _identical(value: str, tag: str, known: dict) -> str:
-    """``identical(value, tag)``: spelled out as its rule for ``bool`` and
-    ``int`` when ``tag`` holds a literal of one of them."""
-    if tag not in known:
-        return f"identical({value}, {tag})"
-    if type(known[tag]) is bool:
-        return f"{value} is {known[tag]!r}"
-    return f"type({value}) is int and {value} == {known[tag]!r}"
+def _identical(at: _Path, a: str, b: str) -> str:
+    """``identical(a, b)``, spelled out as its rule where the path knows an
+    operand: a ``bool`` literal is the one object it is identical to, and
+    an ``int`` is identical to an equal ``int`` only."""
+    for known, other in ((b, a), (a, b)):
+        if type(at.literals.get(known)) is bool:
+            return f"{other} is {at.literals[known]!r}"
+    if at.holds_int(a) and at.holds_int(b):
+        return f"{a} == {b}"
+    for known, other in ((b, a), (a, b)):
+        if at.holds_int(known):
+            return f"type({other}) is int and {other} == {known}"
+    return f"identical({a}, {b})"
 
 
 def _case(g, at, scrutinee, tags, pcs, else_pc):
     known = at.literals
-    if scrutinee in known and all(tag in known for tag in tags):
-        # literals: the alternative taken is known here, the others are not emitted
-        at.pc = next((pc for tag, pc in zip(tags, pcs) if identical(known[scrutinee], known[tag])),
-                     else_pc)
-    else:
-        for tag, pc in zip(tags, pcs):
-            g.branch(at, _identical(scrutinee, tag, known), pc)
-        at.pc = else_pc  # the last alternative needs no ``if``
+    at.pc = else_pc  # the last alternative needs no ``if``
+    for tag, pc in zip(tags, pcs):
+        if scrutinee not in known or tag not in known:
+            g.branch(at, _identical(at, scrutinee, tag), pc)
+        elif identical(known[scrutinee], known[tag]):
+            # literals: the alternative is taken here, those after it are not emitted
+            at.pc = pc
+            break
     if at.pc is None:
         g.leave(at, "raise Trap('caseError')")
 
@@ -856,8 +948,8 @@ EMITTERS: dict[str, Callable] = {
     "add": _arith("+"),
     "sub": _arith("-"),
     "mul": _arith("*"),
-    "div": _divide("int_div"),
-    "rem": _divide("int_rem"),
+    "div": _divide("int_div", "//"),
+    "rem": _divide("int_rem", "%"),
     "lt": _compare(">="),
     "gt": _compare("<="),
     "le": _compare(">"),

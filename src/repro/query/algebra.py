@@ -71,9 +71,13 @@ def _predicate_raises():
         raise ExtRaise(exc.value) from None
 
 
+def _not_a_boolean() -> ExtRaise:
+    return ExtRaise("queryTypeError: predicate did not return a boolean")
+
+
 def _need_bool(value: Any) -> bool:
     if not isinstance(value, bool):
-        raise ExtRaise("queryTypeError: predicate did not return a boolean")
+        raise _not_a_boolean()
     return value
 
 
@@ -87,11 +91,15 @@ def _op_select(machine, args: list[Any]) -> Relation:
     pred, rel = args
     relation = _need_relation(rel)
     out = Relation(_temp_name("select"), relation.fields)
-    test = machine.procedure(pred, 1)
+    # rows of a relation of the same arity, into one without an index
+    kept, test = out.rows, machine.procedure(pred, 1)
     with _predicate_raises():
         for row in relation.scan():
-            if _need_bool(test(row)):
-                out.insert(row)
+            answer = test(row)
+            if answer is True:
+                kept.append(row)
+            elif answer is not False:
+                raise _not_a_boolean()
     return out
 
 
@@ -130,8 +138,11 @@ def _op_join(machine, args: list[Any]) -> Relation:
     with _predicate_raises():
         for lrow in left_rel.scan():
             for rrow in right_rel.scan():
-                if _need_bool(test(lrow, rrow)):
+                answer = test(lrow, rrow)
+                if answer is True:
                     out.insert(TmlVector(list(lrow.slots) + list(rrow.slots)))
+                elif answer is not False:
+                    raise _not_a_boolean()
     return out
 
 
@@ -141,8 +152,11 @@ def _op_exists(machine, args: list[Any]) -> bool:
     test = machine.procedure(pred, 1)
     with _predicate_raises():
         for row in relation.scan():
-            if _need_bool(test(row)):
+            answer = test(row)
+            if answer is True:
                 return True
+            if answer is not False:
+                raise _not_a_boolean()
     return False
 
 
@@ -180,6 +194,14 @@ def _op_insert(machine, args: list[Any]) -> Any:
     return UNIT
 
 
+def _rows_of(relation: Relation, kind: str, rows: list) -> Relation:
+    """A relation without an index of ``rows``, a list of ``relation``'s
+    rows its index made for the caller."""
+    out = Relation(_temp_name(kind), relation.fields)
+    out.rows = rows
+    return out
+
+
 def _op_indexscan(machine, args: list[Any]) -> Relation:
     rel, field, value = args
     relation = _need_relation(rel)
@@ -189,10 +211,7 @@ def _op_indexscan(machine, args: list[Any]) -> Relation:
         rows = relation.index_lookup(field, value)
     except (QueryError, TypeError) as error:
         raise ExtRaise(f"queryError: {error}") from None
-    out = Relation(_temp_name("iscan"), relation.fields)
-    for row in rows:
-        out.insert(row)
-    return out
+    return _rows_of(relation, "iscan", rows)
 
 
 def _op_rangescan(machine, args: list[Any]) -> Relation:
@@ -204,10 +223,7 @@ def _op_rangescan(machine, args: list[Any]) -> Relation:
         rows = relation.index_range(field, low, high)
     except (QueryError, TypeError) as error:
         raise ExtRaise(f"queryError: {error}") from None
-    out = Relation(_temp_name("rscan"), relation.fields)
-    for row in rows:
-        out.insert(row)
-    return out
+    return _rows_of(relation, "rscan", rows)
 
 
 # ---------------------------------------------------------------------------

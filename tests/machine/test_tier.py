@@ -1018,3 +1018,104 @@ def test_an_int_test_is_dropped_only_where_it_cannot_fail(name):
     assert source(closure.code).count("is not int") == kept
     for args in cases:
         assert both(closure, args) == observe(closure, args, "reference")[0]
+
+
+# ---------------------------------------------------------------------------
+# an ``int`` literal operand decides its instruction's tests
+# ---------------------------------------------------------------------------
+
+_DIVIDENDS = [(-7,), (7,), (-90,), (0,), (INT_MIN,), (INT_MAX,), ("x",)]
+
+#: code with an ``int`` literal operand: (text, arguments, what the plain
+#: text contains -> whether it does)
+LITERAL_OPERANDS = {
+    # -1 and 0 keep the divisor's tests: INT_MIN / -1 overflows
+    "div-by-minus-one": ("proc(x ce cc) (/ x -1 ce cc)", _DIVIDENDS, {"int_div(": True}),
+    "rem-by-minus-one": ("proc(x ce cc) (% x -1 ce cc)", _DIVIDENDS, {"int_rem(": True}),
+    "rem-by-zero": ("proc(x ce cc) (% x 0 ce cc)", _DIVIDENDS, {"int_rem(": True}),
+    # any other divisor: C's truncation inline, no zero or overflow test
+    "div-by-a-positive": ("proc(x ce cc) (/ x 2 ce cc)", _DIVIDENDS,
+                          {"int_div(": False, str(INT_MAX): False}),
+    "div-by-a-negative": ("proc(x ce cc) (/ x -2 ce cc)", _DIVIDENDS,
+                          {"int_div(": False, str(INT_MAX): False}),
+    "rem-by-a-positive": ("proc(x ce cc) (% x 89 ce cc)", _DIVIDENDS,
+                          {"int_rem(": False, str(INT_MAX): False}),
+    "rem-by-a-negative": ("proc(x ce cc) (% x -89 ce cc)", _DIVIDENDS,
+                          {"int_rem(": False, str(INT_MAX): False}),
+    # a literal dividend decides nothing
+    "a-literal-dividend": ("proc(x ce cc) (% -7 x ce cc)", [(2,), (-2,), (0,), (-1,), (True,)],
+                           {"int_rem(": True}),
+    # a literal added or subtracted: one bound only
+    "add-a-positive": ("proc(x ce cc) (+ x 1 ce cc)", _DIVIDENDS,
+                       {f"t > {INT_MAX}": True, str(INT_MIN): False}),
+    "add-to-a-negative": ("proc(x ce cc) (+ -1 x ce cc)", _DIVIDENDS,
+                          {f"t < {INT_MIN}": True, str(INT_MAX): False}),
+    "sub-a-positive": ("proc(x ce cc) (- x 1 ce cc)", _DIVIDENDS,
+                       {f"t < {INT_MIN}": True, str(INT_MAX): False}),
+    "sub-a-negative": ("proc(x ce cc) (- x -1 ce cc)", _DIVIDENDS,
+                       {f"t > {INT_MAX}": True, str(INT_MIN): False}),
+    "add-zero": ("proc(x ce cc) (+ x 0 ce cc)", _DIVIDENDS, {"t <": False, "t >": False}),
+    # a literal minus a value, and a product, test both bounds
+    "sub-from-a-literal": ("proc(x ce cc) (- -2 x ce cc)", _DIVIDENDS,
+                           {f"t < {INT_MIN} or t > {INT_MAX}": True}),
+    "mul-by-a-literal": ("proc(x ce cc) (* x 2 ce cc)", _DIVIDENDS,
+                         {f"t < {INT_MIN} or t > {INT_MAX}": True}),
+    # index 2: at ``len - 1`` of three slots, at ``len`` of two
+    "a-literal-index": (
+        "proc(a ce cc) ([] a 2 cc)",
+        [(TmlArray([1, 2, 3]),), (TmlArray([1, 2]),), (TmlVector([4, 5, 6]),), (TmlVector([]),),
+         ("x",)],
+        {"0 <=": False, "len(r0.slots) <= 2": True}),
+    "a-literal-index-written": (
+        "proc(a ce cc) ([]:= a 1 9 cont(u) ([] a 1 cc))",
+        [(TmlArray([1, 2]),), (TmlArray([1]),), (TmlVector([1, 2]),)],
+        {"0 <=": False}),
+    "a-literal-byte-index": (
+        "proc(n ce cc) ($new n 7 cont(b) ($[]:= b 1 300 cont(u) ($[] b 1 cc)))",
+        [(2,), (1,), (0,)],
+        {"0 <=": False}),
+    "a-negative-literal-index": ("proc(a ce cc) ([] a -1 cc)", [(TmlArray([1]),), ("x",)],
+                                 {"0 <=": False, "len(": False}),
+    "a-literal-size": ("proc(x ce cc) (new 2 x cont(a) ([] a 1 cc))", [(5,), ("x",)],
+                       {"< 0": False}),
+    "a-negative-literal-size": ("proc(x ce cc) (new -1 x cc)", [(5,)], {"< 0": False}),
+    "a-negative-literal-byte-size": ("proc(x ce cc) ($new -1 x cc)", [(5,), ("x",)],
+                                     {"< 0": False}),
+    # a known ``int`` is identical only to an equal ``int``
+    "a-known-int-equals": (
+        "proc(x y ce cc) (% x 89 ce cont(r) (== r y cont() (cc 1) cont() (cc 0)))",
+        [(90, 1), (90, 2), (-90, -1), (1, True), (0, False), (1, Char("\x01")), (0, UNIT),
+         (7, Oid(7)), (7, "7")],
+        {"identical(": False, "int_rem(": False}),
+    "an-int-literal-equals": (
+        "proc(y ce cc) (== 3 y cont() (cc 1) cont() (cc 0))",
+        [(3,), (4,), (True,), (Char("\x03"),), (UNIT,), (Oid(3),)],
+        {"identical(": False}),
+}
+
+
+@pytest.mark.parametrize("name", LITERAL_OPERANDS)
+def test_a_literal_operand_decides_the_tests_it_can(name):
+    text, cases, contains = LITERAL_OPERANDS[name]
+    term = parse_term(text)
+    closure = instantiate(compile_function(term))
+    plain = source(closure.code)
+    assert {part: part in plain for part in contains} == contains
+    for args in cases:
+        outcome = both(closure, args)
+        assert outcome[:3] == interpret(term, None, args), args
+        sweep(closure, args)
+
+
+def test_an_optimized_remainder_test_calls_neither_int_rem_nor_identical():
+    """``x % 89 == k``, the predicate of an unindexed select, runs as two
+    Python comparisons once the optimizer has inlined the library's ``%``
+    and ``==``."""
+    system = TycoonSystem()
+    system.compile("module m export f\nlet f(x: Int, k: Int): Bool = x % 89 == k\nend")
+    closure = optimize_function(system, "m", "f")
+    text = source(closure.code, free=closure.free)
+    assert "int_rem(" not in text and "identical(" not in text
+    for x, k in [(179, 1), (-179, -1), (-179, 1), (INT_MIN, -8), (INT_MAX, 8), (5, True)]:
+        expected = system.vm().call(system.closure("m", "f"), [x, k]).value
+        assert system.vm().call(closure, [x, k]).value is expected, (x, k)

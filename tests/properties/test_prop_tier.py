@@ -19,6 +19,7 @@ from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, StepLimitExceeded
 from repro.obs.metrics import METRICS
 from repro.obs.profile import VMProfiler
+from repro.primitives._util import INT_MAX, INT_MIN
 from repro.reflect import optimize_function
 from repro.rewrite import OptimizerConfig
 
@@ -30,8 +31,9 @@ _SYSTEMS = (
     TycoonSystem(options=CompileOptions(optimizer=OptimizerConfig())),
 )
 _counter = [0]
-#: examples whose reflectively optimized code compiled a join entry, a loop site
-_entered, _looped = [0], [0]
+#: examples whose reflectively optimized code compiled a join entry, a loop
+#: site; examples of ``if``s in value position whose arms nest an ``if``
+_entered, _looped, _nested = [0], [0], [0]
 
 
 def _observe(system, closure, args, vm_class, profiled: bool, limit):
@@ -128,6 +130,36 @@ def test_reflectively_optimized_loops_go_round_in_place():
     assert _looped[0] > before, "no example compiled a loop site"
 
 
+def _literal(value: int) -> str:
+    return f"(0 - {-value})" if value < 0 else str(value)
+
+
+#: ``int`` literals: as divisors, 0 and -1 keep both edges and the others
+#: none; added or subtracted, each but 0 leaves one overflow bound to test
+_LITERALS = st.sampled_from([0, 1, -1, 2, -2, 89, 2**62, INT_MAX]).map(_literal)
+_OPERATORS = st.sampled_from(["+", "-", "*", "/", "%"])
+_LITERAL_BODIES = st.one_of(
+    st.tuples(_OPERATORS, _LITERALS).map(lambda parts: "p0 {} {}".format(*parts)),
+    st.tuples(_LITERALS, _OPERATORS).map(lambda parts: "{} {} p0".format(*parts)),
+    _LITERALS.map(lambda index: f"let a = array(p1, p0) in a[{index}]"),
+    _LITERALS.map(lambda divisor: f"if p0 % {divisor} == p1 then 1 else 0 end"),
+)
+
+
+@given(
+    body=_LITERAL_BODIES,
+    p0=st.one_of(st.sampled_from([INT_MIN, INT_MIN + 1, INT_MAX, -89, -7]), st.integers(-9, 9)),
+    p1=st.integers(-1, 3), fraction=st.floats(0, 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_literal_operands(body, p0, p1, fraction):
+    """An ``int`` literal operand of arithmetic, an index or an ``==``,
+    against the edges of ``int``: whatever tests the literal lets the plain
+    text leave out, nothing a caller sees changes."""
+    for reflect in (False, True):
+        _agree(body, "p0: Int, p1: Int", [p0, p1], fraction, reflect=reflect)
+
+
 _CONDITIONS = st.sampled_from(["p0 < 3", "p1 == 2", "p0 > p1", "s < p1"])
 
 
@@ -157,6 +189,7 @@ _ARMS = st.recursive(
 def _value_ifs(first, second, third, p0, p1, fraction):
     """``if``s in value position, nested, with literal and computed arms;
     the ``var`` ``s`` is reassigned after the continuations captured it."""
+    _nested[0] += any(arm.startswith("if ") for arm in (first, second, third))
     body = f"""
   var s := p0 in
   begin
@@ -168,6 +201,7 @@ def _value_ifs(first, second, third, p0, p1, fraction):
 
 
 def test_ifs_in_value_position_become_joins_entered_in_place():
-    before = _entered[0]
+    before, nested = _entered[0], _nested[0]
     _value_ifs()
     assert _entered[0] > before, "no example entered a join"
+    assert _nested[0] > nested, "no example nested an if in an arm"

@@ -207,6 +207,27 @@ def test_predicate_type_error(people, registry):
     assert "boolean" in result.value
 
 
+#: an operator calling a predicate that answers ``{answer}``, its ``ce`` a
+#: continuation that answers what it is passed
+NOT_A_BOOLEAN = {
+    "select": "(select proc(x ce2 cc2) (cc2 {answer}) rel cont(e) (cc e) cc)",
+    "exists": "(exists proc(x ce2 cc2) (cc2 {answer}) rel cont(e) (cc e) cc)",
+    "join": "(join proc(x y ce2 cc2) (cc2 {answer}) rel rel cont(e) (cc e) cc)",
+}
+
+
+@pytest.mark.parametrize("answer", ["7", "unit"])
+@pytest.mark.parametrize("operator", sorted(NOT_A_BOOLEAN))
+def test_a_predicate_answering_no_boolean_fails_the_operator_at_its_ce(
+    operator, answer, people, registry
+):
+    """Only ``true`` keeps a row and only ``false`` drops one: any other
+    answer is the operator's type error, at its exception continuation."""
+    body = NOT_A_BOOLEAN[operator].format(answer=answer)
+    value = run_both(f"proc(rel ce cc) {body}", [people], registry)
+    assert value == "queryTypeError: predicate did not return a boolean"
+
+
 def test_non_relation_argument(registry):
     src = "proc(rel ce cc) (count rel cc)"
     with pytest.raises(UncaughtTmlException):
