@@ -29,37 +29,40 @@ from collections import Counter
 from typing import Iterable
 
 from repro.core.names import Name
-from repro.core.syntax import Term, Var, iter_subterms
+from repro.core.syntax import Abs, App, PrimApp, Term, Var
 
 __all__ = ["count", "count_all", "count_many", "OccurrenceCensus"]
 
 
 def count(term: Term, name: Name) -> int:
     """Return |term|_name, the number of occurrences of ``name`` in ``term``."""
-    total = 0
-    for node in iter_subterms(term):
-        if isinstance(node, Var) and node.name == name:
-            total += 1
-    return total
+    return count_all(term).get(name, 0)
 
 
 def count_many(term: Term, names: Iterable[Name]) -> dict[Name, int]:
     """Count several variables in one traversal."""
-    wanted = set(names)
-    counts: dict[Name, int] = {name: 0 for name in wanted}
-    for node in iter_subterms(term):
-        if isinstance(node, Var) and node.name in wanted:
-            counts[node.name] += 1
-    return counts
+    counts = count_all(term)
+    return {name: counts.get(name, 0) for name in set(names)}
 
 
 def count_all(term: Term) -> Counter[Name]:
-    """Census of every variable occurrence in ``term``."""
-    counts: Counter[Name] = Counter()
-    for node in iter_subterms(term):
-        if isinstance(node, Var):
-            counts[node.name] += 1
-    return counts
+    """Census of every variable occurrence in ``term``: one explicit stack,
+    exact-type dispatch, the tally left to ``Counter``'s C loop."""
+    names: list[Name] = []
+    stack: list[Term] = [term]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            names.append(node.name)
+        elif kind is Abs:
+            stack.append(node.body)
+        elif kind is App:
+            stack.append(node.fn)
+            stack.extend(node.args)
+        elif kind is PrimApp:
+            stack.extend(node.args)
+    return Counter(names)
 
 
 class OccurrenceCensus:
@@ -79,17 +82,12 @@ class OccurrenceCensus:
 
     def forget_subtree(self, term: Term) -> None:
         """Subtract every occurrence inside a subtree being deleted."""
-        for node in iter_subterms(term):
-            if isinstance(node, Var):
-                self._counts[node.name] -= 1
-                if self._counts[node.name] <= 0:
-                    del self._counts[node.name]
+        for name, hits in count_all(term).items():
+            self.add(name, -hits)
 
     def add_subtree(self, term: Term) -> None:
         """Add every occurrence inside a subtree being inserted."""
-        for node in iter_subterms(term):
-            if isinstance(node, Var):
-                self._counts[node.name] += 1
+        self._counts.update(count_all(term))
 
     def snapshot(self) -> Counter[Name]:
         return Counter(self._counts)

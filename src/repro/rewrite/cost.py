@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.syntax import Abs, App, Lit, PrimApp, Term, iter_subterms
+from repro.core.syntax import Abs, App, Lit, PrimApp, Term, Var, iter_subterms
 from repro.primitives.registry import PrimitiveRegistry
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "DEFAULT_PRIM_COST",
     "term_cost",
     "InlineDecision",
+    "costed_decision",
+    "definition_cost",
     "site_decision",
 ]
 
@@ -60,8 +62,6 @@ def term_cost(term: Term, registry: PrimitiveRegistry) -> int:
     A static approximation: every application is counted once.  Fine for
     comparing a call site against an inlined body; not a profile.
     """
-    from repro.core.syntax import Var
-
     total = 0
     for node in iter_subterms(term):
         if isinstance(node, App):
@@ -93,13 +93,25 @@ class InlineDecision:
     body_cost: int
 
 
+def definition_cost(body: Abs, registry: PrimitiveRegistry) -> tuple[int, frozenset[int]]:
+    """What :func:`site_decision` needs of ``body`` whatever the site: its
+    body's ``term_cost`` and the indices of its unused parameters."""
+    from repro.analysis.usage import unused_param_indices
+
+    return term_cost(body.body, registry), frozenset(unused_param_indices(body))
+
+
 def site_decision(
-    body: Abs,
-    call_args: tuple,
-    registry: PrimitiveRegistry,
-    growth_budget: int,
+    body: Abs, call_args: tuple, registry: PrimitiveRegistry, growth_budget: int
 ) -> InlineDecision:
-    """Decide whether to substitute ``body`` at a call site (section 3).
+    """Decide whether to substitute ``body`` at a call site (section 3)."""
+    return costed_decision(definition_cost(body, registry), call_args, growth_budget)
+
+
+def costed_decision(
+    costed: tuple[int, frozenset[int]], call_args: tuple, growth_budget: int
+) -> InlineDecision:
+    """:func:`site_decision` for a definition :func:`definition_cost` costed.
 
     savings = call overhead + per-argument bonuses for statically known
     arguments; the site is expanded when ``body_cost - savings`` does not
@@ -110,11 +122,8 @@ def site_decision(
     it cost to materialize the argument is recovered (nothing for variables,
     the literal bonus for literals, a closure for abstractions).
     """
-    from repro.analysis.usage import unused_param_indices
-
-    cost = term_cost(body.body, registry)
+    cost, unused = costed
     savings = CALL_COST + CLOSURE_COST  # the call and (eventually) the closure
-    unused = set(unused_param_indices(body))
     for index, arg in enumerate(call_args):
         if isinstance(arg, Lit):
             savings += LIT_ARG_BONUS

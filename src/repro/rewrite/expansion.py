@@ -24,19 +24,22 @@ primitive's ``expand`` hook on every rebuilt application of it.  That is
 where the query rules of section 4.2 fire (the relational primitives'
 hooks, :mod:`repro.query.rules`): view expansion meets the query
 constructs it exposes, and the rules read the relations behind OID
-literals from the heap.
+literals from the heap.  One walk before the rebuild finds the candidates,
+the census and the top uid; a candidate is costed once, at its first site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 
 from repro.core.names import Name, NameSupply, fresh_supply_above
 from repro.core.occurrences import count_all
 from repro.core.substitution import alpha_rename
-from repro.core.syntax import Abs, App, Lit, PrimApp, Term, Var, max_uid
+from repro.core.syntax import Abs, App, Lit, PrimApp, Term, Var
 from repro.primitives.registry import PrimitiveRegistry
-from repro.rewrite.cost import site_decision
+from repro.rewrite.cost import costed_decision, definition_cost
 from repro.rewrite.rules import RuleConfig, _split_fix  # shared Y destructuring
 from repro.rewrite.stats import RewriteStats
 
@@ -63,6 +66,17 @@ class ExpansionConfig:
 
 
 @dataclass(slots=True)
+class _Candidate:
+    """An abstraction binding that could be expanded at its call sites."""
+
+    definition: Abs
+    recursive: bool
+    y_bound: bool
+    #: :func:`~repro.rewrite.cost.definition_cost`, filled at the first site
+    costed: tuple[int, frozenset[int]] | None = None
+
+
+@dataclass(slots=True)
 class _ExpansionState:
     registry: PrimitiveRegistry
     config: ExpansionConfig
@@ -72,8 +86,7 @@ class _ExpansionState:
     heap: object | None
     #: which rules the ``expand`` hooks may fire
     rules: RuleConfig
-    #: name -> (definition, is_recursive, is_y_bound)
-    candidates: dict[Name, tuple[Abs, bool, bool]] = field(default_factory=dict)
+    candidates: dict[Name, _Candidate]
     sites_inlined: int = 0
 
 
@@ -87,60 +100,68 @@ def expand_pass(
 ) -> Term:
     """Inline cost-approved call sites of multiply-referenced abstractions;
     with a ``heap``, also run the primitives' ``expand`` hooks."""
-    config = config or ExpansionConfig()
+    candidates, occurrences, top = _survey(term)
+    if not candidates and heap is None:
+        return term
     stats = stats if stats is not None else RewriteStats()
     state = _ExpansionState(
         registry=registry,
-        config=config,
-        supply=fresh_supply_above([max_uid(term)]),
+        config=config or ExpansionConfig(),
+        supply=fresh_supply_above([top]),
         stats=stats,
         heap=heap,
         rules=rules or RuleConfig(),
+        candidates=candidates,
     )
-    _collect_candidates(term, state)
-    if not state.candidates and heap is None:
-        return term
-    occurrences = count_all(term)
     new_term = _rewrite_sites(term, state, occurrences)
     stats.expansion_passes += 1
     stats.inlined_sites += state.sites_inlined
     return new_term
 
 
-def _collect_candidates(term: Term, state: _ExpansionState) -> None:
-    """Find abstraction bindings that could be expanded at their call sites.
+def _survey(term: Term) -> tuple[dict[Name, _Candidate], Counter[Name], int]:
+    """One walk: ``term``'s expansion candidates, its occurrence census and
+    its top uid (what ``count_all`` and ``max_uid`` would return).
 
-    Let bindings: ``(λ(.. f ..) body  .. proc ..)``.  Y bindings: the
+    Candidates are let bindings ``(λ(.. f ..) body  .. proc ..)`` and the
     ``v1..vn`` of a fixpoint function.  Once-referenced abstractions are left
     to the reduction pass's subst rule.
     """
+    candidates: dict[Name, _Candidate] = {}
+    names: list[Name] = []
+    binders: list[Name] = []
     stack: list[Term] = [term]
     while stack:
         node = stack.pop()
-        if isinstance(node, Abs):
+        kind = type(node)
+        if kind is Var:
+            names.append(node.name)
+        elif kind is Abs:
+            binders.extend(node.params)
             stack.append(node.body)
-        elif isinstance(node, App):
-            if isinstance(node.fn, Abs):
+        elif kind is App:
+            if type(node.fn) is Abs:
                 for param, arg in zip(node.fn.params, node.args):
-                    if isinstance(arg, Abs):
-                        state.candidates[param] = (arg, False, False)
+                    if type(arg) is Abs:
+                        candidates[param] = _Candidate(arg, False, False)
             stack.append(node.fn)
             stack.extend(node.args)
-        elif isinstance(node, PrimApp):
-            if node.prim == "Y":
-                split = _split_fix(node)
-                if split is not None:
-                    _, c0, vs, _, body = split
-                    group = set(vs) | {c0}
-                    for v, abs_value in zip(vs, body.args[1:]):
-                        if isinstance(abs_value, Abs):
-                            # A member that references no group name is not
-                            # actually recursive — inlining it is ordinary
-                            # procedure inlining, not loop unrolling.
-                            occurrences = count_all(abs_value)
-                            recursive = any(name in occurrences for name in group)
-                            state.candidates[v] = (abs_value, recursive, True)
+        elif kind is PrimApp:
+            split = _split_fix(node) if node.prim == "Y" else None
+            if split is not None:
+                _, c0, vs, _, body = split
+                group = set(vs) | {c0}
+                for v, abs_value in zip(vs, body.args[1:]):
+                    if type(abs_value) is Abs:
+                        # A member that references no group name is not
+                        # actually recursive — inlining it is ordinary
+                        # procedure inlining, not loop unrolling.
+                        recursive = not group.isdisjoint(count_all(abs_value))
+                        candidates[v] = _Candidate(abs_value, recursive, True)
             stack.extend(node.args)
+    census = Counter(names)
+    top = max((name.uid for name in chain(census, binders)), default=-1)
+    return candidates, census, top
 
 
 def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
@@ -152,13 +173,14 @@ def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
 
     while work:
         node, phase = work.pop()
+        kind = type(node)
         if phase == EXPAND:
-            if isinstance(node, (Lit, Var)):
+            if kind is Var or kind is Lit:
                 results.append(node)
-            elif isinstance(node, Abs):
+            elif kind is Abs:
                 work.append((node, BUILD))
                 work.append((node.body, EXPAND))
-            elif isinstance(node, App):
+            elif kind is App:
                 work.append((node, BUILD))
                 for arg in reversed(node.args):
                     work.append((arg, EXPAND))
@@ -168,10 +190,10 @@ def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
                 for arg in reversed(node.args):
                     work.append((arg, EXPAND))
         else:
-            if isinstance(node, Abs):
+            if kind is Abs:
                 body = results.pop()
                 results.append(node if body is node.body else Abs(node.params, body))
-            elif isinstance(node, App):
+            elif kind is App:
                 count = 1 + len(node.args)
                 parts = results[-count:]
                 del results[-count:]
@@ -183,10 +205,9 @@ def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
                 )
                 results.append(_maybe_inline(rebuilt, state, occurrences))
             else:  # PrimApp
-                count = len(node.args)
-                args = tuple(results[-count:]) if count else ()
-                if count:
-                    del results[-count:]
+                start = len(results) - len(node.args)
+                args = tuple(results[start:])
+                del results[start:]
                 rebuilt = (
                     node
                     if all(a is b for a, b in zip(args, node.args))
@@ -203,30 +224,32 @@ def _rewrite_sites(term: Term, state: _ExpansionState, occurrences) -> Term:
 
 
 def _maybe_inline(app: App, state: _ExpansionState, occurrences) -> App:
-    if not isinstance(app.fn, Var):
+    if type(app.fn) is not Var:
         return app
     candidate = state.candidates.get(app.fn.name)
     if candidate is None:
         return app
-    definition, is_recursive, is_y_bound = candidate
+    definition = candidate.definition
     if definition.arity != len(app.args):
         return app
-    if not is_y_bound and occurrences.get(app.fn.name, 0) < 2:
+    if not candidate.y_bound and occurrences.get(app.fn.name, 0) < 2:
         # once-referenced let binding: the reduction pass's subst rule moves
         # it for free.  (Y-bound members are never moved by subst, so they
         # are expanded here regardless of their reference count.)
         return app
-    if is_recursive and not state.config.unroll_recursive:
+    if candidate.recursive and not state.config.unroll_recursive:
         return app
     if state.sites_inlined >= state.config.max_sites_per_pass:
         return app
 
     budget = (
         state.config.recursive_growth_budget
-        if is_recursive
+        if candidate.recursive
         else state.config.growth_budget
     )
-    decision = site_decision(definition, app.args, state.registry, budget)
+    if candidate.costed is None:
+        candidate.costed = definition_cost(definition, state.registry)
+    decision = costed_decision(candidate.costed, app.args, budget)
     if not decision.inline:
         return app
 

@@ -11,7 +11,8 @@ stops when this penalty reaches a certain limit."
 
 Penalty here is the number of inlined sites per round; when the accumulated
 penalty crosses ``penalty_limit`` the growth budget collapses to zero and
-the alternation necessarily stops.
+the alternation necessarily stops.  The last fixpoint is not confirmed by a
+second one: the final reduction runs only over a term expansion changed.
 
 Given a heap, ``optimize`` is the runtime optimizer of section 4.2 as well:
 the expansion pass runs the relational primitives' query rules, and a pass
@@ -104,9 +105,10 @@ def optimize(
 
     penalty = 0
     expansion_config = config.expansion
+    fixpoint = None
     for round_index in range(config.max_rounds):
         stats.rounds = round_index + 1
-        term = reduce_to_fixpoint(term, registry, config.rules, stats, on_pass, timer)
+        term = fixpoint = reduce_to_fixpoint(term, registry, config.rules, stats, on_pass, timer)
         if not config.expansion_enabled:
             break
 
@@ -130,7 +132,9 @@ def optimize(
             # collapse the growth budget so a final reduction settles things
             expansion_config = replace(expansion_config, growth_budget=0)
 
-    term = reduce_to_fixpoint(term, registry, config.rules, stats, on_pass, timer)
+    if term is not fixpoint:
+        # a pass over a fixpoint fires nothing: reduce only what expansion changed
+        term = reduce_to_fixpoint(term, registry, config.rules, stats, on_pass, timer)
     stats.size_after = term_size(term)
     _record_run(stats)
     if timer is not None:

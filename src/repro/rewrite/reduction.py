@@ -9,7 +9,9 @@ One *pass* is a single bottom-up rebuild of the tree that applies every
 enabled rule wherever it matches, maintaining the occurrence census
 incrementally (see :class:`repro.rewrite.rules.ReductionState` for the
 staleness protocol).  Passes repeat until one makes no change; each pass is
-O(tree), and the strict size decrease bounds the number of passes.
+O(tree), and the strict size decrease bounds the number of passes.  A pass
+is a function of its term (fresh census, empty dirty set), so the pipeline
+never reduces again a term that a fixpoint call has just returned.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ def reduce_pass(term: Term, state: ReductionState) -> Term:
 
     while work:
         node, phase = work.pop()
+        kind = type(node)
         if phase == EXPAND:
-            if isinstance(node, (Lit, Var)):
+            if kind is Var or kind is Lit:
                 results.append(node)
-            elif isinstance(node, Abs):
+            elif kind is Abs:
                 work.append((node, BUILD))
                 work.append((node.body, EXPAND))
-            elif isinstance(node, App):
+            elif kind is App:
                 work.append((node, BUILD))
                 for arg in reversed(node.args):
                     work.append((arg, EXPAND))
@@ -59,12 +62,12 @@ def reduce_pass(term: Term, state: ReductionState) -> Term:
                 for arg in reversed(node.args):
                     work.append((arg, EXPAND))
         else:  # BUILD
-            if isinstance(node, Abs):
+            if kind is Abs:
                 body = results.pop()
-                assert isinstance(body, (App, PrimApp))
+                assert type(body) is App or type(body) is PrimApp
                 rebuilt = node if body is node.body else Abs(node.params, body)
                 results.append(rebuilt)
-            elif isinstance(node, App):
+            elif kind is App:
                 count = 1 + len(node.args)
                 parts = results[-count:]
                 del results[-count:]
@@ -78,7 +81,7 @@ def reduce_pass(term: Term, state: ReductionState) -> Term:
                 # for all cont-var applications — ordinary binding redexes
                 # (fn is an Abs) and user calls (fn is a value variable)
                 # keep it.
-                if not (isinstance(fn, Var) and fn.name.is_cont):
+                if not (type(fn) is Var and fn.name.is_cont):
                     args = [_maybe_eta(arg, state) for arg in args]
                 if fn is node.fn and all(a is b for a, b in zip(args, node.args)):
                     rebuilt: Term = node
@@ -86,10 +89,9 @@ def reduce_pass(term: Term, state: ReductionState) -> Term:
                     rebuilt = App(fn, tuple(args))
                 results.append(_cascade(rebuilt, state))
             else:  # PrimApp
-                count = len(node.args)
-                args = list(results[-count:]) if count else []
-                if count:
-                    del results[-count:]
+                start = len(results) - len(node.args)
+                args = results[start:]
+                del results[start:]
                 # eta is positionally restricted: the Y fixpoint argument must
                 # stay an abstraction (its λ(c0 v1..vn c) shape is what the
                 # Y rules and the code generator destructure).
@@ -107,7 +109,7 @@ def reduce_pass(term: Term, state: ReductionState) -> Term:
 
     assert len(results) == 1
     out = results[0]
-    if isinstance(out, Abs):
+    if type(out) is Abs:
         replacement = try_eta(out, state)
         if replacement is not None:
             out = replacement
@@ -115,7 +117,7 @@ def reduce_pass(term: Term, state: ReductionState) -> Term:
 
 
 def _maybe_eta(value: Term, state: ReductionState) -> Term:
-    if isinstance(value, Abs):
+    if type(value) is Abs:
         replacement = try_eta(value, state)
         if replacement is not None:
             return replacement
@@ -132,9 +134,9 @@ def _cascade(node: Term, state: ReductionState) -> Term:
             # this call's elapsed time is credited only to its own rules
             timer.pending.clear()
             started = perf_counter()
-        if isinstance(current, App) and isinstance(current.fn, Abs):
+        if type(current) is App and type(current.fn) is Abs:
             rewritten = rewrite_app(current, state)
-        elif isinstance(current, PrimApp):
+        elif type(current) is PrimApp:
             rewritten = rewrite_prim(current, state)
         else:
             break

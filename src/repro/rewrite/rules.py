@@ -306,6 +306,9 @@ def _try_case_subst(prim_app: PrimApp, state: ReductionState) -> PrimApp:
     if not isinstance(scrutinee, Var):
         return prim_app
     v = scrutinee.name
+    if state.occurrences(v) == 1 and state.is_clean(v):
+        # a clean count is never low: no branch mentions v
+        return prim_app
 
     new_branches: list[Value] = []
     changed = False

@@ -10,6 +10,9 @@ from repro.machine.runtime import UncaughtTmlException
 from repro.machine.vm import VM, instantiate
 from repro.primitives.registry import default_registry
 from repro.rewrite import OptimizerConfig, RuleConfig, optimize, reduce_only
+from repro.rewrite.reduction import reduce_to_fixpoint
+from repro.rewrite.rules import ALL_RULES
+from repro.rewrite.stats import RewriteStats
 
 from tests.properties.test_prop_core import straightline_terms
 
@@ -59,6 +62,20 @@ def test_optimizer_idempotent(term):
     once = optimize(term, _REGISTRY).term
     twice = optimize(once, _REGISTRY).term
     assert once == twice
+
+
+@given(straightline_terms())
+@settings(max_examples=40, deadline=None)
+def test_one_more_pass_over_an_optimized_term_fires_nothing(term):
+    """``optimize`` skips its last fixpoint call when the term is already the
+    last fixpoint: that pass would have returned the same object, firing
+    nothing, under every rule ablation and without expansion."""
+    configs = [OptimizerConfig(rules=RuleConfig.without(rule)) for rule in sorted(ALL_RULES)]
+    for config in configs + [OptimizerConfig.reduction_only()]:
+        optimized = optimize(term, _REGISTRY, config).term
+        stats = RewriteStats()
+        assert reduce_to_fixpoint(optimized, _REGISTRY, config.rules, stats) is optimized
+        assert (stats.reduction_passes, stats.total_rewrites) == (1, 0)
 
 
 @given(straightline_terms())

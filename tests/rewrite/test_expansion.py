@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.parser import parse_term
 from repro.core.pretty import pretty_compact
-from repro.core.syntax import term_size
 from repro.core.wellformed import check
 from repro.machine.cps_interp import Interpreter
 from repro.primitives.registry import default_registry
@@ -136,3 +135,72 @@ def test_semantics_preserved_under_expansion(registry):
     before = Interpreter().run(term).value
     after = Interpreter().run(optimize(term, registry).term).value
     assert before == after == 21
+
+
+# ---------------------------------------------------------------------------
+# each candidate is costed once per pass
+# ---------------------------------------------------------------------------
+
+#: ``int.add`` called at five sites, ``int.mul`` at six
+LEAF_CALLS = """
+module m export f
+let f(x: Int): Int = x * 3 + x * 5 + x * 7 + x * 9 + x * 11 + x * 13
+end
+"""
+
+
+def test_a_library_leaf_is_costed_once_per_expansion_pass(monkeypatch):
+    """The reflective optimization of ``f`` inlines the library's ``+`` at
+    five sites: its definition is costed once in that pass, and each site's
+    decision is the one the uncached ``site_decision`` makes."""
+    from collections import Counter
+
+    import repro.rewrite.cost as cost
+    import repro.rewrite.expansion as expansion
+    import repro.rewrite.pipeline as pipeline
+    from repro.lang.system import TycoonSystem
+    import repro.reflect.optimize  # noqa: F401  (binds its own term_cost before the spy)
+    from repro.reflect import optimize_result
+    from repro.rewrite.cost import site_decision
+
+    passes = []  # per expansion pass, the bodies ``term_cost`` costed
+    costed_by = {}  # id of a definition_cost result -> (it, definition, registry)
+    decisions = []  # (id of the costing, call args, budget, decision)
+    real = (pipeline.expand_pass, cost.term_cost, expansion.definition_cost,
+            expansion.costed_decision)
+
+    def expand_spy(*args, **kwargs):
+        passes.append([])
+        return real[0](*args, **kwargs)
+
+    def term_cost_spy(term, registry):
+        passes[-1].append(term)
+        return real[1](term, registry)
+
+    def definition_cost_spy(definition, registry):
+        out = real[2](definition, registry)
+        costed_by[id(out)] = (out, definition, registry)
+        return out
+
+    def decision_spy(costed, call_args, budget):
+        out = real[3](costed, call_args, budget)
+        decisions.append((id(costed), call_args, budget, out))
+        return out
+
+    system = TycoonSystem()
+    system.compile(LEAF_CALLS)
+    monkeypatch.setattr(pipeline, "expand_pass", expand_spy)
+    monkeypatch.setattr(cost, "term_cost", term_cost_spy)
+    monkeypatch.setattr(expansion, "definition_cost", definition_cost_spy)
+    monkeypatch.setattr(expansion, "costed_decision", decision_spy)
+    result = optimize_result(system, "m", "f")
+
+    assert system.vm().call(result.closure, [2]).value == 96
+    for bodies in passes:
+        assert len({id(body) for body in bodies}) == len(bodies)
+    sites = Counter(costing for costing, *_ in decisions)
+    assert max(sites.values()) >= 5
+    assert result.stats.inlined_sites >= 5
+    for costing, call_args, budget, decision in decisions:
+        _, definition, registry = costed_by[costing]
+        assert decision == site_decision(definition, call_args, registry, budget)

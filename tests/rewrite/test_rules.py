@@ -248,3 +248,60 @@ class TestTermination:
         once = reduce_only(term, registry).term
         twice = reduce_only(once, registry).term
         assert once == twice
+
+
+class TestCaseSubstConsultsTheCensus:
+    """case-subst walks the branches only when the scrutinee may occur in
+    one: a clean census count is never low (the dirty-set protocol)."""
+
+    SOURCE = "(== v 1 cont() (halt {}) cont() (halt 0))"
+
+    def _case(self, registry, branch_value):
+        from repro.core.occurrences import OccurrenceCensus
+        from repro.rewrite.rules import ReductionState
+
+        term = parse_term(self.SOURCE.format(branch_value))
+        return term, term.args[0].name, ReductionState(OccurrenceCensus(term), registry)
+
+    def _counting(self, monkeypatch):
+        import repro.rewrite.rules as rules
+
+        counted = []
+        real = rules.count_occurrences
+        monkeypatch.setattr(
+            rules, "count_occurrences", lambda term, name: counted.append(name) or real(term, name)
+        )
+        return counted
+
+    def test_fires_when_the_scrutinee_occurs_in_a_branch(self, registry, monkeypatch):
+        from repro.rewrite.rules import _try_case_subst
+
+        term, v, state = self._case(registry, "v")
+        counted = self._counting(monkeypatch)
+        out = _try_case_subst(term, state)
+        assert counted == [v]
+        assert state.stats.count("case-subst") == 1
+        assert pretty_compact(out.args[2]) == "cont() (halt 1)"
+        assert state.occurrences(v) == 1
+
+    def test_walks_the_branches_when_the_scrutinee_is_dirty(self, registry, monkeypatch):
+        from repro.rewrite.rules import _try_case_subst
+
+        term, v, state = self._case(registry, "v")
+        # stale-low, as after a substitution this pass added occurrences of v
+        state.census.add(v, -1)
+        state.dirty.add(v)
+        assert state.occurrences(v) == 1
+        counted = self._counting(monkeypatch)
+        out = _try_case_subst(term, state)
+        assert counted == [v]
+        assert out is not term and state.stats.count("case-subst") == 1
+
+    def test_a_scrutinee_occurring_once_returns_the_node_uncounted(self, registry, monkeypatch):
+        from repro.rewrite.rules import _try_case_subst
+
+        term, v, state = self._case(registry, "7")
+        assert state.occurrences(v) == 1 and state.is_clean(v)
+        counted = self._counting(monkeypatch)
+        assert _try_case_subst(term, state) is term
+        assert counted == [] and not state.changed
